@@ -99,6 +99,13 @@ func main() {
 // by a test harness driving run directly; ready, when non-nil, receives the
 // bound RPC address once listening).
 func run(cfg daemonConfig, ready chan<- string) error {
+	// The handler goes in before anything announces the daemon (log lines,
+	// ready): a supervisor that signals the moment it sees either must get a
+	// clean shutdown, not the default action.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	reg := obs.NewRegistry("formatd")
 	// The wire tap always exists (its unarmed cost is one interface call per
 	// frame) so an operator can arm capture at runtime through /debug/tapz
@@ -184,16 +191,12 @@ func run(cfg daemonConfig, ready chan<- string) error {
 		log.Printf("debug endpoints on http://%s%s", dbg.Addr(), registry.RegistryzPath)
 	}
 
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
 
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 	select {
 	case sig := <-sigc:
 		log.Printf("%s: shutting down (%d entries held)", sig, srv.Len())

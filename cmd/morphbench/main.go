@@ -1,16 +1,19 @@
 // Command morphbench regenerates the paper's evaluation (§5): Table 1 and
-// Figures 8, 9 and 10, plus the ablations called out in DESIGN.md. Output
-// uses the paper's layout (sizes in KB, times in ms) and can additionally
-// be written as CSV for plotting.
+// Figures 8, 9 and 10, plus the ablations called out in DESIGN.md, and
+// drives the two correctness scenarios (replica failover, fleet chaos soak).
+// Output uses the paper's layout (sizes in KB, times in ms); figures can
+// additionally be written as CSV for plotting. Performance numbers for the
+// messaging stack itself come from benchmark/ (bash benchmark/run.sh), not
+// from here.
 //
 // Usage:
 //
-//	morphbench [-exp all|table1|fig8|fig9|fig10|pipeline|trace|registry|watch|obsload|fanout|tapload|replica|fleet|ablations] [-quick] [-csv dir] [-obs]
+//	morphbench [-exp all|table1|fig8|fig9|fig10|ablations|replica|fleet] [-quick] [-csv dir] [-out file] [-obs]
 //
 // The replica experiment normally builds its 3-peer cluster in-process. With
 // -cluster host:port,host:port,... it instead drives an already-running
 // formatd cluster for -duration (check.sh uses this to SIGKILL a real
-// primary mid-load and gate on the resulting BENCH_replica.json).
+// primary mid-load and gate on the resulting document).
 package main
 
 import (
@@ -38,19 +41,11 @@ func main() {
 func run(stdout io.Writer, args []string) error {
 	fs := flag.NewFlagSet("morphbench", flag.ContinueOnError)
 	var (
-		exp       = fs.String("exp", "all", "experiment: all, table1, fig8, fig9, fig10, pipeline, trace, registry, watch, obsload, fanout, tapload, replica, fleet, ablations")
+		exp       = fs.String("exp", "all", "experiment: all, table1, fig8, fig9, fig10, ablations, replica, fleet")
 		quick     = fs.Bool("quick", false, "shorter measuring windows and smaller max size (for CI)")
-		csvDir    = fs.String("csv", "", "also write CSV files into this directory")
+		csvDir    = fs.String("csv", "", "also write the table/figure series as CSV files into this directory")
 		withObs   = fs.Bool("obs", false, "attach an observability registry and print its final snapshot as JSON")
-		pipeJSON  = fs.String("pipelinejson", "BENCH_pipeline.json", "file the pipeline experiment writes its results to (empty disables)")
-		traceJSON = fs.String("tracejson", "BENCH_trace.json", "file the trace experiment writes its results to (empty disables)")
-		regJSON   = fs.String("registryjson", "BENCH_registry.json", "file the registry experiment writes its results to (empty disables)")
-		watchJSON = fs.String("watchjson", "BENCH_watch.json", "file the watch experiment writes its results to (empty disables)")
-		obsJSON   = fs.String("obsjson", "BENCH_obs.json", "file the obsload experiment writes its results to (empty disables)")
-		fanJSON   = fs.String("fanoutjson", "BENCH_fanout.json", "file the fanout experiment writes its results to (empty disables)")
-		tapJSON   = fs.String("tapjson", "BENCH_tap.json", "file the tapload experiment writes its results to (empty disables)")
-		replJSON  = fs.String("replicajson", "BENCH_replica.json", "file the replica experiment writes its results to (empty disables)")
-		fleetJSON = fs.String("fleetjson", "BENCH_fleet.json", "file the fleet experiment writes its results to (empty disables)")
+		outJSON   = fs.String("out", "", "write the replica/fleet results to this file as one JSON object keyed by experiment (empty: print only)")
 		seed      = fs.Int64("seed", 1, "fleet: chaos schedule seed (logged in the result; rerun with the same seed to reproduce)")
 		clusterAd = fs.String("cluster", "", "replica: comma-separated addresses of a running formatd cluster (empty runs in-process)")
 		shards    = fs.Int("shards", 4, "replica: fingerprint-space shard count (must match the cluster's -shards)")
@@ -58,6 +53,9 @@ func run(stdout io.Writer, args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *outJSON != "" && *exp != "all" && *exp != "replica" && *exp != "fleet" {
+		return fmt.Errorf("-out carries replica/fleet results only; -exp %s produces none", *exp)
 	}
 
 	h, err := bench.NewHarness()
@@ -99,6 +97,7 @@ func run(stdout io.Writer, args []string) error {
 	var (
 		encode, decode, morph []bench.Point
 		sizeRows              []bench.SizeRow
+		results               = map[string]any{} // the -out document: experiment name → result
 	)
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
@@ -145,93 +144,6 @@ func run(stdout io.Writer, args []string) error {
 			return err
 		}
 	}
-	writeJSON := func(path string, v any) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-
-	if want("pipeline") {
-		results, err := h.PipelineSweep(opts.MinTotal)
-		if err != nil {
-			return err
-		}
-		bench.PrintPipeline(stdout, results)
-		if err := writeJSON(*pipeJSON, results); err != nil {
-			return err
-		}
-	}
-	if want("trace") {
-		results, err := h.TraceSweep(opts.MinTotal)
-		if err != nil {
-			return err
-		}
-		bench.PrintTrace(stdout, results)
-		if err := writeJSON(*traceJSON, results); err != nil {
-			return err
-		}
-	}
-	if want("registry") {
-		result, err := h.RegistrySweep(opts.MinTotal)
-		if err != nil {
-			return err
-		}
-		bench.PrintRegistry(stdout, result)
-		if err := writeJSON(*regJSON, result); err != nil {
-			return err
-		}
-	}
-	if want("watch") {
-		result, err := h.WatchSweep(opts.MinTotal)
-		if err != nil {
-			return err
-		}
-		bench.PrintWatch(stdout, result)
-		if err := writeJSON(*watchJSON, result); err != nil {
-			return err
-		}
-	}
-	if want("obsload") {
-		results, err := h.ObsLoadSweep(opts.MinTotal)
-		if err != nil {
-			return err
-		}
-		bench.PrintObsLoad(stdout, results)
-		if err := writeJSON(*obsJSON, results); err != nil {
-			return err
-		}
-	}
-	if want("fanout") {
-		result, err := h.FanoutSweep(*quick)
-		if err != nil {
-			return err
-		}
-		bench.PrintFanout(stdout, result)
-		if err := writeJSON(*fanJSON, result); err != nil {
-			return err
-		}
-	}
-	if want("tapload") {
-		result, err := h.TapSweep(opts.MinTotal)
-		if err != nil {
-			return err
-		}
-		bench.PrintTap(stdout, result)
-		if err := writeJSON(*tapJSON, result); err != nil {
-			return err
-		}
-	}
 	if want("replica") {
 		var result bench.ReplicaResult
 		if *clusterAd != "" {
@@ -243,9 +155,7 @@ func run(stdout io.Writer, args []string) error {
 			return err
 		}
 		bench.PrintReplica(stdout, result)
-		if err := writeJSON(*replJSON, result); err != nil {
-			return err
-		}
+		results["replica"] = result
 	}
 	if want("fleet") {
 		result, err := h.FleetSoak(*seed, *quick)
@@ -253,9 +163,7 @@ func run(stdout io.Writer, args []string) error {
 			return err
 		}
 		bench.PrintFleet(stdout, result)
-		if err := writeJSON(*fleetJSON, result); err != nil {
-			return err
-		}
+		results["fleet"] = result
 	}
 	if want("ablations") {
 		minTotal := opts.MinTotal
@@ -278,6 +186,16 @@ func run(stdout io.Writer, args []string) error {
 	if *exp == "all" {
 		fmt.Fprintln(stdout, "Summary (paper-shape check)")
 		fmt.Fprint(stdout, bench.Summary(encode, decode, morph, sizeRows))
+	}
+
+	if *outJSON != "" {
+		doc, err := json.MarshalIndent(results, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*outJSON, append(doc, '\n'), 0o644); err != nil {
+			return err
+		}
 	}
 
 	if reg != nil {

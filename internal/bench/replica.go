@@ -34,7 +34,7 @@ import (
 //     vs the same load against a single daemon — plus the warm LRU hit,
 //     which must stay allocation-free in cluster mode.
 
-// ReplicaResult is the experiment's JSON document (BENCH_replica.json).
+// ReplicaResult is the experiment's JSON document (morphbench -out).
 type ReplicaResult struct {
 	Peers  int `json:"peers"`
 	Shards int `json:"shards"`
@@ -159,7 +159,7 @@ func (h *Harness) ReplicaSweep(quick bool) (ReplicaResult, error) {
 	// poll a standby's table until the entry lands.
 	pub := registry.NewClient(addrs[0], registry.WithWatchDisabled())
 	defer pub.Close()
-	lagFormats, err := registryBenchFormats(nLagSamples)
+	lagFormats, err := replicaFormats("replica_lag", nLagSamples)
 	if err != nil {
 		return res, err
 	}
@@ -185,13 +185,11 @@ func (h *Harness) ReplicaSweep(quick bool) (ReplicaResult, error) {
 	res.StandbyLagP95NS = lags[len(lags)*95/100].Nanoseconds()
 
 	// Failover under live load.
-	loadFormats := make([]*pbio.Format, 0, nFormats)
-	for i := 0; i < nFormats; i++ {
-		f, err := replicaFormat(fmt.Sprintf("replica_load_%d", i), i)
-		if err != nil {
-			return res, err
-		}
-		loadFormats = append(loadFormats, f)
+	loadFormats, err := replicaFormats("replica_load", nFormats)
+	if err != nil {
+		return res, err
+	}
+	for _, f := range loadFormats {
 		if err := pub.Register(f); err != nil {
 			return res, err
 		}
@@ -235,8 +233,9 @@ func (h *Harness) ReplicaSweep(quick bool) (ReplicaResult, error) {
 	return res, nil
 }
 
-// replicaFormat builds one structurally distinct format outside the
-// registryBenchFormats namespace (the two load sets must not collide).
+// replicaFormat builds one structurally distinct format. The name is part
+// of the fingerprint, so sets built under different names never collide in
+// the daemon's table.
 func replicaFormat(name string, i int) (*pbio.Format, error) {
 	fields := []pbio.Field{
 		{Name: "timestamp", Kind: pbio.Unsigned, Size: 8},
@@ -246,6 +245,19 @@ func replicaFormat(name string, i int) (*pbio.Format, error) {
 		fields = append(fields, pbio.Field{Name: fmt.Sprintf("v%d", j), Kind: pbio.Float, Size: 8})
 	}
 	return pbio.NewFormat(name, fields)
+}
+
+// replicaFormats builds the n formats prefix_0 … prefix_(n-1).
+func replicaFormats(prefix string, n int) ([]*pbio.Format, error) {
+	out := make([]*pbio.Format, 0, n)
+	for i := 0; i < n; i++ {
+		f, err := replicaFormat(fmt.Sprintf("%s_%d", prefix, i), i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, f)
+	}
+	return out, nil
 }
 
 // failoverResult collects the live-load phase's counters.
@@ -390,7 +402,7 @@ func (h *Harness) replicaThroughput(res *ReplicaResult, quick bool) error {
 		nFormats = 32
 	}
 
-	formats, err := registryBenchFormats(nFormats)
+	formats, err := replicaFormats("replica_cold", nFormats)
 	if err != nil {
 		return err
 	}
@@ -521,7 +533,7 @@ func ExternalReplicaRun(addrs []string, shards int, duration time.Duration) (Rep
 	pub := registry.NewClusterClient(addrs, shards,
 		registry.WithWatchDisabled(), registry.WithTimeout(time.Second), registry.WithBackoff(100*time.Millisecond))
 	defer pub.Close()
-	formats, err := registryBenchFormats(64)
+	formats, err := replicaFormats("replica_seed", 64)
 	if err != nil {
 		return res, err
 	}
@@ -555,12 +567,12 @@ func ExternalReplicaRun(addrs []string, shards int, duration time.Duration) (Rep
 		_ = c.Close()
 	}
 
-	lags := make([]time.Duration, 0, 16)
-	for i := 0; i < 16; i++ {
-		f, err := replicaFormat(fmt.Sprintf("replica_ext_lag_%d", i), i)
-		if err != nil {
-			return res, err
-		}
+	lagFormats, err := replicaFormats("replica_ext_lag", 16)
+	if err != nil {
+		return res, err
+	}
+	lags := make([]time.Duration, 0, len(lagFormats))
+	for _, f := range lagFormats {
 		if err := pub.Register(f); err != nil {
 			return res, err
 		}

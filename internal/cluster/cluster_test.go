@@ -375,7 +375,7 @@ func TestElectionWindowWriteSurfacedRetryable(t *testing.T) {
 
 	// The other half of the window: a forwarder whose path to the primary is
 	// dead. Same contract — retryable, not applied.
-	srv.SetWriteForwarder(func([]byte) error { return fmt.Errorf("connection refused") })
+	srv.SetWriteForwarder(func(uint64, []byte) error { return fmt.Errorf("connection refused") })
 	if err := c.Register(f); !errors.Is(err, registry.ErrRetryable) {
 		t.Fatalf("register over a dead forward path: err = %v, want ErrRetryable", err)
 	}
@@ -487,6 +487,73 @@ func TestElectionDuringWrite(t *testing.T) {
 	if extra := tc.srvs[1].Len() - len(acked); extra > 1 {
 		t.Errorf("%d unacked formats applied (table %d vs %d acked)", extra, tc.srvs[1].Len(), len(acked))
 	}
+}
+
+// TestStandbyReannouncesAckedWrites is the deterministic core of
+// TestElectionDuringWrite. Replication is asynchronous, so a write a standby
+// accepted and its primary acknowledged may never have reached the peer that
+// is promoted when that primary dies — here by construction: peers 0 and 1
+// are bare servers, so peer 1 replicates nothing. The accepting standby must
+// re-forward the write to the new primary when it attaches; before it did,
+// the acknowledged write lived on the accepting peer alone.
+func TestStandbyReannouncesAckedWrites(t *testing.T) {
+	serve := func() (*registry.Server, net.Listener) {
+		srv, err := registry.NewServer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() { _ = srv.Close(); _ = ln.Close() })
+		return srv, ln
+	}
+	oldPrimary, ln0 := serve()
+	oldPrimary.SetHelloInfo(registry.RolePrimary, 0, 4)
+	successor, ln1 := serve()
+	successor.SetHelloInfo(registry.RoleStandby, 1, 4)
+	srv, ln2 := serve()
+	node, err := New(srv, Config{
+		Index:     2,
+		Peers:     []string{ln0.Addr().String(), ln1.Addr().String(), ln2.Addr().String()},
+		Shards:    4,
+		Heartbeat: testHB,
+		FailAfter: testFailAfter,
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Start()
+	t.Cleanup(node.Close)
+	following := func(pi int) func() bool {
+		return func() bool {
+			node.mu.Lock()
+			defer node.mu.Unlock()
+			return node.role == registry.RoleStandby && node.primaryIdx == pi
+		}
+	}
+	waitFor(t, "standby of peer 0", following(0))
+
+	c := registry.NewClient(ln2.Addr().String(), registry.WithWatchDisabled())
+	defer c.Close()
+	f := testFormat(t, "acked", 2)
+	waitFor(t, "write acknowledged through the standby", func() bool { return c.Register(f) == nil })
+	if _, err := oldPrimary.Resolve(f.Fingerprint()); err != nil {
+		t.Fatalf("acknowledged write is not on the primary: %v", err)
+	}
+
+	_ = oldPrimary.Close()
+	_ = ln0.Close()
+	successor.BumpInstance()
+	successor.SetHelloInfo(registry.RolePrimary, 1, 4)
+	waitFor(t, "standby of peer 1", following(1))
+	waitFor(t, "acknowledged write on the new primary", func() bool {
+		_, err := successor.Resolve(f.Fingerprint())
+		return err == nil
+	})
 }
 
 // TestStandbySnapshotRestartNoDoubleApply: a standby that restarts over its

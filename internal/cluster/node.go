@@ -19,7 +19,9 @@
 // indices time to come up. Split-brain windows are bounded by heartbeat
 // detection and resolved by client-side reconvergence, not prevented — the
 // registry's writes are idempotent upserts keyed by content fingerprint,
-// which is what makes that trade sound.
+// which is what makes that trade sound. A standby does the same for the
+// writes it accepted: it re-forwards them to every new primary incarnation
+// (see Node.forwarded).
 package cluster
 
 import (
@@ -82,7 +84,13 @@ type Node struct {
 	primarySeq  uint64 // latest seqno heard from the primary (hello/watch)
 	repl        *registry.ReplSession
 	peers       []peerState
-	closed      bool
+	// forwarded holds every write this standby accepted and its primary
+	// acknowledged, by fingerprint (the blob is the slice the local table
+	// stores). The ack proves the primary held the write, not that any other
+	// standby does — replication is asynchronous — so the peer promoted
+	// after that primary dies may never have seen it; see reannounce.
+	forwarded map[uint64][]byte
+	closed    bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -116,6 +124,7 @@ func New(srv *registry.Server, cfg Config) (*Node, error) {
 		primaryIdx: -1,
 		stop:       make(chan struct{}),
 		peers:      make([]peerState, len(cfg.Peers)),
+		forwarded:  make(map[uint64][]byte),
 	}
 	for i, addr := range cfg.Peers {
 		n.peers[i] = peerState{Addr: addr, Self: i == cfg.Index}
@@ -327,6 +336,7 @@ func (n *Node) promote() {
 	n.role = registry.RolePrimary
 	n.primaryIdx = n.cfg.Index
 	n.primarySeq = 0
+	clear(n.forwarded) // this table is the authority now, and primaries never demote
 	n.mu.Unlock()
 	n.srv.SetWriteForwarder(nil)
 	n.srv.BumpInstance()
@@ -379,6 +389,7 @@ func (n *Node) runStandby(pi int) {
 		afterSeq = curSeq
 	}
 	n.mu.Lock()
+	newPrimary := n.primaryInst != hi.Instance
 	n.role = registry.RoleStandby
 	n.primaryIdx = pi
 	n.primaryInst = hi.Instance
@@ -392,10 +403,23 @@ func (n *Node) runStandby(pi int) {
 		return
 	}
 	n.srv.SetHelloInfo(registry.RoleStandby, n.cfg.Index, n.cfg.Shards)
-	n.srv.SetWriteForwarder(func(blob []byte) error {
-		return repl.Put(blob, n.cfg.Heartbeat*4)
+	n.srv.SetWriteForwarder(func(fp uint64, blob []byte) error {
+		if err := repl.Put(blob, n.cfg.Heartbeat*4); err != nil {
+			return err
+		}
+		n.mu.Lock()
+		n.forwarded[fp] = blob
+		n.mu.Unlock()
+		return nil
 	})
 	n.roleGauge.Set(int64(registry.RoleStandby))
+	if newPrimary {
+		if err := n.reannounce(repl); err != nil {
+			n.logf("cluster: peer %d: re-announce to primary %d: %v", n.cfg.Index, pi, err)
+			n.detachRepl(repl)
+			return
+		}
+	}
 
 	if _, err := repl.Watch(afterSeq, n.cfg.Heartbeat*2); err != nil {
 		n.logf("cluster: peer %d: watch primary %d: %v", n.cfg.Index, pi, err)
@@ -449,10 +473,33 @@ func (n *Node) runStandby(pi int) {
 	}
 }
 
+// reannounce re-forwards every write this standby accepted under earlier
+// primary incarnations to the one it just attached to. The primary damps a
+// blob it already holds, so only the writes the dead primary never streamed
+// to its successor cost anything. An error leaves the set for the next attach.
+func (n *Node) reannounce(repl *registry.ReplSession) error {
+	n.mu.Lock()
+	blobs := make([][]byte, 0, len(n.forwarded))
+	for _, blob := range n.forwarded {
+		blobs = append(blobs, blob)
+	}
+	n.mu.Unlock()
+	for _, blob := range blobs {
+		if err := repl.Put(blob, n.cfg.Heartbeat*4); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // detachRepl closes the replication session and removes the forwarder (the
-// next attach or promotion installs the right write path).
+// next attach or promotion installs the right write path). It returns only
+// once the session's read pump has exited: applyEvent runs on that pump, and
+// one still in flight would write this session's seqno, cursor and snapshot
+// over the next attachment's, or after Close returned.
 func (n *Node) detachRepl(repl *registry.ReplSession) {
 	_ = repl.Close()
+	<-repl.Done()
 	n.mu.Lock()
 	if n.repl == repl {
 		n.repl = nil

@@ -212,7 +212,8 @@ func WithObs(reg *obs.Registry) MorpherOption {
 
 // WithSpliceDisabled turns the byte-level fast lane off: every delivery goes
 // through the record lane, as before the splice optimization. Exists as an
-// escape hatch and for A/B measurement (morphbench's pipeline experiment).
+// escape hatch and as the reference lane the differential tests and
+// BenchmarkDeliverEncodedSplice compare the splice lane against.
 func WithSpliceDisabled() MorpherOption {
 	return func(m *Morpher) { m.noSplice = true }
 }

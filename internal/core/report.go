@@ -128,7 +128,7 @@ func fieldDesc(f *pbio.Field) string {
 }
 
 // FormatChanges renders a DiffReport as one line per change, the format
-// used by the ecodec and morphbench tools.
+// used by the ecodec tool.
 func FormatChanges(changes []FieldChange) string {
 	if len(changes) == 0 {
 		return "no structural changes\n"

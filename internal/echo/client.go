@@ -100,6 +100,10 @@ type Subscriber struct {
 var ErrHandshake = errors.New("echo: channel open handshake failed")
 
 // Open connects to the event domain at addr and joins the named channel.
+// Returned means subscribed: the server adds the member to the channel's
+// fan-out before it writes the response Open waits for, so a sink receives
+// every event the server takes in after Open returns — including one a peer
+// publishes the instant it learns of this member.
 func Open(addr, channelID string, opts Options) (*Subscriber, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {

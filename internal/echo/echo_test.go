@@ -3,6 +3,8 @@ package echo
 import (
 	"net"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,12 @@ import (
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	srv := NewServer()
+	return srv, serve(t, srv)
+}
+
+// serve is startServer for a Server the test configured itself.
+func serve(t *testing.T, srv *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +41,7 @@ func startServer(t *testing.T) (*Server, string) {
 			t.Error("server did not shut down")
 		}
 	})
-	return srv, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 func TestOpenNewClient(t *testing.T) {
@@ -149,6 +157,90 @@ func TestEventDelivery(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("event not delivered")
 	}
+}
+
+// TestOpenReturnedMeansSubscribed pins the handshake ordering: the broker
+// joins a member before it acknowledges it, and still never lets an event
+// frame overtake the acknowledgement. The hook stalls the late sink's
+// handshake between the two steps while a peer publishes; a witness sink
+// that joined earlier proves the fan-out pass for that event has run. With
+// the steps the other way round (acknowledge, then join) the event is never
+// offered to the late sink at all.
+func TestOpenReturnedMeansSubscribed(t *testing.T) {
+	var arm atomic.Bool
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	unstall := sync.OnceFunc(func() { close(release) })
+	defer unstall()
+	srv := NewServer()
+	srv.hookJoined = func() {
+		if arm.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}
+	addr := serve(t, srv)
+
+	quote := pbio.MustFormat("Quote", []pbio.Field{{Name: "symbol", Kind: pbio.String}})
+	listen := func(sub *Subscriber) chan *pbio.Record {
+		got := make(chan *pbio.Record, 1)
+		if err := sub.Handle(quote, func(r *pbio.Record) error {
+			got <- r
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = sub.Run() }()
+		return got
+	}
+	await := func(who string, got chan *pbio.Record) {
+		t.Helper()
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: event not delivered", who)
+		}
+	}
+
+	witness, err := Open(addr, "quotes", Options{Sink: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer witness.Close()
+	witnessGot := listen(witness)
+	pub, err := Open(addr, "quotes", Options{Source: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	type opened struct {
+		sub *Subscriber
+		err error
+	}
+	lateOpen := make(chan opened, 1)
+	arm.Store(true)
+	go func() {
+		sub, err := Open(addr, "quotes", Options{Sink: true})
+		lateOpen <- opened{sub, err}
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("late sink's handshake never reached the hook")
+	}
+	if err := pub.Publish(pbio.NewRecord(quote).MustSet("symbol", pbio.Str("ACME"))); err != nil {
+		t.Fatal(err)
+	}
+	await("witness", witnessGot)
+	unstall()
+
+	late := <-lateOpen
+	if late.err != nil {
+		t.Fatalf("late Open (an event frame ahead of the response?): %v", late.err)
+	}
+	defer late.sub.Close()
+	await("late sink", listen(late.sub))
 }
 
 // TestPayloadEvolution evolves an *event* format: the publisher uses Quote

@@ -103,6 +103,9 @@ func TestMorphzEndToEnd(t *testing.T) {
 			t.Fatalf("only %d of %d events delivered", i, events)
 		}
 	}
+	// A handler can run before the broker's writer is back from the flush;
+	// its per-delivery accounting is done once the last frame is released.
+	waitNoLiveFrames(t)
 
 	mzAddr := srv.MorphzAddr()
 	if mzAddr == nil {

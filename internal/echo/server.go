@@ -59,6 +59,10 @@ type Server struct {
 	// outbound queue and what Enqueue does when it fills.
 	queueCap    int
 	queuePolicy fanout.Policy
+
+	// hookJoined, set only by tests before Serve, runs inside every
+	// handshake after the member joined and before its response is written.
+	hookJoined func()
 }
 
 // echoObs holds the server's instrument handles, fetched once at
@@ -277,6 +281,12 @@ func newSinkObs(reg *obs.Registry, channel string, id int32) sinkObs {
 type memberConn struct {
 	conn   *wire.Conn
 	member Member
+
+	// ackPending is held (count 1) from just before the member joins the
+	// fan-out until its handshake response has been written or has failed;
+	// the sink's writer waits on it before touching the conn. See
+	// Server.join.
+	ackPending sync.WaitGroup
 
 	// q is the sink's bounded outbound queue (nil for pure sources): the
 	// fan-out path enqueues refcounted frames, the queue's writer goroutine
@@ -686,11 +696,6 @@ func (s *Server) handleConn(nc net.Conn) {
 	ch.mu.Lock()
 	ch.nextID++
 	mc.member = Member{Info: contact, ID: ch.nextID, IsSource: req.IsSource, IsSink: req.IsSink}
-	members := make([]Member, 0, len(ch.members)+1)
-	for _, m := range ch.members {
-		members = append(members, m)
-	}
-	members = append(members, mc.member)
 	ch.mu.Unlock()
 	meta := ch.metaSnapshot()
 
@@ -715,20 +720,9 @@ func (s *Server) handleConn(nc net.Conn) {
 	for _, em := range meta {
 		conn.Declare(em.format, em.xforms...)
 	}
-	if err := conn.WriteRecord(ResponseV2Record(members)); err != nil {
+	if err := s.join(ch, mc); err != nil {
 		return
 	}
-	// Join the membership only after the response is on the wire, so a
-	// concurrent fanout cannot slip an event frame in front of the
-	// handshake response (the enqueue happens-after this store, and the
-	// sink's writer serializes behind the response on the conn write lock).
-	ch.mu.Lock()
-	ch.members[mc] = mc.member
-	if mc.member.IsSink {
-		ch.addSinkLocked(mc)
-	}
-	ch.mu.Unlock()
-	s.om.members.Add(1)
 
 	// Event loop: everything else the member sends is an event submission.
 	// Events stay in their encoded form end to end: the publisher's bytes are
@@ -748,6 +742,38 @@ func (s *Server) handleConn(nc net.Conn) {
 		}
 		ch.fanout(mc, f, data, conn.TraceContext())
 	}
+}
+
+// join makes mc a member of ch and then acknowledges the subscription, in
+// that order. Invariant: once the peer can read the ChannelOpenResponse —
+// so by the time its Open returns — mc is in the fan-out snapshot, and every
+// event the broker receives from then on is offered to it. Joining first
+// lets a concurrent fan-out enqueue events before the response is written;
+// mc.ackPending parks the sink's writer (the Flush in newSinkQueue) until it
+// is, so no event frame can precede the response on the wire.
+func (s *Server) join(ch *channel, mc *memberConn) error {
+	mc.ackPending.Add(1)
+	ch.mu.Lock()
+	ch.members[mc] = mc.member
+	if mc.member.IsSink {
+		ch.addSinkLocked(mc)
+	}
+	members := make([]Member, 0, len(ch.members))
+	for _, m := range ch.members {
+		members = append(members, m)
+	}
+	ch.mu.Unlock()
+	s.om.members.Add(1)
+
+	if s.hookJoined != nil {
+		s.hookJoined()
+	}
+	err := mc.conn.WriteRecord(ResponseV2Record(members))
+	mc.ackPending.Done()
+	if err != nil {
+		ch.remove(mc)
+	}
+	return err
 }
 
 // metaSnapshot returns the channel's current event-format meta-data — an
@@ -866,6 +892,7 @@ func (ch *channel) newSinkQueue(mc *memberConn) *fanout.Queue {
 		// which a stalled sink's writer can hold across a blocked flush —
 		// exactly the head-of-line block the engine exists to remove.
 		Flush: func(batch []*fanout.Frame) error {
+			mc.ackPending.Wait() // events follow the handshake response, never lead it
 			meta := ch.metaSnapshot()
 			wb := mc.wbatch[:0]
 			for _, fr := range batch {

@@ -10,8 +10,8 @@
 // flushes everything pending in one batch — so a slow sink fills (only) its
 // own queue, and N backlogged frames cost one flush. The package is
 // transport-agnostic: the flush callback is the only thing that knows about
-// wire connections, which is what lets morphbench drive the same engine
-// against a million simulated in-process sinks.
+// wire connections, which is what lets tests and benchmark/ drive the same
+// engine with no socket behind it.
 package fanout
 
 import (

@@ -7,8 +7,8 @@ import (
 	"strconv"
 )
 
-// JSON rendering of records and values, for diagnostics and tooling (the
-// ecodec and morphbench commands print records; operators grep logs). This
+// JSON rendering of records and values, for diagnostics and tooling
+// (commands print records; operators grep logs). This
 // is a one-way export — the wire format is the binary codec, never JSON.
 
 // MarshalJSON renders the record as an object in field declaration order.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pbio"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -43,8 +42,6 @@ type Client struct {
 	negTTL   time.Duration
 	backoff  time.Duration
 	cacheCap int
-
-	tracer *trace.Tracer
 
 	hits       *obs.Counter   // registry.hits: resolutions served from the LRU
 	misses     *obs.Counter   // registry.misses: cold fetches the daemon answered with an entry
@@ -192,12 +189,6 @@ func WithClientObs(reg *obs.Registry) ClientOption {
 // PR 4 wire profile.
 func WithWatchDisabled() ClientOption {
 	return func(c *Client) { c.watchDisabled = true }
-}
-
-// WithClientTracer attaches a tracer: each daemon round-trip records a
-// registry_fetch span (head-sampled like any root).
-func WithClientTracer(t *trace.Tracer) ClientOption {
-	return func(c *Client) { c.tracer = t }
 }
 
 // WithTimeout overrides the per-RPC deadline.
@@ -537,21 +528,17 @@ func (c *Client) watch(probe bool) error {
 
 // watchOnce performs one hello + subscribe round-trip pair.
 func (c *Client) watchOnce(probe bool) error {
-	span := c.tracer.StartTrace(trace.StageRegistryWatch)
 	resp, err := c.rpcMaybeProbe(opHello, nil, probe)
 	if err != nil {
-		span.EndErr(err)
 		return err
 	}
 	if resp.status != statusOK {
 		// A pre-watch daemon answers unknown ops with statusError: degrade
 		// to poll-on-miss without arming resubscription.
-		span.EndErr(ErrWatchUnsupported)
 		return ErrWatchUnsupported
 	}
 	caps, inst, _, perr := parseHello(resp.payload)
 	if perr != nil || caps&capWatch == 0 {
-		span.EndErr(ErrWatchUnsupported)
 		return ErrWatchUnsupported
 	}
 
@@ -572,15 +559,10 @@ func (c *Client) watchOnce(probe bool) error {
 
 	wresp, err := c.rpcMaybeProbe(opWatch, binary.AppendUvarint(nil, after), probe)
 	if err != nil {
-		span.EndErr(err)
 		return err
 	}
 	if wresp.status != statusOK {
-		span.EndErr(ErrWatchUnsupported)
 		return ErrWatchUnsupported
-	}
-	if seq, used := binary.Uvarint(wresp.payload); used > 0 {
-		span.N = int64(seq)
 	}
 	c.mu.Lock()
 	resumed := c.everWatched
@@ -600,7 +582,6 @@ func (c *Client) watchOnce(probe bool) error {
 	if onUp != nil {
 		go onUp(instChanged)
 	}
-	span.End()
 	return nil
 }
 
@@ -646,9 +627,6 @@ func (c *Client) onEvent(seq uint64, rest []byte) {
 	if derr != nil || e.Format.Fingerprint() != fp {
 		return // a malformed push must not poison the cache
 	}
-	span := c.tracer.StartTrace(trace.StageRegistryWatch)
-	span.FP = fp
-	span.N = int64(seq)
 	c.cmu.Lock()
 	delete(c.neg, fp)
 	c.insertLocked(fp, e.Format, e.Xforms)
@@ -678,7 +656,6 @@ func (c *Client) onEvent(seq uint64, rest []byte) {
 		}
 	}
 	c.mu.Unlock()
-	span.End()
 }
 
 // dispatchEvents drains subPending, invoking every registered event callback
@@ -845,8 +822,6 @@ func (c *Client) TransformsForFresh(fp uint64) []*core.Xform {
 // fetch performs one cold resolution round-trip. force routes the RPC past
 // the down-state gate (the fresh-read contract; see rpcForce).
 func (c *Client) fetch(fp uint64, force bool) (*pbio.Format, []*core.Xform, error) {
-	span := c.tracer.StartTrace(trace.StageRegistryFetch)
-	span.FP = fp
 	var t0 time.Time
 	if c.fetchNS != nil {
 		t0 = time.Now()
@@ -864,7 +839,6 @@ func (c *Client) fetch(fp uint64, force bool) (*pbio.Format, []*core.Xform, erro
 		c.fetchNS.ObserveNS(time.Since(t0).Nanoseconds())
 	}
 	if err != nil {
-		span.EndErr(err)
 		return nil, nil, err
 	}
 	// Counted per status below: misses are round-trips the daemon answered
@@ -876,29 +850,20 @@ func (c *Client) fetch(fp uint64, force bool) (*pbio.Format, []*core.Xform, erro
 		c.misses.Inc()
 		e, derr := decodeEntry(resp.payload)
 		if derr != nil {
-			span.EndErr(derr)
 			return nil, nil, derr
 		}
 		if got := e.Format.Fingerprint(); got != fp {
-			err := fmt.Errorf("registry: daemon answered %016x with entry %016x", fp, got)
-			span.EndErr(err)
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("registry: daemon answered %016x with entry %016x", fp, got)
 		}
-		span.N = int64(len(resp.payload))
-		span.End()
 		return e.Format, e.Xforms, nil
 	case statusUnknown:
 		c.unknowns.Inc()
 		c.cmu.Lock()
 		c.neg[fp] = time.Now().Add(c.negTTL)
 		c.cmu.Unlock()
-		span.Err = true
-		span.End()
 		return nil, nil, fmt.Errorf("%w: %016x", ErrUnknownFingerprint, fp)
 	default:
-		err := fmt.Errorf("registry: get %016x: %s", fp, resp.payload)
-		span.EndErr(err)
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("registry: get %016x: %s", fp, resp.payload)
 	}
 }
 

@@ -147,9 +147,10 @@ func TestReregisterOnInstanceChange(t *testing.T) {
 		_, err := srv2.Resolve(f.Fingerprint())
 		return err == nil
 	})
-	if reg.Counter("registry.reregisters").Load() == 0 {
-		t.Error("registry.reregisters = 0; the entry arrived some other way")
-	}
+	// The counter ticks after the Register the daemon just answered returns.
+	waitFor(t, "registry.reregisters to count it (else the entry arrived some other way)", func() bool {
+		return reg.Counter("registry.reregisters").Load() != 0
+	})
 }
 
 // TestClusterClientRoutingAndReadRepair: reads route to the shard-preferred
@@ -183,6 +184,14 @@ func TestClusterClientRoutingAndReadRepair(t *testing.T) {
 	pref.cmu.Unlock()
 	if !cached {
 		t.Error("preferred replica's LRU not repaired after a failover answer")
+	}
+	// And that hit costs what a single client's does: nothing.
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := cc.ResolveFormat(f.Fingerprint()); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("cluster-client cache hit allocates %.1f times per call, want 0", allocs)
 	}
 
 	// A fingerprint nobody holds: unknown only after every replica said so.

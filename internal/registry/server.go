@@ -105,7 +105,7 @@ type Server struct {
 	role      byte
 	peerIndex int
 	shards    int
-	forward   func(blob []byte) error
+	forward   func(fp uint64, blob []byte) error
 	statusFn  func() any
 
 	snapshotPath string // "" = snapshots disabled
@@ -388,7 +388,7 @@ func (s *Server) BumpInstance() {
 // ApplyReplicated damping path, so the echo from the primary's event stream
 // is a no-op) once the forwarder acknowledges. A forwarder error fails the
 // RPC; the client retries against another replica.
-func (s *Server) SetWriteForwarder(f func(blob []byte) error) {
+func (s *Server) SetWriteForwarder(f func(fp uint64, blob []byte) error) {
 	s.clusterMu.Lock()
 	s.forward = f
 	s.clusterMu.Unlock()
@@ -424,7 +424,7 @@ func (s *Server) SetStatusFunc(fn func() any) {
 }
 
 // clusterState snapshots the cluster fields for dispatch and the handler.
-func (s *Server) clusterState() (role byte, index, shards int, fwd func([]byte) error, statusFn func() any) {
+func (s *Server) clusterState() (role byte, index, shards int, fwd func(uint64, []byte) error, statusFn func() any) {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
 	return s.role, s.peerIndex, s.shards, s.forward, s.statusFn
@@ -432,7 +432,7 @@ func (s *Server) clusterState() (role byte, index, shards int, fwd func([]byte) 
 
 // writeState snapshots what opPut needs: the forward path, whether the
 // server is a cluster member, and whether it is the write authority.
-func (s *Server) writeState() (fwd func([]byte) error, clustered, isPrimary bool) {
+func (s *Server) writeState() (fwd func(uint64, []byte) error, clustered, isPrimary bool) {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
 	return s.forward, s.clustered, s.role == RolePrimary
@@ -574,7 +574,7 @@ func (s *Server) dispatch(conn *wire.Conn, body []byte) error {
 			// only an acknowledged write is applied locally (read-your-writes
 			// on this replica — the echo from the primary's event stream is
 			// then damped as an identical blob).
-			if ferr := fwd(blob); ferr != nil {
+			if ferr := fwd(fp, blob); ferr != nil {
 				// The primary died (or is dying) under this forward: the
 				// write was not applied anywhere, so it is cleanly retryable
 				// — here once a new primary exists, or on another replica.

@@ -146,9 +146,11 @@ func TestWatchInvalidatesNegativeCache(t *testing.T) {
 		_, _, err := watcher.ResolveFormat(fp)
 		return err == nil
 	})
-	if reg.Counter("registry.watch_events").Load() == 0 {
-		t.Error("watch_events = 0; resolution recovered some other way")
-	}
+	// The event is counted just after its entry becomes resolvable; no event
+	// at all means the resolution recovered some other way.
+	waitFor(t, "the watch event to be counted", func() bool {
+		return reg.Counter("registry.watch_events").Load() > 0
+	})
 	// And it resolved from the LRU — the event carried the entry payload,
 	// so no extra daemon round-trip was needed.
 	if got := reg.Counter("registry.misses").Load(); got != 0 {
@@ -252,9 +254,11 @@ func TestWatchReconnectSeqnoReplay(t *testing.T) {
 		_, _, err := watcher.ResolveFormat(f2.Fingerprint())
 		return err == nil
 	})
-	if reg.Counter("registry.watch_resubscribes").Load() == 0 {
-		t.Error("watch_resubscribes = 0; the subscription never resumed")
-	}
+	// The resync events race the resubscribe's own bookkeeping, which counts
+	// the resumption only after the watch RPC has returned.
+	waitFor(t, "the resubscription to be counted", func() bool {
+		return reg.Counter("registry.watch_resubscribes").Load() > 0
+	})
 	// f1 must have survived too (it was already in the LRU).
 	if !watcher.Holds(f1) {
 		t.Error("pre-crash entry lost across the reconnect")

@@ -7,8 +7,8 @@
 //
 // Cost discipline mirrors internal/trace: a connection without a tap pays one
 // nil check per frame; a connection with a *disarmed* tap pays one interface
-// call and one atomic load — 0 allocations and within 2% of the tap-free
-// splice floor (BENCH_tap.json, gated in check.sh). All per-frame expense
+// call and one atomic load, and 0 allocations (wire's
+// TestEncodedRoundTripAllocs). All per-frame expense
 // (record allocation, fingerprint peek, prefix copy) sits strictly behind the
 // armed check.
 package tap

@@ -126,16 +126,12 @@ const (
 	StageConvert           // name-wise fill/drop conversion
 	StageDeliver           // handler invocation
 
-	// StageRegistryFetch times one format-registry RPC (internal/registry):
-	// a cold fingerprint resolution or format publication round-trip. New
-	// stages are appended here — the numbering is observable in span dumps
-	// and must stay stable.
-	StageRegistryFetch // registry client Get/Put round-trip
-
-	// StageRegistryWatch covers the registry watch stream: one span per
-	// subscription handshake (hello + watch, N = the daemon's seqno) and one
-	// per applied invalidation event (FP = the entry, N = its seqno).
-	StageRegistryWatch // registry watch subscribe / applied event
+	// StageRegistryFetch and StageRegistryWatch are reserved: nothing emits
+	// them (the registry client takes no tracer), but the numbering is
+	// observable in span dumps and must stay stable. New stages are appended
+	// below.
+	StageRegistryFetch
+	StageRegistryWatch
 
 	// StageFanoutShard covers one membership shard's enqueue pass inside a
 	// fan-out: N = the number of sinks the frame was offered to.
@@ -398,6 +394,9 @@ func (t *Tracer) Dropped() uint64 {
 
 // Snapshot returns the retained spans — the main ring merged with the
 // slow/error tail ring, deduplicated by sequence number — oldest first.
+// Once more than Capacity spans have been recorded it therefore holds
+// between Capacity and Capacity + Capacity/4 records: the newest Capacity
+// spans plus whatever older slow/error spans the tail ring still keeps.
 func (t *Tracer) Snapshot() []SpanRecord {
 	if t == nil {
 		return nil

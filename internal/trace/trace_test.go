@@ -161,8 +161,10 @@ func TestConcurrentRecording(t *testing.T) {
 	if tr.Total() != 8*200*2 {
 		t.Errorf("total = %d, want %d", tr.Total(), 8*200*2)
 	}
-	if got := len(tr.Snapshot()); got != 64 {
-		t.Errorf("retained %d, want 64", got)
+	// Main ring (64) ∪ slow-span tail ring (64/4): scheduling decides how
+	// many spans ran past SlowNS and whether the main ring still has them.
+	if got := len(tr.Snapshot()); got < 64 || got > 64+64/4 {
+		t.Errorf("retained %d, want within [64, 80]", got)
 	}
 }
 

@@ -7,6 +7,15 @@ cd "$(dirname "$0")/.."
 
 tmpdir=$(mktemp -d)
 formatd_pid=; echodemo_pid=; peer0_pid=; peer1_pid=; peer2_pid=; replica_pid=
+# The gate must not touch the work tree: whatever state it starts from
+# (clean in CI, staged edits in a pre-commit run) is the state it leaves.
+# The state is the porcelain listing plus the content behind every line of
+# it: unstaged and staged diffs, and a checksum of each untracked file.
+tree_state() {
+    { git status --porcelain; git diff; git diff --cached
+      git ls-files -o --exclude-standard -z | xargs -0 -r cksum; } | cksum
+}
+tree_before=$(tree_state)
 trap 'kill "$formatd_pid" "$echodemo_pid" "$peer0_pid" "$peer1_pid" "$peer2_pid" "$replica_pid" 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
 
 echo "== go vet ./..."
@@ -17,38 +26,10 @@ echo "== go test -race ./..."
 go test -race ./...
 echo "== bench smoke (splice/fanout fast paths)"
 go test -run xxx -bench 'Splice|Fanout' -benchtime 100x ./...
-echo "== morphbench pipeline (writes BENCH_pipeline.json)"
-go run ./cmd/morphbench -exp pipeline -quick
-echo "== morphbench trace (writes BENCH_trace.json)"
-go run ./cmd/morphbench -exp trace -quick
-echo "== morphbench registry (writes BENCH_registry.json)"
-go run ./cmd/morphbench -exp registry -quick
-echo "== morphbench watch (writes BENCH_watch.json)"
-go run ./cmd/morphbench -exp watch -quick
-echo "== morphbench obsload (writes BENCH_obs.json)"
-go run ./cmd/morphbench -exp obsload -quick
-echo "== morphbench fanout smoke (quick sweep, temp output)"
-go run ./cmd/morphbench -exp fanout -quick -fanoutjson "$tmpdir/BENCH_fanout_quick.json"
-jq -e '.allocs_per_delivery == 0' "$tmpdir/BENCH_fanout_quick.json" >/dev/null \
-    || { echo "fanout smoke: allocs_per_delivery != 0 on the shared-frame path"; exit 1; }
-jq -e '[.points[].speedup] | min >= 2' "$tmpdir/BENCH_fanout_quick.json" >/dev/null \
-    || { echo "fanout smoke: quick-mode batched speedup fell below 2x"; exit 1; }
-echo "== fanout floors (committed BENCH_fanout.json)"
-jq -e '.allocs_per_delivery == 0' BENCH_fanout.json >/dev/null \
-    || { echo "BENCH_fanout.json: allocs_per_delivery != 0"; exit 1; }
-jq -e '[.points[] | select(.sinks >= 100000) | .speedup] | length > 0 and min >= 5' BENCH_fanout.json >/dev/null \
-    || { echo "BENCH_fanout.json: 100k+ sink speedup below the 5x acceptance floor"; exit 1; }
-echo "== morphbench tapload smoke (quick sweep, temp output)"
-go run ./cmd/morphbench -exp tapload -quick -tapjson "$tmpdir/BENCH_tap_quick.json"
-jq -e '.unarmed_overhead_pct <= 2' "$tmpdir/BENCH_tap_quick.json" >/dev/null \
-    || { echo "tap smoke: unarmed tap overhead above the 2% splice-lane floor"; exit 1; }
-jq -e '.allocs_delta == 0' "$tmpdir/BENCH_tap_quick.json" >/dev/null \
-    || { echo "tap smoke: disarmed tap hook allocates on the wire roundtrip"; exit 1; }
-echo "== tap floors (committed BENCH_tap.json)"
-jq -e '.unarmed_overhead_pct <= 2 and .allocs_delta == 0' BENCH_tap.json >/dev/null \
-    || { echo "BENCH_tap.json: unarmed tap cost above the acceptance floor"; exit 1; }
-echo "== pipeline splice floor (vs HEAD baseline)"
-sh scripts/bench_guard.sh "$tmpdir"
+echo "== flake gate (2 procs x 20 runs: handshake, trace-ring, daemon-signal and failover races)"
+GOMAXPROCS=2 go test -count=20 ./internal/echo/ ./internal/trace/ ./cmd/formatd/ ./internal/cluster/
+echo "== benchmark harness still builds against the library (vet + unit tests, no sockets)"
+(cd benchmark && go vet ./... && go test ./...)
 echo "== fanout churn/isolation suite (race-enabled)"
 go test -race -count=1 -run 'TestFanoutChurnStress|TestSlowSinkIsolation|TestFailedWriteReleasesGauges' \
     ./internal/echo/
@@ -136,7 +117,7 @@ curl -sf "$(peer_debug 0)" | jq -e '.cluster.role == "primary" and (.cluster.pee
     || { echo "peer 0 never became primary:"; cat "$tmpdir/peer0.log"; exit 1; }
 go build -o "$tmpdir/morphbench" ./cmd/morphbench
 "$tmpdir/morphbench" -exp replica -cluster "$cluster_peers" -shards 4 -duration 6s \
-    -replicajson "$tmpdir/BENCH_replica_live.json" >"$tmpdir/replica.log" 2>&1 &
+    -out "$tmpdir/replica_live.json" >"$tmpdir/replica.log" 2>&1 &
 replica_pid=$!
 # The external run seeds 64 formats plus 16 lag probes before the load
 # window opens; once peer 1's table shows them all replicated, the resolve
@@ -154,28 +135,20 @@ wait "$replica_pid" || { echo "replica live load failed:"; cat "$tmpdir/replica.
 replica_pid=
 curl -sf "$(peer_debug 1)" | jq -e '.cluster.role == "primary"' >/dev/null \
     || { echo "peer 1 did not take over after the primary was SIGKILLed"; cat "$tmpdir/peer1.log"; exit 1; }
-jq -e '.failed_resolutions == 0 and .resolutions > 0' "$tmpdir/BENCH_replica_live.json" >/dev/null \
-    || { echo "cluster smoke: resolutions failed during primary SIGKILL"; cat "$tmpdir/BENCH_replica_live.json"; exit 1; }
-jq -e '.blackout_ns < 5000000000 and .staleness_max_ns < 5000000000' "$tmpdir/BENCH_replica_live.json" >/dev/null \
-    || { echo "cluster smoke: failover blackout/staleness above the 5s ceiling"; cat "$tmpdir/BENCH_replica_live.json"; exit 1; }
+jq -e '.replica | .failed_resolutions == 0 and .resolutions > 0' "$tmpdir/replica_live.json" >/dev/null \
+    || { echo "cluster smoke: resolutions failed during primary SIGKILL"; cat "$tmpdir/replica_live.json"; exit 1; }
+jq -e '.replica | .blackout_ns < 5000000000 and .staleness_max_ns < 5000000000' "$tmpdir/replica_live.json" >/dev/null \
+    || { echo "cluster smoke: failover blackout/staleness above the 5s ceiling"; cat "$tmpdir/replica_live.json"; exit 1; }
 kill "$peer1_pid" "$peer2_pid"
 peer1_pid=; peer2_pid=
-echo "== replica floors (committed BENCH_replica.json)"
-jq -e '.failed_resolutions == 0 and .blackout_ns < 5000000000 and .hit_allocs_per_op == 0' BENCH_replica.json >/dev/null \
-    || { echo "BENCH_replica.json: failover acceptance floors not met"; exit 1; }
 echo "== fleet chaos soak smoke (quick, race-enabled, seeded)"
-go run -race ./cmd/morphbench -exp fleet -quick -seed 1 -fleetjson "$tmpdir/BENCH_fleet_quick.json"
-jq -e '.lost_messages == 0 and .byte_mismatches == 0 and .check_failures == 0' "$tmpdir/BENCH_fleet_quick.json" >/dev/null \
-    || { echo "fleet smoke: message loss or corruption under chaos"; cat "$tmpdir/BENCH_fleet_quick.json"; exit 1; }
-jq -e '.live_frames_at_drain == 0' "$tmpdir/BENCH_fleet_quick.json" >/dev/null \
+go run -race ./cmd/morphbench -exp fleet -quick -seed 1 -out "$tmpdir/fleet_quick.json"
+jq -e '.fleet | .lost_messages == 0 and .byte_mismatches == 0 and .check_failures == 0' "$tmpdir/fleet_quick.json" >/dev/null \
+    || { echo "fleet smoke: message loss or corruption under chaos"; cat "$tmpdir/fleet_quick.json"; exit 1; }
+jq -e '.fleet.live_frames_at_drain == 0' "$tmpdir/fleet_quick.json" >/dev/null \
     || { echo "fleet smoke: frames still live after drain (refcount leak)"; exit 1; }
-jq -e '.formatd_recovery_ns < 5000000000 and .broker_recovery_ns < 5000000000' "$tmpdir/BENCH_fleet_quick.json" >/dev/null \
-    || { echo "fleet smoke: kill recovery above the 5s ceiling"; cat "$tmpdir/BENCH_fleet_quick.json"; exit 1; }
-echo "== fleet floors (committed BENCH_fleet.json)"
-jq -e '.lost_messages == 0 and .byte_mismatches == 0 and .check_failures == 0 and .live_frames_at_drain == 0' BENCH_fleet.json >/dev/null \
-    || { echo "BENCH_fleet.json: loss/corruption acceptance floors not met"; exit 1; }
-jq -e '.generations >= 100 and .formatd_kills >= 1 and .broker_kills >= 1' BENCH_fleet.json >/dev/null \
-    || { echo "BENCH_fleet.json: full run must cover >=100 generations with formatd and broker kills"; exit 1; }
+jq -e '.fleet | .formatd_recovery_ns < 5000000000 and .broker_recovery_ns < 5000000000' "$tmpdir/fleet_quick.json" >/dev/null \
+    || { echo "fleet smoke: kill recovery above the 5s ceiling"; cat "$tmpdir/fleet_quick.json"; exit 1; }
 echo "== echo telemetry plane (live /metrics golden, healthz/readyz)"
 go build -o "$tmpdir/echodemo" ./cmd/echodemo
 "$tmpdir/echodemo" -role server -addr 127.0.0.1:0 -debug 127.0.0.1:0 \
@@ -223,4 +196,7 @@ kill "$echodemo_pid"
 echodemo_pid=
 echo "== fuzz smoke (wire frame parser, 10s)"
 go test -run xxx -fuzz FuzzConnReadFrames -fuzztime 10s ./internal/wire/
+echo "== work tree untouched"
+[ "$(tree_state)" = "$tree_before" ] \
+    || { echo "check.sh changed the work tree:"; git status --porcelain; exit 1; }
 echo "ok"
