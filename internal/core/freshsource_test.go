@@ -16,59 +16,134 @@ func freshPair(t *testing.T) (wide, narrow *pbio.Format, x *Xform) {
 	return wide, narrow, &Xform{From: wide, To: narrow, Code: "old.a = new.a;"}
 }
 
-// TestFreshTransformSourceConsultedBeforeReject: when the primary transform
-// source (a registry client's cached read) yields nothing routable, the
-// fresh source must get a chance before the reject is cached — the stale-LRU
-// case of a structurally reused fingerprint. The outcome is then cached like
-// any decision: neither source is consulted again for that fingerprint.
-func TestFreshTransformSourceConsultedBeforeReject(t *testing.T) {
+// sourceCall is one consultation of a test TransformSource.
+type sourceCall struct {
+	fp    uint64
+	fresh bool
+}
+
+// TestTransformSourceFreshOnlyWhenUnroutable: the cold path asks the source
+// (fp, false) first — a registry client's cached read — and (fp, true) only
+// when that left the format unroutable: the stale-LRU case of a structurally
+// reused fingerprint gets its chance before the reject is cached, and a
+// cached answer that already routes costs no second round-trip. Whatever is
+// decided is then cached: a second message consults nothing.
+func TestTransformSourceFreshOnlyWhenUnroutable(t *testing.T) {
 	wide, narrow, x := freshPair(t)
-	var stale, fresh int
-	m := NewMorpher(Thresholds{},
-		WithTransformSource(func(fp uint64) []*Xform { stale++; return nil }),
-		WithFreshTransformSource(func(fp uint64) []*Xform { fresh++; return []*Xform{x} }),
-	)
-	var got int
-	if err := m.RegisterFormat(narrow, func(r *pbio.Record) error { got++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	rec := pbio.NewRecord(wide).MustSet("a", pbio.Int(7)).MustSet("b", pbio.Int(8))
-	if err := m.Deliver(rec); err != nil {
-		t.Fatalf("delivery rejected despite fresh source holding the route: %v", err)
-	}
-	if got != 1 {
-		t.Fatalf("handler ran %d times, want 1", got)
-	}
-	if stale != 1 || fresh != 1 {
-		t.Fatalf("source consultations stale=%d fresh=%d, want 1/1", stale, fresh)
-	}
-	if err := m.Deliver(rec); err != nil {
-		t.Fatal(err)
-	}
-	if stale != 1 || fresh != 1 {
-		t.Fatalf("cached delivery re-consulted a source: stale=%d fresh=%d", stale, fresh)
+	fp := wide.Fingerprint()
+	for _, tc := range []struct {
+		name          string
+		cached, fresh []*Xform
+		wantCalls     []sourceCall
+		wantReject    bool
+	}{
+		{"cached read routes", []*Xform{x}, nil, []sourceCall{{fp, false}}, false},
+		{"only the fresh read routes", nil, []*Xform{x}, []sourceCall{{fp, false}, {fp, true}}, false},
+		{"neither routes", nil, nil, []sourceCall{{fp, false}, {fp, true}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls []sourceCall
+			m := NewMorpher(Thresholds{}, WithTransformSource(func(fp uint64, fresh bool) []*Xform {
+				calls = append(calls, sourceCall{fp, fresh})
+				if fresh {
+					return tc.fresh
+				}
+				return tc.cached
+			}))
+			var got int
+			if err := m.RegisterFormat(narrow, func(r *pbio.Record) error { got++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			rec := pbio.NewRecord(wide).MustSet("a", pbio.Int(7)).MustSet("b", pbio.Int(8))
+			for i := 0; i < 2; i++ {
+				err := m.Deliver(rec)
+				if tc.wantReject != errors.Is(err, ErrRejected) || (!tc.wantReject && err != nil) {
+					t.Fatalf("delivery %d: err = %v, want reject=%v", i, err, tc.wantReject)
+				}
+			}
+			if !tc.wantReject && got != 2 {
+				t.Fatalf("handler ran %d times, want 2", got)
+			}
+			if len(calls) != len(tc.wantCalls) {
+				t.Fatalf("source calls = %+v, want %+v (once per cold decision)", calls, tc.wantCalls)
+			}
+			for i := range calls {
+				if calls[i] != tc.wantCalls[i] {
+					t.Fatalf("source calls = %+v, want %+v", calls, tc.wantCalls)
+				}
+			}
+		})
 	}
 }
 
-// TestFreshSourceNotConsultedWhenCachedSourceRoutes: the fresh source is a
-// second chance, not a second round-trip — a primary source that already
-// produced a route must keep the fresh one idle.
-func TestFreshSourceNotConsultedWhenCachedSourceRoutes(t *testing.T) {
-	wide, narrow, x := freshPair(t)
-	var fresh int
-	m := NewMorpher(Thresholds{},
-		WithTransformSource(func(fp uint64) []*Xform { return []*Xform{x} }),
-		WithFreshTransformSource(func(fp uint64) []*Xform { fresh++; return nil }),
-	)
-	if err := m.RegisterFormat(narrow, func(r *pbio.Record) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	rec := pbio.NewRecord(wide).MustSet("a", pbio.Int(1)).MustSet("b", pbio.Int(2))
-	if err := m.Deliver(rec); err != nil {
-		t.Fatal(err)
-	}
-	if fresh != 0 {
-		t.Fatalf("fresh source consulted %d times although the cached source routed", fresh)
+// TestRejectReachesDefaultHandlerOnEveryEntryPoint: Deliver and
+// DeliverEncoded share one decide-or-reject prologue, so an unroutable
+// message has one fate whichever way it came in — the default handler sees
+// the record in its incoming format and its error is the delivery's outcome;
+// without a default handler both return ErrRejected; and the counters move
+// identically. Morph never invokes a handler, so it rejects regardless.
+func TestRejectReachesDefaultHandlerOnEveryEntryPoint(t *testing.T) {
+	known := fmtOrDie(t, "known", []pbio.Field{bf("a", pbio.Integer)})
+	stray := fmtOrDie(t, "stray", []pbio.Field{bf("z", pbio.Integer)})
+	rec := pbio.NewRecord(stray).MustSet("z", pbio.Int(9))
+	data := pbio.EncodeRecord(rec)
+	handlerErr := errors.New("default handler says no")
+
+	for _, entry := range []struct {
+		name    string
+		deliver func(m *Morpher) error
+	}{
+		{"Deliver", func(m *Morpher) error { return m.Deliver(rec) }},
+		{"DeliverEncoded", func(m *Morpher) error { return m.DeliverEncoded(data, stray) }},
+	} {
+		for _, tc := range []struct {
+			name    string
+			dh      Handler
+			wantErr error
+		}{
+			{"no default handler", nil, ErrRejected},
+			{"default handler accepts", func(*pbio.Record) error { return nil }, nil},
+			{"default handler fails", func(*pbio.Record) error { return handlerErr }, handlerErr},
+		} {
+			t.Run(entry.name+"/"+tc.name, func(t *testing.T) {
+				m := NewMorpher(Thresholds{})
+				if err := m.RegisterFormat(known, func(*pbio.Record) error {
+					t.Error("registered handler ran for an unroutable message")
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				var seen []*pbio.Record
+				if tc.dh != nil {
+					m.SetDefaultHandler(func(r *pbio.Record) error {
+						seen = append(seen, r)
+						return tc.dh(r)
+					})
+				}
+				for i := 0; i < 2; i++ { // cold, then cached reject
+					if err := entry.deliver(m); !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+						t.Fatalf("delivery %d: err = %v, want %v", i, err, tc.wantErr)
+					}
+				}
+				if tc.dh != nil {
+					if len(seen) != 2 {
+						t.Fatalf("default handler ran %d times, want 2", len(seen))
+					}
+					for _, r := range seen {
+						if v, ok := r.Get("z"); r.Format().Fingerprint() != stray.Fingerprint() || !ok || v.Int64() != 9 {
+							t.Fatalf("default handler saw %q z=%v, want the incoming record", r.Format().Name(), v)
+						}
+					}
+				}
+				if _, _, err := m.Morph(rec); !errors.Is(err, ErrRejected) {
+					t.Fatalf("Morph: err = %v, want ErrRejected with or without a default handler", err)
+				}
+				want := Stats{Delivered: 3, Rejected: 3, CacheHits: 2}
+				if st := m.Stats(); st != want {
+					t.Fatalf("stats = %+v, want %+v", st, want)
+				}
+			})
+		}
 	}
 }
 
@@ -80,9 +155,14 @@ func TestFreshSourceNotConsultedWhenCachedSourceRoutes(t *testing.T) {
 func TestInvalidateHealsCachedReject(t *testing.T) {
 	wide, narrow, x := freshPair(t)
 	var route []*Xform
-	var consults int
+	var consults int // cold decisions that reached the source (each asks cached, then fresh)
 	m := NewMorpher(Thresholds{},
-		WithTransformSource(func(fp uint64) []*Xform { consults++; return route }),
+		WithTransformSource(func(fp uint64, fresh bool) []*Xform {
+			if !fresh {
+				consults++
+			}
+			return route
+		}),
 	)
 	if err := m.RegisterFormat(narrow, func(r *pbio.Record) error { return nil }); err != nil {
 		t.Fatal(err)

@@ -82,7 +82,7 @@ type Morpher struct {
 	defaultHandler Handler
 
 	// Counters are obs.Counters even without a registry (private, via
-	// newPrivateCounters), so the hot path is identical whether or not
+	// newMorphCounters), so the hot path is identical whether or not
 	// observability is enabled. The histograms and reg are nil unless
 	// WithObs attached a registry; every use is behind a nil check.
 	c           morphCounters
@@ -96,11 +96,8 @@ type Morpher struct {
 	tracer *trace.Tracer
 
 	// xsource is nil unless WithTransformSource attached one; the decision
-	// build consults it before rejecting an unmatched format. xfresh is its
-	// cache-bypassing second chance (WithFreshTransformSource), consulted
-	// only when xsource still left the format unroutable.
+	// build consults it before rejecting an unmatched format.
 	xsource TransformSource
-	xfresh  TransformSource
 }
 
 // morphCounters are the activity counters of Stats.
@@ -109,17 +106,23 @@ type morphCounters struct {
 	spliceHits, spliceMisses                                         *obs.Counter
 }
 
-func newPrivateCounters() morphCounters {
-	return morphCounters{
-		delivered:    &obs.Counter{},
-		cacheHits:    &obs.Counter{},
-		compiled:     &obs.Counter{},
-		transformed:  &obs.Counter{},
-		converted:    &obs.Counter{},
-		rejected:     &obs.Counter{},
-		spliceHits:   &obs.Counter{},
-		spliceMisses: &obs.Counter{},
+// newMorphCounters binds the counters to reg's "core.*" series, or — with
+// a nil registry — to private counters nothing else reads.
+func newMorphCounters(reg *obs.Registry) (c morphCounters) {
+	for _, b := range []struct {
+		c    **obs.Counter
+		name string
+	}{
+		{&c.delivered, "core.delivered"}, {&c.cacheHits, "core.cache_hits"},
+		{&c.compiled, "core.compiled"}, {&c.transformed, "core.transformed"},
+		{&c.converted, "core.converted"}, {&c.rejected, "core.rejected"},
+		{&c.spliceHits, "core.splice_hits"}, {&c.spliceMisses, "core.splice_misses"},
+	} {
+		if *b.c = reg.Counter(b.name); *b.c == nil {
+			*b.c = &obs.Counter{}
+		}
 	}
+	return c
 }
 
 // hotSampleMask: the cached delivery path records its latency once every
@@ -234,7 +237,18 @@ func WithTracer(t *trace.Tracer) MorpherOption {
 // consulted on the cold decision path only — once per unknown fingerprint,
 // before Algorithm 2 line 18 rejects the message — so it may block on I/O;
 // the outcome (including the reject) is cached like any other decision.
-type TransformSource func(fp uint64) []*Xform
+//
+// fresh asks the source to answer past its own caches. The engine first
+// calls with fresh false, and only if that still left the format unroutable
+// once more with fresh true — the last step before a reject is cached. The
+// distinction matters because format fingerprints are structural: two
+// generations of an evolving protocol can collide on one fingerprint, and a
+// later registration then replaces the entry's transform set at the daemon
+// while every cached copy (a registry client's LRU, fed by a watch stream
+// the data frame can outrun) keeps the old one. A source that re-reads the
+// daemon directly when asked closes that window; a source with no cache of
+// its own may ignore the argument.
+type TransformSource func(fp uint64, fresh bool) []*Xform
 
 // WithTransformSource attaches an out-of-band transform source (a registry
 // client): when MaxMatch finds no acceptable pair among locally known
@@ -243,20 +257,6 @@ type TransformSource func(fp uint64) []*Xform
 // valid and leaves the engine purely local.
 func WithTransformSource(src TransformSource) MorpherOption {
 	return func(m *Morpher) { m.xsource = src }
-}
-
-// WithFreshTransformSource attaches a second, cache-bypassing transform
-// source, consulted only when the primary source (WithTransformSource) still
-// left the incoming format unroutable — the last step before a reject is
-// cached. The distinction matters because format fingerprints are structural:
-// two generations of an evolving protocol can collide on one fingerprint,
-// and a later registration then replaces the entry's transform set at the
-// daemon while every cached copy (a registry client's LRU, fed by a watch
-// stream the data frame can outrun) keeps the old one. A source that
-// re-reads the daemon directly closes that window. Like the primary source
-// it runs on the cold path only and may block on I/O; a nil source is valid.
-func WithFreshTransformSource(src TransformSource) MorpherOption {
-	return func(m *Morpher) { m.xfresh = src }
 }
 
 // NewMorpher returns a Morpher with the given thresholds. Use
@@ -272,23 +272,10 @@ func NewMorpher(th Thresholds, opts ...MorpherOption) *Morpher {
 	for _, o := range opts {
 		o(m)
 	}
-	if m.reg != nil {
-		m.c = morphCounters{
-			delivered:    m.reg.Counter("core.delivered"),
-			cacheHits:    m.reg.Counter("core.cache_hits"),
-			compiled:     m.reg.Counter("core.compiled"),
-			transformed:  m.reg.Counter("core.transformed"),
-			converted:    m.reg.Counter("core.converted"),
-			rejected:     m.reg.Counter("core.rejected"),
-			spliceHits:   m.reg.Counter("core.splice_hits"),
-			spliceMisses: m.reg.Counter("core.splice_misses"),
-		}
-		m.hotHist = m.reg.Histogram("core.deliver_hot_ns")
-		m.coldHist = m.reg.Histogram("core.decide_cold_ns")
-		m.compileHist = m.reg.Histogram("core.compile_ns")
-	} else {
-		m.c = newPrivateCounters()
-	}
+	m.c = newMorphCounters(m.reg)
+	m.hotHist = m.reg.Histogram("core.deliver_hot_ns") // nil on a nil registry, like the rest
+	m.coldHist = m.reg.Histogram("core.decide_cold_ns")
+	m.compileHist = m.reg.Histogram("core.compile_ns")
 	return m
 }
 
@@ -479,74 +466,101 @@ func (m *Morpher) Deliver(rec *pbio.Record) error {
 // tracer is attached, the morph decision, record lane, transform steps and
 // handler invocation are recorded as spans of tctx's trace.
 func (m *Morpher) DeliverCtx(rec *pbio.Record, tctx trace.Context) error {
-	out, d, err := m.morph(rec, tctx)
-	if err != nil {
+	d, t0, err := m.admit(rec.Format(), tctx, func() (*pbio.Record, error) { return rec, nil })
+	if d == nil {
 		return err
 	}
-	if d.reject {
-		m.mu.RLock()
-		dh := m.defaultHandler
-		m.mu.RUnlock()
-		if dh != nil {
-			return dh(rec)
-		}
-		return fmt.Errorf("%w: %q (%016x)", ErrRejected, rec.Format().Name(), rec.Format().Fingerprint())
+	out, err := m.recordLane(d, rec, tctx)
+	if err != nil {
+		return err
 	}
 	dv := m.tracer.StartSpan(tctx, trace.StageDeliver)
 	err = d.reg.deliverRecord(out)
 	dv.EndErr(err)
+	m.observeHot(t0)
 	return err
 }
 
 // Morph converts rec into a registered format without invoking its handler;
 // the second result is the matched registered format. Transports that
-// deliver typed structs use this, as do the benchmarks.
+// deliver typed structs use this, as do the benchmarks. A rejected record
+// is an error here even when a default handler is installed: there is no
+// handler invocation for it to stand in for.
 func (m *Morpher) Morph(rec *pbio.Record) (*pbio.Record, *pbio.Format, error) {
-	out, d, err := m.morph(rec, trace.Context{})
+	d, t0, err := m.admit(rec.Format(), trace.Context{}, nil)
+	if d == nil {
+		return nil, nil, err
+	}
+	out, err := m.recordLane(d, rec, trace.Context{})
 	if err != nil {
 		return nil, nil, err
 	}
-	if d.reject {
-		return nil, nil, fmt.Errorf("%w: %q (%016x)", ErrRejected, rec.Format().Name(), rec.Format().Fingerprint())
-	}
+	m.observeHot(t0)
 	return out, d.reg.format, nil
 }
 
-// morph is the shared delivery pipeline of Deliver and Morph: decide, then
-// apply. out is nil when the decision is a reject. When observability is
-// enabled, the latency of every hotSampleMask+1-th cached delivery is
-// recorded; with it disabled the extra cost is the nil-histogram branch.
-func (m *Morpher) morph(rec *pbio.Record, tctx trace.Context) (*pbio.Record, *decision, error) {
+// admit is the prologue every delivery shares, boxed or encoded: count the
+// message, decide (cached after a format's first message) under a
+// morph_decide span, and dispose of a reject. A nil decision means the
+// message is finished and err is its outcome — a decision error, or a reject,
+// which goes to the default handler when one is installed and is ErrRejected
+// otherwise (Algorithm 2 line 18). boxed yields the message as a record in its
+// incoming format for the default handler; a nil boxed (Morph) rejects
+// outright.
+//
+// t0 is non-zero only for deliveries whose latency is recorded: with
+// observability enabled, every hotSampleMask+1-th one served from the cache.
+// With it disabled the extra cost is the nil-histogram branch.
+func (m *Morpher) admit(wire *pbio.Format, tctx trace.Context, boxed func() (*pbio.Record, error)) (d *decision, t0 time.Time, err error) {
 	n := m.c.delivered.Inc()
-	timed := m.hotHist != nil && n&hotSampleMask == 1
-	var t0 time.Time
-	if timed {
+	if m.hotHist != nil && n&hotSampleMask == 1 {
 		t0 = time.Now()
 	}
 	ds := m.tracer.StartSpan(tctx, trace.StageMorphDecide)
-	d, hit, err := m.decide(rec.Format())
+	d, hit, err := m.decide(wire)
 	if ds.Recording() {
-		ds.FP = rec.Format().Fingerprint()
+		ds.FP = wire.Fingerprint()
 		ds.EndErr(err)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, t0, err
 	}
-	if d.reject {
-		m.c.rejected.Inc()
-		return nil, d, nil
+	if !hit {
+		t0 = time.Time{}
 	}
-	m.c.spliceMisses.Inc() // a boxed delivery is by definition a record-lane delivery
+	if !d.reject {
+		return d, t0, nil
+	}
+	m.c.rejected.Inc()
+	m.mu.RLock()
+	dh := m.defaultHandler
+	m.mu.RUnlock()
+	if dh == nil || boxed == nil {
+		return nil, t0, fmt.Errorf("%w: %q (%016x)", ErrRejected, wire.Name(), wire.Fingerprint())
+	}
+	rec, err := boxed()
+	if err != nil {
+		return nil, t0, err
+	}
+	return nil, t0, dh(rec)
+}
+
+// observeHot records one sampled cached-path delivery (see admit).
+func (m *Morpher) observeHot(t0 time.Time) {
+	if !t0.IsZero() {
+		m.hotHist.ObserveNS(time.Since(t0).Nanoseconds())
+	}
+}
+
+// recordLane applies an accepted decision to a boxed record under a
+// lane_record span: the transformation chain, then fill/drop conversion. A
+// delivery that reaches it is by definition a splice miss.
+func (m *Morpher) recordLane(d *decision, rec *pbio.Record, tctx trace.Context) (*pbio.Record, error) {
+	m.c.spliceMisses.Inc()
 	ls := m.tracer.StartSpan(tctx, trace.StageLaneRecord)
 	out, err := m.applyDecision(d, rec, ls.Context())
 	ls.EndErr(err)
-	if err != nil {
-		return nil, nil, err
-	}
-	if timed && hit {
-		m.hotHist.ObserveNS(time.Since(t0).Nanoseconds())
-	}
-	return out, d, nil
+	return out, err
 }
 
 // DeliverEncoded delivers an enveloped message (whose wire format the
@@ -579,43 +593,25 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 		return fmt.Errorf("%w: message %016x, format %q is %016x",
 			pbio.ErrFingerprint, fp, wire.Name(), wire.Fingerprint())
 	}
-	n := m.c.delivered.Inc()
-	timed := m.hotHist != nil && n&hotSampleMask == 1
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	ds := m.tracer.StartSpan(tctx, trace.StageMorphDecide)
-	d, hit, err := m.decide(wire)
-	if ds.Recording() {
-		ds.FP = fp
-		ds.EndErr(err)
-	}
-	if err != nil {
+	d, t0, err := m.admit(wire, tctx, func() (*pbio.Record, error) { return pbio.DecodeRecord(data, wire) })
+	if d == nil {
 		return err
-	}
-	if d.reject {
-		m.c.rejected.Inc()
-		m.mu.RLock()
-		dh := m.defaultHandler
-		m.mu.RUnlock()
-		if dh == nil {
-			return fmt.Errorf("%w: %q (%016x)", ErrRejected, wire.Name(), fp)
-		}
-		rec, err := pbio.DecodeRecord(data, wire)
-		if err != nil {
-			return err
-		}
-		return dh(rec)
 	}
 
 	// Byte lane: splice or fixed-stride identity pass-through. Length
 	// validation is strict — a short (or long) payload is rejected before a
 	// single byte is copied out of it.
-	if d.splice != nil {
+	if d.splice != nil || d.passLen != 0 {
 		ls := m.tracer.StartSpan(tctx, trace.StageLaneSplice)
-		out, err := d.splice.run(data)
-		if err != nil {
+		out := data
+		if d.splice != nil {
+			if out, err = d.splice.run(data); err != nil {
+				ls.EndErr(err)
+				return err
+			}
+		} else if len(data) != d.passLen {
+			err = fmt.Errorf("%w: identity lane: %d payload bytes, fixed format %q needs %d",
+				pbio.ErrShortMessage, len(data)-pbio.EnvelopeSize, wire.Name(), d.passLen-pbio.EnvelopeSize)
 			ls.EndErr(err)
 			return err
 		}
@@ -624,25 +620,7 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 		err = d.reg.deliverEncoded(out)
 		dv.EndErr(err)
 		ls.EndErr(err)
-		if timed && hit {
-			m.hotHist.ObserveNS(time.Since(t0).Nanoseconds())
-		}
-		return err
-	}
-	if d.passLen != 0 {
-		if len(data) != d.passLen {
-			return fmt.Errorf("%w: identity lane: %d payload bytes, fixed format %q needs %d",
-				pbio.ErrShortMessage, len(data)-pbio.EnvelopeSize, wire.Name(), d.passLen-pbio.EnvelopeSize)
-		}
-		m.c.spliceHits.Inc()
-		ls := m.tracer.StartSpan(tctx, trace.StageLaneSplice)
-		dv := m.tracer.StartSpan(ls.Context(), trace.StageDeliver)
-		err = d.reg.deliverEncoded(data)
-		dv.EndErr(err)
-		ls.EndErr(err)
-		if timed && hit {
-			m.hotHist.ObserveNS(time.Since(t0).Nanoseconds())
-		}
+		m.observeHot(t0)
 		return err
 	}
 
@@ -669,9 +647,7 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 	}
 	dv.EndErr(err)
 	ls.EndErr(err)
-	if timed && hit {
-		m.hotHist.ObserveNS(time.Since(t0).Nanoseconds())
-	}
+	m.observeHot(t0)
 	return err
 }
 
@@ -789,19 +765,17 @@ func (m *Morpher) buildDecisionLocked(fm *pbio.Format) (*decision, obs.Decision,
 	}
 	tr.Candidates = len(ft)
 	match, ok := m.matchLocked(ft, fr)
-	for _, src := range []TransformSource{m.xsource, m.xfresh} {
-		if ok || src == nil {
-			continue
+	for _, fresh := range [...]bool{false, true} {
+		if ok || m.xsource == nil {
+			break
 		}
 		// Line 16, extended: before rejecting, pull transform meta-data the
 		// registry holds for this fingerprint — chains a peer published that
 		// never crossed this connection — and retry the match. The second
-		// source (WithFreshTransformSource) repeats the pull past the
-		// registry client's caches, for the case where the cached entry is a
-		// stale copy of a fingerprint a later protocol generation reused.
-		xs := src(fm.Fingerprint())
-		added := m.importTransformsLocked(xs)
-		if added > 0 {
+		// pass repeats the pull past the source's caches (see
+		// TransformSource), for the case where the cached entry is a stale
+		// copy of a fingerprint a later protocol generation reused.
+		if m.importTransformsLocked(m.xsource(fm.Fingerprint(), fresh)) > 0 {
 			chains = m.reachableLocked(fm)
 			ft = make([]*pbio.Format, len(chains))
 			for i, ch := range chains {

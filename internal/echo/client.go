@@ -96,6 +96,19 @@ type Subscriber struct {
 	members []Member
 }
 
+// tapRole names a member's roles for flight-recorder connection labels.
+func tapRole(source, sink bool) string {
+	switch {
+	case source && sink:
+		return "source+sink"
+	case source:
+		return "source"
+	case sink:
+		return "sink"
+	}
+	return "member"
+}
+
 // ErrHandshake is returned when the channel-open handshake fails.
 var ErrHandshake = errors.New("echo: channel open handshake failed")
 
@@ -135,9 +148,7 @@ func open(nc net.Conn, channelID string, opts Options) (*Subscriber, error) {
 		// through the client's caches, then past them: a structurally reused
 		// fingerprint can leave the LRU holding a transform set an earlier
 		// protocol generation registered, and only the daemon knows better.
-		mopts = append(mopts,
-			core.WithTransformSource(rc.TransformsFor),
-			core.WithFreshTransformSource(rc.TransformsForFresh))
+		mopts = append(mopts, core.WithTransformSource(rc.TransformsFor))
 	}
 	s := &Subscriber{
 		morpher:  core.NewMorpher(th, mopts...),
@@ -148,17 +159,8 @@ func open(nc net.Conn, channelID string, opts Options) (*Subscriber, error) {
 	copts := []wire.Option{wire.WithMorpher(s.morpher), wire.WithObs(opts.Obs),
 		wire.WithTracer(opts.Tracer)}
 	if opts.Tap != nil {
-		role := "member"
-		switch {
-		case opts.Source && opts.Sink:
-			role = "source+sink"
-		case opts.Source:
-			role = "source"
-		case opts.Sink:
-			role = "sink"
-		}
 		s.ct = opts.Tap.NewConn(tap.Label{
-			Proto: "echo", Channel: channelID, Role: role,
+			Proto: "echo", Channel: channelID, Role: tapRole(opts.Source, opts.Sink),
 			Peer: nc.RemoteAddr().String(),
 		})
 		copts = append(copts, wire.WithFrameTap(s.ct))

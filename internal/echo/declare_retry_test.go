@@ -83,7 +83,7 @@ func TestDeclareRidesOutElection(t *testing.T) {
 	// the entry with its transform, daemon-side, no caches involved.
 	probe := registry.NewClient(addrs[1])
 	t.Cleanup(func() { _ = probe.Close() })
-	_, xs, err := probe.ResolveFormatFresh(regQuoteV2.Fingerprint())
+	_, xs, err := probe.Resolve(regQuoteV2.Fingerprint(), true)
 	if err != nil {
 		t.Fatalf("entry not on the survivor after Declare returned: %v", err)
 	}

@@ -38,15 +38,14 @@ type Server struct {
 
 	// Observability (nil/zero when disabled). The obs registry is shared
 	// with every member connection (wire.* counters) and, through
-	// WithMorphzAddr, exposed over HTTP alongside /debug/tracez (and,
-	// opt-in, net/http/pprof).
+	// WithMorphzAddr, exposed over HTTP alongside /debug/tracez, /debug/tapz
+	// and net/http/pprof.
 	obs        *obs.Registry
 	om         echoObs
 	tracer     *trace.Tracer
 	tap        *tap.Tap
 	morphzAddr string
 	morphz     *obs.Server
-	pprof      bool
 
 	// registry, when set, is the event domain's connection to formatd:
 	// event-format meta-data is published there as it is first seen, member
@@ -90,9 +89,13 @@ func WithObs(reg *obs.Registry) ServerOption {
 
 // WithMorphzAddr serves the registry attached with WithObs over HTTP at
 // addr (obs.MorphzPath, typically "/debug/morphz"), alongside
-// trace.TracezPath for the tracer attached with WithTracer. The endpoints
-// start when Serve is called and stop on Close. Use "127.0.0.1:0" to pick
-// an ephemeral port and read it back with MorphzAddr.
+// trace.TracezPath for the tracer attached with WithTracer, tap.TapzPath for
+// the flight recorder, and net/http/pprof under /debug/pprof/. The listener
+// already serves captured payload prefixes, so it is an operator-only
+// address either way; profiling adds nothing an operator there could not
+// already see. The endpoints start when Serve is called and stop on Close.
+// Use "127.0.0.1:0" to pick an ephemeral port and read it back with
+// MorphzAddr.
 func WithMorphzAddr(addr string) ServerOption {
 	return func(s *Server) { s.morphzAddr = addr }
 }
@@ -140,14 +143,6 @@ func WithFanoutQueue(capacity int, policy fanout.Policy) ServerOption {
 		s.queueCap = capacity
 		s.queuePolicy = policy
 	}
-}
-
-// WithDebugPprof additionally mounts net/http/pprof's profiling handlers
-// under /debug/pprof/ on the WithMorphzAddr debug server. Off by default:
-// profiling endpoints expose more than metrics do (full goroutine dumps,
-// CPU samples), so they must be asked for explicitly.
-func WithDebugPprof() ServerOption {
-	return func(s *Server) { s.pprof = true }
 }
 
 // NewServer returns an empty event domain.
@@ -214,10 +209,11 @@ type channel struct {
 
 	// sinks is the copy-on-write membership the fan-out path reads; meta is
 	// the copy-on-write event-format meta-data snapshot (formats and their
-	// transformations seen from publishers, replayed to late subscribers).
-	// Both are written under ch.mu and read lock-free.
+	// transformations seen from publishers, replayed to late subscribers),
+	// keyed by format fingerprint. Both are written under ch.mu and read
+	// lock-free; a published map is never mutated.
 	sinks atomic.Pointer[sinkShards]
-	meta  atomic.Pointer[[]eventMeta]
+	meta  atomic.Pointer[map[uint64]eventMeta]
 
 	mu      sync.Mutex
 	nextID  int32
@@ -490,15 +486,11 @@ func (s *Server) Serve(ln net.Listener) error {
 			{Path: tap.TapzPath, Handler: tap.Handler(s.tap, obs.DebugIndexPath, obs.MetricsPath, obs.MorphzPath, trace.TracezPath)},
 			{Path: obs.HealthzPath, Handler: health.HealthzHandler()},
 			{Path: obs.ReadyzPath, Handler: health.ReadyzHandler()},
-		}
-		if s.pprof {
-			mounts = append(mounts,
-				obs.Mount{Path: "/debug/pprof/", Handler: http.HandlerFunc(httppprof.Index)},
-				obs.Mount{Path: "/debug/pprof/cmdline", Handler: http.HandlerFunc(httppprof.Cmdline)},
-				obs.Mount{Path: "/debug/pprof/profile", Handler: http.HandlerFunc(httppprof.Profile)},
-				obs.Mount{Path: "/debug/pprof/symbol", Handler: http.HandlerFunc(httppprof.Symbol)},
-				obs.Mount{Path: "/debug/pprof/trace", Handler: http.HandlerFunc(httppprof.Trace)},
-			)
+			{Path: "/debug/pprof/", Handler: http.HandlerFunc(httppprof.Index)},
+			{Path: "/debug/pprof/cmdline", Handler: http.HandlerFunc(httppprof.Cmdline)},
+			{Path: "/debug/pprof/profile", Handler: http.HandlerFunc(httppprof.Profile)},
+			{Path: "/debug/pprof/symbol", Handler: http.HandlerFunc(httppprof.Symbol)},
+			{Path: "/debug/pprof/trace", Handler: http.HandlerFunc(httppprof.Trace)},
 		}
 		ms, err := obs.Serve(s.morphzAddr, s.obs, mounts...)
 		if err != nil {
@@ -675,16 +667,8 @@ func (s *Server) handleConn(nc net.Conn) {
 	peerRegistry = req.Registry && s.registry != nil
 	ch = s.channelFor(req.ChannelID)
 	if ct != nil {
-		role := "member"
-		switch {
-		case req.IsSource && req.IsSink:
-			role = "source+sink"
-		case req.IsSource:
-			role = "source"
-		case req.IsSink:
-			role = "sink"
-		}
-		ct.SetLabel(tap.Label{Proto: "echo", Channel: req.ChannelID, Role: role, Peer: nc.RemoteAddr().String()})
+		ct.SetLabel(tap.Label{Proto: "echo", Channel: req.ChannelID,
+			Role: tapRole(req.IsSource, req.IsSink), Peer: nc.RemoteAddr().String()})
 	}
 
 	contact := req.Contact
@@ -777,8 +761,8 @@ func (s *Server) join(ch *channel, mc *memberConn) error {
 }
 
 // metaSnapshot returns the channel's current event-format meta-data — an
-// immutable copy-on-write slice, read off one atomic load.
-func (ch *channel) metaSnapshot() []eventMeta {
+// immutable copy-on-write map, read off one atomic load.
+func (ch *channel) metaSnapshot() map[uint64]eventMeta {
 	if p := ch.meta.Load(); p != nil {
 		return *p
 	}
@@ -788,19 +772,18 @@ func (ch *channel) metaSnapshot() []eventMeta {
 func (ch *channel) recordEventMeta(f *pbio.Format, xforms []*core.Xform) {
 	ch.mu.Lock()
 	cur := ch.metaSnapshot()
-	next := make([]eventMeta, len(cur), len(cur)+1)
-	copy(next, cur)
-	found := false
-	for i := range next {
-		if next[i].format.SameStructure(f) {
-			next[i].xforms = xforms
-			found = true
-			break
-		}
+	next := make(map[uint64]eventMeta, len(cur)+1)
+	for fp, em := range cur {
+		next[fp] = em
 	}
-	if !found {
-		next = append(next, eventMeta{format: f, xforms: xforms})
+	// A re-declaration keeps the first format pointer seen for the
+	// fingerprint and takes the new transforms.
+	em, ok := next[f.Fingerprint()]
+	if !ok {
+		em.format = f
 	}
+	em.xforms = xforms
+	next[f.Fingerprint()] = em
 	ch.meta.Store(&next)
 	ch.mu.Unlock()
 	// Publish newly seen event meta-data to the format registry, off the
@@ -896,15 +879,12 @@ func (ch *channel) newSinkQueue(mc *memberConn) *fanout.Queue {
 			meta := ch.metaSnapshot()
 			wb := mc.wbatch[:0]
 			for _, fr := range batch {
-				// Skipped outright while no publisher has declared any
-				// meta — the common case. Declare is idempotent per format
-				// (no-op once the format frame is on the wire).
-				if len(meta) > 0 {
-					for i := range meta {
-						if meta[i].format.SameStructure(fr.Format) {
-							mc.conn.Declare(meta[i].format, meta[i].xforms...)
-						}
-					}
+				// One lookup per frame, free while no publisher has
+				// declared any meta — the common case (a nil map).
+				// Declare is idempotent per format (no-op once the format
+				// frame is on the wire).
+				if em, ok := meta[fr.Format.Fingerprint()]; ok {
+					mc.conn.Declare(em.format, em.xforms...)
 				}
 				wb = append(wb, wire.BatchFrame{Data: fr.Data, Format: fr.Format, Ctx: fr.Ctx})
 			}

@@ -191,49 +191,31 @@ func TestTracezEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDebugPprofOptIn: the profiling endpoints must 404 by default and serve
-// only when WithDebugPprof is given.
-func TestDebugPprofOptIn(t *testing.T) {
-	start := func(opts ...ServerOption) (*Server, func()) {
-		t.Helper()
-		srv := NewServer(append([]ServerOption{
-			WithObs(obs.NewRegistry("pprof")), WithMorphzAddr("127.0.0.1:0"),
-		}, opts...)...)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = srv.Serve(ln) }()
-		deadline := time.Now().Add(5 * time.Second)
-		for srv.MorphzAddr() == nil {
-			if time.Now().After(deadline) {
-				t.Fatal("debug server did not start")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return srv, func() { _ = srv.Close() }
-	}
-
-	srv, stop := start()
-	resp, err := http.Get("http://" + srv.MorphzAddr().String() + "/debug/pprof/")
+// TestDebugPprofMounted: the profiling endpoints come with the debug server —
+// whoever can reach /debug/tapz can reach /debug/pprof/.
+func TestDebugPprofMounted(t *testing.T) {
+	srv := NewServer(WithObs(obs.NewRegistry("pprof")), WithMorphzAddr("127.0.0.1:0"))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("pprof served without opt-in: status %d", resp.StatusCode)
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.MorphzAddr() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("debug server did not start")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	stop()
 
-	srv, stop = start(WithDebugPprof())
-	defer stop()
-	resp, err = http.Get("http://" + srv.MorphzAddr().String() + "/debug/pprof/")
+	resp, err := http.Get("http://" + srv.MorphzAddr().String() + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
-		t.Errorf("pprof index not served with opt-in: status %d", resp.StatusCode)
+		t.Errorf("pprof index not served by the debug server: status %d", resp.StatusCode)
 	}
 }

@@ -108,10 +108,10 @@ func (c *Client) clusterResolve(fp uint64) (*pbio.Format, []*core.Xform, error) 
 	unknowns := 0
 	for i := range c.children {
 		ch := c.children[(start+i)%len(c.children)]
-		f, xforms, err := ch.ResolveFormat(fp)
+		f, xforms, err := ch.Resolve(fp, false)
 		if err == nil {
 			if i != 0 {
-				c.children[start].cacheDirect(fp, f, xforms)
+				c.children[start].cache.put(0, fp, f, xforms)
 			}
 			return f, xforms, nil
 		}
@@ -128,7 +128,7 @@ func (c *Client) clusterResolve(fp uint64) (*pbio.Format, []*core.Xform, error) 
 	return nil, nil, firstErr
 }
 
-// clusterResolveFresh is the cluster arm of ResolveFormatFresh: every
+// clusterResolveFresh is the cluster arm of Resolve(fp, true): every
 // reachable replica is asked directly (no caches) and the transform sets are
 // unioned, deduplicated by destination fingerprint. The union — rather than
 // first-answer-wins like clusterResolve — is the point: after a fingerprint
@@ -156,7 +156,7 @@ func (c *Client) clusterResolveFresh(fp uint64) (*pbio.Format, []*core.Xform, er
 			defer wg.Done()
 			ch := c.children[(start+i)%len(c.children)]
 			a := &answers[i]
-			a.f, a.xforms, a.err = ch.ResolveFormatFresh(fp)
+			a.f, a.xforms, a.err = ch.Resolve(fp, true)
 		}(i)
 	}
 	wg.Wait()
@@ -186,7 +186,7 @@ func (c *Client) clusterResolveFresh(fp uint64) (*pbio.Format, []*core.Xform, er
 	if format == nil {
 		return nil, nil, firstErr
 	}
-	c.children[start].cacheDirect(fp, format, union)
+	c.children[start].cache.put(0, fp, format, union)
 	return format, union, nil
 }
 
@@ -219,10 +219,7 @@ func (c *Client) clusterReconverge() {
 			c.mu.Unlock()
 			return
 		}
-		entries := make([]publishedEntry, 0, len(c.published))
-		for _, e := range c.published {
-			entries = append(entries, e)
-		}
+		entries := c.publishedLocked()
 		c.mu.Unlock()
 		if len(entries) == 0 {
 			return

@@ -64,14 +64,15 @@ func TestResubscribeArmsWithoutFirstSuccess(t *testing.T) {
 	waitFor(t, "event delivery on the self-armed stream", func() bool { return c.Holds(f) })
 }
 
-// TestWatchRingSizeOption: the replay ring depth is a ServerOption, and the
-// configured capacity plus live occupancy surface in /debug/registryz.
-func TestWatchRingSizeOption(t *testing.T) {
-	srv, err := NewServer(WithWatchRingSize(4))
+// TestWatchRingDepth: the replay ring retains exactly its depth, and the
+// capacity plus live occupancy surface in /debug/registryz.
+func TestWatchRingDepth(t *testing.T) {
+	srv, err := NewServer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.ringCap = 4 // before any Put: nothing reads it concurrently yet
 	for i := 0; i < 7; i++ {
 		if err := srv.Put(testFormat(t, "ring", i)); err != nil {
 			t.Fatal(err)
@@ -179,10 +180,7 @@ func TestClusterClientRoutingAndReadRepair(t *testing.T) {
 	// Read repair: the preferred child now holds the entry in its LRU, so a
 	// repeat resolve is a local hit even if it routed to A first.
 	pref := cc.ClusterChildren()[cc.route(f.Fingerprint())]
-	pref.cmu.Lock()
-	_, cached := pref.lru[f.Fingerprint()]
-	pref.cmu.Unlock()
-	if !cached {
+	if !pref.cache.holds(f.Fingerprint()) {
 		t.Error("preferred replica's LRU not repaired after a failover answer")
 	}
 	// And that hit costs what a single client's does: nothing.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pbio"
 	"repro/internal/wire"
 )
@@ -244,4 +245,82 @@ func TestFetchCompletesBeforeWatchEvent(t *testing.T) {
 		_, xf, err := c.ResolveFormat(fp)
 		return err == nil && len(xf) == 1 && xf[0].Code == "old.id = new.id; old.body = new.body;"
 	})
+}
+
+// TestDaemonDeathFailsPendingAndDownsOnce: the daemon dies with several RPCs
+// in flight on one session. Every pending call must fail (none may wait out
+// its timeout), and the loss — noticed at once by each failed call and by the
+// session's Done watcher — must count as one: the client enters the down
+// state once, drops the session, and arms exactly one resubscribe. The
+// resubscribe's own dial failures are probes and must not re-mark it down.
+func TestDaemonDeathFailsPendingAndDownsOnce(t *testing.T) {
+	d := startStallDaemon(t)
+	reg := obs.NewRegistry("client")
+	c := NewClient(d.ln.Addr().String(), WithClientObs(reg),
+		WithTimeout(30*time.Second), WithBackoff(100*time.Millisecond))
+	t.Cleanup(func() { _ = c.Close() })
+	if err := c.Watch(); err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+
+	const calls = 3
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		fp := testFormat(t, "doomed", i).Fingerprint()
+		go func() {
+			_, _, err := c.ResolveFormat(fp)
+			errs <- err
+		}()
+	}
+	// The first opGet parks the daemon's read loop; the rest queue behind it
+	// in the socket. All three are pending on the client's session.
+	<-d.getParked
+	c.mu.Lock()
+	sess := c.sess
+	c.mu.Unlock()
+	waitFor(t, "all calls in flight", func() bool {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		return len(sess.pending) == calls
+	})
+
+	// Kill the daemon: listener first, so the resubscribe probes cannot
+	// reconnect, then the connection with the calls still unanswered.
+	_ = d.ln.Close()
+	d.mu.Lock()
+	_ = d.conn.Close()
+	d.mu.Unlock()
+	d.getReply <- stallReply{status: statusUnknown} // unpark the dead daemon's hook
+
+	for i := 0; i < calls; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, errSessionLost) {
+				t.Errorf("pending call returned %v, want the connection loss", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a pending call outlived the daemon (would wait for its 30s timeout)")
+		}
+	}
+	<-sess.Done()
+	waitFor(t, "session dropped", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.sess == nil
+	})
+	if c.WatchActive() {
+		t.Error("WatchActive with no session")
+	}
+	c.mu.Lock()
+	armed := c.resubTimer != nil
+	c.mu.Unlock()
+	if !armed {
+		t.Error("no resubscribe armed after the session died")
+	}
+	// Let at least one resubscribe probe fail its dial (backoff is 100-150ms).
+	errCount := reg.Counter("registry.errors")
+	waitFor(t, "a resubscribe probe to run", func() bool { return errCount.Load() > calls })
+	if n := reg.Counter("registry.downs").Load(); n != 1 {
+		t.Errorf("registry.downs = %d, want 1: one loss, however many noticed it", n)
+	}
 }

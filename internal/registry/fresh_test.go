@@ -7,15 +7,15 @@ import (
 	"repro/internal/obs"
 )
 
-// TestResolveFormatFreshBypassesStaleCache is the regression test for the
+// TestResolveFreshBypassesStaleCache is the regression test for the
 // stale-LRU half of the fingerprint-reuse bug: fingerprints are structural,
 // so a later protocol generation can reuse one, and its re-registration then
 // replaces the daemon entry's transform set while resolvers keep serving
 // their cached copy (the watch event that would refresh it can lose the race
 // to — or, as here, not exist for — the data frame that needs it).
-// ResolveFormatFresh must return the daemon's current entry and leave the
+// Resolve(fp, true) must return the daemon's current entry and leave the
 // LRU refreshed with it.
-func TestResolveFormatFreshBypassesStaleCache(t *testing.T) {
+func TestResolveFreshBypassesStaleCache(t *testing.T) {
 	_, addr := startDaemon(t)
 	pub := NewClient(addr)
 	defer pub.Close()
@@ -48,8 +48,8 @@ func TestResolveFormatFreshBypassesStaleCache(t *testing.T) {
 	if _, xs, err := sub.ResolveFormat(wide.Fingerprint()); err != nil || len(xs) != 1 {
 		t.Fatalf("cached resolve after re-register: %d transforms, err %v; want the stale 1", len(xs), err)
 	}
-	if xs := sub.TransformsForFresh(wide.Fingerprint()); len(xs) != 2 {
-		t.Fatalf("TransformsForFresh returned %d transforms, want the daemon's current 2", len(xs))
+	if xs := sub.TransformsFor(wide.Fingerprint(), true); len(xs) != 2 {
+		t.Fatalf("TransformsFor(fp, true) returned %d transforms, want the daemon's current 2", len(xs))
 	}
 	// And the fresh read repaired the cache: warm resolves now see it too.
 	if _, xs, err := sub.ResolveFormat(wide.Fingerprint()); err != nil || len(xs) != 2 {
@@ -89,7 +89,7 @@ func TestClusterResolveFreshUnionsReplicas(t *testing.T) {
 	if _, xs, err := cc.ResolveFormat(wide.Fingerprint()); err != nil || len(xs) != 1 {
 		t.Fatalf("cluster resolve: %d transforms, err %v; want the preferred replica's 1", len(xs), err)
 	}
-	_, xs, err := cc.ResolveFormatFresh(wide.Fingerprint())
+	_, xs, err := cc.Resolve(wide.Fingerprint(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pbio"
+	"repro/internal/wire"
 )
 
 // RPC protocol, carried in wire.FrameRegistry control frames:
@@ -135,9 +136,6 @@ var (
 	// another one: the cluster client's rotation does exactly this) is the
 	// correct response.
 	ErrRetryable = errors.New("registry: write not accepted (retry)")
-
-	// errBadEntry wraps malformed entry blobs.
-	errBadEntry = errors.New("registry: malformed entry")
 )
 
 // Entry is one registry record: a format description plus the transforms
@@ -148,63 +146,23 @@ type Entry struct {
 	Xforms []*core.Xform
 }
 
-// encodeEntry serializes an entry with the same layout as a format control
-// frame body — uvarint-framed format blob, transform count, uvarint-framed
-// transform blobs — so the two representations stay trivially convertible.
+// encodeEntry serializes an entry. The layout is a format control frame body —
+// uvarint-framed format blob, transform count, uvarint-framed transform blobs
+// — so the wire package's codec is the only one, and an entry can be served
+// or relayed as a format frame without re-encoding.
 func encodeEntry(f *pbio.Format, xforms []*core.Xform) []byte {
-	blob := pbio.EncodeFormat(f)
-	out := binary.AppendUvarint(nil, uint64(len(blob)))
-	out = append(out, blob...)
-	out = binary.AppendUvarint(out, uint64(len(xforms)))
-	for _, x := range xforms {
-		xb := core.EncodeXform(x)
-		out = binary.AppendUvarint(out, uint64(len(xb)))
-		out = append(out, xb...)
-	}
-	return out
+	return wire.AppendFormatFrame(nil, f, xforms)
 }
 
-// decodeEntry parses an entry blob.
+// decodeEntry parses an entry blob. Transform code is not compiled here: the
+// daemon stores what it is given, and consumers validate when they adopt an
+// entry (the wire layer's registry path does).
 func decodeEntry(body []byte) (Entry, error) {
-	rest := body
-	next := func() ([]byte, error) {
-		n, used := binary.Uvarint(rest)
-		if used <= 0 || n > uint64(len(rest)-used) {
-			return nil, fmt.Errorf("%w: chunk framing", errBadEntry)
-		}
-		chunk := rest[used : used+int(n)]
-		rest = rest[used+int(n):]
-		return chunk, nil
-	}
-	blob, err := next()
+	f, xforms, err := wire.ParseFormatFrame(body, false)
 	if err != nil {
-		return Entry{}, err
+		return Entry{}, fmt.Errorf("registry: malformed entry: %w", err)
 	}
-	f, err := pbio.DecodeFormat(blob)
-	if err != nil {
-		return Entry{}, fmt.Errorf("%w: format: %v", errBadEntry, err)
-	}
-	nx, used := binary.Uvarint(rest)
-	if used <= 0 {
-		return Entry{}, fmt.Errorf("%w: transform count", errBadEntry)
-	}
-	rest = rest[used:]
-	e := Entry{Format: f}
-	for i := uint64(0); i < nx; i++ {
-		xb, err := next()
-		if err != nil {
-			return Entry{}, err
-		}
-		x, err := core.DecodeXform(xb)
-		if err != nil {
-			return Entry{}, fmt.Errorf("%w: transform %d: %v", errBadEntry, i, err)
-		}
-		e.Xforms = append(e.Xforms, x)
-	}
-	if len(rest) != 0 {
-		return Entry{}, fmt.Errorf("%w: %d trailing bytes", errBadEntry, len(rest))
-	}
-	return e, nil
+	return Entry{Format: f, Xforms: xforms}, nil
 }
 
 // appendRequest frames one RPC request body.
@@ -253,10 +211,10 @@ func appendHello(dst []byte, caps byte, instance, seq uint64) []byte {
 }
 
 // appendHelloExt frames the full cluster-aware hello payload: the base
-// layout (caps, instance, seq — everything parseHello reads) followed by the
-// cluster extension role(1) | uvarint peer index | uvarint shard count.
-// parseHello stops after the seqno varint, so pre-cluster clients ignore the
-// extension; parseHelloInfo reads it when present.
+// layout (caps, instance, seq) followed by the cluster extension
+// role(1) | uvarint peer index | uvarint shard count. Pre-cluster clients
+// stop parsing after the seqno varint and so ignore the extension;
+// parseHelloInfo reads it when present.
 func appendHelloExt(dst []byte, caps byte, instance, seq uint64, role byte, index, shards int) []byte {
 	dst = appendHello(dst, caps, instance, seq)
 	dst = append(dst, role)
@@ -319,20 +277,6 @@ func ShardOf(fp uint64, shards int) int {
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
 	return int(x % uint64(shards))
-}
-
-// parseHello decodes an opHello statusOK response payload.
-func parseHello(b []byte) (caps byte, instance, seq uint64, err error) {
-	if len(b) < 9 {
-		return 0, 0, 0, fmt.Errorf("registry: short hello response (%d bytes)", len(b))
-	}
-	caps = b[0]
-	instance = binary.LittleEndian.Uint64(b[1:9])
-	seq, used := binary.Uvarint(b[9:])
-	if used <= 0 {
-		return 0, 0, 0, errors.New("registry: bad hello seqno")
-	}
-	return caps, instance, seq, nil
 }
 
 // parseHeader splits op and reqID off an RPC frame body, returning the rest.

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -10,18 +11,20 @@ import (
 	"repro/internal/wire"
 )
 
-// ReplSession is a raw peer-to-peer registry connection: the client a
-// cluster standby (internal/cluster) keeps open to its primary. It speaks
-// the same FrameRegistry RPC protocol as Client but with none of the cache,
-// backoff, or singleflight machinery — a standby wants the unfiltered event
-// stream (every mutation, delivered in order, with its seqno) and explicit
-// control over hello/watch timing, because the seqno bookkeeping *is* the
-// replication state.
+// ReplSession is one raw connection to a registry daemon and the package's
+// only RPC mux: request ids, the pending-call table, the read pump and the
+// response/event dispatch live here and nowhere else. Two owners sit on top
+// of it. A cluster standby (internal/cluster) keeps one open to its primary
+// and drives it directly — it wants the unfiltered event stream (every
+// mutation, in order, with its seqno) and explicit control over hello/watch
+// timing, because the seqno bookkeeping *is* the replication state. Client
+// dials one on demand and layers its cache, down gate and resubscription
+// policy above it.
 //
 // Events are delivered on the session's read pump via the onEvent callback
-// given to DialRepl; the blob is a private copy, safe to retain. RPCs
-// (Hello, Watch, Put) are safe for concurrent use. When the connection dies
-// the Done channel closes and every outstanding RPC fails.
+// given to DialRepl; the blob is a private copy, safe to retain. RPCs are
+// safe for concurrent use. When the connection dies the Done channel closes
+// and every outstanding RPC fails.
 type ReplSession struct {
 	conn    *wire.Conn
 	onEvent func(seq, fp uint64, blob []byte)
@@ -35,13 +38,21 @@ type ReplSession struct {
 	doneOnce sync.Once
 }
 
+// Session errors. Owners tell the two apart: a timed-out RPC leaves the
+// session usable (the response may merely be late), anything else means the
+// connection is gone.
+var (
+	errSessionLost = errors.New("registry: connection lost")
+	errRPCTimeout  = errors.New("registry: rpc timeout")
+)
+
 // DialRepl connects to the registry daemon at addr. onEvent (may be nil)
 // receives every opEvent push; it runs on the read pump, so a slow callback
 // backpressures the stream rather than dropping events.
 func DialRepl(addr string, timeout time.Duration, onEvent func(seq, fp uint64, blob []byte)) (*ReplSession, error) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("registry: repl dial %s: %w", addr, err)
+		return nil, fmt.Errorf("registry: dial %s: %w", addr, err)
 	}
 	r := &ReplSession{
 		onEvent: onEvent,
@@ -119,11 +130,20 @@ func (r *ReplSession) Done() <-chan struct{} { return r.done }
 // Close tears the session down; outstanding RPCs fail, Done closes.
 func (r *ReplSession) Close() error { return r.conn.Close() }
 
+// rpcResp is one matched RPC response (payload is a private copy).
+type rpcResp struct {
+	status  byte
+	payload []byte
+	err     error
+}
+
+// rpc sends one request and waits for its matched response, the deadline
+// (errRPCTimeout), or the connection's death (errSessionLost).
 func (r *ReplSession) rpc(op byte, payload []byte, timeout time.Duration) (rpcResp, error) {
 	r.mu.Lock()
 	if r.dead {
 		r.mu.Unlock()
-		return rpcResp{}, fmt.Errorf("registry: repl session closed")
+		return rpcResp{}, errSessionLost
 	}
 	r.nextID++
 	id := r.nextID
@@ -135,7 +155,7 @@ func (r *ReplSession) rpc(op byte, payload []byte, timeout time.Duration) (rpcRe
 		r.mu.Lock()
 		delete(r.pending, id)
 		r.mu.Unlock()
-		return rpcResp{}, fmt.Errorf("registry: repl write: %w", err)
+		return rpcResp{}, fmt.Errorf("registry: rpc write: %w", err)
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
@@ -149,9 +169,9 @@ func (r *ReplSession) rpc(op byte, payload []byte, timeout time.Duration) (rpcRe
 		r.mu.Lock()
 		delete(r.pending, id)
 		r.mu.Unlock()
-		return rpcResp{}, fmt.Errorf("registry: repl rpc timeout after %s", timeout)
+		return rpcResp{}, fmt.Errorf("%w after %s", errRPCTimeout, timeout)
 	case <-r.done:
-		return rpcResp{}, fmt.Errorf("registry: repl connection lost")
+		return rpcResp{}, errSessionLost
 	}
 }
 
@@ -168,7 +188,7 @@ func (r *ReplSession) pump() {
 	r.dead = true
 	for id, ch := range r.pending {
 		delete(r.pending, id)
-		ch <- rpcResp{err: fmt.Errorf("registry: repl connection lost")}
+		ch <- rpcResp{err: errSessionLost}
 	}
 	r.mu.Unlock()
 	r.doneOnce.Do(func() { close(r.done) })

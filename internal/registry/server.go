@@ -3,15 +3,10 @@ package registry
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"net/http"
-	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,13 +14,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pbio"
-	"repro/internal/spool"
 	"repro/internal/tap"
 	"repro/internal/wire"
 )
-
-// RegistryzPath is the debug endpoint path serving the table.
-const RegistryzPath = "/debug/registryz"
 
 // tableEntry is one stored format: the encoded entry blob (returned verbatim
 // to resolvers — the server never re-encodes) plus inspection metadata.
@@ -36,34 +27,6 @@ type tableEntry struct {
 	xforms  int
 	addedAt time.Time
 	hits    atomic.Uint64
-}
-
-// DefaultWatchRing bounds the server's replay ring: a resubscribing client
-// whose last-applied seqno is still within the ring gets exactly the events
-// it missed; one that fell further behind gets a full-table resync instead.
-// WithWatchRingSize overrides it — cluster standbys replaying after a long
-// partition want a much deeper ring than interactive cache clients.
-const DefaultWatchRing = 256
-
-// watchEvent is one table mutation as retained for replay. The blob aliases
-// the stored tableEntry's (immutable) blob, so the ring costs headers only.
-type watchEvent struct {
-	seq  uint64
-	fp   uint64
-	blob []byte
-}
-
-// watcher is one live subscription: a per-connection cursor into the event
-// sequence. next/sent/stopped are guarded by the server's watchMu; its pump
-// goroutine is the only writer of event frames on the connection.
-type watcher struct {
-	conn    *wire.Conn
-	remote  string
-	since   time.Time
-	next    uint64 // next seqno to send
-	sent    uint64 // last seqno written (0 = none yet)
-	resyncs uint64 // full-table replays served to this subscription
-	stopped bool
 }
 
 // Server is the format-registry daemon core: a fingerprint-keyed table of
@@ -146,18 +109,6 @@ func WithServerTap(t *tap.Tap) ServerOption {
 // self-describing spool framing, after every mutation.
 func WithSnapshotPath(path string) ServerOption {
 	return func(s *Server) { s.snapshotPath = path }
-}
-
-// WithWatchRingSize overrides the watch replay ring depth (DefaultWatchRing
-// when unset or non-positive). A subscriber whose resume seqno precedes the
-// ring gets a full-table resync instead of replay, so the ring depth bounds
-// how long a standby may be partitioned and still reconverge incrementally.
-func WithWatchRingSize(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.ringCap = n
-		}
-	}
 }
 
 // NewServer returns a registry server, loading the snapshot when one is
@@ -297,20 +248,6 @@ func mergeXforms(old, incoming []*core.Xform) ([]*core.Xform, bool) {
 		changed = true
 	}
 	return merged, changed
-}
-
-// appendEventLocked (mu held) records one table mutation in the replay ring
-// and wakes every watcher pump.
-func (s *Server) appendEventLocked(fp uint64, blob []byte) {
-	s.watchMu.Lock()
-	s.seq++
-	if len(s.ring) >= s.ringCap {
-		copy(s.ring, s.ring[1:])
-		s.ring = s.ring[:len(s.ring)-1]
-	}
-	s.ring = append(s.ring, watchEvent{seq: s.seq, fp: fp, blob: blob})
-	s.watchCond.Broadcast()
-	s.watchMu.Unlock()
 }
 
 // getBlob returns the encoded entry for fp, or nil.
@@ -625,294 +562,4 @@ func (s *Server) dispatch(conn *wire.Conn, body []byte) error {
 		s.rerrs.Inc()
 		return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opGetResp, reqID, statusError, []byte("unknown op")))
 	}
-}
-
-// subscribe registers (or rewinds) the connection's watcher so that every
-// event with seq > afterSeq reaches it, and returns the current seqno. The
-// first opWatch on a connection spawns its pump goroutine; a repeat opWatch
-// just moves the cursor, so a client that resubscribes over a live
-// connection is idempotent.
-func (s *Server) subscribe(conn *wire.Conn, afterSeq uint64) uint64 {
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
-	w := s.watchers[conn]
-	if w == nil {
-		remote := ""
-		if ra := conn.RemoteAddr(); ra != nil {
-			remote = ra.String()
-		}
-		w = &watcher{conn: conn, remote: remote, since: time.Now()}
-		s.watchers[conn] = w
-		s.watchGauge.Add(1)
-		go s.watchPump(w)
-	}
-	w.next = afterSeq + 1
-	s.watchCond.Broadcast()
-	return s.seq
-}
-
-// dropWatcher cancels the connection's subscription (if any) and wakes its
-// pump so it can exit.
-func (s *Server) dropWatcher(conn *wire.Conn) {
-	s.watchMu.Lock()
-	if w := s.watchers[conn]; w != nil {
-		w.stopped = true
-		delete(s.watchers, conn)
-		s.watchGauge.Add(-1)
-		s.watchCond.Broadcast()
-	}
-	s.watchMu.Unlock()
-}
-
-// watchPump streams events to one watcher until it stops. It is the only
-// writer of opEvent frames on the connection (RPC responses interleave
-// safely through the wire layer's write lock). When the watcher's cursor
-// precedes the replay ring — it fell more than watchRingCap events behind,
-// or it resumed with a seqno from a previous daemon incarnation — the pump
-// degrades to a full-table resync: every current entry is pushed with the
-// current seqno, which over-delivers but never under-delivers (events are
-// idempotent upserts).
-func (s *Server) watchPump(w *watcher) {
-	for {
-		s.watchMu.Lock()
-		for !w.stopped && w.next == s.seq+1 {
-			s.watchCond.Wait()
-		}
-		if w.stopped {
-			s.watchMu.Unlock()
-			return
-		}
-		var evs []watchEvent
-		resync := false
-		target := s.seq
-		if w.next <= target && len(s.ring) > 0 && w.next >= s.ring[0].seq {
-			evs = append(evs, s.ring[w.next-s.ring[0].seq:]...)
-		} else {
-			resync = true
-			w.resyncs++
-		}
-		w.next = target + 1
-		s.watchMu.Unlock()
-
-		if resync {
-			// Outside watchMu (lock order: mu before watchMu). Entries put
-			// after target are both in this copy and replayed as events with
-			// higher seqnos — duplicates are harmless.
-			s.mu.RLock()
-			evs = make([]watchEvent, 0, len(s.table))
-			for fp, te := range s.table {
-				evs = append(evs, watchEvent{seq: target, fp: fp, blob: te.blob})
-			}
-			s.mu.RUnlock()
-		}
-		for _, ev := range evs {
-			if err := w.conn.WriteControl(wire.FrameRegistry, appendEvent(nil, ev.seq, ev.fp, ev.blob)); err != nil {
-				s.dropWatcher(w.conn)
-				return
-			}
-			s.watchEvs.Inc()
-		}
-		if len(evs) > 0 {
-			s.watchMu.Lock()
-			w.sent = evs[len(evs)-1].seq
-			s.watchMu.Unlock()
-		}
-	}
-}
-
-// snapshotFormat is the self-describing spool schema for table persistence:
-// one record per entry, the fingerprint plus the entry blob (byte-safe in a
-// String field). Being an ordinary pbio format in an ordinary spool file,
-// the snapshot is readable by any tool in this repo — including a future
-// daemon whose entry layout evolved, via the usual morphing machinery.
-var snapshotFormat = func() *pbio.Format {
-	f, err := pbio.NewFormat("registry.entry", []pbio.Field{
-		{Name: "fp", Kind: pbio.Unsigned, Size: 8},
-		{Name: "blob", Kind: pbio.String},
-	})
-	if err != nil {
-		panic(err)
-	}
-	return f
-}()
-
-// saveSnapshotLocked rewrites the snapshot file (write-temp-then-rename, so
-// a crash leaves either the old table or the new one, never a mix — a torn
-// tail in the temp file is discarded with it).
-func (s *Server) saveSnapshotLocked() error {
-	if s.snapshotPath == "" {
-		return nil
-	}
-	tmp := s.snapshotPath + ".tmp"
-	w, err := spool.Create(tmp)
-	if err != nil {
-		return err
-	}
-	fps := make([]uint64, 0, len(s.table))
-	for fp := range s.table {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	for _, fp := range fps {
-		rec := pbio.NewRecord(snapshotFormat).
-			MustSet("fp", pbio.Uint(fp)).
-			MustSet("blob", pbio.Str(string(s.table[fp].blob)))
-		if err := w.Append(rec); err != nil {
-			_ = w.Close()
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.snapshotPath)
-}
-
-// loadSnapshot populates the table from the snapshot file, if present.
-func (s *Server) loadSnapshot() error {
-	r, err := spool.Open(s.snapshotPath)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	defer r.Close()
-	for {
-		rec, err := r.Next()
-		if err == io.EOF || errors.Is(err, spool.ErrTruncated) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("registry: snapshot %s: %w", s.snapshotPath, err)
-		}
-		fpv, _ := rec.Get("fp")
-		blobv, _ := rec.Get("blob")
-		if err := s.put(fpv.Uint64(), []byte(blobv.Strval()), false); err != nil {
-			return fmt.Errorf("registry: snapshot %s: %w", s.snapshotPath, err)
-		}
-	}
-}
-
-// registryzEntry is one table row in the /debug/registryz JSON.
-type registryzEntry struct {
-	Fingerprint string    `json:"fingerprint"`
-	Format      string    `json:"format"`
-	Fields      int       `json:"fields"`
-	Xforms      int       `json:"xforms"`
-	Hits        uint64    `json:"hits"`
-	AddedAt     time.Time `json:"added_at"`
-}
-
-// registryzWatcher is one live subscription in the /debug/registryz JSON.
-type registryzWatcher struct {
-	Remote  string    `json:"remote"`
-	SentSeq uint64    `json:"sent_seq"`
-	Resyncs uint64    `json:"resyncs"`
-	Since   time.Time `json:"since"`
-}
-
-// registryzSnapshot is the /debug/registryz JSON document.
-type registryzSnapshot struct {
-	Entries      []registryzEntry   `json:"entries"`
-	Count        int                `json:"count"`
-	Gets         uint64             `json:"gets"`
-	Puts         uint64             `json:"puts"`
-	Unknown      uint64             `json:"unknown"`
-	WatchSeq     uint64             `json:"watch_seq"`
-	WatchRingCap int                `json:"watch_ring_cap"`
-	WatchRingLen int                `json:"watch_ring_len"`
-	Watchers     []registryzWatcher `json:"watchers"`
-	Cluster      any                `json:"cluster,omitempty"`
-	SeeAlso      []string           `json:"see_also,omitempty"`
-}
-
-// SpoolHealthy reports whether table persistence is in a good state: nil
-// when snapshots are disabled or the most recent snapshot write succeeded,
-// the write's error otherwise. It is the /readyz spool probe: a daemon whose
-// disk stopped accepting snapshots keeps serving resolutions from memory,
-// but must not present as fully ready — a restart would lose mutations.
-func (s *Server) SpoolHealthy() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.lastSnapErr
-}
-
-// Handler returns the /debug/registryz HTTP handler: the full table as JSON
-// (?format=text for a line-per-entry dump), sorted by fingerprint so two
-// snapshots of a quiescent daemon are identical. seeAlso lists sibling debug
-// endpoints advertised in both renderings, mirroring obs.Handler.
-func (s *Server) Handler(seeAlso ...string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		snap := registryzSnapshot{
-			Gets:    s.gets.Load(),
-			Puts:    s.puts.Load(),
-			Unknown: s.unk.Load(),
-			SeeAlso: seeAlso,
-		}
-		s.mu.RLock()
-		fps := make([]uint64, 0, len(s.table))
-		for fp := range s.table {
-			fps = append(fps, fp)
-		}
-		sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-		for _, fp := range fps {
-			te := s.table[fp]
-			snap.Entries = append(snap.Entries, registryzEntry{
-				Fingerprint: fmt.Sprintf("%016x", fp),
-				Format:      te.name,
-				Fields:      te.fields,
-				Xforms:      te.xforms,
-				Hits:        te.hits.Load(),
-				AddedAt:     te.addedAt,
-			})
-		}
-		s.mu.RUnlock()
-		snap.Count = len(snap.Entries)
-
-		s.watchMu.Lock()
-		snap.WatchSeq = s.seq
-		snap.WatchRingCap = s.ringCap
-		snap.WatchRingLen = len(s.ring)
-		snap.Watchers = make([]registryzWatcher, 0, len(s.watchers))
-		for _, wa := range s.watchers {
-			snap.Watchers = append(snap.Watchers, registryzWatcher{
-				Remote:  wa.remote,
-				SentSeq: wa.sent,
-				Resyncs: wa.resyncs,
-				Since:   wa.since,
-			})
-		}
-		s.watchMu.Unlock()
-		sort.Slice(snap.Watchers, func(i, j int) bool { return snap.Watchers[i].Remote < snap.Watchers[j].Remote })
-		if _, _, _, _, statusFn := s.clusterState(); statusFn != nil {
-			snap.Cluster = statusFn()
-		}
-
-		if req.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintf(w, "# formatd table: %d entries (gets=%d puts=%d unknown=%d seq=%d ring=%d/%d watchers=%d)\n",
-				snap.Count, snap.Gets, snap.Puts, snap.Unknown, snap.WatchSeq, snap.WatchRingLen, snap.WatchRingCap, len(snap.Watchers))
-			if snap.Cluster != nil {
-				cj, _ := json.Marshal(snap.Cluster)
-				fmt.Fprintf(w, "# cluster %s\n", cj)
-			}
-			for _, e := range snap.Entries {
-				fmt.Fprintf(w, "%s %-20s fields=%d xforms=%d hits=%d\n",
-					e.Fingerprint, e.Format, e.Fields, e.Xforms, e.Hits)
-			}
-			for _, wa := range snap.Watchers {
-				fmt.Fprintf(w, "watch %-21s sent_seq=%d resyncs=%d since=%s\n",
-					wa.Remote, wa.SentSeq, wa.Resyncs, wa.Since.Format(time.RFC3339))
-			}
-			for _, p := range seeAlso {
-				fmt.Fprintf(w, "# see also %s\n", p)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(snap)
-	})
 }

@@ -13,7 +13,7 @@ import (
 // few milliseconds and without any process churn, the exact mechanism that
 // took multi-minute soak runs and a debugger to isolate.
 
-// TestResolveFormatFreshBypassesDownGate: after a transport failure the
+// TestResolveFreshBypassesDownGate: after a transport failure the
 // client marks its daemon down and fails fast for a backoff window. In the
 // soak, the replica inside that window was the just-restarted (and freshly
 // promoted) daemon holding the only current copy of a collided fingerprint's
@@ -21,7 +21,7 @@ import (
 // miss it and morphers rejected live traffic. A fresh read exists precisely
 // because cached knowledge is suspect, so it must bypass the down gate; a
 // success doubles as proof of life and clears the down state.
-func TestResolveFormatFreshBypassesDownGate(t *testing.T) {
+func TestResolveFreshBypassesDownGate(t *testing.T) {
 	_, addr := startDaemon(t)
 	c := NewClient(addr, WithWatchDisabled(), WithBackoff(time.Hour))
 	defer c.Close()
@@ -44,7 +44,7 @@ func TestResolveFormatFreshBypassesDownGate(t *testing.T) {
 	if _, _, err := c.ResolveFormat(wide.Fingerprint()); !errors.Is(err, ErrDown) {
 		t.Fatalf("gated resolve returned %v, want ErrDown", err)
 	}
-	if _, xs, err := c.ResolveFormatFresh(wide.Fingerprint()); err != nil || len(xs) != 1 {
+	if _, xs, err := c.Resolve(wide.Fingerprint(), true); err != nil || len(xs) != 1 {
 		t.Fatalf("fresh resolve under down gate: %d transforms, err %v; want 1, nil", len(xs), err)
 	}
 	// The successful forced RPC is a health probe in disguise: the gate is
@@ -95,7 +95,7 @@ func TestOnEventCallbackMayBlockWithoutStallingRPCs(t *testing.T) {
 	// The callback is parked mid-flight. A fresh resolve is a full RPC whose
 	// response arrives on the pump the callback used to run on; with the old
 	// synchronous dispatch this times out.
-	if _, xs, err := c.ResolveFormatFresh(f.Fingerprint()); err != nil || len(xs) != 0 {
+	if _, xs, err := c.Resolve(f.Fingerprint(), true); err != nil || len(xs) != 0 {
 		t.Fatalf("RPC while callback blocked: %d transforms, err %v; want 0, nil", len(xs), err)
 	}
 }
@@ -138,7 +138,7 @@ func TestPutMergesStaleVintage(t *testing.T) {
 	if err := fresh.Register(wide, x0); err != nil {
 		t.Fatal(err)
 	}
-	if xs := fresh.TransformsForFresh(wide.Fingerprint()); len(xs) != 2 {
+	if xs := fresh.TransformsFor(wide.Fingerprint(), true); len(xs) != 2 {
 		t.Fatalf("after stale re-register the daemon serves %d transforms, want the merged 2", len(xs))
 	}
 	// The subset put is also damped: no watch event means no invalidation
@@ -155,7 +155,7 @@ func TestPutMergesStaleVintage(t *testing.T) {
 	if got := eventSeq(); got != seqAfterRich+1 {
 		t.Fatalf("code-change put moved event seq %d -> %d, want exactly one new event", seqAfterRich, got)
 	}
-	xs := fresh.TransformsForFresh(wide.Fingerprint())
+	xs := fresh.TransformsFor(wide.Fingerprint(), true)
 	if len(xs) != 2 {
 		t.Fatalf("after code change: %d transforms, want 2", len(xs))
 	}

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pbio"
+	"repro/internal/ring"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -154,8 +155,8 @@ func (t *Tap) NewConn(l Label) *ConnTap {
 	if t == nil {
 		return nil
 	}
-	ct := &ConnTap{t: t, opened: time.Now().UnixNano(), label: l}
-	ct.ring.slots = make([]atomic.Pointer[Record], t.capacity)
+	ct := &ConnTap{t: t, opened: time.Now().UnixNano(), label: l,
+		ring: ring.New(t.capacity, func(r *Record) *uint64 { return &r.Seq })}
 	t.mu.Lock()
 	t.nextID++
 	ct.id = t.nextID
@@ -188,13 +189,14 @@ func (t *Tap) pruneLocked() {
 	t.conns = kept
 }
 
-// ConnTap captures one connection's frames into a lock-free ring. It
+// ConnTap captures one connection's frames into a lock-free ring (the one
+// internal/trace keeps spans in). It
 // implements wire.FrameTap; a nil *ConnTap is a valid no-op implementation.
 type ConnTap struct {
 	t      *Tap
 	id     uint64
 	opened int64
-	ring   ring
+	ring   *ring.Ring[Record]
 	count  atomic.Uint64 // frames captured on this connection
 
 	mu      sync.Mutex
@@ -292,7 +294,7 @@ func (ct *ConnTap) CaptureFrame(dir wire.TapDir, kind byte, body []byte, tctx tr
 		}
 		rec.Prefix = append(make([]byte, 0, n), body[:n]...)
 	}
-	ct.ring.capture(rec)
+	ct.ring.Put(rec)
 	ct.count.Add(1)
 	ct.t.captured.Inc()
 }
@@ -309,40 +311,6 @@ func (ct *ConnTap) keepFormat(body []byte) {
 		return
 	}
 	ct.formats = append(ct.formats, append([]byte(nil), body...))
-}
-
-// ring is the lock-free capture ring: the same atomic.Pointer idiom as the
-// trace span ring. Writers claim a slot with a sequence increment and swap
-// their record in; overwritten records count as dropped. Readers load
-// whatever is present — records are immutable once published.
-type ring struct {
-	slots   []atomic.Pointer[Record]
-	next    atomic.Uint64
-	dropped atomic.Uint64
-}
-
-func (r *ring) capture(rec *Record) {
-	seq := r.next.Add(1)
-	rec.Seq = seq
-	if old := r.slots[(seq-1)%uint64(len(r.slots))].Swap(rec); old != nil {
-		r.dropped.Add(1)
-	}
-}
-
-func (r *ring) snapshot() []Record {
-	out := make([]Record, 0, len(r.slots))
-	for i := range r.slots {
-		if rec := r.slots[i].Load(); rec != nil {
-			out = append(out, *rec)
-		}
-	}
-	// Slot order is not arrival order once the ring wraps; sequence is.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Seq > out[j].Seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }
 
 // ConnSnapshot is one connection's state at snapshot time.
@@ -388,8 +356,8 @@ func (t *Tap) Snapshot() Snapshot {
 		}
 		ct.mu.Unlock()
 		cs.Captured = ct.count.Load()
-		cs.Dropped = ct.ring.dropped.Load()
-		cs.Records = ct.ring.snapshot()
+		cs.Dropped = ct.ring.Dropped()
+		cs.Records = ct.ring.Snapshot()
 		s.Conns = append(s.Conns, cs)
 	}
 	return s

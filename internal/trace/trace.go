@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ring"
 )
 
 // TraceID identifies one end-to-end message journey (publisher → server →
@@ -116,7 +117,7 @@ const (
 	StageUnknown     Stage = iota
 	StagePublish           // root: one client Publish call
 	StageEncode            // record → bytes on the sending side
-	StageFrameWrite        // frame write + flush into the transport
+	StageFrameWrite        // frame write into the connection's buffer (the flush is per batch, outside the span)
 	StageFrameRead         // receiving the data frame announced by a trace frame
 	StageFanout            // one event-domain fan-out pass over all sinks
 	StageMorphDecide       // Morpher decision (cache hit or Algorithm 2 build)
@@ -225,8 +226,9 @@ const SpansDroppedMetric = "trace.spans_dropped"
 // for concurrent use; all are no-ops on a nil receiver, so components take
 // a *Tracer option and never check it.
 type Tracer struct {
-	ring        *spanRing
-	tail        *spanRing // slow/error spans, immune to fast-traffic churn
+	ring        *ring.Ring[SpanRecord]
+	tail        *ring.Ring[SpanRecord] // slow/error spans, immune to fast-traffic churn
+	onDrop      *obs.Counter           // registry mirror of ring.Dropped (nil-safe)
 	slowNS      int64
 	sampleEvery uint64
 	seed        uint64
@@ -250,15 +252,17 @@ func New(cfg Config) *Tracer {
 		tailCap = 1
 	}
 	t := &Tracer{
-		ring:        newSpanRing(cfg.Capacity),
-		tail:        newSpanRing(tailCap),
+		ring:        ring.New(cfg.Capacity, spanSeq),
+		tail:        ring.New(tailCap, spanSeq),
+		onDrop:      cfg.Obs.Counter(SpansDroppedMetric),
 		slowNS:      cfg.SlowNS,
 		sampleEvery: cfg.SampleEvery,
 		seed:        uint64(time.Now().UnixNano())*0x9E3779B97F4A7C15 | 1,
 	}
-	t.ring.onDrop = cfg.Obs.Counter(SpansDroppedMetric)
 	return t
 }
+
+func spanSeq(r *SpanRecord) *uint64 { return &r.Seq }
 
 // Enabled reports whether the tracer records anything at all; it is the
 // one-branch guard hot paths use before building spans.
@@ -347,7 +351,7 @@ func (s *Span) End() {
 	if s.t == nil {
 		return
 	}
-	rec := SpanRecord{
+	rec := &SpanRecord{
 		Trace:   s.ctx.Trace,
 		Span:    s.ctx.Span,
 		Parent:  s.parent,
@@ -358,9 +362,14 @@ func (s *Span) End() {
 		FP:      s.FP,
 		N:       s.N,
 	}
-	p := s.t.ring.record(rec)
+	if s.t.ring.Put(rec) {
+		s.t.onDrop.Inc()
+	}
+	// Tail retention does not count what it displaces as dropped: the span
+	// already had its main-ring residency, and the counter answers "how many
+	// spans vanished unseen".
 	if rec.Err || (s.t.slowNS >= 0 && rec.DurNS >= s.t.slowNS) {
-		s.t.tail.keep(p)
+		s.t.tail.Keep(rec)
 	}
 	s.t = nil
 }
@@ -378,7 +387,7 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.ring.total()
+	return t.ring.Total()
 }
 
 // Dropped returns how many retained spans the main ring overwrote before a
@@ -389,7 +398,7 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.ring.droppedCount()
+	return t.ring.Dropped()
 }
 
 // Snapshot returns the retained spans — the main ring merged with the
@@ -401,8 +410,8 @@ func (t *Tracer) Snapshot() []SpanRecord {
 	if t == nil {
 		return nil
 	}
-	main := t.ring.snapshot()
-	tail := t.tail.snapshot()
+	main := t.ring.Snapshot()
+	tail := t.tail.Snapshot()
 	if len(tail) == 0 {
 		return main
 	}

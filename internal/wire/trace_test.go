@@ -163,17 +163,17 @@ func TestTraceContextClearedBetweenMessages(t *testing.T) {
 	}
 }
 
-// TestWriteEncodedCtxRelay: the zero-copy forwarding path must announce the
+// TestWriteEncodedBatchRelay: the zero-copy forwarding path must announce the
 // context it is handed, so fan-out servers keep traces alive without
 // decoding anything.
-func TestWriteEncodedCtxRelay(t *testing.T) {
+func TestWriteEncodedBatchRelay(t *testing.T) {
 	f := fmtOrDie(t, "m", []pbio.Field{{Name: "x", Kind: pbio.Integer}})
 	data := pbio.AppendRecord(nil, pbio.NewRecord(f).MustSet("x", pbio.Int(5)))
 
 	txTr := trace.New(trace.Config{Capacity: 64})
 	tx, rx := tracePipePair(t, nil, nil) // relay itself traces nothing
 	root := txTr.StartTrace(trace.StagePublish)
-	if err := tx.WriteEncodedCtx(f, data, root.Context()); err != nil {
+	if err := tx.WriteEncodedBatchCtx([]BatchFrame{{Data: data, Format: f, Ctx: root.Context()}}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

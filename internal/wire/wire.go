@@ -218,44 +218,46 @@ type Conn struct {
 	rctx    trace.Context
 	rspan   trace.Span
 
+	// stats is the connection's one counter set: Stats() reads the per-conn
+	// atomics, and WithObs binds each counter's shared side to the
+	// registry-wide "wire.*" series (see counter). formatNS is nil unless
+	// WithObs attached a registry.
 	stats struct {
-		dataSent, dataRecv       atomic.Uint64 // data frames
-		formatSent, formatRecv   atomic.Uint64 // format control frames
-		traceSent, traceRecv     atomic.Uint64 // trace context control frames
-		ctrlSent, ctrlRecv       atomic.Uint64 // custom control frames (WriteControl / hooked kinds)
-		bytesSent, bytesRecv     atomic.Uint64 // frame bodies incl. headers
-		formatErrors             atomic.Uint64 // malformed format control frames
-		corruptFrames            atomic.Uint64 // malformed frame headers/bodies
-		oversizedFrames          atomic.Uint64 // frames over the size limit
-		unknownFrames            atomic.Uint64 // well-formed control frames of unknown kind, skipped
-		formatsSuppressed        atomic.Uint64 // format frames skipped because the registry resolves them
-		formatsResolved          atomic.Uint64 // unknown fingerprints resolved out-of-band by the resolver
-		formatReqSent, reqRecv   atomic.Uint64 // frameFormatReq frames sent / received
-		parkedFrames, parkedLost atomic.Uint64 // data frames parked awaiting re-announcement / dropped at close
-		rejectedDeliveries       atomic.Uint64 // Serve deliveries the Morpher rejected (connection kept alive)
+		dataSent, dataRecv           counter // data frames
+		formatSent, formatRecv       counter // format control frames
+		traceSent, traceRecv         counter // trace context control frames
+		ctrlSent, ctrlRecv           counter // custom control frames (WriteControl / hooked kinds)
+		bytesSent, bytesRecv         counter // frame bodies incl. headers
+		formatErrors                 counter // malformed format control frames
+		corruptFrames                counter // malformed frame headers/bodies
+		oversizedFrames              counter // frames over the size limit
+		unknownFrames                counter // well-formed control frames of unknown kind, skipped
+		formatsSuppressed            counter // format frames skipped because the registry resolves them
+		formatsResolved              counter // unknown fingerprints resolved out-of-band by the resolver
+		formatReqSent, formatReqRecv counter // frameFormatReq frames sent / received
+		parkedFrames                 counter // data frames parked awaiting re-announcement (per-conn only)
+		rejectedDeliveries           counter // Serve deliveries the Morpher rejected (per-conn only)
 	}
-
-	// obs instruments are nil unless WithObs attached a registry; unlike
-	// the per-connection stats above, they aggregate across every
-	// connection sharing the registry.
-	obs *obs.Registry
-	om  struct {
-		dataSent, dataRecv     *obs.Counter
-		formatSent, formatRecv *obs.Counter
-		traceSent, traceRecv   *obs.Counter
-		ctrlSent, ctrlRecv     *obs.Counter
-		bytesSent, bytesRecv   *obs.Counter
-		formatErrors           *obs.Counter
-		corruptFrames          *obs.Counter
-		oversizedFrames        *obs.Counter
-		unknownFrames          *obs.Counter
-		formatsSuppressed      *obs.Counter
-		formatsResolved        *obs.Counter
-		formatReqSent          *obs.Counter
-		formatReqRecv          *obs.Counter
-		formatNS               *obs.Histogram // format control frame handling time
-	}
+	obs      *obs.Registry
+	formatNS *obs.Histogram // format control frame handling time
 }
+
+// counter is one frame counter of a connection: its own atomic, which Stats
+// reads, plus — when WithObs bound a registry — the shared series every
+// connection on that registry adds to. One add bumps both, so the per-conn
+// and registry-wide views cannot drift apart; shared is nil-safe, so an
+// unobserved connection pays one predictable branch.
+type counter struct {
+	n      atomic.Uint64
+	shared *obs.Counter
+}
+
+func (k *counter) add(d uint64) {
+	k.n.Add(d)
+	k.shared.Add(d)
+}
+
+func (k *counter) inc() { k.add(1) }
 
 // parkedFrame is a data frame held back because its format is not yet known:
 // the body is a private copy (the pooled frame buffer cannot outlive the next
@@ -298,26 +300,26 @@ type Stats struct {
 // Stats returns the connection's counters.
 func (c *Conn) Stats() Stats {
 	return Stats{
-		DataFramesSent:     c.stats.dataSent.Load(),
-		DataFramesRecv:     c.stats.dataRecv.Load(),
-		FormatFramesSent:   c.stats.formatSent.Load(),
-		FormatFramesRecv:   c.stats.formatRecv.Load(),
-		TraceFramesSent:    c.stats.traceSent.Load(),
-		TraceFramesRecv:    c.stats.traceRecv.Load(),
-		ControlFramesSent:  c.stats.ctrlSent.Load(),
-		ControlFramesRecv:  c.stats.ctrlRecv.Load(),
-		BytesSent:          c.stats.bytesSent.Load(),
-		BytesRecv:          c.stats.bytesRecv.Load(),
-		FormatErrors:       c.stats.formatErrors.Load(),
-		CorruptFrames:      c.stats.corruptFrames.Load(),
-		OversizedFrames:    c.stats.oversizedFrames.Load(),
-		UnknownFrames:      c.stats.unknownFrames.Load(),
-		FormatsSuppressed:  c.stats.formatsSuppressed.Load(),
-		FormatsResolved:    c.stats.formatsResolved.Load(),
-		FormatReqsSent:     c.stats.formatReqSent.Load(),
-		FormatReqsRecv:     c.stats.reqRecv.Load(),
-		ParkedFrames:       c.stats.parkedFrames.Load(),
-		RejectedDeliveries: c.stats.rejectedDeliveries.Load(),
+		DataFramesSent:     c.stats.dataSent.n.Load(),
+		DataFramesRecv:     c.stats.dataRecv.n.Load(),
+		FormatFramesSent:   c.stats.formatSent.n.Load(),
+		FormatFramesRecv:   c.stats.formatRecv.n.Load(),
+		TraceFramesSent:    c.stats.traceSent.n.Load(),
+		TraceFramesRecv:    c.stats.traceRecv.n.Load(),
+		ControlFramesSent:  c.stats.ctrlSent.n.Load(),
+		ControlFramesRecv:  c.stats.ctrlRecv.n.Load(),
+		BytesSent:          c.stats.bytesSent.n.Load(),
+		BytesRecv:          c.stats.bytesRecv.n.Load(),
+		FormatErrors:       c.stats.formatErrors.n.Load(),
+		CorruptFrames:      c.stats.corruptFrames.n.Load(),
+		OversizedFrames:    c.stats.oversizedFrames.n.Load(),
+		UnknownFrames:      c.stats.unknownFrames.n.Load(),
+		FormatsSuppressed:  c.stats.formatsSuppressed.n.Load(),
+		FormatsResolved:    c.stats.formatsResolved.n.Load(),
+		FormatReqsSent:     c.stats.formatReqSent.n.Load(),
+		FormatReqsRecv:     c.stats.formatReqRecv.n.Load(),
+		ParkedFrames:       c.stats.parkedFrames.n.Load(),
+		RejectedDeliveries: c.stats.rejectedDeliveries.n.Load(),
 	}
 }
 
@@ -468,25 +470,27 @@ func NewStreamConn(nc Stream, opts ...Option) *Conn {
 		o(c)
 	}
 	if c.obs != nil {
-		c.om.dataSent = c.obs.Counter("wire.data_frames_sent")
-		c.om.dataRecv = c.obs.Counter("wire.data_frames_recv")
-		c.om.formatSent = c.obs.Counter("wire.format_frames_sent")
-		c.om.formatRecv = c.obs.Counter("wire.format_frames_recv")
-		c.om.traceSent = c.obs.Counter("wire.trace_frames_sent")
-		c.om.traceRecv = c.obs.Counter("wire.trace_frames_recv")
-		c.om.ctrlSent = c.obs.Counter("wire.control_frames_sent")
-		c.om.ctrlRecv = c.obs.Counter("wire.control_frames_recv")
-		c.om.unknownFrames = c.obs.Counter("wire.unknown_frames")
-		c.om.formatsSuppressed = c.obs.Counter("wire.formats_suppressed")
-		c.om.formatsResolved = c.obs.Counter("wire.formats_resolved")
-		c.om.formatReqSent = c.obs.Counter("wire.format_reqs_sent")
-		c.om.formatReqRecv = c.obs.Counter("wire.format_reqs_recv")
-		c.om.bytesSent = c.obs.Counter("wire.bytes_sent")
-		c.om.bytesRecv = c.obs.Counter("wire.bytes_recv")
-		c.om.formatErrors = c.obs.Counter("wire.format_errors")
-		c.om.corruptFrames = c.obs.Counter("wire.corrupt_frames")
-		c.om.oversizedFrames = c.obs.Counter("wire.oversized_frames")
-		c.om.formatNS = c.obs.Histogram("wire.format_frame_ns")
+		st := &c.stats
+		for _, b := range []struct {
+			k    *counter
+			name string
+		}{
+			{&st.dataSent, "wire.data_frames_sent"}, {&st.dataRecv, "wire.data_frames_recv"},
+			{&st.formatSent, "wire.format_frames_sent"}, {&st.formatRecv, "wire.format_frames_recv"},
+			{&st.traceSent, "wire.trace_frames_sent"}, {&st.traceRecv, "wire.trace_frames_recv"},
+			{&st.ctrlSent, "wire.control_frames_sent"}, {&st.ctrlRecv, "wire.control_frames_recv"},
+			{&st.bytesSent, "wire.bytes_sent"}, {&st.bytesRecv, "wire.bytes_recv"},
+			{&st.formatErrors, "wire.format_errors"},
+			{&st.corruptFrames, "wire.corrupt_frames"},
+			{&st.oversizedFrames, "wire.oversized_frames"},
+			{&st.unknownFrames, "wire.unknown_frames"},
+			{&st.formatsSuppressed, "wire.formats_suppressed"},
+			{&st.formatsResolved, "wire.formats_resolved"},
+			{&st.formatReqSent, "wire.format_reqs_sent"}, {&st.formatReqRecv, "wire.format_reqs_recv"},
+		} {
+			b.k.shared = c.obs.Counter(b.name)
+		}
+		c.formatNS = c.obs.Histogram("wire.format_frame_ns")
 	}
 	return c
 }
@@ -517,32 +521,25 @@ func (c *Conn) WriteRecord(rec *pbio.Record) error {
 // trace context, announces it out-of-band in a trace control frame
 // immediately preceding the data frame. If the connection also carries a
 // tracer, the encode and frame-write stages are timed as child spans of
-// tctx.
+// tctx. Once encoded, the record is a batch of one on the encoded write path.
 func (c *Conn) WriteRecordCtx(rec *pbio.Record, tctx trace.Context) error {
 	f := rec.Format()
-	fp := f.Fingerprint()
-
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.ensureFormatLocked(f, fp); err != nil {
-		return err
+	var enc trace.Span
+	if c.tracer.Enabled() && tctx.Sampled {
+		enc = c.tracer.StartSpan(tctx, trace.StageEncode)
+		enc.FP = f.Fingerprint()
 	}
-	traced := c.tracer.Enabled() && tctx.Sampled
 	// Encode into a pooled scratch buffer: the frame write copies the bytes
 	// into the bufio.Writer, so the scratch can be recycled immediately and
 	// steady-state sends allocate nothing per message.
-	var enc trace.Span
-	if traced {
-		enc = c.tracer.StartSpan(tctx, trace.StageEncode)
-		enc.FP = fp
-	}
 	bp := pbio.GetBuffer(0)
 	body := pbio.AppendRecord((*bp)[:0], rec)
-	if traced {
+	if enc.Recording() {
 		enc.N = int64(len(body))
 		enc.End()
 	}
-	err := c.writeDataLocked(body, fp, tctx)
+	one := [1]BatchFrame{{Data: body, Format: f, Ctx: tctx}}
+	err := c.WriteEncodedBatchCtx(one[:])
 	*bp = body
 	pbio.PutBuffer(bp)
 	return err
@@ -552,29 +549,11 @@ func (c *Conn) WriteRecordCtx(rec *pbio.Record, tctx trace.Context) error {
 // pushing f's meta-data out-of-band first when needed — the zero-copy send
 // half of the encoded fast path: relays and fan-out servers forward bytes
 // they received without ever materializing a Record. The message fingerprint
-// must match f.
+// must match f. It is WriteEncodedBatchCtx with a batch of one, built on the
+// stack: the same lock, checks, frames and flush, by the same code.
 func (c *Conn) WriteEncoded(f *pbio.Format, data []byte) error {
-	return c.WriteEncodedCtx(f, data, trace.Context{})
-}
-
-// WriteEncodedCtx sends an already-encoded message like WriteEncoded,
-// announcing tctx out-of-band first when it is sampled — how a relay keeps
-// a trace alive across its fan-out without decoding anything.
-func (c *Conn) WriteEncodedCtx(f *pbio.Format, data []byte, tctx trace.Context) error {
-	fp, err := pbio.PeekFingerprint(data)
-	if err != nil {
-		return err
-	}
-	if fp != f.Fingerprint() {
-		return fmt.Errorf("%w: message %016x, format %q is %016x",
-			pbio.ErrFingerprint, fp, f.Name(), f.Fingerprint())
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.ensureFormatLocked(f, fp); err != nil {
-		return err
-	}
-	return c.writeDataLocked(data, fp, tctx)
+	one := [1]BatchFrame{{Data: data, Format: f}}
+	return c.WriteEncodedBatchCtx(one[:])
 }
 
 // BatchFrame is one already-encoded message in a WriteEncodedBatchCtx call:
@@ -589,13 +568,15 @@ type BatchFrame struct {
 // WriteEncodedBatchCtx sends n already-encoded messages under one write lock
 // and one flush — the coalescing half of the fan-out delivery engine: a
 // writer that found N frames backlogged pays one syscall for all of them
-// instead of N. Per-frame semantics match WriteEncodedCtx exactly (format
-// meta-data pushed out-of-band before a fingerprint's first data frame,
-// sampled trace contexts announced immediately before their frame); only the
-// flush boundary moves, from per-frame to per-batch. Frames are written in
-// order; the first error stops the batch and is returned, with everything
-// buffered so far flushed best-effort so the peer is never left mid-frame
-// short of a transport failure.
+// instead of N. It is the connection's one data-write path (WriteRecord and
+// WriteEncoded are batches of one through it), so per-frame semantics are
+// the same however a message is sent: the fingerprint in the bytes must match
+// the frame's format, format meta-data is pushed out-of-band before a
+// fingerprint's first data frame, and a sampled trace context is announced
+// immediately before its frame. Frames are written in order; the first error
+// stops the batch and is returned. A frame that fails its fingerprint check
+// leaves the frames before it flushed best-effort, so the peer is never left
+// mid-batch short of a transport failure.
 func (c *Conn) WriteEncodedBatchCtx(batch []BatchFrame) error {
 	if len(batch) == 0 {
 		return nil
@@ -605,19 +586,18 @@ func (c *Conn) WriteEncodedBatchCtx(batch []BatchFrame) error {
 	for i := range batch {
 		bf := &batch[i]
 		fp, err := pbio.PeekFingerprint(bf.Data)
-		if err != nil {
-			c.bw.Flush()
-			return err
-		}
-		if fp != bf.Format.Fingerprint() {
-			c.bw.Flush()
-			return fmt.Errorf("%w: message %016x, format %q is %016x",
+		if err == nil && fp != bf.Format.Fingerprint() {
+			err = fmt.Errorf("%w: message %016x, format %q is %016x",
 				pbio.ErrFingerprint, fp, bf.Format.Name(), bf.Format.Fingerprint())
+		}
+		if err != nil {
+			_ = c.bw.Flush() // best-effort; err already says why the batch stopped
+			return err
 		}
 		if err := c.ensureFormatLocked(bf.Format, fp); err != nil {
 			return err
 		}
-		if err := c.writeDataNoFlushLocked(bf.Data, fp, bf.Ctx); err != nil {
+		if err := c.writeDataLocked(bf.Data, fp, bf.Ctx); err != nil {
 			return err
 		}
 	}
@@ -635,8 +615,7 @@ func (c *Conn) ensureFormatLocked(f *pbio.Format, fp uint64) error {
 	}
 	c.announced[fp] = f
 	if c.suppress != nil && c.suppress(f) {
-		c.stats.formatsSuppressed.Add(1)
-		c.om.formatsSuppressed.Inc()
+		c.stats.formatsSuppressed.inc()
 		c.sent[fp] = true
 		return nil
 	}
@@ -664,9 +643,9 @@ func (c *Conn) WriteControl(kind byte, body []byte) error {
 	return c.bw.Flush()
 }
 
-// writeDataLocked writes the trace announcement (when tctx is sampled), the
-// data frame, and the flush — timing the write as a frame_write span when
-// this side traces.
+// writeDataLocked buffers the trace announcement (when tctx is sampled) and
+// the data frame, timing the pair as a frame_write span when this side
+// traces. It never flushes: WriteEncodedBatchCtx does, once per batch.
 func (c *Conn) writeDataLocked(body []byte, fp uint64, tctx trace.Context) error {
 	var fw trace.Span
 	if c.tracer.Enabled() && tctx.Sampled {
@@ -685,54 +664,33 @@ func (c *Conn) writeDataLocked(body []byte, fp uint64, tctx trace.Context) error
 			c.tap.CaptureFrame(TapWrite, frameTrace, wireCtx, tctx)
 		}
 	}
-	if err := c.writeFrameLocked(frameData, body); err != nil {
-		fw.EndErr(err)
-		return err
-	}
-	if c.tapOn() {
+	err := c.writeFrameLocked(frameData, body)
+	if err == nil && c.tapOn() {
 		c.tap.CaptureFrame(TapWrite, frameData, body, tctx)
 	}
-	err := c.bw.Flush()
-	fw.EndErr(err)
-	return err
-}
-
-// writeDataNoFlushLocked is writeDataLocked minus the flush: the batch write
-// path buffers many data frames and flushes once at the batch boundary.
-func (c *Conn) writeDataNoFlushLocked(body []byte, fp uint64, tctx trace.Context) error {
-	var fw trace.Span
-	if c.tracer.Enabled() && tctx.Sampled {
-		fw = c.tracer.StartSpan(tctx, trace.StageFrameWrite)
-		fw.FP = fp
-		fw.N = int64(len(body))
-	}
-	if tctx.Sampled && tctx.Valid() {
-		var scratch [trace.ContextWireSize]byte
-		wireCtx := tctx.AppendWire(scratch[:0])
-		if err := c.writeFrameLocked(frameTrace, wireCtx); err != nil {
-			fw.EndErr(err)
-			return err
-		}
-		if c.tapOn() {
-			c.tap.CaptureFrame(TapWrite, frameTrace, wireCtx, tctx)
-		}
-	}
-	err := c.writeFrameLocked(frameData, body)
 	fw.EndErr(err)
 	return err
 }
 
 func (c *Conn) writeFormatLocked(f *pbio.Format, xforms []*core.Xform) error {
+	return c.writeFrameLocked(frameFormat, AppendFormatFrame(nil, f, xforms))
+}
+
+// AppendFormatFrame appends the body of a format control frame (kind
+// KindFormat) announcing f with its associated transformation meta-data —
+// the inverse of ParseFormatFrame. The format registry stores and serves its
+// entries in this same layout.
+func AppendFormatFrame(dst []byte, f *pbio.Format, xforms []*core.Xform) []byte {
 	blob := pbio.EncodeFormat(f)
-	body := binary.AppendUvarint(nil, uint64(len(blob)))
-	body = append(body, blob...)
-	body = binary.AppendUvarint(body, uint64(len(xforms)))
+	dst = binary.AppendUvarint(dst, uint64(len(blob)))
+	dst = append(dst, blob...)
+	dst = binary.AppendUvarint(dst, uint64(len(xforms)))
 	for _, x := range xforms {
 		xb := core.EncodeXform(x)
-		body = binary.AppendUvarint(body, uint64(len(xb)))
-		body = append(body, xb...)
+		dst = binary.AppendUvarint(dst, uint64(len(xb)))
+		dst = append(dst, xb...)
 	}
-	return c.writeFrameLocked(frameFormat, body)
+	return dst
 }
 
 func (c *Conn) writeFrameLocked(typ byte, body []byte) error {
@@ -745,24 +703,18 @@ func (c *Conn) writeFrameLocked(typ byte, body []byte) error {
 	if _, err := c.bw.Write(body); err != nil {
 		return err
 	}
-	c.stats.bytesSent.Add(uint64(1 + n + len(body)))
-	c.om.bytesSent.Add(uint64(1 + n + len(body)))
+	c.stats.bytesSent.add(uint64(1 + n + len(body)))
 	switch typ {
 	case frameData:
-		c.stats.dataSent.Add(1)
-		c.om.dataSent.Inc()
+		c.stats.dataSent.inc()
 	case frameTrace:
-		c.stats.traceSent.Add(1)
-		c.om.traceSent.Inc()
+		c.stats.traceSent.inc()
 	case frameFormat:
-		c.stats.formatSent.Add(1)
-		c.om.formatSent.Inc()
+		c.stats.formatSent.inc()
 	case frameFormatReq:
-		c.stats.formatReqSent.Add(1)
-		c.om.formatReqSent.Inc()
+		c.stats.formatReqSent.inc()
 	default:
-		c.stats.ctrlSent.Add(1)
-		c.om.ctrlSent.Inc()
+		c.stats.ctrlSent.inc()
 	}
 	// Data and trace frames are captured by the data-write callers, which
 	// hold the real trace context; this site covers format and control
@@ -811,23 +763,21 @@ func (c *Conn) ReadEncoded() ([]byte, *pbio.Format, error) {
 		switch typ {
 		case frameFormat:
 			var t0 time.Time
-			if c.om.formatNS != nil {
+			if c.formatNS != nil {
 				t0 = time.Now()
 			}
 			if err := c.handleFormatFrame(body); err != nil {
 				// Surface malformed format meta-data loudly: count it (the
 				// satellite fix for silently indistinguishable drops) and
 				// return the error to the caller.
-				c.stats.formatErrors.Add(1)
-				c.om.formatErrors.Inc()
+				c.stats.formatErrors.inc()
 				return nil, nil, err
 			}
-			c.om.formatNS.ObserveNS(time.Since(t0).Nanoseconds())
+			c.formatNS.ObserveNS(time.Since(t0).Nanoseconds())
 		case frameTrace:
 			tctx, err := trace.ParseWire(body)
 			if err != nil {
-				c.stats.corruptFrames.Add(1)
-				c.om.corruptFrames.Inc()
+				c.stats.corruptFrames.inc()
 				return nil, nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 			}
 			c.pending = tctx
@@ -837,8 +787,7 @@ func (c *Conn) ReadEncoded() ([]byte, *pbio.Format, error) {
 		case frameData:
 			fp, err := pbio.PeekFingerprint(body)
 			if err != nil {
-				c.stats.corruptFrames.Add(1)
-				c.om.corruptFrames.Inc()
+				c.stats.corruptFrames.inc()
 				return nil, nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 			}
 			// Consume the out-of-band context announced for this frame. When
@@ -862,8 +811,7 @@ func (c *Conn) ReadEncoded() ([]byte, *pbio.Format, error) {
 					if err := c.adoptFormat(rf, xforms, true); err != nil {
 						return nil, nil, err
 					}
-					c.stats.formatsResolved.Add(1)
-					c.om.formatsResolved.Inc()
+					c.stats.formatsResolved.inc()
 					f, ok = rf, true
 				}
 			}
@@ -884,12 +832,10 @@ func (c *Conn) ReadEncoded() ([]byte, *pbio.Format, error) {
 			return body, f, nil
 		case frameFormatReq:
 			if len(body) != 8 {
-				c.stats.corruptFrames.Add(1)
-				c.om.corruptFrames.Inc()
+				c.stats.corruptFrames.inc()
 				return nil, nil, fmt.Errorf("%w: format request body %d bytes, want 8", ErrBadFrame, len(body))
 			}
-			c.stats.reqRecv.Add(1)
-			c.om.formatReqRecv.Inc()
+			c.stats.formatReqRecv.inc()
 			if err := c.reannounce(binary.LittleEndian.Uint64(body)); err != nil {
 				return nil, nil, err
 			}
@@ -900,20 +846,17 @@ func (c *Conn) ReadEncoded() ([]byte, *pbio.Format, error) {
 			// frame from a newer peer — skip it so out-of-band meta-data can
 			// evolve without breaking older receivers.
 			if typ == 0 {
-				c.stats.corruptFrames.Add(1)
-				c.om.corruptFrames.Inc()
+				c.stats.corruptFrames.inc()
 				return nil, nil, fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, typ)
 			}
 			if hook := c.hooks[typ]; hook != nil {
-				c.stats.ctrlRecv.Add(1)
-				c.om.ctrlRecv.Inc()
+				c.stats.ctrlRecv.inc()
 				if err := hook(body); err != nil {
 					return nil, nil, err
 				}
 				continue
 			}
-			c.stats.unknownFrames.Add(1)
-			c.om.unknownFrames.Inc()
+			c.stats.unknownFrames.inc()
 		}
 	}
 }
@@ -936,7 +879,7 @@ func (c *Conn) parkFrame(fp uint64, body []byte, tctx trace.Context) error {
 	copy(cp, body)
 	c.parked = append(c.parked, parkedFrame{fp: fp, body: cp, tctx: tctx})
 	c.parkedBytes += len(cp)
-	c.stats.parkedFrames.Add(1)
+	c.stats.parkedFrames.inc()
 	if c.requested == nil {
 		c.requested = make(map[uint64]bool)
 	}
@@ -1004,36 +947,29 @@ func (c *Conn) readFrame() (byte, []byte, error) {
 	}
 	size, err := binary.ReadUvarint(c.br)
 	if err != nil {
-		c.stats.corruptFrames.Add(1)
-		c.om.corruptFrames.Inc()
+		c.stats.corruptFrames.inc()
 		// The cause is wrapped (not just rendered) so stream-over-file readers
 		// (spool) can tell a torn tail — EOF mid-frame — from corruption.
 		return 0, nil, fmt.Errorf("%w: bad length: %w", ErrBadFrame, err)
 	}
 	if size > uint64(c.maxFrame) {
-		c.stats.oversizedFrames.Add(1)
-		c.om.oversizedFrames.Inc()
+		c.stats.oversizedFrames.inc()
 		return 0, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, size, c.maxFrame)
 	}
 	c.held = pbio.GetBuffer(int(size))
 	body := *c.held
 	if _, err := io.ReadFull(c.br, body); err != nil {
-		c.stats.corruptFrames.Add(1)
-		c.om.corruptFrames.Inc()
+		c.stats.corruptFrames.inc()
 		return 0, nil, fmt.Errorf("%w: truncated body: %w", ErrBadFrame, err)
 	}
-	c.stats.bytesRecv.Add(1 + uint64(uvarintLen(size)) + size)
-	c.om.bytesRecv.Add(1 + uint64(uvarintLen(size)) + size)
+	c.stats.bytesRecv.add(1 + uint64(uvarintLen(size)) + size)
 	switch typ {
 	case frameData:
-		c.stats.dataRecv.Add(1)
-		c.om.dataRecv.Inc()
+		c.stats.dataRecv.inc()
 	case frameFormat:
-		c.stats.formatRecv.Add(1)
-		c.om.formatRecv.Inc()
+		c.stats.formatRecv.inc()
 	case frameTrace:
-		c.stats.traceRecv.Add(1)
-		c.om.traceRecv.Inc()
+		c.stats.traceRecv.inc()
 	}
 	if c.tapOn() {
 		// c.pending is the context the most recent frameTrace frame announced
@@ -1173,7 +1109,7 @@ func (c *Conn) Serve() error {
 		}
 		if err := c.morpher.DeliverEncodedCtx(body, f, c.rctx); err != nil {
 			if errors.Is(err, core.ErrRejected) {
-				c.stats.rejectedDeliveries.Add(1)
+				c.stats.rejectedDeliveries.inc()
 				continue
 			}
 			return err

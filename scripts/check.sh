@@ -16,6 +16,33 @@ tree_state() {
       git ls-files -o --exclude-standard -z | xargs -0 -r cksum; } | cksum
 }
 tree_before=$(tree_state)
+# `go test -run <pattern>` exits 0 when the pattern matches nothing, so a
+# suite below would silently stop gating the moment a test it names is renamed.
+# Every selected run goes through here instead: selected <run|bench|fuzz>
+# <pattern> <go test flags and packages...> fails unless each |-alternative of
+# the pattern names at least one test (or benchmark, or fuzz target) in the
+# listed packages, the run itself passes, and — for test runs — no package
+# reported "no tests to run".
+selected() {
+    kind=$1 pattern=$2
+    shift 2
+    listed=$(go test -list "$pattern" "$@")
+    for alt in $(printf '%s' "$pattern" | tr '|' ' '); do
+        printf '%s\n' "$listed" | grep -Eq -- "$alt" \
+            || { echo "check.sh: '$alt' matches nothing in: go test $*"; exit 1; }
+    done
+    case $kind in
+    run) set -- -run "$pattern" "$@" ;;
+    *) set -- -run '^$' "-$kind" "$pattern" "$@" ;;
+    esac
+    out=$(go test "$@" 2>&1) || { printf '%s\n' "$out"; exit 1; }
+    printf '%s\n' "$out"
+    if [ "$kind" = run ]; then
+        case $out in *"no tests to run"*)
+            echo "check.sh: a package ran no tests: go test $*"; exit 1 ;;
+        esac
+    fi
+}
 trap 'kill "$formatd_pid" "$echodemo_pid" "$peer0_pid" "$peer1_pid" "$peer2_pid" "$replica_pid" 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
 
 echo "== go vet ./..."
@@ -25,24 +52,24 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 echo "== bench smoke (splice/fanout fast paths)"
-go test -run xxx -bench 'Splice|Fanout' -benchtime 100x ./...
-echo "== flake gate (2 procs x 20 runs: handshake, trace-ring, daemon-signal and failover races)"
-GOMAXPROCS=2 go test -count=20 ./internal/echo/ ./internal/trace/ ./cmd/formatd/ ./internal/cluster/
+selected bench 'Splice|Fanout' -benchtime 100x ./...
+echo "== flake gate (2 procs x 20 runs: handshake, trace-ring, daemon-signal, failover and registry-session races)"
+GOMAXPROCS=2 go test -count=20 ./internal/echo/ ./internal/trace/ ./cmd/formatd/ ./internal/cluster/ ./internal/registry/
 echo "== benchmark harness still builds against the library (vet + unit tests, no sockets)"
 (cd benchmark && go vet ./... && go test ./...)
 echo "== fanout churn/isolation suite (race-enabled)"
-go test -race -count=1 -run 'TestFanoutChurnStress|TestSlowSinkIsolation|TestFailedWriteReleasesGauges' \
-    ./internal/echo/
-go test -race -count=1 -run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFrame' \
-    ./internal/fanout/
+selected run 'TestFanoutChurnStress|TestSlowSinkIsolation|TestFailedWriteReleasesGauges' \
+    -race -count=1 ./internal/echo/
+selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFrame' \
+    -race -count=1 ./internal/fanout/
 echo "== tap ring & capture suite (race-enabled)"
-go test -race -count=1 -run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture' \
-    ./internal/tap/
+selected run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture' \
+    -race -count=1 ./internal/tap/
 echo "== morphtap round-trip (capture -> decode -> replay, byte-exact)"
-go test -race -count=1 -run 'TestMorphtap' ./cmd/morphtap/
+selected run 'TestMorphtap' -race -count=1 ./cmd/morphtap/
 echo "== registry watch/reconnect suite (race-enabled)"
-go test -race -count=1 -run 'TestWatch|TestRegisterPurgesNegativeCache|TestConcurrentResolveRegisterWatch' \
-    ./internal/registry/
+selected run 'TestWatch|TestRegisterPurgesNegativeCache|TestConcurrentResolveRegisterWatch' \
+    -race -count=1 ./internal/registry/
 echo "== formatd smoke (random ports, e2e interop, registryz JSON)"
 go build -o "$tmpdir/formatd" ./cmd/formatd
 "$tmpdir/formatd" -addr 127.0.0.1:0 -debug 127.0.0.1:0 \
@@ -54,7 +81,7 @@ for _ in $(seq 1 50); do
 done
 debug_url=$(sed -n 's/.*debug endpoints on \(http:[^ ]*\).*/\1/p' "$tmpdir/formatd.log")
 [ -n "$debug_url" ] || { echo "formatd never became ready:"; cat "$tmpdir/formatd.log"; exit 1; }
-go test -run 'TestRegistryOnlyInterop|TestRegistryDownFallback|TestFormatdDeathMidRun' \
+selected run 'TestRegistryOnlyInterop|TestRegistryDownFallback|TestFormatdDeathMidRun' \
     -count=1 ./internal/echo/
 curl -sf "$debug_url" | jq -e '.count >= 0 and .watch_seq >= 0 and (.watchers | type == "array")' >/dev/null \
     || { echo "registryz did not serve valid JSON (count/watch_seq/watchers)"; exit 1; }
@@ -71,10 +98,9 @@ curl -sf "$debug_base/debug/tapz" | jq -e '.name == "formatd" and (.conns | type
 kill "$formatd_pid"
 formatd_pid=
 echo "== cluster replication/failover suite (race-enabled)"
-go test -race -count=1 -run 'TestCluster|TestFailover|TestStandby' ./internal/cluster/
-go test -race -count=1 \
-    -run 'TestClusterClient|TestResubscribeArmsWithoutFirstSuccess|TestReregisterOnInstanceChange|TestWatchRingSizeOption' \
-    ./internal/registry/
+selected run 'TestCluster|TestFailover|TestStandby' -race -count=1 ./internal/cluster/
+selected run 'TestClusterClient|TestResubscribeArmsWithoutFirstSuccess|TestReregisterOnInstanceChange|TestWatchRingDepth|TestDaemonDeathFailsPendingAndDownsOnce' \
+    -race -count=1 ./internal/registry/
 echo "== formatd cluster smoke (3 peers, SIGKILL the primary under live load)"
 cat >"$tmpdir/freeport.go" <<'EOF'
 package main
@@ -195,7 +221,7 @@ go build -o "$tmpdir/morphtap" ./cmd/morphtap
 kill "$echodemo_pid"
 echodemo_pid=
 echo "== fuzz smoke (wire frame parser, 10s)"
-go test -run xxx -fuzz FuzzConnReadFrames -fuzztime 10s ./internal/wire/
+selected fuzz FuzzConnReadFrames -fuzztime 10s ./internal/wire/
 echo "== work tree untouched"
 [ "$(tree_state)" = "$tree_before" ] \
     || { echo "check.sh changed the work tree:"; git status --porcelain; exit 1; }
