@@ -77,42 +77,45 @@ func main() {
 	}
 }
 
-// runServer hosts the event domain. With -debug, the full telemetry plane
-// (/debug/morphz, /debug/tracez, /debug/tapz, /metrics, /healthz, /readyz,
-// /debug/) is mounted on its own listener and the bound address is logged so
-// scripts can scrape it (scripts/check.sh parses the "debug endpoints on"
-// line). The wire tap starts disarmed; arm it with /debug/tapz?arm=on.
+// runServer hosts the event domain. With -debug, the process's debug
+// listener (obs.Serve: /debug/, /debug/morphz, /metrics, /healthz, /readyz,
+// /debug/pprof/) also carries the event domain's /debug/tracez and
+// /debug/tapz pages, and its address is logged after the event-domain
+// address so scripts can scrape both (scripts/check.sh parses the "listening
+// on" and "debug endpoints on" lines). The wire tap starts disarmed; arm it
+// with /debug/tapz?arm=on.
 func runServer(addr, debug string) error {
-	opts := []echo.ServerOption{}
+	var (
+		reg  *obs.Registry
+		tr   *trace.Tracer
+		wtap *tap.Tap
+	)
 	if debug != "" {
-		reg := obs.NewRegistry("echodemo")
-		opts = append(opts,
-			echo.WithObs(reg),
-			echo.WithTracer(trace.New(trace.Config{Capacity: trace.DefaultCapacity})),
-			// Full payload prefixes: the demo favors replayable captures over
-			// ring memory, so anything it records morphtap can replay.
-			echo.WithTap(tap.New(tap.Config{Name: "echodemo", Obs: reg, Prefix: tap.PrefixMax})),
-			echo.WithMorphzAddr(debug),
-		)
+		reg = obs.NewRegistry("echodemo")
+		tr = trace.New(trace.Config{Capacity: trace.DefaultCapacity})
+		// Full payload prefixes: the demo favors replayable captures over
+		// ring memory, so anything it records morphtap can replay.
+		wtap = tap.New(tap.Config{Name: "echodemo", Obs: reg, Prefix: tap.PrefixMax})
 	}
-	srv := echo.NewServer(opts...)
+	srv := echo.NewServer(echo.WithObs(reg), echo.WithTracer(tr), echo.WithTap(wtap))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	log.Printf("event domain (ECho v2.0) listening on %s", ln.Addr())
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
 	if debug != "" {
-		deadline := time.Now().Add(5 * time.Second)
-		for srv.MorphzAddr() == nil && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
+		dbg, err := obs.Serve(debug, reg, srv.Health(),
+			obs.Mount{Path: trace.TracezPath, Handler: trace.Handler(tr)},
+			obs.Mount{Path: tap.TapzPath, Handler: tap.Handler(wtap)},
+		)
+		if err != nil {
+			_ = ln.Close()
+			return err
 		}
-		if dbg := srv.MorphzAddr(); dbg != nil {
-			log.Printf("debug endpoints on http://%s%s", dbg, obs.DebugIndexPath)
-		}
+		defer dbg.Close()
+		log.Printf("debug endpoints on http://%s%s", dbg.Addr(), obs.DebugIndexPath)
 	}
-	return <-done
+	return srv.Serve(ln)
 }
 
 func runPublisher(addr, channel string, n int) error {

@@ -7,14 +7,15 @@
 //
 //	formatd -addr :7500 -debug :7501 -snapshot /var/lib/formatd/table.spool
 //
-// The debug listener serves /debug/registryz (the live table, the event
-// seqno, and every live watch subscription), /debug/morphz (the daemon's
-// own obs instruments), /metrics (the same instruments in Prometheus text
-// exposition), /healthz + /readyz (liveness and probed readiness: RPC
-// listener accepting, snapshot spool writable), and a /debug/ index listing
-// the whole surface. With -snapshot, the table is persisted through the
-// self-describing spool framing and reloaded on restart, so a bounce loses
-// nothing.
+// The debug listener (obs.Serve) carries the base every debug listener does
+// — a /debug/ index of the whole surface, /debug/morphz and /metrics (the
+// daemon's own obs instruments), /healthz + /readyz (liveness and probed
+// readiness: RPC listener accepting, snapshot spool writable) and
+// /debug/pprof/ — plus the daemon's pages: /debug/registryz (the live
+// table, the event seqno, and every live watch subscription) and
+// /debug/tapz (the wire flight recorder). With -snapshot, the table is
+// persisted through the self-describing spool framing and reloaded on
+// restart, so a bounce loses nothing.
 //
 // The daemon advertises the watch capability in its hello: subscribed
 // clients receive every table mutation as a pushed invalidation event and
@@ -172,17 +173,9 @@ func run(cfg daemonConfig, ready chan<- string) error {
 		if cfg.snapshot != "" {
 			health.Register("spool", srv.SpoolHealthy)
 		}
-		dbg, err := obs.Serve(cfg.debug, reg,
-			obs.Mount{
-				Path:    registry.RegistryzPath,
-				Handler: srv.Handler(obs.DebugIndexPath, obs.MetricsPath, obs.MorphzPath, tap.TapzPath),
-			},
-			obs.Mount{
-				Path:    tap.TapzPath,
-				Handler: tap.Handler(wtap, obs.DebugIndexPath, obs.MetricsPath, obs.MorphzPath, registry.RegistryzPath),
-			},
-			obs.Mount{Path: obs.HealthzPath, Handler: health.HealthzHandler()},
-			obs.Mount{Path: obs.ReadyzPath, Handler: health.ReadyzHandler()},
+		dbg, err := obs.Serve(cfg.debug, reg, health,
+			obs.Mount{Path: registry.RegistryzPath, Handler: srv.Handler()},
+			obs.Mount{Path: tap.TapzPath, Handler: tap.Handler(wtap)},
 		)
 		if err != nil {
 			return err

@@ -116,8 +116,8 @@ func TestRegistryzEndToEnd(t *testing.T) {
 	}
 
 	// The rest of the telemetry plane rides the same listener: Prometheus
-	// exposition, liveness, and probed readiness (listener self-dial; no
-	// spool probe without -snapshot).
+	// exposition, liveness, probed readiness (listener self-dial; no spool
+	// probe without -snapshot), the index and profiles.
 	get := func(path string) (int, string) {
 		t.Helper()
 		res, err := http.Get("http://" + dbg + path)
@@ -144,6 +144,9 @@ func TestRegistryzEndToEnd(t *testing.T) {
 	if code, body := get(obs.DebugIndexPath); code != 200 ||
 		!strings.Contains(body, registry.RegistryzPath) {
 		t.Errorf("/debug/ index = %d, want listing including registryz:\n%s", code, body)
+	}
+	if code, body := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
+		t.Errorf("/debug/pprof/ = %d, want the pprof index every debug listener carries", code)
 	}
 }
 

@@ -33,10 +33,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -95,7 +95,7 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		events := timeline(caps, eventFilter{})
+		events := timeline(caps, tap.Filter{})
 		delivered, skipped, err := replay(events, table, *to, out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "morphtap: replay:", err)
@@ -103,7 +103,9 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "replayed %d frames (%d skipped)\n", delivered, skipped)
 	default:
-		filt, err := parseEventFilter(*channel, *kindName, *fpHex, *tracePfx)
+		filt, err := tap.ParseFilter(url.Values{
+			"channel": {*channel}, "kind": {*kindName}, "fp": {*fpHex}, "trace": {*tracePfx},
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "morphtap:", err)
 			os.Exit(2)
@@ -212,81 +214,19 @@ type event struct {
 	rec  *tap.Record
 }
 
-type eventFilter struct {
-	channel  string
-	kind     byte
-	hasKind  bool
-	fp       uint64
-	tracePfx string
-}
-
-func parseEventFilter(channel, kindName, fpHex, tracePfx string) (eventFilter, error) {
-	f := eventFilter{channel: channel, tracePfx: strings.ToLower(tracePfx)}
-	if kindName != "" {
-		k, err := kindByte(kindName)
-		if err != nil {
-			return f, err
-		}
-		f.kind, f.hasKind = k, true
-	}
-	if fpHex != "" {
-		fp, err := strconv.ParseUint(fpHex, 16, 64)
-		if err != nil {
-			return f, fmt.Errorf("bad fp %q: want hex fingerprint", fpHex)
-		}
-		f.fp = fp
-	}
-	return f, nil
-}
-
-func kindByte(s string) (byte, error) {
-	switch strings.ToLower(s) {
-	case "format":
-		return wire.KindFormat, nil
-	case "data":
-		return wire.KindData, nil
-	case "trace":
-		return wire.KindTrace, nil
-	case "format_req", "formatreq":
-		return wire.KindFormatReq, nil
-	case "registry":
-		return wire.FrameRegistry, nil
-	case "capture":
-		return wire.FrameCapture, nil
-	}
-	n, err := strconv.ParseUint(s, 10, 8)
-	if err != nil {
-		return 0, fmt.Errorf("bad kind %q: want a kind name or numeric byte", s)
-	}
-	return byte(n), nil
-}
-
-func (f eventFilter) match(cc *tap.CaptureConn, r *tap.Record) bool {
-	if f.channel != "" && cc.Label.Channel != f.channel {
-		return false
-	}
-	if f.hasKind && r.Kind != f.kind {
-		return false
-	}
-	if f.fp != 0 && r.FP != f.fp {
-		return false
-	}
-	if f.tracePfx != "" && !strings.HasPrefix(r.Trace.String(), f.tracePfx) {
-		return false
-	}
-	return true
-}
-
 // timeline merges every capture's frames into one wall-clock-ordered stream.
 // Capture timestamps are wall-clock for exactly this reason: frames recorded
 // by different processes interleave into a single cross-process view, the
 // correlation a trace ID search rides on.
-func timeline(caps []*capFile, filt eventFilter) []event {
+func timeline(caps []*capFile, filt tap.Filter) []event {
 	var events []event
 	for _, cf := range caps {
 		for _, cc := range cf.cap.Conns {
+			if !filt.MatchConn(cc.ID, cc.Label) {
+				continue
+			}
 			for i := range cc.Records {
-				if filt.match(cc, &cc.Records[i]) {
+				if filt.MatchRecord(&cc.Records[i]) {
 					events = append(events, event{proc: cf.proc, conn: cc, rec: &cc.Records[i]})
 				}
 			}

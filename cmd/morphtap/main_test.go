@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -120,7 +121,7 @@ func TestMorphtapRoundTrip(t *testing.T) {
 		t.Fatalf("tickV2 carried %d xforms, want 1", got)
 	}
 
-	events := timeline([]*capFile{cf}, eventFilter{})
+	events := timeline([]*capFile{cf}, tap.Filter{})
 	var got bytes.Buffer
 	delivered, skipped, err := replay(events, table, "", &got)
 	if err != nil {
@@ -144,7 +145,7 @@ func TestMorphtapReplayMorphs(t *testing.T) {
 	_, wt := runSession(t, n)
 	cf := reload(t, exportCapture(t, wt))
 	table := buildTable([]*capFile{cf}, nil)
-	events := timeline([]*capFile{cf}, eventFilter{})
+	events := timeline([]*capFile{cf}, tap.Filter{})
 
 	var got bytes.Buffer
 	delivered, skipped, err := replay(events, table, fmt.Sprintf("%016x", tickV1.Fingerprint()), &got)
@@ -217,7 +218,7 @@ func TestMorphtapTimelineText(t *testing.T) {
 	table := buildTable([]*capFile{cf}, nil)
 
 	var b strings.Builder
-	writeTimeline(&b, []*capFile{cf}, timeline([]*capFile{cf}, eventFilter{}), table)
+	writeTimeline(&b, []*capFile{cf}, timeline([]*capFile{cf}, tap.Filter{}), table)
 	out := b.String()
 	for _, want := range []string{"Tick{", "symbol: \"ACME\"", "echo/ticks/sink", "fp="} {
 		if !strings.Contains(out, want) {
@@ -225,9 +226,9 @@ func TestMorphtapTimelineText(t *testing.T) {
 		}
 	}
 
-	filt, err := parseEventFilter("", "data", "", "")
+	filt, err := tap.ParseFilter(url.Values{"kind": {"data"}})
 	if err != nil {
-		t.Fatalf("parseEventFilter: %v", err)
+		t.Fatalf("ParseFilter: %v", err)
 	}
 	only := timeline([]*capFile{cf}, filt)
 	if len(only) != 2 {

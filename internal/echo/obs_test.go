@@ -12,14 +12,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pbio"
+	"repro/internal/trace"
 )
 
-// startObsServer is startServer plus a shared registry and the /debug/morphz
-// endpoint on an ephemeral loopback port.
+// startObsServer is startServer plus a shared registry.
 func startObsServer(t *testing.T) (*Server, *obs.Registry, string) {
 	t.Helper()
 	reg := obs.NewRegistry("echo-e2e")
-	srv := NewServer(WithObs(reg), WithMorphzAddr("127.0.0.1:0"))
+	srv := NewServer(WithObs(reg))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +38,19 @@ func startObsServer(t *testing.T) (*Server, *obs.Registry, string) {
 		}
 	})
 	return srv, reg, ln.Addr().String()
+}
+
+// serveDebug puts the event domain's debug listener together the way
+// cmd/echodemo does and returns its base URL.
+func serveDebug(t *testing.T, srv *Server, reg *obs.Registry, tr *trace.Tracer) string {
+	t.Helper()
+	dbg, err := obs.Serve("127.0.0.1:0", reg, srv.Health(),
+		obs.Mount{Path: trace.TracezPath, Handler: trace.Handler(tr)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = dbg.Close() })
+	return "http://" + dbg.Addr().String()
 }
 
 // TestMorphzEndToEnd is the acceptance scenario: an event domain with
@@ -107,11 +120,7 @@ func TestMorphzEndToEnd(t *testing.T) {
 	// its per-delivery accounting is done once the last frame is released.
 	waitNoLiveFrames(t)
 
-	mzAddr := srv.MorphzAddr()
-	if mzAddr == nil {
-		t.Fatal("MorphzAddr is nil; WithMorphzAddr endpoint did not start")
-	}
-	base := "http://" + mzAddr.String() + obs.MorphzPath
+	base := serveDebug(t, srv, reg, nil) + obs.MorphzPath
 
 	// JSON rendering.
 	resp, err := http.Get(base)

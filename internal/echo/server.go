@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	httppprof "net/http/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -37,15 +35,12 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// Observability (nil/zero when disabled). The obs registry is shared
-	// with every member connection (wire.* counters) and, through
-	// WithMorphzAddr, exposed over HTTP alongside /debug/tracez, /debug/tapz
-	// and net/http/pprof.
-	obs        *obs.Registry
-	om         echoObs
-	tracer     *trace.Tracer
-	tap        *tap.Tap
-	morphzAddr string
-	morphz     *obs.Server
+	// with every member connection (wire.* counters); the process that owns
+	// the debug listener exposes it, the tracer and the tap (obs.Serve).
+	obs    *obs.Registry
+	om     echoObs
+	tracer *trace.Tracer
+	tap    *tap.Tap
 
 	// registry, when set, is the event domain's connection to formatd:
 	// event-format meta-data is published there as it is first seen, member
@@ -87,33 +82,20 @@ func WithObs(reg *obs.Registry) ServerOption {
 	return func(s *Server) { s.obs = reg }
 }
 
-// WithMorphzAddr serves the registry attached with WithObs over HTTP at
-// addr (obs.MorphzPath, typically "/debug/morphz"), alongside
-// trace.TracezPath for the tracer attached with WithTracer, tap.TapzPath for
-// the flight recorder, and net/http/pprof under /debug/pprof/. The listener
-// already serves captured payload prefixes, so it is an operator-only
-// address either way; profiling adds nothing an operator there could not
-// already see. The endpoints start when Serve is called and stop on Close.
-// Use "127.0.0.1:0" to pick an ephemeral port and read it back with
-// MorphzAddr.
-func WithMorphzAddr(addr string) ServerOption {
-	return func(s *Server) { s.morphzAddr = addr }
-}
-
 // WithTracer attaches a tracer to the event domain: sampled events fanning
-// out record fanout spans, member connections time frame reads, and the
-// debug server (WithMorphzAddr) exposes the span ring at /debug/tracez.
-// Share one tracer between the server and in-process subscribers to see
-// whole publish→sink trees in one place. A nil tracer is valid and leaves
+// out record fanout spans and member connections time frame reads; mount
+// trace.Handler on the process's debug listener to see them. Share one
+// tracer between the server and in-process subscribers to see whole
+// publish→sink trees in one place. A nil tracer is valid and leaves
 // tracing disabled — trace contexts still relay to sinks either way.
 func WithTracer(t *trace.Tracer) ServerOption {
 	return func(s *Server) { s.tracer = t }
 }
 
 // WithTap attaches a wire-level flight recorder: every member connection is
-// tapped (labeled with its channel and role once the handshake reveals them),
-// and the debug server (WithMorphzAddr) exposes the capture rings at
-// /debug/tapz. The tap is typically created disarmed — attached taps cost one
+// tapped (labeled with its channel and role once the handshake reveals them);
+// mount tap.Handler on the process's debug listener to read the capture
+// rings. The tap is typically created disarmed — attached taps cost one
 // interface call per frame until armed (via Tap.Arm or `/debug/tapz?arm=on`).
 // A nil tap is valid and leaves capture disabled entirely.
 func WithTap(t *tap.Tap) ServerOption {
@@ -415,91 +397,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		return errors.New("echo: server closed")
 	}
 	s.ln = ln
-	var startMorphz bool
-	if s.morphzAddr != "" && s.obs != nil && s.morphz == nil {
-		startMorphz = true
-	}
 	s.mu.Unlock()
-
-	if startMorphz {
-		// Health endpoints: /healthz is pure liveness; /readyz probes the
-		// components a working event domain depends on.
-		health := obs.NewHealth()
-		health.Register("listener", func() error {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.closed {
-				return errors.New("server closed")
-			}
-			if s.ln == nil {
-				return errors.New("no listener bound")
-			}
-			return nil
-		})
-		if s.registry != nil {
-			health.Register("registry", func() error {
-				if s.registry.Down() {
-					return errors.New("format registry unreachable (down/backed off)")
-				}
-				return nil
-			})
-			// The watch probe reports the invalidation stream: Serve
-			// subscribes at startup, so readiness converges once the
-			// handshake lands; it degrades to failing (visible, not fatal to
-			// /healthz) against a daemon without watch support.
-			health.Register("registry_watch", func() error {
-				if !s.registry.WatchActive() {
-					return errors.New("registry watch subscription not live")
-				}
-				return nil
-			})
-		}
-		// The fanout probe watches the delivery engine for two invariant
-		// breaks: a negative live-frame refcount (a double-release) and a
-		// failed sink queue still present in a channel's membership (the
-		// OnFail→remove path wedged). Both should be impossible; readiness is
-		// where "impossible" gets checked.
-		health.Register("fanout", func() error {
-			if n := fanout.LiveFrames(); n < 0 {
-				return fmt.Errorf("live frame refcount negative (%d): double release", n)
-			}
-			s.mu.Lock()
-			channels := make([]*channel, 0, len(s.channels))
-			for _, ch := range s.channels {
-				channels = append(channels, ch)
-			}
-			s.mu.Unlock()
-			for _, ch := range channels {
-				ch.mu.Lock()
-				for mc := range ch.members {
-					if mc.q != nil && mc.q.Failed() {
-						ch.mu.Unlock()
-						return fmt.Errorf("channel %q: failed sink queue still in membership", ch.id)
-					}
-				}
-				ch.mu.Unlock()
-			}
-			return nil
-		})
-		mounts := []obs.Mount{
-			{Path: trace.TracezPath, Handler: trace.Handler(s.tracer, obs.DebugIndexPath, obs.MetricsPath, obs.MorphzPath, tap.TapzPath)},
-			{Path: tap.TapzPath, Handler: tap.Handler(s.tap, obs.DebugIndexPath, obs.MetricsPath, obs.MorphzPath, trace.TracezPath)},
-			{Path: obs.HealthzPath, Handler: health.HealthzHandler()},
-			{Path: obs.ReadyzPath, Handler: health.ReadyzHandler()},
-			{Path: "/debug/pprof/", Handler: http.HandlerFunc(httppprof.Index)},
-			{Path: "/debug/pprof/cmdline", Handler: http.HandlerFunc(httppprof.Cmdline)},
-			{Path: "/debug/pprof/profile", Handler: http.HandlerFunc(httppprof.Profile)},
-			{Path: "/debug/pprof/symbol", Handler: http.HandlerFunc(httppprof.Symbol)},
-			{Path: "/debug/pprof/trace", Handler: http.HandlerFunc(httppprof.Trace)},
-		}
-		ms, err := obs.Serve(s.morphzAddr, s.obs, mounts...)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.morphz = ms
-		s.mu.Unlock()
-	}
 
 	// Publish the protocol's own evolution meta-data to the registry, so
 	// registry-capable members can resolve the handshake response without
@@ -552,15 +450,68 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// MorphzAddr returns the /debug/morphz listener address, or nil when the
-// endpoint is not running (no WithMorphzAddr, or Serve not yet called).
-func (s *Server) MorphzAddr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.morphz == nil {
+// Health returns the event domain's readiness probes, for the process's
+// debug listener (obs.Serve): the accept loop, and when registry-backed the
+// registry connection and its watch subscription, and the delivery engine.
+func (s *Server) Health() *obs.Health {
+	health := obs.NewHealth()
+	health.Register("listener", func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.closed {
+			return errors.New("server closed")
+		}
+		if s.ln == nil {
+			return errors.New("no listener bound")
+		}
 		return nil
+	})
+	if s.registry != nil {
+		health.Register("registry", func() error {
+			if s.registry.Down() {
+				return errors.New("format registry unreachable (down/backed off)")
+			}
+			return nil
+		})
+		// The watch probe reports the invalidation stream: Serve subscribes
+		// at startup, so readiness converges once the handshake lands; it
+		// degrades to failing (visible, not fatal to /healthz) against a
+		// daemon without watch support.
+		health.Register("registry_watch", func() error {
+			if !s.registry.WatchActive() {
+				return errors.New("registry watch subscription not live")
+			}
+			return nil
+		})
 	}
-	return s.morphz.Addr()
+	// The fanout probe watches the delivery engine for two invariant breaks:
+	// a negative live-frame refcount (a double-release) and a failed sink
+	// queue still present in a channel's membership (the OnFail→remove path
+	// wedged). Both should be impossible; readiness is where "impossible"
+	// gets checked.
+	health.Register("fanout", func() error {
+		if n := fanout.LiveFrames(); n < 0 {
+			return fmt.Errorf("live frame refcount negative (%d): double release", n)
+		}
+		s.mu.Lock()
+		channels := make([]*channel, 0, len(s.channels))
+		for _, ch := range s.channels {
+			channels = append(channels, ch)
+		}
+		s.mu.Unlock()
+		for _, ch := range channels {
+			ch.mu.Lock()
+			for mc := range ch.members {
+				if mc.q != nil && mc.q.Failed() {
+					ch.mu.Unlock()
+					return fmt.Errorf("channel %q: failed sink queue still in membership", ch.id)
+				}
+			}
+			ch.mu.Unlock()
+		}
+		return nil
+	})
+	return health
 }
 
 // Close stops accepting and closes every member connection.
@@ -572,8 +523,6 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	ln := s.ln
-	morphz := s.morphz
-	s.morphz = nil
 	channels := make([]*channel, 0, len(s.channels))
 	for _, ch := range s.channels {
 		channels = append(channels, ch)
@@ -583,9 +532,6 @@ func (s *Server) Close() error {
 	var err error
 	if ln != nil {
 		err = ln.Close()
-	}
-	if morphz != nil {
-		_ = morphz.Close()
 	}
 	for _, ch := range channels {
 		ch.mu.Lock()

@@ -25,7 +25,7 @@ import (
 func TestTelemetryPlaneEndToEnd(t *testing.T) {
 	tr := trace.New(trace.Config{Capacity: 256})
 	reg := obs.NewRegistry("telemetry-e2e")
-	srv := NewServer(WithObs(reg), WithTracer(tr), WithMorphzAddr("127.0.0.1:0"))
+	srv := NewServer(WithObs(reg), WithTracer(tr))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +85,7 @@ func TestTelemetryPlaneEndToEnd(t *testing.T) {
 	// its per-delivery accounting is done once the last frame is released.
 	waitNoLiveFrames(t)
 
-	mzAddr := srv.MorphzAddr()
-	if mzAddr == nil {
-		t.Fatal("debug server did not start")
-	}
-	base := "http://" + mzAddr.String()
+	base := serveDebug(t, srv, reg, tr)
 	get := func(path string) (*http.Response, string) {
 		t.Helper()
 		resp, err := http.Get(base + path)
@@ -134,19 +130,15 @@ func TestTelemetryPlaneEndToEnd(t *testing.T) {
 	if !strings.Contains(tracez, exemplarTrace) {
 		t.Errorf("exemplar trace %s not retrievable from tracez", exemplarTrace)
 	}
-	// tracez advertises its siblings and reports drop accounting.
+	// tracez reports drop accounting.
 	var tz struct {
-		SpansDropped *uint64  `json:"spans_dropped"`
-		SeeAlso      []string `json:"see_also"`
+		SpansDropped *uint64 `json:"spans_dropped"`
 	}
 	if err := json.Unmarshal([]byte(tracez), &tz); err != nil {
 		t.Fatal(err)
 	}
 	if tz.SpansDropped == nil {
 		t.Error("tracez JSON missing spans_dropped")
-	}
-	if !contains(tz.SeeAlso, obs.MetricsPath) || !contains(tz.SeeAlso, obs.DebugIndexPath) {
-		t.Errorf("tracez see_also = %v, want /metrics and /debug/", tz.SeeAlso)
 	}
 
 	// (3) Health pair: liveness unconditional, readiness with probe detail.
@@ -178,13 +170,4 @@ func TestTelemetryPlaneEndToEnd(t *testing.T) {
 			t.Errorf("/debug/ index missing %s:\n%s", p, index)
 		}
 	}
-}
-
-func contains(ss []string, want string) bool {
-	for _, s := range ss {
-		if s == want {
-			return true
-		}
-	}
-	return false
 }

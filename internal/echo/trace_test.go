@@ -23,7 +23,7 @@ import (
 func TestTracezEndToEnd(t *testing.T) {
 	tr := trace.New(trace.Config{Capacity: 256})
 	reg := obs.NewRegistry("trace-e2e")
-	srv := NewServer(WithObs(reg), WithTracer(tr), WithMorphzAddr("127.0.0.1:0"))
+	srv := NewServer(WithObs(reg), WithTracer(tr))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +84,7 @@ func TestTracezEndToEnd(t *testing.T) {
 		}
 	}
 
-	mzAddr := srv.MorphzAddr()
-	if mzAddr == nil {
-		t.Fatal("debug server did not start")
-	}
-	base := "http://" + mzAddr.String()
+	base := serveDebug(t, srv, reg, tr)
 
 	get := func(path string) (*http.Response, []byte) {
 		t.Helper()
@@ -173,49 +169,21 @@ func TestTracezEndToEnd(t *testing.T) {
 			t.Fatalf("bad jsonl line %q: %v", line, err)
 		}
 	}
-
-	// The morphz endpoint advertises tracez as a sibling.
-	_, body = get(obs.MorphzPath)
-	var morphz struct {
-		SeeAlso []string `json:"see_also"`
-	}
-	if err := json.Unmarshal(body, &morphz); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, p := range morphz.SeeAlso {
-		found = found || p == trace.TracezPath
-	}
-	if !found {
-		t.Errorf("morphz see_also = %v, want to include %s", morphz.SeeAlso, trace.TracezPath)
-	}
 }
 
-// TestDebugPprofMounted: the profiling endpoints come with the debug server —
-// whoever can reach /debug/tapz can reach /debug/pprof/.
+// TestDebugPprofMounted: the event domain's debug listener, put together as
+// cmd/echodemo does, serves profiles — whoever can reach /debug/tapz can
+// reach /debug/pprof/.
 func TestDebugPprofMounted(t *testing.T) {
-	srv := NewServer(WithObs(obs.NewRegistry("pprof")), WithMorphzAddr("127.0.0.1:0"))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.MorphzAddr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("debug server did not start")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	resp, err := http.Get("http://" + srv.MorphzAddr().String() + "/debug/pprof/")
+	srv := NewServer()
+	base := serveDebug(t, srv, nil, nil)
+	resp, err := http.Get(base + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
-		t.Errorf("pprof index not served by the debug server: status %d", resp.StatusCode)
+		t.Errorf("pprof index not served by the debug listener: status %d", resp.StatusCode)
 	}
 }

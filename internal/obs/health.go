@@ -1,18 +1,16 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Health endpoint paths. Both daemons mount the pair on their debug
-// listener: /healthz is pure liveness (the process is up and serving HTTP),
-// /readyz runs the registered component probes and answers 503 until every
-// one passes — the split load balancers and orchestration probes expect.
+// Health endpoint paths. Serve mounts the pair on every debug listener:
+// /healthz is pure liveness (the process is up and serving HTTP), /readyz
+// runs the registered component probes and answers 503 until every one
+// passes — the split load balancers and orchestration probes expect.
 const (
 	HealthzPath = "/healthz"
 	ReadyzPath  = "/readyz"
@@ -89,30 +87,30 @@ func (h *Health) Check() ReadySnapshot {
 	return s
 }
 
-// HealthzHandler serves liveness: always 200 with uptime — reaching the
+// healthzHandler serves liveness: always 200 with uptime — reaching the
 // handler at all proves the process is up and its debug listener serving.
-func (h *Health) HealthzHandler() http.Handler {
+func (h *Health) healthzHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		uptime := time.Duration(0)
 		if h != nil {
 			uptime = time.Since(h.start)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\n  \"status\": \"ok\",\n  \"uptime_ns\": %d\n}\n", uptime.Nanoseconds())
+		writeJSON(w, http.StatusOK, struct {
+			Status   string `json:"status"`
+			UptimeNS int64  `json:"uptime_ns"`
+		}{"ok", uptime.Nanoseconds()})
 	})
 }
 
-// ReadyzHandler serves readiness: 200 when every probe passes, 503
+// readyzHandler serves readiness: 200 when every probe passes, 503
 // otherwise, with the per-probe JSON breakdown either way.
-func (h *Health) ReadyzHandler() http.Handler {
+func (h *Health) readyzHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		snap := h.Check()
-		w.Header().Set("Content-Type", "application/json")
+		status := http.StatusOK
 		if !snap.Ready {
-			w.WriteHeader(http.StatusServiceUnavailable)
+			status = http.StatusServiceUnavailable
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(snap)
+		writeJSON(w, status, snap)
 	})
 }

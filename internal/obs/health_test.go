@@ -33,7 +33,7 @@ func httpGet(url string) (httpResp, error) {
 func TestHealthz(t *testing.T) {
 	for _, h := range []*Health{nil, NewHealth()} {
 		rec := httptest.NewRecorder()
-		h.HealthzHandler().ServeHTTP(rec, httptest.NewRequest("GET", HealthzPath, nil))
+		h.healthzHandler().ServeHTTP(rec, httptest.NewRequest("GET", HealthzPath, nil))
 		if rec.Code != 200 {
 			t.Fatalf("healthz status = %d", rec.Code)
 		}
@@ -55,7 +55,7 @@ func TestHealthz(t *testing.T) {
 func TestReadyz(t *testing.T) {
 	h := NewHealth()
 	rec := httptest.NewRecorder()
-	h.ReadyzHandler().ServeHTTP(rec, httptest.NewRequest("GET", ReadyzPath, nil))
+	h.readyzHandler().ServeHTTP(rec, httptest.NewRequest("GET", ReadyzPath, nil))
 	if rec.Code != 200 {
 		t.Fatalf("no-probe readyz status = %d, want 200", rec.Code)
 	}
@@ -71,7 +71,7 @@ func TestReadyz(t *testing.T) {
 	h.Register("listener", func() error { return nil })
 
 	rec = httptest.NewRecorder()
-	h.ReadyzHandler().ServeHTTP(rec, httptest.NewRequest("GET", ReadyzPath, nil))
+	h.readyzHandler().ServeHTTP(rec, httptest.NewRequest("GET", ReadyzPath, nil))
 	if rec.Code != 503 {
 		t.Fatalf("failing readyz status = %d, want 503", rec.Code)
 	}
@@ -91,7 +91,7 @@ func TestReadyz(t *testing.T) {
 
 	ok = true
 	rec = httptest.NewRecorder()
-	h.ReadyzHandler().ServeHTTP(rec, httptest.NewRequest("GET", ReadyzPath, nil))
+	h.readyzHandler().ServeHTTP(rec, httptest.NewRequest("GET", ReadyzPath, nil))
 	if rec.Code != 200 {
 		t.Errorf("recovered readyz status = %d, want 200", rec.Code)
 	}
@@ -100,7 +100,7 @@ func TestReadyz(t *testing.T) {
 // TestDebugIndex: the index lists mounted endpoints sorted, 404s unmounted
 // subtree paths, and degrades to plain text on request.
 func TestDebugIndex(t *testing.T) {
-	idx := IndexHandler([]string{MorphzPath, MetricsPath, HealthzPath})
+	idx := indexHandler([]string{MorphzPath, MetricsPath, HealthzPath})
 
 	rec := httptest.NewRecorder()
 	idx.ServeHTTP(rec, httptest.NewRequest("GET", DebugIndexPath, nil))
@@ -131,16 +131,15 @@ func TestDebugIndex(t *testing.T) {
 	}
 }
 
-// TestServeMountsTelemetryPlane: Serve must expose morphz, metrics, the
-// debug index, and any extra mounts, with the index listing all of them.
+// TestServeMountsTelemetryPlane: every Serve listener carries morphz,
+// metrics, the health pair, pprof and the index, plus the caller's pages,
+// with the index listing all of them.
 func TestServeMountsTelemetryPlane(t *testing.T) {
 	r := NewRegistry("serve")
 	r.Counter("core.delivered").Inc()
-	h := NewHealth()
-	srv, err := Serve("127.0.0.1:0", r,
-		Mount{Path: HealthzPath, Handler: h.HealthzHandler()},
-		Mount{Path: ReadyzPath, Handler: h.ReadyzHandler()},
-	)
+	const pagePath = "/debug/pagez"
+	page := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) { _, _ = io.WriteString(w, "page") })
+	srv, err := Serve("127.0.0.1:0", r, NewHealth(), Mount{Path: pagePath, Handler: page})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +163,20 @@ func TestServeMountsTelemetryPlane(t *testing.T) {
 	if code, _ := get(ReadyzPath); code != 200 {
 		t.Errorf("/readyz status = %d", code)
 	}
+	if code, body := get(pprofPath); code != 200 || !strings.Contains(body, "goroutine") {
+		t.Errorf("%s = %d, want the pprof index", pprofPath, code)
+	}
+	if code, body := get(pprofPath + "cmdline"); code != 200 || body == "" {
+		t.Errorf("%scmdline = %d %q", pprofPath, code, body)
+	}
+	if code, body := get(pagePath); code != 200 || body != "page" {
+		t.Errorf("%s = %d %q, want the mounted page", pagePath, code, body)
+	}
 	code, body := get(DebugIndexPath)
 	if code != 200 {
 		t.Fatalf("index status = %d", code)
 	}
-	for _, p := range []string{MorphzPath, MetricsPath, HealthzPath, ReadyzPath} {
+	for _, p := range []string{MorphzPath, MetricsPath, HealthzPath, ReadyzPath, pprofPath, pagePath} {
 		if !strings.Contains(body, p) {
 			t.Errorf("index missing %s:\n%s", p, body)
 		}

@@ -6,23 +6,52 @@ import (
 	"io"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/* on http.DefaultServeMux; Serve forwards there
 	"sort"
 	"strings"
 	"time"
 )
 
-// MorphzPath is the debug endpoint path Serve registers.
+// MorphzPath is the registry snapshot page Serve mounts.
 const MorphzPath = "/debug/morphz"
 
-// DebugIndexPath is the debug-surface index page Serve registers: a listing
-// of every debug, metrics and health endpoint mounted on the process, so an
-// operator landing anywhere can discover the rest.
+// DebugIndexPath is the index page Serve mounts: a listing of every path
+// mounted on the listener, the one way an operator discovers the rest.
 const DebugIndexPath = "/debug/"
 
-// IndexHandler serves the endpoint index: the mounted paths, one per line
-// as clickable HTML (default) or plain text (?format=text / Accept:
-// text/plain). Paths are listed sorted.
-func IndexHandler(paths []string) http.Handler {
+// pprofPath is the net/http/pprof subtree Serve mounts.
+const pprofPath = "/debug/pprof/"
+
+// WritePage renders a debug page: writeText's dump when the request asks for
+// text (?format=text, or an Accept header led by text/plain), v as indented
+// JSON otherwise. Every page on the debug plane (morphz, tracez, tapz,
+// registryz) answers through here, so they negotiate alike; a page's own
+// formats (tracez jsonl, tapz morphcap) are checked by the page first.
+func WritePage(w http.ResponseWriter, req *http.Request, v any, writeText func(io.Writer)) {
+	if !wantsText(req) {
+		writeJSON(w, http.StatusOK, v)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	writeText(w)
+}
+
+func wantsText(req *http.Request) bool {
+	return req.URL.Query().Get("format") == "text" ||
+		strings.HasPrefix(req.Header.Get("Accept"), "text/plain")
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// indexHandler serves the endpoint index: the mounted paths, sorted, one per
+// line as clickable HTML (default) or plain text (as WritePage negotiates).
+func indexHandler(paths []string) http.Handler {
 	sorted := append([]string(nil), paths...)
 	sort.Strings(sorted)
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -32,8 +61,7 @@ func IndexHandler(paths []string) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		if req.URL.Query().Get("format") == "text" ||
-			strings.HasPrefix(req.Header.Get("Accept"), "text/plain") {
+		if wantsText(req) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			fmt.Fprintf(w, "# debug endpoints (%d)\n", len(sorted))
 			for _, p := range sorted {
@@ -50,37 +78,16 @@ func IndexHandler(paths []string) http.Handler {
 	})
 }
 
-// Handler returns an expvar-style HTTP handler serving the registry's
-// Snapshot. The default response is JSON; append ?format=text (or send
-// Accept: text/plain) for the human-readable dump. A nil registry serves
-// an empty snapshot, so the endpoint can be mounted unconditionally.
-//
-// seeAlso lists sibling debug endpoints (e.g. /debug/tracez) advertised in
-// both renderings, so an operator landing on morphz discovers the rest of
-// the debug surface.
-func Handler(r *Registry, seeAlso ...string) http.Handler {
+// morphzHandler serves the registry's Snapshot as a page. A nil registry
+// serves an empty snapshot.
+func morphzHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		snap := r.Snapshot()
-		if req.URL.Query().Get("format") == "text" ||
-			strings.HasPrefix(req.Header.Get("Accept"), "text/plain") {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			snap.WriteText(w)
-			for _, p := range seeAlso {
-				fmt.Fprintf(w, "# see also %s\n", p)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Snapshot
-			SeeAlso []string `json:"see_also,omitempty"`
-		}{snap, seeAlso})
+		WritePage(w, req, snap, snap.WriteText)
 	})
 }
 
-// Mount pairs a path with a handler for Serve's extra debug endpoints.
+// Mount pairs a path with a component page for Serve.
 type Mount struct {
 	Path    string
 	Handler http.Handler
@@ -108,39 +115,46 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-// Serve starts an HTTP server on addr exposing the registry at MorphzPath
-// and MetricsPath, a DebugIndexPath listing of every mounted endpoint, plus
-// any extra debug mounts (each advertised as a morphz see-also link). It
-// returns once the listener is bound; the server runs until Close. This is
-// the opt-in switch the endpoints hide behind — nothing listens unless a
-// component (or the application) calls Serve.
+// Serve starts a process's debug listener on addr, returning once it is
+// bound; it serves until Close. It is the only place a debug listener is put
+// together, so every one carries the same base: the DebugIndexPath index,
+// the registry at MorphzPath and MetricsPath, liveness and readiness from h
+// at HealthzPath and ReadyzPath (a nil h is always ready), and
+// net/http/pprof under /debug/pprof/. Which component pages ride along is
+// the policy of the process that owns the listener, passed as pages. The
+// listener serves profiles and captured payload prefixes, so addr is an
+// operator-only address. Nothing listens unless the process calls Serve.
 //
 // A Go runtime sampler rides along: every /metrics and /debug/morphz request
 // refreshes the registry's "go.*" instruments (goroutines, heap/sys gauges,
 // GC pause histogram — morph_go_* in the exposition) before the snapshot is
 // taken, so scrapes carry current runtime pressure at zero idle cost.
-func Serve(addr string, r *Registry, extra ...Mount) (*Server, error) {
+func Serve(addr string, r *Registry, h *Health, pages ...Mount) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	rs := NewRuntimeSampler(r)
-	sampled := func(h http.Handler) http.Handler {
+	sampled := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			rs.Sample()
-			h.ServeHTTP(w, req)
+			next.ServeHTTP(w, req)
 		})
 	}
+	mounts := append([]Mount{
+		{MorphzPath, sampled(morphzHandler(r))},
+		{MetricsPath, sampled(promHandler(r))},
+		{HealthzPath, h.healthzHandler()},
+		{ReadyzPath, h.readyzHandler()},
+		{pprofPath, http.DefaultServeMux},
+	}, pages...)
 	mux := http.NewServeMux()
-	seeAlso := make([]string, 0, len(extra)+2)
-	seeAlso = append(seeAlso, DebugIndexPath, MetricsPath)
-	for _, m := range extra {
+	paths := []string{DebugIndexPath}
+	for _, m := range mounts {
 		mux.Handle(m.Path, m.Handler)
-		seeAlso = append(seeAlso, m.Path)
+		paths = append(paths, m.Path)
 	}
-	mux.Handle(MorphzPath, sampled(Handler(r, seeAlso...)))
-	mux.Handle(MetricsPath, sampled(PromHandler(r)))
-	mux.Handle(DebugIndexPath, IndexHandler(append(seeAlso, MorphzPath)))
+	mux.Handle(DebugIndexPath, indexHandler(paths))
 	s := &Server{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil

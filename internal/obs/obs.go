@@ -1,5 +1,5 @@
 // Package obs is the reproduction's observability layer: atomic counters,
-// gauges and fixed-bucket latency histograms, plus a bounded ring buffer of
+// gauges and fixed-bucket latency histograms, plus a bounded ring of
 // morph-decision traces. It exists so the paper's central claim — that
 // morphing is *lightweight*, near-native delivery cost with a one-time
 // compile on the cold path — can be checked from the system's own
@@ -7,8 +7,8 @@
 //
 // Everything is stdlib-only and designed for hot paths:
 //
-//   - Every method is nil-safe: a nil *Registry, *Counter, *Gauge,
-//     *Histogram or *TraceRing is a valid no-op instrument, so a component
+//   - Every method is nil-safe: a nil *Registry, *Counter, *Gauge or
+//     *Histogram is a valid no-op instrument, so a component
 //     built without observability pays exactly one predictable branch per
 //     hook and allocates nothing.
 //   - Instrument handles are fetched once, at component construction time
@@ -19,8 +19,8 @@
 // wire connections, the ECho event domain, the ecode VM), with metric names
 // prefixed by component: "core.delivered", "wire.bytes_recv",
 // "echo.fanout_ns", "ecode.run_steps". Snapshot captures everything at
-// once; Handler/Serve expose the snapshot over HTTP as /debug/morphz in
-// both JSON and human-readable text form.
+// once; Serve exposes it over HTTP as /debug/morphz (JSON or text) and
+// /metrics (Prometheus exposition) on the process's one debug listener.
 package obs
 
 import (
@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value is
@@ -104,7 +106,8 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	gaugeFns map[string]func() int64
 	hists    map[string]*Histogram
-	trace    *TraceRing
+
+	decisions *ring.Ring[Decision]
 }
 
 // DefaultTraceCap is the decision-trace ring capacity of NewRegistry.
@@ -114,12 +117,12 @@ const DefaultTraceCap = 128
 // decision trace ring.
 func NewRegistry(name string) *Registry {
 	return &Registry{
-		name:     name,
-		start:    time.Now(),
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		trace:    NewTraceRing(DefaultTraceCap),
+		name:      name,
+		start:     time.Now(),
+		counters:  make(map[string]*Counter),
+		gauges:    make(map[string]*Gauge),
+		hists:     make(map[string]*Histogram),
+		decisions: ring.New(DefaultTraceCap, func(d *Decision) *uint64 { return &d.Seq }),
 	}
 }
 
@@ -218,21 +221,19 @@ func (r *Registry) Remove(names ...string) {
 	}
 }
 
-// Decisions returns the registry's morph-decision trace ring (nil on a nil
-// registry).
-func (r *Registry) Decisions() *TraceRing {
-	if r == nil {
-		return nil
-	}
-	return r.trace
-}
-
-// RecordDecision appends a morph-decision trace entry; see TraceRing.Record.
+// RecordDecision appends a morph-decision trace entry, stamping Seq (1-based,
+// monotonic) and Time if unset; the ring keeps the last DefaultTraceCap.
+// Entries arrive only on the morph cold path (once per incoming format).
 func (r *Registry) RecordDecision(d Decision) {
 	if r == nil {
 		return
 	}
-	r.trace.Record(d)
+	// Copied after the nil check so only a live registry allocates the entry.
+	e := d
+	if e.Time.IsZero() {
+		e.Time = time.Now()
+	}
+	r.decisions.Put(&e)
 }
 
 // Snapshot is a point-in-time capture of a whole registry, JSON-ready for
@@ -281,7 +282,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	trace := r.trace
 	r.mu.Unlock()
 
 	for k, v := range counters {
@@ -298,7 +298,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range hists {
 		s.Histograms[k] = v.Snapshot()
 	}
-	s.Decisions = trace.Snapshot()
+	s.Decisions = r.decisions.Snapshot()
 	return s
 }
 

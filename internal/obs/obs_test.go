@@ -2,11 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -18,9 +16,6 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
 		t.Fatal("nil registry must hand out nil instruments")
-	}
-	if r.Decisions() != nil {
-		t.Fatal("nil registry must hand out a nil trace ring")
 	}
 	var c *Counter
 	c.Add(3)
@@ -39,11 +34,6 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Snapshot().Count != 0 {
 		t.Error("nil histogram must be empty")
 	}
-	var tr *TraceRing
-	tr.Record(Decision{})
-	if tr.Total() != 0 || tr.Snapshot() != nil {
-		t.Error("nil trace ring must be empty")
-	}
 	r.RecordDecision(Decision{})
 	if snap := r.Snapshot(); snap.Name != "" || len(snap.Counters) != 0 {
 		t.Errorf("nil registry snapshot = %+v, want zero", snap)
@@ -57,12 +47,12 @@ func TestNilSafety(t *testing.T) {
 func TestDisabledHooksAllocationFree(t *testing.T) {
 	var c *Counter
 	var h *Histogram
-	var tr *TraceRing
+	var r *Registry
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
 		h.Observe(42)
-		tr.Record(Decision{})
+		r.RecordDecision(Decision{})
 	})
 	if allocs != 0 {
 		t.Errorf("disabled hooks allocate %.1f bytes/op, want 0", allocs)
@@ -148,50 +138,6 @@ func TestHistogramZeroAndEmpty(t *testing.T) {
 	}
 }
 
-func TestTraceRingWraps(t *testing.T) {
-	tr := NewTraceRing(4)
-	for i := 0; i < 10; i++ {
-		tr.Record(Decision{Format: fmt.Sprintf("f%d", i)})
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d", tr.Total())
-	}
-	got := tr.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("retained %d entries, want 4", len(got))
-	}
-	for i, d := range got {
-		wantSeq := uint64(7 + i)
-		if d.Seq != wantSeq || d.Format != fmt.Sprintf("f%d", wantSeq-1) {
-			t.Errorf("entry %d = seq %d format %q, want seq %d", i, d.Seq, d.Format, wantSeq)
-		}
-	}
-	if got[0].Time.IsZero() {
-		t.Error("Record must stamp Time")
-	}
-}
-
-func TestTraceRingConcurrent(t *testing.T) {
-	tr := NewTraceRing(8)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tr.Record(Decision{Format: "f"})
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.Total() != 400 {
-		t.Errorf("total = %d, want 400", tr.Total())
-	}
-	if len(tr.Snapshot()) != 8 {
-		t.Errorf("retained = %d, want 8", len(tr.Snapshot()))
-	}
-}
-
 func TestSnapshotAndText(t *testing.T) {
 	r := NewRegistry("unit")
 	r.Counter("core.delivered").Add(42)
@@ -209,6 +155,11 @@ func TestSnapshotAndText(t *testing.T) {
 	}
 	if len(snap.Decisions) != 2 || snap.Decisions[1].Reason != "no acceptable match" {
 		t.Errorf("decisions = %+v", snap.Decisions)
+	}
+	for i, d := range snap.Decisions {
+		if d.Seq != uint64(i+1) || d.Time.IsZero() {
+			t.Errorf("decision %d: seq %d time %v, want seq %d and a stamped time", i, d.Seq, d.Time, i+1)
+		}
 	}
 
 	text := snap.Text()
@@ -238,7 +189,7 @@ func TestSnapshotAndText(t *testing.T) {
 func TestServeMorphz(t *testing.T) {
 	r := NewRegistry("http")
 	r.Counter("core.compiled").Add(2)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := Serve("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

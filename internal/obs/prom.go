@@ -164,11 +164,10 @@ func writePromHistogram(w io.Writer, pn, labels string, h HistogramSnapshot, ope
 	fmt.Fprintf(w, "%s_count%s %d\n", pn, labels, h.Count)
 }
 
-// PromHandler returns the /metrics HTTP handler for a registry. A nil
-// registry serves an empty (but valid) exposition, so the endpoint can be
-// mounted unconditionally. OpenMetrics is negotiated via the Accept header
+// promHandler returns the /metrics HTTP handler for a registry. A nil
+// registry serves an empty (but valid) exposition. OpenMetrics is negotiated via the Accept header
 // or forced with ?format=openmetrics.
-func PromHandler(r *Registry) http.Handler {
+func promHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		om := req.URL.Query().Get("format") == "openmetrics" ||
 			strings.Contains(req.Header.Get("Accept"), "application/openmetrics-text")

@@ -21,7 +21,7 @@ func TestPromExpositionGolden(t *testing.T) {
 	h.Observe(5) // bucket le=7
 
 	rec := httptest.NewRecorder()
-	PromHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", MetricsPath, nil))
+	promHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", MetricsPath, nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
 	}
@@ -70,7 +70,7 @@ func TestPromOpenMetricsExemplar(t *testing.T) {
 	h.ObserveExemplar(5000, tid)
 
 	rec := httptest.NewRecorder()
-	PromHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", MetricsPath+"?format=openmetrics", nil))
+	promHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", MetricsPath+"?format=openmetrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") {
 		t.Errorf("Content-Type = %q", ct)
 	}
@@ -93,7 +93,7 @@ func TestPromOpenMetricsExemplar(t *testing.T) {
 
 	// Plain-text mode must not leak exemplars (invalid in that dialect).
 	rec = httptest.NewRecorder()
-	PromHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", MetricsPath, nil))
+	promHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", MetricsPath, nil))
 	if strings.Contains(rec.Body.String(), "trace_id") {
 		t.Error("exemplar rendered in plain text exposition")
 	}
@@ -102,7 +102,7 @@ func TestPromOpenMetricsExemplar(t *testing.T) {
 	req := httptest.NewRequest("GET", MetricsPath, nil)
 	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
 	rec = httptest.NewRecorder()
-	PromHandler(r).ServeHTTP(rec, req)
+	promHandler(r).ServeHTTP(rec, req)
 	if !strings.Contains(rec.Body.String(), "# EOF") {
 		t.Error("Accept negotiation did not select OpenMetrics")
 	}
@@ -112,7 +112,7 @@ func TestPromOpenMetricsExemplar(t *testing.T) {
 // exposition so the mount never needs guarding.
 func TestPromNilRegistry(t *testing.T) {
 	rec := httptest.NewRecorder()
-	PromHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", MetricsPath, nil))
+	promHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", MetricsPath, nil))
 	if !strings.Contains(rec.Body.String(), "morph_uptime_seconds") {
 		t.Errorf("nil registry exposition: %q", rec.Body.String())
 	}

@@ -73,7 +73,7 @@ func TestGaugeFunc(t *testing.T) {
 // runtime pressure (morph_go_* series in the exposition).
 func TestServeSamplesRuntimeOnScrape(t *testing.T) {
 	r := NewRegistry("scrape")
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := Serve("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestMorphzJSONSchema(t *testing.T) {
 	r.Histogram("echo.fanout_ns").ObserveExemplar(9000, [16]byte{1, 2, 3})
 
 	rec := httptest.NewRecorder()
-	Handler(r, "/debug/tracez").ServeHTTP(rec, httptest.NewRequest("GET", MorphzPath, nil))
+	morphzHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", MorphzPath, nil))
 
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q, want application/json", ct)
@@ -33,17 +33,9 @@ func TestMorphzJSONSchema(t *testing.T) {
 		got = append(got, k)
 	}
 	sort.Strings(got)
-	want := []string{"counters", "decisions", "gauges", "histograms", "name", "see_also", "taken_at", "uptime_ns"}
+	want := []string{"counters", "decisions", "gauges", "histograms", "name", "taken_at", "uptime_ns"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("morphz JSON keys = %v, want %v", got, want)
-	}
-
-	var seeAlso []string
-	if err := json.Unmarshal(top["see_also"], &seeAlso); err != nil {
-		t.Fatal(err)
-	}
-	if len(seeAlso) != 1 || seeAlso[0] != "/debug/tracez" {
-		t.Errorf("see_also = %v, want [/debug/tracez]", seeAlso)
 	}
 
 	var hists map[string]map[string]json.RawMessage
@@ -61,46 +53,28 @@ func TestMorphzJSONSchema(t *testing.T) {
 	}
 }
 
-// TestMorphzTextRendering: the text variant must carry the plain-text
-// Content-Type and advertise sibling endpoints as see-also comment lines.
-// Without see-also mounts no such line appears.
+// TestMorphzTextRendering: ?format=text and Accept: text/plain both select
+// the plain-text dump.
 func TestMorphzTextRendering(t *testing.T) {
 	r := NewRegistry("schema")
 	r.Counter("core.compiled").Inc()
 
 	rec := httptest.NewRecorder()
-	Handler(r, "/debug/tracez").ServeHTTP(rec,
+	morphzHandler(r).ServeHTTP(rec,
 		httptest.NewRequest("GET", MorphzPath+"?format=text", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("Content-Type = %q, want text/plain", ct)
 	}
-	if !strings.Contains(rec.Body.String(), "# see also /debug/tracez") {
-		t.Errorf("text rendering missing see-also line:\n%s", rec.Body.String())
+	if !strings.Contains(rec.Body.String(), "counter core.compiled") {
+		t.Errorf("text rendering missing the counter:\n%s", rec.Body.String())
 	}
 
 	// Accept-header negotiation selects the same rendering.
 	req := httptest.NewRequest("GET", MorphzPath, nil)
 	req.Header.Set("Accept", "text/plain")
 	rec = httptest.NewRecorder()
-	Handler(r).ServeHTTP(rec, req)
+	morphzHandler(r).ServeHTTP(rec, req)
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("Accept-negotiated Content-Type = %q, want text/plain", ct)
-	}
-	if strings.Contains(rec.Body.String(), "# see also") {
-		t.Error("see-also line rendered with no sibling mounts")
-	}
-}
-
-// TestMorphzSeeAlsoOmittedFromJSON: without sibling mounts the JSON must not
-// carry a see_also key at all (omitempty), keeping the schema minimal.
-func TestMorphzSeeAlsoOmittedFromJSON(t *testing.T) {
-	rec := httptest.NewRecorder()
-	Handler(NewRegistry("schema")).ServeHTTP(rec, httptest.NewRequest("GET", MorphzPath, nil))
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := top["see_also"]; ok {
-		t.Error("see_also present in JSON despite no sibling mounts")
 	}
 }

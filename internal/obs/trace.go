@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -36,70 +35,4 @@ func (d Decision) String() string {
 	return fmt.Sprintf("decision #%d %s(%s): %s→%s diff=%d mismatch=%.3f chain=%d compile=%s candidates=%d registered=%d",
 		d.Seq, d.Format, d.Fingerprint, d.From, d.To, d.Diff, d.Mismatch,
 		d.ChainLen, time.Duration(d.CompileNS), d.Candidates, d.Registered)
-}
-
-// TraceRing is a bounded ring buffer of Decision entries: the most recent
-// cap entries are retained, older ones are overwritten. Recording happens
-// only on the morph cold path (once per incoming format), so a mutex is
-// fine. A nil *TraceRing is a valid no-op.
-type TraceRing struct {
-	mu    sync.Mutex
-	buf   []Decision
-	total uint64 // entries ever recorded
-}
-
-// NewTraceRing returns a ring retaining the last capacity entries
-// (minimum 1).
-func NewTraceRing(capacity int) *TraceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceRing{buf: make([]Decision, 0, capacity)}
-}
-
-// Record appends an entry, stamping Seq (1-based, monotonic) and Time if
-// unset.
-func (t *TraceRing) Record(d Decision) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total++
-	d.Seq = t.total
-	if d.Time.IsZero() {
-		d.Time = time.Now()
-	}
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, d)
-		return
-	}
-	t.buf[int((t.total-1)%uint64(cap(t.buf)))] = d
-}
-
-// Total returns how many entries were ever recorded (≥ len(Snapshot())).
-func (t *TraceRing) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Snapshot returns the retained entries, oldest first.
-func (t *TraceRing) Snapshot() []Decision {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Decision, 0, len(t.buf))
-	if t.total > uint64(cap(t.buf)) {
-		start := int(t.total % uint64(cap(t.buf)))
-		out = append(out, t.buf[start:]...)
-		out = append(out, t.buf[:start]...)
-		return out
-	}
-	return append(out, t.buf...)
 }

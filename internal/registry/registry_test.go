@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -279,6 +280,22 @@ func TestRegistryzHandler(t *testing.T) {
 	}
 	if len(snap.Watchers) != 0 {
 		t.Fatalf("watchers = %+v, want none", snap.Watchers)
+	}
+
+	// The text dump is negotiated like every other debug page: ?format=text
+	// or an Accept: text/plain header.
+	for _, accept := range []bool{false, true} {
+		req := httptest.NewRequest("GET", RegistryzPath+"?format=text", nil)
+		if accept {
+			req = httptest.NewRequest("GET", RegistryzPath, nil)
+			req.Header.Set("Accept", "text/plain")
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") ||
+			!strings.HasPrefix(rec.Body.String(), "# formatd table: 1 entries") {
+			t.Errorf("Accept header=%v: Content-Type %q, body:\n%s", accept, ct, rec.Body.String())
+		}
 	}
 }
 

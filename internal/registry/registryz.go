@@ -3,9 +3,12 @@ package registry
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // RegistryzPath is the debug endpoint path serving the table.
@@ -41,20 +44,17 @@ type registryzSnapshot struct {
 	WatchRingLen int                `json:"watch_ring_len"`
 	Watchers     []registryzWatcher `json:"watchers"`
 	Cluster      any                `json:"cluster,omitempty"`
-	SeeAlso      []string           `json:"see_also,omitempty"`
 }
 
-// Handler returns the /debug/registryz HTTP handler: the full table as JSON
-// (?format=text for a line-per-entry dump), sorted by fingerprint so two
-// snapshots of a quiescent daemon are identical. seeAlso lists sibling debug
-// endpoints advertised in both renderings, mirroring obs.Handler.
-func (s *Server) Handler(seeAlso ...string) http.Handler {
+// Handler returns the /debug/registryz page: the full table, sorted by
+// fingerprint so two snapshots of a quiescent daemon are identical,
+// negotiated as obs.WritePage does (JSON, or a line-per-entry text dump).
+func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		snap := registryzSnapshot{
 			Gets:    s.gets.Load(),
 			Puts:    s.puts.Load(),
 			Unknown: s.unk.Load(),
-			SeeAlso: seeAlso,
 		}
 		s.mu.RLock()
 		fps := make([]uint64, 0, len(s.table))
@@ -95,30 +95,25 @@ func (s *Server) Handler(seeAlso ...string) http.Handler {
 			snap.Cluster = statusFn()
 		}
 
-		if req.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintf(w, "# formatd table: %d entries (gets=%d puts=%d unknown=%d seq=%d ring=%d/%d watchers=%d)\n",
-				snap.Count, snap.Gets, snap.Puts, snap.Unknown, snap.WatchSeq, snap.WatchRingLen, snap.WatchRingCap, len(snap.Watchers))
-			if snap.Cluster != nil {
-				cj, _ := json.Marshal(snap.Cluster)
-				fmt.Fprintf(w, "# cluster %s\n", cj)
-			}
-			for _, e := range snap.Entries {
-				fmt.Fprintf(w, "%s %-20s fields=%d xforms=%d hits=%d\n",
-					e.Fingerprint, e.Format, e.Fields, e.Xforms, e.Hits)
-			}
-			for _, wa := range snap.Watchers {
-				fmt.Fprintf(w, "watch %-21s sent_seq=%d resyncs=%d since=%s\n",
-					wa.Remote, wa.SentSeq, wa.Resyncs, wa.Since.Format(time.RFC3339))
-			}
-			for _, p := range seeAlso {
-				fmt.Fprintf(w, "# see also %s\n", p)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(snap)
+		obs.WritePage(w, req, snap, snap.writeText)
 	})
+}
+
+// writeText renders the table as a header line, then one line per entry and
+// per watcher.
+func (snap registryzSnapshot) writeText(w io.Writer) {
+	fmt.Fprintf(w, "# formatd table: %d entries (gets=%d puts=%d unknown=%d seq=%d ring=%d/%d watchers=%d)\n",
+		snap.Count, snap.Gets, snap.Puts, snap.Unknown, snap.WatchSeq, snap.WatchRingLen, snap.WatchRingCap, len(snap.Watchers))
+	if snap.Cluster != nil {
+		cj, _ := json.Marshal(snap.Cluster)
+		fmt.Fprintf(w, "# cluster %s\n", cj)
+	}
+	for _, e := range snap.Entries {
+		fmt.Fprintf(w, "%s %-20s fields=%d xforms=%d hits=%d\n",
+			e.Fingerprint, e.Format, e.Fields, e.Xforms, e.Hits)
+	}
+	for _, wa := range snap.Watchers {
+		fmt.Fprintf(w, "watch %-21s sent_seq=%d resyncs=%d since=%s\n",
+			wa.Remote, wa.SentSeq, wa.Resyncs, wa.Since.Format(time.RFC3339))
+	}
 }

@@ -1,8 +1,8 @@
 // Package ring is the lock-free bounded ring the diagnostics planes keep
-// their records in: completed spans (internal/trace) and captured frames
-// (internal/tap). The most recent cap records are retained, older ones are
-// overwritten. Both are written from delivery hot paths, so writers must never
-// block each other: a writer claims a slot with one atomic add and publishes
+// their records in: completed spans (internal/trace), captured frames
+// (internal/tap) and morph decisions (internal/obs). The most recent cap
+// records are retained, older ones are overwritten. Spans and frames are
+// written from delivery hot paths, so writers must never block each other: a writer claims a slot with one atomic add and publishes
 // its record with one atomic pointer swap. Readers only load pointers, so a
 // concurrent snapshot sees each slot either before or after a publish, never
 // a torn record — records are immutable once published.

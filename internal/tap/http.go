@@ -2,13 +2,15 @@ package tap
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -45,7 +47,6 @@ type TapzSnapshot struct {
 	Capacity int        `json:"capacity"`
 	Prefix   int        `json:"prefix"`
 	Conns    []ConnJSON `json:"conns"`
-	SeeAlso  []string   `json:"see_also,omitempty"`
 }
 
 func recordJSON(r *Record) RecordJSON {
@@ -69,8 +70,12 @@ func recordJSON(r *Record) RecordJSON {
 	return out
 }
 
-// filter is the parsed tapz query: every zero field matches everything.
-type filter struct {
+// Filter selects captured frames; every zero field matches everything.
+// /debug/tapz parses it from its query and cmd/morphtap from its flags, so
+// both read the same names: channel=, kind= (see wire.ParseFrameKind), fp=
+// (hex fingerprint), trace= (hex trace-ID prefix), conn= (connection ID) and
+// limit= (each connection's most recent N matches).
+type Filter struct {
 	channel  string
 	kind     byte
 	hasKind  bool
@@ -80,11 +85,12 @@ type filter struct {
 	limit    int
 }
 
-func parseFilter(req *http.Request) (filter, error) {
-	q := req.URL.Query()
-	f := filter{channel: q.Get("channel"), tracePfx: strings.ToLower(q.Get("trace"))}
+// ParseFilter reads a Filter from query-style values, rejecting malformed
+// ones.
+func ParseFilter(q url.Values) (Filter, error) {
+	f := Filter{channel: q.Get("channel"), tracePfx: strings.ToLower(q.Get("trace"))}
 	if s := q.Get("kind"); s != "" {
-		k, err := parseKind(s)
+		k, err := wire.ParseFrameKind(s)
 		if err != nil {
 			return f, err
 		}
@@ -114,64 +120,40 @@ func parseFilter(req *http.Request) (filter, error) {
 	return f, nil
 }
 
-func parseKind(s string) (byte, error) {
-	switch strings.ToLower(s) {
-	case "format":
-		return wire.KindFormat, nil
-	case "data":
-		return wire.KindData, nil
-	case "trace":
-		return wire.KindTrace, nil
-	case "format_req", "formatreq":
-		return wire.KindFormatReq, nil
-	case "registry":
-		return wire.FrameRegistry, nil
-	case "capture":
-		return wire.FrameCapture, nil
-	}
-	n, err := strconv.ParseUint(s, 10, 8)
-	if err != nil {
-		return 0, fmt.Errorf("bad kind %q: want a kind name or numeric byte", s)
-	}
-	return byte(n), nil
-}
-
-func (f filter) matchConn(cs *ConnSnapshot) bool {
-	if f.connID != 0 && cs.ID != f.connID {
+// MatchConn reports whether a connection passes the conn= and channel=
+// filters.
+func (f Filter) MatchConn(id uint64, l Label) bool {
+	if f.connID != 0 && id != f.connID {
 		return false
 	}
-	if f.channel != "" && cs.Label.Channel != f.channel {
-		return false
-	}
-	return true
+	return f.channel == "" || l.Channel == f.channel
 }
 
-func (f filter) matchRecord(r *Record) bool {
+// MatchRecord reports whether a frame passes the kind=, fp= and trace=
+// filters.
+func (f Filter) MatchRecord(r *Record) bool {
 	if f.hasKind && r.Kind != f.kind {
 		return false
 	}
 	if f.fp != 0 && r.FP != f.fp {
 		return false
 	}
-	if f.tracePfx != "" && !strings.HasPrefix(r.Trace.String(), f.tracePfx) {
-		return false
-	}
-	return true
+	return f.tracePfx == "" || strings.HasPrefix(r.Trace.String(), f.tracePfx)
 }
 
 // apply filters a snapshot in place: connections that fail the connection
 // filters are removed, surviving connections keep only matching records, and
 // limit keeps each connection's most recent N matches.
-func (f filter) apply(s *Snapshot) {
+func (f Filter) apply(s *Snapshot) {
 	conns := s.Conns[:0]
 	for i := range s.Conns {
 		cs := &s.Conns[i]
-		if !f.matchConn(cs) {
+		if !f.MatchConn(cs.ID, cs.Label) {
 			continue
 		}
 		recs := cs.Records[:0]
 		for j := range cs.Records {
-			if f.matchRecord(&cs.Records[j]) {
+			if f.MatchRecord(&cs.Records[j]) {
 				recs = append(recs, cs.Records[j])
 			}
 		}
@@ -184,75 +166,62 @@ func (f filter) apply(s *Snapshot) {
 	s.Conns = conns
 }
 
-// Handler returns the /debug/tapz HTTP handler. The default response is the
-// JSON TapzSnapshot; `?format=text` renders a frame-per-line log,
-// `?format=morphcap` downloads the (filtered) snapshot as a binary .morphcap
-// capture for offline decoding with cmd/morphtap. Filters: `channel=`,
-// `kind=` (name or byte), `fp=` (hex fingerprint), `trace=` (hex trace-ID
-// prefix), `conn=` (connection ID), `limit=N` (most recent N records per
-// connection). `arm=on|off` toggles capture before rendering. A nil tap
-// serves an empty snapshot, so the endpoint can be mounted unconditionally.
-func Handler(t *Tap, seeAlso ...string) http.Handler {
+// Handler returns the /debug/tapz page: the (filtered, see Filter) capture
+// negotiated as obs.WritePage does (JSON TapzSnapshot, or a frame-per-line
+// log as text), and `?format=morphcap` downloads it as a binary .morphcap
+// capture for offline decoding with cmd/morphtap. `arm=on|off` toggles
+// capture before rendering. A nil tap serves an empty snapshot.
+func Handler(t *Tap) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		switch req.URL.Query().Get("arm") {
+		q := req.URL.Query()
+		switch q.Get("arm") {
 		case "on":
 			t.Arm()
 		case "off":
 			t.Disarm()
 		}
-		f, err := parseFilter(req)
+		f, err := ParseFilter(q)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		snap := t.Snapshot()
 		f.apply(&snap)
-
-		format := req.URL.Query().Get("format")
-		if format == "" && strings.HasPrefix(req.Header.Get("Accept"), "text/plain") {
-			format = "text"
-		}
-		switch format {
-		case "morphcap":
+		if q.Get("format") == "morphcap" {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set("Content-Disposition", `attachment; filename="tap.morphcap"`)
 			_ = WriteCapture(w, snap)
-		case "text":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			writeText(w, snap, seeAlso)
-		default:
-			out := TapzSnapshot{
-				Name:     snap.Name,
-				Armed:    snap.Armed,
-				Capacity: snap.Capacity,
-				Prefix:   snap.Prefix,
-				Conns:    make([]ConnJSON, 0, len(snap.Conns)),
-				SeeAlso:  seeAlso,
-			}
-			for i := range snap.Conns {
-				cs := &snap.Conns[i]
-				cj := ConnJSON{
-					ID:       cs.ID,
-					Label:    cs.Label,
-					Open:     cs.Open,
-					Captured: cs.Captured,
-					Dropped:  cs.Dropped,
-					Records:  make([]RecordJSON, 0, len(cs.Records)),
-				}
-				for j := range cs.Records {
-					cj.Records = append(cj.Records, recordJSON(&cs.Records[j]))
-				}
-				out.Conns = append(out.Conns, cj)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(out)
+			return
 		}
+		out := TapzSnapshot{
+			Name:     snap.Name,
+			Armed:    snap.Armed,
+			Capacity: snap.Capacity,
+			Prefix:   snap.Prefix,
+			Conns:    make([]ConnJSON, 0, len(snap.Conns)),
+		}
+		for i := range snap.Conns {
+			cs := &snap.Conns[i]
+			cj := ConnJSON{
+				ID:       cs.ID,
+				Label:    cs.Label,
+				Open:     cs.Open,
+				Captured: cs.Captured,
+				Dropped:  cs.Dropped,
+				Records:  make([]RecordJSON, 0, len(cs.Records)),
+			}
+			for j := range cs.Records {
+				cj.Records = append(cj.Records, recordJSON(&cs.Records[j]))
+			}
+			out.Conns = append(out.Conns, cj)
+		}
+		obs.WritePage(w, req, out, snap.writeText)
 	})
 }
 
-func writeText(w http.ResponseWriter, snap Snapshot, seeAlso []string) {
+// writeText renders the snapshot as a frame-per-line log, connection by
+// connection.
+func (snap Snapshot) writeText(w io.Writer) {
 	armed := "disarmed"
 	if snap.Armed {
 		armed = "armed"
@@ -288,8 +257,5 @@ func writeText(w http.ResponseWriter, snap Snapshot, seeAlso []string) {
 			}
 			fmt.Fprintln(w)
 		}
-	}
-	for _, p := range seeAlso {
-		fmt.Fprintf(w, "# see also %s\n", p)
 	}
 }

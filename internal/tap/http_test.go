@@ -14,7 +14,7 @@ import (
 func tapzGet(t *testing.T, h *Tap, url string) *httptest.ResponseRecorder {
 	t.Helper()
 	rr := httptest.NewRecorder()
-	Handler(h, "/debug/morphz").ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
+	Handler(h).ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
 	return rr
 }
 
@@ -42,9 +42,6 @@ func TestTapzJSONAndFilters(t *testing.T) {
 	}
 	if !snap.Armed || len(snap.Conns) != 2 {
 		t.Fatalf("armed=%v conns=%d", snap.Armed, len(snap.Conns))
-	}
-	if len(snap.SeeAlso) == 0 {
-		t.Fatal("see_also missing")
 	}
 
 	// channel filter keeps only the matching connection.
@@ -108,7 +105,7 @@ func TestTapzArmToggleAndText(t *testing.T) {
 
 	rr := tapzGet(t, seedTap(t), TapzPath+"?format=text")
 	out := rr.Body.String()
-	for _, want := range []string{"conn 1 open", "channel=alpha", "# see also /debug/morphz", "fp="} {
+	for _, want := range []string{"conn 1 open", "channel=alpha", "fp="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text output missing %q:\n%s", want, out)
 		}

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -88,47 +86,5 @@ func TestTailRetentionBias(t *testing.T) {
 	}
 	if !gotSlow {
 		t.Error("slow span evicted despite tail retention")
-	}
-}
-
-// TestTracezSeeAlso: the handler advertises sibling endpoints in both
-// renderings, and omits the field entirely when none are mounted.
-func TestTracezSeeAlso(t *testing.T) {
-	tr := New(Config{Capacity: 8})
-	sp := tr.StartTrace(StagePublish)
-	sp.End()
-
-	rec := httptest.NewRecorder()
-	Handler(tr, "/debug/", "/metrics").ServeHTTP(rec, httptest.NewRequest("GET", TracezPath, nil))
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
-		t.Fatal(err)
-	}
-	var seeAlso []string
-	if err := json.Unmarshal(top["see_also"], &seeAlso); err != nil {
-		t.Fatal(err)
-	}
-	if len(seeAlso) != 2 || seeAlso[0] != "/debug/" {
-		t.Errorf("see_also = %v", seeAlso)
-	}
-	if _, ok := top["spans_dropped"]; !ok {
-		t.Error("tracez JSON missing spans_dropped")
-	}
-
-	rec = httptest.NewRecorder()
-	Handler(tr, "/metrics").ServeHTTP(rec,
-		httptest.NewRequest("GET", TracezPath+"?format=text", nil))
-	if !strings.Contains(rec.Body.String(), "# see also /metrics") {
-		t.Errorf("text rendering missing see-also:\n%s", rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", TracezPath, nil))
-	top = nil
-	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := top["see_also"]; ok {
-		t.Error("see_also present with no sibling mounts")
 	}
 }

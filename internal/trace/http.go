@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TracezPath is the debug endpoint path components mount Handler at.
@@ -180,22 +182,13 @@ func (s TracezSnapshot) Text() string {
 	return b.String()
 }
 
-// Handler returns the /debug/tracez HTTP handler. The default response is
-// the JSON TracezSnapshot; `?format=text` (or Accept: text/plain) renders
-// trace trees, `?format=jsonl` streams the raw span export, and `?limit=N`
-// bounds the number of traces in the JSON/text renderings. A nil tracer
-// serves an empty snapshot, so the endpoint can be mounted unconditionally.
-//
-// seeAlso lists sibling debug endpoints (the /debug/ index, /metrics, ...)
-// advertised in the JSON (see_also field) and text (# see also lines)
-// renderings, mirroring obs.Handler.
-func Handler(t *Tracer, seeAlso ...string) http.Handler {
+// Handler returns the /debug/tracez page: the TracezSnapshot negotiated as
+// obs.WritePage does (JSON, or trace trees as text), `?format=jsonl` streams
+// the raw span export, and `?limit=N` bounds the number of traces in the
+// JSON/text renderings. A nil tracer serves an empty snapshot.
+func Handler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		format := req.URL.Query().Get("format")
-		if format == "" && strings.HasPrefix(req.Header.Get("Accept"), "text/plain") {
-			format = "text"
-		}
-		if format == "jsonl" {
+		if req.URL.Query().Get("format") == "jsonl" {
 			w.Header().Set("Content-Type", "application/jsonl")
 			_ = t.WriteJSONL(w)
 			return
@@ -204,20 +197,6 @@ func Handler(t *Tracer, seeAlso ...string) http.Handler {
 		if lim, err := strconv.Atoi(req.URL.Query().Get("limit")); err == nil && lim >= 0 && lim < len(snap.Traces) {
 			snap.Traces = snap.Traces[:lim]
 		}
-		if format == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			snap.WriteText(w)
-			for _, p := range seeAlso {
-				fmt.Fprintf(w, "# see also %s\n", p)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			TracezSnapshot
-			SeeAlso []string `json:"see_also,omitempty"`
-		}{snap, seeAlso})
+		obs.WritePage(w, req, snap, snap.WriteText)
 	})
 }

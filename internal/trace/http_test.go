@@ -91,6 +91,9 @@ func TestTracezHandlerRenderings(t *testing.T) {
 	if len(snap.Traces) != 2 || snap.TotalSpans != 6 {
 		t.Errorf("snapshot over HTTP = %d traces / %d spans", len(snap.Traces), snap.TotalSpans)
 	}
+	if !strings.Contains(body, `"spans_dropped"`) {
+		t.Error("tracez JSON missing spans_dropped")
+	}
 
 	// limit caps the trace list.
 	body, _ = get(TracezPath + "?limit=1")

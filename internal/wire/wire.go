@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,6 +86,26 @@ func FrameKindName(k byte) string {
 	default:
 		return fmt.Sprintf("kind_%d", k)
 	}
+}
+
+// ParseFrameKind is FrameKindName's inverse, for filters that name a kind
+// (tapz kind=, morphtap -kind): a kind name, case-insensitively ("formatreq"
+// also names format_req), or the byte itself as "kind_N" or plain "N".
+func ParseFrameKind(s string) (byte, error) {
+	name := strings.ToLower(s)
+	if name == "formatreq" {
+		name = "format_req"
+	}
+	for _, k := range []byte{frameFormat, frameData, frameTrace, frameFormatReq, FrameRegistry, FrameCapture} {
+		if FrameKindName(k) == name {
+			return k, nil
+		}
+	}
+	n, err := strconv.ParseUint(strings.TrimPrefix(name, "kind_"), 10, 8)
+	if err != nil {
+		return 0, fmt.Errorf("bad kind %q: want a kind name or numeric byte", s)
+	}
+	return byte(n), nil
 }
 
 // TapDir is the direction of a captured frame relative to the tapped

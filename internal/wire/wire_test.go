@@ -389,3 +389,26 @@ func TestOverTCP(t *testing.T) {
 	}
 	_ = tx.Close()
 }
+
+// TestParseFrameKind: ParseFrameKind inverts FrameKindName for every kind
+// byte, named or not, and takes the spellings filters accept.
+func TestParseFrameKind(t *testing.T) {
+	for k := 0; k < 256; k++ {
+		if got, err := ParseFrameKind(FrameKindName(byte(k))); err != nil || got != byte(k) {
+			t.Errorf("ParseFrameKind(%q) = %d, %v; want %d", FrameKindName(byte(k)), got, err, k)
+		}
+	}
+	for in, want := range map[string]byte{
+		"DATA": KindData, "formatreq": KindFormatReq, "Format_Req": KindFormatReq,
+		"registry": FrameRegistry, "capture": FrameCapture, "7": 7, "0": 0, "255": 255,
+	} {
+		if got, err := ParseFrameKind(in); err != nil || got != want {
+			t.Errorf("ParseFrameKind(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "nosuch", "256", "-1", "kind_", "kind_x", "0x02", "data "} {
+		if _, err := ParseFrameKind(bad); err == nil {
+			t.Errorf("ParseFrameKind(%q) accepted garbage", bad)
+		}
+	}
+}

@@ -63,8 +63,8 @@ selected run 'TestFanoutChurnStress|TestSlowSinkIsolation|TestFailedWriteRelease
 selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFrame' \
     -race -count=1 ./internal/fanout/
 echo "== tap ring & capture suite (race-enabled)"
-selected run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture' \
-    -race -count=1 ./internal/tap/
+selected run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture|TestSnapshotOrderAfterWrap|TestKeepNotCounted|TestConcurrentPutAndSnapshot' \
+    -race -count=1 ./internal/tap/ ./internal/ring/
 echo "== morphtap round-trip (capture -> decode -> replay, byte-exact)"
 selected run 'TestMorphtap' -race -count=1 ./cmd/morphtap/
 echo "== registry watch/reconnect suite (race-enabled)"
@@ -85,7 +85,9 @@ selected run 'TestRegistryOnlyInterop|TestRegistryDownFallback|TestFormatdDeathM
     -count=1 ./internal/echo/
 curl -sf "$debug_url" | jq -e '.count >= 0 and .watch_seq >= 0 and (.watchers | type == "array")' >/dev/null \
     || { echo "registryz did not serve valid JSON (count/watch_seq/watchers)"; exit 1; }
-echo "== formatd telemetry plane (/metrics, /healthz, /readyz)"
+curl -sf -H 'Accept: text/plain' "$debug_url" | grep -q '^# formatd table:' \
+    || { echo "registryz ignored Accept: text/plain"; exit 1; }
+echo "== formatd telemetry plane (/metrics, /healthz, /readyz, /debug/pprof/)"
 debug_base=${debug_url%/debug/*}
 curl -sf "$debug_base/metrics" | grep -q '^# TYPE morph_formatd_entries gauge' \
     || { echo "formatd /metrics missing morph_formatd_entries"; exit 1; }
@@ -95,6 +97,8 @@ curl -sf "$debug_base/readyz" | jq -e '.ready == true and ([.probes[].name] | in
     || { echo "formatd /readyz not ready with listener+spool probes"; exit 1; }
 curl -sf "$debug_base/debug/tapz" | jq -e '.name == "formatd" and (.conns | type == "array")' >/dev/null \
     || { echo "formatd /debug/tapz did not serve a tap snapshot"; exit 1; }
+curl -sf "$debug_base/debug/pprof/" | grep -q 'goroutine' \
+    || { echo "formatd /debug/pprof/ not served"; exit 1; }
 kill "$formatd_pid"
 formatd_pid=
 echo "== cluster replication/failover suite (race-enabled)"
