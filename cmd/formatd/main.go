@@ -31,9 +31,9 @@
 // Every peer runs the same command with its own -self index. The peers
 // elect a primary (lowest reachable index; an existing primary always
 // wins), standbys replicate its table through the watch stream and forward
-// writes to it, and clients given the full peer list (-cluster on the
-// tools, registry.NewClusterClient in code) shard reads across the set and
-// fail over on peer death. /debug/registryz grows a "cluster" section with
+// writes to it, and clients given the full peer list
+// (registry.NewClusterClient in code; morphbench -exp replica -cluster drives
+// a running set) shard reads across the set and fail over on peer death. /debug/registryz grows a "cluster" section with
 // the role, the live peer table, and the replication lag.
 package main
 

@@ -38,7 +38,7 @@ type cache struct {
 
 // cacheEntry is one resolved format in the intrusive LRU list. gen is the
 // watch-event seqno that installed (or last refreshed) the entry — 0 when it
-// came from a cold fetch, a Register acknowledgment, or cluster read-repair.
+// came from a fetch, a Register acknowledgment, or read repair.
 type cacheEntry struct {
 	fp         uint64
 	format     *pbio.Format
@@ -59,8 +59,9 @@ type flightCall struct {
 // fetchFunc is one daemon round-trip for the fingerprint being resolved.
 type fetchFunc func() (*pbio.Format, []*core.Xform, error)
 
-func (k *cache) init(capacity int, negTTL time.Duration) {
+func (k *cache) init(capacity int, negTTL time.Duration, hits, negHits *obs.Counter) {
 	k.cap, k.negTTL = capacity, negTTL
+	k.hits, k.negHits = hits, negHits
 	k.lru = make(map[uint64]*cacheEntry)
 	k.neg = make(map[uint64]time.Time)
 	k.flight = make(map[uint64]*flightCall)
@@ -123,35 +124,39 @@ func (k *cache) resolve(fp uint64, fetch fetchFunc) (*pbio.Format, []*core.Xform
 }
 
 // refresh is the cache-bypassing read: it always fetches, then installs the
-// answer over whatever the LRU and negative cache held — unless a watch event
-// installed something fresher while the round-trip was in flight, in which
-// case that entry is returned instead. A failed fetch leaves the positive
-// cache untouched.
+// answer unless a watch event overtook the round-trip (see install). A failed
+// fetch leaves the positive cache untouched.
 func (k *cache) refresh(fp uint64, fetch fetchFunc) (*pbio.Format, []*core.Xform, error) {
-	k.mu.Lock()
-	startSeq := k.watchSeq
-	k.mu.Unlock()
+	startSeq := k.cursor(false)
 	f, xforms, err := fetch()
 	if err != nil {
 		return nil, nil, err
 	}
-	k.mu.Lock()
-	if e := k.lru[fp]; e != nil && e.gen > startSeq {
-		f, xforms = e.format, e.xforms
-	} else {
-		delete(k.neg, fp)
-		k.insertLocked(fp, f, xforms)
-	}
-	k.mu.Unlock()
+	f, xforms = k.install(startSeq, fp, f, xforms)
 	return f, xforms, nil
+}
+
+// install puts an answer obtained after watch seqno startSeq over whatever
+// the LRU and negative cache held — unless a watch event installed something
+// fresher meanwhile, in which case that entry stays and is returned instead.
+// It returns what the cache now serves for fp.
+func (k *cache) install(startSeq, fp uint64, f *pbio.Format, xforms []*core.Xform) (*pbio.Format, []*core.Xform) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if e := k.lru[fp]; e != nil && e.gen > startSeq {
+		return e.format, e.xforms
+	}
+	delete(k.neg, fp)
+	k.insertLocked(fp, f, xforms)
+	return f, xforms
 }
 
 // put installs an entry learned without a fetch of its own, purging any
 // negative entry: a client that had resolved the fingerprint to "unknown"
 // must not keep serving the stale miss for the rest of the negative TTL. seq
 // is the watch-event seqno that carried the entry — it stamps the entry and
-// advances the replay cursor — or 0 for an acknowledged Register or cluster
-// read-repair, which leave both alone.
+// advances the replay cursor — or 0 for an acknowledged Register, which
+// leaves both alone.
 func (k *cache) put(seq, fp uint64, f *pbio.Format, xforms []*core.Xform) {
 	k.mu.Lock()
 	delete(k.neg, fp)

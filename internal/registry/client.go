@@ -1,9 +1,9 @@
 package registry
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -26,100 +26,70 @@ const (
 // wire.WithFormatSuppressor predicate (Holds), and core.WithTransformSource
 // (TransformsFor).
 //
-// The client dials lazily and fails softly. Any transport failure (dial,
-// write, timeout, connection drop) flips it into a "down" state for a
-// backoff period during which Holds reports false — so senders resume
-// in-band format frames — and Resolve fails fast with ErrDown — so
-// receivers park and NACK instead of stalling on a dead daemon. Cached
-// entries keep serving throughout: a registry outage only costs the
-// fingerprints nobody has seen yet.
+// A Client talks to a formatd replica set; a single daemon is a set of one
+// (NewClient). Fingerprints route by shard to a preferred peer: ShardOf(fp,
+// shards) picks the shard, shard mod the peer count the peer. Reads try the
+// preferred peer first and fail over across the rest; writes land on any
+// reachable peer (standbys forward them to the primary).
 //
-// The client is three layers, one file each:
+// The client dials lazily and fails softly. Any transport failure (dial,
+// write, timeout, connection drop) flips that peer into a "down" state for a
+// backoff period during which it fails fast with ErrDown — so receivers park
+// and NACK instead of stalling on a dead daemon — and stops counting toward
+// Holds — so senders resume in-band format frames. Cached entries keep
+// serving throughout: a registry outage only costs the fingerprints nobody
+// has seen yet.
+//
+// The client is four layers:
 //
 //	repl.go    ReplSession — the connection and RPC mux (shared with internal/cluster)
 //	cache.go   cache — positive LRU, negative TTL, singleflight
-//	client.go  policy — down gate, publish ledger; watch.go: subscribe, resubscribe, event dispatch
+//	peer.go    peer — one daemon: down gate, RPC modes; watch.go: its subscribe, resubscribe, event dispatch
+//	client.go  Client — routing, failover, read repair, the publish ledger and reconvergence
 type Client struct {
-	addr    string
-	timeout time.Duration
-	backoff time.Duration
+	peers  []*peer
+	shards int
 
+	// Settings, fixed by the ClientOptions before the peers exist; every peer
+	// reads them through its owner.
+	timeout       time.Duration
+	backoff       time.Duration
+	negTTL        time.Duration
+	cacheSize     int
+	watchDisabled bool
+
+	hits       *obs.Counter   // registry.hits: resolutions served from the LRU
+	negHits    *obs.Counter   // registry.negative_hits: unknown-fingerprint cache hits
 	misses     *obs.Counter   // registry.misses: cold fetches the daemon answered with an entry
 	unknowns   *obs.Counter   // registry.unknowns: daemon round-trips answered "unknown fingerprint"
 	errs       *obs.Counter   // registry.errors: transport-level RPC failures
 	downs      *obs.Counter   // registry.downs: transitions into the down state
 	watchEvs   *obs.Counter   // registry.watch_events: invalidation events applied
 	watchResub *obs.Counter   // registry.watch_resubscribes: watch re-established after a failure
-	reregs     *obs.Counter   // registry.reregisters: published entries re-announced after an instance change
+	reregs     *obs.Counter   // registry.reregisters: published entries re-announced by reconvergence
 	fetchNS    *obs.Histogram // registry.fetch_ns: cold resolution round-trip latency
 
-	// Connection layer: one session to the daemon, redialed on demand. A
-	// session that dies (its Done closes) or fails an RPC is dropped here and
-	// the client enters the down state; see dropSessionLocked.
-	mu        sync.Mutex
-	closed    bool
-	sess      *ReplSession
-	downUntil time.Time
-	published map[uint64]publishedEntry // entries the daemon acknowledged (Holds; re-registered on instance change)
-
-	// Watch state (guarded by mu; the replay cursor lives in the cache with
-	// the entries it orders). wantWatch arms automatic resubscription: it is
-	// set the moment a subscription is *wanted* (Watch called, or any
-	// successful dial's auto-subscribe), not only once one has succeeded — a
-	// client that boots while the daemon is down (mid-failover, say) must
-	// still converge on its own. watchPending coalesces concurrent
-	// subscription attempts; watchInst is the daemon instance the seqno
-	// belongs to, so a restarted daemon resets the replay cursor.
-	watchDisabled bool
-	watchPending  bool
-	wantWatch     bool
-	everWatched   bool
-	watchInst     uint64
-	resubTimer    *time.Timer
-
-	// Cluster-mode hooks (set only by NewClusterClient on its per-peer
-	// children; both fire on their own goroutines). onDown fires on every
-	// transition into the down state, onWatchUp after every successful watch
-	// subscription with whether the daemon instance changed.
-	onDown    func()
-	onWatchUp func(instChanged bool)
-
-	// Watch-event subscribers (guarded by mu): callbacks observing every
-	// applied table mutation, keyed for removal. Consumers hook cache
-	// invalidation here — e.g. a Morpher dropping its cached decision for a
-	// fingerprint whose transform set just changed under it.
-	eventSubs map[uint64]func(fp uint64)
-	nextSub   uint64
-	// Callback dispatch is decoupled from the session's read pump: the pump
-	// enqueues fingerprints here (coalesced — Invalidate-style callbacks are
-	// idempotent per fp) and a dispatcher goroutine (subRunning) drains them.
-	// A callback is allowed to block: if it contended on a lock held by a
-	// caller that is itself waiting for an RPC response on this client's
-	// connection (a morpher mid-decision doing a fresh read), an in-pump
-	// callback would wedge the pump and deadlock the response it waits for.
-	subPending map[uint64]struct{}
-	subRunning bool
-
-	// Cluster routing (set only on a NewClusterClient parent, which uses
-	// none of the transport fields above): one child client per peer, and
-	// the fingerprint-space shard count steering route(). reconverging
-	// coalesces concurrent reconvergence sweeps (guarded by mu).
-	children     []*Client
-	shards       int
+	// Guarded by mu. reconverging coalesces sweeps; resweep asks the running
+	// sweep for one more pass, because a trigger it dropped could be the
+	// instance change that lost what the sweep just re-announced.
+	mu           sync.Mutex
+	closed       bool
+	published    map[uint64]publishedEntry
 	reconverging bool
-
-	cache cache
+	resweep      bool
 }
 
-// publishedEntry is one format this client registered and the daemon
+// publishedEntry is one format this client registered and a peer
 // acknowledged. Keeping the full entry (not just the fingerprint) lets the
-// client re-announce everything it published when it discovers a daemon
-// instance change — a promoted standby or a restarted primary may have
+// client re-announce everything it published when a daemon instance changes
+// or a peer goes down — a promoted standby or a restarted primary may have
 // missed writes the dead incarnation acknowledged but never replicated, and
-// re-registration closes exactly that gap.
+// re-registration closes exactly that gap. by is the acknowledging peer,
+// whose health decides Holds.
 type publishedEntry struct {
 	format *pbio.Format
 	xforms []*core.Xform
+	by     *peer
 }
 
 // ClientOption configures a Client.
@@ -129,9 +99,9 @@ type ClientOption func(*Client)
 // cache and RPC activity into "registry.*" instruments.
 func WithClientObs(reg *obs.Registry) ClientOption {
 	return func(c *Client) {
-		c.cache.hits = reg.Counter("registry.hits")
+		c.hits = reg.Counter("registry.hits")
 		c.misses = reg.Counter("registry.misses")
-		c.cache.negHits = reg.Counter("registry.negative_hits")
+		c.negHits = reg.Counter("registry.negative_hits")
 		c.unknowns = reg.Counter("registry.unknowns")
 		c.errs = reg.Counter("registry.errors")
 		c.downs = reg.Counter("registry.downs")
@@ -144,9 +114,8 @@ func WithClientObs(reg *obs.Registry) ClientOption {
 
 // WithWatchDisabled turns off the watch/invalidation stream: the client
 // never subscribes (not even automatically after its first dial) and relies
-// purely on poll-on-miss resolution with negative TTLs, as before watch
-// support existed. Useful to isolate cache behavior in tests and to pin the
-// PR 4 wire profile.
+// purely on poll-on-miss resolution with negative TTLs. Useful to isolate
+// cache behavior in tests.
 func WithWatchDisabled() ClientOption {
 	return func(c *Client) { c.watchDisabled = true }
 }
@@ -164,7 +133,7 @@ func WithTimeout(d time.Duration) ClientOption {
 func WithNegTTL(d time.Duration) ClientOption {
 	return func(c *Client) {
 		if d > 0 {
-			c.cache.negTTL = d
+			c.negTTL = d
 		}
 	}
 }
@@ -178,190 +147,282 @@ func WithBackoff(d time.Duration) ClientOption {
 	}
 }
 
-// WithCacheSize overrides the resolved-entry LRU capacity.
+// WithCacheSize overrides the resolved-entry LRU capacity (per peer).
 func WithCacheSize(n int) ClientOption {
 	return func(c *Client) {
 		if n > 0 {
-			c.cache.cap = n
+			c.cacheSize = n
 		}
 	}
 }
 
-// NewClient returns a client for the daemon at addr. No connection is made
-// until the first RPC, so constructing a client against a daemon that is
-// not running (yet) is valid — everything degrades to in-band exchange.
+// NewClient returns a client for the daemon at addr: a replica set of one.
+// No connection is made until the first RPC, so constructing a client
+// against a daemon that is not running (yet) is valid — everything degrades
+// to in-band exchange.
 func NewClient(addr string, opts ...ClientOption) *Client {
+	return NewClusterClient([]string{addr}, 1, opts...)
+}
+
+// NewClusterClient returns a client for a formatd replica set, one peer per
+// address. Each peer has its own connection and LRU, so a warm resolve is
+// the same allocation-free lookup whatever the peer count.
+//
+// The client watches its peers for down transitions and daemon instance
+// changes and reconverges: every format this process registered is
+// re-announced, so a promoted standby that missed the primary's last
+// acknowledged writes still ends up holding them (the server damps
+// byte-identical re-registrations, so an already-replicated entry costs one
+// no-op RPC).
+//
+// shards <= 1 means one shard: every fingerprint prefers peer 0 (the usual
+// primary) and the others are pure failover targets.
+func NewClusterClient(addrs []string, shards int, opts ...ClientOption) *Client {
+	if len(addrs) == 0 {
+		panic("registry: NewClusterClient needs at least one address")
+	}
 	c := &Client{
-		addr:      addr,
+		shards:    max(shards, 1),
 		timeout:   DefaultTimeout,
 		backoff:   DefaultBackoff,
+		negTTL:    DefaultNegTTL,
+		cacheSize: DefaultCacheSize,
 		published: make(map[uint64]publishedEntry),
 	}
-	c.cache.init(DefaultCacheSize, DefaultNegTTL)
 	for _, o := range opts {
 		o(c)
+	}
+	for _, addr := range addrs {
+		p := &peer{c: c, addr: addr}
+		p.cache.init(c.cacheSize, c.negTTL, c.hits, c.negHits)
+		c.peers = append(c.peers, p)
 	}
 	return c
 }
 
-// Close tears down the connection and fails all in-flight RPCs. On a
-// cluster client it closes every per-peer child.
+// Close tears down every peer's connection and fails all in-flight RPCs.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	if c.resubTimer != nil {
-		c.resubTimer.Stop()
-		c.resubTimer = nil
-	}
-	sess := c.sess
-	c.sess = nil
-	children := c.children
 	c.mu.Unlock()
 	var err error
-	if sess != nil {
-		err = sess.Close() // in-flight RPCs fail; rpc reports them as ErrClosed
-	}
-	for _, ch := range children {
-		if cerr := ch.Close(); cerr != nil && err == nil {
-			err = cerr
+	for _, p := range c.peers {
+		if perr := p.close(); perr != nil && err == nil {
+			err = perr
 		}
 	}
 	return err
 }
 
-// Register publishes a format (and the transforms declared with it) to the
-// daemon. On acknowledgment the fingerprint is remembered so Holds — and
-// through it the wire-layer format suppressor — reports it resolvable, any
-// negative-cache entry for the fingerprint is purged, and the entry is
-// inserted into the LRU — a client that had resolved the fingerprint to
-// ErrUnknownFingerprint must not keep serving the stale miss for the rest
-// of the negative TTL after it registered that very format itself.
+// route maps a fingerprint to the index of its preferred peer.
+func (c *Client) route(fp uint64) int {
+	return ShardOf(fp, c.shards) % len(c.peers)
+}
+
+// Register publishes a format (and the transforms declared with it) through
+// the first reachable peer, preferred first. A standby forwards the write to
+// the primary before acknowledging, so success from any peer means the
+// primary holds the entry. On acknowledgment the entry enters the publish
+// ledger, so Holds — and through it the wire-layer format suppressor —
+// reports it resolvable, and the acknowledging peer's negative-cache entry
+// for the fingerprint is purged and its LRU filled — a client that had
+// resolved the fingerprint to ErrUnknownFingerprint must not keep serving the
+// stale miss for the rest of the negative TTL after it registered that very
+// format itself.
 func (c *Client) Register(f *pbio.Format, xforms ...*core.Xform) error {
 	if f == nil {
 		return fmt.Errorf("registry: nil format")
 	}
-	if c.children != nil {
-		return c.clusterRegister(f, xforms)
+	fp := f.Fingerprint()
+	blob := encodeEntry(f, xforms)
+	start := c.route(fp)
+	var firstErr, retryable error
+	for i := range c.peers {
+		p := c.peers[(start+i)%len(c.peers)]
+		err := p.register(f, xforms, blob)
+		if err == nil {
+			c.mu.Lock()
+			c.published[fp] = publishedEntry{format: f, xforms: xforms, by: p}
+			c.mu.Unlock()
+			return nil
+		}
+		if retryable == nil && errors.Is(err, ErrRetryable) {
+			retryable = err
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	resp, err := c.rpc(opPut, encodeEntry(f, xforms), modeNormal)
-	if err != nil {
-		return err
+	// A retryable refusal (a standby with no write path: election in flight)
+	// dominates transport errors from other peers — typically the dead
+	// primary that caused the election. The caller can usefully wait and
+	// retry, because a write path is about to exist; reporting the transport
+	// error instead would read as "cluster unreachable" when it is not.
+	if retryable != nil {
+		return retryable
 	}
-	switch resp.status {
-	case statusOK:
-		fp := f.Fingerprint()
-		c.mu.Lock()
-		c.published[fp] = publishedEntry{format: f, xforms: xforms}
-		c.mu.Unlock()
-		c.cache.put(0, fp, f, xforms)
-		return nil
-	case statusRetry:
-		// A cluster peer without a current write path (election in flight,
-		// or its forward to the primary failed). The write was not applied.
-		return fmt.Errorf("%w: put %q: %s", ErrRetryable, f.Name(), resp.payload)
-	default:
-		return fmt.Errorf("registry: put %q rejected: %s", f.Name(), resp.payload)
-	}
+	return firstErr
 }
 
-// Holds reports whether the daemon is known to hold f's entry and the
-// client is currently healthy. It is the wire.WithFormatSuppressor
-// predicate: true means the peer can resolve the fingerprint out-of-band,
-// so the in-band format frame may be skipped. An entry counts as held when
-// this client published it (acknowledged Register) or resolved it from the
-// daemon (LRU) — an intermediary that learned a format out-of-band can
-// immediately suppress it downstream. While down it reports false — new
-// connections re-announce in-band — and connections that already suppressed
-// recover through the frameFormatReq protocol.
+// Holds reports whether a healthy peer is known to hold f's entry. It is the
+// wire.WithFormatSuppressor predicate: true means the receiver can resolve
+// the fingerprint out-of-band, so the in-band format frame may be skipped.
+// An entry counts as held when this client published it and the peer that
+// acknowledged it is up, or when an up peer resolved it (LRU) — an
+// intermediary that learned a format out-of-band can immediately suppress it
+// downstream. While the peers are down it reports false — new connections
+// re-announce in-band — and connections that already suppressed recover
+// through the frameFormatReq protocol.
 func (c *Client) Holds(f *pbio.Format) bool {
-	if c.children != nil {
-		for _, ch := range c.children {
-			if ch.Holds(f) {
-				return true
-			}
-		}
-		return false
-	}
 	fp := f.Fingerprint()
 	c.mu.Lock()
-	down := c.closed || time.Now().Before(c.downUntil)
-	_, published := c.published[fp]
+	e, published := c.published[fp]
 	c.mu.Unlock()
-	if down {
-		return false
-	}
-	if published {
+	if published && !e.by.down() {
 		return true
 	}
-	return c.cache.holds(fp)
+	for _, p := range c.peers {
+		if !p.down() && p.cache.holds(fp) {
+			return true
+		}
+	}
+	return false
 }
 
-// Down reports whether the client cannot currently reach the daemon: it is
-// in its backed-off down state, or it has been closed. Closed counts as
-// down for the same reason it does in Holds — every RPC on a closed client
-// fails with ErrClosed, so reporting "not down" would be a lie.
+// Down reports whether the client cannot currently reach any daemon: every
+// peer is in its backed-off down state, or the client has been closed.
+// Closed counts as down for the same reason it does in Holds — every RPC on
+// a closed client fails with ErrClosed, so reporting "not down" would be a
+// lie.
 func (c *Client) Down() bool {
-	if c.children != nil {
-		for _, ch := range c.children {
-			if !ch.Down() {
-				return false
-			}
+	for _, p := range c.peers {
+		if !p.down() {
+			return false
 		}
-		return true // down only when every replica is
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed || time.Now().Before(c.downUntil)
+	return true
 }
 
-// WatchActive reports whether the invalidation stream is currently live: a
-// watch subscription succeeded (Watch or an automatic resubscribe) and the
-// connection it rode is still up. False while the stream is being
+// WatchActive reports whether an invalidation stream is currently live: a
+// peer's watch subscription succeeded (Watch or an automatic resubscribe)
+// and the connection it rode is still up. False while the streams are being
 // re-established after a failure — the window in which cached misses can go
-// stale for a full negative TTL again. It is the signal /readyz watch
-// probes want; a client that never subscribed (or whose daemon predates
-// watch) reports false, since no invalidations are flowing.
+// stale for a full negative TTL again. It is the signal /readyz watch probes
+// want; a client that never subscribed (or whose daemons predate watch)
+// reports false, since no invalidations are flowing.
 func (c *Client) WatchActive() bool {
-	if c.children != nil {
-		for _, ch := range c.children {
-			if ch.WatchActive() {
-				return true
-			}
+	for _, p := range c.peers {
+		if p.watchActive() {
+			return true
 		}
-		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.closed && c.everWatched && c.sess != nil
+	return false
 }
 
 // Resolve resolves a fingerprint to its format description and transform
-// meta-data. With fresh false: LRU hit (allocation-free), negative-cache hit
-// (ErrUnknownFingerprint), or a singleflight-deduplicated daemon round-trip.
+// meta-data. With fresh false it asks the preferred peer — LRU hit
+// (allocation-free), negative-cache hit (ErrUnknownFingerprint), or a
+// singleflight-deduplicated daemon round-trip — and fails over across the
+// rest on transport errors and on "unknown fingerprint" too: a standby that
+// has not yet applied the registration honestly does not know the entry, so
+// one peer's unknown is lag until every reachable peer agrees. An answer from
+// a non-preferred peer is read-repaired into the preferred peer's LRU so the
+// next resolve is a local hit. The error, when every peer fails, is the
+// preferred peer's.
 //
-// With fresh true it always asks the daemon, bypassing both caches and the
+// With fresh true it always asks the daemons, bypassing both caches and the
 // down gate (modeForce). Fingerprints are structural, so an evolving protocol
 // can legitimately reuse one (a reorder that returns to an earlier layout),
 // and the daemon's entry — last write wins — then carries a transform set
 // every cached copy predates; the watch event that would refresh those copies
 // can lose the race to the data frame that needs it. This is the read for
-// callers who suspect exactly that: it returns what the daemon holds NOW,
-// refreshes the LRU with it (unless a concurrent watch event installed
-// something fresher mid-flight), and on a cluster client unions the transform
-// sets of every reachable replica so one lagging standby cannot hide a
-// transform the primary already acknowledged. Failures leave the positive
-// cache untouched; a daemon that answers "unknown" starts the negative TTL as
-// any cold fetch does.
+// callers who suspect exactly that: every reachable peer is asked
+// concurrently and the transform sets are unioned, deduplicated by
+// destination fingerprint, so one lagging standby cannot hide a transform the
+// primary already acknowledged — and which peer answers first cannot decide
+// whether a route exists. The union is ordered by peer preference, so the
+// result is deterministic for a given cluster state. Failures leave the
+// positive caches untouched; a daemon that answers "unknown" starts the
+// negative TTL as any cold fetch does.
+//
+// Either read's repair yields to a watch event the preferred peer applied
+// while the read was in flight: that entry is returned instead.
 func (c *Client) Resolve(fp uint64, fresh bool) (*pbio.Format, []*core.Xform, error) {
-	switch {
-	case c.children != nil && fresh:
-		return c.clusterResolveFresh(fp)
-	case c.children != nil:
-		return c.clusterResolve(fp)
-	case fresh:
-		return c.cache.refresh(fp, func() (*pbio.Format, []*core.Xform, error) { return c.fetch(fp, modeForce) })
+	if fresh {
+		return c.resolveFresh(fp)
 	}
-	return c.cache.resolve(fp, func() (*pbio.Format, []*core.Xform, error) { return c.fetch(fp, modeNormal) })
+	start := c.route(fp)
+	var firstErr error
+	for i := range c.peers {
+		f, xforms, err := c.peers[(start+i)%len(c.peers)].resolve(fp, false)
+		if err == nil {
+			if i != 0 {
+				// The preferred peer missed, so any event-stamped entry it
+				// holds now arrived during the failover: install after seqno
+				// 0 yields to it.
+				f, xforms = c.peers[start].cache.install(0, fp, f, xforms)
+			}
+			return f, xforms, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, nil, firstErr
+}
+
+// resolveFresh is Resolve(fp, true). The peers are asked concurrently: a
+// dead peer prices one RPC timeout into the wall-clock, not one per peer, and
+// this path can run under a morpher's decision lock with live traffic queued
+// behind it.
+func (c *Client) resolveFresh(fp uint64) (*pbio.Format, []*core.Xform, error) {
+	start := c.route(fp)
+	pref := &c.peers[start].cache
+	startSeq := pref.cursor(false)
+	type answer struct {
+		f      *pbio.Format
+		xforms []*core.Xform
+		err    error
+	}
+	answers := make([]answer, len(c.peers))
+	var wg sync.WaitGroup
+	for i := range c.peers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			a := &answers[i]
+			a.f, a.xforms, a.err = c.peers[(start+i)%len(c.peers)].resolve(fp, true)
+		}(i)
+	}
+	wg.Wait()
+	var (
+		format   *pbio.Format
+		union    []*core.Xform
+		seen     = make(map[uint64]bool)
+		firstErr error
+	)
+	for _, a := range answers {
+		if a.err != nil {
+			if firstErr == nil {
+				firstErr = a.err
+			}
+			continue
+		}
+		if format == nil {
+			format = a.f
+		}
+		for _, x := range a.xforms {
+			if to := x.To.Fingerprint(); !seen[to] {
+				seen[to] = true
+				union = append(union, x)
+			}
+		}
+	}
+	if format == nil {
+		return nil, nil, firstErr
+	}
+	format, union = pref.install(startSeq, fp, format, union)
+	return format, union, nil
 }
 
 // ResolveFormat is Resolve through the caches. It implements
@@ -383,199 +444,51 @@ func (c *Client) TransformsFor(fp uint64, fresh bool) []*core.Xform {
 	return xforms
 }
 
-// fetch performs one cold resolution round-trip.
-func (c *Client) fetch(fp uint64, mode rpcMode) (*pbio.Format, []*core.Xform, error) {
-	var t0 time.Time
-	if c.fetchNS != nil {
-		t0 = time.Now()
-	}
-	var key [8]byte
-	binary.LittleEndian.PutUint64(key[:], fp)
-	resp, err := c.rpc(opGet, key[:], mode)
-	if c.fetchNS != nil {
-		c.fetchNS.ObserveNS(time.Since(t0).Nanoseconds())
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	// Counted per status below: misses are round-trips the daemon answered
-	// with an entry, unknowns the ones it answered "unknown fingerprint" —
-	// previously both inflated misses AND the repeats then counted as
-	// negative_hits, double-billing every unknown.
-	switch resp.status {
-	case statusOK:
-		c.misses.Inc()
-		e, derr := decodeEntry(resp.payload)
-		if derr != nil {
-			return nil, nil, derr
-		}
-		if got := e.Format.Fingerprint(); got != fp {
-			return nil, nil, fmt.Errorf("registry: daemon answered %016x with entry %016x", fp, got)
-		}
-		return e.Format, e.Xforms, nil
-	case statusUnknown:
-		c.unknowns.Inc()
-		c.cache.unknown(fp)
-		return nil, nil, fmt.Errorf("%w: %016x", ErrUnknownFingerprint, fp)
-	default:
-		return nil, nil, fmt.Errorf("registry: get %016x: %s", fp, resp.payload)
-	}
-}
-
-// rpcMode says how an RPC treats the client's down state.
-type rpcMode uint8
-
-const (
-	// modeNormal is foreground traffic: refused with ErrDown inside the
-	// backoff window, and a failed dial (re-)enters it.
-	modeNormal rpcMode = iota
-
-	// modeProbe is a background watch resubscription attempt. It differs in
-	// one rule: a failed dial does not refresh the down state. The client
-	// already entered it when the connection died, and the probe repeats
-	// every ~backoff — letting it re-mark down each time would pin the client
-	// down forever, and the suppressor would never re-enter the optimistic
-	// post-backoff mode the wire layer's park/NACK/re-announce recovery is
-	// designed around. A probe that got as far as a live connection reports
-	// failures normally.
-	modeProbe
-
-	// modeForce passes the down gate: it attempts a real dial and round-trip
-	// even inside the post-failure backoff window. The gate exists to keep
-	// ordinary traffic from hammering a dead daemon, but the fresh read is a
-	// last consult before rejecting live data — and the replica most likely
-	// to hold the newest entry after a failover is exactly the just-restarted
-	// one the gate still writes off. A forced round-trip that succeeds clears
-	// the down state: the daemon has demonstrably answered, so making cached
-	// reads and the Holds suppressor wait out the rest of the backoff would be
-	// pure lag. It shares the probe exemption: a fresh read retrying through
-	// the window must not keep pushing the deadline out.
-	modeForce
-)
-
-// rpc sends one request over the current session (dialing one if needed) and
-// waits for its matched response or the deadline. A timeout marks the client
-// down; a write failure or a lost connection drops the session.
-func (c *Client) rpc(op byte, payload []byte, mode rpcMode) (rpcResp, error) {
+// reconverge re-announces every format this process published, with
+// retries, until all of them are acknowledged again. A peer fires it when it
+// goes down (the write may have died with its acceptor) and when its watch
+// attaches to a new daemon instance (a restart or failover: the new
+// incarnation may have missed acknowledged-but-unreplicated writes). One
+// sweep runs at a time; a trigger during a sweep buys it one more pass.
+func (c *Client) reconverge() {
 	c.mu.Lock()
-	if c.closed {
+	c.resweep = true
+	if c.reconverging || c.closed {
 		c.mu.Unlock()
-		return rpcResp{}, ErrClosed
+		return
 	}
-	if mode != modeForce && time.Now().Before(c.downUntil) {
-		c.mu.Unlock()
-		return rpcResp{}, fmt.Errorf("%w until %s", ErrDown, c.downUntil.Format(time.RFC3339))
-	}
-	sess := c.sess
-	if sess == nil {
-		var err error
-		if sess, err = c.dialLocked(); err != nil {
-			if mode == modeNormal {
-				c.markDownLocked()
-				c.scheduleResubLocked()
-			}
-			c.mu.Unlock()
-			c.errs.Inc()
-			return rpcResp{}, err
-		}
-	}
+	c.reconverging = true
 	c.mu.Unlock()
 
-	resp, err := sess.rpc(op, payload, c.timeout)
-	if err == nil {
-		if mode == modeForce {
-			c.mu.Lock()
-			c.downUntil = time.Time{}
-			c.mu.Unlock()
-		}
-		return resp, nil
-	}
-	c.errs.Inc()
-	timedOut := errors.Is(err, errRPCTimeout)
-	if !timedOut {
-		_ = sess.Close() // a failed write leaves the pump running; make the loss official
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case c.closed:
-		return rpcResp{}, ErrClosed
-	case timedOut:
-		c.markDownLocked()
-	default:
-		c.dropSessionLocked(sess)
-	}
-	return rpcResp{}, err
-}
-
-// dialLocked connects a new session to the daemon and watches it for loss.
-func (c *Client) dialLocked() (*ReplSession, error) {
-	sess, err := DialRepl(c.addr, c.timeout, c.onEvent)
-	if err != nil {
-		return nil, err
-	}
-	c.sess = sess
-	// The session can die with no RPC in flight to notice it.
-	go func() {
-		<-sess.Done()
+	const maxPasses = 40
+	for pass := 1; ; pass++ {
 		c.mu.Lock()
-		c.dropSessionLocked(sess)
+		c.resweep = false
+		entries := make([]publishedEntry, 0, len(c.published))
+		for _, e := range c.published {
+			entries = append(entries, e)
+		}
 		c.mu.Unlock()
-	}()
-	// Every fresh connection (re)subscribes to the invalidation stream,
-	// unless a Watch call is the very reason we are dialing. Best-effort and
-	// asynchronous: a daemon that predates watch answers with an error and
-	// the client silently stays on poll-on-miss.
-	if !c.watchDisabled && !c.watchPending {
-		go func() { _ = c.Watch() }()
-	}
-	return sess, nil
-}
-
-// dropSessionLocked reacts to a dead session: forget it (if still current)
-// and enter the down state. It is reached both from an RPC that failed on the
-// session and from the session's Done watcher; whichever comes first wins and
-// the other finds the session already superseded, so one loss marks the
-// client down once and arms one resubscribe.
-func (c *Client) dropSessionLocked(sess *ReplSession) {
-	if c.sess != sess {
-		return // already dropped, superseded by a redial, or the client closed
-	}
-	c.sess = nil
-	c.markDownLocked()
-	// The subscription died with the connection; arm a jittered background
-	// resubscribe so invalidations resume even if no foreground RPC ever
-	// redials.
-	c.scheduleResubLocked()
-}
-
-func (c *Client) markDownLocked() {
-	c.downUntil = time.Now().Add(c.backoff)
-	c.downs.Inc()
-	if c.onDown != nil {
-		go c.onDown()
-	}
-}
-
-// reregisterPublished re-announces every format this client successfully
-// registered. Called after the watch stream attaches to a daemon incarnation
-// other than the one that acknowledged them.
-func (c *Client) reregisterPublished() {
-	c.mu.Lock()
-	entries := c.publishedLocked()
-	c.mu.Unlock()
-	for _, e := range entries {
-		if err := c.Register(e.format, e.xforms...); err == nil {
-			c.reregs.Inc()
+		failed := 0
+		for _, e := range entries {
+			if err := c.Register(e.format, e.xforms...); err != nil {
+				failed++
+			} else {
+				c.reregs.Inc()
+			}
+		}
+		c.mu.Lock()
+		if c.closed || (failed == 0 && !c.resweep) || pass == maxPasses {
+			c.reconverging = false
+			c.mu.Unlock()
+			return
+		}
+		c.mu.Unlock()
+		if failed > 0 {
+			// Jittered linear backoff: failover blackouts are short (a few
+			// heartbeats), so stay eager early and ease off.
+			base := 50 * time.Millisecond * time.Duration(pass)
+			time.Sleep(base + time.Duration(rand.Int63n(int64(base)/2+1)))
 		}
 	}
-}
-
-// publishedLocked snapshots the publish ledger.
-func (c *Client) publishedLocked() []publishedEntry {
-	entries := make([]publishedEntry, 0, len(c.published))
-	for _, e := range c.published {
-		entries = append(entries, e)
-	}
-	return entries
 }

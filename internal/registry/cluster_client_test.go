@@ -177,9 +177,9 @@ func TestClusterClientRoutingAndReadRepair(t *testing.T) {
 	if err != nil || rf.Fingerprint() != f.Fingerprint() {
 		t.Fatalf("cluster resolve: %v", err)
 	}
-	// Read repair: the preferred child now holds the entry in its LRU, so a
+	// Read repair: the preferred peer now holds the entry in its LRU, so a
 	// repeat resolve is a local hit even if it routed to A first.
-	pref := cc.ClusterChildren()[cc.route(f.Fingerprint())]
+	pref := cc.peers[cc.route(f.Fingerprint())]
 	if !pref.cache.holds(f.Fingerprint()) {
 		t.Error("preferred replica's LRU not repaired after a failover answer")
 	}
@@ -195,5 +195,43 @@ func TestClusterClientRoutingAndReadRepair(t *testing.T) {
 	// A fingerprint nobody holds: unknown only after every replica said so.
 	if _, _, err := cc.ResolveFormat(0xdeadbeef); !errors.Is(err, ErrUnknownFingerprint) {
 		t.Fatalf("err = %v, want ErrUnknownFingerprint", err)
+	}
+}
+
+// TestClusterClientPeerHealth pins the multi-peer health rules: the client
+// is down only when every peer is, and Holds for a published fingerprint
+// follows the health of the peer that acknowledged it — through a failover
+// that moves the acknowledgment to a survivor.
+func TestClusterClientPeerHealth(t *testing.T) {
+	srv0, addr0 := startDaemon(t)
+	srv1, addr1 := startDaemon(t)
+	cc := NewClusterClient([]string{addr0, addr1}, 1, WithBackoff(time.Hour))
+	defer cc.Close()
+
+	// One shard: peer 0 is preferred, so it acknowledges the registration.
+	f := testFormat(t, "healthy", 1)
+	if err := cc.Register(f); err != nil {
+		t.Fatal(err)
+	}
+	if !cc.Holds(f) {
+		t.Fatal("Holds false right after an acknowledged Register")
+	}
+
+	// The acknowledging peer dies; reconvergence re-registers f on the
+	// survivor, which can only happen once peer 0 was marked down.
+	_ = srv0.Close()
+	waitFor(t, "re-registration on the surviving daemon", func() bool { return srv1.Len() == 1 })
+	if cc.Down() {
+		t.Error("Down with one peer still reachable")
+	}
+	waitFor(t, "Holds through the survivor's acknowledgment", func() bool { return cc.Holds(f) })
+
+	_ = srv1.Close()
+	waitFor(t, "every peer down", cc.Down)
+	if cc.Holds(f) {
+		t.Error("Holds true with every peer down")
+	}
+	if cc.WatchActive() {
+		t.Error("WatchActive with every peer down")
 	}
 }

@@ -109,22 +109,29 @@ func (d *stallDaemon) pushEvent(t *testing.T, seq, fp uint64, blob []byte) {
 	}
 }
 
-// fetchRaceFixture builds the shared pieces: one format, an old and a new
-// entry blob for its fingerprint (the revisions differ in their transform
-// code, which is not part of the fingerprint), and a client against the
-// stalling daemon.
+// fetchRaceFixture builds the shared pieces: the raceEntries and a client
+// against the stalling daemon.
 func fetchRaceFixture(t *testing.T) (*stallDaemon, *Client, *pbio.Format, []byte, []byte) {
 	t.Helper()
 	d := startStallDaemon(t)
-	f := testFormat(t, "raced", 1)
-	old := testFormat(t, "raced", 0)
-	oldBlob := encodeEntry(f, []*core.Xform{{From: f, To: old, Code: "old.id = new.id;"}})
-	newBlob := encodeEntry(f, []*core.Xform{{From: f, To: old, Code: "old.id = new.id; old.body = new.body;"}})
+	f, oldBlob, newBlob := raceEntries(t)
 	// Watch disabled keeps the connection free of hello/watch RPC noise; the
 	// client applies pushed events regardless of subscription state.
 	c := NewClient(d.ln.Addr().String(), WithWatchDisabled(), WithNegTTL(time.Hour))
 	t.Cleanup(func() { _ = c.Close() })
 	return d, c, f, oldBlob, newBlob
+}
+
+// raceEntries returns one format and an old and a new entry blob for its
+// fingerprint; the revisions differ in their transform code, which is not
+// part of the fingerprint.
+func raceEntries(t *testing.T) (*pbio.Format, []byte, []byte) {
+	t.Helper()
+	f := testFormat(t, "raced", 1)
+	old := testFormat(t, "raced", 0)
+	oldBlob := encodeEntry(f, []*core.Xform{{From: f, To: old, Code: "old.id = new.id;"}})
+	newBlob := encodeEntry(f, []*core.Xform{{From: f, To: old, Code: "old.id = new.id; old.body = new.body;"}})
+	return f, oldBlob, newBlob
 }
 
 // xformCode extracts the (single) transform code of a resolution result for
@@ -247,6 +254,69 @@ func TestFetchCompletesBeforeWatchEvent(t *testing.T) {
 	})
 }
 
+// TestReadRepairYieldsToWatchEvent: a cluster read that another replica
+// answers is repaired into the preferred peer's LRU, and that repair must
+// yield to a watch event the preferred peer applied while the other
+// replica's get was in flight — exactly as a single peer's own fetch does.
+// With one shard peer 0 is preferred: it answers "unknown", a new-revision
+// event then lands on it, and peer 1 finally answers with the old revision.
+// The failover read asks the peers in turn, the fresh read all at once.
+func TestReadRepairYieldsToWatchEvent(t *testing.T) {
+	for _, fresh := range []bool{false, true} {
+		name := "failover"
+		if fresh {
+			name = "fresh"
+		}
+		t.Run(name, func(t *testing.T) {
+			d0, d1 := startStallDaemon(t), startStallDaemon(t)
+			f, oldBlob, newBlob := raceEntries(t)
+			fp := f.Fingerprint()
+			reg := obs.NewRegistry("client")
+			cc := NewClusterClient([]string{d0.ln.Addr().String(), d1.ln.Addr().String()}, 1,
+				WithWatchDisabled(), WithNegTTL(time.Hour), WithClientObs(reg))
+			t.Cleanup(func() { _ = cc.Close() })
+
+			type outcome struct {
+				xforms []*core.Xform
+				err    error
+			}
+			got := make(chan outcome, 1)
+			go func() {
+				_, xf, err := cc.Resolve(fp, fresh)
+				got <- outcome{xf, err}
+			}()
+
+			<-d0.getParked
+			d0.getReply <- stallReply{status: statusUnknown}
+			// Peer 0's answer must be in before its event is pushed, or the
+			// event could overtake the answer it is racing against.
+			waitFor(t, "peer 0's unknown answer", func() bool {
+				return reg.Counter("registry.unknowns").Load() == 1
+			})
+			<-d1.getParked
+			d0.pushEvent(t, 1, fp, newBlob)
+			waitFor(t, "event applied to peer 0", func() bool { return cc.Holds(f) })
+			d1.getReply <- stallReply{status: statusOK, payload: oldBlob}
+
+			const newCode = "old.id = new.id; old.body = new.body;"
+			res := <-got
+			if res.err != nil {
+				t.Fatalf("resolve: %v", res.err)
+			}
+			if code := xformCode(t, res.xforms); code != newCode {
+				t.Errorf("resolve returned peer 1's stale revision: %q", code)
+			}
+			_, xf, err := cc.ResolveFormat(fp)
+			if err != nil {
+				t.Fatalf("re-resolve: %v", err)
+			}
+			if code := xformCode(t, xf); code != newCode {
+				t.Errorf("read repair overwrote the preferred peer's event: LRU serves %q", code)
+			}
+		})
+	}
+}
+
 // TestDaemonDeathFailsPendingAndDownsOnce: the daemon dies with several RPCs
 // in flight on one session. Every pending call must fail (none may wait out
 // its timeout), and the loss — noticed at once by each failed call and by the
@@ -275,9 +345,10 @@ func TestDaemonDeathFailsPendingAndDownsOnce(t *testing.T) {
 	// The first opGet parks the daemon's read loop; the rest queue behind it
 	// in the socket. All three are pending on the client's session.
 	<-d.getParked
-	c.mu.Lock()
-	sess := c.sess
-	c.mu.Unlock()
+	p := c.peers[0]
+	p.mu.Lock()
+	sess := p.sess
+	p.mu.Unlock()
 	waitFor(t, "all calls in flight", func() bool {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
@@ -304,16 +375,16 @@ func TestDaemonDeathFailsPendingAndDownsOnce(t *testing.T) {
 	}
 	<-sess.Done()
 	waitFor(t, "session dropped", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.sess == nil
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.sess == nil
 	})
 	if c.WatchActive() {
 		t.Error("WatchActive with no session")
 	}
-	c.mu.Lock()
-	armed := c.resubTimer != nil
-	c.mu.Unlock()
+	p.mu.Lock()
+	armed := p.resubTimer != nil
+	p.mu.Unlock()
 	if !armed {
 		t.Error("no resubscribe armed after the session died")
 	}

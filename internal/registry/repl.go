@@ -17,9 +17,9 @@ import (
 // of it. A cluster standby (internal/cluster) keeps one open to its primary
 // and drives it directly — it wants the unfiltered event stream (every
 // mutation, in order, with its seqno) and explicit control over hello/watch
-// timing, because the seqno bookkeeping *is* the replication state. Client
-// dials one on demand and layers its cache, down gate and resubscription
-// policy above it.
+// timing, because the seqno bookkeeping *is* the replication state. Each
+// Client peer dials one on demand and layers its cache, down gate and
+// resubscription policy above it.
 //
 // Events are delivered on the session's read pump via the onEvent callback
 // given to DialRepl; the blob is a private copy, safe to retain. RPCs are
@@ -155,7 +155,9 @@ func (r *ReplSession) rpc(op byte, payload []byte, timeout time.Duration) (rpcRe
 		r.mu.Lock()
 		delete(r.pending, id)
 		r.mu.Unlock()
-		return rpcResp{}, fmt.Errorf("registry: rpc write: %w", err)
+		// The request died with the connection as surely as one already
+		// written: callers drop the session either way.
+		return rpcResp{}, fmt.Errorf("%w: rpc write: %v", errSessionLost, err)
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()

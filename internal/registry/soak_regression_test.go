@@ -37,9 +37,10 @@ func TestResolveFreshBypassesDownGate(t *testing.T) {
 
 	// What a dial failure would do, minus the dial failure: an hour of
 	// fail-fast for every ordinary RPC.
-	c.mu.Lock()
-	c.markDownLocked()
-	c.mu.Unlock()
+	p := c.peers[0]
+	p.mu.Lock()
+	p.markDownLocked()
+	p.mu.Unlock()
 
 	if _, _, err := c.ResolveFormat(wide.Fingerprint()); !errors.Is(err, ErrDown) {
 		t.Fatalf("gated resolve returned %v, want ErrDown", err)

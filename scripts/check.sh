@@ -103,7 +103,7 @@ kill "$formatd_pid"
 formatd_pid=
 echo "== cluster replication/failover suite (race-enabled)"
 selected run 'TestCluster|TestFailover|TestStandby' -race -count=1 ./internal/cluster/
-selected run 'TestClusterClient|TestResubscribeArmsWithoutFirstSuccess|TestReregisterOnInstanceChange|TestWatchRingDepth|TestDaemonDeathFailsPendingAndDownsOnce' \
+selected run 'TestClusterClient|TestResubscribeArmsWithoutFirstSuccess|TestReregisterOnInstanceChange|TestWatchRingDepth|TestDaemonDeathFailsPendingAndDownsOnce|TestClusterClientPeerHealth|TestReadRepairYieldsToWatchEvent' \
     -race -count=1 ./internal/registry/
 echo "== formatd cluster smoke (3 peers, SIGKILL the primary under live load)"
 cat >"$tmpdir/freeport.go" <<'EOF'
