@@ -23,18 +23,19 @@
 // Clients that predate the watch protocol are unaffected — they never say
 // hello and keep resolving poll-on-miss.
 //
-// Cluster mode replicates the table across a peer set:
+// With -peers the table is replicated across a peer set:
 //
 //	formatd -addr host0:7500 -peers host0:7500,host1:7500,host2:7500 \
-//	        -self 0 -shards 4 -snapshot /var/lib/formatd/table.spool
+//	        -self 0 -snapshot /var/lib/formatd/table.spool
 //
 // Every peer runs the same command with its own -self index. The peers
 // elect a primary (lowest reachable index; an existing primary always
 // wins), standbys replicate its table through the watch stream and forward
 // writes to it, and clients given the full peer list
-// (registry.NewClusterClient in code; morphbench -exp replica -cluster drives
-// a running set) shard reads across the set and fail over on peer death. /debug/registryz grows a "cluster" section with
-// the role, the live peer table, and the replication lag.
+// (registry.NewClusterClient) shard reads across the set and fail over on
+// peer death. Without -peers the daemon is a peer set of one: the primary
+// from the start. The "cluster" section of /debug/registryz carries the
+// role, the live peer table, and the replication lag.
 package main
 
 import (
@@ -48,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/tap"
@@ -63,9 +63,7 @@ type daemonConfig struct {
 	tapArmed  bool
 	peers     []string // empty = standalone
 	self      int
-	shards    int
 	heartbeat time.Duration
-	failAfter int
 }
 
 func main() {
@@ -76,16 +74,14 @@ func main() {
 		tapArmed  = flag.Bool("tap", false, "arm the wire tap at startup (else arm via /debug/tapz?arm=on)")
 		peers     = flag.String("peers", "", "comma-separated cluster peer addresses (empty = standalone)")
 		self      = flag.Int("self", 0, "this daemon's index in -peers")
-		shards    = flag.Int("shards", 1, "fingerprint-space shard count for cluster routing")
-		heartbeat = flag.Duration("hb", cluster.DefaultHeartbeat, "cluster heartbeat interval")
-		failAfter = flag.Int("failafter", cluster.DefaultFailAfter, "missed heartbeats before declaring the primary dead")
+		heartbeat = flag.Duration("hb", registry.DefaultHeartbeat, "cluster heartbeat interval")
 	)
 	flag.Parse()
 	log.SetFlags(log.Lmicroseconds)
 
 	cfg := daemonConfig{
 		addr: *addr, debug: *debug, snapshot: *snapshot, tapArmed: *tapArmed,
-		self: *self, shards: *shards, heartbeat: *heartbeat, failAfter: *failAfter,
+		self: *self, heartbeat: *heartbeat,
 	}
 	if *peers != "" {
 		cfg.peers = strings.Split(*peers, ",")
@@ -116,10 +112,12 @@ func run(cfg daemonConfig, ready chan<- string) error {
 		registry.WithServerObs(reg),
 		registry.WithSnapshotPath(cfg.snapshot),
 		registry.WithServerTap(wtap),
+		registry.WithPeers(cfg.peers, cfg.self, cfg.heartbeat),
 	)
 	if err != nil {
 		return err
 	}
+	defer srv.Close()
 	if cfg.snapshot != "" {
 		log.Printf("snapshot %s: %d entries loaded", cfg.snapshot, srv.Len())
 	}
@@ -128,33 +126,8 @@ func run(cfg daemonConfig, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
 	defer ln.Close()
 	log.Printf("format registry listening on %s (watch streams enabled, event seq %d)", ln.Addr(), srv.WatchSeq())
-
-	if len(cfg.peers) > 0 {
-		cursor := ""
-		if cfg.snapshot != "" {
-			cursor = cfg.snapshot + ".cursor"
-		}
-		node, err := cluster.New(srv, cluster.Config{
-			Index:     cfg.self,
-			Peers:     cfg.peers,
-			Shards:    cfg.shards,
-			Cursor:    cursor,
-			Heartbeat: cfg.heartbeat,
-			FailAfter: cfg.failAfter,
-			Obs:       reg,
-			Logf:      log.Printf,
-		})
-		if err != nil {
-			return err
-		}
-		node.Start()
-		defer node.Close()
-		log.Printf("cluster: peer %d of %d (%s), %d shards", cfg.self, len(cfg.peers),
-			strings.Join(cfg.peers, ","), cfg.shards)
-	}
 
 	if cfg.debug != "" {
 		// Readiness probes: the RPC listener must be accepting (verified

@@ -8,12 +8,11 @@
 //
 // Usage:
 //
-//	morphbench [-exp all|table1|fig8|fig9|fig10|ablations|replica|fleet] [-quick] [-csv dir] [-out file] [-obs]
+//	morphbench [-exp all|table1|fig8|fig9|fig10|ablations|replica|fleet] [-quick] [-csv dir] [-out file] [-obs] [-seed n]
 //
-// The replica experiment normally builds its 3-peer cluster in-process. With
-// -cluster host:port,host:port,... it instead drives an already-running
-// formatd cluster for -duration (check.sh uses this to SIGKILL a real
-// primary mid-load and gate on the resulting document).
+// The replica experiment builds its 3-peer formatd cluster in-process; the
+// same failover load against real daemon processes is cmd/formatd's
+// TestSIGKILLPrimaryUnderLoad.
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -41,15 +39,12 @@ func main() {
 func run(stdout io.Writer, args []string) error {
 	fs := flag.NewFlagSet("morphbench", flag.ContinueOnError)
 	var (
-		exp       = fs.String("exp", "all", "experiment: all, table1, fig8, fig9, fig10, ablations, replica, fleet")
-		quick     = fs.Bool("quick", false, "shorter measuring windows and smaller max size (for CI)")
-		csvDir    = fs.String("csv", "", "also write the table/figure series as CSV files into this directory")
-		withObs   = fs.Bool("obs", false, "attach an observability registry and print its final snapshot as JSON")
-		outJSON   = fs.String("out", "", "write the replica/fleet results to this file as one JSON object keyed by experiment (empty: print only)")
-		seed      = fs.Int64("seed", 1, "fleet: chaos schedule seed (logged in the result; rerun with the same seed to reproduce)")
-		clusterAd = fs.String("cluster", "", "replica: comma-separated addresses of a running formatd cluster (empty runs in-process)")
-		shards    = fs.Int("shards", 4, "replica: fingerprint-space shard count (must match the cluster's -shards)")
-		duration  = fs.Duration("duration", 3*time.Second, "replica: live-load window when driving an external cluster")
+		exp     = fs.String("exp", "all", "experiment: all, table1, fig8, fig9, fig10, ablations, replica, fleet")
+		quick   = fs.Bool("quick", false, "shorter measuring windows and smaller max size (for CI)")
+		csvDir  = fs.String("csv", "", "also write the table/figure series as CSV files into this directory")
+		withObs = fs.Bool("obs", false, "attach an observability registry and print its final snapshot as JSON")
+		outJSON = fs.String("out", "", "write the replica/fleet results to this file as one JSON object keyed by experiment (empty: print only)")
+		seed    = fs.Int64("seed", 1, "fleet: chaos schedule seed (logged in the result; rerun with the same seed to reproduce)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -145,12 +140,7 @@ func run(stdout io.Writer, args []string) error {
 		}
 	}
 	if want("replica") {
-		var result bench.ReplicaResult
-		if *clusterAd != "" {
-			result, err = bench.ExternalReplicaRun(strings.Split(*clusterAd, ","), *shards, *duration)
-		} else {
-			result, err = h.ReplicaSweep(*quick)
-		}
+		result, err := h.ReplicaSweep(*quick)
 		if err != nil {
 			return err
 		}

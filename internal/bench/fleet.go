@@ -9,12 +9,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/echo"
 	"repro/internal/fanout"
 	"repro/internal/fleetgen"
-	"repro/internal/obs"
 	"repro/internal/pbio"
 	"repro/internal/registry"
 )
@@ -190,7 +188,7 @@ func (h *Harness) FleetSoak(seed int64, quick bool) (res FleetResult, err error)
 	defer func() { res.DurationSec = time.Since(start).Seconds() }()
 
 	// Metadata plane: 3 formatd peers, peer 0 primary.
-	peers, addrs, err := startReplicaCluster(3, f.fdShards, f.fdHB)
+	peers, addrs, err := startReplicaCluster(3, f.fdHB)
 	if err != nil {
 		return res, err
 	}
@@ -543,7 +541,7 @@ func (f *fleet) killFormatdPrimary() {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		for _, p := range f.formatd {
-			if p != nil && p.node != nil && p.node.Role() == registry.RolePrimary {
+			if p != nil && p.srv != nil && p.srv.Role() == registry.RolePrimary {
 				p.kill()
 				f.res.FormatdKills++
 				f.canaryRecovery(f.res.FormatdKills)
@@ -614,26 +612,13 @@ func (f *fleet) restartFormatd() error {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		srv, err := registry.NewServer()
+		srv, err := registry.NewServer(registry.WithPeers(f.fdAddrs, i, f.fdHB))
 		if err != nil {
-			return err
-		}
-		node, err := cluster.New(srv, cluster.Config{
-			Index:     i,
-			Peers:     f.fdAddrs,
-			Shards:    f.fdShards,
-			Heartbeat: f.fdHB,
-			FailAfter: 3,
-			Obs:       obs.NewRegistry(fmt.Sprintf("fleet_fd%d_k%d", i, f.res.FormatdKills)),
-		})
-		if err != nil {
-			_ = srv.Close()
 			_ = ln.Close()
 			return err
 		}
-		f.formatd[i] = &replicaPeer{srv: srv, ln: ln, node: node}
+		f.formatd[i] = &replicaPeer{srv: srv, ln: ln}
 		go func() { _ = srv.Serve(ln) }()
-		node.Start()
 	}
 	return nil
 }

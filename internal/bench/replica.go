@@ -10,15 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/pbio"
 	"repro/internal/registry"
 )
 
-// The replica experiment prices the clustered metadata plane
-// (internal/cluster + registry cluster clients) at the three points the
-// tentpole claims matter:
+// The replica experiment prices the replicated metadata plane (registry
+// servers with a peer set + registry cluster clients) at the three points
+// that matter:
 //
 //   - failover blackout: with continuous resolve traffic against a 3-peer
 //     cluster, kill the primary. Reads must keep flowing (standbys serve
@@ -58,19 +56,14 @@ type ReplicaResult struct {
 	HitAllocs float64 `json:"hit_allocs_per_op"`
 }
 
-// replicaPeer is one in-process cluster member: a full Server + listener +
-// Node, so killing it severs every connection the way a dead process would.
+// replicaPeer is one in-process cluster member: a full Server + listener,
+// so killing it severs every connection the way a dead process would.
 type replicaPeer struct {
-	srv  *registry.Server
-	ln   net.Listener
-	node *cluster.Node
+	srv *registry.Server
+	ln  net.Listener
 }
 
 func (p *replicaPeer) kill() {
-	if p.node != nil {
-		p.node.Close()
-		p.node = nil
-	}
 	if p.srv != nil {
 		_ = p.srv.Close()
 		p.srv = nil
@@ -83,7 +76,7 @@ func (p *replicaPeer) kill() {
 
 // startReplicaCluster brings up an n-peer cluster on loopback listeners and
 // waits until peer 0 is primary and every other peer follows it.
-func startReplicaCluster(n, shards int, hb time.Duration) ([]*replicaPeer, []string, error) {
+func startReplicaCluster(n int, hb time.Duration) ([]*replicaPeer, []string, error) {
 	peers := make([]*replicaPeer, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -95,31 +88,19 @@ func startReplicaCluster(n, shards int, hb time.Duration) ([]*replicaPeer, []str
 		addrs[i] = ln.Addr().String()
 	}
 	for i := 0; i < n; i++ {
-		srv, err := registry.NewServer()
+		srv, err := registry.NewServer(registry.WithPeers(addrs, i, hb))
 		if err != nil {
 			return nil, nil, err
 		}
-		node, err := cluster.New(srv, cluster.Config{
-			Index:     i,
-			Peers:     addrs,
-			Shards:    shards,
-			Heartbeat: hb,
-			FailAfter: 3,
-			Obs:       obs.NewRegistry(fmt.Sprintf("replica%d", i)),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		peers[i].srv, peers[i].node = srv, node
+		peers[i].srv = srv
 		ln := peers[i].ln
 		go func() { _ = srv.Serve(ln) }()
-		node.Start()
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		settled := peers[0].node.Role() == registry.RolePrimary
+		settled := peers[0].srv.Role() == registry.RolePrimary
 		for _, p := range peers[1:] {
-			settled = settled && p.node.Role() == registry.RoleStandby
+			settled = settled && p.srv.Role() == registry.RoleStandby
 		}
 		if settled {
 			return peers, addrs, nil
@@ -132,8 +113,8 @@ func startReplicaCluster(n, shards int, hb time.Duration) ([]*replicaPeer, []str
 // ReplicaSweep runs the full experiment against an in-process 3-peer
 // cluster. Killing the primary here closes its listener and every
 // connection at once — indistinguishable, to the surviving peers and
-// clients, from SIGKILL (check.sh additionally runs the real-process
-// variant through ExternalReplicaRun).
+// clients, from SIGKILL (cmd/formatd's TestSIGKILLPrimaryUnderLoad runs the
+// same load against real processes).
 func (h *Harness) ReplicaSweep(quick bool) (ReplicaResult, error) {
 	const nPeers, shards = 3, 4
 	hb := 50 * time.Millisecond
@@ -145,7 +126,7 @@ func (h *Harness) ReplicaSweep(quick bool) (ReplicaResult, error) {
 	}
 	res := ReplicaResult{Peers: nPeers, Shards: shards}
 
-	peers, addrs, err := startReplicaCluster(nPeers, shards, hb)
+	peers, addrs, err := startReplicaCluster(nPeers, hb)
 	if err != nil {
 		return res, err
 	}
@@ -159,7 +140,7 @@ func (h *Harness) ReplicaSweep(quick bool) (ReplicaResult, error) {
 	// poll a standby's table until the entry lands.
 	pub := registry.NewClient(addrs[0], registry.WithWatchDisabled())
 	defer pub.Close()
-	lagFormats, err := replicaFormats("replica_lag", nLagSamples)
+	lagFormats, err := ReplicaFormats("replica_lag", nLagSamples)
 	if err != nil {
 		return res, err
 	}
@@ -185,7 +166,7 @@ func (h *Harness) ReplicaSweep(quick bool) (ReplicaResult, error) {
 	res.StandbyLagP95NS = lags[len(lags)*95/100].Nanoseconds()
 
 	// Failover under live load.
-	loadFormats, err := replicaFormats("replica_load", nFormats)
+	loadFormats, err := ReplicaFormats("replica_load", nFormats)
 	if err != nil {
 		return res, err
 	}
@@ -207,23 +188,16 @@ func (h *Harness) ReplicaSweep(quick bool) (ReplicaResult, error) {
 	waitPromoted := func() error {
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if peers[1].node.Role() == registry.RolePrimary {
+			if peers[1].srv.Role() == registry.RolePrimary {
 				return nil
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 		return fmt.Errorf("replica: successor never promoted")
 	}
-	fr, err := replicaFailoverLoad(addrs, shards, loadFormats, loadFor, killPrimary, waitPromoted)
-	if err != nil {
+	if err := FailoverLoad(&res, addrs, shards, loadFormats, loadFor, killPrimary, waitPromoted); err != nil {
 		return res, err
 	}
-	res.Resolutions = fr.resolutions
-	res.FailedResolutions = fr.failed
-	res.Registers = fr.registers
-	res.RegisterRetries = fr.retries
-	res.BlackoutNS = fr.blackoutNS
-	res.StalenessMaxNS = fr.stalenessMaxNS
 
 	// Sharded resolve throughput vs a single daemon (fresh, healthy
 	// deployments of each; the failover cluster above lost a peer).
@@ -247,8 +221,8 @@ func replicaFormat(name string, i int) (*pbio.Format, error) {
 	return pbio.NewFormat(name, fields)
 }
 
-// replicaFormats builds the n formats prefix_0 … prefix_(n-1).
-func replicaFormats(prefix string, n int) ([]*pbio.Format, error) {
+// ReplicaFormats builds the n formats prefix_0 … prefix_(n-1).
+func ReplicaFormats(prefix string, n int) ([]*pbio.Format, error) {
 	out := make([]*pbio.Format, 0, n)
 	for i := 0; i < n; i++ {
 		f, err := replicaFormat(fmt.Sprintf("%s_%d", prefix, i), i)
@@ -260,22 +234,14 @@ func replicaFormats(prefix string, n int) ([]*pbio.Format, error) {
 	return out, nil
 }
 
-// failoverResult collects the live-load phase's counters.
-type failoverResult struct {
-	resolutions, failed int64
-	registers, retries  int64
-	blackoutNS          int64
-	stalenessMaxNS      int64
-}
-
-// replicaFailoverLoad drives continuous resolve + register traffic through
-// cluster clients while kill() takes the primary down mid-run. The resolver
-// has a one-entry LRU so every resolution is a live round-trip to some
-// replica; the blackout is the longest observed gap between two successful
-// resolutions.
-func replicaFailoverLoad(addrs []string, shards int, formats []*pbio.Format,
-	loadFor time.Duration, kill func(), waitPromoted func() error) (failoverResult, error) {
-	var fr failoverResult
+// FailoverLoad drives continuous resolve + register traffic through cluster
+// clients for loadFor while kill() takes the primary down a third of the way
+// in, and records the live-load counters in res. The resolver has a
+// one-entry LRU so every resolution is a live round-trip to some replica;
+// the blackout is the longest observed gap between two successful
+// resolutions. formats must already be registered.
+func FailoverLoad(res *ReplicaResult, addrs []string, shards int, formats []*pbio.Format,
+	loadFor time.Duration, kill func(), waitPromoted func() error) error {
 
 	resolver := registry.NewClusterClient(addrs, shards,
 		registry.WithWatchDisabled(),
@@ -375,19 +341,19 @@ func replicaFailoverLoad(addrs []string, shards int, formats []*pbio.Format,
 	if err := waitPromoted(); err != nil {
 		close(stop)
 		wg.Wait()
-		return fr, err
+		return err
 	}
 	time.Sleep(2 * loadFor / 3)
 	close(stop)
 	wg.Wait()
 
-	fr.resolutions = atomic.LoadInt64(&resolved)
-	fr.failed = atomic.LoadInt64(&failed)
-	fr.registers = atomic.LoadInt64(&registers)
-	fr.retries = atomic.LoadInt64(&retries)
-	fr.blackoutNS = maxGapNS
-	fr.stalenessMaxNS = stalenessMax
-	return fr, nil
+	res.Resolutions = atomic.LoadInt64(&resolved)
+	res.FailedResolutions = atomic.LoadInt64(&failed)
+	res.Registers = atomic.LoadInt64(&registers)
+	res.RegisterRetries = atomic.LoadInt64(&retries)
+	res.BlackoutNS = maxGapNS
+	res.StalenessMaxNS = stalenessMax
+	return nil
 }
 
 // replicaThroughput measures cold-resolution throughput through a healthy
@@ -402,7 +368,7 @@ func (h *Harness) replicaThroughput(res *ReplicaResult, quick bool) error {
 		nFormats = 32
 	}
 
-	formats, err := replicaFormats("replica_cold", nFormats)
+	formats, err := ReplicaFormats("replica_cold", nFormats)
 	if err != nil {
 		return err
 	}
@@ -446,7 +412,7 @@ func (h *Harness) replicaThroughput(res *ReplicaResult, quick bool) error {
 	}
 
 	// Cluster: 3 peers, reads sharded across all of them.
-	peers, addrs, err := startReplicaCluster(nPeers, shards, 50*time.Millisecond)
+	peers, addrs, err := startReplicaCluster(nPeers, 50*time.Millisecond)
 	if err != nil {
 		return err
 	}
@@ -519,96 +485,6 @@ func (h *Harness) replicaThroughput(res *ReplicaResult, quick bool) error {
 	res.HitNS = timeIt(hit, 20*time.Millisecond).Nanoseconds()
 	res.HitAllocs = testing.AllocsPerRun(200, hit)
 	return nil
-}
-
-// ExternalReplicaRun drives the failover load against an already-running
-// cluster (check.sh starts three real formatd processes and SIGKILLs the
-// primary mid-run). Propagation lag is sampled as write-to-visibility
-// through per-peer clients; the blackout and failure counters have the same
-// semantics as the in-process sweep.
-func ExternalReplicaRun(addrs []string, shards int, duration time.Duration) (ReplicaResult, error) {
-	res := ReplicaResult{Peers: len(addrs), Shards: shards}
-
-	// Seed the table through the cluster (retrying while it elects).
-	pub := registry.NewClusterClient(addrs, shards,
-		registry.WithWatchDisabled(), registry.WithTimeout(time.Second), registry.WithBackoff(100*time.Millisecond))
-	defer pub.Close()
-	formats, err := replicaFormats("replica_seed", 64)
-	if err != nil {
-		return res, err
-	}
-	for _, f := range formats {
-		var rerr error
-		for attempt := 0; attempt < 50; attempt++ {
-			if rerr = pub.Register(f); rerr == nil {
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		if rerr != nil {
-			return res, fmt.Errorf("replica: seeding cluster: %w", rerr)
-		}
-	}
-	// Replication settle: every peer must answer before load starts, or
-	// early resolutions race the seed writes.
-	for _, addr := range addrs {
-		c := registry.NewClient(addr, registry.WithWatchDisabled())
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if _, _, err := c.ResolveFormat(formats[len(formats)-1].Fingerprint()); err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				_ = c.Close()
-				return res, fmt.Errorf("replica: peer %s never caught up", addr)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		_ = c.Close()
-	}
-
-	lagFormats, err := replicaFormats("replica_ext_lag", 16)
-	if err != nil {
-		return res, err
-	}
-	lags := make([]time.Duration, 0, len(lagFormats))
-	for _, f := range lagFormats {
-		if err := pub.Register(f); err != nil {
-			return res, err
-		}
-		acked := time.Now()
-		// Visibility on the last peer (a standby in the usual layout).
-		c := registry.NewClient(addrs[len(addrs)-1], registry.WithWatchDisabled(), registry.WithNegTTL(time.Millisecond))
-		for {
-			if _, _, err := c.ResolveFormat(f.Fingerprint()); err == nil {
-				break
-			}
-			if time.Since(acked) > 5*time.Second {
-				_ = c.Close()
-				return res, fmt.Errorf("replica: standby never saw %s", f.Name())
-			}
-			time.Sleep(500 * time.Microsecond)
-		}
-		_ = c.Close()
-		lags = append(lags, time.Since(acked))
-	}
-	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
-	res.StandbyLagP50NS = lags[len(lags)/2].Nanoseconds()
-	res.StandbyLagP95NS = lags[len(lags)*95/100].Nanoseconds()
-
-	fr, err := replicaFailoverLoad(addrs, shards, formats, duration,
-		func() {}, // the script does the killing, on its own clock
-		func() error { return nil })
-	if err != nil {
-		return res, err
-	}
-	res.Resolutions = fr.resolutions
-	res.FailedResolutions = fr.failed
-	res.Registers = fr.registers
-	res.RegisterRetries = fr.retries
-	res.BlackoutNS = fr.blackoutNS
-	res.StalenessMaxNS = fr.stalenessMaxNS
-	return res, nil
 }
 
 // PrintReplica renders the experiment as the paper-style text block.

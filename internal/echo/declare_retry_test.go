@@ -1,13 +1,10 @@
 package echo
 
 import (
-	"fmt"
 	"net"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -32,31 +29,18 @@ func TestDeclareRidesOutElection(t *testing.T) {
 		addrs[i] = ln.Addr().String()
 	}
 	srvs := make([]*registry.Server, peers)
-	nodes := make([]*cluster.Node, peers)
 	for i := range srvs {
-		srv, err := registry.NewServer()
+		srv, err := registry.NewServer(registry.WithPeers(addrs, i, 10*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := cluster.New(srv, cluster.Config{
-			Index:     i,
-			Peers:     addrs,
-			Shards:    1,
-			Heartbeat: 10 * time.Millisecond,
-			FailAfter: 3,
-			Obs:       obs.NewRegistry(fmt.Sprintf("declretry%d", i)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i], nodes[i] = srv, node
+		srvs[i] = srv
 		ln := lns[i]
 		go func() { _ = srv.Serve(ln) }()
-		node.Start()
-		t.Cleanup(func() { node.Close(); _ = srv.Close(); _ = ln.Close() })
+		t.Cleanup(func() { _ = srv.Close(); _ = ln.Close() })
 	}
 	waitFor(t, "peer 0 primary", func() bool {
-		return nodes[0].Role() == registry.RolePrimary && nodes[1].Role() == registry.RoleStandby
+		return srvs[0].Role() == registry.RolePrimary && srvs[1].Role() == registry.RoleStandby
 	})
 
 	serverRC := registry.NewClusterClient(addrs, 1,
@@ -74,7 +58,6 @@ func TestDeclareRidesOutElection(t *testing.T) {
 
 	// Kill the primary, then Declare immediately — square in the election
 	// window, when the standby answers writes with "retry".
-	nodes[0].Close()
 	_ = srvs[0].Close()
 	_ = lns[0].Close()
 	pub.Declare(regQuoteV2, regQuoteXform)

@@ -42,7 +42,7 @@ const (
 //
 // The client is four layers:
 //
-//	repl.go    ReplSession — the connection and RPC mux (shared with internal/cluster)
+//	repl.go    replSession — the connection and RPC mux (shared with the server's standby link)
 //	cache.go   cache — positive LRU, negative TTL, singleflight
 //	peer.go    peer — one daemon: down gate, RPC modes; watch.go: its subscribe, resubscribe, event dispatch
 //	client.go  Client — routing, failover, read repair, the publish ledger and reconvergence

@@ -1,4 +1,4 @@
-package cluster
+package registry
 
 import (
 	"errors"
@@ -11,65 +11,31 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pbio"
-	"repro/internal/registry"
 )
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
-}
-
-func testFormat(t *testing.T, name string, extra int) *pbio.Format {
-	t.Helper()
-	fields := []pbio.Field{
-		{Name: "id", Kind: pbio.Integer, Size: 4},
-		{Name: "body", Kind: pbio.String},
-	}
-	for i := 0; i < extra; i++ {
-		fields = append(fields, pbio.Field{Name: fmt.Sprintf("x%d", i), Kind: pbio.Integer, Size: 4})
-	}
-	f, err := pbio.NewFormat(name, fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // testCluster is an in-process peer set: every peer is a full Server +
-// listener + Node, with per-peer snapshot and cursor files, so a kill or
-// restart behaves exactly like a daemon process dying or rebooting (remote
-// peers observe connection loss and missed heartbeats either way).
+// listener, with per-peer snapshot and cursor files, so a kill or restart
+// behaves exactly like a daemon process dying or rebooting (remote peers
+// observe connection loss and missed heartbeats either way).
 type testCluster struct {
 	t     *testing.T
 	dir   string
 	addrs []string
-	srvs  []*registry.Server
+	srvs  []*Server
 	lns   []net.Listener
-	nodes []*Node
 	obses []*obs.Registry
 }
 
-const (
-	testHB        = 25 * time.Millisecond
-	testFailAfter = 3
-)
+const testHB = 25 * time.Millisecond
 
-// newTestCluster reserves n loopback addresses and starts a node on each.
+// newTestCluster reserves n loopback addresses and starts a peer on each.
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		t:     t,
 		dir:   t.TempDir(),
-		srvs:  make([]*registry.Server, n),
+		srvs:  make([]*Server, n),
 		lns:   make([]net.Listener, n),
-		nodes: make([]*Node, n),
 		obses: make([]*obs.Registry, n),
 	}
 	for i := 0; i < n; i++ {
@@ -87,47 +53,26 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 	return tc
 }
 
-func (tc *testCluster) snapshotPath(i int) string {
-	return filepath.Join(tc.dir, fmt.Sprintf("peer%d.spool", i))
-}
-
-// startPeer builds server + node for peer i on the given listener.
+// startPeer builds peer i's server on the given listener.
 func (tc *testCluster) startPeer(i int, ln net.Listener) {
 	tc.t.Helper()
 	reg := obs.NewRegistry(fmt.Sprintf("peer%d", i))
-	srv, err := registry.NewServer(
-		registry.WithServerObs(reg),
-		registry.WithSnapshotPath(tc.snapshotPath(i)),
+	srv, err := NewServer(
+		WithServerObs(reg),
+		WithSnapshotPath(filepath.Join(tc.dir, fmt.Sprintf("peer%d.spool", i))),
+		WithPeers(tc.addrs, i, testHB),
 	)
 	if err != nil {
 		tc.t.Fatal(err)
 	}
-	node, err := New(srv, Config{
-		Index:     i,
-		Peers:     tc.addrs,
-		Shards:    4,
-		Cursor:    tc.snapshotPath(i) + ".cursor",
-		Heartbeat: testHB,
-		FailAfter: testFailAfter,
-		Obs:       reg,
-		Logf:      tc.t.Logf,
-	})
-	if err != nil {
-		tc.t.Fatal(err)
-	}
-	tc.srvs[i], tc.nodes[i], tc.obses[i] = srv, node, reg
+	tc.srvs[i], tc.obses[i] = srv, reg
 	go func() { _ = srv.Serve(ln) }()
-	node.Start()
 }
 
 // kill takes peer i down the way SIGKILL would: every connection it holds
 // dies at once and its address stops accepting.
 func (tc *testCluster) kill(i int) {
 	tc.t.Helper()
-	if tc.nodes[i] != nil {
-		tc.nodes[i].Close()
-		tc.nodes[i] = nil
-	}
 	if tc.srvs[i] != nil {
 		_ = tc.srvs[i].Close()
 		tc.srvs[i] = nil
@@ -153,7 +98,7 @@ func (tc *testCluster) restart(i int) {
 }
 
 func (tc *testCluster) closeAll() {
-	for i := range tc.nodes {
+	for i := range tc.srvs {
 		tc.kill(i)
 	}
 }
@@ -162,22 +107,33 @@ func (tc *testCluster) closeAll() {
 func (tc *testCluster) waitPrimary(i int) {
 	tc.t.Helper()
 	waitFor(tc.t, fmt.Sprintf("peer %d primary", i), func() bool {
-		return tc.nodes[i] != nil && tc.nodes[i].Role() == registry.RolePrimary
+		return tc.srvs[i] != nil && tc.srvs[i].Role() == RolePrimary
 	})
 }
 
 // waitStandbyOf blocks until peer i is a standby following primary pi.
 func (tc *testCluster) waitStandbyOf(i, pi int) {
 	tc.t.Helper()
-	waitFor(tc.t, fmt.Sprintf("peer %d standby of %d", i, pi), func() bool {
-		n := tc.nodes[i]
-		if n == nil || n.Role() != registry.RoleStandby {
+	waitFor(tc.t, fmt.Sprintf("peer %d standby of %d", i, pi), following(tc.srvs[i], pi))
+}
+
+// following reports whether s is a standby of the primary at index pi.
+func following(s *Server, pi int) func() bool {
+	return func() bool {
+		if s == nil {
 			return false
 		}
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.primaryIdx == pi
-	})
+		s.replMu.Lock()
+		defer s.replMu.Unlock()
+		return s.role == RoleStandby && s.primaryIdx == pi
+	}
+}
+
+// setRole fakes a role on a bare server, as an election would set it.
+func setRole(s *Server, role byte, repl *replSession) {
+	s.replMu.Lock()
+	s.role, s.repl = role, repl
+	s.replMu.Unlock()
 }
 
 // TestClusterReplicationAndForwarding: peer 0 wins the cold-start election,
@@ -190,7 +146,7 @@ func TestClusterReplicationAndForwarding(t *testing.T) {
 	tc.waitStandbyOf(2, 0)
 
 	// Register through standby 1 — the write authority is peer 0.
-	c := registry.NewClient(tc.addrs[1], registry.WithWatchDisabled())
+	c := NewClient(tc.addrs[1], WithWatchDisabled())
 	defer c.Close()
 	f := testFormat(t, "forwarded", 1)
 	if err := c.Register(f); err != nil {
@@ -243,7 +199,7 @@ func TestFailoverPromotesDeterministicSuccessor(t *testing.T) {
 	}
 
 	// Writes flow through the new primary.
-	c := registry.NewClient(tc.addrs[2], registry.WithWatchDisabled())
+	c := NewClient(tc.addrs[2], WithWatchDisabled())
 	defer c.Close()
 	f := testFormat(t, "postfailover", 2)
 	if err := c.Register(f); err != nil {
@@ -261,12 +217,12 @@ func TestFailoverPromotesDeterministicSuccessor(t *testing.T) {
 		_, err := tc.srvs[0].Resolve(f.Fingerprint())
 		return err == nil
 	})
-	if tc.nodes[1].Role() != registry.RolePrimary {
+	if tc.srvs[1].Role() != RolePrimary {
 		t.Error("primary demoted by a rejoining lower-index peer")
 	}
 }
 
-// TestClusterClientZeroFailedResolutionsDuringFailover is the tentpole's
+// TestClusterClientZeroFailedResolutionsDuringFailover is the failover
 // acceptance scenario in miniature: continuous resolution traffic through a
 // cluster client while the primary is killed — every resolution must be
 // answered by some replica; none may fail.
@@ -276,7 +232,7 @@ func TestClusterClientZeroFailedResolutionsDuringFailover(t *testing.T) {
 	tc.waitStandbyOf(1, 0)
 	tc.waitStandbyOf(2, 0)
 
-	pub := registry.NewClusterClient(tc.addrs, 4, registry.WithWatchDisabled())
+	pub := NewClusterClient(tc.addrs, 4, WithWatchDisabled())
 	defer pub.Close()
 	const nFormats = 16
 	fps := make([]uint64, 0, nFormats)
@@ -296,11 +252,11 @@ func TestClusterClientZeroFailedResolutionsDuringFailover(t *testing.T) {
 
 	// The resolver has a one-entry cache, so every resolution is a real
 	// round-trip to some replica — no hiding behind the LRU.
-	resolver := registry.NewClusterClient(tc.addrs, 4,
-		registry.WithWatchDisabled(),
-		registry.WithCacheSize(1),
-		registry.WithTimeout(300*time.Millisecond),
-		registry.WithBackoff(100*time.Millisecond),
+	resolver := NewClusterClient(tc.addrs, 4,
+		WithWatchDisabled(),
+		WithCacheSize(1),
+		WithTimeout(300*time.Millisecond),
+		WithBackoff(100*time.Millisecond),
 	)
 	defer resolver.Close()
 
@@ -341,42 +297,37 @@ func TestClusterClientZeroFailedResolutionsDuringFailover(t *testing.T) {
 
 // TestElectionWindowWriteSurfacedRetryable pins the write contract for the
 // state every standby passes through between detaching from a dead primary
-// and attaching to the promoted one: clustered, standby role, no forward
-// path. A write landing in that window used to be applied locally and
-// acknowledged OK — stranding it on one peer, invisible to the eventual
-// primary and everyone replicating from it. It must instead be refused as
-// retryable with nothing applied, and start succeeding again the moment the
-// window closes.
+// and attaching to the promoted one: not primary, no forward path. A write
+// landing in that window used to be applied locally and acknowledged OK —
+// stranding it on one peer, invisible to the eventual primary and everyone
+// replicating from it. It must instead be refused as retryable with nothing
+// applied, and start succeeding again the moment the window closes.
 func TestElectionWindowWriteSurfacedRetryable(t *testing.T) {
-	srv, err := registry.NewServer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	t.Cleanup(func() { _ = srv.Close(); _ = ln.Close() })
+	srv, addr := startDaemon(t)
+	t.Cleanup(func() { _ = srv.Close() })
 
-	// The election window: cluster member, not primary, forwarder detached.
-	srv.SetClustered(true)
-	srv.SetHelloInfo(registry.RoleStandby, 1, 4)
-
-	c := registry.NewClient(ln.Addr().String(), registry.WithWatchDisabled())
+	// The election window: standby role, forward path detached.
+	setRole(srv, RoleStandby, nil)
+	c := NewClient(addr, WithWatchDisabled())
 	defer c.Close()
 	f := testFormat(t, "windowed", 1)
-	if err := c.Register(f); !errors.Is(err, registry.ErrRetryable) {
+	if err := c.Register(f); !errors.Is(err, ErrRetryable) {
 		t.Fatalf("register in the election window: err = %v, want ErrRetryable", err)
 	}
 	if srv.Len() != 0 {
 		t.Fatalf("election-window write was applied locally (table len %d)", srv.Len())
 	}
 
-	// The other half of the window: a forwarder whose path to the primary is
-	// dead. Same contract — retryable, not applied.
-	srv.SetWriteForwarder(func(uint64, []byte) error { return fmt.Errorf("connection refused") })
-	if err := c.Register(f); !errors.Is(err, registry.ErrRetryable) {
+	// The other half of the window: a forward path whose link to the primary
+	// is dead. Same contract — retryable, not applied.
+	dead, err := dialRepl(addr, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = dead.Close()
+	<-dead.Done()
+	setRole(srv, RoleStandby, dead)
+	if err := c.Register(f); !errors.Is(err, ErrRetryable) {
 		t.Fatalf("register over a dead forward path: err = %v, want ErrRetryable", err)
 	}
 	if srv.Len() != 0 {
@@ -384,8 +335,7 @@ func TestElectionWindowWriteSurfacedRetryable(t *testing.T) {
 	}
 
 	// Promotion closes the window: the primary applies locally and acks.
-	srv.SetWriteForwarder(nil)
-	srv.SetHelloInfo(registry.RolePrimary, 1, 4)
+	setRole(srv, RolePrimary, nil)
 	if err := c.Register(f); err != nil {
 		t.Fatalf("register after promotion: %v", err)
 	}
@@ -393,12 +343,32 @@ func TestElectionWindowWriteSurfacedRetryable(t *testing.T) {
 		t.Fatalf("post-promotion table len = %d, want 1", srv.Len())
 	}
 
-	// And leaving the cluster restores standalone behavior even as a standby
-	// hello-role leftover.
-	srv.SetClustered(false)
-	srv.SetHelloInfo(registry.RoleStandby, 1, 4)
-	if err := c.Register(testFormat(t, "standalone", 2)); err != nil {
-		t.Fatalf("standalone register: %v", err)
+	// The boot window through the public constructor: index 1 of two, peer
+	// 0 unreachable. Until the boot grace (failAfter heartbeats) expires the
+	// server has no role, so a write is retryable and nothing is applied.
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := gone.Addr().String()
+	_ = gone.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	booting, err := NewServer(WithPeers([]string{deadAddr, ln.Addr().String()}, 1, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = booting.Close(); _ = ln.Close() })
+	go func() { _ = booting.Serve(ln) }()
+	bc := NewClient(ln.Addr().String(), WithWatchDisabled())
+	defer bc.Close()
+	if err := bc.Register(testFormat(t, "booting", 2)); !errors.Is(err, ErrRetryable) {
+		t.Fatalf("register in the boot window: err = %v, want ErrRetryable", err)
+	}
+	if booting.Len() != 0 {
+		t.Fatalf("boot-window write was applied locally (table len %d)", booting.Len())
 	}
 }
 
@@ -416,10 +386,10 @@ func TestElectionDuringWrite(t *testing.T) {
 	// All writes enter at peer 2, which stays a standby across the failover,
 	// so every write exercises the forwarding path before and after — and the
 	// detached window in between.
-	w := registry.NewClient(tc.addrs[2],
-		registry.WithWatchDisabled(),
-		registry.WithTimeout(300*time.Millisecond),
-		registry.WithBackoff(30*time.Millisecond),
+	w := NewClient(tc.addrs[2],
+		WithWatchDisabled(),
+		WithTimeout(300*time.Millisecond),
+		WithBackoff(30*time.Millisecond),
 	)
 	defer w.Close()
 
@@ -493,51 +463,36 @@ func TestElectionDuringWrite(t *testing.T) {
 // TestElectionDuringWrite. Replication is asynchronous, so a write a standby
 // accepted and its primary acknowledged may never have reached the peer that
 // is promoted when that primary dies — here by construction: peers 0 and 1
-// are bare servers, so peer 1 replicates nothing. The accepting standby must
-// re-forward the write to the new primary when it attaches; before it did,
-// the acknowledged write lived on the accepting peer alone.
+// are bare servers with faked roles, so peer 1 replicates nothing. The
+// accepting standby must re-forward the write to the new primary when it
+// attaches; before it did, the acknowledged write lived on the accepting peer
+// alone.
 func TestStandbyReannouncesAckedWrites(t *testing.T) {
-	serve := func() (*registry.Server, net.Listener) {
-		srv, err := registry.NewServer()
-		if err != nil {
-			t.Fatal(err)
-		}
+	lns := make([]net.Listener, 3)
+	addrs := make([]string, 3)
+	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() { _ = srv.Serve(ln) }()
-		t.Cleanup(func() { _ = srv.Close(); _ = ln.Close() })
-		return srv, ln
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	oldPrimary, ln0 := serve()
-	oldPrimary.SetHelloInfo(registry.RolePrimary, 0, 4)
-	successor, ln1 := serve()
-	successor.SetHelloInfo(registry.RoleStandby, 1, 4)
-	srv, ln2 := serve()
-	node, err := New(srv, Config{
-		Index:     2,
-		Peers:     []string{ln0.Addr().String(), ln1.Addr().String(), ln2.Addr().String()},
-		Shards:    4,
-		Heartbeat: testHB,
-		FailAfter: testFailAfter,
-		Logf:      t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Start()
-	t.Cleanup(node.Close)
-	following := func(pi int) func() bool {
-		return func() bool {
-			node.mu.Lock()
-			defer node.mu.Unlock()
-			return node.role == registry.RoleStandby && node.primaryIdx == pi
+	serve := func(i int, opts ...ServerOption) *Server {
+		srv, err := NewServer(opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
+		go func() { _ = srv.Serve(lns[i]) }()
+		t.Cleanup(func() { _ = srv.Close(); _ = lns[i].Close() })
+		return srv
 	}
-	waitFor(t, "standby of peer 0", following(0))
+	oldPrimary := serve(0) // a bare server is a primary from construction
+	successor := serve(1)
+	setRole(successor, RoleStandby, nil)
+	srv := serve(2, WithPeers(addrs, 2, testHB))
+	waitFor(t, "standby of peer 0", following(srv, 0))
 
-	c := registry.NewClient(ln2.Addr().String(), registry.WithWatchDisabled())
+	c := NewClient(addrs[2], WithWatchDisabled())
 	defer c.Close()
 	f := testFormat(t, "acked", 2)
 	waitFor(t, "write acknowledged through the standby", func() bool { return c.Register(f) == nil })
@@ -546,10 +501,12 @@ func TestStandbyReannouncesAckedWrites(t *testing.T) {
 	}
 
 	_ = oldPrimary.Close()
-	_ = ln0.Close()
-	successor.BumpInstance()
-	successor.SetHelloInfo(registry.RolePrimary, 1, 4)
-	waitFor(t, "standby of peer 1", following(1))
+	_ = lns[0].Close()
+	successor.watchMu.Lock()
+	successor.instance = newInstance() // a promotion's new incarnation
+	successor.watchMu.Unlock()
+	setRole(successor, RolePrimary, nil)
+	waitFor(t, "standby of peer 1", following(srv, 1))
 	waitFor(t, "acknowledged write on the new primary", func() bool {
 		_, err := successor.Resolve(f.Fingerprint())
 		return err == nil
@@ -565,7 +522,7 @@ func TestStandbySnapshotRestartNoDoubleApply(t *testing.T) {
 	tc.waitPrimary(0)
 	tc.waitStandbyOf(1, 0)
 
-	pub := registry.NewClient(tc.addrs[0], registry.WithWatchDisabled())
+	pub := NewClient(tc.addrs[0], WithWatchDisabled())
 	defer pub.Close()
 	const before = 8
 	for i := 0; i < before; i++ {
@@ -574,7 +531,11 @@ func TestStandbySnapshotRestartNoDoubleApply(t *testing.T) {
 		}
 	}
 	waitFor(t, "standby caught up pre-restart", func() bool {
-		return tc.srvs[1].Len() == before && tc.nodes[1].ReplLag() == 0
+		s := tc.srvs[1]
+		s.replMu.Lock()
+		lag := s.lagLocked()
+		s.replMu.Unlock()
+		return s.Len() == before && lag == 0
 	})
 
 	// Bounce the standby. Its snapshot holds the table, its cursor the
@@ -593,7 +554,7 @@ func TestStandbySnapshotRestartNoDoubleApply(t *testing.T) {
 		return tc.srvs[1].Len() == before+during
 	})
 
-	// The restarted node applied exactly the events it missed: cursor
+	// The restarted peer applied exactly the events it missed: cursor
 	// resume replayed nothing it already had (applied == during) and no
 	// full resync re-pushed the old table (damped == 0 — every damped apply
 	// would be a double-delivery).
@@ -613,4 +574,29 @@ func TestStandbySnapshotRestartNoDoubleApply(t *testing.T) {
 		_, err := tc.srvs[1].Resolve(f.Fingerprint())
 		return err == nil
 	})
+}
+
+// TestParseHelloInfoVintages is the rolling-upgrade interop proof for the
+// hello extension: every vintage of the payload a peer may meet parses to
+// the right role.
+func TestParseHelloInfoVintages(t *testing.T) {
+	base := appendHello(nil, capWatch, 0x1122334455667788, 300)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		role    byte
+	}{
+		{"pre-cluster (no extension)", base, RoleNone},
+		{"role|index|shards", append(append([]byte(nil), base...), RoleStandby, 2, 4), RoleStandby},
+		{"role only", append(append([]byte(nil), base...), RolePrimary), RolePrimary},
+	} {
+		hi, err := parseHelloInfo(tc.payload)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if hi.caps != capWatch || hi.instance != 0x1122334455667788 || hi.seq != 300 || hi.role != tc.role {
+			t.Errorf("%s: parsed %+v, want caps %d instance 0x1122334455667788 seq 300 role %d",
+				tc.name, hi, capWatch, tc.role)
+		}
+	}
 }

@@ -22,7 +22,7 @@ type peer struct {
 
 	mu        sync.Mutex
 	closed    bool
-	sess      *ReplSession
+	sess      *replSession
 	downUntil time.Time
 
 	// Watch state (guarded by mu; the replay cursor lives in the cache with
@@ -245,8 +245,8 @@ func (p *peer) rpc(op byte, payload []byte, mode rpcMode) (rpcResp, error) {
 }
 
 // dialLocked connects a new session to the daemon and watches it for loss.
-func (p *peer) dialLocked() (*ReplSession, error) {
-	sess, err := DialRepl(p.addr, p.c.timeout, p.onEvent)
+func (p *peer) dialLocked() (*replSession, error) {
+	sess, err := dialRepl(p.addr, p.c.timeout, p.onEvent)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +273,7 @@ func (p *peer) dialLocked() (*ReplSession, error) {
 // session and from the session's Done watcher; whichever comes first wins and
 // the other finds the session already superseded, so one loss marks the peer
 // down once and arms one resubscribe.
-func (p *peer) dropSessionLocked(sess *ReplSession) {
+func (p *peer) dropSessionLocked(sess *replSession) {
 	if p.sess != sess {
 		return // already dropped, superseded by a redial, or the peer closed
 	}

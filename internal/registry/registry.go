@@ -14,7 +14,11 @@
 //     over the existing wire framing — registry RPCs ride a dedicated
 //     control-frame kind (wire.FrameRegistry), so the daemon speaks the same
 //     transport as every other component. /debug/registryz exposes the
-//     table; an optional spool snapshot makes restarts lossless.
+//     table; an optional spool snapshot makes restarts lossless. The Server
+//     also owns replication (cluster.go): given a peer set (WithPeers) it
+//     elects a primary, replicates as a standby, forwards writes, and
+//     promotes on failure. A standalone daemon is a peer set of one — the
+//     primary from construction.
 //
 //   - Client: an LRU-cached, singleflight-deduplicated resolver implementing
 //     wire.FormatResolver (read side), the wire.WithFormatSuppressor
@@ -81,11 +85,12 @@ const (
 	capWatch byte = 1 << 0 // daemon supports opWatch/opEvent/opUnwatch
 )
 
-// Cluster roles, advertised in the opHello response extension (and surfaced
-// by internal/cluster). A pre-cluster daemon sends no extension at all and
-// parses as RoleNone; peers treat RoleNone like a single standalone daemon.
+// Cluster roles, advertised in the opHello response extension and returned
+// by Server.Role. A pre-cluster daemon sends no extension at all and parses
+// as RoleNone, as does a peer whose election is still in flight; neither is
+// a primary, so peers never defer to it.
 const (
-	RoleNone    byte = 0 // standalone daemon, or extension absent
+	RoleNone    byte = 0 // no role yet (mid-election), or extension absent
 	RolePrimary byte = 1 // accepts writes, sources the replication stream
 	RoleStandby byte = 2 // replicates from the primary, forwards writes
 )
@@ -98,7 +103,7 @@ func RoleName(role byte) string {
 	case RoleStandby:
 		return "standby"
 	default:
-		return "single"
+		return "none"
 	}
 }
 
@@ -200,8 +205,10 @@ func parseEvent(rest []byte) (fp uint64, blob []byte, err error) {
 	return binary.LittleEndian.Uint64(rest[:8]), rest[8:], nil
 }
 
-// appendHello frames the opHello statusOK response payload: capability
-// bitmask, daemon instance ID, current event seqno.
+// appendHello frames the base opHello statusOK response payload: capability
+// bitmask, daemon instance ID, current event seqno. The server follows it
+// with the cluster extension, one role byte. Pre-cluster clients stop
+// parsing after the seqno varint and so ignore the extension.
 func appendHello(dst []byte, caps byte, instance, seq uint64) []byte {
 	dst = append(dst, caps)
 	var inst [8]byte
@@ -210,56 +217,33 @@ func appendHello(dst []byte, caps byte, instance, seq uint64) []byte {
 	return binary.AppendUvarint(dst, seq)
 }
 
-// appendHelloExt frames the full cluster-aware hello payload: the base
-// layout (caps, instance, seq) followed by the cluster extension
-// role(1) | uvarint peer index | uvarint shard count. Pre-cluster clients
-// stop parsing after the seqno varint and so ignore the extension;
-// parseHelloInfo reads it when present.
-func appendHelloExt(dst []byte, caps byte, instance, seq uint64, role byte, index, shards int) []byte {
-	dst = appendHello(dst, caps, instance, seq)
-	dst = append(dst, role)
-	dst = binary.AppendUvarint(dst, uint64(index))
-	return binary.AppendUvarint(dst, uint64(shards))
+// helloInfo is a fully parsed opHello response: the watch handshake fields
+// plus the cluster extension's role.
+type helloInfo struct {
+	caps     byte
+	instance uint64
+	seq      uint64
+	role     byte // RoleNone when the daemon sent no extension
 }
 
-// HelloInfo is a fully parsed opHello response: the watch handshake fields
-// plus the cluster extension (zero values against a pre-cluster daemon).
-type HelloInfo struct {
-	Caps     byte
-	Instance uint64
-	Seq      uint64
-	Role     byte // RoleNone when the daemon sent no extension
-	Index    int  // the daemon's index in its -peers list
-	Shards   int  // the cluster's fingerprint-space shard count
-}
-
-// parseHelloInfo decodes an opHello statusOK response payload including the
-// cluster extension. A missing or truncated extension is not an error — the
-// daemon predates cluster mode and the extension fields stay zero.
-func parseHelloInfo(b []byte) (HelloInfo, error) {
-	var hi HelloInfo
+// parseHelloInfo decodes an opHello statusOK response payload. A missing
+// extension is not an error — the daemon predates cluster mode and reads as
+// RoleNone. Bytes after the role are ignored: earlier daemons also sent
+// their peer index and shard count there, which nothing reads.
+func parseHelloInfo(b []byte) (helloInfo, error) {
+	var hi helloInfo
 	if len(b) < 9 {
 		return hi, fmt.Errorf("registry: short hello response (%d bytes)", len(b))
 	}
-	hi.Caps = b[0]
-	hi.Instance = binary.LittleEndian.Uint64(b[1:9])
+	hi.caps = b[0]
+	hi.instance = binary.LittleEndian.Uint64(b[1:9])
 	seq, used := binary.Uvarint(b[9:])
 	if used <= 0 {
 		return hi, errors.New("registry: bad hello seqno")
 	}
-	hi.Seq = seq
-	rest := b[9+used:]
-	if len(rest) == 0 {
-		return hi, nil
-	}
-	hi.Role = rest[0]
-	idx, u := binary.Uvarint(rest[1:])
-	if u <= 0 {
-		return hi, nil
-	}
-	hi.Index = int(idx)
-	if sh, u2 := binary.Uvarint(rest[1+u:]); u2 > 0 {
-		hi.Shards = int(sh)
+	hi.seq = seq
+	if rest := b[9+used:]; len(rest) > 0 {
+		hi.role = rest[0]
 	}
 	return hi, nil
 }

@@ -43,7 +43,19 @@ type registryzSnapshot struct {
 	WatchRingCap int                `json:"watch_ring_cap"`
 	WatchRingLen int                `json:"watch_ring_len"`
 	Watchers     []registryzWatcher `json:"watchers"`
-	Cluster      any                `json:"cluster,omitempty"`
+	Cluster      registryzCluster   `json:"cluster"`
+}
+
+// registryzCluster is the replication section of /debug/registryz. A
+// standalone daemon reports itself primary of an empty peer table.
+type registryzCluster struct {
+	Role         string      `json:"role"`
+	Index        int         `json:"index"`
+	PrimaryIndex int         `json:"primary_index"`
+	ReplLag      uint64      `json:"repl_lag"`
+	AppliedSeq   uint64      `json:"applied_seq"`
+	Promotions   uint64      `json:"promotions"`
+	Peers        []peerState `json:"peers"`
 }
 
 // Handler returns the /debug/registryz page: the full table, sorted by
@@ -91,8 +103,23 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.watchMu.Unlock()
 		sort.Slice(snap.Watchers, func(i, j int) bool { return snap.Watchers[i].Remote < snap.Watchers[j].Remote })
-		if _, _, _, _, statusFn := s.clusterState(); statusFn != nil {
-			snap.Cluster = statusFn()
+
+		s.replMu.Lock()
+		snap.Cluster = registryzCluster{
+			Role:         RoleName(s.role),
+			Index:        s.self,
+			PrimaryIndex: s.primaryIdx,
+			ReplLag:      s.lagLocked(),
+			AppliedSeq:   s.appliedSeq,
+			Promotions:   s.promotions.Load(),
+			Peers:        append([]peerState{}, s.peerTable...),
+		}
+		s.replMu.Unlock()
+		// The supervisor probes only the others; this row is live.
+		for i := range snap.Cluster.Peers {
+			if p := &snap.Cluster.Peers[i]; p.Self {
+				p.Alive, p.Role, p.Seq, p.LastSeen = true, snap.Cluster.Role, snap.WatchSeq, time.Now()
+			}
 		}
 
 		obs.WritePage(w, req, snap, snap.writeText)
@@ -104,10 +131,8 @@ func (s *Server) Handler() http.Handler {
 func (snap registryzSnapshot) writeText(w io.Writer) {
 	fmt.Fprintf(w, "# formatd table: %d entries (gets=%d puts=%d unknown=%d seq=%d ring=%d/%d watchers=%d)\n",
 		snap.Count, snap.Gets, snap.Puts, snap.Unknown, snap.WatchSeq, snap.WatchRingLen, snap.WatchRingCap, len(snap.Watchers))
-	if snap.Cluster != nil {
-		cj, _ := json.Marshal(snap.Cluster)
-		fmt.Fprintf(w, "# cluster %s\n", cj)
-	}
+	cj, _ := json.Marshal(snap.Cluster)
+	fmt.Fprintf(w, "# cluster %s\n", cj)
 	for _, e := range snap.Entries {
 		fmt.Fprintf(w, "%s %-20s fields=%d xforms=%d hits=%d\n",
 			e.Fingerprint, e.Format, e.Fields, e.Xforms, e.Hits)

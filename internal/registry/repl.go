@@ -11,21 +11,21 @@ import (
 	"repro/internal/wire"
 )
 
-// ReplSession is one raw connection to a registry daemon and the package's
+// replSession is one raw connection to a registry daemon and the package's
 // only RPC mux: request ids, the pending-call table, the read pump and the
 // response/event dispatch live here and nowhere else. Two owners sit on top
-// of it. A cluster standby (internal/cluster) keeps one open to its primary
-// and drives it directly — it wants the unfiltered event stream (every
-// mutation, in order, with its seqno) and explicit control over hello/watch
-// timing, because the seqno bookkeeping *is* the replication state. Each
-// Client peer dials one on demand and layers its cache, down gate and
-// resubscription policy above it.
+// of it. A standby Server (cluster.go) keeps one open to its primary and
+// drives it directly — it wants the unfiltered event stream (every mutation,
+// in order, with its seqno) and explicit control over hello/watch timing,
+// because the seqno bookkeeping *is* the replication state. Each Client peer
+// dials one on demand and layers its cache, down gate and resubscription
+// policy above it.
 //
 // Events are delivered on the session's read pump via the onEvent callback
-// given to DialRepl; the blob is a private copy, safe to retain. RPCs are
+// given to dialRepl; the blob is a private copy, safe to retain. RPCs are
 // safe for concurrent use. When the connection dies the Done channel closes
 // and every outstanding RPC fails.
-type ReplSession struct {
+type replSession struct {
 	conn    *wire.Conn
 	onEvent func(seq, fp uint64, blob []byte)
 
@@ -46,15 +46,15 @@ var (
 	errRPCTimeout  = errors.New("registry: rpc timeout")
 )
 
-// DialRepl connects to the registry daemon at addr. onEvent (may be nil)
+// dialRepl connects to the registry daemon at addr. onEvent (may be nil)
 // receives every opEvent push; it runs on the read pump, so a slow callback
 // backpressures the stream rather than dropping events.
-func DialRepl(addr string, timeout time.Duration, onEvent func(seq, fp uint64, blob []byte)) (*ReplSession, error) {
+func dialRepl(addr string, timeout time.Duration, onEvent func(seq, fp uint64, blob []byte)) (*replSession, error) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("registry: dial %s: %w", addr, err)
 	}
-	r := &ReplSession{
+	r := &replSession{
 		onEvent: onEvent,
 		pending: make(map[uint64]chan rpcResp),
 		done:    make(chan struct{}),
@@ -67,12 +67,12 @@ func DialRepl(addr string, timeout time.Duration, onEvent func(seq, fp uint64, b
 	return r, nil
 }
 
-// ProbeHello dials addr, performs one hello round-trip, and closes the
+// probeHello dials addr, performs one hello round-trip, and closes the
 // connection: the cluster's election and heartbeat primitive.
-func ProbeHello(addr string, timeout time.Duration) (HelloInfo, error) {
-	r, err := DialRepl(addr, timeout, nil)
+func probeHello(addr string, timeout time.Duration) (helloInfo, error) {
+	r, err := dialRepl(addr, timeout, nil)
 	if err != nil {
-		return HelloInfo{}, err
+		return helloInfo{}, err
 	}
 	defer r.Close()
 	return r.Hello(timeout)
@@ -80,13 +80,13 @@ func ProbeHello(addr string, timeout time.Duration) (HelloInfo, error) {
 
 // Hello performs one capability/instance/seqno probe, returning the parsed
 // response including the cluster extension.
-func (r *ReplSession) Hello(timeout time.Duration) (HelloInfo, error) {
+func (r *replSession) Hello(timeout time.Duration) (helloInfo, error) {
 	resp, err := r.rpc(opHello, nil, timeout)
 	if err != nil {
-		return HelloInfo{}, err
+		return helloInfo{}, err
 	}
 	if resp.status != statusOK {
-		return HelloInfo{}, fmt.Errorf("registry: repl hello rejected: %s", resp.payload)
+		return helloInfo{}, fmt.Errorf("registry: repl hello rejected: %s", resp.payload)
 	}
 	return parseHelloInfo(resp.payload)
 }
@@ -94,7 +94,7 @@ func (r *ReplSession) Hello(timeout time.Duration) (HelloInfo, error) {
 // Watch subscribes to the mutation stream after the given seqno (0 = full
 // resync) and returns the daemon's current seqno. Events then flow to the
 // onEvent callback until the connection dies.
-func (r *ReplSession) Watch(afterSeq uint64, timeout time.Duration) (uint64, error) {
+func (r *replSession) Watch(afterSeq uint64, timeout time.Duration) (uint64, error) {
 	resp, err := r.rpc(opWatch, binary.AppendUvarint(nil, afterSeq), timeout)
 	if err != nil {
 		return 0, err
@@ -112,7 +112,7 @@ func (r *ReplSession) Watch(afterSeq uint64, timeout time.Duration) (uint64, err
 // Put publishes one already-encoded entry blob — the standby's write-forward
 // primitive (the blob arrived encoded from the standby's own client; there
 // is nothing to re-encode).
-func (r *ReplSession) Put(blob []byte, timeout time.Duration) error {
+func (r *replSession) Put(blob []byte, timeout time.Duration) error {
 	resp, err := r.rpc(opPut, blob, timeout)
 	if err != nil {
 		return err
@@ -124,11 +124,12 @@ func (r *ReplSession) Put(blob []byte, timeout time.Duration) error {
 }
 
 // Done closes when the connection has died (peer reset, Close, protocol
-// violation). The supervisor selects on it to trigger failover handling.
-func (r *ReplSession) Done() <-chan struct{} { return r.done }
+// violation). A standby's supervisor selects on it to trigger failover
+// handling.
+func (r *replSession) Done() <-chan struct{} { return r.done }
 
 // Close tears the session down; outstanding RPCs fail, Done closes.
-func (r *ReplSession) Close() error { return r.conn.Close() }
+func (r *replSession) Close() error { return r.conn.Close() }
 
 // rpcResp is one matched RPC response (payload is a private copy).
 type rpcResp struct {
@@ -139,7 +140,7 @@ type rpcResp struct {
 
 // rpc sends one request and waits for its matched response, the deadline
 // (errRPCTimeout), or the connection's death (errSessionLost).
-func (r *ReplSession) rpc(op byte, payload []byte, timeout time.Duration) (rpcResp, error) {
+func (r *replSession) rpc(op byte, payload []byte, timeout time.Duration) (rpcResp, error) {
 	r.mu.Lock()
 	if r.dead {
 		r.mu.Unlock()
@@ -179,7 +180,7 @@ func (r *ReplSession) rpc(op byte, payload []byte, timeout time.Duration) (rpcRe
 
 // pump drives the read loop until the connection dies, then fails every
 // outstanding RPC and closes Done.
-func (r *ReplSession) pump() {
+func (r *replSession) pump() {
 	for {
 		if _, _, err := r.conn.ReadEncoded(); err != nil {
 			break
@@ -197,7 +198,7 @@ func (r *ReplSession) pump() {
 }
 
 // onFrame dispatches one response or event frame from the pump.
-func (r *ReplSession) onFrame(body []byte) {
+func (r *replSession) onFrame(body []byte) {
 	op, reqID, rest, err := parseHeader(body)
 	if err != nil {
 		return

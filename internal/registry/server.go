@@ -45,7 +45,8 @@ type Server struct {
 
 	// Watch/invalidation stream state. Lock order: mu before watchMu (put
 	// appends events while holding mu; pumps never hold watchMu while taking
-	// mu). instance is fixed at construction so clients can detect restarts.
+	// mu). instance identifies this incarnation so clients can detect
+	// restarts; only a promotion changes it.
 	watchMu   sync.Mutex
 	watchCond *sync.Cond
 	watchers  map[*wire.Conn]*watcher
@@ -54,22 +55,33 @@ type Server struct {
 	seq       uint64 // seqno of the latest event (0 = none)
 	instance  uint64
 
-	// Cluster integration (set by internal/cluster; all nil/zero for a
-	// standalone daemon). role/peerIndex/shards ride the hello extension;
-	// forward, when non-nil, intercepts opPut — the standby relays the write
-	// to the primary before applying it locally; statusFn contributes the
-	// "cluster" section of /debug/registryz. clustered marks the server as a
-	// cluster member for the whole life of its Node: while set, a peer that
-	// is not the primary and has no forward path (mid-election) answers opPut
-	// with statusRetry instead of applying the write to its local table only
-	// — an "OK" that the rest of the cluster would never see.
-	clusterMu sync.Mutex
-	clustered bool
-	role      byte
-	peerIndex int
-	shards    int
-	forward   func(fp uint64, blob []byte) error
-	statusFn  func() any
+	// Replication (cluster.go). peers, self and heartbeat are fixed by
+	// WithPeers; cursorPath is derived from the snapshot path.
+	peers      []string
+	self       int
+	heartbeat  time.Duration
+	cursorPath string // "" = cursor not persisted
+
+	// The supervisor's live state, guarded by replMu. role is the server's
+	// one record of its role: opPut, hello and /debug/registryz all read it
+	// here. repl is a standby's session to its primary and doubles as its
+	// write-forward path (nil: none — mid-election, or not a standby).
+	replMu      sync.Mutex
+	role        byte
+	repl        *replSession
+	primaryIdx  int    // index of the primary this server follows (== self when primary)
+	primaryInst uint64 // instance ID of that primary's daemon
+	appliedSeq  uint64 // last primary-stream seqno applied locally
+	primarySeq  uint64 // latest seqno heard from the primary (hello/watch)
+	peerTable   []peerState
+	// forwarded holds every write this standby accepted and its primary
+	// acknowledged, by fingerprint (the blob is the slice the local table
+	// stores). The ack proves the primary held the write, not that any other
+	// standby does — replication is asynchronous — so the peer promoted
+	// after that primary dies may never have seen it; see reannounce.
+	forwarded map[uint64][]byte
+	stop      chan struct{}  // closed by Close: the supervisor exits
+	superWG   sync.WaitGroup // the supervisor goroutine
 
 	snapshotPath string // "" = snapshots disabled
 	lastSnapErr  error  // outcome of the most recent snapshot write (under mu)
@@ -85,6 +97,12 @@ type Server struct {
 	size       *obs.Gauge
 	watchEvs   *obs.Counter
 	watchGauge *obs.Gauge
+	roleGauge  *obs.Gauge   // cluster.role: 1 primary, 2 standby
+	lagGauge   *obs.Gauge   // cluster.repl_lag: primary seq - applied seq
+	aliveGauge *obs.Gauge   // cluster.peers_alive
+	promotions *obs.Counter // cluster.promotions
+	applied    *obs.Counter // cluster.applied: replicated mutations stored
+	damped     *obs.Counter // cluster.damped: byte-identical echoes dropped
 }
 
 // ServerOption configures a Server.
@@ -115,17 +133,24 @@ func WithSnapshotPath(path string) ServerOption {
 // configured and present. A corrupt snapshot is an error — silently serving
 // a partial table would defeat the suppression protocol — except for a torn
 // final frame, which is the expected shape of a crash mid-snapshot and
-// drops only the entry being written.
+// drops only the entry being written. A server with a peer set (WithPeers)
+// starts its replication supervisor before returning; Close stops it.
 func NewServer(opts ...ServerOption) (*Server, error) {
 	s := &Server{
-		table:    make(map[uint64]*tableEntry),
-		watchers: make(map[*wire.Conn]*watcher),
-		instance: uint64(time.Now().UnixNano()) ^ rand.Uint64(),
-		ringCap:  DefaultWatchRing,
+		table:      make(map[uint64]*tableEntry),
+		watchers:   make(map[*wire.Conn]*watcher),
+		instance:   newInstance(),
+		ringCap:    DefaultWatchRing,
+		primaryIdx: -1,
+		forwarded:  make(map[uint64][]byte),
+		stop:       make(chan struct{}),
 	}
 	s.watchCond = sync.NewCond(&s.watchMu)
 	for _, o := range opts {
 		o(s)
+	}
+	if len(s.peers) > 0 && (s.self < 0 || s.self >= len(s.peers)) {
+		return nil, fmt.Errorf("registry: peer index %d out of range for %d peers", s.self, len(s.peers))
 	}
 	s.gets = s.reg.Counter("formatd.gets")
 	s.puts = s.reg.Counter("formatd.puts")
@@ -140,7 +165,13 @@ func NewServer(opts ...ServerOption) (*Server, error) {
 			return nil, err
 		}
 	}
+	s.startReplication()
 	return s, nil
+}
+
+// newInstance draws a random daemon instance ID.
+func newInstance() uint64 {
+	return uint64(time.Now().UnixNano()) ^ rand.Uint64()
 }
 
 // Put stores an entry, replacing any previous one for the same fingerprint,
@@ -289,7 +320,7 @@ func (s *Server) WatchSeq() uint64 {
 	return s.seq
 }
 
-// ApplyReplicated stores an entry replicated from another daemon's watch
+// applyReplicated stores an entry replicated from another daemon's watch
 // stream. It behaves like putBlob with one crucial damping rule: a blob that
 // is byte-identical to the one already stored is a no-op — no local event is
 // emitted and no snapshot is rewritten. That makes replication convergent:
@@ -297,7 +328,7 @@ func (s *Server) WatchSeq() uint64 {
 // primary's event, a client of the standby re-registers it, ...) dies out
 // after one hop instead of ping-ponging events forever. The returned bool
 // reports whether the table changed.
-func (s *Server) ApplyReplicated(fp uint64, blob []byte) (bool, error) {
+func (s *Server) applyReplicated(fp uint64, blob []byte) (bool, error) {
 	s.mu.RLock()
 	te := s.table[fp]
 	same := te != nil && bytes.Equal(te.blob, blob)
@@ -306,73 +337,6 @@ func (s *Server) ApplyReplicated(fp uint64, blob []byte) (bool, error) {
 		return false, nil
 	}
 	return true, s.putBlob(fp, blob)
-}
-
-// BumpInstance replaces the daemon's instance ID with a fresh random one. A
-// standby promoting to primary calls it: watch clients that reconnect to the
-// promoted daemon see an instance they have never spoken to and reset their
-// replay cursors, forcing the full-table resync that guarantees convergence
-// regardless of what the dead primary did or did not replicate in time.
-func (s *Server) BumpInstance() {
-	s.watchMu.Lock()
-	s.instance = uint64(time.Now().UnixNano()) ^ rand.Uint64()
-	s.watchMu.Unlock()
-}
-
-// SetWriteForwarder installs (or, with nil, removes) the opPut interceptor.
-// While set, an incoming write is first handed to the forwarder — a cluster
-// standby relays it to the primary — and only applied locally (via the
-// ApplyReplicated damping path, so the echo from the primary's event stream
-// is a no-op) once the forwarder acknowledges. A forwarder error fails the
-// RPC; the client retries against another replica.
-func (s *Server) SetWriteForwarder(f func(fp uint64, blob []byte) error) {
-	s.clusterMu.Lock()
-	s.forward = f
-	s.clusterMu.Unlock()
-}
-
-// SetHelloInfo sets the cluster extension advertised in hello responses:
-// the daemon's role, its index in the peer list, and the cluster's shard
-// count. Standalone daemons never call it and advertise RoleNone.
-func (s *Server) SetHelloInfo(role byte, index, shards int) {
-	s.clusterMu.Lock()
-	s.role, s.peerIndex, s.shards = role, index, shards
-	s.clusterMu.Unlock()
-}
-
-// SetClustered marks (or, with false, unmarks) the server as a cluster
-// member. internal/cluster sets it at Node.Start — before the first
-// election, so the boot window is covered too — and clears it at Node.Close,
-// restoring standalone write behavior. While clustered, only the primary may
-// apply an opPut locally; a standby without a live forward path answers
-// statusRetry, never a silent local apply.
-func (s *Server) SetClustered(on bool) {
-	s.clusterMu.Lock()
-	s.clustered = on
-	s.clusterMu.Unlock()
-}
-
-// SetStatusFunc installs the callback whose result is embedded as the
-// "cluster" section of /debug/registryz (nil removes it).
-func (s *Server) SetStatusFunc(fn func() any) {
-	s.clusterMu.Lock()
-	s.statusFn = fn
-	s.clusterMu.Unlock()
-}
-
-// clusterState snapshots the cluster fields for dispatch and the handler.
-func (s *Server) clusterState() (role byte, index, shards int, fwd func(uint64, []byte) error, statusFn func() any) {
-	s.clusterMu.Lock()
-	defer s.clusterMu.Unlock()
-	return s.role, s.peerIndex, s.shards, s.forward, s.statusFn
-}
-
-// writeState snapshots what opPut needs: the forward path, whether the
-// server is a cluster member, and whether it is the write authority.
-func (s *Server) writeState() (fwd func(uint64, []byte) error, clustered, isPrimary bool) {
-	s.clusterMu.Lock()
-	defer s.clusterMu.Unlock()
-	return s.forward, s.clustered, s.role == RolePrimary
 }
 
 // Serve accepts registry connections on ln until the listener closes.
@@ -412,10 +376,12 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops serving: listeners close, and every established registry
-// connection is torn down, so clients observe the daemon's death promptly
-// rather than on their next RPC timeout.
+// Close stops serving: the replication supervisor stops (Close returns only
+// after any replication pump has exited), listeners close, and every
+// established registry connection is torn down, so clients observe the
+// daemon's death promptly rather than on their next RPC timeout.
 func (s *Server) Close() error {
+	s.stopReplication()
 	s.connMu.Lock()
 	s.closed = true
 	lns := s.lns
@@ -498,54 +464,17 @@ func (s *Server) dispatch(conn *wire.Conn, body []byte) error {
 		}
 		return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opGetResp, reqID, statusUnknown, nil))
 	case opPut:
-		e, derr := decodeEntry(payload)
-		if derr != nil {
+		status, msg := s.handlePut(payload)
+		if status != statusOK {
 			s.rerrs.Inc()
-			return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opPutResp, reqID, statusError, []byte(derr.Error())))
 		}
-		blob := append([]byte(nil), payload...)
-		fp := e.Format.Fingerprint()
-		fwd, clustered, isPrimary := s.writeState()
-		if fwd != nil {
-			// Standby: the primary is the write authority. Forward first;
-			// only an acknowledged write is applied locally (read-your-writes
-			// on this replica — the echo from the primary's event stream is
-			// then damped as an identical blob).
-			if ferr := fwd(fp, blob); ferr != nil {
-				// The primary died (or is dying) under this forward: the
-				// write was not applied anywhere, so it is cleanly retryable
-				// — here once a new primary exists, or on another replica.
-				s.rerrs.Inc()
-				return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opPutResp, reqID, statusRetry, []byte(ferr.Error())))
-			}
-			if _, aerr := s.ApplyReplicated(fp, blob); aerr != nil {
-				s.rerrs.Inc()
-				return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opPutResp, reqID, statusError, []byte(aerr.Error())))
-			}
-			return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opPutResp, reqID, statusOK, nil))
-		}
-		if clustered && !isPrimary {
-			// Cluster member with no write authority and no forward path:
-			// the election that will produce one is still in flight (the old
-			// primary just died, or the cluster is booting). Applying the
-			// write locally and acking OK here would strand it on this one
-			// peer — acknowledged, yet invisible to the eventual primary and
-			// every other replica. Surface it as retryable instead.
-			s.rerrs.Inc()
-			return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opPutResp, reqID, statusRetry, []byte("no primary (election in progress)")))
-		}
-		if perr := s.putBlob(fp, blob); perr != nil {
-			s.rerrs.Inc()
-			return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opPutResp, reqID, statusError, []byte(perr.Error())))
-		}
-		return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opPutResp, reqID, statusOK, nil))
+		return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opPutResp, reqID, status, msg))
 	case opHello:
 		s.watchMu.Lock()
 		seq, inst := s.seq, s.instance
 		s.watchMu.Unlock()
-		role, index, shards, _, _ := s.clusterState()
 		return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opHelloResp, reqID, statusOK,
-			appendHelloExt(nil, capWatch, inst, seq, role, index, shards)))
+			append(appendHello(nil, capWatch, inst, seq), s.Role())))
 	case opWatch:
 		afterSeq, used := binary.Uvarint(payload)
 		if used <= 0 {
@@ -562,4 +491,46 @@ func (s *Server) dispatch(conn *wire.Conn, body []byte) error {
 		s.rerrs.Inc()
 		return conn.WriteControl(wire.FrameRegistry, appendResponse(nil, opGetResp, reqID, statusError, []byte("unknown op")))
 	}
+}
+
+// handlePut answers one opPut with its status and error text. One rule: a
+// primary applies the write, a standby with a forward path forwards it, and
+// anything else answers statusRetry.
+func (s *Server) handlePut(payload []byte) (status byte, msg []byte) {
+	e, err := decodeEntry(payload)
+	if err != nil {
+		return statusError, []byte(err.Error())
+	}
+	blob := append([]byte(nil), payload...)
+	fp := e.Format.Fingerprint()
+	s.replMu.Lock()
+	role, repl := s.role, s.repl
+	s.replMu.Unlock()
+	switch {
+	case role == RolePrimary:
+		err = s.putBlob(fp, blob)
+	case repl != nil:
+		// Standby: the primary is the write authority. Forward first; only
+		// an acknowledged write is applied locally (read-your-writes on this
+		// replica — the echo from the primary's event stream is then damped
+		// as an identical blob).
+		if ferr := s.forward(repl, fp, blob); ferr != nil {
+			// The primary died (or is dying) under this forward: the write
+			// was not applied anywhere, so it is cleanly retryable — here
+			// once a new primary exists, or on another replica.
+			return statusRetry, []byte(ferr.Error())
+		}
+		_, err = s.applyReplicated(fp, blob)
+	default:
+		// No write authority and no forward path: the election that will
+		// produce one is still in flight (the old primary just died, or the
+		// peer set is booting). Applying the write locally and acking OK
+		// here would strand it on this one peer — acknowledged, yet
+		// invisible to the eventual primary and every other replica.
+		return statusRetry, []byte("no primary (election in progress)")
+	}
+	if err != nil {
+		return statusError, []byte(err.Error())
+	}
+	return statusOK, nil
 }

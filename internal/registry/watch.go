@@ -96,7 +96,7 @@ func (p *peer) watchOnce(mode rpcMode) error {
 		return ErrWatchUnsupported
 	}
 	hi, perr := parseHelloInfo(resp.payload)
-	if perr != nil || hi.Caps&capWatch == 0 {
+	if perr != nil || hi.caps&capWatch == 0 {
 		return ErrWatchUnsupported
 	}
 
@@ -105,8 +105,8 @@ func (p *peer) watchOnce(mode rpcMode) error {
 	// full table rather than trusting seqnos across incarnations.
 	p.mu.Lock()
 	prevInst := p.watchInst
-	instChanged := hi.Instance != prevInst
-	p.watchInst = hi.Instance
+	instChanged := hi.instance != prevInst
+	p.watchInst = hi.instance
 	p.mu.Unlock()
 	after := p.cache.cursor(instChanged)
 
