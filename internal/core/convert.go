@@ -155,54 +155,58 @@ func (c *Converter) Convert(rec *pbio.Record) (*pbio.Record, error) {
 		return nil, fmt.Errorf("core: converter expects format %q (%016x), got %q (%016x)",
 			c.from.Name(), c.from.Fingerprint(), rec.Format().Name(), rec.Format().Fingerprint())
 	}
-	return c.convert(rec)
+	out := pbio.NewRecord(c.to)
+	if err := c.convert(rec, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-func (c *Converter) convert(rec *pbio.Record) (*pbio.Record, error) {
-	out := pbio.NewRecord(c.to)
+// convert fills out, a zero record of the target format, from rec.
+func (c *Converter) convert(rec, out *pbio.Record) error {
 	for _, s := range c.steps {
 		switch s.mode {
 		case convFill:
 			if !s.fill.IsZero() {
 				if err := out.SetIndex(s.dstIdx, s.fill); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		case convCopyScalar, convCopyString:
 			if err := out.SetIndex(s.dstIdx, rec.GetIndex(s.srcIdx)); err != nil {
-				return nil, err
+				return err
 			}
 		case convComplex:
-			sub, err := s.sub.convert(rec.GetIndex(s.srcIdx).Record())
-			if err != nil {
-				return nil, err
-			}
-			if err := out.SetIndex(s.dstIdx, pbio.RecordOf(sub)); err != nil {
-				return nil, err
+			// out's zero nested record is converted into in place.
+			if err := s.sub.convert(rec.GetIndex(s.srcIdx).Record(), out.GetIndex(s.dstIdx).Record()); err != nil {
+				return err
 			}
 		case convListScalar, convListString:
 			src := rec.GetIndex(s.srcIdx).List()
 			elems := make([]pbio.Value, len(src))
 			copy(elems, src)
 			if err := out.SetIndex(s.dstIdx, pbio.ListOf(elems)); err != nil {
-				return nil, err
+				return err
 			}
 		case convListComplex:
+			// The element records share one exact-size slab.
 			src := rec.GetIndex(s.srcIdx).List()
+			var slab pbio.Slab
+			slab.Reserve(s.sub.to, len(src))
 			elems := make([]pbio.Value, len(src))
 			for i, e := range src {
-				sub, err := s.sub.convert(e.Record())
-				if err != nil {
-					return nil, err
+				sub := slab.NewRecord(s.sub.to)
+				if err := s.sub.convert(e.Record(), sub); err != nil {
+					return err
 				}
 				elems[i] = pbio.RecordOf(sub)
 			}
 			if err := out.SetIndex(s.dstIdx, pbio.ListOf(elems)); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ConvertByName is a one-shot NewConverter + Convert for callers that do not

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -163,5 +164,60 @@ func TestConverterIsolation(t *testing.T) {
 	subs, _ := out.Get("subs")
 	if subs.List()[0].Record().GetIndex(0).Int64() != 1 {
 		t.Error("converted record aliases source storage")
+	}
+}
+
+// TestConvertListAllocs gates the reorder conversion of a 28-member roster
+// (the benchmark's roster_morph sink b) by allocation count: the converted
+// members share one slab instead of costing two allocations each.
+func TestConvertListAllocs(t *testing.T) {
+	member := fmtOrDie(t, "MemberV2", []pbio.Field{
+		{Name: "info", Kind: pbio.String},
+		{Name: "ID", Kind: pbio.Integer, Size: 4},
+		{Name: "is_Source", Kind: pbio.Boolean},
+		{Name: "is_Sink", Kind: pbio.Boolean},
+	})
+	reordered := fmtOrDie(t, "MemberV2", []pbio.Field{
+		{Name: "ID", Kind: pbio.Integer, Size: 4},
+		{Name: "is_Sink", Kind: pbio.Boolean},
+		{Name: "info", Kind: pbio.String},
+		{Name: "is_Source", Kind: pbio.Boolean},
+	})
+	from := fmtOrDie(t, "Roster", []pbio.Field{
+		{Name: "member_count", Kind: pbio.Integer, Size: 4},
+		{Name: "member_list", Kind: pbio.List, Elem: &pbio.Field{Kind: pbio.Complex, Sub: member}},
+	})
+	to := fmtOrDie(t, "Roster", []pbio.Field{
+		{Name: "member_list", Kind: pbio.List, Elem: &pbio.Field{Kind: pbio.Complex, Sub: reordered}},
+		{Name: "member_count", Kind: pbio.Integer, Size: 4},
+	})
+	elems := make([]pbio.Value, 28)
+	for i := range elems {
+		elems[i] = pbio.RecordOf(pbio.NewRecord(member).
+			MustSet("info", pbio.Str(fmt.Sprintf("tcp://node-%05d:%d", i*7919, i))).
+			MustSet("ID", pbio.Int(int64(i))).
+			MustSet("is_Sink", pbio.Bool(i%2 == 0)))
+	}
+	in := pbio.NewRecord(from).
+		MustSet("member_count", pbio.Int(28)).
+		MustSet("member_list", pbio.ListOf(elems))
+	c := NewConverter(from, to)
+
+	var out *pbio.Record
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if out, err = c.Convert(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	got, _ := out.Get("member_list")
+	if got.Len() != 28 || got.List()[27].Record().GetIndex(0).Int64() != 27 ||
+		!got.List()[26].Record().GetIndex(1).Bool() || got.List()[3].Record().GetIndex(2).Strval() != elems[3].Record().GetIndex(0).Strval() {
+		t.Fatalf("converted roster is wrong: %v", out)
+	}
+	// The output record and its values, the element array, and the
+	// members' records and values.
+	if allocs > 5 {
+		t.Errorf("converting a 28-member roster: %v allocs, want <= 5", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package ecode
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -174,6 +175,51 @@ func TestFigure5EmptyMembership(t *testing.T) {
 		if v, _ := out.Get(f); v.Int64() != 0 {
 			t.Errorf("%s = %d, want 0", f, v.Int64())
 		}
+	}
+}
+
+// TestFigure5RunAllocs gates the Figure 5 run on a 28-member roster (half
+// sources, half sinks; the output record included) by allocation count: the
+// three lists it grows take their elements from the run's slab and double
+// their arrays from 8. A program that grows no list must not pay for the
+// slab.
+func TestFigure5RunAllocs(t *testing.T) {
+	v1, v2 := echoFormats(t)
+	prog := MustCompile(figure5Source, Param{Name: "new", Format: v2}, Param{Name: "old", Format: v1})
+	members := make([]struct {
+		info         string
+		id           int64
+		source, sink bool
+	}, 28)
+	for i := range members {
+		members[i].info = fmt.Sprintf("tcp://node-%05d.rack-%02d:%05d", i*7919, i, i*31)
+		members[i].id = int64(i)
+		members[i].source, members[i].sink = i%2 == 0, i%4 < 2
+	}
+	in := v2Record(t, v2, members)
+	var out *pbio.Record
+	allocs := testing.AllocsPerRun(100, func() {
+		out = pbio.NewRecord(v1)
+		if _, err := prog.Run(in, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got, _ := out.Get("sink_list"); got.Len() != 14 {
+		t.Fatalf("sink_list has %d entries, want 14", got.Len())
+	}
+	if allocs > 20 {
+		t.Errorf("Figure 5 on 28 members: %v allocs per run, want <= 20", allocs)
+	}
+
+	scalar := fmtOrDie(t, "s", []pbio.Field{{Name: "a", Kind: pbio.Integer, Size: 4}, {Name: "b", Kind: pbio.Float, Size: 8}})
+	sp := MustCompile("dst.a = src.a + 1; dst.b = src.b * 2.0;", Param{Name: "src", Format: scalar}, Param{Name: "dst", Format: scalar})
+	src, dst := pbio.NewRecord(scalar), pbio.NewRecord(scalar)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sp.Run(src, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("scalar program: %v allocs per run, want <= 2 (frame and run state)", allocs)
 	}
 }
 

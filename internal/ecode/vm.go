@@ -122,10 +122,12 @@ func boolInt(b bool) pbio.Value {
 	return pbio.Int(0)
 }
 
-// stepBudget is the shared instruction budget of one Run, across all
-// user-function invocations.
-type stepBudget struct {
+// runState is the state one Run shares across all user-function
+// invocations: the instruction budget, and the slab that list elements the
+// program creates are carved from (allocated only if it grows a list).
+type runState struct {
 	used, limit int
+	slab        pbio.Slab
 }
 
 // exec runs the program's main instruction stream against the frame.
@@ -134,22 +136,22 @@ func (p *Program) exec(f *frame) (pbio.Value, error) {
 	if limit <= 0 {
 		limit = DefaultMaxSteps
 	}
-	budget := &stepBudget{limit: limit}
-	v, err := p.execOps(p.ops, f, budget, 0)
+	rs := &runState{limit: limit}
+	v, err := p.execOps(p.ops, f, rs, 0)
 	if st := obsCur.Load(); st != nil {
 		st.runs.Inc()
-		st.runSteps.Observe(uint64(budget.used))
+		st.runSteps.Observe(uint64(rs.used))
 	}
 	return v, err
 }
 
 // execOps runs one instruction stream (the main program or a function body).
-func (p *Program) execOps(ops []op, f *frame, budget *stepBudget, depth int) (pbio.Value, error) {
+func (p *Program) execOps(ops []op, f *frame, rs *runState, depth int) (pbio.Value, error) {
 	pc := 0
 	for pc < len(ops) {
-		budget.used++
-		if budget.used > budget.limit {
-			return pbio.Value{}, runtimeErrf(ops[pc].pos, "step limit %d exceeded (possible infinite loop)", budget.limit)
+		rs.used++
+		if rs.used > rs.limit {
+			return pbio.Value{}, runtimeErrf(ops[pc].pos, "step limit %d exceeded (possible infinite loop)", rs.limit)
 		}
 		o := &ops[pc]
 		pc++
@@ -178,7 +180,7 @@ func (p *Program) execOps(ops []op, f *frame, budget *stepBudget, depth int) (pb
 			if idx < 0 {
 				return pbio.Value{}, runtimeErrf(o.pos, "negative list index %d", idx)
 			}
-			elem, err := rec.NavListElem(o.a, int(idx))
+			elem, err := rec.NavListElem(o.a, int(idx), &rs.slab)
 			if err != nil {
 				return pbio.Value{}, runtimeErrf(o.pos, "%v", err)
 			}
@@ -281,7 +283,7 @@ func (p *Program) execOps(ops []op, f *frame, budget *stepBudget, depth int) (pb
 			base := len(f.stack) - o.b
 			copy(nf.locals, f.stack[base:])
 			f.stack = f.stack[:base]
-			ret, err := p.execOps(fn.ops, nf, budget, depth+1)
+			ret, err := p.execOps(fn.ops, nf, rs, depth+1)
 			if err != nil {
 				return pbio.Value{}, err
 			}

@@ -32,6 +32,12 @@ func PeekFingerprint(data []byte) (uint64, error) {
 
 // DecodeRecord decodes an enveloped message produced by EncodeRecord,
 // verifying that the embedded fingerprint matches f.
+//
+// The decoded record owns its memory; data may be reused as soon as the call
+// returns. Its strings are substrings of one copy of the payload, made at
+// the first non-empty string, so a caller that keeps any one of them keeps
+// up to one payload's bytes alive (copy it, e.g. strings.Clone, to keep just
+// the string). The elements of a list of records share one allocation.
 func DecodeRecord(data []byte, f *Format) (*Record, error) {
 	fp, err := PeekFingerprint(data)
 	if err != nil {
@@ -44,8 +50,9 @@ func DecodeRecord(data []byte, f *Format) (*Record, error) {
 	return DecodePayload(data[EnvelopeSize:], f)
 }
 
-// DecodePayload decodes raw field data (no envelope) against f. The entire
-// buffer must be consumed.
+// DecodePayload decodes raw field data (no envelope) against f, with the
+// memory behaviour DecodeRecord describes. The entire buffer must be
+// consumed.
 //
 // Fixed-stride formats (Layout().Fixed()) take a fast path: the payload
 // length is validated once up front — for such formats a correct length is
@@ -63,7 +70,9 @@ func DecodePayload(data []byte, f *Format) (*Record, error) {
 		return decodeFixed(data, f), nil
 	}
 	d := decoder{buf: data}
-	r, err := d.record(f)
+	var s Slab
+	s.Reserve(f, 1)
+	r, err := d.record(f, &s)
 	if err != nil {
 		return nil, err
 	}
@@ -78,15 +87,23 @@ func DecodePayload(data []byte, f *Format) (*Record, error) {
 // extension, boolean normalization, float32 widening), since both lanes of
 // the morphing engine feed the same handlers.
 func decodeFixed(data []byte, f *Format) *Record {
-	r := &Record{format: f, vals: make([]Value, len(f.fields))}
-	off := 0
-	for i := range f.fields {
-		r.vals[i], off = decodeFixedValue(data, off, &f.fields[i])
-	}
+	var s Slab
+	s.Reserve(f, 1)
+	r, _ := decodeFixedRecord(data, 0, f, &s)
 	return r
 }
 
-func decodeFixedValue(data []byte, off int, fld *Field) (Value, int) {
+// decodeFixedRecord decodes a record of f at data[off:], carving it and its
+// nested records from s, and returns the offset just past it.
+func decodeFixedRecord(data []byte, off int, f *Format, s *Slab) (*Record, int) {
+	r := s.carve(f)
+	for i := range f.fields {
+		r.vals[i], off = decodeFixedValue(data, off, &f.fields[i], s)
+	}
+	return r, off
+}
+
+func decodeFixedValue(data []byte, off int, fld *Field, s *Slab) (Value, int) {
 	switch fld.Kind {
 	case Integer:
 		return Value{kind: Integer, num: fixedSigned(data[off:], fld.Size)}, off + fld.Size
@@ -104,10 +121,7 @@ func decodeFixedValue(data []byte, off int, fld *Field) (Value, int) {
 		}
 		return Float64(math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))), off + 8
 	default: // Complex: the only structured kind a fixed format can hold
-		sub := &Record{format: fld.Sub, vals: make([]Value, len(fld.Sub.fields))}
-		for i := range fld.Sub.fields {
-			sub.vals[i], off = decodeFixedValue(data, off, &fld.Sub.fields[i])
-		}
+		sub, off := decodeFixedRecord(data, off, fld.Sub, s)
 		return RecordOf(sub), off
 	}
 }
@@ -141,21 +155,23 @@ func fixedUnsigned(b []byte, size int) int64 {
 type decoder struct {
 	buf []byte
 	pos int
+	str string // copy of buf that decoded strings slice; made at the first one
 }
 
-func (d *decoder) record(f *Format) (*Record, error) {
-	r := &Record{format: f, vals: make([]Value, f.NumFields())}
-	for i := 0; i < f.NumFields(); i++ {
-		v, err := d.value(f.Field(i))
+// record decodes a record of f, carving it and its nested records from s.
+func (d *decoder) record(f *Format, s *Slab) (*Record, error) {
+	r := s.carve(f)
+	for i := range f.fields {
+		v, err := d.value(&f.fields[i], s)
 		if err != nil {
-			return nil, fmt.Errorf("field %q of %q: %w", f.Field(i).Name, f.Name(), err)
+			return nil, fmt.Errorf("field %q of %q: %w", f.fields[i].Name, f.Name(), err)
 		}
 		r.vals[i] = v
 	}
 	return r, nil
 }
 
-func (d *decoder) value(fld *Field) (Value, error) {
+func (d *decoder) value(fld *Field, s *Slab) (Value, error) {
 	switch fld.Kind {
 	case Integer:
 		n, err := d.fixedInt(fld.Size, true)
@@ -190,13 +206,18 @@ func (d *decoder) value(fld *Field) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		b, err := d.take(int(n))
-		if err != nil {
+		if _, err := d.take(int(n)); err != nil {
 			return Value{}, err
 		}
-		return Str(string(b)), nil
+		if n == 0 {
+			return Str(""), nil
+		}
+		if d.str == "" {
+			d.str = string(d.buf)
+		}
+		return Str(d.str[d.pos-int(n) : d.pos]), nil
 	case Complex:
-		rec, err := d.record(fld.Sub)
+		rec, err := d.record(fld.Sub, s)
 		if err != nil {
 			return Value{}, err
 		}
@@ -206,16 +227,21 @@ func (d *decoder) value(fld *Field) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if n > uint64(len(d.buf)-d.pos) {
-			// Each element occupies at least one byte, so a count larger
-			// than the remaining buffer is corrupt; reject it before
-			// allocating.
+		if rest := len(d.buf) - d.pos; n > uint64(rest/max(minWidth(fld.Elem), 1)) {
+			// Each element occupies at least its minimum width (and at
+			// least one byte), so a count the remaining buffer cannot hold
+			// is corrupt; reject it before allocating.
 			return Value{}, fmt.Errorf("%w: list count %d exceeds remaining %d bytes",
-				ErrShortMessage, n, len(d.buf)-d.pos)
+				ErrShortMessage, n, rest)
 		}
 		elems := make([]Value, n)
+		// The elements of a list of records share one exact-size slab.
+		var es Slab
+		if fld.Elem.Kind == Complex {
+			es.Reserve(fld.Elem.Sub, int(n))
+		}
 		for i := range elems {
-			e, err := d.value(fld.Elem)
+			e, err := d.value(fld.Elem, &es)
 			if err != nil {
 				return Value{}, fmt.Errorf("element %d: %w", i, err)
 			}
@@ -224,6 +250,22 @@ func (d *decoder) value(fld *Field) (Value, error) {
 		return ListOf(elems), nil
 	default:
 		return Value{}, fmt.Errorf("pbio: cannot decode field kind %v", fld.Kind)
+	}
+}
+
+// minWidth is the fewest payload bytes a value of fld encodes to.
+func minWidth(fld *Field) int {
+	switch fld.Kind {
+	case String, List:
+		return 1 // the length varint
+	case Complex:
+		w := 0
+		for i := range fld.Sub.fields {
+			w += minWidth(&fld.Sub.fields[i])
+		}
+		return w
+	default:
+		return fld.Size
 	}
 }
 
@@ -269,6 +311,11 @@ func (d *decoder) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrShortMessage, d.pos)
+	}
+	if n > 1 && d.buf[d.pos+n-1] == 0 {
+		// A zero final byte is padding the encoder never writes; refusing
+		// it keeps every payload a message's one encoding.
+		return 0, fmt.Errorf("%w: non-minimal varint at offset %d", ErrShortMessage, d.pos)
 	}
 	d.pos += n
 	return v, nil

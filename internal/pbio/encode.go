@@ -48,21 +48,21 @@ func appendValue(dst []byte, fld *Field, v Value) []byte {
 		return appendFixedInt(dst, v.num, fld.Size)
 	case Float:
 		if fld.Size == 4 {
-			return binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v.fl)))
+			return binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v.flt())))
 		}
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.fl))
+		return binary.LittleEndian.AppendUint64(dst, uint64(v.num))
 	case String:
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		return append(dst, v.str...)
+		dst = binary.AppendUvarint(dst, uint64(v.n))
+		return append(dst, v.strv()...)
 	case Complex:
-		rec := v.rec
+		rec := v.recp()
 		if rec == nil {
 			rec = NewRecord(fld.Sub)
 		}
 		return AppendPayload(dst, rec)
 	case List:
-		dst = binary.AppendUvarint(dst, uint64(len(v.list)))
-		for _, e := range v.list {
+		dst = binary.AppendUvarint(dst, uint64(v.n))
+		for _, e := range v.lst() {
 			dst = appendValue(dst, fld.Elem, e)
 		}
 		return dst
@@ -104,15 +104,15 @@ func valueSize(fld *Field, v Value) int {
 	case Integer, Unsigned, Char, Enum, Boolean, Float:
 		return fld.Size
 	case String:
-		return uvarintLen(uint64(len(v.str))) + len(v.str)
+		return uvarintLen(uint64(v.n)) + v.n
 	case Complex:
-		if v.rec == nil {
+		if v.recp() == nil {
 			return payloadSize(NewRecord(fld.Sub))
 		}
-		return payloadSize(v.rec)
+		return payloadSize(v.recp())
 	case List:
-		total := uvarintLen(uint64(len(v.list)))
-		for _, e := range v.list {
+		total := uvarintLen(uint64(v.n))
+		for _, e := range v.lst() {
 			total += valueSize(fld.Elem, e)
 		}
 		return total

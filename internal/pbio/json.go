@@ -50,20 +50,20 @@ func (v Value) appendJSON(dst []byte) []byte {
 	case Float:
 		// JSON has no NaN/Inf; render them as strings so the export never
 		// produces invalid documents.
-		if math.IsNaN(v.fl) || math.IsInf(v.fl, 0) {
-			return appendJSONString(dst, strconv.FormatFloat(v.fl, 'g', -1, 64))
+		if x := v.flt(); math.IsNaN(x) || math.IsInf(x, 0) {
+			return appendJSONString(dst, strconv.FormatFloat(x, 'g', -1, 64))
 		}
-		return strconv.AppendFloat(dst, v.fl, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.flt(), 'g', -1, 64)
 	case String:
-		return appendJSONString(dst, v.str)
+		return appendJSONString(dst, v.strv())
 	case Complex:
-		if v.rec == nil {
+		if v.recp() == nil {
 			return append(dst, "null"...)
 		}
-		return v.rec.appendJSON(dst)
+		return v.recp().appendJSON(dst)
 	case List:
 		dst = append(dst, '[')
-		for i, e := range v.list {
+		for i, e := range v.lst() {
 			if i > 0 {
 				dst = append(dst, ',')
 			}

@@ -128,7 +128,7 @@ func TestDecodeFixedMatchesGeneral(t *testing.T) {
 		payload := AppendPayload(nil, r)
 
 		fast := decodeFixed(payload, f)
-		gen, err := (&decoder{buf: payload}).record(f)
+		gen, err := (&decoder{buf: payload}).record(f, new(Slab))
 		if err != nil {
 			t.Fatalf("trial %d: general decoder failed: %v", trial, err)
 		}
@@ -144,7 +144,7 @@ func TestDecodeFixedMatchesGeneral(t *testing.T) {
 	boolOff, _, _ := f.Layout().FieldSpan(5)
 	payload[boolOff] = 0xAA
 	fast := decodeFixed(payload, f)
-	gen, err := (&decoder{buf: payload}).record(f)
+	gen, err := (&decoder{buf: payload}).record(f, new(Slab))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,9 @@ type Record struct {
 // NewRecord returns a record of the given format with every field set to
 // its zero value.
 func NewRecord(f *Format) *Record {
-	r := &Record{format: f, vals: make([]Value, f.NumFields())}
-	for i := range r.vals {
-		r.vals[i] = zeroValue(f.Field(i))
-	}
-	return r
+	var s Slab
+	s.Reserve(f, 1)
+	return s.NewRecord(f)
 }
 
 // Format returns the record's format.
@@ -75,17 +73,18 @@ func convertValue(fld *Field, v Value) (Value, error) {
 		if v.kind != Complex {
 			return Value{}, fmt.Errorf("cannot assign %v value to %v field", v.kind, fld.Kind)
 		}
-		if v.rec != nil && !v.rec.format.SameStructure(fld.Sub) {
+		if rec := v.recp(); rec != nil && !rec.format.SameStructure(fld.Sub) {
 			return Value{}, fmt.Errorf("record of format %q does not match field sub-format %q",
-				v.rec.format.Name(), fld.Sub.Name())
+				rec.format.Name(), fld.Sub.Name())
 		}
 		return v, nil
 	case List:
 		if v.kind != List {
 			return Value{}, fmt.Errorf("cannot assign %v value to %v field", v.kind, fld.Kind)
 		}
+		list := v.lst()
 		var rebuilt []Value
-		for i, e := range v.list {
+		for i, e := range list {
 			ce, err := convertValue(fld.Elem, e)
 			if err != nil {
 				return Value{}, fmt.Errorf("list element %d: %w", i, err)
@@ -93,17 +92,17 @@ func convertValue(fld *Field, v Value) (Value, error) {
 			// coerce can change the kind or narrow the value; compare to
 			// detect any rewrite.
 			if rebuilt == nil && !ce.Equal(e) {
-				rebuilt = make([]Value, len(v.list))
-				copy(rebuilt, v.list[:i])
+				rebuilt = make([]Value, len(list))
+				copy(rebuilt, list[:i])
 			}
 			if rebuilt != nil {
 				rebuilt[i] = ce
 			}
 		}
 		if rebuilt == nil {
-			rebuilt = v.list
+			return v, nil
 		}
-		return Value{kind: List, list: rebuilt}, nil
+		return ListOf(rebuilt), nil
 	default:
 		if !assignable(fld.Kind, v.kind) {
 			return Value{}, fmt.Errorf("cannot assign %v value to %v field", v.kind, fld.Kind)
@@ -201,11 +200,11 @@ func (r *Record) GrowList(i, n int) ([]Value, error) {
 		return nil, fmt.Errorf("pbio: field %q of format %q is %v, not a list",
 			fld.Name, r.format.Name(), fld.Kind)
 	}
-	elems := r.vals[i].list
+	elems := r.vals[i].lst()
 	for len(elems) < n {
 		elems = append(elems, zeroValue(fld.Elem))
 	}
-	r.vals[i] = Value{kind: List, list: elems}
+	r.vals[i] = ListOf(elems)
 	return elems, nil
 }
 
@@ -234,10 +233,10 @@ func (r *Record) SetListElem(i, idx int, v Value) error {
 }
 
 // NavListElem returns the nested record at element idx of the complex-list
-// field at index i, extending the list to idx+1 elements if needed. The
-// returned record is shared with the list, so mutations through it are
-// visible in r.
-func (r *Record) NavListElem(i, idx int) (*Record, error) {
+// field at index i, extending the list to idx+1 elements if needed. New
+// elements are zero records carved from s. The returned record is shared
+// with the list, so mutations through it are visible in r.
+func (r *Record) NavListElem(i, idx int, s *Slab) (*Record, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("pbio: negative list index %d", idx)
 	}
@@ -246,11 +245,22 @@ func (r *Record) NavListElem(i, idx int) (*Record, error) {
 		return nil, fmt.Errorf("pbio: field %q of format %q is not a list of complex",
 			fld.Name, r.format.Name())
 	}
-	elems, err := r.GrowList(i, idx+1)
-	if err != nil {
-		return nil, err
+	elems := r.vals[i].lst()
+	if idx >= len(elems) {
+		if idx >= cap(elems) {
+			// Doubling from 8 instead of append's growth from 1: an ecode
+			// loop that grows a list one element at a time reallocates it
+			// a few times, not once per power of two.
+			grown := make([]Value, len(elems), max(2*cap(elems), idx+1, 8))
+			copy(grown, elems)
+			elems = grown
+		}
+		for len(elems) <= idx {
+			elems = append(elems, RecordOf(s.NewRecord(fld.Elem.Sub)))
+		}
+		r.vals[i] = ListOf(elems)
 	}
-	return elems[idx].rec, nil
+	return elems[idx].recp(), nil
 }
 
 // Clone returns a deep copy of the record.

@@ -226,7 +226,7 @@ func compileField(t reflect.Type, spec fieldSpec) (Field, encStep, decStep, erro
 				return appendValue(dst, &Field{Kind: Float, Size: size}, Float64(sv.Field(idx).Float()))
 			},
 			func(d *decoder, sv reflect.Value) error {
-				v, err := d.value(&Field{Kind: Float, Size: size})
+				v, err := d.value(&Field{Kind: Float, Size: size}, nil)
 				if err != nil {
 					return err
 				}
@@ -382,7 +382,7 @@ func compileSliceElem(t reflect.Type, fld *Field) (elemEnc, elemDec, error) {
 		return func(dst []byte, ev reflect.Value) []byte {
 				return appendValue(dst, f, Float64(ev.Float()))
 			}, func(d *decoder, ev reflect.Value) error {
-				v, err := d.value(f)
+				v, err := d.value(f, nil)
 				if err != nil {
 					return err
 				}

@@ -2,9 +2,129 @@ package pbio
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestValueLayout pins the packed representation: four words in four
+// fields (more would keep Value out of registers), one pointer, not
+// comparable with ==, and every kind's payload surviving the trip from
+// constructor to accessor.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Sizeof(Value) = %d, want 32", got)
+	}
+	if got := reflect.TypeOf(Value{}).NumField(); got != 4 {
+		t.Errorf("Value has %d fields, want 4", got)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value must not be comparable: == would compare strings and lists by pointer")
+	}
+
+	if got := Int(math.MinInt64).Int64(); got != math.MinInt64 {
+		t.Errorf("Int round trip = %d", got)
+	}
+	if got := Uint(math.MaxUint64).Uint64(); got != math.MaxUint64 {
+		t.Errorf("Uint round trip = %d", got)
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), -1.5, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(-1)} {
+		if got := Float64(x).Float64(); math.Float64bits(got) != math.Float64bits(x) {
+			t.Errorf("Float64(%g) round trip = %g", x, got)
+		}
+	}
+	if got := Float64(math.NaN()).Float64(); !math.IsNaN(got) {
+		t.Errorf("Float64(NaN) round trip = %g", got)
+	}
+	if got := CharOf(0xFF).Int64(); got != 0xFF {
+		t.Errorf("CharOf round trip = %d", got)
+	}
+	if got := EnumOf(-3).Int64(); got != -3 {
+		t.Errorf("EnumOf round trip = %d", got)
+	}
+	if !Bool(true).Bool() || Bool(false).Bool() {
+		t.Error("Bool round trip")
+	}
+	for _, s := range []string{"", "x", strings.Repeat("long string ", 100)} {
+		v := Str(s)
+		if v.Strval() != s || v.Len() != len(s) {
+			t.Errorf("Str(%.10q) round trip = %.10q (len %d)", s, v.Strval(), v.Len())
+		}
+	}
+	f := mustFormatT(t, "f", []Field{basicField("x", Integer)})
+	r := NewRecord(f)
+	if RecordOf(r).Record() != r || RecordOf(nil).Record() != nil {
+		t.Error("RecordOf round trip")
+	}
+
+	if l := ListOf(nil).List(); l != nil {
+		t.Errorf("ListOf(nil).List() = %v, want nil", l)
+	}
+	if l := ListOf([]Value{}).List(); l == nil || len(l) != 0 {
+		t.Errorf("ListOf([]Value{}).List() = %#v, want empty non-nil", l)
+	}
+	elems := make([]Value, 2, 5)
+	elems[1] = Int(7)
+	l := ListOf(elems).List()
+	if len(l) != 2 || cap(l) != 5 || &l[0] != &elems[0] || l[1].Int64() != 7 {
+		t.Errorf("ListOf round trip: len %d cap %d, shared %v", len(l), cap(l), &l[0] == &elems[0])
+	}
+
+	// GrowList appends in place while the capacity lasts; the value must
+	// carry the capacity for that to hold.
+	lf := mustFormatT(t, "lf", []Field{{Name: "l", Kind: List, Elem: &Field{Kind: Integer, Size: 8}}})
+	lr := NewRecord(lf)
+	if err := lr.SetIndex(0, ListOf(append(make([]Value, 0, 4), Int(1)))); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := lr.GrowList(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lr.GetIndex(0).List(); len(got) != 3 || cap(got) != 4 || &got[0] != &grown[0] {
+		t.Errorf("after GrowList: len %d cap %d, want 3 and 4 in the same array", len(got), cap(got))
+	}
+	if _, err := lr.GrowList(0, 9); err != nil {
+		t.Fatal(err)
+	}
+	if got := lr.GetIndex(0).List(); len(got) != 9 || cap(got) < 9 {
+		t.Errorf("after growing past cap: len %d cap %d", len(got), cap(got))
+	}
+}
+
+// TestValueBool checks that "any non-zero numeric value is true" holds for
+// every kind, floats included.
+func TestValueBool(t *testing.T) {
+	f := mustFormatT(t, "f", []Field{basicField("x", Integer)})
+	tests := []struct {
+		name string
+		v    Value
+		want bool
+	}{
+		{"int 0", Int(0), false},
+		{"int -1", Int(-1), true},
+		{"uint max", Uint(math.MaxUint64), true},
+		{"char 0", CharOf(0), false},
+		{"enum 2", EnumOf(2), true},
+		{"bool true", Bool(true), true},
+		{"bool false", Bool(false), false},
+		{"float 1.5", Float64(1.5), true},
+		{"float 0.25", Float64(0.25), true},
+		{"float 0", Float64(0), false},
+		{"float -0", Float64(math.Copysign(0, -1)), false},
+		{"float NaN", Float64(math.NaN()), true},
+		{"string", Str("yes"), false},
+		{"record", RecordOf(NewRecord(f)), false},
+		{"list", ListOf(make([]Value, 1, 3)), false},
+		{"invalid", Value{}, false},
+	}
+	for _, tt := range tests {
+		if got := tt.v.Bool(); got != tt.want {
+			t.Errorf("%s: Bool = %v, want %v", tt.name, got, tt.want)
+		}
+	}
+}
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	tests := []struct {

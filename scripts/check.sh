@@ -62,6 +62,9 @@ selected run 'TestFanoutChurnStress|TestSlowSinkIsolation|TestFailedWriteRelease
     -race -count=1 ./internal/echo/
 selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFrame' \
     -race -count=1 ./internal/fanout/
+echo "== record lane allocation gates (packed Value, list slabs)"
+selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestConvertListAllocs' \
+    -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/
 echo "== tap ring & capture suite (race-enabled)"
 selected run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture|TestSnapshotOrderAfterWrap|TestKeepNotCounted|TestConcurrentPutAndSnapshot' \
     -race -count=1 ./internal/tap/ ./internal/ring/
@@ -160,8 +163,9 @@ go build -o "$tmpdir/morphtap" ./cmd/morphtap
 [ -s "$tmpdir/replay.bin" ] || { echo "morphtap -replay delivered nothing"; exit 1; }
 kill "$echodemo_pid"
 echodemo_pid=
-echo "== fuzz smoke (wire frame parser, 10s)"
+echo "== fuzz smoke (wire frame parser and payload decoder, 10s each)"
 selected fuzz FuzzConnReadFrames -fuzztime 10s ./internal/wire/
+selected fuzz FuzzDecodePayload -fuzztime 10s ./internal/pbio/
 echo "== work tree untouched"
 [ "$(tree_state)" = "$tree_before" ] \
     || { echo "check.sh changed the work tree:"; git status --porcelain; exit 1; }
