@@ -81,9 +81,9 @@ func main() {
 // listener (obs.Serve: /debug/, /debug/morphz, /metrics, /healthz, /readyz,
 // /debug/pprof/) also carries the event domain's /debug/tracez and
 // /debug/tapz pages, and its address is logged after the event-domain
-// address so scripts can scrape both (scripts/check.sh parses the "listening
-// on" and "debug endpoints on" lines). The wire tap starts disarmed; arm it
-// with /debug/tapz?arm=on.
+// address so scripts can scrape both (TestRunServerDebugPlane parses the
+// "listening on" and "debug endpoints on" lines). The wire tap starts
+// disarmed; arm it with /debug/tapz?arm=on.
 func runServer(addr, debug string) error {
 	var (
 		reg  *obs.Registry

@@ -13,14 +13,15 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/pbio"
 	"repro/internal/registry"
+	"repro/internal/tap"
 )
 
 // daemonEnv, when set, turns the test binary into formatd: TestMain runs
@@ -101,17 +102,15 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
-// TestRegistryzEndToEnd checks the debug HTTP surface of a live daemon.
+// TestRegistryzEndToEnd checks the debug HTTP surface of a live daemon
+// running with a snapshot: registryz in both renderings, the telemetry plane
+// (with the spool readiness probe -snapshot adds), tapz and pprof.
 func TestRegistryzEndToEnd(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
-	// Fixed ephemeral debug port is not knowable in advance; use the obs
-	// server indirectly by scraping the daemon log is fragile — instead run
-	// the registry server + handler directly via the library in
-	// internal/registry tests. Here, just confirm run() wires the handler:
-	// bind debug to a port we choose.
 	dbg := freePort(t)
-	go func() { done <- run(daemonConfig{addr: "127.0.0.1:0", debug: dbg}, ready) }()
+	snap := filepath.Join(t.TempDir(), "table.spool")
+	go func() { done <- run(daemonConfig{addr: "127.0.0.1:0", debug: dbg, snapshot: snap}, ready) }()
 	select {
 	case <-ready:
 	case err := <-done:
@@ -124,28 +123,16 @@ func TestRegistryzEndToEnd(t *testing.T) {
 		<-done
 	}()
 
-	res, err := http.Get(fmt.Sprintf("http://%s%s", dbg, registry.RegistryzPath))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	var doc struct {
-		Entries []any `json:"entries"`
-		Count   int   `json:"count"`
-	}
-	if err := json.NewDecoder(res.Body).Decode(&doc); err != nil {
-		t.Fatalf("registryz is not valid JSON: %v", err)
-	}
-	if doc.Count != 0 {
-		t.Fatalf("fresh daemon reports %d entries", doc.Count)
-	}
-
-	// The rest of the telemetry plane rides the same listener: Prometheus
-	// exposition, liveness, probed readiness (listener self-dial; no spool
-	// probe without -snapshot), the index and profiles.
-	get := func(path string) (int, string) {
+	get := func(path string, header ...string) (int, string) {
 		t.Helper()
-		res, err := http.Get("http://" + dbg + path)
+		req, err := http.NewRequest(http.MethodGet, "http://"+dbg+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(header) == 2 {
+			req.Header.Set(header[0], header[1])
+		}
+		res, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -156,6 +143,36 @@ func TestRegistryzEndToEnd(t *testing.T) {
 		}
 		return res.StatusCode, buf.String()
 	}
+	getJSON := func(path string, v any) {
+		t.Helper()
+		code, body := get(path)
+		if code != 200 {
+			t.Fatalf("GET %s = %d: %s", path, code, body)
+		}
+		if err := json.Unmarshal([]byte(body), v); err != nil {
+			t.Fatalf("GET %s is not valid JSON: %v\n%s", path, err, body)
+		}
+	}
+
+	var doc struct {
+		Count    int              `json:"count"`
+		WatchSeq *uint64          `json:"watch_seq"`
+		Watchers *json.RawMessage `json:"watchers"`
+	}
+	getJSON(registry.RegistryzPath, &doc)
+	if doc.Count != 0 {
+		t.Fatalf("fresh daemon reports %d entries", doc.Count)
+	}
+	if doc.WatchSeq == nil || doc.Watchers == nil || !strings.HasPrefix(string(*doc.Watchers), "[") {
+		t.Errorf("registryz lacks watch_seq or a watchers array: %+v", doc)
+	}
+	if _, body := get(registry.RegistryzPath, "Accept", "text/plain"); !strings.HasPrefix(body, "# formatd table:") {
+		t.Errorf("registryz ignored Accept: text/plain:\n%s", body)
+	}
+
+	// The rest of the telemetry plane rides the same listener: Prometheus
+	// exposition, liveness, probed readiness (listener self-dial, and the
+	// spool probe -snapshot adds), tapz, the index and profiles.
 	if code, body := get(obs.MetricsPath); code != 200 ||
 		!strings.Contains(body, "# TYPE morph_formatd_entries gauge") {
 		t.Errorf("/metrics = %d, want formatd series:\n%s", code, body)
@@ -163,8 +180,19 @@ func TestRegistryzEndToEnd(t *testing.T) {
 	if code, body := get(obs.HealthzPath); code != 200 || !strings.Contains(body, `"ok"`) {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
-	if code, body := get(obs.ReadyzPath); code != 200 || !strings.Contains(body, `"listener"`) {
-		t.Errorf("/readyz = %d, want 200 with a listener probe: %s", code, body)
+	var readyz obs.ReadySnapshot
+	getJSON(obs.ReadyzPath, &readyz)
+	probes := map[string]bool{}
+	for _, p := range readyz.Probes {
+		probes[p.Name] = true
+	}
+	if !readyz.Ready || !probes["listener"] || !probes["spool"] {
+		t.Errorf("/readyz = %+v, want ready with listener and spool probes", readyz)
+	}
+	var tz tap.TapzSnapshot
+	getJSON(tap.TapzPath, &tz)
+	if tz.Name != "formatd" {
+		t.Errorf("/debug/tapz name = %q, want formatd", tz.Name)
 	}
 	if code, body := get(obs.DebugIndexPath); code != 200 ||
 		!strings.Contains(body, registry.RegistryzPath) {
@@ -215,7 +243,7 @@ func TestSIGKILLPrimaryUnderLoad(t *testing.T) {
 	}
 
 	const shards = 4
-	formats, err := bench.ReplicaFormats("sigkill_seed", 64)
+	formats, err := replicaFormats("sigkill_seed", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +275,8 @@ func TestSIGKILLPrimaryUnderLoad(t *testing.T) {
 		}
 	}
 
-	var res bench.ReplicaResult
-	err = bench.FailoverLoad(&res, addrs, shards, formats, 1500*time.Millisecond,
+	var res failoverResult
+	err = failoverLoad(&res, addrs, shards, formats, 1500*time.Millisecond,
 		func() { _ = daemons[0].cmd.Process.Kill() },
 		func() error { return waitRole(1, "primary") })
 	if err != nil {
@@ -267,6 +295,162 @@ func TestSIGKILLPrimaryUnderLoad(t *testing.T) {
 		t.Errorf("blackout %s / write staleness %s at or above the 5s ceiling",
 			time.Duration(res.BlackoutNS), time.Duration(res.StalenessMaxNS))
 	}
+}
+
+// failoverResult is what failoverLoad counted.
+type failoverResult struct {
+	Resolutions, FailedResolutions int64
+	Registers, RegisterRetries     int64
+	BlackoutNS, StalenessMaxNS     int64
+}
+
+// replicaFormat builds one structurally distinct format. The name is part of
+// the fingerprint, so sets built under different names never collide in
+// the daemon's table.
+func replicaFormat(name string, i int) (*pbio.Format, error) {
+	fields := []pbio.Field{
+		{Name: "timestamp", Kind: pbio.Unsigned, Size: 8},
+		{Name: "seq", Kind: pbio.Unsigned, Size: 8},
+	}
+	for j := 0; j <= i%5; j++ {
+		fields = append(fields, pbio.Field{Name: fmt.Sprintf("v%d", j), Kind: pbio.Float, Size: 8})
+	}
+	return pbio.NewFormat(name, fields)
+}
+
+// replicaFormats builds the n formats prefix_0 … prefix_(n-1).
+func replicaFormats(prefix string, n int) ([]*pbio.Format, error) {
+	out := make([]*pbio.Format, 0, n)
+	for i := 0; i < n; i++ {
+		f, err := replicaFormat(fmt.Sprintf("%s_%d", prefix, i), i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, f)
+	}
+	return out, nil
+}
+
+// failoverLoad drives continuous resolve + register traffic through cluster
+// clients for loadFor while kill() takes the primary down a third of the way
+// in, and records the live-load counters in res. The resolver has a
+// one-entry LRU so every resolution is a live round-trip to some replica;
+// the blackout is the longest observed gap between two successful
+// resolutions. formats must already be registered.
+func failoverLoad(res *failoverResult, addrs []string, shards int, formats []*pbio.Format,
+	loadFor time.Duration, kill func(), waitPromoted func() error) error {
+
+	resolver := registry.NewClusterClient(addrs, shards,
+		registry.WithWatchDisabled(),
+		registry.WithCacheSize(1),
+		registry.WithTimeout(500*time.Millisecond),
+		registry.WithBackoff(100*time.Millisecond),
+	)
+	defer resolver.Close()
+	writer := registry.NewClusterClient(addrs, shards,
+		registry.WithWatchDisabled(),
+		registry.WithTimeout(500*time.Millisecond),
+		registry.WithBackoff(50*time.Millisecond),
+	)
+	defer writer.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+
+	// Resolve loop: every registered fingerprint, round-robin, forever.
+	var resolved, failed, maxGapNS int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		lastOK := time.Now()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f := formats[i%len(formats)]
+			if _, _, err := resolver.ResolveFormat(f.Fingerprint()); err != nil {
+				atomic.AddInt64(&failed, 1)
+				continue
+			}
+			now := time.Now()
+			if gap := now.Sub(lastOK).Nanoseconds(); gap > maxGapNS {
+				maxGapNS = gap
+			}
+			lastOK = now
+			atomic.AddInt64(&resolved, 1)
+		}
+	}()
+
+	// Register loop: fresh formats, retried until acknowledged, then timed
+	// until a cold read through the cluster sees them (staleness).
+	var registers, retries, stalenessMax int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f, err := replicaFormat(fmt.Sprintf("failover_live_%d", i), i)
+			if err != nil {
+				return
+			}
+			for {
+				if err := writer.Register(f); err == nil {
+					break
+				}
+				atomic.AddInt64(&retries, 1)
+				select {
+				case <-stop:
+					return
+				case <-time.After(20 * time.Millisecond):
+				}
+			}
+			acked := time.Now()
+			atomic.AddInt64(&registers, 1)
+			for {
+				if _, _, err := resolver.ResolveFormat(f.Fingerprint()); err == nil {
+					break
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond):
+				}
+			}
+			if s := time.Since(acked).Nanoseconds(); s > stalenessMax {
+				stalenessMax = s
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}()
+
+	time.Sleep(loadFor / 3)
+	kill()
+	if err := waitPromoted(); err != nil {
+		close(stop)
+		wg.Wait()
+		return err
+	}
+	time.Sleep(2 * loadFor / 3)
+	close(stop)
+	wg.Wait()
+
+	res.Resolutions = atomic.LoadInt64(&resolved)
+	res.FailedResolutions = atomic.LoadInt64(&failed)
+	res.Registers = atomic.LoadInt64(&registers)
+	res.RegisterRetries = atomic.LoadInt64(&retries)
+	res.BlackoutNS = maxGapNS
+	res.StalenessMaxNS = stalenessMax
+	return nil
 }
 
 // daemonProc is one formatd child process and its captured log.

@@ -1,18 +1,17 @@
-// Command morphbench regenerates the paper's evaluation (§5): Table 1 and
-// Figures 8, 9 and 10, plus the ablations called out in DESIGN.md, and
-// drives the two correctness scenarios (replica failover, fleet chaos soak).
-// Output uses the paper's layout (sizes in KB, times in ms); figures can
-// additionally be written as CSV for plotting. Performance numbers for the
-// messaging stack itself come from benchmark/ (bash benchmark/run.sh), not
-// from here.
+// Command morphbench prints the paper's evaluation (§5) next to this
+// repository's: Table 1 and Figures 8, 9 and 10, the ablations called out in
+// DESIGN.md, and a human-readable run of the fleet chaos soak. Output uses
+// the paper's layout (sizes in KB, times in ms); figures can additionally be
+// written as CSV for plotting.
 //
 // Usage:
 //
-//	morphbench [-exp all|table1|fig8|fig9|fig10|ablations|replica|fleet] [-quick] [-csv dir] [-out file] [-obs] [-seed n]
+//	morphbench [-exp all|table1|fig8|fig9|fig10|ablations|fleet] [-quick] [-csv dir] [-obs] [-seed n]
 //
-// The replica experiment builds its 3-peer formatd cluster in-process; the
-// same failover load against real daemon processes is cmd/formatd's
-// TestSIGKILLPrimaryUnderLoad.
+// It prints and gates nothing. The figures' shapes are gated by
+// internal/bench's tests on allocation counts, the soak by TestFleetSoak,
+// and the messaging stack's performance is measured by benchmark/ (bash
+// benchmark/run.sh).
 package main
 
 import (
@@ -39,18 +38,14 @@ func main() {
 func run(stdout io.Writer, args []string) error {
 	fs := flag.NewFlagSet("morphbench", flag.ContinueOnError)
 	var (
-		exp     = fs.String("exp", "all", "experiment: all, table1, fig8, fig9, fig10, ablations, replica, fleet")
-		quick   = fs.Bool("quick", false, "shorter measuring windows and smaller max size (for CI)")
+		exp     = fs.String("exp", "all", "experiment: all, table1, fig8, fig9, fig10, ablations, fleet")
+		quick   = fs.Bool("quick", false, "shorter measuring windows and a 100 KB largest size")
 		csvDir  = fs.String("csv", "", "also write the table/figure series as CSV files into this directory")
 		withObs = fs.Bool("obs", false, "attach an observability registry and print its final snapshot as JSON")
-		outJSON = fs.String("out", "", "write the replica/fleet results to this file as one JSON object keyed by experiment (empty: print only)")
 		seed    = fs.Int64("seed", 1, "fleet: chaos schedule seed (logged in the result; rerun with the same seed to reproduce)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *outJSON != "" && *exp != "all" && *exp != "replica" && *exp != "fleet" {
-		return fmt.Errorf("-out carries replica/fleet results only; -exp %s produces none", *exp)
 	}
 
 	h, err := bench.NewHarness()
@@ -92,7 +87,6 @@ func run(stdout io.Writer, args []string) error {
 	var (
 		encode, decode, morph []bench.Point
 		sizeRows              []bench.SizeRow
-		results               = map[string]any{} // the -out document: experiment name → result
 	)
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
@@ -139,21 +133,12 @@ func run(stdout io.Writer, args []string) error {
 			return err
 		}
 	}
-	if want("replica") {
-		result, err := h.ReplicaSweep(*quick)
-		if err != nil {
-			return err
-		}
-		bench.PrintReplica(stdout, result)
-		results["replica"] = result
-	}
 	if want("fleet") {
-		result, err := h.FleetSoak(*seed, *quick)
+		result, err := bench.FleetSoak(*seed)
 		if err != nil {
 			return err
 		}
 		bench.PrintFleet(stdout, result)
-		results["fleet"] = result
 	}
 	if want("ablations") {
 		minTotal := opts.MinTotal
@@ -176,16 +161,6 @@ func run(stdout io.Writer, args []string) error {
 	if *exp == "all" {
 		fmt.Fprintln(stdout, "Summary (paper-shape check)")
 		fmt.Fprint(stdout, bench.Summary(encode, decode, morph, sizeRows))
-	}
-
-	if *outJSON != "" {
-		doc, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*outJSON, append(doc, '\n'), 0o644); err != nil {
-			return err
-		}
 	}
 
 	if reg != nil {

@@ -11,12 +11,13 @@
 //	internal/wire   — framed transport carrying formats and transforms out-of-band
 //	internal/xmlx   — XML encode/parse/bind baseline
 //	internal/xslt   — XSLT 1.0 subset + XPath-lite baseline
-//	internal/bench  — workload generator and evaluation harness (§5)
+//	internal/bench  — the evaluation (§5) and the fleet chaos soak
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; `go run ./cmd/morphbench` prints them in the paper's
-// layout. Performance of the messaging stack itself (publisher → broker →
-// sinks over real sockets, end to end and per layer) is measured by
-// `bash benchmark/run.sh`; see benchmark/README.md. See DESIGN.md for the
-// system inventory and EXPERIMENTS.md for measured-vs-paper results.
+// `go run ./cmd/morphbench` prints every table and figure of the paper's
+// evaluation in the paper's layout; internal/bench's tests gate their
+// shapes on allocation counts. Performance of the messaging stack itself
+// (publisher → broker → sinks over real sockets, end to end and per layer)
+// is measured by `bash benchmark/run.sh`; see benchmark/README.md. See
+// DESIGN.md for the system inventory and EXPERIMENTS.md for measured-vs-paper
+// results.
 package repro

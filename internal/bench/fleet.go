@@ -40,8 +40,12 @@ import (
 //   - bounded staleness: after every settle point each sink catches up
 //     within the deadline, and the worst catch-up time is recorded;
 //   - drain: when everything closes, fanout.LiveFrames reaches zero.
+//
+// FleetSoak counts each of these; TestFleetSoak is the gate that requires
+// them to be zero, and morphbench -exp fleet prints them.
 
-// FleetResult is the experiment's JSON document (morphbench -out).
+// FleetResult is what one soak counted. TestFleetSoak logs it as JSON when
+// a gate fails.
 type FleetResult struct {
 	Seed        int64 `json:"seed"`
 	Lineages    int   `json:"lineages"`
@@ -161,19 +165,14 @@ func (f *fleet) note(format string, args ...any) {
 	}
 }
 
-// FleetSoak runs the chaos soak. quick shrinks the fleet and schedule for CI
-// (one formatd kill cycle instead of two, fewer lineages and generations);
-// the full run keeps >= 100 concurrent generations live.
+// FleetSoak runs the chaos soak: 8 lineages grown to >= 100 concurrent
+// generations, two formatd primary kills (the second one kills the
+// successor the first promoted) and one broker kill.
 // The results are named so the deferred duration stamp lands in the value
 // the caller actually receives.
-func (h *Harness) FleetSoak(seed int64, quick bool) (res FleetResult, err error) {
-	nLineages, startGens, evolutions, ticks, batch := 8, 5, 8, 26, 4
-	fdKill2 := 16
-	if quick {
-		nLineages, startGens, evolutions, ticks, batch = 4, 3, 3, 12, 3
-		fdKill2 = -1 // single kill cycle
-	}
-	fdKill1, fdRestartAfter, brokerKill := 6, 3, ticks/2
+func FleetSoak(seed int64) (res FleetResult, err error) {
+	const nLineages, startGens, evolutions, ticks, batch = 8, 5, 8, 26, 4
+	const fdKill1, fdKill2, fdRestartAfter, brokerKill = 6, 16, 3, ticks / 2
 
 	res = FleetResult{Seed: seed, Lineages: nLineages}
 	f := &fleet{
@@ -533,6 +532,74 @@ func (f *fleet) publishOne(lin *fleetLineage) {
 	}
 	lin.nextSeq++
 	f.res.Published++
+}
+
+// replicaPeer is one in-process formatd peer: a full Server + listener, so
+// killing it severs every connection the way a dead process would.
+type replicaPeer struct {
+	srv *registry.Server
+	ln  net.Listener
+}
+
+func (p *replicaPeer) kill() {
+	if p.srv != nil {
+		_ = p.srv.Close()
+		p.srv = nil
+	}
+	if p.ln != nil {
+		_ = p.ln.Close()
+		p.ln = nil
+	}
+}
+
+// startReplicaCluster brings up an n-peer formatd set on loopback listeners
+// and waits until peer 0 is primary and every other peer follows it.
+func startReplicaCluster(n int, hb time.Duration) ([]*replicaPeer, []string, error) {
+	peers := make([]*replicaPeer, n)
+	addrs := make([]string, n)
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, nil, err
+		}
+		peers[i] = &replicaPeer{ln: ln}
+		addrs[i] = ln.Addr().String()
+	}
+	for i := 0; i < n; i++ {
+		srv, err := registry.NewServer(registry.WithPeers(addrs, i, hb))
+		if err != nil {
+			return nil, nil, err
+		}
+		peers[i].srv = srv
+		ln := peers[i].ln
+		go func() { _ = srv.Serve(ln) }()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		settled := peers[0].srv.Role() == registry.RolePrimary
+		for _, p := range peers[1:] {
+			settled = settled && p.srv.Role() == registry.RoleStandby
+		}
+		if settled {
+			return peers, addrs, nil
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return nil, nil, fmt.Errorf("fleet: formatd peers never settled")
+}
+
+// replicaFormat builds one structurally distinct format. The name is part
+// of the fingerprint, so formats built under different names never collide
+// in the daemon's table.
+func replicaFormat(name string, i int) (*pbio.Format, error) {
+	fields := []pbio.Field{
+		{Name: "timestamp", Kind: pbio.Unsigned, Size: 8},
+		{Name: "seq", Kind: pbio.Unsigned, Size: 8},
+	}
+	for j := 0; j <= i%5; j++ {
+		fields = append(fields, pbio.Field{Name: fmt.Sprintf("v%d", j), Kind: pbio.Float, Size: 8})
+	}
+	return pbio.NewFormat(name, fields)
 }
 
 // killFormatdPrimary takes the current primary down the way SIGKILL would

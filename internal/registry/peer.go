@@ -198,9 +198,9 @@ func (p *peer) rpc(op byte, payload []byte, mode rpcMode) (rpcResp, error) {
 		p.mu.Unlock()
 		return rpcResp{}, ErrClosed
 	}
-	if mode != modeForce && time.Now().Before(p.downUntil) {
+	if until := p.downUntil; mode != modeForce && time.Now().Before(until) {
 		p.mu.Unlock()
-		return rpcResp{}, fmt.Errorf("%w until %s", ErrDown, p.downUntil.Format(time.RFC3339))
+		return rpcResp{}, fmt.Errorf("%w until %s", ErrDown, until.Format(time.RFC3339))
 	}
 	sess := p.sess
 	if sess == nil {

@@ -55,6 +55,38 @@ func TestResolveFreshBypassesDownGate(t *testing.T) {
 	}
 }
 
+// TestDownGateRefusalReadsDeadlineUnderLock: an RPC refused by the down gate
+// formatted the deadline into its ErrDown after releasing the peer lock, so
+// it raced every concurrent markDownLocked (a failed dial, a timeout, a lost
+// session). The full soak caught it under -race; here one goroutine keeps
+// re-entering the down state while another is refused. It fails only under
+// -race.
+func TestDownGateRefusalReadsDeadlineUnderLock(t *testing.T) {
+	_, addr := startDaemon(t)
+	c := NewClient(addr, WithWatchDisabled(), WithBackoff(time.Hour))
+	defer c.Close()
+	p := c.peers[0]
+	markDown := func() {
+		p.mu.Lock()
+		p.markDownLocked()
+		p.mu.Unlock()
+	}
+	markDown()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			markDown()
+		}
+	}()
+	for fp := uint64(1); fp <= 50; fp++ {
+		if _, _, err := c.ResolveFormat(fp); !errors.Is(err, ErrDown) {
+			t.Fatalf("gated resolve returned %v, want ErrDown", err)
+		}
+	}
+	<-done
+}
+
 // TestOnEventCallbackMayBlockWithoutStallingRPCs: event callbacks used to run
 // on the watch connection's read pump, so a callback that blocked on a lock
 // held by a caller waiting for an RPC response on that same connection was a
