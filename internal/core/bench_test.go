@@ -40,7 +40,7 @@ func BenchmarkMaxMatchScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := MaxMatch(f1s, f2s, Thresholds{Diff: 64, Mismatch: 1}); !ok {
+				if _, ok := MaxMatch(f1s, f2s, Thresholds{Diff: 64, Mismatch: 1}, nil); !ok {
 					b.Fatal("no match")
 				}
 			}
@@ -48,34 +48,35 @@ func BenchmarkMaxMatchScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkDiff measures Algorithm 1 itself on the paper's v1/v2 formats.
+// BenchmarkDiff measures Algorithm 1 itself on the paper's v1/v2 formats:
+// unit counts through Diff, and importance weights, which only MaxMatch
+// takes, on the one pair.
 func BenchmarkDiff(b *testing.B) {
 	v1, v2 := echoBenchFormats(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if Diff(v1, v2) != 6 {
-			b.Fatal("wrong diff")
+	b.Run("unit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if Diff(v1, v2) != 6 {
+				b.Fatal("wrong diff")
+			}
 		}
-	}
-}
-
-// BenchmarkWeightedDiff measures the weighted variant's overhead relative
-// to BenchmarkDiff.
-func BenchmarkWeightedDiff(b *testing.B) {
-	v1, v2 := echoBenchFormats(b)
-	w := func(path string, _ *pbio.Field) float64 {
-		if path == "member_list.info" {
-			return 5
+	})
+	b.Run("weighted", func(b *testing.B) {
+		w := func(path string, _ *pbio.Field) float64 {
+			if path == "member_list.info" {
+				return 5
+			}
+			return 1
 		}
-		return 1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if WeightedDiff(v1, v2, w) <= 0 {
-			b.Fatal("wrong diff")
+		pair := []*pbio.Format{v1}
+		to := []*pbio.Format{v2}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if m, ok := MaxMatch(pair, to, Thresholds{Diff: 64, Mismatch: 1}, w); !ok || m.Diff <= 0 {
+				b.Fatal("wrong diff")
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkMorpherDeliverCached is the steady-state fast path: one map

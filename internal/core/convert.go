@@ -25,91 +25,48 @@ type Converter struct {
 type convMode uint8
 
 const (
-	convFill convMode = iota // no source: default or zero value
-	convCopyScalar
-	convCopyString
-	convComplex // recurse with sub-plan
-	convListScalar
-	convListString
-	convListComplex
+	convFill        convMode = iota // no source: default or zero value
+	convCopy                        // basic value, coerced into the target kind by SetIndex
+	convComplex                     // recurse with sub-plan
+	convList                        // list of basic values
+	convListComplex                 // list of records, each through the sub-plan
 )
 
 type convStep struct {
 	dstIdx int
 	srcIdx int
 	mode   convMode
+	exact  bool       // convCopy between identical kinds and widths: a byte copy would do
 	sub    *Converter // convComplex, convListComplex
 	fill   pbio.Value // convFill with a declared default
 }
 
-// NewConverter builds the conversion plan from → to.
+// NewConverter builds the conversion plan from → to: one step per field of
+// to, in to's order, read off the name-wise pairing of the two formats
+// (pair.go).
 func NewConverter(from, to *pbio.Format) *Converter {
-	c := &Converter{from: from, to: to}
-	for j := 0; j < to.NumFields(); j++ {
-		dst := to.Field(j)
-		step := convStep{dstIdx: j, srcIdx: -1, mode: convFill}
-		if !dst.Default.IsZero() {
-			step.fill = dst.Default
-		}
-		if i := from.Lookup(dst.Name); i >= 0 {
-			src := from.Field(i)
-			if mode, sub, ok := planField(src, dst); ok {
-				step.srcIdx = i
-				step.mode = mode
-				step.sub = sub
-			}
-		}
-		c.steps = append(c.steps, step)
-	}
-	return c
+	p := pairing{plan: true}
+	return p.walk(from, to)
 }
 
-func planField(src, dst *pbio.Field) (convMode, *Converter, bool) {
-	switch dst.Kind {
-	case pbio.Complex:
-		if src.Kind != pbio.Complex {
-			return 0, nil, false
-		}
-		return convComplex, NewConverter(src.Sub, dst.Sub), true
-	case pbio.List:
-		if src.Kind != pbio.List {
-			return 0, nil, false
-		}
-		return planListElem(src.Elem, dst.Elem)
-	case pbio.String:
-		if src.Kind != pbio.String {
-			return 0, nil, false
-		}
-		return convCopyString, nil, true
-	default: // numeric basic
-		if !src.Kind.IsBasic() || src.Kind == pbio.String {
-			return 0, nil, false
-		}
-		return convCopyScalar, nil, true
-	}
-}
-
-func planListElem(src, dst *pbio.Field) (convMode, *Converter, bool) {
-	switch dst.Kind {
-	case pbio.Complex:
-		if src.Kind != pbio.Complex {
-			return 0, nil, false
-		}
-		return convListComplex, NewConverter(src.Sub, dst.Sub), true
-	case pbio.String:
-		if src.Kind != pbio.String {
-			return 0, nil, false
-		}
-		return convListString, nil, true
-	case pbio.List:
-		// Lists of lists are excluded by pbio format validation.
-		return 0, nil, false
+// planStep is the step for target field dst (index j) given how it fits
+// source field i, or i = -1 when the source has no field of that name; sub
+// is the nested pair's plan.
+func planStep(j, i int, how fit, dst *pbio.Field, sub *Converter) convStep {
+	s := convStep{dstIdx: j, srcIdx: i, exact: how == fitExact, sub: sub}
+	switch {
+	case how == fitNone:
+		s.srcIdx, s.mode, s.fill = -1, convFill, dst.Default
+	case dst.Kind == pbio.List && sub != nil:
+		s.mode = convListComplex
+	case dst.Kind == pbio.List:
+		s.mode = convList
+	case sub != nil:
+		s.mode = convComplex
 	default:
-		if !src.Kind.IsBasic() || src.Kind == pbio.String {
-			return 0, nil, false
-		}
-		return convListScalar, nil, true
+		s.mode = convCopy
 	}
+	return s
 }
 
 // From returns the plan's source format.
@@ -172,7 +129,7 @@ func (c *Converter) convert(rec, out *pbio.Record) error {
 					return err
 				}
 			}
-		case convCopyScalar, convCopyString:
+		case convCopy:
 			if err := out.SetIndex(s.dstIdx, rec.GetIndex(s.srcIdx)); err != nil {
 				return err
 			}
@@ -181,7 +138,7 @@ func (c *Converter) convert(rec, out *pbio.Record) error {
 			if err := s.sub.convert(rec.GetIndex(s.srcIdx).Record(), out.GetIndex(s.dstIdx).Record()); err != nil {
 				return err
 			}
-		case convListScalar, convListString:
+		case convList:
 			src := rec.GetIndex(s.srcIdx).List()
 			elems := make([]pbio.Value, len(src))
 			copy(elems, src)

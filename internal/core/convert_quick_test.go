@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,7 +103,8 @@ func randomValueOf(rng *rand.Rand, fld *pbio.Field) pbio.Value {
 // must succeed on any well-formed input record and produce a record of the
 // target format that itself encodes and decodes cleanly. This is the
 // invariant Algorithm 2's fill/drop step relies on: once MaxMatch accepts a
-// pair, conversion cannot fail at message time.
+// pair, conversion cannot fail at message time. Seeds that once failed run
+// by name before the random ones.
 func TestQuickConverterTotal(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -125,9 +130,106 @@ func TestQuickConverterTotal(t *testing.T) {
 		}
 		return back.Equal(out)
 	}
+	for _, seed := range []int64{4916193831908799512} {
+		t.Run(fmt.Sprintf("seed_%d", seed), func(t *testing.T) {
+			if !prop(seed) {
+				t.Fail()
+			}
+		})
+	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestQuickOnePairing: Algorithm 1, the diff report, the conversion plan,
+// the splice compiler and a unit-weighted matcher all answer one question —
+// which same-named fields of two formats correspond — and must give the
+// same answer for any pair, whether drawn from randomFormat or, so that the
+// splice clause is never vacuous, from randomFixedFormat.
+func TestQuickOnePairing(t *testing.T) {
+	unit := func(string, *pbio.Field) float64 { return 1 }
+	check := func(seed int64, f1, f2, f3 *pbio.Format, th Thresholds) bool {
+		fail := func(what string) bool {
+			t.Logf("seed %d: %s\nf1:\n%s\nf2:\n%s\nreport:\n%s", seed, what, f1, f2, FormatChanges(DiffReport(f1, f2)))
+			return false
+		}
+		var dropped, defaulted []string // top-level removed+retyped, added+retyped
+		var lossy12, lossy21, resized bool
+		for _, c := range DiffReport(f1, f2) {
+			top := !strings.Contains(c.Path, ".")
+			switch c.Kind {
+			case FieldRemoved, FieldRetyped:
+				lossy12 = true
+				if top {
+					dropped = append(dropped, c.Path)
+				}
+			case FieldResized:
+				resized = true
+			}
+			switch c.Kind {
+			case FieldAdded, FieldRetyped:
+				lossy21 = true
+				if top {
+					defaulted = append(defaulted, c.Path)
+				}
+			}
+		}
+		if (Diff(f1, f2) == 0) == lossy12 {
+			return fail(fmt.Sprintf("Diff(f1, f2) = %d, report lossy = %v", Diff(f1, f2), lossy12))
+		}
+		if (Diff(f2, f1) == 0) == lossy21 {
+			return fail(fmt.Sprintf("Diff(f2, f1) = %d, report lossy = %v", Diff(f2, f1), lossy21))
+		}
+		conv := NewConverter(f1, f2)
+		if !sameNames(conv.Dropped(), dropped) || !sameNames(conv.Defaulted(), defaulted) {
+			return fail(fmt.Sprintf("plan drops %v and defaults %v, report says %v and %v",
+				conv.Dropped(), conv.Defaulted(), dropped, defaulted))
+		}
+		if f1.Layout().Fixed() && f2.Layout().Fixed() {
+			if _, ok := compileSplice(conv); ok == resized {
+				return fail(fmt.Sprintf("splice compiled = %v with resized = %v", ok, resized))
+			}
+		}
+		// The same registrations decide identically with unit weights.
+		var ex [2]Explanation
+		for i := range ex {
+			m := NewMorpher(th)
+			if i == 1 {
+				m.SetWeigher(unit)
+			}
+			for _, f := range []*pbio.Format{f2, f3} {
+				if err := m.RegisterFormat(f, func(*pbio.Record) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if ex[i], err = m.Explain(f1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(ex[0], ex[1]) {
+			return fail(fmt.Sprintf("unit weigher decided %+v, no weigher %+v", ex[1], ex[0]))
+		}
+		return true
+	}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		th := Thresholds{Diff: rng.Intn(4), Mismatch: float64(rng.Intn(5)) / 4}
+		return check(seed, randomFormat(rng, 2), randomFormat(rng, 2), randomFormat(rng, 2), th) &&
+			check(seed, randomFixedFormat(rng, 2), randomFixedFormat(rng, 2), randomFixedFormat(rng, 2), th)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameNames reports whether a and b hold the same names, in any order.
+func sameNames(a, b []string) bool {
+	a, b = append([]string(nil), a...), append([]string(nil), b...)
+	sort.Strings(a)
+	sort.Strings(b)
+	return reflect.DeepEqual(a, b) || len(a)+len(b) == 0
 }
 
 // TestQuickDiffTriangle sanity-checks metric behaviour over random formats:

@@ -5,7 +5,8 @@
 // The pieces map to the paper as follows:
 //
 //   - Diff is Algorithm 1: the recursive count of basic fields present in
-//     one format but not another.
+//     one format but not another; it reads the one name-wise pairing
+//     (pair.go) that MaxMatch, DiffReport and the Converter plan read too.
 //   - MismatchRatio is the paper's M_r normalization metric.
 //   - MaxMatch selects the best (incoming, understood) format pair subject
 //     to DIFF_THRESHOLD and MISMATCH_THRESHOLD (conditions i–v).

@@ -3,102 +3,35 @@ package core
 import "repro/internal/pbio"
 
 // Diff implements the paper's Algorithm 1: the total number of basic-type
-// fields that are present in f1 but not in f2. Field matching is by name;
-// a basic field counts as present in f2 only if f2's same-named field is
-// also basic and kind-compatible (numeric kinds are mutually compatible,
-// strings only match strings — the same rule the converter uses, so Diff=0
-// implies a lossless name-wise conversion exists).
+// fields that are present in f1 but not in f2. Fields pair by name and a
+// pair counts as present by fitOf, the compatibility rule the converter's
+// plan is read from as well (pair.go): numeric kinds are mutually
+// compatible, strings only match strings. Both come from the same walk, so
+// Diff(f1, f2) = 0 exactly when NewConverter(f1, f2) drops nothing.
 //
 // Complex fields recurse: a complex field with no same-named complex
 // counterpart contributes its whole weight; otherwise the difference of the
 // two sub-formats. List fields follow the same rule through their element
 // type, counting the element schema once, consistent with Format.Weight.
 func Diff(f1, f2 *pbio.Format) int {
-	d := 0
-	for i := 0; i < f1.NumFields(); i++ {
-		d += fieldDiff(f1.Field(i), f2.FieldByName(f1.Field(i).Name))
-	}
-	return d
-}
-
-// fieldDiff returns the contribution of field a given its same-named
-// counterpart b in the other format (b may be nil).
-func fieldDiff(a, b *pbio.Field) int {
-	switch a.Kind {
-	case pbio.Complex:
-		if b == nil || b.Kind != pbio.Complex {
-			return weightOf(a)
-		}
-		return Diff(a.Sub, b.Sub)
-	case pbio.List:
-		if b == nil || b.Kind != pbio.List {
-			return weightOf(a)
-		}
-		return elemDiff(a.Elem, b.Elem)
-	default: // basic
-		if b == nil || !b.Kind.IsBasic() || !basicCompatible(a.Kind, b.Kind) {
-			return 1
-		}
-		return 0
-	}
-}
-
-// elemDiff compares two list element descriptors.
-func elemDiff(a, b *pbio.Field) int {
-	switch a.Kind {
-	case pbio.Complex:
-		if b.Kind != pbio.Complex {
-			return weightOf(a)
-		}
-		return Diff(a.Sub, b.Sub)
-	case pbio.List:
-		if b.Kind != pbio.List {
-			return weightOf(a)
-		}
-		return elemDiff(a.Elem, b.Elem)
-	default:
-		if !b.Kind.IsBasic() || !basicCompatible(a.Kind, b.Kind) {
-			return 1
-		}
-		return 0
-	}
-}
-
-// basicCompatible reports whether a value of basic kind a converts
-// losslessly-enough into basic kind b for name-wise morphing: any numeric
-// kind into any numeric kind, string only into string.
-func basicCompatible(a, b pbio.Kind) bool {
-	if a == pbio.String || b == pbio.String {
-		return a == b
-	}
-	return true
-}
-
-// weightOf is Format.Weight extended to a single field descriptor.
-func weightOf(f *pbio.Field) int {
-	switch f.Kind {
-	case pbio.Complex:
-		return f.Sub.Weight()
-	case pbio.List:
-		return weightOf(f.Elem)
-	default:
-		return 1
-	}
+	var p pairing
+	p.walk(f1, f2)
+	return int(p.dropped)
 }
 
 // MismatchRatio is the paper's M_r(f1, f2): the fraction of f2's fields that
 // f1 cannot supply, i.e. Diff(f2, f1) / Weight(f2). A weightless f2 (no
 // basic fields anywhere) has ratio 0 by convention.
 func MismatchRatio(f1, f2 *pbio.Format) float64 {
-	w := f2.Weight()
-	if w == 0 {
-		return 0
-	}
-	return float64(Diff(f2, f1)) / float64(w)
+	var p pairing
+	p.walk(f1, f2)
+	return p.mismatch()
 }
 
 // Perfect reports whether (f1, f2) is a perfect matching pair:
 // Diff(f1, f2) = Diff(f2, f1) = 0.
 func Perfect(f1, f2 *pbio.Format) bool {
-	return Diff(f1, f2) == 0 && Diff(f2, f1) == 0
+	var p pairing
+	p.walk(f1, f2)
+	return p.dropped == 0 && p.filled == 0
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/pbio"
@@ -81,6 +82,7 @@ func TestDiffBasics(t *testing.T) {
 			fmtOrDie(t, "m", []pbio.Field{{Name: "a", Kind: pbio.Integer, Size: 4}}),
 			fmtOrDie(t, "m", []pbio.Field{{Name: "a", Kind: pbio.Integer, Size: 8}}),
 			0},
+		{"drops before and past the 64th field", wideFormat(t), wideFormat(t, 3, 66), 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -89,6 +91,22 @@ func TestDiffBasics(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wideFormat is a 70-field integer format without the fields at the given
+// positions.
+func wideFormat(t *testing.T, without ...int) *pbio.Format {
+	var fields []pbio.Field
+next:
+	for i := 0; i < 70; i++ {
+		for _, w := range without {
+			if i == w {
+				continue next
+			}
+		}
+		fields = append(fields, bf(fmt.Sprintf("f%02d", i), pbio.Integer))
+	}
+	return fmtOrDie(t, "m", fields)
 }
 
 func TestDiffNested(t *testing.T) {
@@ -194,7 +212,7 @@ func TestMaxMatchSelection(t *testing.T) {
 	big2 := fmtOrDie(t, "p", append(append([]pbio.Field{}, bigFields...), bf("v1", pbio.Integer), bf("v2", pbio.Integer)))
 
 	th := Thresholds{Diff: 10, Mismatch: 1.0}
-	m, ok := MaxMatch([]*pbio.Format{small1, big1}, []*pbio.Format{small2, big2}, th)
+	m, ok := MaxMatch([]*pbio.Format{small1, big1}, []*pbio.Format{small2, big2}, th, nil)
 	if !ok {
 		t.Fatal("no match")
 	}
@@ -204,28 +222,28 @@ func TestMaxMatchSelection(t *testing.T) {
 			m.From.Name(), m.From.NumFields(), m.To.Name())
 	}
 	if m.Diff != 2 {
-		t.Errorf("Diff = %d, want 2", m.Diff)
+		t.Errorf("Diff = %g, want 2", m.Diff)
 	}
 }
 
 func TestMaxMatchThresholds(t *testing.T) {
 	v1, v2 := echoV1V2(t)
 	// v2 → v1 has diff 2, Mr 6/9.
-	if _, ok := MaxMatch([]*pbio.Format{v2}, []*pbio.Format{v1}, Thresholds{}); ok {
+	if _, ok := MaxMatch([]*pbio.Format{v2}, []*pbio.Format{v1}, Thresholds{}, nil); ok {
 		t.Error("zero thresholds must admit only perfect matches")
 	}
-	if _, ok := MaxMatch([]*pbio.Format{v2}, []*pbio.Format{v1}, Thresholds{Diff: 2, Mismatch: 0.5}); ok {
+	if _, ok := MaxMatch([]*pbio.Format{v2}, []*pbio.Format{v1}, Thresholds{Diff: 2, Mismatch: 0.5}, nil); ok {
 		t.Error("Mr 6/9 must fail a 0.5 mismatch threshold")
 	}
-	if _, ok := MaxMatch([]*pbio.Format{v2}, []*pbio.Format{v1}, Thresholds{Diff: 1, Mismatch: 1.0}); ok {
+	if _, ok := MaxMatch([]*pbio.Format{v2}, []*pbio.Format{v1}, Thresholds{Diff: 1, Mismatch: 1.0}, nil); ok {
 		t.Error("diff 2 must fail a diff threshold of 1")
 	}
-	m, ok := MaxMatch([]*pbio.Format{v2}, []*pbio.Format{v1}, Thresholds{Diff: 2, Mismatch: 0.7})
+	m, ok := MaxMatch([]*pbio.Format{v2}, []*pbio.Format{v1}, Thresholds{Diff: 2, Mismatch: 0.7}, nil)
 	if !ok || m.From != v2 || m.To != v1 {
 		t.Errorf("expected match under (2, 0.7): ok=%v m=%+v", ok, m)
 	}
 	// A perfect pair passes zero thresholds.
-	if m, ok := MaxMatch([]*pbio.Format{v1}, []*pbio.Format{v1}, Thresholds{}); !ok || !m.IsPerfect() {
+	if m, ok := MaxMatch([]*pbio.Format{v1}, []*pbio.Format{v1}, Thresholds{}, nil); !ok || !m.IsPerfect() {
 		t.Error("identity must match under zero thresholds")
 	}
 }
@@ -235,7 +253,7 @@ func TestMaxMatchTieBreak(t *testing.T) {
 	b := fmtOrDie(t, "m", []pbio.Field{bf("x", pbio.Integer), bf("y", pbio.Integer)})
 	// a and b are structurally identical: both pairs score (0, 0). The
 	// earlier F1 entry must win, so callers can put the identity first.
-	m, ok := MaxMatch([]*pbio.Format{a, b}, []*pbio.Format{b}, Thresholds{})
+	m, ok := MaxMatch([]*pbio.Format{a, b}, []*pbio.Format{b}, Thresholds{}, nil)
 	if !ok || m.From != a {
 		t.Errorf("tie-break must keep the earliest candidate; got From=%p want %p", m.From, a)
 	}
@@ -243,21 +261,38 @@ func TestMaxMatchTieBreak(t *testing.T) {
 	target := fmtOrDie(t, "m", []pbio.Field{bf("x", pbio.Integer)})
 	oneExtra := fmtOrDie(t, "m", []pbio.Field{bf("x", pbio.Integer), bf("e1", pbio.Integer)})
 	twoExtra := fmtOrDie(t, "m", []pbio.Field{bf("x", pbio.Integer), bf("e1", pbio.Integer), bf("e2", pbio.Integer)})
-	m, ok = MaxMatch([]*pbio.Format{twoExtra, oneExtra}, []*pbio.Format{target}, Thresholds{Diff: 5, Mismatch: 1})
+	m, ok = MaxMatch([]*pbio.Format{twoExtra, oneExtra}, []*pbio.Format{target}, Thresholds{Diff: 5, Mismatch: 1}, nil)
 	if !ok || m.From != oneExtra {
 		t.Errorf("least-diff tie-break failed: got %v", m.From)
 	}
 }
 
+// TestMatchingAllocFree gates the cold decision's metrics: unweighted Diff,
+// MismatchRatio and MaxMatch build no paths and allocate nothing, however
+// deep the pairing recurses.
+func TestMatchingAllocFree(t *testing.T) {
+	v1, v2 := echoV1V2(t)
+	f1s, f2s := []*pbio.Format{v1, v2}, []*pbio.Format{v2, v1}
+	for name, run := range map[string]func(){
+		"Diff":          func() { Diff(v1, v2) },
+		"MismatchRatio": func() { MismatchRatio(v2, v1) },
+		"MaxMatch":      func() { MaxMatch(f1s, f2s, DefaultThresholds, nil) },
+	} {
+		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
+	}
+}
+
 func TestMaxMatchEmptyAndNil(t *testing.T) {
 	f := fmtOrDie(t, "m", []pbio.Field{bf("x", pbio.Integer)})
-	if _, ok := MaxMatch(nil, []*pbio.Format{f}, DefaultThresholds); ok {
+	if _, ok := MaxMatch(nil, []*pbio.Format{f}, DefaultThresholds, nil); ok {
 		t.Error("empty F1 must not match")
 	}
-	if _, ok := MaxMatch([]*pbio.Format{f}, nil, DefaultThresholds); ok {
+	if _, ok := MaxMatch([]*pbio.Format{f}, nil, DefaultThresholds, nil); ok {
 		t.Error("empty F2 must not match")
 	}
-	if m, ok := MaxMatch([]*pbio.Format{nil, f}, []*pbio.Format{nil, f}, DefaultThresholds); !ok || m.From != f {
+	if m, ok := MaxMatch([]*pbio.Format{nil, f}, []*pbio.Format{nil, f}, DefaultThresholds, nil); !ok || m.From != f {
 		t.Error("nil entries must be skipped, not crash")
 	}
 }

@@ -9,7 +9,8 @@ import "repro/internal/pbio"
 // matches.
 type Thresholds struct {
 	// Diff is the maximum allowed Diff(f1, f2): basic fields of the incoming
-	// format that the target cannot represent (they will be dropped).
+	// format that the target cannot represent (they will be dropped). Under
+	// a Weigher it caps their summed importance.
 	Diff int
 
 	// Mismatch is the maximum allowed MismatchRatio(f1, f2): the fraction of
@@ -22,13 +23,23 @@ type Thresholds struct {
 // up to half of the target filled by defaults.
 var DefaultThresholds = Thresholds{Diff: 8, Mismatch: 0.5}
 
+// Weigher returns the importance of a basic field — the paper's future-work
+// direction of weighting "different fields and sub-fields based on some
+// measure of importance" (§6), so losing a critical field can veto a match
+// that losing ten cosmetic fields would not. path is the dot-separated
+// field path from the base format (list elements use their list field's
+// path, e.g. "member_list.info"). Return 1 for the paper's unweighted
+// behaviour, 0 to make a field fully optional, and larger values for fields
+// whose loss should dominate the match decision.
+type Weigher func(path string, fld *pbio.Field) float64
+
 // Match is a MaxMatch result pair: From ∈ F1 is the format the message will
 // be brought into; To ∈ F2 is the reader-side format it will be delivered
 // as.
 type Match struct {
 	From     *pbio.Format
 	To       *pbio.Format
-	Diff     int     // Diff(From, To): incoming fields that will be dropped
+	Diff     float64 // Diff(From, To): incoming fields that will be dropped (their importance, when weighted)
 	Mismatch float64 // MismatchRatio(From, To): target fields defaulted
 }
 
@@ -47,8 +58,11 @@ func (m Match) IsPerfect() bool { return m.Diff == 0 && m.Mismatch == 0 }
 //	     can bias the choice by ordering — e.g. putting the identity
 //	     transformation first).
 //
-// ok is false if no pair satisfies the thresholds.
-func MaxMatch(f1s, f2s []*pbio.Format, th Thresholds) (best Match, ok bool) {
+// w replaces the unit count of each basic field in Diff and M_r by its
+// importance; nil keeps the paper's counts. Each pair costs one name-wise
+// walk, which yields both directions at once. ok is false if no pair
+// satisfies the thresholds.
+func MaxMatch(f1s, f2s []*pbio.Format, th Thresholds, w Weigher) (best Match, ok bool) {
 	for _, f1 := range f1s {
 		if f1 == nil {
 			continue
@@ -57,15 +71,12 @@ func MaxMatch(f1s, f2s []*pbio.Format, th Thresholds) (best Match, ok bool) {
 			if f2 == nil {
 				continue
 			}
-			d := Diff(f1, f2)
-			if d > th.Diff {
+			p := pairing{weigh: w}
+			p.walk(f1, f2)
+			cand := Match{From: f1, To: f2, Diff: p.dropped, Mismatch: p.mismatch()}
+			if cand.Diff > float64(th.Diff) || cand.Mismatch > th.Mismatch {
 				continue
 			}
-			mr := MismatchRatio(f1, f2)
-			if mr > th.Mismatch {
-				continue
-			}
-			cand := Match{From: f1, To: f2, Diff: d, Mismatch: mr}
 			if !ok || less(cand, best) {
 				best, ok = cand, true
 			}

@@ -221,11 +221,11 @@ func WithSpliceDisabled() MorpherOption {
 	return func(m *Morpher) { m.noSplice = true }
 }
 
-// WithTracer attaches a tracer: DeliverCtx/DeliverEncodedCtx calls carrying
-// a sampled trace context record per-stage spans (morph decision, lane
-// choice, each transform step, conversion, handler invocation). A nil
-// tracer is valid and leaves tracing disabled; untraced deliveries pay one
-// branch per hook either way.
+// WithTracer attaches a tracer: DeliverEncodedCtx calls carrying a sampled
+// trace context record per-stage spans (morph decision, lane choice, each
+// transform step, conversion, handler invocation). A nil tracer is valid
+// and leaves tracing disabled; untraced deliveries pay one branch per hook
+// either way.
 func WithTracer(t *trace.Tracer) MorpherOption {
 	return func(m *Morpher) { m.tracer = t }
 }
@@ -323,35 +323,14 @@ func (m *Morpher) register(f *pbio.Format, reg *registration) error {
 }
 
 // SetWeigher installs field-importance weights for match decisions (the
-// paper's §6 future-work extension). When set, the engine decides with
-// WeightedDiff/WeightedMismatchRatio against the same thresholds
-// (Thresholds.Diff is read as a summed-importance cap). Pass nil to return
-// to unweighted matching.
+// paper's §6 future-work extension): MaxMatch then sums importances instead
+// of counting fields, against the same thresholds (Thresholds.Diff is read
+// as a summed-importance cap). Pass nil to return to unweighted matching.
 func (m *Morpher) SetWeigher(w Weigher) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.weigher = w
 	m.invalidateLocked()
-}
-
-// matchLocked runs the configured matcher (weighted or classic) and reduces
-// the result to what decision building needs.
-func (m *Morpher) matchLocked(f1s, f2s []*pbio.Format) (Match, bool) {
-	if m.weigher == nil {
-		return MaxMatch(f1s, f2s, m.th)
-	}
-	wth := WeightedThresholds{Diff: float64(m.th.Diff), Mismatch: m.th.Mismatch}
-	wm, ok := MaxMatchWeighted(f1s, f2s, wth, m.weigher)
-	if !ok {
-		return Match{}, false
-	}
-	// Preserve exact perfect-match semantics in the reduced form: any
-	// positive weighted diff must not round down to "perfect".
-	diff := int(wm.Diff)
-	if wm.Diff > 0 && diff == 0 {
-		diff = 1
-	}
-	return Match{From: wm.From, To: wm.To, Diff: diff, Mismatch: wm.Mismatch}, true
 }
 
 // SetDefaultHandler installs the handler invoked for messages no registered
@@ -459,44 +438,18 @@ func (m *Morpher) Stats() Stats {
 // Deliver runs Algorithm 2 on rec: match (cached after the first message of
 // a format), transform, fill/drop, and invoke the matched format's handler.
 func (m *Morpher) Deliver(rec *pbio.Record) error {
-	return m.DeliverCtx(rec, trace.Context{})
-}
-
-// DeliverCtx is Deliver with a trace context: when tctx is sampled and a
-// tracer is attached, the morph decision, record lane, transform steps and
-// handler invocation are recorded as spans of tctx's trace.
-func (m *Morpher) DeliverCtx(rec *pbio.Record, tctx trace.Context) error {
-	d, t0, err := m.admit(rec.Format(), tctx, func() (*pbio.Record, error) { return rec, nil })
+	d, t0, err := m.admit(rec.Format(), trace.Context{}, func() (*pbio.Record, error) { return rec, nil })
 	if d == nil {
 		return err
 	}
-	out, err := m.recordLane(d, rec, tctx)
+	m.c.spliceMisses.Inc()
+	out, err := m.applyDecision(d, rec, trace.Context{})
 	if err != nil {
 		return err
 	}
-	dv := m.tracer.StartSpan(tctx, trace.StageDeliver)
 	err = d.reg.deliverRecord(out)
-	dv.EndErr(err)
 	m.observeHot(t0)
 	return err
-}
-
-// Morph converts rec into a registered format without invoking its handler;
-// the second result is the matched registered format. Transports that
-// deliver typed structs use this, as do the benchmarks. A rejected record
-// is an error here even when a default handler is installed: there is no
-// handler invocation for it to stand in for.
-func (m *Morpher) Morph(rec *pbio.Record) (*pbio.Record, *pbio.Format, error) {
-	d, t0, err := m.admit(rec.Format(), trace.Context{}, nil)
-	if d == nil {
-		return nil, nil, err
-	}
-	out, err := m.recordLane(d, rec, trace.Context{})
-	if err != nil {
-		return nil, nil, err
-	}
-	m.observeHot(t0)
-	return out, d.reg.format, nil
 }
 
 // admit is the prologue every delivery shares, boxed or encoded: count the
@@ -505,8 +458,7 @@ func (m *Morpher) Morph(rec *pbio.Record) (*pbio.Record, *pbio.Format, error) {
 // message is finished and err is its outcome — a decision error, or a reject,
 // which goes to the default handler when one is installed and is ErrRejected
 // otherwise (Algorithm 2 line 18). boxed yields the message as a record in its
-// incoming format for the default handler; a nil boxed (Morph) rejects
-// outright.
+// incoming format for the default handler.
 //
 // t0 is non-zero only for deliveries whose latency is recorded: with
 // observability enabled, every hotSampleMask+1-th one served from the cache.
@@ -535,7 +487,7 @@ func (m *Morpher) admit(wire *pbio.Format, tctx trace.Context, boxed func() (*pb
 	m.mu.RLock()
 	dh := m.defaultHandler
 	m.mu.RUnlock()
-	if dh == nil || boxed == nil {
+	if dh == nil {
 		return nil, t0, fmt.Errorf("%w: %q (%016x)", ErrRejected, wire.Name(), wire.Fingerprint())
 	}
 	rec, err := boxed()
@@ -550,17 +502,6 @@ func (m *Morpher) observeHot(t0 time.Time) {
 	if !t0.IsZero() {
 		m.hotHist.ObserveNS(time.Since(t0).Nanoseconds())
 	}
-}
-
-// recordLane applies an accepted decision to a boxed record under a
-// lane_record span: the transformation chain, then fill/drop conversion. A
-// delivery that reaches it is by definition a splice miss.
-func (m *Morpher) recordLane(d *decision, rec *pbio.Record, tctx trace.Context) (*pbio.Record, error) {
-	m.c.spliceMisses.Inc()
-	ls := m.tracer.StartSpan(tctx, trace.StageLaneRecord)
-	out, err := m.applyDecision(d, rec, ls.Context())
-	ls.EndErr(err)
-	return out, err
 }
 
 // DeliverEncoded delivers an enveloped message (whose wire format the
@@ -752,19 +693,23 @@ func (m *Morpher) buildDecisionLocked(fm *pbio.Format) (*decision, obs.Decision,
 	tr.Candidates, tr.Registered = 1, len(fr)
 
 	// Line 11: try the incoming format alone, accepting only a perfect pair.
-	if match, ok := m.matchLocked([]*pbio.Format{fm}, fr); ok && match.IsPerfect() {
+	if match, ok := MaxMatch([]*pbio.Format{fm}, fr, m.th, m.weigher); ok && match.IsPerfect() {
 		d, err := m.finishDecisionLocked(nil, match, &tr)
 		return d, tr, err
 	}
 
 	// Line 16: consider everything fm can be transformed into.
-	chains := m.reachableLocked(fm)
-	ft := make([]*pbio.Format, len(chains))
-	for i, ch := range chains {
-		ft[i] = ch.format
+	var chains []chain
+	matchChains := func() (Match, bool) {
+		chains = m.reachableLocked(fm)
+		ft := make([]*pbio.Format, len(chains))
+		for i, ch := range chains {
+			ft[i] = ch.format
+		}
+		tr.Candidates = len(ft)
+		return MaxMatch(ft, fr, m.th, m.weigher)
 	}
-	tr.Candidates = len(ft)
-	match, ok := m.matchLocked(ft, fr)
+	match, ok := matchChains()
 	for _, fresh := range [...]bool{false, true} {
 		if ok || m.xsource == nil {
 			break
@@ -776,13 +721,7 @@ func (m *Morpher) buildDecisionLocked(fm *pbio.Format) (*decision, obs.Decision,
 		// TransformSource), for the case where the cached entry is a stale
 		// copy of a fingerprint a later protocol generation reused.
 		if m.importTransformsLocked(m.xsource(fm.Fingerprint(), fresh)) > 0 {
-			chains = m.reachableLocked(fm)
-			ft = make([]*pbio.Format, len(chains))
-			for i, ch := range chains {
-				ft[i] = ch.format
-			}
-			tr.Candidates = len(ft)
-			match, ok = m.matchLocked(ft, fr)
+			match, ok = matchChains()
 		}
 	}
 	if !ok {

@@ -278,8 +278,8 @@ func TestMorpherRejection(t *testing.T) {
 	if !errors.Is(err, ErrRejected) {
 		t.Errorf("err = %v, want ErrRejected", err)
 	}
-	if _, _, err := m.Morph(pbio.NewRecord(unrelated)); !errors.Is(err, ErrRejected) {
-		t.Errorf("Morph err = %v, want ErrRejected", err)
+	if err := m.Deliver(pbio.NewRecord(unrelated)); !errors.Is(err, ErrRejected) {
+		t.Errorf("cached reject: err = %v, want ErrRejected", err)
 	}
 	if st := m.Stats(); st.Rejected != 2 {
 		t.Errorf("Rejected = %d, want 2", st.Rejected)

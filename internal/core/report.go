@@ -25,7 +25,7 @@ const (
 	FieldAdded ChangeKind = iota
 	FieldRemoved
 	FieldRetyped // same name, incompatible kind (morphing treats as remove+add)
-	FieldResized // same kind, different wire width (morphing-compatible)
+	FieldResized // compatible kind, different kind or wire width (copied by value)
 )
 
 func (k ChangeKind) String() string {
@@ -45,12 +45,14 @@ func (k ChangeKind) String() string {
 
 // DiffReport lists the field-level differences going from format a to
 // format b, recursively through complex and list fields, sorted by path.
-// It is the human-readable companion of Diff: fields reported as removed or
-// retyped are what Diff(a, b) counts; added fields are what Diff(b, a)
-// counts.
+// It is the human-readable companion of Diff, read off the same name-wise
+// walk: fields reported as removed or retyped are what Diff(a, b) counts;
+// added or retyped fields are what Diff(b, a) counts; resized fields are
+// the coerced copies that keep a conversion off the splice lane.
 func DiffReport(a, b *pbio.Format) []FieldChange {
-	var out []FieldChange
-	diffReport(a, b, "", &out)
+	p := pairing{report: true}
+	p.walk(a, b)
+	out := p.changes
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Path != out[j].Path {
 			return out[i].Path < out[j].Path
@@ -58,60 +60,6 @@ func DiffReport(a, b *pbio.Format) []FieldChange {
 		return out[i].Kind < out[j].Kind
 	})
 	return out
-}
-
-func diffReport(a, b *pbio.Format, prefix string, out *[]FieldChange) {
-	seen := make(map[string]bool, a.NumFields())
-	for i := 0; i < a.NumFields(); i++ {
-		fa := a.Field(i)
-		seen[fa.Name] = true
-		path := joinPath(prefix, fa.Name)
-		fb := b.FieldByName(fa.Name)
-		if fb == nil {
-			*out = append(*out, FieldChange{Path: path, Kind: FieldRemoved, From: fieldDesc(fa)})
-			continue
-		}
-		diffFieldReport(fa, fb, path, out)
-	}
-	for i := 0; i < b.NumFields(); i++ {
-		fb := b.Field(i)
-		if seen[fb.Name] {
-			continue
-		}
-		*out = append(*out, FieldChange{Path: joinPath(prefix, fb.Name), Kind: FieldAdded, To: fieldDesc(fb)})
-	}
-}
-
-func diffFieldReport(fa, fb *pbio.Field, path string, out *[]FieldChange) {
-	switch {
-	case fa.Kind == pbio.Complex && fb.Kind == pbio.Complex:
-		diffReport(fa.Sub, fb.Sub, path, out)
-	case fa.Kind == pbio.List && fb.Kind == pbio.List:
-		diffElemReport(fa.Elem, fb.Elem, path, out)
-	case fa.Kind.IsBasic() && fb.Kind.IsBasic() && basicCompatible(fa.Kind, fb.Kind):
-		if fa.Kind != fb.Kind || fa.Size != fb.Size {
-			*out = append(*out, FieldChange{Path: path, Kind: FieldResized, From: fieldDesc(fa), To: fieldDesc(fb)})
-		}
-	default:
-		*out = append(*out, FieldChange{Path: path, Kind: FieldRetyped, From: fieldDesc(fa), To: fieldDesc(fb)})
-	}
-}
-
-func diffElemReport(ea, eb *pbio.Field, path string, out *[]FieldChange) {
-	switch {
-	case ea.Kind == pbio.Complex && eb.Kind == pbio.Complex:
-		diffReport(ea.Sub, eb.Sub, path, out)
-	case ea.Kind == pbio.List && eb.Kind == pbio.List:
-		diffElemReport(ea.Elem, eb.Elem, path, out)
-	case ea.Kind.IsBasic() && eb.Kind.IsBasic() && basicCompatible(ea.Kind, eb.Kind):
-		if ea.Kind != eb.Kind || ea.Size != eb.Size {
-			*out = append(*out, FieldChange{Path: path, Kind: FieldResized,
-				From: "list of " + fieldDesc(ea), To: "list of " + fieldDesc(eb)})
-		}
-	default:
-		*out = append(*out, FieldChange{Path: path, Kind: FieldRetyped,
-			From: "list of " + fieldDesc(ea), To: "list of " + fieldDesc(eb)})
-	}
 }
 
 func fieldDesc(f *pbio.Field) string {

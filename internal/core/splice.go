@@ -16,9 +16,10 @@ import (
 // transformations run as compiled code over native buffers rather than
 // through a generic materialized representation.
 //
-// A plan compiles iff both formats are fixed-stride and every copied field
-// has identical kind and wire width on both sides (so a byte copy equals
-// the record lane's decode→coerce→encode). Anything else — strings, lists,
+// A plan compiles iff both formats are fixed-stride and every copy step is
+// exact — identical kind and wire width on both sides, as fitOf decided
+// when the plan was built — so a byte copy equals the record lane's
+// decode→coerce→encode. Anything else — strings, lists,
 // width changes, ecode transformation steps — falls back to the record
 // lane; correctness never depends on spliceability.
 //
@@ -91,9 +92,8 @@ func (p *spliceProgram) addConverter(c *Converter, srcBase, dstBase int) bool {
 		switch s.mode {
 		case convFill:
 			// Baked into the template; nothing to do at execution time.
-		case convCopyScalar:
-			srcFld, dstFld := c.from.Field(s.srcIdx), c.to.Field(s.dstIdx)
-			if srcFld.Kind != dstFld.Kind || srcFld.Size != dstFld.Size {
+		case convCopy:
+			if !s.exact {
 				return false // width/kind change needs the record lane's coercion
 			}
 			srcOff, n, ok := sl.FieldSpan(s.srcIdx)

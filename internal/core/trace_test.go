@@ -131,26 +131,35 @@ func TestTraceSpansConvert(t *testing.T) {
 	}
 }
 
-// TestTraceSpansBoxedDeliver: DeliverCtx (boxed record lane) emits the same
-// decision/lane/handler stages.
+// TestTraceSpansBoxedDeliver: a boxed handler reached on the record lane
+// without a transform or conversion — an identity decision on a
+// variable-width format, which no splice serves — records the decision,
+// lane and handler stages, the handler nested inside the lane.
 func TestTraceSpansBoxedDeliver(t *testing.T) {
-	f := fmtOrDie(t, "m", []pbio.Field{bf("x", pbio.Integer)})
+	f := fmtOrDie(t, "m", []pbio.Field{bf("x", pbio.Integer), bf("s", pbio.String)})
 	tr := trace.New(trace.Config{Capacity: 64})
 	m := NewMorpher(DefaultThresholds, WithTracer(tr))
 	if err := m.RegisterFormat(f, func(*pbio.Record) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
+	data := pbio.EncodeRecord(pbio.NewRecord(f).MustSet("x", pbio.Int(2)).MustSet("s", pbio.Str("v")))
 	root := tr.StartTrace(trace.StageFrameRead)
-	if err := m.DeliverCtx(pbio.NewRecord(f).MustSet("x", pbio.Int(2)), root.Context()); err != nil {
+	if err := m.DeliverEncodedCtx(data, f, root.Context()); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
 
+	if st := m.Stats(); st.SpliceMisses != 1 || st.Converted != 0 || st.Transformed != 0 {
+		t.Fatalf("expected a plain record-lane delivery: %+v", st)
+	}
 	spans := stagesByName(tr)
 	for _, want := range []string{"morph_decide", "lane_record", "deliver"} {
 		if len(spans[want]) != 1 {
 			t.Fatalf("stage %q recorded %d times, want 1 (have %v)", want, len(spans[want]), keys(spans))
 		}
+	}
+	if spans["deliver"][0].Parent != spans["lane_record"][0].Span {
+		t.Error("deliver span must nest inside lane_record")
 	}
 }
 

@@ -2,59 +2,13 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/pbio"
 )
 
-func TestWeightedReducesToClassicWithUnitWeights(t *testing.T) {
-	v1, v2 := echoV1V2(t)
-	pairs := [][2]*pbio.Format{{v1, v2}, {v2, v1}, {v1, v1}}
-	for _, p := range pairs {
-		if got, want := WeightedDiff(p[0], p[1], UnitWeigher), float64(Diff(p[0], p[1])); got != want {
-			t.Errorf("WeightedDiff(unit) = %g, Diff = %g", got, want)
-		}
-		if got, want := WeightedMismatchRatio(p[0], p[1], nil), MismatchRatio(p[0], p[1]); got != want {
-			t.Errorf("WeightedMismatchRatio(nil) = %g, MismatchRatio = %g", got, want)
-		}
-	}
-	if got, want := WeightedFormatWeight(v1, nil), float64(v1.Weight()); got != want {
-		t.Errorf("WeightedFormatWeight = %g, Weight = %g", got, want)
-	}
-}
-
-// TestQuickWeightedUnitEquivalence: the equivalence holds for arbitrary
-// random pairs drawn from a family of formats.
-func TestQuickWeightedUnitEquivalence(t *testing.T) {
-	names := []string{"a", "b", "c", "d", "e"}
-	kinds := []pbio.Kind{pbio.Integer, pbio.Float, pbio.String, pbio.Boolean}
-	build := func(mask uint8, kindSel uint8) *pbio.Format {
-		var fields []pbio.Field
-		for i, n := range names {
-			if mask&(1<<i) == 0 {
-				continue
-			}
-			fields = append(fields, pbio.Field{Name: n, Kind: kinds[int(kindSel>>(2*i))%len(kinds)]})
-		}
-		if len(fields) == 0 {
-			fields = append(fields, pbio.Field{Name: "z", Kind: pbio.Integer})
-		}
-		f, err := pbio.NewFormat("m", fields)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	prop := func(m1, k1, m2, k2 uint8) bool {
-		f1, f2 := build(m1, k1), build(m2, k2)
-		return WeightedDiff(f1, f2, UnitWeigher) == float64(Diff(f1, f2)) &&
-			WeightedMismatchRatio(f1, f2, UnitWeigher) == MismatchRatio(f1, f2)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestWeightedPaths: the Weigher sees every basic field once per match, by
+// its dot path — list elements under their list's name — whether the field
+// is kept or dropped.
 func TestWeightedPaths(t *testing.T) {
 	inner := fmtOrDie(t, "inner", []pbio.Field{bf("deep", pbio.Integer)})
 	f := fmtOrDie(t, "m", []pbio.Field{
@@ -62,18 +16,21 @@ func TestWeightedPaths(t *testing.T) {
 		{Name: "sub", Kind: pbio.Complex, Sub: inner},
 		{Name: "list", Kind: pbio.List, Elem: &pbio.Field{Kind: pbio.Complex, Sub: inner}},
 	})
-	var paths []string
-	WeightedFormatWeight(f, func(path string, _ *pbio.Field) float64 {
-		paths = append(paths, path)
-		return 1
-	})
-	want := map[string]bool{"top": true, "sub.deep": true, "list.deep": true}
-	if len(paths) != len(want) {
-		t.Fatalf("paths = %v", paths)
-	}
-	for _, p := range paths {
-		if !want[p] {
-			t.Errorf("unexpected path %q", p)
+	topOnly := fmtOrDie(t, "m", []pbio.Field{bf("top", pbio.Integer)})
+	for _, to := range []*pbio.Format{f, topOnly} {
+		var paths []string
+		MaxMatch([]*pbio.Format{f}, []*pbio.Format{to}, DefaultThresholds, func(path string, _ *pbio.Field) float64 {
+			paths = append(paths, path)
+			return 1
+		})
+		want := map[string]bool{"top": true, "sub.deep": true, "list.deep": true}
+		if len(paths) != len(want) {
+			t.Fatalf("into %d fields: paths = %v", to.NumFields(), paths)
+		}
+		for _, p := range paths {
+			if !want[p] {
+				t.Errorf("into %d fields: unexpected path %q", to.NumFields(), p)
+			}
 		}
 	}
 }
@@ -93,7 +50,7 @@ func TestWeightedImportanceFlipsDecision(t *testing.T) {
 	})
 
 	// Unweighted: diff = 1 (checksum dropped), easily within thresholds.
-	if _, ok := MaxMatch([]*pbio.Format{incoming}, []*pbio.Format{target}, DefaultThresholds); !ok {
+	if _, ok := MaxMatch([]*pbio.Format{incoming}, []*pbio.Format{target}, DefaultThresholds, nil); !ok {
 		t.Fatal("unweighted match must succeed")
 	}
 
@@ -104,8 +61,7 @@ func TestWeightedImportanceFlipsDecision(t *testing.T) {
 		}
 		return 1
 	}
-	wth := WeightedThresholds{Diff: 8, Mismatch: 0.5}
-	if _, ok := MaxMatchWeighted([]*pbio.Format{incoming}, []*pbio.Format{target}, wth, weigher); ok {
+	if _, ok := MaxMatch([]*pbio.Format{incoming}, []*pbio.Format{target}, DefaultThresholds, weigher); ok {
 		t.Error("weighted match must refuse to drop the critical field")
 	}
 
@@ -117,8 +73,7 @@ func TestWeightedImportanceFlipsDecision(t *testing.T) {
 		}
 		return 1
 	}
-	m, ok := MaxMatchWeighted([]*pbio.Format{incoming}, []*pbio.Format{target},
-		WeightedThresholds{Diff: 0, Mismatch: 0}, optional)
+	m, ok := MaxMatch([]*pbio.Format{incoming}, []*pbio.Format{target}, Thresholds{}, optional)
 	if !ok || !m.IsPerfect() {
 		t.Errorf("zero-weighted drop must be a perfect match: ok=%v m=%+v", ok, m)
 	}
@@ -129,8 +84,13 @@ func TestWeightedTieBreakPrefersLeastMismatch(t *testing.T) {
 	full := fmtOrDie(t, "m", []pbio.Field{bf("x", pbio.Integer), bf("y", pbio.Integer), bf("e", pbio.Integer)})
 	partial := fmtOrDie(t, "m", []pbio.Field{bf("x", pbio.Integer), bf("e", pbio.Integer)})
 
-	m, ok := MaxMatchWeighted([]*pbio.Format{partial, full}, []*pbio.Format{target},
-		WeightedThresholds{Diff: 5, Mismatch: 1}, nil)
+	heavyY := func(path string, _ *pbio.Field) float64 {
+		if path == "y" {
+			return 3
+		}
+		return 1
+	}
+	m, ok := MaxMatch([]*pbio.Format{partial, full}, []*pbio.Format{target}, Thresholds{Diff: 5, Mismatch: 1}, heavyY)
 	if !ok || m.From != full {
 		t.Errorf("least weighted mismatch must win: got %+v", m)
 	}

@@ -627,7 +627,6 @@ func (s *Server) handleConn(nc net.Conn) {
 	ch.nextID++
 	mc.member = Member{Info: contact, ID: ch.nextID, IsSource: req.IsSource, IsSink: req.IsSink}
 	ch.mu.Unlock()
-	meta := ch.metaSnapshot()
 
 	// Sink subscribers get per-sink delivery accounting, keyed by the member
 	// ID just assigned, and their outbound delivery queue. Created outside
@@ -641,15 +640,15 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 
 	// Respond in v2.0, with the v2→v1 morphing code attached out-of-band.
+	// Event formats' evolution meta-data needs no replay here: the sink's
+	// writer declares the channel's latest entry before each event frame
+	// (newSinkQueue), and a declaration only matters before a format's
+	// first frame.
 	conn.Declare(ResponseV2Format, &core.Xform{
 		From: ResponseV2Format,
 		To:   ResponseV1Format,
 		Code: Figure5Transform,
 	})
-	// Replay evolution meta-data for event formats this channel has seen.
-	for _, em := range meta {
-		conn.Declare(em.format, em.xforms...)
-	}
 	if err := s.join(ch, mc); err != nil {
 		return
 	}

@@ -18,7 +18,7 @@ type Decision struct {
 	Registered  int       `json:"registered"`     // |Fr|: same-name reader formats considered
 	From        string    `json:"from,omitempty"` // chosen MaxMatch pair
 	To          string    `json:"to,omitempty"`
-	Diff        int       `json:"diff"`     // Diff(From, To): incoming fields dropped
+	Diff        float64   `json:"diff"`     // Diff(From, To): incoming fields dropped (their importance, when weighted)
 	Mismatch    float64   `json:"mismatch"` // MismatchRatio(From, To): target fields defaulted
 	ChainLen    int       `json:"chain_len"`
 	CompileNS   int64     `json:"compile_ns"` // total transformation-compile time
@@ -32,7 +32,7 @@ func (d Decision) String() string {
 		return fmt.Sprintf("decision #%d %s(%s): REJECT (%s) candidates=%d registered=%d",
 			d.Seq, d.Format, d.Fingerprint, d.Reason, d.Candidates, d.Registered)
 	}
-	return fmt.Sprintf("decision #%d %s(%s): %s→%s diff=%d mismatch=%.3f chain=%d compile=%s candidates=%d registered=%d",
+	return fmt.Sprintf("decision #%d %s(%s): %s→%s diff=%g mismatch=%.3f chain=%d compile=%s candidates=%d registered=%d",
 		d.Seq, d.Format, d.Fingerprint, d.From, d.To, d.Diff, d.Mismatch,
 		d.ChainLen, time.Duration(d.CompileNS), d.Candidates, d.Registered)
 }

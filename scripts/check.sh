@@ -69,6 +69,8 @@ selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFr
 echo "== record lane allocation gates (packed Value, list slabs)"
 selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestConvertListAllocs' \
     -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/
+echo "== one name-wise pairing (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing)"
+selected run 'TestQuickOnePairing|TestMatchingAllocFree' -count=1 ./internal/core/
 echo "== tap ring and capture suite (race-enabled)"
 selected run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture|TestSnapshotOrderAfterWrap|TestKeepNotCounted|TestConcurrentPutAndSnapshot' \
     -race -count=1 ./internal/tap/ ./internal/ring/
