@@ -8,16 +8,13 @@
 // raw field data; the Format itself travels out-of-band (see EncodeFormat and
 // the wire package), so per-message meta-data overhead stays under 30 bytes.
 //
-// Two data paths are provided:
-//
-//   - A reflection-based path (Registry.Marshal / Registry.Unmarshal) that
-//     binds tagged Go structs to Formats through compiled, cached field
-//     plans. This is the analog of PBIO's dynamically generated
-//     marshalling code: the plan is built once per type and amortized over
-//     the message stream.
-//
-//   - A dynamic path (Record / Value, EncodeRecord / DecodeRecord) used by
-//     the morphing engine, where formats are only known at run time.
+// There is one codec: Record / Value, encoded by EncodeRecord and decoded
+// by DecodeRecord, the form the morphing engine works in because it learns
+// formats only at run time. Applications that keep their data in tagged Go
+// structs declare the layout once through a Registry and cross to Records
+// at the boundary (Registry.ToRecord, Registry.FromRecord); the Registry
+// derives each type's Format and field indices once and reuses them for
+// every message.
 //
 // All multi-byte quantities are little-endian. Strings and dynamic lists are
 // length-prefixed with unsigned varints; complex (nested record) fields are

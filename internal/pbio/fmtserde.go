@@ -147,6 +147,9 @@ func decodeFieldDesc(d *decoder, depth int) (Field, error) {
 		}
 		fld.Sub = sub
 	case List:
+		if depth >= maxFormatDepth {
+			return Field{}, errors.New("format nesting too deep")
+		}
 		elem, err := decodeFieldDesc(d, depth+1)
 		if err != nil {
 			return Field{}, err

@@ -2,6 +2,7 @@ package pbio
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,20 @@ func TestDecodeFormatErrors(t *testing.T) {
 		}
 		if _, err := DecodeFormat(blob); !errors.Is(err, ErrBadFormatBlob) {
 			t.Errorf("err = %v, want ErrBadFormatBlob", err)
+		}
+	})
+	t.Run("list nesting bomb", func(t *testing.T) {
+		// A chain of list-of-list element descriptors is invalid, but the
+		// depth guard must stop it before validation could.
+		blob := appendString([]byte{formatBlobVersion}, "f")
+		blob = append(blob, 1)
+		for i := 0; i < 1<<16; i++ {
+			blob = appendString(blob, "")
+			blob = append(blob, byte(List), 0)
+		}
+		_, err := DecodeFormat(blob)
+		if !errors.Is(err, ErrBadFormatBlob) || !strings.Contains(err.Error(), "too deep") {
+			t.Errorf("err = %v, want ErrBadFormatBlob for nesting", err)
 		}
 	})
 }

@@ -12,10 +12,12 @@ import (
 // type.
 var ErrBadType = errors.New("pbio: unsupported Go type")
 
-// Registry binds Go struct types to Formats and caches the compiled
-// marshalling plans for them. It is the reflection-based counterpart of a
-// PBIO context: where PBIO generates machine code per format, the Registry
-// compiles a per-type plan of closures once and reuses it for every message.
+// Registry binds tagged Go struct types to Formats: the Go analog of the
+// paper's Figure 2 field list, declared once per type through struct tags.
+// Structs reach bytes only through Records — ToRecord then EncodeRecord on
+// the way out, DecodeRecord then FromRecord on the way in — so there is one
+// PBIO codec, and the morphing engine sees struct-built messages exactly as
+// it sees any other.
 //
 // The zero Registry is ready to use. A Registry is safe for concurrent use.
 type Registry struct {
@@ -23,18 +25,24 @@ type Registry struct {
 	byType map[reflect.Type]*binding
 }
 
+// binding is what a Registry derives once per struct type: its Format, and
+// for each format field the Go struct field it maps to, so converting a
+// message walks indices instead of re-reading tags.
 type binding struct {
 	format *Format
-	enc    encPlan
-	dec    decPlan
+	fields []boundField // one per format field, in format order
+}
+
+type boundField struct {
+	index int      // Go struct field index
+	sub   *binding // the nested struct's binding, for struct and []struct fields
 }
 
 // Register derives (or returns the cached) Format for v's type. v must be a
 // struct or pointer to struct with at least one encodable field. The format
 // name is the struct type's name unless overridden with name.
 func (reg *Registry) Register(v any, name string) (*Format, error) {
-	t := reflect.TypeOf(v)
-	b, err := reg.binding(t, name)
+	b, err := reg.binding(reflect.TypeOf(v), name)
 	if err != nil {
 		return nil, err
 	}
@@ -89,11 +97,10 @@ func (reg *Registry) binding(t reflect.Type, name string) (*binding, error) {
 	if name == "" {
 		name = t.Name()
 	}
-	format, enc, dec, err := compileStruct(t, name)
+	b, err := deriveStruct(t, name, map[reflect.Type]bool{})
 	if err != nil {
 		return nil, err
 	}
-	b = &binding{format: format, enc: enc, dec: dec}
 	if reg.byType == nil {
 		reg.byType = make(map[reflect.Type]*binding)
 	}
@@ -104,7 +111,6 @@ func (reg *Registry) binding(t reflect.Type, name string) (*binding, error) {
 // fieldSpec is the parsed form of one struct field's `pbio` tag.
 type fieldSpec struct {
 	name    string
-	index   int
 	char    bool // force Char kind for a uint8 field
 	enum    bool // force Enum kind for an integer field
 	symbols []string
@@ -115,7 +121,7 @@ type fieldSpec struct {
 // and "enum=A|B|C" (enum with named symbols).
 func parseTag(sf reflect.StructField) (fieldSpec, bool) {
 	tag := sf.Tag.Get("pbio")
-	if tag == "-" || (!sf.IsExported() && tag == "") {
+	if tag == "-" || !sf.IsExported() {
 		return fieldSpec{}, false
 	}
 	spec := fieldSpec{name: sf.Name}
@@ -134,399 +140,220 @@ func parseTag(sf reflect.StructField) (fieldSpec, bool) {
 			spec.symbols = strings.Split(strings.TrimPrefix(opt, "enum="), "|")
 		}
 	}
-	return spec, sf.IsExported()
+	return spec, true
 }
 
-// compileStruct derives the Format for t and builds its encode and decode
-// plans in a single pass, so field order and plan order cannot drift apart.
-func compileStruct(t reflect.Type, name string) (*Format, encPlan, decPlan, error) {
-	var (
-		fields []Field
-		enc    encPlan
-		dec    decPlan
-	)
+// deriveStruct builds the binding of struct type t. onPath holds the struct
+// types being derived above t: a type that contains itself, directly or
+// through slices, would describe an infinite record, so it is refused
+// rather than recursed into.
+func deriveStruct(t reflect.Type, name string, onPath map[reflect.Type]bool) (*binding, error) {
+	if onPath[t] {
+		return nil, fmt.Errorf("%w: %v contains itself (PBIO records are trees)", ErrBadType, t)
+	}
+	onPath[t] = true
+	defer delete(onPath, t)
+
+	b := &binding{}
+	var fields []Field
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
 		spec, ok := parseTag(sf)
 		if !ok {
 			continue
 		}
-		spec.index = i
-		fld, e, d, err := compileField(sf.Type, spec)
+		fld, sub, err := deriveField(sf.Type, spec, onPath)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%v.%s: %w", t, sf.Name, err)
+			return nil, fmt.Errorf("%v.%s: %w", t, sf.Name, err)
 		}
 		fields = append(fields, fld)
-		enc = append(enc, e)
-		dec = append(dec, d)
+		b.fields = append(b.fields, boundField{index: i, sub: sub})
 	}
 	if len(fields) == 0 {
-		return nil, nil, nil, fmt.Errorf("%w: struct %v has no encodable fields", ErrBadType, t)
+		return nil, fmt.Errorf("%w: struct %v has no encodable fields", ErrBadType, t)
 	}
-	format, err := NewFormat(name, fields)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return format, enc, dec, nil
+	var err error
+	b.format, err = NewFormat(name, fields)
+	return b, err
 }
 
-func compileField(t reflect.Type, spec fieldSpec) (Field, encStep, decStep, error) {
-	idx := spec.index
+// deriveField describes a value of Go type t, named and optioned by spec.
+// Struct fields and slice elements alike go through it; for a struct, or a
+// slice of structs, it also returns the struct's binding.
+func deriveField(t reflect.Type, spec fieldSpec, onPath map[reflect.Type]bool) (Field, *binding, error) {
+	fld := Field{Name: spec.name}
 	switch t.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		size := intSize(t)
-		kind := Integer
-		if spec.enum {
-			kind = Enum
-		}
-		fld := Field{Name: spec.name, Kind: kind, Size: size, Symbols: spec.symbols}
-		return fld,
-			func(dst []byte, sv reflect.Value) []byte {
-				return appendFixedInt(dst, sv.Field(idx).Int(), size)
-			},
-			func(d *decoder, sv reflect.Value) error {
-				n, err := d.fixedInt(size, true)
-				if err != nil {
-					return err
-				}
-				sv.Field(idx).SetInt(n)
-				return nil
-			}, nil
-
+		fld.Kind, fld.Size = Integer, intSize(t)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		size := intSize(t)
-		kind := Unsigned
+		fld.Kind, fld.Size = Unsigned, intSize(t)
 		if spec.char && t.Kind() == reflect.Uint8 {
-			kind = Char
-		} else if spec.enum {
-			kind = Enum
+			fld.Kind = Char
 		}
-		fld := Field{Name: spec.name, Kind: kind, Size: size, Symbols: spec.symbols}
-		return fld,
-			func(dst []byte, sv reflect.Value) []byte {
-				return appendFixedInt(dst, int64(sv.Field(idx).Uint()), size)
-			},
-			func(d *decoder, sv reflect.Value) error {
-				n, err := d.fixedInt(size, false)
-				if err != nil {
-					return err
-				}
-				sv.Field(idx).SetUint(uint64(n))
-				return nil
-			}, nil
-
 	case reflect.Float32, reflect.Float64:
-		size := 8
-		if t.Kind() == reflect.Float32 {
-			size = 4
-		}
-		fld := Field{Name: spec.name, Kind: Float, Size: size}
-		return fld,
-			func(dst []byte, sv reflect.Value) []byte {
-				return appendValue(dst, &Field{Kind: Float, Size: size}, Float64(sv.Field(idx).Float()))
-			},
-			func(d *decoder, sv reflect.Value) error {
-				v, err := d.value(&Field{Kind: Float, Size: size}, nil)
-				if err != nil {
-					return err
-				}
-				sv.Field(idx).SetFloat(v.Float64())
-				return nil
-			}, nil
-
+		fld.Kind, fld.Size = Float, int(t.Size())
 	case reflect.Bool:
-		fld := Field{Name: spec.name, Kind: Boolean, Size: 1}
-		return fld,
-			func(dst []byte, sv reflect.Value) []byte {
-				if sv.Field(idx).Bool() {
-					return append(dst, 1)
-				}
-				return append(dst, 0)
-			},
-			func(d *decoder, sv reflect.Value) error {
-				b, err := d.take(1)
-				if err != nil {
-					return err
-				}
-				sv.Field(idx).SetBool(b[0] != 0)
-				return nil
-			}, nil
-
+		fld.Kind, fld.Size = Boolean, 1
 	case reflect.String:
-		fld := Field{Name: spec.name, Kind: String}
-		return fld,
-			func(dst []byte, sv reflect.Value) []byte {
-				s := sv.Field(idx).String()
-				dst = appendUvarint(dst, uint64(len(s)))
-				return append(dst, s...)
-			},
-			func(d *decoder, sv reflect.Value) error {
-				s, err := decodeString(d)
-				if err != nil {
-					return err
-				}
-				sv.Field(idx).SetString(s)
-				return nil
-			}, nil
-
+		fld.Kind = String
 	case reflect.Struct:
-		subFormat, subEnc, subDec, err := compileStruct(t, t.Name())
+		b, err := deriveStruct(t, t.Name(), onPath)
 		if err != nil {
-			return Field{}, nil, nil, err
+			return Field{}, nil, err
 		}
-		fld := Field{Name: spec.name, Kind: Complex, Sub: subFormat}
-		return fld,
-			func(dst []byte, sv reflect.Value) []byte {
-				return subEnc.append(dst, sv.Field(idx))
-			},
-			func(d *decoder, sv reflect.Value) error {
-				return subDec.run(d, sv.Field(idx))
-			}, nil
-
+		fld.Kind, fld.Sub = Complex, b.format
+		return fld, b, nil
 	case reflect.Slice:
-		return compileSliceField(t, spec)
-
-	case reflect.Pointer:
-		return Field{}, nil, nil, fmt.Errorf("%w: pointer fields are not supported (PBIO records are trees)", ErrBadType)
-
-	default:
-		return Field{}, nil, nil, fmt.Errorf("%w: %v", ErrBadType, t)
-	}
-}
-
-func compileSliceField(t reflect.Type, spec fieldSpec) (Field, encStep, decStep, error) {
-	idx := spec.index
-	elemSpec := fieldSpec{name: "elem", char: spec.char, enum: spec.enum, symbols: spec.symbols}
-	elemFld, _, _, err := compileField(t.Elem(), elemSpec)
-	if err != nil {
-		return Field{}, nil, nil, fmt.Errorf("slice element: %w", err)
-	}
-	// Re-compile the element against field index 0 of a synthetic one-field
-	// view: slices need per-element access, so the element steps index into
-	// the slice, not into a struct.
-	elemFld.Name = ""
-	elem := elemFld
-	fld := Field{Name: spec.name, Kind: List, Elem: &elem}
-
-	encElem, decElem, err := compileSliceElem(t.Elem(), &elem)
-	if err != nil {
-		return Field{}, nil, nil, err
-	}
-	elemType := t.Elem()
-	return fld,
-		func(dst []byte, sv reflect.Value) []byte {
-			s := sv.Field(idx)
-			n := s.Len()
-			dst = appendUvarint(dst, uint64(n))
-			for i := 0; i < n; i++ {
-				dst = encElem(dst, s.Index(i))
-			}
-			return dst
-		},
-		func(d *decoder, sv reflect.Value) error {
-			n, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			if n > uint64(len(d.buf)-d.pos) {
-				return fmt.Errorf("%w: list count %d exceeds remaining %d bytes",
-					ErrShortMessage, n, len(d.buf)-d.pos)
-			}
-			s := reflect.MakeSlice(reflect.SliceOf(elemType), int(n), int(n))
-			for i := 0; i < int(n); i++ {
-				if err := decElem(d, s.Index(i)); err != nil {
-					return fmt.Errorf("element %d: %w", i, err)
-				}
-			}
-			sv.Field(idx).Set(s)
-			return nil
-		}, nil
-}
-
-// elemEnc / elemDec operate on an element value directly rather than on a
-// field of an enclosing struct.
-type (
-	elemEnc func(dst []byte, ev reflect.Value) []byte
-	elemDec func(d *decoder, ev reflect.Value) error
-)
-
-func compileSliceElem(t reflect.Type, fld *Field) (elemEnc, elemDec, error) {
-	switch t.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		size := fld.Size
-		return func(dst []byte, ev reflect.Value) []byte {
-				return appendFixedInt(dst, ev.Int(), size)
-			}, func(d *decoder, ev reflect.Value) error {
-				n, err := d.fixedInt(size, true)
-				if err != nil {
-					return err
-				}
-				ev.SetInt(n)
-				return nil
-			}, nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		size := fld.Size
-		return func(dst []byte, ev reflect.Value) []byte {
-				return appendFixedInt(dst, int64(ev.Uint()), size)
-			}, func(d *decoder, ev reflect.Value) error {
-				n, err := d.fixedInt(size, false)
-				if err != nil {
-					return err
-				}
-				ev.SetUint(uint64(n))
-				return nil
-			}, nil
-	case reflect.Float32, reflect.Float64:
-		size := fld.Size
-		f := &Field{Kind: Float, Size: size}
-		return func(dst []byte, ev reflect.Value) []byte {
-				return appendValue(dst, f, Float64(ev.Float()))
-			}, func(d *decoder, ev reflect.Value) error {
-				v, err := d.value(f, nil)
-				if err != nil {
-					return err
-				}
-				ev.SetFloat(v.Float64())
-				return nil
-			}, nil
-	case reflect.Bool:
-		return func(dst []byte, ev reflect.Value) []byte {
-				if ev.Bool() {
-					return append(dst, 1)
-				}
-				return append(dst, 0)
-			}, func(d *decoder, ev reflect.Value) error {
-				b, err := d.take(1)
-				if err != nil {
-					return err
-				}
-				ev.SetBool(b[0] != 0)
-				return nil
-			}, nil
-	case reflect.String:
-		return func(dst []byte, ev reflect.Value) []byte {
-				s := ev.String()
-				dst = appendUvarint(dst, uint64(len(s)))
-				return append(dst, s...)
-			}, func(d *decoder, ev reflect.Value) error {
-				s, err := decodeString(d)
-				if err != nil {
-					return err
-				}
-				ev.SetString(s)
-				return nil
-			}, nil
-	case reflect.Struct:
-		_, subEnc, subDec, err := compileStruct(t, t.Name())
-		if err != nil {
-			return nil, nil, err
+		if t.Elem().Kind() == reflect.Slice {
+			return Field{}, nil, fmt.Errorf("%w: slice of %v", ErrBadType, t.Elem())
 		}
-		return func(dst []byte, ev reflect.Value) []byte {
-				return subEnc.append(dst, ev)
-			}, func(d *decoder, ev reflect.Value) error {
-				return subDec.run(d, ev)
-			}, nil
+		elemSpec := spec
+		elemSpec.name = "" // Elem.Name is ignored by the format
+		elem, b, err := deriveField(t.Elem(), elemSpec, onPath)
+		if err != nil {
+			return Field{}, nil, fmt.Errorf("slice element: %w", err)
+		}
+		fld.Kind, fld.Elem = List, &elem
+		return fld, b, nil
+	case reflect.Pointer:
+		return Field{}, nil, fmt.Errorf("%w: pointer fields are not supported (PBIO records are trees)", ErrBadType)
 	default:
-		return nil, nil, fmt.Errorf("%w: slice of %v", ErrBadType, t)
+		return Field{}, nil, fmt.Errorf("%w: %v", ErrBadType, t)
 	}
+	if spec.enum && (fld.Kind == Integer || fld.Kind == Unsigned) {
+		fld.Kind, fld.Symbols = Enum, spec.symbols
+	}
+	return fld, nil, nil
 }
 
 func intSize(t reflect.Type) int {
-	switch t.Kind() {
-	case reflect.Int8, reflect.Uint8:
-		return 1
-	case reflect.Int16, reflect.Uint16:
-		return 2
-	case reflect.Int32, reflect.Uint32:
-		return 4
-	default:
+	if t.Kind() == reflect.Int || t.Kind() == reflect.Uint {
 		return 8
 	}
+	return int(t.Size())
 }
 
-type (
-	encStep func(dst []byte, sv reflect.Value) []byte
-	decStep func(d *decoder, sv reflect.Value) error
-
-	encPlan []encStep
-	decPlan []decStep
-)
-
-func (p encPlan) append(dst []byte, sv reflect.Value) []byte {
-	for _, step := range p {
-		dst = step(dst, sv)
-	}
-	return dst
-}
-
-func (p decPlan) run(d *decoder, sv reflect.Value) error {
-	for _, step := range p {
-		if err := step(d, sv); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func appendUvarint(dst []byte, x uint64) []byte {
-	for x >= 0x80 {
-		dst = append(dst, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(dst, byte(x))
-}
-
-// Marshal encodes v (a registered struct or pointer to one) as a complete
-// enveloped message. Types are registered implicitly on first use, named
-// after the struct type.
-func (reg *Registry) Marshal(v any) ([]byte, error) {
-	return reg.Append(nil, v)
-}
-
-// Append appends the enveloped encoding of v to dst.
-func (reg *Registry) Append(dst []byte, v any) ([]byte, error) {
-	sv := reflect.ValueOf(v)
-	b, err := reg.binding(sv.Type(), "")
+// ToRecord converts a registered struct value into its dynamic Record form.
+// The morphing engine and the generic transports operate on Records; sending
+// applications typically keep their data in structs and convert at the
+// boundary. Types are registered implicitly on first use, named after the
+// struct type.
+func (reg *Registry) ToRecord(v any) (*Record, error) {
+	b, err := reg.binding(reflect.TypeOf(v), "")
 	if err != nil {
 		return nil, err
 	}
+	sv := reflect.ValueOf(v)
 	for sv.Kind() == reflect.Pointer {
 		if sv.IsNil() {
 			return nil, fmt.Errorf("%w: nil pointer", ErrBadType)
 		}
 		sv = sv.Elem()
 	}
-	dst = appendFixedInt(dst, int64(b.format.Fingerprint()), 8)
-	return b.enc.append(dst, sv), nil
+	var s Slab
+	s.Reserve(b.format, 1)
+	return b.toRecord(sv, &s), nil
 }
 
-// Unmarshal decodes an enveloped message whose format exactly matches the
-// registered format of v's type. v must be a non-nil pointer to struct.
-// Messages in a different (evolved) format must go through the morphing
-// engine instead; Unmarshal reports ErrFingerprint for them.
-func (reg *Registry) Unmarshal(data []byte, v any) error {
+// toRecord builds the record of struct value sv, carving it and the nested
+// records its struct fields hold from s.
+func (b *binding) toRecord(sv reflect.Value, s *Slab) *Record {
+	rec := s.carve(b.format)
+	for i, bf := range b.fields {
+		rec.vals[i] = goToValue(sv.Field(bf.index), &b.format.fields[i], bf.sub, s)
+	}
+	return rec
+}
+
+func goToValue(gv reflect.Value, fld *Field, sub *binding, s *Slab) Value {
+	switch fld.Kind {
+	case Integer:
+		return Int(gv.Int())
+	case Unsigned:
+		return Uint(gv.Uint())
+	case Char:
+		return CharOf(byte(gv.Uint()))
+	case Enum:
+		if gv.CanInt() {
+			return EnumOf(gv.Int())
+		}
+		return EnumOf(int64(gv.Uint()))
+	case Float:
+		return Float64(gv.Float())
+	case Boolean:
+		return Bool(gv.Bool())
+	case String:
+		return Str(gv.String())
+	case Complex:
+		return RecordOf(sub.toRecord(gv, s))
+	default: // List
+		n := gv.Len()
+		elems := make([]Value, n)
+		// The elements of a list of structs share one exact-size slab.
+		var es Slab
+		if sub != nil {
+			es.Reserve(sub.format, n)
+		}
+		for i := range elems {
+			elems[i] = goToValue(gv.Index(i), fld.Elem, sub, &es)
+		}
+		return ListOf(elems)
+	}
+}
+
+// FromRecord populates the struct pointed to by v from rec. rec's format
+// must be structurally identical to the format registered for v's type —
+// which is exactly what the morphing engine guarantees for the records it
+// delivers.
+func (reg *Registry) FromRecord(rec *Record, v any) error {
 	sv := reflect.ValueOf(v)
 	if sv.Kind() != reflect.Pointer || sv.IsNil() {
-		return fmt.Errorf("%w: Unmarshal needs a non-nil *struct", ErrBadType)
+		return fmt.Errorf("%w: FromRecord needs a non-nil *struct", ErrBadType)
 	}
 	b, err := reg.binding(sv.Type(), "")
 	if err != nil {
 		return err
 	}
-	fp, err := PeekFingerprint(data)
-	if err != nil {
-		return err
+	if !rec.Format().SameStructure(b.format) {
+		return fmt.Errorf("%w: record format %q (%016x) does not match native %q (%016x)",
+			ErrFingerprint, rec.Format().Name(), rec.Format().Fingerprint(),
+			b.format.Name(), b.format.Fingerprint())
 	}
-	if fp != b.format.Fingerprint() {
-		return fmt.Errorf("%w: message %016x, native format %q is %016x",
-			ErrFingerprint, fp, b.format.Name(), b.format.Fingerprint())
-	}
-	d := decoder{buf: data, pos: EnvelopeSize}
-	if err := b.dec.run(&d, sv.Elem()); err != nil {
-		return err
-	}
-	if d.pos != len(d.buf) {
-		return fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailingData, d.pos, len(d.buf))
-	}
+	b.fromRecord(rec, sv.Elem())
 	return nil
+}
+
+// fromRecord stores rec, whose format is b's, into struct value sv.
+func (b *binding) fromRecord(rec *Record, sv reflect.Value) {
+	for i, bf := range b.fields {
+		valueToGo(rec.vals[i], &b.format.fields[i], bf.sub, sv.Field(bf.index))
+	}
+}
+
+func valueToGo(v Value, fld *Field, sub *binding, gv reflect.Value) {
+	switch fld.Kind {
+	case Integer, Unsigned, Char, Enum:
+		if gv.CanInt() {
+			gv.SetInt(v.Int64())
+		} else {
+			gv.SetUint(v.Uint64())
+		}
+	case Float:
+		gv.SetFloat(v.Float64())
+	case Boolean:
+		gv.SetBool(v.Bool())
+	case String:
+		gv.SetString(v.Strval())
+	case Complex:
+		if rec := v.Record(); rec != nil {
+			sub.fromRecord(rec, gv)
+		}
+	case List:
+		elems := v.List()
+		s := reflect.MakeSlice(gv.Type(), len(elems), len(elems))
+		for i, e := range elems {
+			valueToGo(e, fld.Elem, sub, s.Index(i))
+		}
+		gv.Set(s)
+	}
 }

@@ -61,7 +61,24 @@ func TestRegisterFigure2(t *testing.T) {
 	}
 }
 
-func TestMarshalUnmarshalRoundtrip(t *testing.T) {
+// bridgeRoundTrip sends in through the one codec — ToRecord, EncodeRecord,
+// DecodeRecord, FromRecord — into out.
+func bridgeRoundTrip(t *testing.T, reg *Registry, in, out any) {
+	t.Helper()
+	rec, err := reg.ToRecord(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeRecord(EncodeRecord(rec), rec.Format())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.FromRecord(dec, out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestStructBridgeRoundtrip(t *testing.T) {
 	var reg Registry
 	in := responseV2{
 		MemberCount: 2,
@@ -70,20 +87,14 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 			{Contact: contactInfo{Info: "tcp:host2:5001", ID: 7}, IsSink: true},
 		},
 	}
-	data, err := reg.Marshal(&in)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out responseV2
-	if err := reg.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
+	bridgeRoundTrip(t, &reg, &in, &out)
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("roundtrip mismatch:\n in  %+v\n out %+v", in, out)
 	}
 }
 
-func TestMarshalAllScalarKinds(t *testing.T) {
+func TestStructBridgeAllScalarKinds(t *testing.T) {
 	type all struct {
 		I8   int8     `pbio:"i8"`
 		I16  int16    `pbio:"i16"`
@@ -101,24 +112,19 @@ func TestMarshalAllScalarKinds(t *testing.T) {
 		S    string   `pbio:"s"`
 		C    byte     `pbio:"c,char"`
 		E    int32    `pbio:"e,enum=off|on"`
+		UE   uint16   `pbio:"ue,enum"`
 		Ints []int16  `pbio:"ints"`
 		Strs []string `pbio:"strs"`
 	}
 	var reg Registry
 	in := all{
 		I8: -8, I16: -16, I32: -32, I64: -64, I: -1,
-		U8: 8, U16: 16, U32: 32, U64: 64, U: 1,
-		F32: 0.5, F64: 2.25, B: true, S: "str", C: 'q', E: 1,
+		U8: 8, U16: 16, U32: 32, U64: 1 << 63, U: 1,
+		F32: 0.5, F64: 2.25, B: true, S: "str", C: 'q', E: 1, UE: 3,
 		Ints: []int16{1, -2, 3}, Strs: []string{"a", ""},
 	}
-	data, err := reg.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out all
-	if err := reg.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
+	bridgeRoundTrip(t, &reg, in, &out)
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("roundtrip mismatch:\n in  %+v\n out %+v", in, out)
 	}
@@ -130,6 +136,9 @@ func TestMarshalAllScalarKinds(t *testing.T) {
 	fld := f.FieldByName("e")
 	if fld.Kind != Enum || len(fld.Symbols) != 2 || fld.Symbols[1] != "on" {
 		t.Errorf("enum tag option: %+v", fld)
+	}
+	if k := f.FieldByName("ue").Kind; k != Enum {
+		t.Errorf("enum tag option on an unsigned field: kind = %v", k)
 	}
 }
 
@@ -157,6 +166,20 @@ func TestTagSkipAndUnexported(t *testing.T) {
 	_ = s{hidden: 0}
 }
 
+// Types that contain themselves through slices: Go allows them, but they
+// describe no finite record.
+type (
+	treeNode struct {
+		Kids []treeNode `pbio:"kids"`
+	}
+	evenNode struct {
+		Odd []oddNode `pbio:"odd"`
+	}
+	oddNode struct {
+		Even []evenNode `pbio:"even"`
+	}
+)
+
 func TestRegisterErrors(t *testing.T) {
 	var reg Registry
 	cases := []struct {
@@ -175,6 +198,11 @@ func TestRegisterErrors(t *testing.T) {
 		{"slice of slice", struct {
 			S [][]int `pbio:"s"`
 		}{}},
+		{"self-referential", treeNode{}},
+		{"mutually recursive", evenNode{}},
+		{"self-referential member", struct {
+			N treeNode `pbio:"n"`
+		}{}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -183,34 +211,41 @@ func TestRegisterErrors(t *testing.T) {
 			}
 		})
 	}
+	// The struct bridge registers implicitly, so it must refuse them too.
+	if _, err := reg.ToRecord(&treeNode{}); !errors.Is(err, ErrBadType) {
+		t.Errorf("ToRecord: err = %v, want ErrBadType", err)
+	}
+	if err := reg.FromRecord(NewRecord(mustFormatT(t, "treeNode", []Field{basicField("x", Integer)})), &treeNode{}); !errors.Is(err, ErrBadType) {
+		t.Errorf("FromRecord: err = %v, want ErrBadType", err)
+	}
 }
 
-func TestUnmarshalErrors(t *testing.T) {
+// TestFromRecordErrors: FromRecord refuses a non-pointer, a nil pointer and
+// a record of another structure; ToRecord refuses a nil pointer. Malformed
+// bytes are DecodeRecord's to refuse (TestDecodeErrors).
+func TestFromRecordErrors(t *testing.T) {
 	var reg Registry
-	data, err := reg.Marshal(loadMsg{CPU: 1})
+	rec, err := reg.ToRecord(loadMsg{CPU: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var m loadMsg
-	if err := reg.Unmarshal(data, m); !errors.Is(err, ErrBadType) {
+	if err := reg.FromRecord(rec, m); !errors.Is(err, ErrBadType) {
 		t.Errorf("non-pointer: err = %v", err)
 	}
-	if err := reg.Unmarshal(data, (*loadMsg)(nil)); !errors.Is(err, ErrBadType) {
+	if err := reg.FromRecord(rec, (*loadMsg)(nil)); !errors.Is(err, ErrBadType) {
 		t.Errorf("nil pointer: err = %v", err)
 	}
 	var other responseV2
-	if err := reg.Unmarshal(data, &other); !errors.Is(err, ErrFingerprint) {
+	if err := reg.FromRecord(rec, &other); !errors.Is(err, ErrFingerprint) {
 		t.Errorf("wrong type: err = %v", err)
 	}
-	if err := reg.Unmarshal(data[:len(data)-1], &m); !errors.Is(err, ErrShortMessage) {
-		t.Errorf("truncated: err = %v", err)
+	if _, err := reg.ToRecord((*loadMsg)(nil)); !errors.Is(err, ErrBadType) {
+		t.Errorf("ToRecord nil pointer: err = %v", err)
 	}
-	if err := reg.Unmarshal(append(append([]byte{}, data...), 0), &m); !errors.Is(err, ErrTrailingData) {
-		t.Errorf("trailing: err = %v", err)
-	}
-	if _, err := reg.Marshal((*loadMsg)(nil)); !errors.Is(err, ErrBadType) {
-		t.Errorf("marshal nil pointer: err = %v", err)
+	if _, err := reg.ToRecord(nil); !errors.Is(err, ErrBadType) {
+		t.Errorf("ToRecord nil: err = %v", err)
 	}
 }
 
@@ -250,31 +285,8 @@ func TestToRecordFromRecord(t *testing.T) {
 	}
 }
 
-// TestRecordAndStructEncodingsAgree: the dynamic and the reflective path
-// must produce byte-identical messages for the same data.
-func TestRecordAndStructEncodingsAgree(t *testing.T) {
-	var reg Registry
-	in := responseV2{
-		MemberCount: 2,
-		Members: []memberV2{
-			{Contact: contactInfo{Info: "a", ID: 1}, IsSource: true},
-			{Contact: contactInfo{Info: "b", ID: 2}, IsSink: true},
-		},
-	}
-	viaStruct, err := reg.Marshal(&in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := reg.ToRecord(&in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRecord := EncodeRecord(rec)
-	if !reflect.DeepEqual(viaStruct, viaRecord) {
-		t.Fatalf("encodings disagree:\n struct %x\n record %x", viaStruct, viaRecord)
-	}
-}
-
+// TestRegistryConcurrentUse races first registrations and conversions of
+// several types through one Registry: the binding cache is shared state.
 func TestRegistryConcurrentUse(t *testing.T) {
 	var reg Registry
 	var wg sync.WaitGroup
@@ -283,18 +295,23 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			in := loadMsg{CPU: int32(n)}
-			data, err := reg.Marshal(&in)
+			var in, out any
+			if n%2 == 0 {
+				in, out = &loadMsg{CPU: int32(n)}, &loadMsg{}
+			} else {
+				in = &responseV2{MemberCount: int32(n), Members: []memberV2{{Contact: contactInfo{ID: int32(n)}}}}
+				out = &responseV2{}
+			}
+			rec, err := reg.ToRecord(in)
 			if err != nil {
 				errs <- err
 				return
 			}
-			var out loadMsg
-			if err := reg.Unmarshal(data, &out); err != nil {
+			if err := reg.FromRecord(rec, out); err != nil {
 				errs <- err
 				return
 			}
-			if out.CPU != int32(n) {
+			if !reflect.DeepEqual(in, out) {
 				errs <- errors.New("data raced")
 			}
 		}(i)
@@ -304,6 +321,65 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestStructBridgeAllocs gates the struct bridge on the paper's Figure 2
+// message: ToRecord allocates the record and its values (one slab each) and
+// nothing per field; FromRecord allocates nothing, since the field indices
+// were derived once, at registration.
+func TestStructBridgeAllocs(t *testing.T) {
+	var reg Registry
+	in := &loadMsg{CPU: 42, Memory: 2048, Network: 10}
+	rec, err := reg.ToRecord(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out loadMsg
+	to := testing.AllocsPerRun(200, func() {
+		if _, err := reg.ToRecord(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	from := testing.AllocsPerRun(200, func() {
+		if err := reg.FromRecord(rec, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if to > 2 || from > 0 {
+		t.Fatalf("ToRecord %.0f allocs (max 2), FromRecord %.0f (max 0)", to, from)
+	}
+	if out != *in {
+		t.Fatalf("FromRecord = %+v, want %+v", out, *in)
+	}
+}
+
+var bridgeSink any
+
+// BenchmarkStructBridge times the struct bridge on the Figure 2 message,
+// each direction with the codec step it pairs with on the wire.
+func BenchmarkStructBridge(b *testing.B) {
+	var reg Registry
+	in := &loadMsg{CPU: 42, Memory: 2048, Network: 10}
+	rec, err := reg.ToRecord(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := EncodeRecord(rec)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rec, _ := reg.ToRecord(in)
+			bridgeSink = EncodeRecord(rec)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		var out loadMsg
+		for i := 0; i < b.N; i++ {
+			rec, _ := DecodeRecord(data, rec.Format())
+			bridgeSink = reg.FromRecord(rec, &out)
+		}
+	})
 }
 
 func TestMustRegisterPanics(t *testing.T) {

@@ -155,3 +155,38 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeFormat feeds arbitrary bytes to the format-blob decoder, the
+// parser every format control frame and registry entry goes through. It
+// must return an error or a format, never panic; a format must re-encode
+// to a blob that decodes to the same fingerprint.
+func FuzzDecodeFormat(f *testing.F) {
+	lin, err := fleetgen.NewLineage("fuzz", 7, 7, 9)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := lin.Evolve(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, g := range lin.Generations() {
+		f.Add(pbio.EncodeFormat(g.Format))
+	}
+	f.Add(pbio.EncodeFormat(rosterV2))
+	f.Add(pbio.EncodeFormat(telemetry))
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		fm, err := pbio.DecodeFormat(blob)
+		if err != nil {
+			return
+		}
+		again, err := pbio.DecodeFormat(pbio.EncodeFormat(fm))
+		if err != nil {
+			t.Fatalf("re-encoded format does not decode: %v\n%v", err, fm)
+		}
+		if again.Fingerprint() != fm.Fingerprint() {
+			t.Fatalf("fingerprint %016x re-decodes as %016x\n%v", fm.Fingerprint(), again.Fingerprint(), fm)
+		}
+	})
+}

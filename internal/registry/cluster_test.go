@@ -550,8 +550,10 @@ func TestStandbySnapshotRestartNoDoubleApply(t *testing.T) {
 	}
 	tc.restart(1)
 	tc.waitStandbyOf(1, 0)
+	// The table grows before applyEvent counts the apply, so wait for both.
 	waitFor(t, "standby caught up post-restart", func() bool {
-		return tc.srvs[1].Len() == before+during
+		return tc.srvs[1].Len() == before+during &&
+			tc.obses[1].Counter("cluster.applied").Load() >= during
 	})
 
 	// The restarted peer applied exactly the events it missed: cursor

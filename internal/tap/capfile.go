@@ -1,40 +1,39 @@
-// .morphcap capture files: a tap snapshot serialized as length-prefixed
-// capture records over the ordinary wire framing (control frames of kind
-// wire.FrameCapture), the same dogfooding move the snapshot spool made. The
-// frame parser supplies bounds checking and — crucially — torn-tail
-// detection: a capture cut off mid-write (a crashed process, a truncated
-// download) decodes cleanly up to the tear, spool-style, with Truncated set
-// instead of an error.
+// .morphcap capture files: a tap snapshot serialized as ordinary PBIO
+// records over the ordinary wire framing — format frames announce each
+// record layout once, data frames carry the records — the same dogfooding
+// move the registry snapshot made. The frame parser supplies bounds checking
+// and torn-tail detection: a capture cut off mid-write (a crashed process, a
+// truncated download) decodes cleanly up to the tear, spool-style, with
+// Truncated set instead of an error.
 //
-// Record types (first body byte):
+// Record formats (Go types below, bound through a pbio.Registry):
 //
-//	1 header  — version, created-at, process label, prefix config
-//	2 conn    — connection ID, label, open flag
-//	3 frame   — one captured frame: conn ID, seq, ts, dir, kind, fp, full
-//	            length, trace ID, payload prefix
-//	4 format  — one full format-frame body for the decoder's format table
+//	morphcap.header — version, created-at, process label, prefix config
+//	morphcap.conn   — connection ID, label, open flag
+//	morphcap.format — one full format-frame body for the decoder's format table
+//	morphcap.frame  — one captured frame: conn ID, seq, ts, dir, kind, fp,
+//	                  full length, trace ID, payload prefix
+//
+// Records evolve the paper's way: a record whose format a newer writer
+// extended is converted name-wise to this reader's format (core.ConvertByName)
+// and a record format this reader does not know is skipped.
 package tap
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
-	"repro/internal/trace"
+	"repro/internal/core"
+	"repro/internal/pbio"
 	"repro/internal/wire"
 )
 
 // CaptureVersion is the .morphcap layout version this package writes.
-const CaptureVersion = 1
-
-const (
-	capHeader byte = 1
-	capConn   byte = 2
-	capFrame  byte = 3
-	capFormat byte = 4
-)
+// Version 1 framed hand-rolled records in wire.FrameCapture control frames;
+// ReadCapture refuses it by name.
+const CaptureVersion = 2
 
 // ErrCapture is wrapped by malformed-capture errors (distinct from the
 // torn-tail case, which is tolerated).
@@ -59,54 +58,86 @@ type CaptureConn struct {
 	Records []Record
 }
 
+// The capture record types. Byte strings (format bodies, trace IDs,
+// payload prefixes) ride in String fields, which are byte-safe.
+type (
+	capHeader struct {
+		Version   uint64 `pbio:"version"`
+		CreatedNS int64  `pbio:"created_ns"`
+		Proc      string `pbio:"proc"`
+		Prefix    int64  `pbio:"prefix"`
+	}
+	capConn struct {
+		Conn  uint64 `pbio:"conn"`
+		Label Label  `pbio:"label"`
+		Open  bool   `pbio:"open"`
+	}
+	capFormat struct {
+		Conn uint64 `pbio:"conn"`
+		Body string `pbio:"body"`
+	}
+	capFrame struct {
+		Conn   uint64      `pbio:"conn"`
+		Seq    uint64      `pbio:"seq"`
+		TS     int64       `pbio:"ts"`
+		Dir    wire.TapDir `pbio:"dir"`
+		Kind   uint8       `pbio:"kind"`
+		FP     uint64      `pbio:"fp"`
+		Len    uint32      `pbio:"len"`
+		Trace  string      `pbio:"trace"`
+		Prefix string      `pbio:"prefix"`
+	}
+)
+
+// capRecord is a decoded capture record, folded into the capture being read.
+type capRecord interface{ addTo(r *capReader) }
+
+// capTypes binds the record types; capKinds maps each record format name to
+// a constructor of its Go type.
+var (
+	capTypes pbio.Registry
+	capKinds = map[string]func() capRecord{
+		"morphcap.header": func() capRecord { return new(capHeader) },
+		"morphcap.conn":   func() capRecord { return new(capConn) },
+		"morphcap.format": func() capRecord { return new(capFormat) },
+		"morphcap.frame":  func() capRecord { return new(capFrame) },
+	}
+)
+
+func init() {
+	for name, mk := range capKinds {
+		capTypes.MustRegister(mk(), name)
+	}
+}
+
 // WriteCapture serializes a snapshot to w in .morphcap form.
 func WriteCapture(w io.Writer, s Snapshot) error {
 	conn := wire.NewStreamConn(writeStream{w})
-	b := make([]byte, 0, 256)
-
-	b = append(b[:0], capHeader)
-	b = binary.AppendUvarint(b, CaptureVersion)
-	b = binary.AppendUvarint(b, uint64(time.Now().UnixNano()))
-	b = appendString(b, s.Name)
-	b = binary.AppendUvarint(b, uint64(s.Prefix))
-	if err := conn.WriteControl(wire.FrameCapture, b); err != nil {
+	put := func(v capRecord) error {
+		rec, err := capTypes.ToRecord(v)
+		if err != nil {
+			return err
+		}
+		return conn.WriteRecord(rec)
+	}
+	err := put(&capHeader{Version: CaptureVersion, CreatedNS: time.Now().UnixNano(), Proc: s.Name, Prefix: int64(s.Prefix)})
+	if err != nil {
 		return err
 	}
 	for _, cs := range s.Conns {
-		b = append(b[:0], capConn)
-		b = binary.AppendUvarint(b, cs.ID)
-		b = appendString(b, cs.Label.Proto)
-		b = appendString(b, cs.Label.Channel)
-		b = appendString(b, cs.Label.Role)
-		b = appendString(b, cs.Label.Peer)
-		open := byte(0)
-		if cs.Open {
-			open = 1
-		}
-		b = append(b, open)
-		if err := conn.WriteControl(wire.FrameCapture, b); err != nil {
+		if err := put(&capConn{Conn: cs.ID, Label: cs.Label, Open: cs.Open}); err != nil {
 			return err
 		}
 		for _, fb := range cs.Formats {
-			b = append(b[:0], capFormat)
-			b = binary.AppendUvarint(b, cs.ID)
-			b = appendBytes(b, fb)
-			if err := conn.WriteControl(wire.FrameCapture, b); err != nil {
+			if err := put(&capFormat{Conn: cs.ID, Body: string(fb)}); err != nil {
 				return err
 			}
 		}
 		for i := range cs.Records {
-			rec := &cs.Records[i]
-			b = append(b[:0], capFrame)
-			b = binary.AppendUvarint(b, cs.ID)
-			b = binary.AppendUvarint(b, rec.Seq)
-			b = binary.AppendUvarint(b, uint64(rec.TS))
-			b = append(b, byte(rec.Dir), rec.Kind)
-			b = binary.LittleEndian.AppendUint64(b, rec.FP)
-			b = binary.AppendUvarint(b, uint64(rec.Len))
-			b = append(b, rec.Trace[:]...)
-			b = appendBytes(b, rec.Prefix)
-			if err := conn.WriteControl(wire.FrameCapture, b); err != nil {
+			r := &cs.Records[i]
+			err := put(&capFrame{Conn: cs.ID, Seq: r.Seq, TS: r.TS, Dir: r.Dir, Kind: r.Kind,
+				FP: r.FP, Len: r.Len, Trace: string(r.Trace[:]), Prefix: string(r.Prefix)})
+			if err != nil {
 				return err
 			}
 		}
@@ -117,174 +148,87 @@ func WriteCapture(w io.Writer, s Snapshot) error {
 // ReadCapture decodes a .morphcap stream. A torn tail (EOF mid-record) is not
 // an error: decoding stops at the tear and Truncated is set.
 func ReadCapture(r io.Reader) (*Capture, error) {
-	cap := &Capture{}
-	byID := make(map[uint64]*CaptureConn)
-	conn := wire.NewStreamConn(readStream{r}, wire.WithControlHook(wire.FrameCapture, func(body []byte) error {
-		return cap.apply(body, byID)
+	cr := &capReader{c: &Capture{}, byID: make(map[uint64]*CaptureConn)}
+	conn := wire.NewStreamConn(readStream{r}, wire.WithControlHook(wire.FrameCapture, func([]byte) error {
+		return fmt.Errorf("version 1 capture; this reader reads version %d", CaptureVersion)
 	}))
 	for {
-		_, _, err := conn.ReadEncoded()
-		if errors.Is(err, io.EOF) && !errors.Is(err, wire.ErrBadFrame) {
-			return cap, nil
+		rec, err := conn.ReadRecord()
+		switch {
+		case err == nil:
+			if err := cr.add(rec); err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrCapture, err)
+			}
+		case errors.Is(err, wire.ErrBadFrame) && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)):
+			cr.c.Truncated = true
+			return cr.c, nil
+		case errors.Is(err, io.EOF):
+			return cr.c, nil
+		default:
+			return nil, fmt.Errorf("%w: %w", ErrCapture, err)
 		}
-		if err == nil {
-			return nil, fmt.Errorf("%w: capture contains a data frame", ErrCapture)
-		}
-		if errors.Is(err, wire.ErrBadFrame) &&
-			(errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
-			cap.Truncated = true
-			return cap, nil
-		}
-		return nil, err
 	}
 }
 
-func (c *Capture) apply(body []byte, byID map[uint64]*CaptureConn) error {
-	if len(body) == 0 {
-		return fmt.Errorf("%w: empty record", ErrCapture)
+// capReader accumulates a Capture, finding each connection's section by ID.
+type capReader struct {
+	c    *Capture
+	byID map[uint64]*CaptureConn
+}
+
+// add folds one record into the capture. A record format this reader does
+// not know is skipped; one a newer writer extended converts name-wise first.
+func (r *capReader) add(rec *pbio.Record) error {
+	mk := capKinds[rec.Format().Name()]
+	if mk == nil {
+		return nil
 	}
-	rt, rest := body[0], body[1:]
-	switch rt {
-	case capHeader:
+	v := mk()
+	if native := capTypes.FormatOf(v); !rec.Format().SameStructure(native) {
 		var err error
-		if c.Version, rest, err = takeUvarint(rest); err != nil {
+		if rec, err = core.ConvertByName(rec, native); err != nil {
 			return err
 		}
-		created, rest2, err := takeUvarint(rest)
-		if err != nil {
-			return err
-		}
-		c.CreatedNS = int64(created)
-		if c.Proc, rest2, err = takeString(rest2); err != nil {
-			return err
-		}
-		prefix, _, err := takeUvarint(rest2)
-		if err != nil {
-			return err
-		}
-		c.Prefix = int(prefix)
-	case capConn:
-		id, rest, err := takeUvarint(rest)
-		if err != nil {
-			return err
-		}
-		cc := c.conn(id, byID)
-		if cc.Label.Proto, rest, err = takeString(rest); err != nil {
-			return err
-		}
-		if cc.Label.Channel, rest, err = takeString(rest); err != nil {
-			return err
-		}
-		if cc.Label.Role, rest, err = takeString(rest); err != nil {
-			return err
-		}
-		if cc.Label.Peer, rest, err = takeString(rest); err != nil {
-			return err
-		}
-		if len(rest) < 1 {
-			return fmt.Errorf("%w: conn record open flag", ErrCapture)
-		}
-		cc.Open = rest[0] == 1
-	case capFormat:
-		id, rest, err := takeUvarint(rest)
-		if err != nil {
-			return err
-		}
-		fb, _, err := takeBytes(rest)
-		if err != nil {
-			return err
-		}
-		cc := c.conn(id, byID)
-		cc.Formats = append(cc.Formats, append([]byte(nil), fb...))
-	case capFrame:
-		id, rest, err := takeUvarint(rest)
-		if err != nil {
-			return err
-		}
-		var rec Record
-		if rec.Seq, rest, err = takeUvarint(rest); err != nil {
-			return err
-		}
-		ts, rest, err := takeUvarint(rest)
-		if err != nil {
-			return err
-		}
-		rec.TS = int64(ts)
-		if len(rest) < 2+8 {
-			return fmt.Errorf("%w: frame record fixed fields", ErrCapture)
-		}
-		rec.Dir = wire.TapDir(rest[0])
-		rec.Kind = rest[1]
-		rec.FP = binary.LittleEndian.Uint64(rest[2:10])
-		rest = rest[10:]
-		ln, rest, err := takeUvarint(rest)
-		if err != nil {
-			return err
-		}
-		rec.Len = uint32(ln)
-		if len(rest) < len(trace.TraceID{}) {
-			return fmt.Errorf("%w: frame record trace ID", ErrCapture)
-		}
-		copy(rec.Trace[:], rest)
-		rest = rest[len(trace.TraceID{}):]
-		pfx, _, err := takeBytes(rest)
-		if err != nil {
-			return err
-		}
-		if len(pfx) > 0 {
-			rec.Prefix = append([]byte(nil), pfx...)
-		}
-		cc := c.conn(id, byID)
-		cc.Records = append(cc.Records, rec)
-	default:
-		// Unknown record types from a newer writer are skipped, the same
-		// forward-evolution discipline as unknown frame kinds.
 	}
+	if err := capTypes.FromRecord(rec, v); err != nil {
+		return err
+	}
+	v.addTo(r)
 	return nil
 }
 
-func (c *Capture) conn(id uint64, byID map[uint64]*CaptureConn) *CaptureConn {
-	if cc := byID[id]; cc != nil {
+func (r *capReader) conn(id uint64) *CaptureConn {
+	if cc := r.byID[id]; cc != nil {
 		return cc
 	}
 	cc := &CaptureConn{ID: id}
-	byID[id] = cc
-	c.Conns = append(c.Conns, cc)
+	r.byID[id] = cc
+	r.c.Conns = append(r.c.Conns, cc)
 	return cc
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+func (h *capHeader) addTo(r *capReader) {
+	r.c.Version, r.c.CreatedNS, r.c.Proc, r.c.Prefix = h.Version, h.CreatedNS, h.Proc, int(h.Prefix)
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
+func (v *capConn) addTo(r *capReader) {
+	cc := r.conn(v.Conn)
+	cc.Label, cc.Open = v.Label, v.Open
 }
 
-func takeUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: uvarint", ErrCapture)
+func (v *capFormat) addTo(r *capReader) {
+	cc := r.conn(v.Conn)
+	cc.Formats = append(cc.Formats, []byte(v.Body))
+}
+
+func (v *capFrame) addTo(r *capReader) {
+	rec := Record{Seq: v.Seq, TS: v.TS, Dir: v.Dir, Kind: v.Kind, FP: v.FP, Len: v.Len}
+	copy(rec.Trace[:], v.Trace)
+	if v.Prefix != "" {
+		rec.Prefix = []byte(v.Prefix)
 	}
-	return v, b[n:], nil
-}
-
-func takeBytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := takeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("%w: short chunk", ErrCapture)
-	}
-	return rest[:n], rest[n:], nil
-}
-
-func takeString(b []byte) (string, []byte, error) {
-	p, rest, err := takeBytes(b)
-	return string(p), rest, err
+	cc := r.conn(v.Conn)
+	cc.Records = append(cc.Records, rec)
 }
 
 // writeStream adapts an io.Writer into the Stream a wire.Conn needs; reads

@@ -18,7 +18,7 @@ func tapzGet(t *testing.T, h *Tap, url string) *httptest.ResponseRecorder {
 	return rr
 }
 
-func seedTap(t *testing.T) *Tap {
+func seedTap(t testing.TB) *Tap {
 	t.Helper()
 	wt := New(Config{Name: "test", Armed: true, Prefix: PrefixMax})
 	a := wt.NewConn(Label{Proto: "echo", Channel: "alpha", Role: "sink", Peer: "1.2.3.4:1"})

@@ -51,10 +51,10 @@ const (
 	MinCustomFrame byte = 5
 	FrameRegistry  byte = 5
 
-	// FrameCapture carries flight-recorder capture records (.morphcap files,
-	// internal/tap): each control frame is one length-prefixed capture record
-	// riding the ordinary wire framing, so capture files inherit the frame
-	// parser's torn-tail detection for free.
+	// FrameCapture carried the records of version-1 .morphcap capture files
+	// (internal/tap). Version 2 writes captures as ordinary data frames; the
+	// kind stays reserved so a reader can recognise, and refuse, a version-1
+	// file.
 	FrameCapture byte = 6
 )
 

@@ -71,6 +71,8 @@ selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestConv
     -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/
 echo "== one name-wise pairing (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing)"
 selected run 'TestQuickOnePairing|TestMatchingAllocFree' -count=1 ./internal/core/
+echo "== one PBIO codec (struct bridge allocations, self-referential types refused, .morphcap as PBIO records; race-enabled)"
+selected run 'TestStructBridgeAllocs|TestRegisterErrors|TestCapture' -race -count=1 ./internal/pbio/ ./internal/tap/
 echo "== tap ring and capture suite (race-enabled)"
 selected run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture|TestSnapshotOrderAfterWrap|TestKeepNotCounted|TestConcurrentPutAndSnapshot' \
     -race -count=1 ./internal/tap/ ./internal/ring/
@@ -94,9 +96,11 @@ echo "== fleet chaos soak (seeds 1-3, race-enabled: zero loss, dups, reorders, l
 selected run 'TestFleetSoak' -race -count=1 ./internal/bench/
 echo "== echodemo debug plane (server process: /metrics golden, readyz, /debug/ index, tapz morphcap)"
 selected run 'TestRunServerDebugPlane' -race -count=1 ./cmd/echodemo/
-echo "== fuzz smoke (wire frame parser and payload decoder, 10s each)"
+echo "== fuzz smoke (wire frame parser, payload and format-blob decoders, capture reader; 10s each)"
 selected fuzz FuzzConnReadFrames -fuzztime 10s ./internal/wire/
 selected fuzz FuzzDecodePayload -fuzztime 10s ./internal/pbio/
+selected fuzz FuzzDecodeFormat -fuzztime 10s ./internal/pbio/
+selected fuzz FuzzReadCapture -fuzztime 10s ./internal/tap/
 echo "== work tree untouched"
 [ "$(tree_state)" = "$tree_before" ] \
     || { echo "check.sh changed the work tree:"; git status --porcelain; exit 1; }
