@@ -47,15 +47,11 @@ func TestQuoteTransformCompiles(t *testing.T) {
 	if err := x.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ecode.Compile(quoteXform,
+	if _, err := ecode.Compile(quoteXform,
 		ecode.Param{Name: core.SrcParam, Format: quoteV2},
 		ecode.Param{Name: core.DstParam, Format: quoteV1},
-	)
-	if err != nil {
+	); err != nil {
 		t.Fatal(err)
-	}
-	if prog.NumOps() == 0 {
-		t.Fatal("empty program")
 	}
 }
 

@@ -34,7 +34,6 @@ func run() error {
 		expr  = flag.String("e", "", "program text to run (instead of a file)")
 		check = flag.Bool("check", false, "compile only; report success or errors")
 		fig5  = flag.Bool("fig5", false, "demo: run the paper's Figure 5 transform on sample data")
-		ops   = flag.Bool("ops", false, "print the compiled instruction count")
 	)
 	flag.Parse()
 
@@ -57,9 +56,6 @@ func run() error {
 	prog, err := ecode.Compile(src)
 	if err != nil {
 		return err
-	}
-	if *ops {
-		fmt.Printf("compiled: %d instructions\n", prog.NumOps())
 	}
 	if *check {
 		fmt.Println("ok")

@@ -146,15 +146,15 @@ func run(stdout io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		vm, native, err := h.AblationEcodeVsNative(10_000, minTotal)
+		closures, native, err := h.AblationEcodeVsNative(10_000, minTotal)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, "Ablations")
 		fmt.Fprintf(stdout, "  first-message (MaxMatch + compile) vs cached decision, 1KB: %v vs %v (%.1fx)\n",
 			cold, cached, float64(cold)/float64(cached))
-		fmt.Fprintf(stdout, "  Figure 5 via ecode VM vs hand-written Go, 10KB:            %v vs %v (%.1fx)\n",
-			vm, native, float64(vm)/float64(native))
+		fmt.Fprintf(stdout, "  Figure 5 via ecode closures vs hand-written Go, 10KB:      %v vs %v (%.1fx)\n",
+			closures, native, float64(closures)/float64(native))
 		fmt.Fprintln(stdout)
 	}
 

@@ -6,7 +6,7 @@
 //
 //	internal/core   — message morphing: Diff, MaxMatch, the Morpher engine
 //	internal/pbio   — PBIO-style binary wire format with out-of-band meta-data
-//	internal/ecode  — the E-Code C subset (lexer → parser → bytecode → VM)
+//	internal/ecode  — the E-Code C subset (lexer → parser → Go closures)
 //	internal/echo   — the ECho publish/subscribe middleware of §4.1
 //	internal/wire   — framed transport carrying formats and transforms out-of-band
 //	internal/xmlx   — XML encode/parse/bind baseline

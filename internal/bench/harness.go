@@ -391,16 +391,16 @@ func (h *Harness) AblationColdVsCached(size int, minTotal time.Duration) (cold, 
 }
 
 // AblationEcodeVsNative quantifies the cost of the no-DCG substitution: the
-// Figure 5 transformation executed by the ecode VM vs the same
+// Figure 5 transformation executed as compiled Ecode closures vs the same
 // transformation hand-written in Go against the dynamic record API. The gap
-// is the price paid for interpreting bytecode instead of the paper's native
+// is the price paid for running closures instead of the paper's native
 // code generation.
-func (h *Harness) AblationEcodeVsNative(size int, minTotal time.Duration) (vm, native time.Duration, err error) {
+func (h *Harness) AblationEcodeVsNative(size int, minTotal time.Duration) (closures, native time.Duration, err error) {
 	rec := Response(size)
 	if _, err := h.MorphRecord(rec); err != nil {
 		return 0, 0, err
 	}
-	vm = timeIt(func() { _, _ = h.MorphRecord(rec) }, minTotal)
+	closures = timeIt(func() { _, _ = h.MorphRecord(rec) }, minTotal)
 
 	nativeXform := func() {
 		members := echo.MembersFromV2(rec)
@@ -408,5 +408,5 @@ func (h *Harness) AblationEcodeVsNative(size int, minTotal time.Duration) (vm, n
 		_ = out
 	}
 	native = timeIt(nativeXform, minTotal)
-	return vm, native, nil
+	return closures, native, nil
 }

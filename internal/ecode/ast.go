@@ -1,7 +1,7 @@
 package ecode
 
 // Abstract syntax. The parser produces this tree; the compiler walks it once
-// to emit bytecode.
+// to build closures.
 
 type stmt interface{ stmtPos() Pos }
 

@@ -15,32 +15,55 @@ func compileErrf(pos Pos, format string, args ...any) error {
 	return fmt.Errorf("%w at %v: %s", ErrCompile, pos, fmt.Sprintf(format, args...))
 }
 
+// The compiler turns the syntax tree into Go closures in one pass that also
+// type-checks it: an expression becomes an evalFn that computes its value
+// against the run's frame, a statement an execFn that reports how control
+// leaves it. Field references are resolved to indices here, so running a
+// Program does no name lookups.
+type (
+	evalFn func(*frame) pbio.Value
+	execFn func(*frame) ctl
+)
+
+// ctl is how control leaves a statement.
+type ctl uint8
+
+const (
+	ctlNext ctl = iota
+	ctlBreak
+	ctlContinue
+	ctlReturn
+)
+
 type localVar struct {
 	slot int
 	typ  etype
 }
 
-type loopCtx struct {
-	breaks    []int // op indices whose jump target is the loop end
-	continues []int // op indices whose jump target is the loop post/cond
-	isSwitch  bool  // break applies, continue skips past (targets the loop)
-}
-
 type compiler struct {
-	params  []Param
-	pindex  map[string]int
-	locals  map[string]*localVar
-	nslots  int
-	ops     []op
-	loops   []loopCtx
-	hasRet  bool
-	retType etype
+	params []Param
+	pindex map[string]int
+	locals map[string]*localVar
+	nslots int
+
+	// Enclosing statements a break (loops and switches) or a continue
+	// (loops only) may leave.
+	breakable, continuable int
 
 	funcs  []*ufunc
 	findex map[string]int
 	inFunc bool
 	curRet etype // declared return type while compiling a function body
+
+	// nodes counts the expression closures built so far. Each runs at most
+	// once per evaluation of its expression, so charging a statement for
+	// the closures of its own expressions bounds the work it does.
+	nodes int64
 }
+
+// cost is what one run of the expressions compiled since mark is charged:
+// one step, plus one per closure.
+func (c *compiler) cost(mark int64) int64 { return 1 + c.nodes - mark }
 
 // ufunc is a compiled user-defined function.
 type ufunc struct {
@@ -48,7 +71,7 @@ type ufunc struct {
 	params  []etype
 	result  etype // k == tVoid for void functions
 	nlocals int
-	ops     []op
+	body    execFn
 }
 
 func newCompiler(params []Param) (*compiler, error) {
@@ -69,22 +92,13 @@ func newCompiler(params []Param) (*compiler, error) {
 	return c, nil
 }
 
-func (c *compiler) emit(o op) int {
-	c.ops = append(c.ops, o)
-	return len(c.ops) - 1
-}
-
-func (c *compiler) patch(at, target int) { c.ops[at].a = target }
-
-func (c *compiler) here() int { return len(c.ops) }
-
 // --- statements ---
 
 // compileProgram compiles a top-level program: function signatures are
 // collected first so functions may call each other (and themselves)
 // regardless of definition order; bodies and main statements then compile
 // in source order.
-func (c *compiler) compileProgram(stmts []stmt) error {
+func (c *compiler) compileProgram(stmts []stmt) (execFn, error) {
 	c.findex = make(map[string]int)
 	for _, s := range stmts {
 		fd, ok := s.(*funcDecl)
@@ -92,58 +106,50 @@ func (c *compiler) compileProgram(stmts []stmt) error {
 			continue
 		}
 		if _, dup := c.findex[fd.name]; dup {
-			return compileErrf(fd.pos, "function %q redefined", fd.name)
+			return nil, compileErrf(fd.pos, "function %q redefined", fd.name)
 		}
 		if _, isBuiltin := builtinIndex[fd.name]; isBuiltin {
-			return compileErrf(fd.pos, "function %q shadows a builtin", fd.name)
+			return nil, compileErrf(fd.pos, "function %q shadows a builtin", fd.name)
 		}
 		if _, isParam := c.pindex[fd.name]; isParam {
-			return compileErrf(fd.pos, "function %q shadows a record parameter", fd.name)
+			return nil, compileErrf(fd.pos, "function %q shadows a record parameter", fd.name)
 		}
-		fn := &ufunc{name: fd.name, result: declReturnType(fd.ret)}
+		fn := &ufunc{name: fd.name, result: declTypeOf(fd.ret)}
 		for _, p := range fd.params {
 			fn.params = append(fn.params, declTypeOf(p.typ))
 		}
 		c.findex[fd.name] = len(c.funcs)
 		c.funcs = append(c.funcs, fn)
 	}
+	var main []execFn
 	for _, s := range stmts {
 		if fd, ok := s.(*funcDecl); ok {
 			if err := c.compileFunc(fd); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
-		if err := c.compileStmt(s); err != nil {
-			return err
+		x, err := c.compileStmt(s)
+		if err != nil {
+			return nil, err
 		}
+		main = append(main, x)
 	}
-	return nil
+	return sequence(main), nil
 }
 
-func declReturnType(d declType) etype {
-	if d == declVoid {
-		return etype{k: tVoid}
-	}
-	return declTypeOf(d)
-}
-
-// compileFunc compiles a function body into its own instruction stream with
-// a fresh local scope whose first slots hold the parameters.
+// compileFunc compiles a function body with a fresh local scope whose first
+// slots hold the parameters. Falling off the end returns the zero Value,
+// whatever the declared type (defined behaviour here, unlike C).
 func (c *compiler) compileFunc(fd *funcDecl) error {
 	fn := c.funcs[c.findex[fd.name]]
 
-	savedOps, savedLocals, savedSlots := c.ops, c.locals, c.nslots
-	savedLoops, savedInFunc, savedRet := c.loops, c.inFunc, c.curRet
+	savedLocals, savedSlots, savedRet := c.locals, c.nslots, c.curRet
 	defer func() {
-		c.ops, c.locals, c.nslots = savedOps, savedLocals, savedSlots
-		c.loops, c.inFunc, c.curRet = savedLoops, savedInFunc, savedRet
+		c.locals, c.nslots, c.curRet, c.inFunc = savedLocals, savedSlots, savedRet, false
 	}()
-
-	c.ops = nil
 	c.locals = make(map[string]*localVar)
 	c.nslots = 0
-	c.loops = nil
 	c.inFunc = true
 	c.curRet = fn.result
 
@@ -157,39 +163,61 @@ func (c *compiler) compileFunc(fd *funcDecl) error {
 		c.locals[p.name] = &localVar{slot: i, typ: declTypeOf(p.typ)}
 		c.nslots++
 	}
-	if err := c.compileStmts(fd.body.stmts); err != nil {
+	body, err := c.compileStmt(fd.body)
+	if err != nil {
 		return err
 	}
-	// Falling off the end: void functions just halt; value functions
-	// return the zero of their type (defined behaviour here, unlike C).
-	c.emit(op{code: opHalt, pos: fd.pos})
-	fn.ops = c.ops
+	fn.body = body
 	fn.nlocals = c.nslots
 	return nil
 }
 
-func (c *compiler) compileStmts(stmts []stmt) error {
-	for _, s := range stmts {
-		if err := c.compileStmt(s); err != nil {
-			return err
+// sequence runs statements in order until one leaves other than by falling
+// through.
+func sequence(list []execFn) execFn {
+	return func(f *frame) ctl {
+		for _, x := range list {
+			if r := x(f); r != ctlNext {
+				return r
+			}
 		}
+		return ctlNext
 	}
-	return nil
 }
 
-func (c *compiler) compileStmt(s stmt) error {
+func (c *compiler) compileStmts(stmts []stmt) ([]execFn, error) {
+	list := make([]execFn, 0, len(stmts))
+	for _, s := range stmts {
+		x, err := c.compileStmt(s)
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, x)
+	}
+	return list, nil
+}
+
+// compileStmt compiles one statement. Every statement's closure is charged
+// before it does anything else: one step plus the closures of its own
+// expressions (nested statements charge for themselves), so each loop
+// iteration and each call costs at least one step.
+func (c *compiler) compileStmt(s stmt) (execFn, error) {
+	pos := s.stmtPos()
 	switch s := s.(type) {
 	case *declStmt:
 		return c.compileDecl(s)
 	case *exprStmt:
-		t, err := c.compileExpr(s.e)
+		mark := c.nodes
+		v, _, err := c.compileExpr(s.e)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if t.k != tVoid {
-			c.emit(op{code: opPop, pos: s.pos})
-		}
-		return nil
+		cost := c.cost(mark)
+		return func(f *frame) ctl {
+			f.charge(pos, cost)
+			v(f)
+			return ctlNext
+		}, nil
 	case *assignStmt:
 		return c.compileAssign(s)
 	case *ifStmt:
@@ -199,127 +227,150 @@ func (c *compiler) compileStmt(s stmt) error {
 	case *whileStmt:
 		return c.compileFor(&forStmt{pos: s.pos, cond: s.cond, body: s.body})
 	case *blockStmt:
-		return c.compileStmts(s.stmts)
+		list, err := c.compileStmts(s.stmts)
+		if err != nil {
+			return nil, err
+		}
+		run := sequence(list)
+		return func(f *frame) ctl {
+			f.charge(pos, 1)
+			return run(f)
+		}, nil
 	case *breakStmt:
-		if len(c.loops) == 0 {
-			return compileErrf(s.pos, "break outside loop")
+		if c.breakable == 0 {
+			return nil, compileErrf(pos, "break outside loop")
 		}
-		at := c.emit(op{code: opJmp, pos: s.pos})
-		top := &c.loops[len(c.loops)-1]
-		top.breaks = append(top.breaks, at)
-		return nil
+		return func(f *frame) ctl {
+			f.charge(pos, 1)
+			return ctlBreak
+		}, nil
 	case *continueStmt:
-		// continue targets the nearest enclosing loop, skipping switches
-		// (C semantics).
-		target := -1
-		for i := len(c.loops) - 1; i >= 0; i-- {
-			if !c.loops[i].isSwitch {
-				target = i
-				break
-			}
+		// continue targets the nearest enclosing loop, passing through
+		// switches (C semantics).
+		if c.continuable == 0 {
+			return nil, compileErrf(pos, "continue outside loop")
 		}
-		if target < 0 {
-			return compileErrf(s.pos, "continue outside loop")
-		}
-		at := c.emit(op{code: opJmp, pos: s.pos})
-		c.loops[target].continues = append(c.loops[target].continues, at)
-		return nil
+		return func(f *frame) ctl {
+			f.charge(pos, 1)
+			return ctlContinue
+		}, nil
 	case *doWhileStmt:
 		return c.compileDoWhile(s)
 	case *switchStmt:
 		return c.compileSwitch(s)
 	case *returnStmt:
-		if s.val == nil {
-			if c.inFunc && c.curRet.k != tVoid {
-				return compileErrf(s.pos, "function must return a %v value", c.curRet)
-			}
-			c.emit(op{code: opHalt, pos: s.pos})
-			return nil
-		}
-		t, err := c.compileExpr(s.val)
-		if err != nil {
-			return err
-		}
-		if c.inFunc {
-			if c.curRet.k == tVoid {
-				return compileErrf(s.pos, "void function cannot return a value")
-			}
-			if err := c.convertForStore(t, c.curRet, s.pos); err != nil {
-				return err
-			}
-		}
-		c.hasRet = true
-		c.retType = t
-		c.emit(op{code: opRet, pos: s.pos})
-		return nil
+		return c.compileReturn(s)
 	case *funcDecl:
-		return compileErrf(s.pos, "function definitions are only allowed at the top level")
+		return nil, compileErrf(pos, "function definitions are only allowed at the top level")
 	default:
-		return compileErrf(s.stmtPos(), "unsupported statement")
+		return nil, compileErrf(pos, "unsupported statement")
 	}
 }
 
-func (c *compiler) compileDecl(s *declStmt) error {
+func (c *compiler) compileReturn(s *returnStmt) (execFn, error) {
+	pos := s.pos
+	if s.val == nil {
+		if c.inFunc && c.curRet.k != tVoid {
+			return nil, compileErrf(pos, "function must return a %v value", c.curRet)
+		}
+		return func(f *frame) ctl {
+			f.charge(pos, 1)
+			return ctlReturn
+		}, nil
+	}
+	mark := c.nodes
+	v, t, err := c.compileExpr(s.val)
+	if err != nil {
+		return nil, err
+	}
+	if c.inFunc {
+		if c.curRet.k == tVoid {
+			return nil, compileErrf(pos, "void function cannot return a value")
+		}
+		if v, err = convertForStore(v, t, c.curRet, pos); err != nil {
+			return nil, err
+		}
+	}
+	cost := c.cost(mark)
+	return func(f *frame) ctl {
+		f.charge(pos, cost)
+		f.ret = v(f)
+		return ctlReturn
+	}, nil
+}
+
+func (c *compiler) compileDecl(s *declStmt) (execFn, error) {
+	mark := c.nodes
 	dt := declTypeOf(s.typ)
+	var inits []execFn
 	for _, item := range s.items {
 		if _, exists := c.locals[item.name]; exists {
-			return compileErrf(item.pos, "redeclaration of %q", item.name)
+			return nil, compileErrf(item.pos, "redeclaration of %q", item.name)
 		}
 		if _, isParam := c.pindex[item.name]; isParam {
-			return compileErrf(item.pos, "%q shadows a record parameter", item.name)
+			return nil, compileErrf(item.pos, "%q shadows a record parameter", item.name)
 		}
-		lv := &localVar{slot: c.nslots, typ: dt}
+		slot := c.nslots
 		c.nslots++
-		c.locals[item.name] = lv
+		c.locals[item.name] = &localVar{slot: slot, typ: dt}
 		if item.init == nil {
 			continue
 		}
-		it, err := c.compileExpr(item.init)
+		v, it, err := c.compileExpr(item.init)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := c.convertForStore(it, dt, item.pos); err != nil {
-			return err
+		if v, err = convertForStore(v, it, dt, item.pos); err != nil {
+			return nil, err
 		}
-		c.emit(op{code: opStoreLocal, a: lv.slot, pos: item.pos})
+		inits = append(inits, func(f *frame) ctl {
+			f.locals[slot] = v(f)
+			return ctlNext
+		})
 	}
-	return nil
+	run, pos, cost := sequence(inits), s.pos, c.cost(mark)
+	return func(f *frame) ctl {
+		f.charge(pos, cost)
+		return run(f)
+	}, nil
 }
 
-// convertForStore emits the numeric conversion needed to store a value of
-// type 'have' into a slot of type 'want', or reports an incompatibility.
-func (c *compiler) convertForStore(have, want etype, pos Pos) error {
+// convertForStore converts a value of type 'have' for a slot of type
+// 'want', or reports an incompatibility.
+func convertForStore(v evalFn, have, want etype, pos Pos) (evalFn, error) {
 	switch {
 	case have.k == want.k:
-		return nil
+		return v, nil
 	case have.k == tInt && want.k == tFloat:
-		c.emit(op{code: opI2F, pos: pos})
-		return nil
+		return toFloat(v), nil
 	case have.k == tFloat && want.k == tInt:
-		c.emit(op{code: opF2I, pos: pos})
-		return nil
+		return toInt(v), nil
 	default:
-		return compileErrf(pos, "cannot assign %v to %v", have, want)
+		return nil, compileErrf(pos, "cannot assign %v to %v", have, want)
 	}
 }
 
-func (c *compiler) compileAssign(s *assignStmt) error {
+func toFloat(v evalFn) evalFn {
+	return func(f *frame) pbio.Value { return pbio.Float64(float64(v(f).Int64())) }
+}
+
+func toInt(v evalFn) evalFn {
+	return func(f *frame) pbio.Value { return pbio.Int(int64(v(f).Float64())) }
+}
+
+// compoundOps maps each compound assignment to its binary operator.
+var compoundOps = map[tokKind]tokKind{
+	tokPlusEq: tokPlus, tokMinusEq: tokMinus, tokStarEq: tokStar,
+	tokSlashEq: tokSlash, tokPercentEq: tokPercent,
+}
+
+func (c *compiler) compileAssign(s *assignStmt) (execFn, error) {
 	// Desugar compound assignment: "lhs op= rhs" → "lhs = lhs op rhs".
 	rhs := s.rhs
-	switch s.op {
-	case tokAssign:
-	case tokPlusEq:
-		rhs = &binaryExpr{pos: s.pos, op: tokPlus, l: s.lhs, r: s.rhs}
-	case tokMinusEq:
-		rhs = &binaryExpr{pos: s.pos, op: tokMinus, l: s.lhs, r: s.rhs}
-	case tokStarEq:
-		rhs = &binaryExpr{pos: s.pos, op: tokStar, l: s.lhs, r: s.rhs}
-	case tokSlashEq:
-		rhs = &binaryExpr{pos: s.pos, op: tokSlash, l: s.lhs, r: s.rhs}
-	case tokPercentEq:
-		rhs = &binaryExpr{pos: s.pos, op: tokPercent, l: s.lhs, r: s.rhs}
-	default:
-		return compileErrf(s.pos, "unsupported assignment operator %v", s.op)
+	if op, ok := compoundOps[s.op]; ok {
+		rhs = &binaryExpr{pos: s.pos, op: op, l: s.lhs, r: s.rhs}
+	} else if s.op != tokAssign {
+		return nil, compileErrf(s.pos, "unsupported assignment operator %v", s.op)
 	}
 
 	switch lhs := s.lhs.(type) {
@@ -327,25 +378,30 @@ func (c *compiler) compileAssign(s *assignStmt) error {
 		lv, ok := c.locals[lhs.name]
 		if !ok {
 			if _, isParam := c.pindex[lhs.name]; isParam {
-				return compileErrf(lhs.pos, "cannot reassign record parameter %q; assign its fields instead", lhs.name)
+				return nil, compileErrf(lhs.pos, "cannot reassign record parameter %q; assign its fields instead", lhs.name)
 			}
-			return compileErrf(lhs.pos, "undefined variable %q", lhs.name)
+			return nil, compileErrf(lhs.pos, "undefined variable %q", lhs.name)
 		}
-		rt, err := c.compileExpr(rhs)
+		mark := c.nodes
+		v, rt, err := c.compileExpr(rhs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := c.convertForStore(rt, lv.typ, s.pos); err != nil {
-			return err
+		if v, err = convertForStore(v, rt, lv.typ, s.pos); err != nil {
+			return nil, err
 		}
-		c.emit(op{code: opStoreLocal, a: lv.slot, pos: s.pos})
-		return nil
+		slot, pos, cost := lv.slot, s.pos, c.cost(mark)
+		return func(f *frame) ctl {
+			f.charge(pos, cost)
+			f.locals[slot] = v(f)
+			return ctlNext
+		}, nil
 
 	case *fieldExpr, *indexExpr:
 		return c.compileStorePath(s.lhs, rhs, s.pos)
 
 	default:
-		return compileErrf(s.pos, "left side of assignment is not assignable")
+		return nil, compileErrf(s.pos, "left side of assignment is not assignable")
 	}
 }
 
@@ -402,126 +458,152 @@ func (c *compiler) splitPath(e expr) (baseParam int, segs []pathSeg, err error) 
 	return baseParam, segs, nil
 }
 
-// compileStorePath emits code for "base.f1[i]...fn [op]= rhs".
-func (c *compiler) compileStorePath(lhs, rhs expr, pos Pos) error {
-	baseParam, segs, err := c.splitPath(lhs)
+// compileStorePath compiles "base.f1[i]...fn [op]= rhs". At run time the
+// path is navigated first, growing lists it subscripts past their end, then
+// the right side is evaluated and stored.
+func (c *compiler) compileStorePath(lhs, rhs expr, pos Pos) (execFn, error) {
+	mark := c.nodes
+	baseParam, segs, err := c.splitPath(foldExpr(lhs))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cur := etype{k: tRec, format: c.params[baseParam].Format}
-	c.emit(op{code: opLoadParam, a: baseParam, pos: pos})
+	format := c.params[baseParam].Format
+	nav := func(f *frame) *pbio.Record { return f.params[baseParam] }
 
 	// Navigate all segments but the last.
-	for i := 0; i < len(segs)-1; i++ {
-		seg := segs[i]
-		fidx := cur.format.Lookup(seg.field)
+	for _, seg := range segs[:len(segs)-1] {
+		fidx := format.Lookup(seg.field)
 		if fidx < 0 {
-			return compileErrf(seg.pos, "format %q has no field %q", cur.format.Name(), seg.field)
+			return nil, compileErrf(seg.pos, "format %q has no field %q", format.Name(), seg.field)
 		}
-		fld := cur.format.Field(fidx)
-		if seg.idx != nil {
-			if fld.Kind != pbio.List || fld.Elem.Kind != pbio.Complex {
-				return compileErrf(seg.pos, "field %q is not a list of records", seg.field)
-			}
-			it, err := c.compileExpr(seg.idx)
-			if err != nil {
-				return err
-			}
-			if it.k != tInt {
-				return compileErrf(seg.pos, "list index must be an int, got %v", it)
-			}
-			c.emit(op{code: opNavElem, a: fidx, pos: seg.pos})
-			cur = etype{k: tRec, format: fld.Elem.Sub}
-		} else {
+		fld, outer := format.Field(fidx), nav
+		if seg.idx == nil {
 			if fld.Kind != pbio.Complex {
-				return compileErrf(seg.pos, "field %q is not a record; only the final path segment may be a scalar", seg.field)
+				return nil, compileErrf(seg.pos, "field %q is not a record; only the final path segment may be a scalar", seg.field)
 			}
-			c.emit(op{code: opGetField, a: fidx, pos: seg.pos})
-			cur = etype{k: tRec, format: fld.Sub}
+			nav = func(f *frame) *pbio.Record { return outer(f).GetIndex(fidx).Record() }
+			format = fld.Sub
+			continue
 		}
+		if fld.Kind != pbio.List || fld.Elem.Kind != pbio.Complex {
+			return nil, compileErrf(seg.pos, "field %q is not a list of records", seg.field)
+		}
+		idx, err := c.compileIndex(seg.idx, seg.pos)
+		if err != nil {
+			return nil, err
+		}
+		at, size := seg.pos, elemSize(fld.Elem)
+		nav = func(f *frame) *pbio.Record {
+			rec := outer(f)
+			elem, err := rec.NavListElem(fidx, f.grow(at, rec, fidx, idx(f).Int64(), size), &f.slab)
+			if err != nil {
+				fail(at, "%v", err)
+			}
+			return elem
+		}
+		format = fld.Elem.Sub
 	}
 
 	last := segs[len(segs)-1]
-	fidx := cur.format.Lookup(last.field)
+	fidx := format.Lookup(last.field)
 	if fidx < 0 {
-		return compileErrf(last.pos, "format %q has no field %q", cur.format.Name(), last.field)
+		return nil, compileErrf(last.pos, "format %q has no field %q", format.Name(), last.field)
 	}
-	fld := cur.format.Field(fidx)
+	fld := format.Field(fidx)
 
 	if last.idx != nil {
 		// dst.list[i] = rhs
 		if fld.Kind != pbio.List {
-			return compileErrf(last.pos, "field %q is not a list", last.field)
+			return nil, compileErrf(last.pos, "field %q is not a list", last.field)
 		}
-		it, err := c.compileExpr(last.idx)
+		idx, err := c.compileIndex(last.idx, last.pos)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if it.k != tInt {
-			return compileErrf(last.pos, "list index must be an int, got %v", it)
-		}
-		rt, err := c.compileExpr(rhs)
+		v, err := c.compileFieldStore(rhs, fld.Elem, last.pos)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		want := fieldType(fld.Elem)
-		if err := c.checkFieldStore(rt, want, fld.Elem, last.pos); err != nil {
-			return err
-		}
-		c.emit(op{code: opStoreElem, a: fidx, pos: pos})
-		return nil
+		cost, size := c.cost(mark), elemSize(fld.Elem)
+		return func(f *frame) ctl {
+			f.charge(pos, cost)
+			rec := nav(f)
+			i := idx(f).Int64()
+			x := v(f)
+			if err := rec.SetListElem(fidx, f.grow(pos, rec, fidx, i, size), x); err != nil {
+				fail(pos, "%v", err)
+			}
+			return ctlNext
+		}, nil
 	}
 
 	// dst.field = rhs
-	rt, err := c.compileExpr(rhs)
+	v, err := c.compileFieldStore(rhs, fld, last.pos)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	want := fieldType(fld)
-	if err := c.checkFieldStore(rt, want, fld, last.pos); err != nil {
-		return err
-	}
-	c.emit(op{code: opStoreField, a: fidx, pos: pos})
-	return nil
+	cost := c.cost(mark)
+	return func(f *frame) ctl {
+		f.charge(pos, cost)
+		rec := nav(f)
+		if err := rec.SetIndex(fidx, v(f)); err != nil {
+			fail(pos, "%v", err)
+		}
+		return ctlNext
+	}, nil
 }
 
-// checkFieldStore validates rhs type rt against a field store of type want
-// and emits conversions / clones as needed.
-func (c *compiler) checkFieldStore(rt, want etype, fld *pbio.Field, pos Pos) error {
+// compileIndex compiles an already folded subscript, which must be an int.
+func (c *compiler) compileIndex(e expr, pos Pos) (evalFn, error) {
+	v, t, err := c.expr(e)
+	if err != nil {
+		return nil, err
+	}
+	if t.k != tInt {
+		return nil, compileErrf(pos, "list index must be an int, got %v", t)
+	}
+	return v, nil
+}
+
+// compileFieldStore compiles rhs for a store into fld, converting numbers
+// and deep-copying records and lists so the destination never aliases its
+// source. A copy is charged the Values it creates before it is made.
+func (c *compiler) compileFieldStore(rhs expr, fld *pbio.Field, pos Pos) (evalFn, error) {
+	v, rt, err := c.compileExpr(rhs)
+	if err != nil {
+		return nil, err
+	}
+	want := fieldType(fld)
 	switch want.k {
 	case tInt, tFloat:
 		if !rt.isNumeric() {
-			return compileErrf(pos, "cannot assign %v to numeric field %q", rt, fld.Name)
+			return nil, compileErrf(pos, "cannot assign %v to numeric field %q", rt, fld.Name)
 		}
-		// pbio coerces numerics on store; no conversion op needed, but make
-		// the value category match so coercion is lossless where possible.
-		if rt.k == tFloat && want.k == tInt {
-			c.emit(op{code: opF2I, pos: pos})
-		} else if rt.k == tInt && want.k == tFloat {
-			c.emit(op{code: opI2F, pos: pos})
-		}
-		return nil
+		// pbio coerces numerics on store; converting first keeps the
+		// coercion lossless where possible.
+		return convertForStore(v, rt, want, pos)
 	case tStr:
 		if rt.k != tStr {
-			return compileErrf(pos, "cannot assign %v to string field %q", rt, fld.Name)
+			return nil, compileErrf(pos, "cannot assign %v to string field %q", rt, fld.Name)
 		}
-		return nil
+		return v, nil
 	case tRec:
 		if rt.k != tRec || !rt.format.SameStructure(want.format) {
-			return compileErrf(pos, "cannot assign %v to record field %q of format %q (structures must match; otherwise assign field-by-field)",
+			return nil, compileErrf(pos, "cannot assign %v to record field %q of format %q (structures must match; otherwise assign field-by-field)",
 				rt, fld.Name, want.format.Name())
 		}
-		c.emit(op{code: opCloneTop, pos: pos})
-		return nil
 	case tList:
 		if rt.k != tList || !sameElem(rt.elem, want.elem) {
-			return compileErrf(pos, "cannot assign %v to list field %q (element types must match; otherwise copy element-wise)", rt, fld.Name)
+			return nil, compileErrf(pos, "cannot assign %v to list field %q (element types must match; otherwise copy element-wise)", rt, fld.Name)
 		}
-		c.emit(op{code: opCloneTop, pos: pos})
-		return nil
 	default:
-		return compileErrf(pos, "field %q is not assignable", fld.Name)
+		return nil, compileErrf(pos, "field %q is not assignable", fld.Name)
 	}
+	return func(f *frame) pbio.Value {
+		x := v(f)
+		f.charge(pos, values(x))
+		return x.Clone()
+	}, nil
 }
 
 func sameElem(a, b *pbio.Field) bool {
@@ -538,233 +620,263 @@ func sameElem(a, b *pbio.Field) bool {
 	}
 }
 
-func (c *compiler) compileIf(s *ifStmt) error {
-	if err := c.compileCond(s.cond); err != nil {
-		return err
+func (c *compiler) compileIf(s *ifStmt) (execFn, error) {
+	mark := c.nodes
+	cond, err := c.compileCond(s.cond)
+	if err != nil {
+		return nil, err
 	}
-	jz := c.emit(op{code: opJz, pos: s.pos})
-	if err := c.compileStmt(s.then); err != nil {
-		return err
+	cost := c.cost(mark)
+	then, err := c.compileStmt(s.then)
+	if err != nil {
+		return nil, err
 	}
-	if s.els == nil {
-		c.patch(jz, c.here())
-		return nil
+	els, err := c.compileOptStmt(s.els)
+	if err != nil {
+		return nil, err
 	}
-	jend := c.emit(op{code: opJmp, pos: s.pos})
-	c.patch(jz, c.here())
-	if err := c.compileStmt(s.els); err != nil {
-		return err
-	}
-	c.patch(jend, c.here())
-	return nil
+	pos := s.pos
+	return func(f *frame) ctl {
+		f.charge(pos, cost)
+		if truthy(cond(f)) {
+			return then(f)
+		}
+		return els(f)
+	}, nil
 }
 
-func (c *compiler) compileFor(s *forStmt) error {
-	if s.init != nil {
-		if err := c.compileStmt(s.init); err != nil {
-			return err
-		}
+// compileOptStmt compiles s, or a statement that does nothing if s is nil.
+func (c *compiler) compileOptStmt(s stmt) (execFn, error) {
+	if s == nil {
+		return func(*frame) ctl { return ctlNext }, nil
 	}
-	condAt := c.here()
-	jexit := -1
+	return c.compileStmt(s)
+}
+
+// loopBody compiles the body of a loop, inside which break and continue
+// both apply.
+func (c *compiler) loopBody(s stmt) (execFn, error) {
+	c.breakable++
+	c.continuable++
+	defer func() { c.breakable--; c.continuable-- }()
+	return c.compileStmt(s)
+}
+
+func (c *compiler) compileFor(s *forStmt) (execFn, error) {
+	init, err := c.compileOptStmt(s.init)
+	if err != nil {
+		return nil, err
+	}
+	mark := c.nodes
+	var cond evalFn
 	if s.cond != nil {
-		if err := c.compileCond(s.cond); err != nil {
-			return err
-		}
-		jexit = c.emit(op{code: opJz, pos: s.pos})
-	}
-	c.loops = append(c.loops, loopCtx{})
-	if err := c.compileStmt(s.body); err != nil {
-		return err
-	}
-	postAt := c.here()
-	if s.post != nil {
-		if err := c.compileStmt(s.post); err != nil {
-			return err
+		if cond, err = c.compileCond(s.cond); err != nil {
+			return nil, err
 		}
 	}
-	c.emit(op{code: opJmp, a: condAt, pos: s.pos})
-	end := c.here()
-	if jexit >= 0 {
-		c.patch(jexit, end)
+	test := c.cost(mark) // charged per iteration
+	body, err := c.loopBody(s.body)
+	if err != nil {
+		return nil, err
 	}
-	ctx := c.loops[len(c.loops)-1]
-	c.loops = c.loops[:len(c.loops)-1]
-	for _, at := range ctx.breaks {
-		c.patch(at, end)
+	post, err := c.compileOptStmt(s.post)
+	if err != nil {
+		return nil, err
 	}
-	for _, at := range ctx.continues {
-		c.patch(at, postAt)
-	}
-	return nil
+	pos := s.pos
+	return func(f *frame) ctl {
+		f.charge(pos, 1)
+		init(f)
+		for {
+			f.charge(pos, test)
+			if cond != nil && !truthy(cond(f)) {
+				return ctlNext
+			}
+			switch body(f) {
+			case ctlBreak:
+				return ctlNext
+			case ctlReturn:
+				return ctlReturn
+			}
+			post(f)
+		}
+	}, nil
 }
 
 // compileDoWhile compiles C's do/while: the body runs once before the
 // condition is first tested; continue re-tests the condition.
-func (c *compiler) compileDoWhile(s *doWhileStmt) error {
-	bodyAt := c.here()
-	c.loops = append(c.loops, loopCtx{})
-	if err := c.compileStmt(s.body); err != nil {
-		return err
+func (c *compiler) compileDoWhile(s *doWhileStmt) (execFn, error) {
+	body, err := c.loopBody(s.body)
+	if err != nil {
+		return nil, err
 	}
-	condAt := c.here()
-	if err := c.compileCond(s.cond); err != nil {
-		return err
+	mark := c.nodes
+	cond, err := c.compileCond(s.cond)
+	if err != nil {
+		return nil, err
 	}
-	c.emit(op{code: opJnz, a: bodyAt, pos: s.pos})
-	end := c.here()
-	ctx := c.loops[len(c.loops)-1]
-	c.loops = c.loops[:len(c.loops)-1]
-	for _, at := range ctx.breaks {
-		c.patch(at, end)
-	}
-	for _, at := range ctx.continues {
-		c.patch(at, condAt)
-	}
-	return nil
+	pos, test := s.pos, c.cost(mark)
+	return func(f *frame) ctl {
+		f.charge(pos, 1)
+		for {
+			switch body(f) {
+			case ctlBreak:
+				return ctlNext
+			case ctlReturn:
+				return ctlReturn
+			}
+			f.charge(pos, test)
+			if !truthy(cond(f)) {
+				return ctlNext
+			}
+		}
+	}, nil
 }
 
 // compileSwitch compiles C's switch with fallthrough. Case labels must fold
-// to integer constants; the dispatch is a compare-and-jump chain (cases in
-// realistic transformations are few).
-func (c *compiler) compileSwitch(s *switchStmt) error {
-	ct, err := c.compileExpr(s.cond)
+// to integer constants; the arms' statements run as one list from the
+// matching label's arm on.
+func (c *compiler) compileSwitch(s *switchStmt) (execFn, error) {
+	mark := c.nodes
+	cond, ct, err := c.compileExpr(s.cond)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if ct.k != tInt {
-		return compileErrf(s.pos, "switch expression must be an int, got %v", ct)
+		return nil, compileErrf(s.pos, "switch expression must be an int, got %v", ct)
 	}
-	// Stash the scrutinee in a hidden slot so each case comparison can
-	// reload it.
-	slot := c.nslots
-	c.nslots++
-	c.emit(op{code: opStoreLocal, a: slot, pos: s.pos})
+	pos, cost := s.pos, c.cost(mark)
 
-	// Dispatch chain.
-	seen := make(map[int64]bool)
-	caseJumps := make([]int, len(s.cases)) // opJnz per case, -1 for default
-	defaultIdx := -1
-	for i, cs := range s.cases {
-		caseJumps[i] = -1
+	c.breakable++
+	defer func() { c.breakable-- }()
+	starts := make(map[int64]int) // case label → body index where its arm starts
+	deflt := -1
+	var body []execFn
+	for _, cs := range s.cases {
 		if cs.isDefault {
-			defaultIdx = i
-			continue
+			deflt = len(body)
+		} else {
+			lit, ok := foldExpr(cs.val).(*intLit)
+			if !ok {
+				return nil, compileErrf(cs.pos, "case label must be an integer constant expression")
+			}
+			if _, dup := starts[lit.v]; dup {
+				return nil, compileErrf(cs.pos, "duplicate case value %d", lit.v)
+			}
+			starts[lit.v] = len(body)
 		}
-		lit, ok := foldExpr(cs.val).(*intLit)
-		if !ok {
-			return compileErrf(cs.pos, "case label must be an integer constant expression")
+		arm, err := c.compileStmts(cs.body)
+		if err != nil {
+			return nil, err
 		}
-		if seen[lit.v] {
-			return compileErrf(cs.pos, "duplicate case value %d", lit.v)
-		}
-		seen[lit.v] = true
-		c.emit(op{code: opLoadLocal, a: slot, pos: cs.pos})
-		c.emit(op{code: opConst, k: pbio.Int(lit.v), pos: cs.pos})
-		c.emit(op{code: opCmpI, a: cmpEq, pos: cs.pos})
-		caseJumps[i] = c.emit(op{code: opJnz, pos: cs.pos})
+		body = append(body, arm...)
 	}
-	missJump := c.emit(op{code: opJmp, pos: s.pos}) // to default or end
-
-	// Bodies, sequential: fallthrough comes free.
-	c.loops = append(c.loops, loopCtx{isSwitch: true})
-	bodyAt := make([]int, len(s.cases))
-	for i, cs := range s.cases {
-		bodyAt[i] = c.here()
-		for _, st := range cs.body {
-			if err := c.compileStmt(st); err != nil {
-				return err
+	return func(f *frame) ctl {
+		f.charge(pos, cost)
+		from, ok := starts[cond(f).Int64()]
+		if !ok {
+			from = deflt
+		}
+		if from < 0 {
+			return ctlNext
+		}
+		for _, x := range body[from:] {
+			switch r := x(f); r {
+			case ctlNext:
+			case ctlBreak:
+				return ctlNext
+			default:
+				return r
 			}
 		}
-	}
-	end := c.here()
-
-	for i, at := range caseJumps {
-		if at >= 0 {
-			c.patch(at, bodyAt[i])
-		}
-	}
-	if defaultIdx >= 0 {
-		c.patch(missJump, bodyAt[defaultIdx])
-	} else {
-		c.patch(missJump, end)
-	}
-	ctx := c.loops[len(c.loops)-1]
-	c.loops = c.loops[:len(c.loops)-1]
-	for _, at := range ctx.breaks {
-		c.patch(at, end)
-	}
-	return nil
+		return ctlNext
+	}, nil
 }
 
-// compileCond compiles an expression used as a condition, validating that it
-// has a truthiness (int, float or string — like C, where any scalar works).
-func (c *compiler) compileCond(e expr) error {
-	t, err := c.compileExpr(e)
+// compileCond compiles a statement's condition, which must have a
+// truthiness (int, float or string — like C, where any scalar works).
+func (c *compiler) compileCond(e expr) (evalFn, error) {
+	v, t, err := c.compileExpr(e)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return v, checkCond(e.exprPos(), t)
+}
+
+func checkCond(pos Pos, t etype) error {
 	if t.k == tRec || t.k == tList || t.k == tVoid {
-		return compileErrf(e.exprPos(), "%v cannot be used as a condition", t)
+		return compileErrf(pos, "%v cannot be used as a condition", t)
 	}
 	return nil
 }
 
 // --- expressions ---
 
-func (c *compiler) compileExpr(e expr) (etype, error) {
-	e = foldExpr(e)
+// compileExpr compiles an expression that is not part of a larger one,
+// constant-folding the whole tree first.
+func (c *compiler) compileExpr(e expr) (evalFn, etype, error) {
+	return c.expr(foldExpr(e))
+}
+
+func constant(v pbio.Value) evalFn {
+	return func(*frame) pbio.Value { return v }
+}
+
+// expr compiles an already folded expression.
+func (c *compiler) expr(e expr) (evalFn, etype, error) {
+	c.nodes++
 	switch e := e.(type) {
 	case *intLit:
-		c.emit(op{code: opConst, k: pbio.Int(e.v), pos: e.pos})
-		return etype{k: tInt}, nil
+		return constant(pbio.Int(e.v)), etype{k: tInt}, nil
 	case *floatLit:
-		c.emit(op{code: opConst, k: pbio.Float64(e.v), pos: e.pos})
-		return etype{k: tFloat}, nil
+		return constant(pbio.Float64(e.v)), etype{k: tFloat}, nil
 	case *strLit:
-		c.emit(op{code: opConst, k: pbio.Str(e.v), pos: e.pos})
-		return etype{k: tStr}, nil
+		return constant(pbio.Str(e.v)), etype{k: tStr}, nil
 	case *identExpr:
 		if lv, ok := c.locals[e.name]; ok {
-			c.emit(op{code: opLoadLocal, a: lv.slot, pos: e.pos})
-			return lv.typ, nil
+			slot := lv.slot
+			return func(f *frame) pbio.Value { return f.locals[slot] }, lv.typ, nil
 		}
 		if p, ok := c.pindex[e.name]; ok {
-			c.emit(op{code: opLoadParam, a: p, pos: e.pos})
-			return etype{k: tRec, format: c.params[p].Format}, nil
+			return func(f *frame) pbio.Value { return pbio.RecordOf(f.params[p]) },
+				etype{k: tRec, format: c.params[p].Format}, nil
 		}
-		return etype{}, compileErrf(e.pos, "undefined variable %q", e.name)
+		return nil, etype{}, compileErrf(e.pos, "undefined variable %q", e.name)
 	case *fieldExpr:
-		bt, err := c.compileExpr(e.base)
+		base, bt, err := c.expr(e.base)
 		if err != nil {
-			return etype{}, err
+			return nil, etype{}, err
 		}
 		if bt.k != tRec {
-			return etype{}, compileErrf(e.pos, "%v has no fields", bt)
+			return nil, etype{}, compileErrf(e.pos, "%v has no fields", bt)
 		}
 		fidx := bt.format.Lookup(e.name)
 		if fidx < 0 {
-			return etype{}, compileErrf(e.pos, "format %q has no field %q", bt.format.Name(), e.name)
+			return nil, etype{}, compileErrf(e.pos, "format %q has no field %q", bt.format.Name(), e.name)
 		}
-		c.emit(op{code: opGetField, a: fidx, pos: e.pos})
-		return fieldType(bt.format.Field(fidx)), nil
+		return func(f *frame) pbio.Value { return base(f).Record().GetIndex(fidx) },
+			fieldType(bt.format.Field(fidx)), nil
 	case *indexExpr:
-		bt, err := c.compileExpr(e.base)
+		base, bt, err := c.expr(e.base)
 		if err != nil {
-			return etype{}, err
+			return nil, etype{}, err
 		}
 		if bt.k != tList {
-			return etype{}, compileErrf(e.pos, "%v is not subscriptable", bt)
+			return nil, etype{}, compileErrf(e.pos, "%v is not subscriptable", bt)
 		}
-		it, err := c.compileExpr(e.idx)
+		pos := e.pos
+		idx, err := c.compileIndex(e.idx, pos)
 		if err != nil {
-			return etype{}, err
+			return nil, etype{}, err
 		}
-		if it.k != tInt {
-			return etype{}, compileErrf(e.pos, "list index must be an int, got %v", it)
-		}
-		c.emit(op{code: opIndex, pos: e.pos})
-		return fieldType(bt.elem), nil
+		return func(f *frame) pbio.Value {
+			list := base(f).List()
+			i := idx(f).Int64()
+			if i < 0 || i >= int64(len(list)) {
+				fail(pos, "list index %d out of range (length %d)", i, len(list))
+			}
+			return list[i]
+		}, fieldType(bt.elem), nil
 	case *callExpr:
 		return c.compileCall(e)
 	case *unaryExpr:
@@ -774,351 +886,269 @@ func (c *compiler) compileExpr(e expr) (etype, error) {
 	case *condExpr:
 		return c.compileTernary(e)
 	default:
-		return etype{}, compileErrf(e.exprPos(), "unsupported expression")
+		return nil, etype{}, compileErrf(e.exprPos(), "unsupported expression")
 	}
 }
 
-func (c *compiler) compileUnary(e *unaryExpr) (etype, error) {
-	t, err := c.compileExpr(e.x)
+func (c *compiler) compileUnary(e *unaryExpr) (evalFn, etype, error) {
+	x, t, err := c.expr(e.x)
 	if err != nil {
-		return etype{}, err
+		return nil, etype{}, err
 	}
 	switch e.op {
 	case tokMinus:
 		switch t.k {
 		case tInt:
-			c.emit(op{code: opNegI, pos: e.pos})
+			return func(f *frame) pbio.Value { return pbio.Int(-x(f).Int64()) }, t, nil
 		case tFloat:
-			c.emit(op{code: opNegF, pos: e.pos})
+			return func(f *frame) pbio.Value { return pbio.Float64(-x(f).Float64()) }, t, nil
 		default:
-			return etype{}, compileErrf(e.pos, "cannot negate %v", t)
+			return nil, etype{}, compileErrf(e.pos, "cannot negate %v", t)
 		}
-		return t, nil
 	case tokNot:
-		if t.k == tRec || t.k == tList || t.k == tVoid {
-			return etype{}, compileErrf(e.pos, "cannot apply '!' to %v", t)
+		if checkCond(e.pos, t) != nil {
+			return nil, etype{}, compileErrf(e.pos, "cannot apply '!' to %v", t)
 		}
-		c.emit(op{code: opNot, pos: e.pos})
-		return etype{k: tInt}, nil
+		return func(f *frame) pbio.Value { return boolInt(!truthy(x(f))) }, etype{k: tInt}, nil
 	default:
-		return etype{}, compileErrf(e.pos, "unsupported unary operator")
+		return nil, etype{}, compileErrf(e.pos, "unsupported unary operator")
 	}
 }
 
-func (c *compiler) compileBinary(e *binaryExpr) (etype, error) {
-	switch e.op {
-	case tokAndAnd:
-		if err := c.compileCond(e.l); err != nil {
-			return etype{}, err
-		}
-		jz := c.emit(op{code: opJz, pos: e.pos})
-		if err := c.compileCond(e.r); err != nil {
-			return etype{}, err
-		}
-		c.emit(op{code: opBool, pos: e.pos})
-		jend := c.emit(op{code: opJmp, pos: e.pos})
-		c.patch(jz, c.here())
-		c.emit(op{code: opConst, k: pbio.Int(0), pos: e.pos})
-		c.patch(jend, c.here())
-		return etype{k: tInt}, nil
-	case tokOrOr:
-		if err := c.compileCond(e.l); err != nil {
-			return etype{}, err
-		}
-		jnz := c.emit(op{code: opJnz, pos: e.pos})
-		if err := c.compileCond(e.r); err != nil {
-			return etype{}, err
-		}
-		c.emit(op{code: opBool, pos: e.pos})
-		jend := c.emit(op{code: opJmp, pos: e.pos})
-		c.patch(jnz, c.here())
-		c.emit(op{code: opConst, k: pbio.Int(1), pos: e.pos})
-		c.patch(jend, c.here())
-		return etype{k: tInt}, nil
-	}
-
-	lt, err := c.compileExpr(e.l)
+func (c *compiler) compileBinary(e *binaryExpr) (evalFn, etype, error) {
+	l, lt, err := c.expr(e.l)
 	if err != nil {
-		return etype{}, err
+		return nil, etype{}, err
 	}
-	// If the right side is float and the left is int, promote the left
-	// operand now, before the right side's code runs.
-	rtPredicted, err := c.typeOf(e.r)
-	if err != nil {
-		return etype{}, err
-	}
-	promoted := lt
-	if lt.k == tInt && rtPredicted.k == tFloat && isArithOrCmp(e.op) {
-		c.emit(op{code: opI2F, pos: e.pos})
-		promoted = etype{k: tFloat}
-	}
-	rt, err := c.compileExpr(e.r)
-	if err != nil {
-		return etype{}, err
-	}
-	if rt.k == tInt && promoted.k == tFloat && isArithOrCmp(e.op) {
-		c.emit(op{code: opI2F, pos: e.pos})
-		rt = etype{k: tFloat}
-	}
-	lt = promoted
-
-	switch e.op {
-	case tokPlus:
-		if lt.k == tStr && rt.k == tStr {
-			c.emit(op{code: opAddS, pos: e.pos})
-			return etype{k: tStr}, nil
+	if e.op == tokAndAnd || e.op == tokOrOr {
+		if err := checkCond(e.l.exprPos(), lt); err != nil {
+			return nil, etype{}, err
 		}
-		return c.arith(e.pos, lt, rt, opAddI, opAddF)
-	case tokMinus:
-		return c.arith(e.pos, lt, rt, opSubI, opSubF)
-	case tokStar:
-		return c.arith(e.pos, lt, rt, opMulI, opMulF)
-	case tokSlash:
-		return c.arith(e.pos, lt, rt, opDivI, opDivF)
+	}
+	r, rt, err := c.expr(e.r)
+	if err != nil {
+		return nil, etype{}, err
+	}
+	op, pos, intT := e.op, e.pos, etype{k: tInt}
+	switch op {
+	case tokAndAnd, tokOrOr:
+		if err := checkCond(e.r.exprPos(), rt); err != nil {
+			return nil, etype{}, err
+		}
+		if op == tokAndAnd {
+			return func(f *frame) pbio.Value { return boolInt(truthy(l(f)) && truthy(r(f))) }, intT, nil
+		}
+		return func(f *frame) pbio.Value { return boolInt(truthy(l(f)) || truthy(r(f))) }, intT, nil
 	case tokPercent:
 		if lt.k != tInt || rt.k != tInt {
-			return etype{}, compileErrf(e.pos, "operands of %% must be ints, got %v and %v", lt, rt)
+			return nil, etype{}, compileErrf(pos, "operands of %% must be ints, got %v and %v", lt, rt)
 		}
-		c.emit(op{code: opModI, pos: e.pos})
-		return etype{k: tInt}, nil
+	default:
+		// Arithmetic and comparison promote an int operand to double when
+		// the other one is a double.
+		if lt.k == tInt && rt.k == tFloat {
+			l, lt = toFloat(l), rt
+		} else if lt.k == tFloat && rt.k == tInt {
+			r, rt = toFloat(r), lt
+		}
+	}
+
+	switch op {
 	case tokEq, tokNeq, tokLt, tokLe, tokGt, tokGe:
-		cmp := cmpCode(e.op)
 		switch {
 		case lt.k == tInt && rt.k == tInt:
-			c.emit(op{code: opCmpI, a: cmp, pos: e.pos})
+			return func(f *frame) pbio.Value { return boolInt(compare(op, l(f).Int64(), r(f).Int64())) }, intT, nil
 		case lt.k == tFloat && rt.k == tFloat:
-			c.emit(op{code: opCmpF, a: cmp, pos: e.pos})
+			return func(f *frame) pbio.Value { return boolInt(compare(op, l(f).Float64(), r(f).Float64())) }, intT, nil
 		case lt.k == tStr && rt.k == tStr:
-			c.emit(op{code: opCmpS, a: cmp, pos: e.pos})
-		default:
-			return etype{}, compileErrf(e.pos, "cannot compare %v with %v", lt, rt)
+			return func(f *frame) pbio.Value {
+				a, b := l(f).Strval(), r(f).Strval()
+				f.charge(pos, int64(min(len(a), len(b)))) // the bytes compared
+				return boolInt(compare(op, a, b))
+			}, intT, nil
 		}
-		return etype{k: tInt}, nil
-	default:
-		return etype{}, compileErrf(e.pos, "unsupported binary operator")
+		return nil, etype{}, compileErrf(pos, "cannot compare %v with %v", lt, rt)
 	}
-}
-
-func isArithOrCmp(k tokKind) bool {
-	switch k {
-	case tokPlus, tokMinus, tokStar, tokSlash,
-		tokEq, tokNeq, tokLt, tokLe, tokGt, tokGe:
-		return true
-	default:
-		return false
-	}
-}
-
-func (c *compiler) arith(pos Pos, lt, rt etype, opInt, opFloat opcode) (etype, error) {
 	switch {
+	case lt.k == tStr && rt.k == tStr && op == tokPlus:
+		return func(f *frame) pbio.Value {
+			s := l(f).Strval() + r(f).Strval()
+			f.charge(pos, int64(len(s)))
+			return pbio.Str(s)
+		}, lt, nil
+	case lt.k == tInt && rt.k == tInt && (op == tokSlash || op == tokPercent):
+		what := "division"
+		if op == tokPercent {
+			what = "modulo"
+		}
+		return func(f *frame) pbio.Value {
+			a, b := l(f).Int64(), r(f).Int64()
+			if b == 0 {
+				fail(pos, "integer %s by zero", what)
+			}
+			if op == tokSlash {
+				return pbio.Int(a / b)
+			}
+			return pbio.Int(a % b)
+		}, intT, nil
 	case lt.k == tInt && rt.k == tInt:
-		c.emit(op{code: opInt, pos: pos})
-		return etype{k: tInt}, nil
+		return func(f *frame) pbio.Value { return pbio.Int(arith(op, l(f).Int64(), r(f).Int64())) }, intT, nil
 	case lt.k == tFloat && rt.k == tFloat:
-		c.emit(op{code: opFloat, pos: pos})
-		return etype{k: tFloat}, nil
+		return func(f *frame) pbio.Value { return pbio.Float64(arith(op, l(f).Float64(), r(f).Float64())) }, lt, nil
+	}
+	return nil, etype{}, compileErrf(pos, "invalid operands %v and %v", lt, rt)
+}
+
+// arith applies +, -, * or /.
+func arith[T int64 | float64](op tokKind, l, r T) T {
+	switch op {
+	case tokPlus:
+		return l + r
+	case tokMinus:
+		return l - r
+	case tokStar:
+		return l * r
 	default:
-		return etype{}, compileErrf(pos, "invalid operands %v and %v", lt, rt)
+		return l / r
 	}
 }
 
-func cmpCode(k tokKind) int {
-	switch k {
+// compare applies a comparison operator.
+func compare[T int64 | float64 | string](op tokKind, l, r T) bool {
+	switch op {
 	case tokEq:
-		return cmpEq
+		return l == r
 	case tokNeq:
-		return cmpNe
+		return l != r
 	case tokLt:
-		return cmpLt
+		return l < r
 	case tokLe:
-		return cmpLe
+		return l <= r
 	case tokGt:
-		return cmpGt
+		return l > r
 	default:
-		return cmpGe
+		return l >= r
 	}
 }
 
-func (c *compiler) compileTernary(e *condExpr) (etype, error) {
-	if err := c.compileCond(e.cond); err != nil {
-		return etype{}, err
-	}
-	jz := c.emit(op{code: opJz, pos: e.pos})
-	tt, err := c.compileExpr(e.t)
+func (c *compiler) compileTernary(e *condExpr) (evalFn, etype, error) {
+	cond, ct, err := c.expr(e.cond)
 	if err != nil {
-		return etype{}, err
+		return nil, etype{}, err
 	}
-	// Unify branch types before the join.
-	ft, err := c.typeOf(e.f)
+	if err := checkCond(e.cond.exprPos(), ct); err != nil {
+		return nil, etype{}, err
+	}
+	t, tt, err := c.expr(e.t)
 	if err != nil {
-		return etype{}, err
+		return nil, etype{}, err
 	}
-	result := tt
+	fl, ft, err := c.expr(e.f)
+	if err != nil {
+		return nil, etype{}, err
+	}
+	// An int branch is promoted when the other one is a double.
 	if tt.k == tInt && ft.k == tFloat {
-		c.emit(op{code: opI2F, pos: e.pos})
-		result = etype{k: tFloat}
+		t, tt = toFloat(t), ft
+	} else if tt.k == tFloat && ft.k == tInt {
+		fl, ft = toFloat(fl), tt
 	}
-	jend := c.emit(op{code: opJmp, pos: e.pos})
-	c.patch(jz, c.here())
-	ft2, err := c.compileExpr(e.f)
-	if err != nil {
-		return etype{}, err
+	if ft.k != tt.k {
+		return nil, etype{}, compileErrf(e.pos, "ternary branches have incompatible types %v and %v", tt, ft)
 	}
-	if ft2.k == tInt && result.k == tFloat {
-		c.emit(op{code: opI2F, pos: e.pos})
-		ft2 = etype{k: tFloat}
-	}
-	c.patch(jend, c.here())
-	if ft2.k != result.k {
-		return etype{}, compileErrf(e.pos, "ternary branches have incompatible types %v and %v", result, ft2)
-	}
-	return result, nil
+	return func(f *frame) pbio.Value {
+		if truthy(cond(f)) {
+			return t(f)
+		}
+		return fl(f)
+	}, tt, nil
 }
 
-func (c *compiler) compileCall(e *callExpr) (etype, error) {
+func (c *compiler) compileCall(e *callExpr) (evalFn, etype, error) {
 	if fi, ok := c.findex[e.name]; ok {
-		return c.compileUserCall(e, fi)
+		return c.compileUserCall(e, c.funcs[fi])
 	}
 	bi, ok := builtinIndex[e.name]
 	if !ok {
-		return etype{}, compileErrf(e.pos, "unknown function %q", e.name)
+		return nil, etype{}, compileErrf(e.pos, "unknown function %q", e.name)
 	}
 	b := &builtins[bi]
 	if len(e.args) != len(b.args) {
-		return etype{}, compileErrf(e.pos, "%s expects %d argument(s), got %d", b.name, len(b.args), len(e.args))
+		return nil, etype{}, compileErrf(e.pos, "%s expects %d argument(s), got %d", b.name, len(b.args), len(e.args))
 	}
+	args := make([]evalFn, len(e.args))
 	for i, arg := range e.args {
-		at, err := c.compileExpr(arg)
+		v, at, err := c.expr(arg)
 		if err != nil {
-			return etype{}, err
+			return nil, etype{}, err
 		}
-		want := b.args[i]
-		switch {
+		switch want := b.args[i]; {
 		case want == tAnyLen:
 			if at.k != tStr && at.k != tList {
-				return etype{}, compileErrf(arg.exprPos(), "%s argument %d must be a string or list, got %v", b.name, i+1, at)
+				return nil, etype{}, compileErrf(arg.exprPos(), "%s argument %d must be a string or list, got %v", b.name, i+1, at)
 			}
 		case want == tInt && at.k == tFloat:
-			c.emit(op{code: opF2I, pos: arg.exprPos()})
+			v = toInt(v)
 		case want == tFloat && at.k == tInt:
-			c.emit(op{code: opI2F, pos: arg.exprPos()})
-		case typeKind(want) != at.k:
-			return etype{}, compileErrf(arg.exprPos(), "%s argument %d must be %v, got %v", b.name, i+1, typeKind(want), at)
+			v = toFloat(v)
+		case want != at.k:
+			return nil, etype{}, compileErrf(arg.exprPos(), "%s argument %d must be %v, got %v", b.name, i+1, want, at)
 		}
+		args[i] = v
 	}
-	c.emit(op{code: opCall, a: bi, b: len(e.args), pos: e.pos})
-	return etype{k: b.result}, nil
+	pos := e.pos
+	return func(f *frame) pbio.Value {
+		var a builtinArgs
+		var read int64 // the string bytes the builtin is handed
+		for i, x := range args {
+			a[i] = x(f)
+			read += int64(len(a[i].Strval()))
+		}
+		f.charge(pos, read)
+		v, err := b.fn(a)
+		if err != nil {
+			fail(pos, "%s: %v", b.name, err)
+		}
+		f.charge(pos, int64(len(v.Strval()))) // the bytes of a string result
+		return v
+	}, etype{k: b.result}, nil
 }
 
-func (c *compiler) compileUserCall(e *callExpr, fi int) (etype, error) {
-	fn := c.funcs[fi]
+// compileUserCall compiles a call of a user-defined function. The callee
+// runs on the caller's frame with its own locals; fn.body is read at run
+// time because the callee may not be compiled yet (forward references,
+// recursion).
+func (c *compiler) compileUserCall(e *callExpr, fn *ufunc) (evalFn, etype, error) {
 	if len(e.args) != len(fn.params) {
-		return etype{}, compileErrf(e.pos, "%s expects %d argument(s), got %d", fn.name, len(fn.params), len(e.args))
+		return nil, etype{}, compileErrf(e.pos, "%s expects %d argument(s), got %d", fn.name, len(fn.params), len(e.args))
 	}
+	args := make([]evalFn, len(e.args))
 	for i, arg := range e.args {
-		at, err := c.compileExpr(arg)
+		v, at, err := c.expr(arg)
 		if err != nil {
-			return etype{}, err
+			return nil, etype{}, err
 		}
-		if err := c.convertForStore(at, fn.params[i], arg.exprPos()); err != nil {
-			return etype{}, compileErrf(arg.exprPos(), "%s argument %d: cannot pass %v as %v", fn.name, i+1, at, fn.params[i])
+		if args[i], err = convertForStore(v, at, fn.params[i], arg.exprPos()); err != nil {
+			return nil, etype{}, compileErrf(arg.exprPos(), "%s argument %d: cannot pass %v as %v", fn.name, i+1, at, fn.params[i])
 		}
 	}
-	c.emit(op{code: opCallUser, a: fi, b: len(e.args), pos: e.pos})
-	return fn.result, nil
-}
-
-// typeOf infers the type of e without emitting code. It mirrors
-// compileExpr's typing rules and is used where a type is needed before the
-// operand's code position is reached (right operands, ternary branches).
-func (c *compiler) typeOf(e expr) (etype, error) {
-	switch e := e.(type) {
-	case *intLit:
-		return etype{k: tInt}, nil
-	case *floatLit:
-		return etype{k: tFloat}, nil
-	case *strLit:
-		return etype{k: tStr}, nil
-	case *identExpr:
-		if lv, ok := c.locals[e.name]; ok {
-			return lv.typ, nil
+	pos := e.pos
+	return func(f *frame) pbio.Value {
+		locals := make([]pbio.Value, fn.nlocals)
+		for i, x := range args {
+			locals[i] = x(f)
 		}
-		if p, ok := c.pindex[e.name]; ok {
-			return etype{k: tRec, format: c.params[p].Format}, nil
+		if f.depth >= maxCallDepth {
+			fail(pos, "call depth %d exceeded in %q (runaway recursion)", maxCallDepth, fn.name)
 		}
-		return etype{}, compileErrf(e.pos, "undefined variable %q", e.name)
-	case *fieldExpr:
-		bt, err := c.typeOf(e.base)
-		if err != nil {
-			return etype{}, err
-		}
-		if bt.k != tRec {
-			return etype{}, compileErrf(e.pos, "%v has no fields", bt)
-		}
-		fld := bt.format.FieldByName(e.name)
-		if fld == nil {
-			return etype{}, compileErrf(e.pos, "format %q has no field %q", bt.format.Name(), e.name)
-		}
-		return fieldType(fld), nil
-	case *indexExpr:
-		bt, err := c.typeOf(e.base)
-		if err != nil {
-			return etype{}, err
-		}
-		if bt.k != tList {
-			return etype{}, compileErrf(e.pos, "%v is not subscriptable", bt)
-		}
-		return fieldType(bt.elem), nil
-	case *callExpr:
-		if fi, ok := c.findex[e.name]; ok {
-			return c.funcs[fi].result, nil
-		}
-		bi, ok := builtinIndex[e.name]
-		if !ok {
-			return etype{}, compileErrf(e.pos, "unknown function %q", e.name)
-		}
-		return etype{k: builtins[bi].result}, nil
-	case *unaryExpr:
-		if e.op == tokNot {
-			return etype{k: tInt}, nil
-		}
-		return c.typeOf(e.x)
-	case *binaryExpr:
-		switch e.op {
-		case tokAndAnd, tokOrOr, tokEq, tokNeq, tokLt, tokLe, tokGt, tokGe, tokPercent:
-			return etype{k: tInt}, nil
-		}
-		lt, err := c.typeOf(e.l)
-		if err != nil {
-			return etype{}, err
-		}
-		rt, err := c.typeOf(e.r)
-		if err != nil {
-			return etype{}, err
-		}
-		if lt.k == tFloat || rt.k == tFloat {
-			return etype{k: tFloat}, nil
-		}
-		if lt.k == tStr && rt.k == tStr {
-			return etype{k: tStr}, nil
-		}
-		return etype{k: tInt}, nil
-	case *condExpr:
-		tt, err := c.typeOf(e.t)
-		if err != nil {
-			return etype{}, err
-		}
-		ft, err := c.typeOf(e.f)
-		if err != nil {
-			return etype{}, err
-		}
-		if tt.k == tFloat || ft.k == tFloat {
-			if tt.isNumeric() && ft.isNumeric() {
-				return etype{k: tFloat}, nil
-			}
-		}
-		return tt, nil
-	default:
-		return etype{}, compileErrf(e.exprPos(), "unsupported expression")
-	}
+		caller := f.locals
+		f.locals = locals
+		f.depth++
+		fn.body(f)
+		f.depth--
+		f.locals = caller
+		v := f.ret
+		f.ret = pbio.Value{}
+		return v
+	}, fn.result, nil
 }

@@ -14,12 +14,18 @@
 //	}
 //
 // The original E-Code compiles to native machine code at run time. Go offers
-// no runtime machine-code generation, so this package substitutes a bytecode
-// compiler and a stack virtual machine: Compile is called once per
-// (format, transformation) pair — exactly where the paper invokes its
-// dynamic code generator — and the resulting Program is cached and executed
-// per message. The compile-once / run-many structure, which is what the
-// paper's evaluation depends on, is preserved.
+// no runtime machine-code generation, so this package substitutes the
+// nearest thing: one pass that type-checks the syntax tree and compiles it
+// into a tree of Go closures. Compile is called once per (format,
+// transformation) pair — exactly where the paper invokes its dynamic code
+// generator — and the resulting Program is cached and executed per message.
+// The compile-once / run-many structure, which is what the paper's
+// evaluation depends on, is preserved.
+//
+// Transformation code arrives over the network, so both halves are
+// bounded: source may nest at most maxNesting levels deep, and a Run stops
+// with ErrRuntime once it has taken Program.MaxSteps steps, which bound
+// both its time and its memory.
 //
 // Supported language: int/long/double/char* ("string") locals with
 // initializers; assignment including the compound operators and ++/--;

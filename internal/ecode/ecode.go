@@ -20,11 +20,15 @@ type Param struct {
 // Program is a compiled transformation. It is immutable and safe for
 // concurrent Run calls; all per-run state lives in the frame Run allocates.
 type Program struct {
-	// MaxSteps bounds one Run's executed instructions; zero means
-	// DefaultMaxSteps. Set before sharing the Program across goroutines.
+	// MaxSteps bounds one Run's steps, and so its time and memory: each
+	// executed statement or loop test costs one plus the expression nodes
+	// it evaluates, and each list element, record field or string byte it
+	// creates, copies, compares or passes to a builtin costs one more.
+	// Zero means DefaultMaxSteps. Set before sharing the Program across
+	// goroutines.
 	MaxSteps int
 
-	ops     []op
+	main    execFn
 	nlocals int
 	params  []Param
 	funcs   []*ufunc
@@ -32,9 +36,9 @@ type Program struct {
 }
 
 // Compile parses, type-checks and compiles src against the given record
-// parameters. Field references are resolved to field indices now, so Run
-// does no name lookups — the bytecode analog of the paper's dynamically
-// generated conversion subroutine.
+// parameters into a tree of Go closures. Field references are resolved to
+// field indices now, so Run does no name lookups — the closure analog of the
+// paper's dynamically generated conversion subroutine.
 func Compile(src string, params ...Param) (*Program, error) {
 	var t0 time.Time
 	st := obsCur.Load()
@@ -53,12 +57,12 @@ func Compile(src string, params ...Param) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.compileProgram(stmts); err != nil {
+	main, err := c.compileProgram(stmts)
+	if err != nil {
 		return nil, err
 	}
-	c.emit(op{code: opHalt})
 	prog := &Program{
-		ops:     c.ops,
+		main:    main,
 		nlocals: c.nslots,
 		params:  append([]Param(nil), params...),
 		funcs:   c.funcs,
@@ -87,10 +91,6 @@ func (p *Program) Params() []Param { return append([]Param(nil), p.params...) }
 // Source returns the source text the program was compiled from.
 func (p *Program) Source() string { return p.src }
 
-// NumOps reports the compiled instruction count of the main program body
-// (useful for tests and diagnostics).
-func (p *Program) NumOps() int { return len(p.ops) }
-
 // NumFuncs reports how many user-defined functions the program declares.
 func (p *Program) NumFuncs() int { return len(p.funcs) }
 
@@ -101,7 +101,7 @@ var ErrArgs = errors.New("ecode: bad run arguments")
 // compiled parameters in number, order and structure. Destination records
 // are mutated in place. The returned Value is the program's `return`
 // expression result, or the zero Value if execution fell off the end.
-func (p *Program) Run(recs ...*pbio.Record) (pbio.Value, error) {
+func (p *Program) Run(recs ...*pbio.Record) (_ pbio.Value, err error) {
 	if len(recs) != len(p.params) {
 		return pbio.Value{}, fmt.Errorf("%w: program has %d parameter(s), got %d record(s)",
 			ErrArgs, len(p.params), len(recs))
@@ -116,12 +116,23 @@ func (p *Program) Run(recs ...*pbio.Record) (pbio.Value, error) {
 				p.params[i].Name, p.params[i].Format.Name(), p.params[i].Format.Fingerprint())
 		}
 	}
-	f := &frame{
-		stack:  make([]pbio.Value, 0, 16),
-		params: recs,
+	f := &frame{params: recs, limit: p.MaxSteps, locals: make([]pbio.Value, p.nlocals)}
+	if f.limit <= 0 {
+		f.limit = DefaultMaxSteps
 	}
-	if p.nlocals > 0 {
-		f.locals = make([]pbio.Value, p.nlocals)
-	}
-	return p.exec(f)
+	defer func() {
+		if r := recover(); r != nil {
+			rf, ok := r.(runFailure)
+			if !ok {
+				panic(r)
+			}
+			err = rf.err
+		}
+		if st := obsCur.Load(); st != nil {
+			st.runs.Inc()
+			st.runSteps.Observe(uint64(f.used))
+		}
+	}()
+	p.main(f)
+	return f.ret, nil
 }

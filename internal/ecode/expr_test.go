@@ -156,6 +156,7 @@ func TestStringOps(t *testing.T) {
 		{`return dtoa(1.5);`, "1.5"},
 		{`return substr("hello", 1, 3);`, "ell"},
 		{`return substr("hello", 3, 99);`, "lo"},
+		{`return substr("hello", 1, 9223372036854775807);`, "ello"},
 		{`char *s = "x"; s += "y"; return s;`, "xy"},
 		{`return "tab\there\n";`, "tab\there\n"},
 	}

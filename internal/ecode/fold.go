@@ -8,7 +8,8 @@ package ecode
 // with a proper position.
 
 // foldExpr returns a simplified expression tree. It is idempotent and
-// cheap; the compiler calls it once per expression before code generation.
+// linear in the tree's size; the compiler calls it once on each expression
+// that is not part of a larger one, before compiling it.
 func foldExpr(e expr) expr {
 	switch e := e.(type) {
 	case *unaryExpr:
@@ -163,7 +164,7 @@ func foldBinary(e *binaryExpr) expr {
 		case tokStar:
 			return &floatLit{pos: e.pos, v: a * b}
 		case tokSlash:
-			return &floatLit{pos: e.pos, v: a / b} // IEEE semantics, like the VM
+			return &floatLit{pos: e.pos, v: a / b} // IEEE semantics, like a run
 		case tokEq:
 			return boolLit(a == b)
 		case tokNeq:

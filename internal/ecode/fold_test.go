@@ -7,16 +7,29 @@ import (
 	"testing/quick"
 )
 
-func TestConstFoldingShrinksPrograms(t *testing.T) {
-	folded := MustCompile("return 2 * 3 + 4;")
-	unfolded := MustCompile("int a = 2, b = 3, c = 4; return a * b + c;")
-	if folded.NumOps() >= unfolded.NumOps() {
-		t.Errorf("folded program (%d ops) should be smaller than variable version (%d ops)",
-			folded.NumOps(), unfolded.NumOps())
+// returnedExpr parses src and returns the expression of its last
+// statement, which must be a return.
+func returnedExpr(t *testing.T, src string) expr {
+	t.Helper()
+	p, err := newParser(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A fully constant expression compiles to [const, ret, halt].
-	if folded.NumOps() != 3 {
-		t.Errorf("constant return compiled to %d ops, want 3", folded.NumOps())
+	stmts, err := p.parseProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmts[len(stmts)-1].(*returnStmt).val
+}
+
+func TestConstFoldingShrinksPrograms(t *testing.T) {
+	// A fully constant expression folds to one literal.
+	if lit, ok := foldExpr(returnedExpr(t, "return 2 * 3 + 4;")).(*intLit); !ok || lit.v != 10 {
+		t.Errorf("constant return folded to %#v, want the literal 10", lit)
+	}
+	// The same arithmetic over variables keeps its operators.
+	if _, ok := foldExpr(returnedExpr(t, "int a = 2, b = 3, c = 4; return a * b + c;")).(*binaryExpr); !ok {
+		t.Error("arithmetic over variables folded away")
 	}
 }
 
@@ -71,8 +84,8 @@ func TestFoldingPreservesRuntimeErrors(t *testing.T) {
 	}
 }
 
-// TestQuickFoldEquivalence: folded constant arithmetic matches the VM
-// executing the same operation on variables.
+// TestQuickFoldEquivalence: folded constant arithmetic matches the compiled
+// program executing the same operation on variables.
 func TestQuickFoldEquivalence(t *testing.T) {
 	ops := []string{"+", "-", "*", "<", "==", ">="}
 	for _, op := range ops {

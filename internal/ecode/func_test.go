@@ -161,6 +161,31 @@ func TestFunctionStepBudgetShared(t *testing.T) {
 	}
 }
 
+// TestCallAllocs: a builtin call allocates nothing and a user-function call
+// only its callee's locals, on top of the run's own frame.
+func TestCallAllocs(t *testing.T) {
+	f := fmtOrDie(t, "m", []pbio.Field{{Name: "a", Kind: pbio.Integer}})
+	rec := pbio.NewRecord(f).MustSet("a", pbio.Int(-3))
+	allocs := func(src string) float64 {
+		prog := MustCompile(src, Param{Name: "dst", Format: f})
+		return testing.AllocsPerRun(100, func() {
+			if _, err := prog.Run(rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs("dst.a = dst.a;")
+	for src, want := range map[string]float64{
+		"dst.a = abs(dst.a) + abs(dst.a);":                          0,
+		"int inc(int v) { return v + 1; } dst.a = inc(dst.a);":      1,
+		"int inc(int v) { return v + 1; } dst.a = inc(inc(dst.a));": 2,
+	} {
+		if got := allocs(src) - base; got != want {
+			t.Errorf("%s: %v allocs per run beyond the run's own, want %v", src, got, want)
+		}
+	}
+}
+
 // TestFigure5AsFunction rewrites the paper's transformation with a helper
 // function, the style the E-Code TR encourages.
 func TestFigure5AsFunction(t *testing.T) {

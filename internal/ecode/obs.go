@@ -7,7 +7,7 @@ import (
 )
 
 // obsState caches the instrument handles SetObs resolved, so Compile and
-// the VM pay one atomic pointer load (plus a nil branch) per call — not a
+// Run pay one atomic pointer load (plus a nil branch) per call — not a
 // registry lookup.
 type obsState struct {
 	compiles  *obs.Counter
@@ -20,9 +20,9 @@ var obsCur atomic.Pointer[obsState]
 
 // SetObs installs a package-level observability registry recording
 // compilation time ("ecode.compiles", "ecode.compile_ns") and per-program
-// VM execution step counts ("ecode.runs", "ecode.run_steps" — the budget
-// consumed by each Run, i.e. executed bytecode instructions across all
-// user-function calls). Compile is a free function, hence package-level
+// execution step counts ("ecode.runs", "ecode.run_steps" — the budget
+// consumed by each Run across all user-function calls, as Program.MaxSteps
+// counts it). Compile is a free function, hence package-level
 // state, mirroring expvar. Pass nil to disable again. Safe for concurrent
 // use; in-flight runs keep the registry they started with.
 func SetObs(reg *obs.Registry) {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/pbio"
 )
 
-// TestSetObs: compilation and VM runs feed the ecode.* instruments, and
+// TestSetObs: compilation and program runs feed the ecode.* instruments, and
 // SetObs(nil) turns them back off.
 func TestSetObs(t *testing.T) {
 	reg := obs.NewRegistry("ecode-test")
@@ -55,8 +55,8 @@ func TestSetObs(t *testing.T) {
 	}
 }
 
-// TestRunNoObsAllocationFree: the VM's instrumentation hook (an atomic
-// pointer load) must not make Run allocate when disabled.
+// TestRunObsHookOverhead: Run's instrumentation hook (an atomic pointer
+// load) must not make Run allocate when disabled.
 func TestRunObsHookOverhead(t *testing.T) {
 	f, err := pbio.NewFormat("m", []pbio.Field{{Name: "x", Kind: pbio.Integer}})
 	if err != nil {

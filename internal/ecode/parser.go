@@ -5,9 +5,31 @@ import "fmt"
 // parser is a recursive-descent parser with one token of lookahead and
 // precedence climbing for binary expressions.
 type parser struct {
-	lex *lexer
-	tok token // current token
+	lex   *lexer
+	tok   token // current token
+	depth int   // nesting levels open at the current token
 }
+
+// maxNesting bounds how deeply source may nest. The parser, the constant
+// folder, the compiler and the compiled closures all recurse once per
+// level, and source arrives from the network, so it must not choose how
+// deep the Go stack goes. Each statement, expression, prefix operator,
+// binary operator and subscript or field selector opens a level: a
+// right-nested "x + (x + (...))" takes two per parenthesis.
+const maxNesting = 2048
+
+// nest opens one nesting level, failing past maxNesting.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return syntaxErrf(p.tok.pos, "nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+// leave closes the levels opened since depth was read; parse functions
+// defer it on entry.
+func (p *parser) leave(depth int) { p.depth = depth }
 
 func newParser(src string) (*parser, error) {
 	p := &parser{lex: newLexer(src)}
@@ -68,6 +90,10 @@ func (p *parser) parseProgram() ([]stmt, error) {
 }
 
 func (p *parser) parseStmt() (stmt, error) {
+	defer p.leave(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	switch p.tok.kind {
 	case tokInt, tokLong, tokDouble, tokChar:
 		return p.parseDeclOrFunc(false)
@@ -564,6 +590,10 @@ func (p *parser) parseExpr() (expr, error) {
 }
 
 func (p *parser) parseTernary() (expr, error) {
+	defer p.leave(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	cond, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
@@ -594,6 +624,7 @@ func (p *parser) parseBinary(minPrec int) (expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.leave(p.depth)
 	for {
 		prec := precedence(p.tok.kind)
 		if prec < minPrec {
@@ -601,6 +632,9 @@ func (p *parser) parseBinary(minPrec int) (expr, error) {
 		}
 		op := p.tok.kind
 		pos := p.tok.pos
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -613,26 +647,22 @@ func (p *parser) parseBinary(minPrec int) (expr, error) {
 }
 
 func (p *parser) parseUnary() (expr, error) {
-	switch p.tok.kind {
-	case tokMinus, tokNot:
-		op := p.tok.kind
-		pos := p.tok.pos
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{pos: pos, op: op, x: x}, nil
-	case tokPlus:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return p.parseUnary()
-	default:
+	op, pos := p.tok.kind, p.tok.pos
+	if op != tokMinus && op != tokNot && op != tokPlus {
 		return p.parsePostfix()
 	}
+	defer p.leave(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	x, err := p.parseUnary()
+	if err != nil || op == tokPlus {
+		return x, err
+	}
+	return &unaryExpr{pos: pos, op: op, x: x}, nil
 }
 
 func (p *parser) parsePostfix() (expr, error) {
@@ -640,7 +670,13 @@ func (p *parser) parsePostfix() (expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.leave(p.depth)
 	for {
+		if k := p.tok.kind; k == tokDot || k == tokLBracket {
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
+		}
 		switch p.tok.kind {
 		case tokDot:
 			pos := p.tok.pos

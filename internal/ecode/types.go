@@ -67,6 +67,8 @@ func fieldType(fld *pbio.Field) etype {
 
 func declTypeOf(d declType) etype {
 	switch d {
+	case declVoid:
+		return etype{k: tVoid}
 	case declDouble:
 		return etype{k: tFloat}
 	case declString:

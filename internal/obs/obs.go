@@ -16,7 +16,7 @@
 //     only atomics.
 //
 // A process typically owns one Registry shared by every layer (Morpher,
-// wire connections, the ECho event domain, the ecode VM), with metric names
+// wire connections, the ECho event domain, ecode programs), with metric names
 // prefixed by component: "core.delivered", "wire.bytes_recv",
 // "echo.fanout_ns", "ecode.run_steps". Snapshot captures everything at
 // once; Serve exposes it over HTTP as /debug/morphz (JSON or text) and

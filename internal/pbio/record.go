@@ -192,7 +192,7 @@ func truncUnsigned(u uint64, size int) uint64 {
 // GrowList ensures the list field at index i holds at least n elements,
 // appending zero values of the element type as needed, and returns the
 // (possibly reallocated) element slice. Writing one past the end of a list
-// is how PBIO-style counted lists grow, so the ecode VM uses this to give
+// is how PBIO-style counted lists grow, so ecode uses this to give
 // transformations C-like "dst.list[k] = ..." semantics.
 func (r *Record) GrowList(i, n int) ([]Value, error) {
 	fld := r.format.Field(i)

@@ -13,13 +13,13 @@ type Slab struct {
 // slabFirstChunk is the record count of a slab's first doubling chunk.
 const slabFirstChunk = 8
 
-// footprint returns the records and values one record of f occupies: its
-// own plus those of the nested records its Complex fields hold inline.
-func footprint(f *Format) (recs, vals int) {
+// Footprint returns the records and values one new record of f occupies:
+// its own plus those of the nested records its Complex fields hold inline.
+func (f *Format) Footprint() (recs, vals int) {
 	recs, vals = 1, len(f.fields)
 	for i := range f.fields {
 		if fld := &f.fields[i]; fld.Kind == Complex {
-			r, v := footprint(fld.Sub)
+			r, v := fld.Sub.Footprint()
 			recs += r
 			vals += v
 		}
@@ -30,7 +30,7 @@ func footprint(f *Format) (recs, vals int) {
 // Reserve makes room for n records of f in chunks of exactly that size, so
 // the next n NewRecord(f) calls allocate nothing.
 func (s *Slab) Reserve(f *Format, n int) {
-	r, v := footprint(f)
+	r, v := f.Footprint()
 	if len(s.recs) < n*r {
 		s.recs = make([]Record, n*r)
 	}

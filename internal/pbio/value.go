@@ -10,8 +10,8 @@ import (
 
 // Value is the dynamic representation of a single field value. It is a small
 // tagged union packed into four fields of one word each, with a single
-// pointer. Four is the most the compiler keeps in registers, so the ecode
-// VM's stack pushes, SetIndex and list appends move a Value as four plain
+// pointer. Four is the most the compiler keeps in registers, so ecode's
+// returned values, SetIndex and list appends move a Value as four plain
 // words, and the GC scans one pointer per value. The zero Value has kind
 // Invalid.
 //

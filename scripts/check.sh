@@ -67,8 +67,11 @@ selected run 'TestFanoutChurnStress|TestSlowSinkIsolation|TestFailedWriteRelease
 selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFrame' \
     -race -count=1 ./internal/fanout/
 echo "== record lane allocation gates (packed Value, list slabs)"
-selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestConvertListAllocs' \
+selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs' \
     -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/
+echo "== untrusted Ecode source (nesting bound, growth charged to the step budget) and the lane oracle over fleetgen lineages"
+selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestLanesAgree' \
+    -race -count=1 ./internal/ecode/ ./internal/fleetgen/
 echo "== one name-wise pairing (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing)"
 selected run 'TestQuickOnePairing|TestMatchingAllocFree' -count=1 ./internal/core/
 echo "== one PBIO codec (struct bridge allocations, self-referential types refused, .morphcap as PBIO records; race-enabled)"
@@ -96,11 +99,12 @@ echo "== fleet chaos soak (seeds 1-3, race-enabled: zero loss, dups, reorders, l
 selected run 'TestFleetSoak' -race -count=1 ./internal/bench/
 echo "== echodemo debug plane (server process: /metrics golden, readyz, /debug/ index, tapz morphcap)"
 selected run 'TestRunServerDebugPlane' -race -count=1 ./cmd/echodemo/
-echo "== fuzz smoke (wire frame parser, payload and format-blob decoders, capture reader; 10s each)"
+echo "== fuzz smoke (wire frame parser, payload and format-blob decoders, capture reader, Ecode compiler; 10s each)"
 selected fuzz FuzzConnReadFrames -fuzztime 10s ./internal/wire/
 selected fuzz FuzzDecodePayload -fuzztime 10s ./internal/pbio/
 selected fuzz FuzzDecodeFormat -fuzztime 10s ./internal/pbio/
 selected fuzz FuzzReadCapture -fuzztime 10s ./internal/tap/
+selected fuzz FuzzCompile -fuzztime 10s ./internal/ecode/
 echo "== work tree untouched"
 [ "$(tree_state)" = "$tree_before" ] \
     || { echo "check.sh changed the work tree:"; git status --porcelain; exit 1; }
