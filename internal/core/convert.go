@@ -69,14 +69,9 @@ func planStep(j, i int, how fit, dst *pbio.Field, sub *Converter) convStep {
 	return s
 }
 
-// From returns the plan's source format.
-func (c *Converter) From() *pbio.Format { return c.from }
-
-// To returns the plan's target format.
-func (c *Converter) To() *pbio.Format { return c.to }
-
 // Dropped returns the names of source fields the plan discards (present in
-// From, absent or incompatible in To). Useful for diagnostics.
+// the source format, absent or incompatible in the target). Useful for
+// diagnostics.
 func (c *Converter) Dropped() []string {
 	used := make(map[int]bool, len(c.steps))
 	for _, s := range c.steps {

@@ -39,9 +39,10 @@ func (x *Xform) Validate() error {
 	return err
 }
 
-// compile builds the transform's bytecode program. This is the morphing
-// analog of the paper's dynamic code generation step (Algorithm 2 line 22);
-// the Morpher invokes it at most once per cached decision.
+// compile type-checks the transform's code and builds its closure tree.
+// This is the morphing analog of the paper's dynamic code generation step
+// (Algorithm 2 line 22); the Morpher invokes it at most once per cached
+// decision.
 func (x *Xform) compile() (*ecode.Program, error) {
 	return ecode.Compile(x.Code,
 		ecode.Param{Name: SrcParam, Format: x.From},

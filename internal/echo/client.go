@@ -171,7 +171,9 @@ func open(nc net.Conn, channelID string, opts Options) (*Subscriber, error) {
 			wire.WithFormatSuppressor(rc.Holds),
 		)
 	}
-	s.conn = wire.NewConn(nc, copts...)
+	// Every byte the subscriber sends goes through one coalescer: a burst of
+	// publishes leaves in one write syscall instead of one each.
+	s.conn = wire.NewConn(newCoalescer(nc, timeout), copts...)
 
 	// Register the ChannelOpenResponse format this client understands.
 	// A v1-compat client knows nothing about v2.0; morphing bridges the gap.
@@ -195,7 +197,7 @@ func open(nc net.Conn, channelID string, opts Options) (*Subscriber, error) {
 	}
 	if regErr != nil {
 		s.ct.Close()
-		_ = nc.Close()
+		_ = s.conn.Close()
 		return nil, regErr
 	}
 
@@ -226,7 +228,7 @@ func open(nc net.Conn, channelID string, opts Options) (*Subscriber, error) {
 		Registry:  rc != nil,
 	}, opts.V1Compat)); err != nil {
 		s.ct.Close()
-		_ = nc.Close()
+		_ = s.conn.Close()
 		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
 
@@ -253,11 +255,11 @@ func open(nc net.Conn, channelID string, opts Options) (*Subscriber, error) {
 		}
 		rec, err := s.conn.ReadRecord()
 		if err != nil {
-			_ = nc.Close()
+			_ = s.conn.Close()
 			return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 		}
 		if err := s.morpher.Deliver(rec); err != nil {
-			_ = nc.Close()
+			_ = s.conn.Close()
 			return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 		}
 	}
@@ -318,6 +320,18 @@ func (s *Subscriber) Declare(f *pbio.Format, xforms ...*core.Xform) {
 // Publish submits an event record to the channel. When a sampled tracer is
 // attached, each publish roots a new trace whose context travels with the
 // event across the domain and into every sink.
+//
+// A nil error means the event was accepted for sending, not that it reached
+// the kernel: accepted events wait in the connection's outbound buffer, and
+// a burst of them leaves in one write. Publish blocks while 64 KiB are
+// waiting, as a full socket would block it. The connection's first write
+// error is sticky — this Publish or a later one returns it, and so does
+// every Publish after that.
+//
+// Delivery is at most once across the death of the broker: events accepted
+// before the connection failed, including some whose Publish returned nil,
+// may be lost, and the subscriber never resends them, so none arrives
+// twice. A publisher that needs more reopens and republishes.
 func (s *Subscriber) Publish(rec *pbio.Record) error {
 	root := s.tracer.StartTrace(trace.StagePublish)
 	if root.Recording() {
@@ -347,9 +361,13 @@ func (s *Subscriber) Run() error {
 	return err
 }
 
-// Close leaves the channel by closing the connection. The registry client
-// (shared, caller-owned) stays open; only this subscriber's watch-event hook
-// on it is removed.
+// Close leaves the channel by closing the connection. It first sends every
+// event Publish accepted, waiting at most Options.HandshakeTimeout for a
+// broker that has stopped reading; a Publish blocked on a full buffer
+// returns an error instead. Close returns the connection's first write
+// error, if there was one: some accepted events were then never sent. No
+// goroutine of the subscriber's write path outlives Close. The registry client (shared, caller-owned) stays open;
+// only this subscriber's watch-event hook on it is removed.
 func (s *Subscriber) Close() error {
 	if s.unhook != nil {
 		s.unhook()

@@ -161,7 +161,7 @@ func TestFailedWriteReleasesGauges(t *testing.T) {
 	ch := &channel{id: "c", om: &echoObs{}, obsReg: reg, members: make(map[*memberConn]Member)}
 	mc := &memberConn{conn: wire.NewStreamConn(errStream{})}
 	mc.member = Member{ID: 1, IsSink: true}
-	mc.so = newSinkObs(reg, ch.id, mc.member.ID)
+	mc.so = newSinkObs(reg, ch.id, mc.member.ID, &mc.depth)
 	mc.q = ch.newSinkQueue(mc)
 	ch.members[mc] = mc.member
 	ch.addSinkLocked(mc)
@@ -190,7 +190,7 @@ func TestFailedWriteReleasesGauges(t *testing.T) {
 
 	// The sinkObs handles outlive the series GC, so the post-failure gauge
 	// values are observable even though the registry no longer exports them.
-	if d := mc.so.depth.Load(); d != 0 {
+	if d := mc.depth.Load(); d != 0 {
 		t.Errorf("queue_depth = %d after failed write, want 0", d)
 	}
 	if p := mc.so.pending.Load(); p != 0 {

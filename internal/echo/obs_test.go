@@ -118,7 +118,15 @@ func TestMorphzEndToEnd(t *testing.T) {
 	}
 	// A handler can run before the broker's writer is back from the flush;
 	// its per-delivery accounting is done once the last frame is released.
+	// The fan-out pass records its latency after releasing its own
+	// reference, so the last pass's sample can trail that too.
 	waitNoLiveFrames(t)
+	for deadline := time.Now().Add(5 * time.Second); reg.Histogram("echo.fanout_ns").Count() < events; {
+		if time.Now().After(deadline) {
+			break // the assertion below reports the count
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	base := serveDebug(t, srv, reg, nil) + obs.MorphzPath
 

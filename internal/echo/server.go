@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -186,8 +187,11 @@ type channel struct {
 	reg            *registry.Client
 
 	// Delivery-engine tuning, copied from the server at channel creation.
+	// yieldDepth is a quarter of the queue capacity: a fan-out pass that
+	// leaves any sink deeper than that yields the processor (see fanout).
 	queueCap    int
 	queuePolicy fanout.Policy
+	yieldDepth  int64
 
 	// sinks is the copy-on-write membership the fan-out path reads; meta is
 	// the copy-on-write event-format meta-data snapshot (formats and their
@@ -218,7 +222,7 @@ const SlowDeliveryNS = int64(time.Millisecond)
 // slow consumer from its well-behaved neighbors:
 //
 //	echo.sink.lag_ns        delivery lag (publish receipt → write flushed)
-//	echo.sink.queue_depth   deliveries currently in flight to this sink
+//	echo.sink.queue_depth   deliveries currently in flight to this sink (memberConn.depth)
 //	echo.sink.bytes_pending bytes of those in-flight deliveries
 //	echo.sink.dropped       deliveries aborted by a write failure
 //	echo.sink.slow          deliveries slower than SlowDeliveryNS
@@ -230,14 +234,13 @@ const SlowDeliveryNS = int64(time.Millisecond)
 // real time. All fields are nil (no-op) when observability is disabled.
 type sinkObs struct {
 	lagNS   *obs.Histogram
-	depth   *obs.Gauge
 	pending *obs.Gauge
 	dropped *obs.Counter
 	slow    *obs.Counter
 	names   []string // registered series names, removed when the sink leaves
 }
 
-func newSinkObs(reg *obs.Registry, channel string, id int32) sinkObs {
+func newSinkObs(reg *obs.Registry, channel string, id int32, depth *atomic.Int64) sinkObs {
 	sink := strconv.Itoa(int(id))
 	names := []string{
 		obs.LabeledName("echo.sink.lag_ns", "channel", channel, "sink", sink),
@@ -246,9 +249,9 @@ func newSinkObs(reg *obs.Registry, channel string, id int32) sinkObs {
 		obs.LabeledName("echo.sink.dropped", "channel", channel, "sink", sink),
 		obs.LabeledName("echo.sink.slow", "channel", channel, "sink", sink),
 	}
+	reg.GaugeFunc(names[1], depth.Load)
 	return sinkObs{
 		lagNS:   reg.Histogram(names[0]),
-		depth:   reg.Gauge(names[1]),
 		pending: reg.Gauge(names[2]),
 		dropped: reg.Counter(names[3]),
 		slow:    reg.Counter(names[4]),
@@ -273,6 +276,11 @@ type memberConn struct {
 	q      *fanout.Queue
 	wbatch []wire.BatchFrame // writer-only scratch, reused across flushes
 	shard  int
+
+	// depth counts the sink's frames enqueued and not yet settled (flushed
+	// or dropped), a batch mid-flush included. The queue hooks keep it; the
+	// fan-out pass reads it to decide whether to yield.
+	depth atomic.Int64
 
 	// so carries the member's per-sink delivery accounting (zero-valued,
 	// all-nil when observability is off or the member is not a sink).
@@ -342,9 +350,13 @@ func (s *Server) channelFor(id string) *channel {
 	defer s.mu.Unlock()
 	ch, ok := s.channels[id]
 	if !ok {
+		queueCap := s.queueCap
+		if queueCap <= 0 {
+			queueCap = fanout.DefaultCap
+		}
 		ch = &channel{
 			id: id, om: &s.om, tracer: s.tracer, reg: s.registry,
-			queueCap: s.queueCap, queuePolicy: s.queuePolicy,
+			queueCap: s.queueCap, queuePolicy: s.queuePolicy, yieldDepth: int64(queueCap / 4),
 			members: make(map[*memberConn]Member),
 		}
 		if s.obs != nil {
@@ -634,7 +646,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	// cold-path work.
 	if mc.member.IsSink {
 		if s.obs != nil {
-			mc.so = newSinkObs(s.obs, ch.id, mc.member.ID)
+			mc.so = newSinkObs(s.obs, ch.id, mc.member.ID, &mc.depth)
 		}
 		mc.q = ch.newSinkQueue(mc)
 	}
@@ -805,10 +817,10 @@ func (ch *channel) remove(mc *memberConn) {
 
 // newSinkQueue builds one sink's outbound delivery queue, wiring the
 // accounting pairing into the queue's lifecycle hooks: OnEnqueue increments
-// the sink's queue_depth/bytes_pending gauges and every admitted frame gets
-// exactly one matching decrement — OnDeliver after its batch flushed, OnDrop
-// on overflow, write failure, or close. No echo code path touches the gauges
-// outside these hooks, so none can strand them.
+// the sink's depth counter and bytes_pending gauge and every admitted frame
+// gets exactly one matching decrement — OnDeliver after its batch flushed,
+// OnDrop on overflow, write failure, or close. No echo code path touches
+// them outside these hooks, so none can strand them.
 func (ch *channel) newSinkQueue(mc *memberConn) *fanout.Queue {
 	return fanout.NewQueue(fanout.Config{
 		Cap:    ch.queueCap,
@@ -841,11 +853,11 @@ func (ch *channel) newSinkQueue(mc *memberConn) *fanout.Queue {
 			return err
 		},
 		OnEnqueue: func(fr *fanout.Frame) {
-			mc.so.depth.Add(1)
+			mc.depth.Add(1)
 			mc.so.pending.Add(int64(len(fr.Data)))
 		},
 		OnDeliver: func(fr *fanout.Frame, lagNS int64) {
-			mc.so.depth.Add(-1)
+			mc.depth.Add(-1)
 			mc.so.pending.Add(-int64(len(fr.Data)))
 			// Delivery lag: publish receipt (fan-out entry) → this sink's
 			// write flushed. The exemplar ties a top-bucket lag sample to
@@ -862,7 +874,7 @@ func (ch *channel) newSinkQueue(mc *memberConn) *fanout.Queue {
 			ch.perDelivered.Inc()
 		},
 		OnDrop: func(fr *fanout.Frame) {
-			mc.so.depth.Add(-1)
+			mc.depth.Add(-1)
 			mc.so.pending.Add(-int64(len(fr.Data)))
 			mc.so.dropped.Inc()
 			ch.perDrops.Inc()
@@ -896,7 +908,9 @@ func (ch *channel) newSinkQueue(mc *memberConn) *fanout.Queue {
 // copy-on-write snapshot read off one atomic pointer load: the pass holds no
 // locks — not even a sink conn's write mutex, which a stalled writer may be
 // holding — and allocates nothing beyond the one frame. Evolution meta-data
-// is relayed by each sink's writer at flush time, off this path.
+// is relayed by each sink's writer at flush time, off this path. A pass that
+// leaves some sink more than a quarter full ends by yielding the processor,
+// so that sink's writer runs before the next pass adds to it.
 //
 // One read-side decode at most (lazy, only when some sink has a
 // derived-channel filter) and zero re-encodes regardless of membership size.
@@ -947,6 +961,7 @@ func (ch *channel) fanout(from *memberConn, f *pbio.Format, data []byte, tctx tr
 	// released at the end of the pass. Each Enqueue takes its own reference.
 	var fr *fanout.Frame
 	offered := int64(0)
+	crowded := false
 	for si := range shards.shards {
 		shard := shards.shards[si]
 		if len(shard) == 0 {
@@ -969,6 +984,7 @@ func (ch *channel) fanout(from *memberConn, f *pbio.Format, data []byte, tctx tr
 			}
 			fr.Retain()
 			mc.q.Enqueue(fr)
+			crowded = crowded || mc.depth.Load() > ch.yieldDepth
 			shardOffered++
 		}
 		offered += shardOffered
@@ -989,6 +1005,14 @@ func (ch *channel) fanout(from *memberConn, f *pbio.Format, data []byte, tctx tr
 		// fan-outs are orders of magnitude rarer than morph deliveries. The
 		// exemplar ties a slow pass to its trace.
 		ch.om.fanoutNS.ObserveExemplar(uint64(sinceNS(t0)), [16]byte(tctx.Trace))
+	}
+	if crowded {
+		// This pass never blocks, and the read loop that calls it blocks
+		// only when its socket is empty. When a publisher's burst arrives
+		// already buffered, pass after pass runs back to back, and the sink
+		// writers this pass spawned wait behind it for a processor while
+		// their queues fill toward DropNewest. Yielding lets them drain.
+		runtime.Gosched()
 	}
 }
 

@@ -100,36 +100,55 @@ func TestTracezEndToEnd(t *testing.T) {
 		return resp, body
 	}
 
-	// JSON rendering: one trace, publisher-rooted, covering every hop.
-	resp, body := get(trace.TracezPath)
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("tracez Content-Type = %q, want application/json", ct)
-	}
-	var snap trace.TracezSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("tracez body is not a TracezSnapshot: %v\n%s", err, body)
-	}
-	var tree *trace.TraceJSON
-	for i := range snap.Traces {
-		if _, ok := snap.Traces[i].StageNS["publish"]; ok {
-			tree = &snap.Traces[i]
+	// JSON rendering: one trace, publisher-rooted, covering every hop. The
+	// handlers can run before the broker's fanout span ends (it times the
+	// whole enqueue pass) and before their own deliver spans end, so poll
+	// until the tree is whole instead of reading it once.
+	wantStages := []string{"publish", "encode", "frame_write", "frame_read", "fanout", "morph_decide", "deliver"}
+	var (
+		tree   *trace.TraceJSON
+		stages map[string]int
+	)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp, body := get(trace.TracezPath)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("tracez Content-Type = %q, want application/json", ct)
+		}
+		var snap trace.TracezSnapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatalf("tracez body is not a TracezSnapshot: %v\n%s", err, body)
+		}
+		tree, stages = nil, make(map[string]int)
+		for i := range snap.Traces {
+			if _, ok := snap.Traces[i].StageNS["publish"]; ok {
+				tree = &snap.Traces[i]
+				break
+			}
+		}
+		if tree != nil {
+			for _, sp := range tree.Spans {
+				if sp.TraceID != tree.TraceID {
+					t.Fatalf("span %s/%s escaped trace %s", sp.Stage, sp.SpanID, tree.TraceID)
+				}
+				stages[sp.Stage]++
+			}
+		}
+		whole := tree != nil && stages["deliver"] >= 2 && stages["frame_read"] >= 3
+		for _, want := range wantStages {
+			whole = whole && stages[want] > 0
+		}
+		if whole || time.Now().After(deadline) {
 			break
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if tree == nil {
-		t.Fatalf("no publisher-rooted trace in tracez (have %d traces)", len(snap.Traces))
-	}
-	stages := make(map[string]int)
-	for _, sp := range tree.Spans {
-		if sp.TraceID != tree.TraceID {
-			t.Fatalf("span %s/%s escaped trace %s", sp.Stage, sp.SpanID, tree.TraceID)
-		}
-		stages[sp.Stage]++
+		t.Fatal("no publisher-rooted trace in tracez")
 	}
 	if len(stages) < 6 {
 		t.Errorf("trace covers %d distinct stages, want >= 6: %v", len(stages), stages)
 	}
-	for _, want := range []string{"publish", "encode", "frame_write", "frame_read", "fanout", "morph_decide", "deliver"} {
+	for _, want := range wantStages {
 		if stages[want] == 0 {
 			t.Errorf("stage %q missing from the trace: %v", want, stages)
 		}
@@ -144,7 +163,7 @@ func TestTracezEndToEnd(t *testing.T) {
 	}
 
 	// Text rendering.
-	resp, body = get(trace.TracezPath + "?format=text")
+	resp, body := get(trace.TracezPath + "?format=text")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("text Content-Type = %q", ct)
 	}

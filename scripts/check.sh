@@ -56,7 +56,7 @@ echo "== go test -race ./..."
 go test -race ./...
 echo "== bench smoke (splice/fanout fast paths)"
 selected bench 'Splice|Fanout' -benchtime 100x ./...
-echo "== flake gate (2 procs x 20 runs: handshake, trace-ring, daemon-signal, failover, registry-session, soak and debug-plane races)"
+echo "== flake gate (2 procs x 20 runs: handshake, publish coalescing, tracez, trace-ring, daemon-signal, failover, registry-session, soak and debug-plane races)"
 GOMAXPROCS=2 go test -count=20 ./internal/echo/ ./internal/trace/ ./cmd/formatd/ ./internal/registry/ \
     ./internal/bench/ ./cmd/echodemo/
 echo "== benchmark harness still builds against the library (vet + unit tests, no sockets)"
@@ -66,9 +66,12 @@ selected run 'TestFanoutChurnStress|TestSlowSinkIsolation|TestFailedWriteRelease
     -race -count=1 ./internal/echo/
 selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFrame' \
     -race -count=1 ./internal/fanout/
-echo "== record lane allocation gates (packed Value, list slabs)"
-selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs' \
-    -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/
+echo "== publisher write coalescer contract and buffered-burst overflow (race-enabled)"
+selected run 'TestPublishOrderConcurrent|TestCloseFlushesAccepted|TestPublishBlocksOnStalledPeer|TestCoalescerBoundsMemory|TestPublishFailsAfterBrokerCloses|TestCloseLeavesNoGoroutine|TestBufferedBurstDoesNotOverflow' \
+    -race -count=1 ./internal/echo/
+echo "== allocation gates (packed Value, list slabs, steady-state Publish)"
+selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestPublishAllocs' \
+    -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/ ./internal/echo/
 echo "== untrusted Ecode source (nesting bound, growth charged to the step budget) and the lane oracle over fleetgen lineages"
 selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestLanesAgree' \
     -race -count=1 ./internal/ecode/ ./internal/fleetgen/
