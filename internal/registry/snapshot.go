@@ -3,13 +3,14 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/pbio"
 	"repro/internal/spool"
+	"repro/internal/wire"
 )
 
 // snapshotFormat is the self-describing spool schema for table persistence:
@@ -64,30 +65,24 @@ func rewriteSpool(path string, emit func(w *spool.Writer) error) error {
 	return os.Rename(tmp, path)
 }
 
-// readSpool hands every record of the spool file at path to fn. A missing
-// file reads as empty, and a torn final frame — the expected shape of a crash
-// mid-write — ends the file, dropping only the record being written.
-func readSpool(path string, fn func(rec *pbio.Record) error) error {
-	r, err := spool.Open(path)
+// readSpool replays the spool file at path into a Morpher that knows format
+// f, handing each record to fn in f's layout. A missing file reads as empty,
+// and a torn final frame — the expected shape of a crash mid-write — ends the
+// file, dropping only the record being written.
+func readSpool(path string, f *pbio.Format, fn core.Handler) error {
+	m := core.NewMorpher(core.DefaultThresholds)
+	if err := m.RegisterFormat(f, fn); err != nil {
+		return err
+	}
+	r, err := spool.Open(path, wire.WithMorpher(m))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
 		return err
 	}
 	defer r.Close()
-	for {
-		rec, err := r.Next()
-		if err == io.EOF || errors.Is(err, spool.ErrTruncated) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
+	return r.Replay()
 }
 
 // saveSnapshotLocked rewrites the snapshot file.
@@ -115,7 +110,7 @@ func (s *Server) saveSnapshotLocked() error {
 
 // loadSnapshot populates the table from the snapshot file, if present.
 func (s *Server) loadSnapshot() error {
-	err := readSpool(s.snapshotPath, func(rec *pbio.Record) error {
+	err := readSpool(s.snapshotPath, snapshotFormat, func(rec *pbio.Record) error {
 		fpv, _ := rec.Get("fp")
 		blobv, _ := rec.Get("blob")
 		return s.put(fpv.Uint64(), []byte(blobv.Strval()), false)
@@ -149,7 +144,7 @@ func (s *Server) loadCursor() (instance, seq uint64) {
 	if s.cursorPath == "" {
 		return 0, 0
 	}
-	err := readSpool(s.cursorPath, func(rec *pbio.Record) error {
+	err := readSpool(s.cursorPath, cursorFormat, func(rec *pbio.Record) error {
 		iv, _ := rec.Get("instance")
 		sv, _ := rec.Get("seq")
 		instance, seq = iv.Uint64(), sv.Uint64()

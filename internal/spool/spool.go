@@ -1,14 +1,16 @@
-// Package spool persists message streams to files, extending morphing
-// across *time*: the paper notes that, having no negotiation phase, message
-// morphing "can address components separated in space and/or time" (§1).
-// A process spools messages today; a reader built years later — against
-// newer or older formats — replays the file through its own Morpher and the
-// recorded transformation meta-data bridges the generations, exactly as it
-// would have on a live connection.
+// Package spool persists message streams, extending morphing across *time*:
+// the paper notes that, having no negotiation phase, message morphing "can
+// address components separated in space and/or time" (§1). A process spools
+// messages today; a reader built years later — against newer or older
+// formats — replays the stream through its own Morpher and the recorded
+// transformation meta-data bridges the generations, exactly as it would have
+// on a live connection.
 //
-// A spool file is simply the wire framing written to disk: format control
-// frames (with any associated E-Code transforms) followed by data frames.
-// No separate schema store is needed; the file is self-describing.
+// A spool is simply the wire framing written to a byte stream: format
+// control frames (with any associated E-Code transforms) followed by data
+// frames. No separate schema store is needed; the stream is self-describing.
+// It is the repository's one on-disk framing: registry snapshots and cursors
+// and .morphcap captures are spools.
 package spool
 
 import (
@@ -22,7 +24,7 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrTruncated is returned by Next when the file ends in the middle of a
+// ErrTruncated is returned by Next when the stream ends in the middle of a
 // frame: the signature of a torn write — the spooling process was killed
 // mid-Append — rather than corruption. Every record before the torn tail is
 // intact and has already been returned, so callers can treat it as end of
@@ -30,10 +32,44 @@ import (
 // and a generic decode failure for callers that must report data loss.
 var ErrTruncated = errors.New("spool: truncated final frame")
 
-// Writer appends records to a spool file.
-type Writer struct {
-	f    *os.File
-	conn *wire.Conn
+// Stream adapts a one-way byte stream to the duplex wire.Stream a wire.Conn
+// runs over. With no R, reads report io.EOF; with no W, writes are discarded
+// (a replaying Conn writes only to answer frames a live peer would send).
+// Close closes whichever of R and W is an io.Closer.
+type Stream struct {
+	R io.Reader
+	W io.Writer
+}
+
+func (s Stream) Read(p []byte) (int, error) {
+	if s.R == nil {
+		return 0, io.EOF
+	}
+	return s.R.Read(p)
+}
+
+func (s Stream) Write(p []byte) (int, error) {
+	if s.W == nil {
+		return len(p), nil
+	}
+	return s.W.Write(p)
+}
+
+func (s Stream) Close() error {
+	for _, v := range []any{s.R, s.W} {
+		if c, ok := v.(io.Closer); ok {
+			return c.Close()
+		}
+	}
+	return nil
+}
+
+// Writer appends records to a spool.
+type Writer struct{ conn *wire.Conn }
+
+// NewWriter returns a Writer that frames records onto w.
+func NewWriter(w io.Writer) *Writer {
+	return &Writer{conn: wire.NewStreamConn(Stream{W: w})}
 }
 
 // Create creates (or truncates) a spool file.
@@ -42,7 +78,7 @@ func Create(path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
-	return &Writer{f: f, conn: wire.NewStreamConn(f)}, nil
+	return NewWriter(f), nil
 }
 
 // Declare attaches transformation meta-data to a format before its first
@@ -52,52 +88,73 @@ func (w *Writer) Declare(f *pbio.Format, xforms ...*core.Xform) {
 }
 
 // Append writes one record; the format's meta-data precedes its first
-// record automatically. Append is safe for concurrent use: the underlying
-// wire connection serializes frame writes, so records from concurrent
-// producers interleave at record granularity (never mid-frame), though
-// their relative order is unspecified.
+// record automatically. Every Append reaches the underlying writer before it
+// returns. Append is safe for concurrent use: the underlying wire connection
+// serializes frame writes, so records from concurrent producers interleave
+// at record granularity (never mid-frame), though their relative order is
+// unspecified.
 func (w *Writer) Append(rec *pbio.Record) error {
 	return w.conn.WriteRecord(rec)
 }
 
-// Close flushes and closes the file.
+// Close closes the underlying writer if it is an io.Closer.
 func (w *Writer) Close() error {
 	return w.conn.Close()
 }
 
-// Reader replays a spool file.
+// Reader replays a spool.
 type Reader struct {
-	f         *os.File
 	conn      *wire.Conn
 	truncated bool
 }
 
-// Open opens a spool file for replay. Options (such as wire.WithMorpher)
+// NewReader returns a Reader over r. Options (such as wire.WithMorpher)
 // apply to the replay connection.
+func NewReader(r io.Reader, opts ...wire.Option) *Reader {
+	return &Reader{conn: wire.NewStreamConn(Stream{R: r}, opts...)}
+}
+
+// Open opens a spool file for replay.
 func Open(path string, opts ...wire.Option) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
-	return &Reader{f: f, conn: wire.NewStreamConn(f, opts...)}, nil
+	return NewReader(f, opts...), nil
 }
 
 // Next returns the next spooled record in its recorded wire format, io.EOF
-// at a clean end of the file, or ErrTruncated when the file ends inside the
-// final frame (a torn write).
+// at a clean end of the stream, or ErrTruncated when the stream ends inside
+// the final frame (a torn write).
 func (r *Reader) Next() (*pbio.Record, error) {
 	rec, err := r.conn.ReadRecord()
-	if err != nil && isTornTail(err) {
+	if isTornTail(err) {
 		r.truncated = true
 		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	return rec, err
 }
 
-// isTornTail reports whether a replay error means the file ended mid-frame.
-// On a file, a short read can only happen at the end of the file, so any
-// EOF-flavored frame error — EOF after the frame-type byte, mid-length-varint,
-// or mid-body — identifies a torn final frame. Frame errors that are not
+// Replay is the live receive loop, wire.Conn.Serve, run over the spool: every
+// remaining record is delivered through the morpher attached with
+// wire.WithMorpher, on whichever lane its cached decision picks, and a
+// record the morpher rejects is skipped and counted
+// (Stats().RejectedDeliveries), as on a live connection. A torn final frame
+// is a clean end of stream — every complete record was delivered — and is
+// reported via Truncated.
+func (r *Reader) Replay() error {
+	err := r.conn.Serve()
+	if isTornTail(err) {
+		r.truncated = true
+		return nil
+	}
+	return err
+}
+
+// isTornTail reports whether a replay error means the stream ended mid-frame.
+// A short read can only happen at the end of the stream, so any EOF-flavored
+// frame error — EOF after the frame-type byte, mid-length-varint, or
+// mid-body — identifies a torn final frame. Frame errors that are not
 // EOF-rooted (bad varints with trailing data, size-limit violations,
 // malformed bodies) stay what they are: corruption.
 func isTornTail(err error) bool {
@@ -110,35 +167,8 @@ func isTornTail(err error) bool {
 // Truncated reports whether Next (or Replay) hit a torn final frame.
 func (r *Reader) Truncated() bool { return r.truncated }
 
-// Replay delivers every remaining record through the morpher attached at
-// Open (wire.WithMorpher), stopping at end of file. A torn final frame is
-// treated as a clean end of stream — every complete record was delivered —
-// and is reported via Truncated.
-func (r *Reader) Replay() error {
-	for {
-		rec, err := r.Next()
-		if err == io.EOF || errors.Is(err, ErrTruncated) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := r.deliver(rec); err != nil {
-			return err
-		}
-	}
-}
+// Stats returns the replay connection's frame counters.
+func (r *Reader) Stats() wire.Stats { return r.conn.Stats() }
 
-func (r *Reader) deliver(rec *pbio.Record) error {
-	m := r.Morpher()
-	if m == nil {
-		return fmt.Errorf("spool: Replay requires wire.WithMorpher at Open")
-	}
-	return m.Deliver(rec)
-}
-
-// Morpher returns the morphing engine attached at Open, if any.
-func (r *Reader) Morpher() *core.Morpher { return r.conn.Morpher() }
-
-// Close closes the file.
+// Close closes the underlying reader if it is an io.Closer.
 func (r *Reader) Close() error { return r.conn.Close() }

@@ -154,9 +154,6 @@ func TestReplayWithoutMorpher(t *testing.T) {
 	if err := r.Replay(); err == nil {
 		t.Error("Replay without a morpher must error")
 	}
-	if r.Morpher() != nil {
-		t.Error("Morpher must be nil when not attached")
-	}
 }
 
 func TestOpenErrors(t *testing.T) {

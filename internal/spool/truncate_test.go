@@ -1,6 +1,7 @@
 package spool
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -174,5 +175,40 @@ func TestTornVsCorrupt(t *testing.T) {
 	}
 	if r.Truncated() {
 		t.Error("Truncated() = true for corruption")
+	}
+}
+
+// TestReplayTornAtEveryCut is TestReaderTruncatedTail for Replay, the live
+// receive loop: at every cut inside the last frame — after the frame-type
+// byte and mid-length included, where the stream ends on a bare EOF — the
+// replay is clean, delivers the two intact records and reports Truncated.
+func TestReplayTornAtEveryCut(t *testing.T) {
+	dir := t.TempDir()
+	full, off := buildSpool(t, filepath.Join(dir, "full.spool"))
+	f, err := pbio.NewFormat("torn", []pbio.Field{
+		{Name: "n", Kind: pbio.Integer, Size: 4},
+		{Name: "s", Kind: pbio.String},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := off; cut <= len(full); cut++ {
+		delivered := 0
+		m := core.NewMorpher(core.DefaultThresholds)
+		if err := m.RegisterFormat(f, func(*pbio.Record) error { delivered++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(bytes.NewReader(full[:cut]), wire.WithMorpher(m))
+		if err := r.Replay(); err != nil {
+			t.Fatalf("cut=%d: Replay() = %v", cut, err)
+		}
+		torn := cut != off && cut != len(full)
+		want := 2
+		if cut == len(full) {
+			want = 3
+		}
+		if delivered != want || r.Truncated() != torn {
+			t.Fatalf("cut=%d: delivered %d, truncated %v; want %d, %v", cut, delivered, r.Truncated(), want, torn)
+		}
 	}
 }

@@ -1,10 +1,13 @@
-// .morphcap capture files: a tap snapshot serialized as ordinary PBIO
-// records over the ordinary wire framing — format frames announce each
-// record layout once, data frames carry the records — the same dogfooding
-// move the registry snapshot made. The frame parser supplies bounds checking
-// and torn-tail detection: a capture cut off mid-write (a crashed process, a
-// truncated download) decodes cleanly up to the tear, spool-style, with
-// Truncated set instead of an error.
+// .morphcap capture files: a tap snapshot written as a spool of ordinary PBIO
+// records — format frames announce each record layout once, data frames
+// carry the records — the same dogfooding move the registry snapshot made.
+// Reading a capture is spool replay through a Morpher that has the record
+// formats below registered: the paper's receiver-side morphing, applied to
+// our own diagnostic records. A record whose format a newer writer extended
+// is converted name-wise to this reader's format, a record format this
+// reader does not know is rejected and skipped, and a capture cut off
+// mid-write (a crashed process, a truncated download) decodes up to the tear
+// with Truncated set instead of an error.
 //
 // Record formats (Go types below, bound through a pbio.Registry):
 //
@@ -13,20 +16,18 @@
 //	morphcap.format — one full format-frame body for the decoder's format table
 //	morphcap.frame  — one captured frame: conn ID, seq, ts, dir, kind, fp,
 //	                  full length, trace ID, payload prefix
-//
-// Records evolve the paper's way: a record whose format a newer writer
-// extended is converted name-wise to this reader's format (core.ConvertByName)
-// and a record format this reader does not know is skipped.
 package tap
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/pbio"
+	"repro/internal/spool"
 	"repro/internal/wire"
 )
 
@@ -112,13 +113,13 @@ func init() {
 
 // WriteCapture serializes a snapshot to w in .morphcap form.
 func WriteCapture(w io.Writer, s Snapshot) error {
-	conn := wire.NewStreamConn(writeStream{w})
+	sw := spool.NewWriter(w)
 	put := func(v capRecord) error {
 		rec, err := capTypes.ToRecord(v)
 		if err != nil {
 			return err
 		}
-		return conn.WriteRecord(rec)
+		return sw.Append(rec)
 	}
 	err := put(&capHeader{Version: CaptureVersion, CreatedNS: time.Now().UnixNano(), Proc: s.Name, Prefix: int64(s.Prefix)})
 	if err != nil {
@@ -149,52 +150,34 @@ func WriteCapture(w io.Writer, s Snapshot) error {
 // an error: decoding stops at the tear and Truncated is set.
 func ReadCapture(r io.Reader) (*Capture, error) {
 	cr := &capReader{c: &Capture{}, byID: make(map[uint64]*CaptureConn)}
-	conn := wire.NewStreamConn(readStream{r}, wire.WithControlHook(wire.FrameCapture, func([]byte) error {
+	// Any same-name pair is within these thresholds: a capture record always
+	// converts name-wise to this reader's layout of its type.
+	m := core.NewMorpher(core.Thresholds{Diff: math.MaxInt, Mismatch: 1})
+	for _, mk := range capKinds {
+		// Registration fails only for a nil format or handler.
+		_ = m.RegisterFormat(capTypes.FormatOf(mk()), func(rec *pbio.Record) error {
+			v := mk()
+			if err := capTypes.FromRecord(rec, v); err != nil {
+				return err
+			}
+			v.addTo(cr)
+			return nil
+		})
+	}
+	sr := spool.NewReader(r, wire.WithMorpher(m), wire.WithControlHook(wire.FrameCapture, func([]byte) error {
 		return fmt.Errorf("version 1 capture; this reader reads version %d", CaptureVersion)
 	}))
-	for {
-		rec, err := conn.ReadRecord()
-		switch {
-		case err == nil:
-			if err := cr.add(rec); err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCapture, err)
-			}
-		case errors.Is(err, wire.ErrBadFrame) && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)):
-			cr.c.Truncated = true
-			return cr.c, nil
-		case errors.Is(err, io.EOF):
-			return cr.c, nil
-		default:
-			return nil, fmt.Errorf("%w: %w", ErrCapture, err)
-		}
+	if err := sr.Replay(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCapture, err)
 	}
+	cr.c.Truncated = sr.Truncated()
+	return cr.c, nil
 }
 
 // capReader accumulates a Capture, finding each connection's section by ID.
 type capReader struct {
 	c    *Capture
 	byID map[uint64]*CaptureConn
-}
-
-// add folds one record into the capture. A record format this reader does
-// not know is skipped; one a newer writer extended converts name-wise first.
-func (r *capReader) add(rec *pbio.Record) error {
-	mk := capKinds[rec.Format().Name()]
-	if mk == nil {
-		return nil
-	}
-	v := mk()
-	if native := capTypes.FormatOf(v); !rec.Format().SameStructure(native) {
-		var err error
-		if rec, err = core.ConvertByName(rec, native); err != nil {
-			return err
-		}
-	}
-	if err := capTypes.FromRecord(rec, v); err != nil {
-		return err
-	}
-	v.addTo(r)
-	return nil
 }
 
 func (r *capReader) conn(id uint64) *CaptureConn {
@@ -230,19 +213,3 @@ func (v *capFrame) addTo(r *capReader) {
 	cc := r.conn(v.Conn)
 	cc.Records = append(cc.Records, rec)
 }
-
-// writeStream adapts an io.Writer into the Stream a wire.Conn needs; reads
-// report EOF so a misdirected ReadEncoded fails cleanly.
-type writeStream struct{ w io.Writer }
-
-func (s writeStream) Write(p []byte) (int, error) { return s.w.Write(p) }
-func (s writeStream) Read([]byte) (int, error)    { return 0, io.EOF }
-func (s writeStream) Close() error                { return nil }
-
-// readStream adapts an io.Reader; writes are discarded (ReadCapture never
-// writes, but the wire layer requires a full Stream).
-type readStream struct{ r io.Reader }
-
-func (s readStream) Read(p []byte) (int, error)  { return s.r.Read(p) }
-func (s readStream) Write(p []byte) (int, error) { return len(p), nil }
-func (s readStream) Close() error                { return nil }

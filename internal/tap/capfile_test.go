@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/pbio"
+	"repro/internal/spool"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -85,7 +86,7 @@ func TestCaptureSkipsUnknownRecordTypes(t *testing.T) {
 	if err := WriteCapture(&buf, wt.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	future := wire.NewStreamConn(writeStream{&buf})
+	future := wire.NewStreamConn(spool.Stream{W: &buf})
 	unknown := pbio.MustFormat("morphcap.annotation", []pbio.Field{{Name: "note", Kind: pbio.String}})
 	if err := future.WriteRecord(pbio.NewRecord(unknown).MustSet("note", pbio.Str("hi"))); err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestCaptureRejectsGarbage(t *testing.T) {
 	}
 	data := pbio.EncodeRecord(rec)
 	var buf bytes.Buffer
-	conn := wire.NewStreamConn(writeStream{&buf})
+	conn := wire.NewStreamConn(spool.Stream{W: &buf})
 	if err := conn.WriteEncoded(rec.Format(), data[:len(data)-1]); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestCaptureRejectsGarbage(t *testing.T) {
 // capture control frames) fails by name instead of reading as empty.
 func TestCaptureRejectsVersion1(t *testing.T) {
 	var buf bytes.Buffer
-	conn := wire.NewStreamConn(writeStream{&buf})
+	conn := wire.NewStreamConn(spool.Stream{W: &buf})
 	// A version-1 header: record type 1, version 1, created-at, proc, prefix.
 	if err := conn.WriteControl(wire.FrameCapture, []byte{1, 1, 0, 1, 'p', 64}); err != nil {
 		t.Fatal(err)
@@ -147,38 +148,4 @@ func TestCaptureRejectsVersion1(t *testing.T) {
 	if !errors.Is(err, ErrCapture) || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("err = %v, want ErrCapture naming version 1", err)
 	}
-}
-
-// FuzzReadCapture feeds arbitrary bytes to the capture reader, the parser
-// behind every morphtap load and tapz download. It must return an error or
-// a capture, never panic; and every prefix of an input that reads whole
-// reads too — whole, or with Truncated set — holding no more frames.
-func FuzzReadCapture(f *testing.F) {
-	raw, _ := roundTripCapture(f)
-	for _, n := range []int{len(raw), len(raw) / 2, len(raw) / 3, 40, 20, 1, 0} {
-		f.Add(raw[:n])
-	}
-	frames := func(c *Capture) (n int) {
-		for _, cc := range c.Conns {
-			n += len(cc.Records)
-		}
-		return n
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		full, err := ReadCapture(bytes.NewReader(data))
-		if err != nil || full.Truncated {
-			// Only a whole capture bounds its prefixes' frame lengths: a
-			// torn one may claim a frame of up to wire.DefaultMaxFrame.
-			return
-		}
-		for cut := range data {
-			c, err := ReadCapture(bytes.NewReader(data[:cut]))
-			if err != nil {
-				t.Fatalf("prefix %d/%d of a clean capture: %v", cut, len(data), err)
-			}
-			if frames(c) > frames(full) {
-				t.Fatalf("prefix %d holds %d frames, the whole capture %d", cut, frames(c), frames(full))
-			}
-		}
-	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fleetgen"
 	"repro/internal/pbio"
 	"repro/internal/trace"
 )
@@ -88,6 +89,62 @@ func FuzzConnReadFrames(f *testing.F) {
 				return
 			}
 			_ = conn.TraceContext()
+		}
+	})
+}
+
+// FuzzFormatFrame fuzzes the format control frame body, the meta-data every
+// receiver parses off the wire and the registry stores as its entries.
+// ParseFormatFrame must never panic, and a body it accepts must survive
+// AppendFormatFrame: the re-encoded body parses to the same format
+// fingerprint and the same transforms (From, To and Code).
+func FuzzFormatFrame(f *testing.F) {
+	l, err := fleetgen.NewLineage("wire.fuzz", 1, 1, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := l.Evolve(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	gens := l.Generations()
+	for i, g := range gens {
+		var xforms []*core.Xform
+		for _, to := range gens[:i] {
+			x, err := fleetgen.XformBetween(g, to)
+			if err != nil {
+				f.Fatal(err)
+			}
+			xforms = append(xforms, x)
+		}
+		body := AppendFormatFrame(nil, g.Format, xforms)
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+
+	sameFormat := func(a, b *pbio.Format) bool { return a.Fingerprint() == b.Fingerprint() }
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, _, _ = ParseFormatFrame(body, true)
+		fm, xforms, err := ParseFormatFrame(body, false)
+		if err != nil {
+			return
+		}
+		fm2, xforms2, err := ParseFormatFrame(AppendFormatFrame(nil, fm, xforms), false)
+		if err != nil {
+			t.Fatalf("re-encoded frame does not parse: %v", err)
+		}
+		if !sameFormat(fm, fm2) || len(xforms) != len(xforms2) {
+			t.Fatalf("round trip: format %016x with %d transforms became %016x with %d",
+				fm.Fingerprint(), len(xforms), fm2.Fingerprint(), len(xforms2))
+		}
+		for i, x := range xforms {
+			y := xforms2[i]
+			if !sameFormat(x.From, y.From) || !sameFormat(x.To, y.To) || x.Code != y.Code {
+				t.Fatalf("round trip: transform %d changed", i)
+			}
 		}
 	})
 }

@@ -1117,13 +1117,16 @@ func (c *Conn) adoptFormat(f *pbio.Format, xforms []*core.Xform, validate bool) 
 // Tearing the connection down here would turn one unroutable format into the
 // silent loss of every later message on the stream — including formats the
 // receiver handles fine.
+//
+// Only an end of stream between frames is a clean return; a stream that ends
+// inside a frame returns the ErrBadFrame that wraps its EOF.
 func (c *Conn) Serve() error {
 	if c.morpher == nil {
 		return errors.New("wire: Serve requires a Morpher (use WithMorpher)")
 	}
 	for {
 		body, f, err := c.ReadEncoded()
-		if errors.Is(err, io.EOF) {
+		if err == io.EOF {
 			return nil
 		}
 		if err != nil {

@@ -82,6 +82,8 @@ selected run 'TestStructBridgeAllocs|TestRegisterErrors|TestCapture' -race -coun
 echo "== tap ring and capture suite (race-enabled)"
 selected run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture|TestSnapshotOrderAfterWrap|TestKeepNotCounted|TestConcurrentPutAndSnapshot' \
     -race -count=1 ./internal/tap/ ./internal/ring/
+echo "== morphing across time (spool replay = live receive loop over fleetgen lineages; rejects skipped and counted; race-enabled)"
+selected run 'TestMorphingAcrossTime|TestReplaySkipsRejects' -race -count=1 ./internal/spool/
 echo "== morphtap round-trip (capture -> decode -> replay, byte-exact)"
 selected run 'TestMorphtap' -race -count=1 ./cmd/morphtap/
 echo "== registry watch/reconnect suite (race-enabled)"
@@ -102,11 +104,13 @@ echo "== fleet chaos soak (seeds 1-3, race-enabled: zero loss, dups, reorders, l
 selected run 'TestFleetSoak' -race -count=1 ./internal/bench/
 echo "== echodemo debug plane (server process: /metrics golden, readyz, /debug/ index, tapz morphcap)"
 selected run 'TestRunServerDebugPlane' -race -count=1 ./cmd/echodemo/
-echo "== fuzz smoke (wire frame parser, payload and format-blob decoders, capture reader, Ecode compiler; 10s each)"
+echo "== fuzz smoke (wire frame parser, format-frame round trip, payload and format-blob decoders, spool and capture reader, registry bodies, Ecode compiler; 10s each)"
 selected fuzz FuzzConnReadFrames -fuzztime 10s ./internal/wire/
+selected fuzz FuzzFormatFrame -fuzztime 10s ./internal/wire/
 selected fuzz FuzzDecodePayload -fuzztime 10s ./internal/pbio/
 selected fuzz FuzzDecodeFormat -fuzztime 10s ./internal/pbio/
-selected fuzz FuzzReadCapture -fuzztime 10s ./internal/tap/
+selected fuzz FuzzSpool -fuzztime 10s ./internal/spool/
+selected fuzz FuzzRegistryBodies -fuzztime 10s ./internal/registry/
 selected fuzz FuzzCompile -fuzztime 10s ./internal/ecode/
 echo "== work tree untouched"
 [ "$(tree_state)" = "$tree_before" ] \
