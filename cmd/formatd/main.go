@@ -32,8 +32,8 @@
 // elect a primary (lowest reachable index; an existing primary always
 // wins), standbys replicate its table through the watch stream and forward
 // writes to it, and clients given the full peer list
-// (registry.NewClusterClient) shard reads across the set and fail over on
-// peer death. Without -peers the daemon is a peer set of one: the primary
+// (registry.NewClusterClient) read from the first peer listed and fail over
+// to the others on its death. Without -peers the daemon is a peer set of one: the primary
 // from the start. The "cluster" section of /debug/registryz carries the
 // role, the live peer table, and the replication lag.
 package main

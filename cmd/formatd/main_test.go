@@ -242,12 +242,11 @@ func TestSIGKILLPrimaryUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const shards = 4
 	formats, err := replicaFormats("sigkill_seed", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := registry.NewClusterClient(addrs, shards, registry.WithWatchDisabled(),
+	pub := registry.NewClusterClient(addrs, registry.WithWatchDisabled(),
 		registry.WithTimeout(time.Second), registry.WithBackoff(100*time.Millisecond))
 	defer pub.Close()
 	for _, f := range formats {
@@ -276,7 +275,7 @@ func TestSIGKILLPrimaryUnderLoad(t *testing.T) {
 	}
 
 	var res failoverResult
-	err = failoverLoad(&res, addrs, shards, formats, 1500*time.Millisecond,
+	err = failoverLoad(&res, addrs, formats, 1500*time.Millisecond,
 		func() { _ = daemons[0].cmd.Process.Kill() },
 		func() error { return waitRole(1, "primary") })
 	if err != nil {
@@ -337,17 +336,17 @@ func replicaFormats(prefix string, n int) ([]*pbio.Format, error) {
 // one-entry LRU so every resolution is a live round-trip to some replica;
 // the blackout is the longest observed gap between two successful
 // resolutions. formats must already be registered.
-func failoverLoad(res *failoverResult, addrs []string, shards int, formats []*pbio.Format,
+func failoverLoad(res *failoverResult, addrs []string, formats []*pbio.Format,
 	loadFor time.Duration, kill func(), waitPromoted func() error) error {
 
-	resolver := registry.NewClusterClient(addrs, shards,
+	resolver := registry.NewClusterClient(addrs,
 		registry.WithWatchDisabled(),
 		registry.WithCacheSize(1),
 		registry.WithTimeout(500*time.Millisecond),
 		registry.WithBackoff(100*time.Millisecond),
 	)
 	defer resolver.Close()
-	writer := registry.NewClusterClient(addrs, shards,
+	writer := registry.NewClusterClient(addrs,
 		registry.WithWatchDisabled(),
 		registry.WithTimeout(500*time.Millisecond),
 		registry.WithBackoff(50*time.Millisecond),

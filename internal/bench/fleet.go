@@ -139,10 +139,9 @@ type fleet struct {
 	rng  *rand.Rand
 	pace time.Duration
 
-	formatd  []*replicaPeer
-	fdAddrs  []string
-	fdShards int
-	fdHB     time.Duration
+	formatd []*replicaPeer
+	fdAddrs []string
+	fdHB    time.Duration
 
 	brokerAddr string
 	brokerLn   net.Listener
@@ -176,12 +175,11 @@ func FleetSoak(seed int64) (res FleetResult, err error) {
 
 	res = FleetResult{Seed: seed, Lineages: nLineages}
 	f := &fleet{
-		res:      &res,
-		rng:      rand.New(rand.NewSource(seed)),
-		pace:     8 * time.Millisecond,
-		fdShards: 4,
-		fdHB:     20 * time.Millisecond,
-		digests:  make(map[digestKey]uint64),
+		res:     &res,
+		rng:     rand.New(rand.NewSource(seed)),
+		pace:    8 * time.Millisecond,
+		fdHB:    20 * time.Millisecond,
+		digests: make(map[digestKey]uint64),
 	}
 	start := time.Now()
 	defer func() { res.DurationSec = time.Since(start).Seconds() }()
@@ -201,7 +199,7 @@ func FleetSoak(seed int64) (res FleetResult, err error) {
 	}()
 
 	mkRC := func() *registry.Client {
-		return registry.NewClusterClient(addrs, f.fdShards,
+		return registry.NewClusterClient(addrs,
 			registry.WithTimeout(300*time.Millisecond),
 			registry.WithBackoff(50*time.Millisecond))
 	}
@@ -632,7 +630,7 @@ func (f *fleet) canaryRecovery(kill int) {
 	f.canaryWG.Add(1)
 	go func() {
 		defer f.canaryWG.Done()
-		c := registry.NewClusterClient(f.fdAddrs, f.fdShards,
+		c := registry.NewClusterClient(f.fdAddrs,
 			registry.WithWatchDisabled(),
 			registry.WithTimeout(200*time.Millisecond),
 			registry.WithBackoff(20*time.Millisecond))

@@ -43,11 +43,11 @@ func TestDeclareRidesOutElection(t *testing.T) {
 		return srvs[0].Role() == registry.RolePrimary && srvs[1].Role() == registry.RoleStandby
 	})
 
-	serverRC := registry.NewClusterClient(addrs, 1,
+	serverRC := registry.NewClusterClient(addrs,
 		registry.WithTimeout(300*time.Millisecond), registry.WithBackoff(25*time.Millisecond))
 	t.Cleanup(func() { _ = serverRC.Close() })
 	_, addr := startDomain(t, WithRegistry(serverRC))
-	pubRC := registry.NewClusterClient(addrs, 1,
+	pubRC := registry.NewClusterClient(addrs,
 		registry.WithTimeout(300*time.Millisecond), registry.WithBackoff(25*time.Millisecond))
 	t.Cleanup(func() { _ = pubRC.Close() })
 	pub, err := Open(addr, "q", Options{Source: true, Registry: pubRC})

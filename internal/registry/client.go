@@ -27,10 +27,10 @@ const (
 // (TransformsFor).
 //
 // A Client talks to a formatd replica set; a single daemon is a set of one
-// (NewClient). Fingerprints route by shard to a preferred peer: ShardOf(fp,
-// shards) picks the shard, shard mod the peer count the peer. Reads try the
-// preferred peer first and fail over across the rest; writes land on any
-// reachable peer (standbys forward them to the primary).
+// (NewClient). Peer 0 — the first address, usually the primary — is the
+// preferred peer for every fingerprint, and the rest are failover targets.
+// Reads try the preferred peer first and fail over across the rest; writes
+// land on any reachable peer (standbys forward them to the primary).
 //
 // The client dials lazily and fails softly. Any transport failure (dial,
 // write, timeout, connection drop) flips that peer into a "down" state for a
@@ -45,10 +45,9 @@ const (
 //	repl.go    replSession — the connection and RPC mux (shared with the server's standby link)
 //	cache.go   cache — positive LRU, negative TTL, singleflight
 //	peer.go    peer — one daemon: down gate, RPC modes; watch.go: its subscribe, resubscribe, event dispatch
-//	client.go  Client — routing, failover, read repair, the publish ledger and reconvergence
+//	client.go  Client — failover, read repair, the publish ledger and reconvergence
 type Client struct {
-	peers  []*peer
-	shards int
+	peers []*peer // peers[0] is the preferred peer
 
 	// Settings, fixed by the ClientOptions before the peers exist; every peer
 	// reads them through its owner.
@@ -161,7 +160,7 @@ func WithCacheSize(n int) ClientOption {
 // against a daemon that is not running (yet) is valid — everything degrades
 // to in-band exchange.
 func NewClient(addr string, opts ...ClientOption) *Client {
-	return NewClusterClient([]string{addr}, 1, opts...)
+	return NewClusterClient([]string{addr}, opts...)
 }
 
 // NewClusterClient returns a client for a formatd replica set, one peer per
@@ -175,14 +174,13 @@ func NewClient(addr string, opts ...ClientOption) *Client {
 // byte-identical re-registrations, so an already-replicated entry costs one
 // no-op RPC).
 //
-// shards <= 1 means one shard: every fingerprint prefers peer 0 (the usual
-// primary) and the others are pure failover targets.
-func NewClusterClient(addrs []string, shards int, opts ...ClientOption) *Client {
+// addrs[0] is the preferred peer for every fingerprint (list the usual
+// primary first); the others are pure failover targets.
+func NewClusterClient(addrs []string, opts ...ClientOption) *Client {
 	if len(addrs) == 0 {
 		panic("registry: NewClusterClient needs at least one address")
 	}
 	c := &Client{
-		shards:    max(shards, 1),
 		timeout:   DefaultTimeout,
 		backoff:   DefaultBackoff,
 		negTTL:    DefaultNegTTL,
@@ -214,11 +212,6 @@ func (c *Client) Close() error {
 	return err
 }
 
-// route maps a fingerprint to the index of its preferred peer.
-func (c *Client) route(fp uint64) int {
-	return ShardOf(fp, c.shards) % len(c.peers)
-}
-
 // Register publishes a format (and the transforms declared with it) through
 // the first reachable peer, preferred first. A standby forwards the write to
 // the primary before acknowledging, so success from any peer means the
@@ -235,10 +228,8 @@ func (c *Client) Register(f *pbio.Format, xforms ...*core.Xform) error {
 	}
 	fp := f.Fingerprint()
 	blob := encodeEntry(f, xforms)
-	start := c.route(fp)
 	var firstErr, retryable error
-	for i := range c.peers {
-		p := c.peers[(start+i)%len(c.peers)]
+	for _, p := range c.peers {
 		err := p.register(f, xforms, blob)
 		if err == nil {
 			c.mu.Lock()
@@ -351,16 +342,15 @@ func (c *Client) Resolve(fp uint64, fresh bool) (*pbio.Format, []*core.Xform, er
 	if fresh {
 		return c.resolveFresh(fp)
 	}
-	start := c.route(fp)
 	var firstErr error
-	for i := range c.peers {
-		f, xforms, err := c.peers[(start+i)%len(c.peers)].resolve(fp, false)
+	for i, p := range c.peers {
+		f, xforms, err := p.resolve(fp, false)
 		if err == nil {
 			if i != 0 {
 				// The preferred peer missed, so any event-stamped entry it
 				// holds now arrived during the failover: install after seqno
 				// 0 yields to it.
-				f, xforms = c.peers[start].cache.install(0, fp, f, xforms)
+				f, xforms = c.peers[0].cache.install(0, fp, f, xforms)
 			}
 			return f, xforms, nil
 		}
@@ -376,8 +366,7 @@ func (c *Client) Resolve(fp uint64, fresh bool) (*pbio.Format, []*core.Xform, er
 // this path can run under a morpher's decision lock with live traffic queued
 // behind it.
 func (c *Client) resolveFresh(fp uint64) (*pbio.Format, []*core.Xform, error) {
-	start := c.route(fp)
-	pref := &c.peers[start].cache
+	pref := &c.peers[0].cache
 	startSeq := pref.cursor(false)
 	type answer struct {
 		f      *pbio.Format
@@ -391,7 +380,7 @@ func (c *Client) resolveFresh(fp uint64) (*pbio.Format, []*core.Xform, error) {
 		go func(i int) {
 			defer wg.Done()
 			a := &answers[i]
-			a.f, a.xforms, a.err = c.peers[(start+i)%len(c.peers)].resolve(fp, true)
+			a.f, a.xforms, a.err = c.peers[i].resolve(fp, true)
 		}(i)
 	}
 	wg.Wait()

@@ -154,8 +154,8 @@ func TestReregisterOnInstanceChange(t *testing.T) {
 	})
 }
 
-// TestClusterClientRoutingAndReadRepair: reads route to the shard-preferred
-// replica, fail over to the rest, and repair the preferred replica's cache;
+// TestClusterClientRoutingAndReadRepair: reads go to the preferred replica
+// (peer 0), fail over to the rest, and repair the preferred replica's cache;
 // unknown fingerprints are only believed when every replica agrees.
 func TestClusterClientRoutingAndReadRepair(t *testing.T) {
 	srvA, addrA := startDaemon(t)
@@ -164,22 +164,21 @@ func TestClusterClientRoutingAndReadRepair(t *testing.T) {
 	defer srvB.Close()
 
 	f := testFormat(t, "routed", 1)
-	// Only B holds the entry: whatever replica fp prefers, resolution must
-	// succeed by failing over (replicas normally converge; this asymmetry
-	// isolates the failover path).
+	// Only B holds the entry, so resolution must succeed by failing over
+	// (replicas normally converge; this asymmetry isolates the failover path).
 	if err := srvB.Put(f); err != nil {
 		t.Fatal(err)
 	}
 
-	cc := NewClusterClient([]string{addrA, addrB}, 4, WithWatchDisabled(), WithNegTTL(50*time.Millisecond))
+	cc := NewClusterClient([]string{addrA, addrB}, WithWatchDisabled(), WithNegTTL(50*time.Millisecond))
 	defer cc.Close()
 	rf, _, err := cc.ResolveFormat(f.Fingerprint())
 	if err != nil || rf.Fingerprint() != f.Fingerprint() {
 		t.Fatalf("cluster resolve: %v", err)
 	}
 	// Read repair: the preferred peer now holds the entry in its LRU, so a
-	// repeat resolve is a local hit even if it routed to A first.
-	pref := cc.peers[cc.route(f.Fingerprint())]
+	// repeat resolve is a local hit on A.
+	pref := cc.peers[0]
 	if !pref.cache.holds(f.Fingerprint()) {
 		t.Error("preferred replica's LRU not repaired after a failover answer")
 	}
@@ -205,10 +204,10 @@ func TestClusterClientRoutingAndReadRepair(t *testing.T) {
 func TestClusterClientPeerHealth(t *testing.T) {
 	srv0, addr0 := startDaemon(t)
 	srv1, addr1 := startDaemon(t)
-	cc := NewClusterClient([]string{addr0, addr1}, 1, WithBackoff(time.Hour))
+	cc := NewClusterClient([]string{addr0, addr1}, WithBackoff(time.Hour))
 	defer cc.Close()
 
-	// One shard: peer 0 is preferred, so it acknowledges the registration.
+	// Peer 0 is preferred, so it acknowledges the registration.
 	f := testFormat(t, "healthy", 1)
 	if err := cc.Register(f); err != nil {
 		t.Fatal(err)

@@ -232,7 +232,7 @@ func TestClusterClientZeroFailedResolutionsDuringFailover(t *testing.T) {
 	tc.waitStandbyOf(1, 0)
 	tc.waitStandbyOf(2, 0)
 
-	pub := NewClusterClient(tc.addrs, 4, WithWatchDisabled())
+	pub := NewClusterClient(tc.addrs, WithWatchDisabled())
 	defer pub.Close()
 	const nFormats = 16
 	fps := make([]uint64, 0, nFormats)
@@ -252,7 +252,7 @@ func TestClusterClientZeroFailedResolutionsDuringFailover(t *testing.T) {
 
 	// The resolver has a one-entry cache, so every resolution is a real
 	// round-trip to some replica — no hiding behind the LRU.
-	resolver := NewClusterClient(tc.addrs, 4,
+	resolver := NewClusterClient(tc.addrs,
 		WithWatchDisabled(),
 		WithCacheSize(1),
 		WithTimeout(300*time.Millisecond),

@@ -258,7 +258,7 @@ func TestFetchCompletesBeforeWatchEvent(t *testing.T) {
 // answers is repaired into the preferred peer's LRU, and that repair must
 // yield to a watch event the preferred peer applied while the other
 // replica's get was in flight — exactly as a single peer's own fetch does.
-// With one shard peer 0 is preferred: it answers "unknown", a new-revision
+// Peer 0 is preferred: it answers "unknown", a new-revision
 // event then lands on it, and peer 1 finally answers with the old revision.
 // The failover read asks the peers in turn, the fresh read all at once.
 func TestReadRepairYieldsToWatchEvent(t *testing.T) {
@@ -272,7 +272,7 @@ func TestReadRepairYieldsToWatchEvent(t *testing.T) {
 			f, oldBlob, newBlob := raceEntries(t)
 			fp := f.Fingerprint()
 			reg := obs.NewRegistry("client")
-			cc := NewClusterClient([]string{d0.ln.Addr().String(), d1.ln.Addr().String()}, 1,
+			cc := NewClusterClient([]string{d0.ln.Addr().String(), d1.ln.Addr().String()},
 				WithWatchDisabled(), WithNegTTL(time.Hour), WithClientObs(reg))
 			t.Cleanup(func() { _ = cc.Close() })
 

@@ -82,7 +82,7 @@ func TestClusterResolveFreshUnionsReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cc := NewClusterClient([]string{addr0, addr1}, 1, WithWatchDisabled())
+	cc := NewClusterClient([]string{addr0, addr1}, WithWatchDisabled())
 	defer cc.Close()
 
 	// The ordinary read is preferred-replica-first and sees only its answer.

@@ -248,21 +248,6 @@ func parseHelloInfo(b []byte) (helloInfo, error) {
 	return hi, nil
 }
 
-// ShardOf maps a fingerprint into the cluster's shard space. Fingerprints
-// are already content hashes, but a cheap avalanche (murmur3 finalizer)
-// guards against formats whose low bits correlate. Shard count <= 1 (or a
-// non-positive value) collapses to shard 0 — single-shard routing.
-func ShardOf(fp uint64, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	x := fp
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int(x % uint64(shards))
-}
-
 // parseHeader splits op and reqID off an RPC frame body, returning the rest.
 func parseHeader(body []byte) (op byte, reqID uint64, rest []byte, err error) {
 	if len(body) < 2 {
