@@ -49,7 +49,7 @@ func BenchmarkFanoutEncodeOnce(b *testing.B) {
 					b.Fatalf("filter %q does not admit the bench event", filter)
 				}
 			}
-			ch := &channel{id: "bench", om: &echoObs{}, members: make(map[*memberConn]Member)}
+			ch := &channel{id: "bench", om: &echoObs{}}
 			pub := &memberConn{}
 			sinks := make([]*memberConn, members)
 			for i := 0; i < members; i++ {
@@ -70,8 +70,7 @@ func BenchmarkFanoutEncodeOnce(b *testing.B) {
 						return err
 					},
 				})
-				ch.members[mc] = mc.member
-				ch.addSinkLocked(mc)
+				ch.add(mc)
 				sinks[i] = mc
 			}
 			pass := func() {

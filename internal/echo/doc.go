@@ -16,4 +16,9 @@
 // owns a core.Morpher, so payload formats can evolve the same way protocol
 // messages do: publishers attach transformations with Subscriber.Declare
 // and old sinks keep working.
+//
+// The broker (Server) is four files: server.go (accept and lifecycle),
+// join.go (handshake and membership), fanout.go (the fan-out pass and
+// member filters) and sinkqueue.go (each sink's outbound queue and its
+// accounting).
 package echo

@@ -158,13 +158,12 @@ func (errStream) Close() error                { return nil }
 // the sink must be removed from membership with its series GC'd.
 func TestFailedWriteReleasesGauges(t *testing.T) {
 	reg := obs.NewRegistry("gauge-pairing")
-	ch := &channel{id: "c", om: &echoObs{}, obsReg: reg, members: make(map[*memberConn]Member)}
+	ch := &channel{id: "c", om: &echoObs{}, obsReg: reg}
 	mc := &memberConn{conn: wire.NewStreamConn(errStream{})}
 	mc.member = Member{ID: 1, IsSink: true}
 	mc.so = newSinkObs(reg, ch.id, mc.member.ID, &mc.depth)
 	mc.q = ch.newSinkQueue(mc)
-	ch.members[mc] = mc.member
-	ch.addSinkLocked(mc)
+	ch.add(mc)
 
 	pub := &memberConn{}
 	data := pbio.EncodeRecord(seqEvent(1, 64))
@@ -175,10 +174,7 @@ func TestFailedWriteReleasesGauges(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ch.mu.Lock()
-		n := len(ch.members)
-		ch.mu.Unlock()
-		if n == 0 {
+		if len(ch.memberList()) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -199,8 +195,8 @@ func TestFailedWriteReleasesGauges(t *testing.T) {
 	if drops := mc.so.dropped.Load(); drops == 0 {
 		t.Error("dropped = 0; the failed backlog was not accounted")
 	}
-	if sh := ch.sinks.Load(); sh == nil || sh.total != 0 {
-		t.Errorf("sink shards still hold %d members", sh.total)
+	if n := len(ch.memberList()); n != 0 {
+		t.Errorf("membership list still holds %d members", n)
 	}
 	if _, ok := reg.Snapshot().Gauges[mc.so.names[1]]; ok {
 		t.Error("failed sink's series survived removal")

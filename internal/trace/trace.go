@@ -133,10 +133,6 @@ const (
 	// below.
 	StageRegistryFetch
 	StageRegistryWatch
-
-	// StageFanoutShard covers one membership shard's enqueue pass inside a
-	// fan-out: N = the number of sinks the frame was offered to.
-	StageFanoutShard // per-shard enqueue pass in the delivery engine
 )
 
 var stageNames = [...]string{
@@ -155,7 +151,6 @@ var stageNames = [...]string{
 
 	StageRegistryFetch: "registry_fetch",
 	StageRegistryWatch: "registry_watch",
-	StageFanoutShard:   "fanout_shard",
 }
 
 // String returns the stage's snake_case name ("unknown" for out-of-range
