@@ -254,11 +254,11 @@ func (ct *ConnTap) isClosed() bool {
 	return ct.closed
 }
 
-// ArmedFlag exposes the tap's armed bool to the framing layer (the optional
-// wire fast-gate contract): a disarmed tap then costs the connection one
-// direct atomic load per frame — CaptureFrame is not even called, so no
-// trace context is marshalled into interface-call arguments. Returns nil on
-// a nil ConnTap, which the wire layer treats as "always offer".
+// ArmedFlag implements wire.FrameTap: it exposes the tap's armed bool to the
+// framing layer, so a disarmed tap costs the connection one direct atomic
+// load per frame — CaptureFrame is not even called, so no trace context is
+// marshalled into interface-call arguments. Returns nil on a nil ConnTap,
+// which the wire layer attaches as no tap at all.
 func (ct *ConnTap) ArmedFlag() *atomic.Bool {
 	if ct == nil {
 		return nil

@@ -131,29 +131,17 @@ func (d TapDir) String() string {
 // trace context riding with a data frame (zero otherwise). CaptureFrame is
 // invoked under the connection's write lock on the write side and from the
 // read goroutine on the read side, so a given direction is never reentered
-// concurrently, but the two directions may overlap. Implementations must be
-// cheap when disarmed: the unarmed acceptance floor for the whole hook is
-// <2% on the splice lane and 0 allocations.
+// concurrently, but the two directions may overlap.
+//
+// ArmedFlag exposes the tap's armed state, read once when the tap is
+// attached: the connection decides "capture or not" with one direct atomic
+// load per frame instead of an interface call with a trace context copied
+// into its arguments. This is what keeps the disarmed hook inside its floor:
+// <2% on the splice lane and 0 allocations. A nil flag attaches nothing.
 type FrameTap interface {
 	CaptureFrame(dir TapDir, kind byte, body []byte, tctx trace.Context)
-}
-
-// armedFlagger is the optional fast-gate contract: a tap whose armed state
-// is a single atomic bool can expose it, and the connection then decides
-// "capture or not" with one direct atomic load per frame instead of an
-// interface call with a trace context copied into its arguments. This is
-// what keeps the disarmed hook inside the <2% splice-lane floor.
-type armedFlagger interface {
 	ArmedFlag() *atomic.Bool
 }
-
-// tapAlwaysOn stands in as the armed flag for FrameTap implementations that
-// do not expose one: every frame is offered and the tap gates internally.
-var tapAlwaysOn = func() *atomic.Bool {
-	var b atomic.Bool
-	b.Store(true)
-	return &b
-}()
 
 // DefaultMaxFrame bounds incoming frame bodies; a peer cannot force an
 // arbitrary allocation with a forged length header.
@@ -211,7 +199,7 @@ type Conn struct {
 	suppress   func(*pbio.Format) bool
 	hooks      map[byte]func(body []byte) error
 	tap        FrameTap     // flight-recorder hook; nil unless WithFrameTap
-	tapArmed   *atomic.Bool // the tap's armed flag when it exposes one; hoists the disarmed gate
+	tapArmed   *atomic.Bool // the tap's armed flag; hoists the disarmed gate
 
 	wmu       sync.Mutex
 	bw        *bufio.Writer
@@ -443,28 +431,24 @@ func WithTracer(t *trace.Tracer) Option {
 
 // WithFrameTap attaches a flight-recorder tap: every frame read or written
 // on this connection is offered to it (see FrameTap). A nil tap is valid and
-// leaves capture disabled — the hook then costs a single nil check per frame,
-// the same zero-cost discipline as WithTracer.
+// leaves capture disabled, as does a tap whose ArmedFlag is nil — the hook
+// then costs a single nil check per frame, the same zero-cost discipline as
+// WithTracer.
 func WithFrameTap(t FrameTap) Option {
 	return func(c *Conn) {
-		if t != nil {
-			c.tap = t
-			c.tapArmed = tapAlwaysOn
-			if af, ok := t.(armedFlagger); ok {
-				if flag := af.ArmedFlag(); flag != nil {
-					c.tapArmed = flag
-				}
-			}
+		if t == nil {
+			return
+		}
+		if flag := t.ArmedFlag(); flag != nil {
+			c.tap, c.tapArmed = t, flag
 		}
 	}
 }
 
 // tapOn reports whether the frame tap wants this frame: no tap means no,
-// a tap with an exposed armed flag is gated by one atomic load, and a tap
-// without one is always offered the frame (it gates internally, via the
-// shared always-true flag). tapArmed is non-nil exactly when tap is, so
-// the per-frame gate is two dependent loads, branch-predicted away on
-// untapped connections.
+// otherwise the tap's armed flag decides with one atomic load. tapArmed is
+// non-nil exactly when tap is, so the per-frame gate is two dependent loads,
+// branch-predicted away on untapped connections.
 func (c *Conn) tapOn() bool {
 	return c.tapArmed != nil && c.tapArmed.Load()
 }
