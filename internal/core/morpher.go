@@ -279,9 +279,6 @@ func NewMorpher(th Thresholds, opts ...MorpherOption) *Morpher {
 	return m
 }
 
-// Thresholds returns the matcher's configured thresholds.
-func (m *Morpher) Thresholds() Thresholds { return m.th }
-
 // RegisterFormat declares that the reader understands format f and wants
 // matching messages delivered to handler. Registering a format with the
 // same fingerprint again replaces its handler. Registration order matters

@@ -45,7 +45,6 @@ var (
 	_    func(*core.Morpher, *core.Xform) error                       = (*core.Morpher).AddTransform
 	_    func(*core.Morpher, *pbio.Format) (core.Explanation, error)  = (*core.Morpher).Explain
 	_    func(*core.Morpher) core.Stats                               = (*core.Morpher).Stats
-	_    func(*core.Morpher) core.Thresholds                          = (*core.Morpher).Thresholds
 	_    core.Thresholds                                              = core.DefaultThresholds
 	_    core.Handler                                                 = func(*pbio.Record) error { return nil }
 	_    core.EncodedHandler                                          = func([]byte, *pbio.Format) error { return nil }
