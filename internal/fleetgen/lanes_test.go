@@ -3,6 +3,7 @@ package fleetgen
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -17,7 +18,10 @@ import (
 // the pair's XformBetween run by Ecode, the record lane (core.Converter)
 // and the splice lane (a Morpher delivering encoded bytes to an encoded
 // handler). A pair whose shared fields all keep their kind and width must
-// take the splice lane.
+// take the splice lane. Before any delivery, the Morpher's Explain must
+// agree with the generator's provenance: the pair's target, no chain, a
+// perfect match exactly for identical structures, and as Dropped and
+// Defaulted the fields whose id only one side has.
 func TestLanesAgree(t *testing.T) {
 	pairs := 0
 	for _, seed := range []int64{1, 2, 3} {
@@ -50,6 +54,23 @@ func namesKept(from, to *Generation) bool {
 		}
 	}
 	return true
+}
+
+// unmatched returns, sorted, the names of a's fields whose provenance id
+// has no field in b.
+func unmatched(a, b *Generation) []string {
+	ids := make(map[int]bool, len(b.fields))
+	for _, f := range b.fields {
+		ids[f.id] = true
+	}
+	var names []string
+	for _, f := range a.fields {
+		if !ids[f.id] {
+			names = append(names, f.name)
+		}
+	}
+	slices.Sort(names)
+	return names
 }
 
 // shapesKept reports whether every field shared by from and to keeps its
@@ -87,6 +108,20 @@ func checkLanes(t *testing.T, from, to *Generation) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+
+	e, err := m.Explain(from.Format)
+	if err != nil {
+		t.Fatalf("gen%d→gen%d: Explain: %v", from.Index, to.Index, err)
+	}
+	slices.Sort(e.Dropped)
+	slices.Sort(e.Defaulted)
+	if e.Rejected || e.ChainLen != 0 || e.Target != to.Format ||
+		e.Perfect != from.Format.SameStructure(to.Format) ||
+		!slices.Equal(e.Dropped, unmatched(from, to)) || !slices.Equal(e.Defaulted, unmatched(to, from)) {
+		t.Fatalf("gen%d→gen%d: Explain = %+v, want target %q, no chain, perfect=%v, dropped %v, defaulted %v",
+			from.Index, to.Index, e, to.Format.Name(), from.Format.SameStructure(to.Format),
+			unmatched(from, to), unmatched(to, from))
 	}
 
 	for _, seq := range []uint64{0, 1, 977, 1 << 40} {
