@@ -126,7 +126,7 @@ func decodeFormatBody(d *decoder, depth int) (*Format, error) {
 		}
 		fields[i] = fld
 	}
-	return NewFormat(name, fields)
+	return newFormat(name, fields)
 }
 
 func decodeFieldDesc(d *decoder, depth int) (Field, error) {

@@ -1,11 +1,14 @@
 package pbio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand/v2"
+	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 )
 
 // ErrBadFormat is wrapped by all format validation failures.
@@ -46,17 +49,22 @@ type Field struct {
 // immutable after construction by NewFormat; the same *Format may be shared
 // freely across goroutines.
 type Format struct {
-	name        string
-	fields      []Field
-	index       map[string]int
+	name   string
+	fields []Field
+	// byName indexes the fields for Lookup: one word per field, a keyed
+	// hash of its name in the high half and its position in the low half,
+	// sorted. A lookup steps over a few integers and compares one string,
+	// which costs what a map lookup does in a tenth of a map's memory;
+	// decoded formats are kept per peer and per generation.
+	byName      []uint64
 	weight      int
 	fingerprint uint64
 
-	// layout is the lazily computed byte-level layout analysis (layout.go);
-	// guarded by layoutOnce so all construction paths (NewFormat,
-	// DecodeFormat, reflection) share it without eager cost.
-	layoutOnce sync.Once
-	layout     *Layout
+	// layout is the lazily computed byte-level layout analysis (layout.go),
+	// so all construction paths (NewFormat, DecodeFormat, reflection) share
+	// it without eager cost. An atomic pointer rather than a sync.Once keeps
+	// the Format 16 bytes smaller.
+	layout atomic.Pointer[Layout]
 }
 
 // NewFormat validates the field list and returns an immutable Format.
@@ -67,24 +75,42 @@ type Format struct {
 // descriptor on every List field, and the absence of recursive format cycles
 // (PBIO records are trees).
 func NewFormat(name string, fields []Field) (*Format, error) {
+	return newFormat(name, slices.Clone(fields))
+}
+
+// newFormat is NewFormat over a fields slice the format may keep.
+func newFormat(name string, fields []Field) (*Format, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty format name", ErrBadFormat)
 	}
 	f := &Format{
 		name:   name,
-		fields: make([]Field, len(fields)),
-		index:  make(map[string]int, len(fields)),
+		fields: fields,
+		byName: make([]uint64, len(fields)),
 	}
-	copy(f.fields, fields)
+	for i := range fields {
+		f.byName[i] = nameHash(fields[i].Name) | uint64(i)
+	}
+	slices.Sort(f.byName)
+	// dup is the first field whose name an earlier field already has. Equal
+	// names hash alike, so only a run of equal hashes can hold a repeat, and
+	// within a run the later entry is the later field.
+	dup := len(fields)
+	for k, e := range f.byName {
+		for j := k - 1; j >= 0 && f.byName[j]&^posMask == e&^posMask; j-- {
+			if i := int(uint32(e)); i < dup && fields[i].Name == fields[uint32(f.byName[j])].Name {
+				dup = i
+			}
+		}
+	}
 	for i := range f.fields {
 		fld := &f.fields[i]
 		if fld.Name == "" {
 			return nil, fmt.Errorf("%w: format %q: field %d has empty name", ErrBadFormat, name, i)
 		}
-		if _, dup := f.index[fld.Name]; dup {
+		if i == dup {
 			return nil, fmt.Errorf("%w: format %q: duplicate field %q", ErrBadFormat, name, fld.Name)
 		}
-		f.index[fld.Name] = i
 		if err := validateField(fld, map[*Format]bool{f: true}); err != nil {
 			return nil, fmt.Errorf("%w: format %q: field %q: %v", ErrBadFormat, name, fld.Name, err)
 		}
@@ -167,20 +193,54 @@ func (f *Format) Name() string { return f.name }
 // NumFields returns the number of top-level fields.
 func (f *Format) NumFields() int { return len(f.fields) }
 
-// Field returns the i-th top-level field descriptor.
+// Field returns the i-th top-level field descriptor. The descriptor is the
+// format's own, not a copy, and must not be modified: one decoded format is
+// shared by every transform and cache entry of its owner that names it.
 func (f *Format) Field(i int) *Field { return &f.fields[i] }
 
 // Lookup returns the index of the field with the given name, or -1.
 func (f *Format) Lookup(name string) int {
-	if i, ok := f.index[name]; ok {
-		return i
+	h, idx := nameHash(name), f.byName
+	// The hashes are uniform, so an entry sits near its hash's share of
+	// the index: start there and step to the first entry >= h.
+	k := int((h >> 32) * uint64(len(idx)) >> 32)
+	for k > 0 && idx[k-1] >= h {
+		k--
+	}
+	for k < len(idx) && idx[k] < h {
+		k++
+	}
+	for ; k < len(idx) && idx[k]&^posMask == h; k++ {
+		if i := int(uint32(idx[k])); f.fields[i].Name == name {
+			return i
+		}
 	}
 	return -1
 }
 
-// FieldByName returns the descriptor of the named field, or nil.
+// posMask selects the field position in a byName entry.
+const posMask = 1<<32 - 1
+
+// nameSeed keys the name hash per process, so a peer cannot choose field
+// names whose hashes collide and turn Lookup into a scan.
+var nameSeed = rand.Uint64()
+
+// nameHash is the high half of a byName entry for a field called name: a
+// 64-bit FNV-1a hash whose offset basis is nameSeed. It is inline code, not
+// hash/maphash, because maphash's calls cost a quarter more on MaxMatch over
+// 32 candidates, which is nearly all Lookup.
+func nameHash(name string) uint64 {
+	h := nameSeed
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	return h &^ posMask
+}
+
+// FieldByName returns the descriptor of the named field, or nil. Like
+// Field's, it must not be modified.
 func (f *Format) FieldByName(name string) *Field {
-	if i, ok := f.index[name]; ok {
+	if i := f.Lookup(name); i >= 0 {
 		return &f.fields[i]
 	}
 	return nil
@@ -212,6 +272,22 @@ func (f *Format) SameStructure(o *Format) bool {
 		return f == o
 	}
 	return f.fingerprint == o.fingerprint
+}
+
+// Identical reports whether a and b describe the same format down to the
+// last byte of their encoded descriptions, default values included. Equal
+// fingerprints alone (SameStructure) are the identity on the hot path; an
+// owner that keeps one object per structure checks Identical before it hands
+// one format out in place of another, so a fingerprint collision can never
+// swap one structure for another.
+func Identical(a, b *Format) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil || a.fingerprint != b.fingerprint {
+		return false
+	}
+	return bytes.Equal(EncodeFormat(a), EncodeFormat(b))
 }
 
 func computeWeight(f *Format) int {

@@ -2,6 +2,8 @@ package pbio
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -214,5 +216,143 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Complex.IsBasic() || List.IsBasic() || !Enum.IsBasic() {
 		t.Error("IsBasic wrong")
+	}
+}
+
+// randomFormat draws a format whose field names come from a small pool, so
+// that lookups of absent names and (with dups) repeated names both occur.
+// depth > 0 lets Complex fields nest a random sub-format.
+func randomFormat(rng *rand.Rand, name string, depth int, dups bool) ([]Field, *Format, error) {
+	pool := []string{"a", "b", "c", "id", "id2", "ts", "x", "y", "zz", "Z", "member_list", "é"}
+	n := rng.Intn(len(pool) + 1)
+	fields := make([]Field, 0, n)
+	used := map[string]bool{}
+	for len(fields) < n {
+		nm := pool[rng.Intn(len(pool))]
+		if used[nm] && !dups {
+			continue
+		}
+		used[nm] = true
+		fld := Field{Name: nm, Kind: []Kind{Integer, Unsigned, Float, String, Boolean}[rng.Intn(5)]}
+		if depth > 0 && rng.Intn(4) == 0 {
+			_, sub, err := randomFormat(rng, name+"_"+nm, depth-1, false)
+			if err == nil && sub.NumFields() > 0 {
+				fld = Field{Name: nm, Kind: Complex, Sub: sub}
+			}
+		}
+		fields = append(fields, fld)
+	}
+	f, err := NewFormat(name, fields)
+	return fields, f, err
+}
+
+// TestLookupMatchesScan: the hash index answers every name exactly as a
+// linear scan of the fields does, at every nesting level, and NewFormat
+// refuses a repeated name exactly when the scan finds one, naming the first
+// field (by position) that repeats an earlier name.
+func TestLookupMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	probes := []string{"", "a", "b", "c", "d", "id", "id2", "id3", "ts", "x", "y", "zz", "Z", "member_list", "é", "\xff"}
+	var check func(f *Format)
+	check = func(f *Format) {
+		for _, p := range probes {
+			want := -1
+			for i := 0; i < f.NumFields(); i++ {
+				if f.Field(i).Name == p {
+					want = i
+					break
+				}
+			}
+			if got := f.Lookup(p); got != want {
+				t.Fatalf("%v\nLookup(%q) = %d, scan says %d", f, p, got, want)
+			}
+			if fld := f.FieldByName(p); (want < 0) != (fld == nil) || (fld != nil && fld != f.Field(want)) {
+				t.Fatalf("%v\nFieldByName(%q) = %p, want field %d", f, p, fld, want)
+			}
+		}
+		for i := 0; i < f.NumFields(); i++ {
+			if sub := f.Field(i).Sub; sub != nil {
+				check(sub)
+			}
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		fields, f, err := randomFormat(rng, "r", 2, trial%2 == 1)
+		firstDup := ""
+		seen := map[string]bool{}
+		for _, fld := range fields {
+			if seen[fld.Name] {
+				firstDup = fld.Name
+				break
+			}
+			seen[fld.Name] = true
+		}
+		if firstDup != "" {
+			want := `duplicate field "` + firstDup + `"`
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("fields %v: err = %v, want %s", fields, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("fields %v: %v", fields, err)
+		}
+		check(f)
+	}
+
+	// Two names whose index hashes collide under this process's seed (a
+	// birthday search over ~2^16 names) share a run of equal keys, which
+	// Lookup and the duplicate check must both walk.
+	byHash := map[uint64]string{}
+	var a, b string
+	for i := 0; a == ""; i++ {
+		nm := fmt.Sprintf("n%d", i)
+		if prev, ok := byHash[nameHash(nm)]; ok {
+			a, b = prev, nm
+		}
+		byHash[nameHash(nm)] = nm
+	}
+	probes = append(probes, a, b)
+	for _, order := range [][]string{{a, b}, {b, a}, {"x", b, "y", a}} {
+		var fields []Field
+		for _, nm := range order {
+			fields = append(fields, basicField(nm, Integer))
+		}
+		check(mustFormatT(t, "collide", fields))
+		_, err := NewFormat("collide", append(fields, basicField(order[0], Float)))
+		if want := fmt.Sprintf("duplicate field %q", order[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("names %q plus a repeat of the first: err = %v, want %s", order, err, want)
+		}
+	}
+}
+
+// TestIdentical: equal fingerprints make two formats SameStructure, but only
+// formats whose encoded descriptions agree byte for byte are Identical. A
+// forced fingerprint collision stands in for a real one.
+func TestIdentical(t *testing.T) {
+	a := mustFormatT(t, "m", []Field{basicField("x", Integer), basicField("y", Float)})
+	b := mustFormatT(t, "m", []Field{basicField("x", Integer), basicField("z", String)})
+	b.fingerprint = a.fingerprint
+	if !a.SameStructure(b) {
+		t.Fatal("forced fingerprint collision: SameStructure = false")
+	}
+	if Identical(a, b) || Identical(b, a) {
+		t.Error("formats with different fields are Identical")
+	}
+
+	decoded, err := DecodeFormat(EncodeFormat(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded == a || !Identical(a, decoded) || !Identical(a, a) {
+		t.Error("a decoded copy of a format is not Identical to it")
+	}
+
+	withDefault := mustFormatT(t, "m", []Field{{Name: "x", Kind: Integer, Default: Int(7)}, basicField("y", Float)})
+	if !a.SameStructure(withDefault) || Identical(a, withDefault) {
+		t.Error("formats that differ only in a default: want SameStructure and not Identical")
+	}
+	if Identical(a, nil) || Identical(nil, a) || !Identical(nil, nil) {
+		t.Error("Identical with nil")
 	}
 }

@@ -25,10 +25,15 @@ type Layout struct {
 	widths       []int // encoded width of each fixed-prefix field
 }
 
-// Layout returns the (cached) layout analysis of the format.
+// Layout returns the (cached) layout analysis of the format. Goroutines that
+// race on the first call may each analyze the format, but all of them get
+// the one Layout that was stored first.
 func (f *Format) Layout() *Layout {
-	f.layoutOnce.Do(func() { f.layout = analyzeLayout(f) })
-	return f.layout
+	if l := f.layout.Load(); l != nil {
+		return l
+	}
+	f.layout.CompareAndSwap(nil, analyzeLayout(f))
+	return f.layout.Load()
 }
 
 func analyzeLayout(f *Format) *Layout {

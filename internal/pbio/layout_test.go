@@ -3,6 +3,7 @@ package pbio
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -64,6 +65,29 @@ func TestLayoutFixedStride(t *testing.T) {
 		r := randomRecord(rng, f)
 		if got := EncodedSize(r) - EnvelopeSize; got != l.Size() {
 			t.Fatalf("encoded payload %d bytes, layout says %d", got, l.Size())
+		}
+	}
+}
+
+// TestLayoutFirstUseConcurrent: goroutines racing on a shared format's
+// first Layout call all get the same analysis.
+func TestLayoutFirstUseConcurrent(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		f := fixedKitchenFormat(t)
+		got := make([]*Layout, 4)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g] = f.Layout()
+			}(g)
+		}
+		wg.Wait()
+		for g, l := range got {
+			if l == nil || l != f.Layout() {
+				t.Fatalf("trial %d: goroutine %d got layout %p, format holds %p", trial, g, l, f.Layout())
+			}
 		}
 	}
 }

@@ -97,7 +97,9 @@ func FuzzConnReadFrames(f *testing.F) {
 // receiver parses off the wire and the registry stores as its entries.
 // ParseFormatFrame must never panic, and a body it accepts must survive
 // AppendFormatFrame: the re-encoded body parses to the same format
-// fingerprint and the same transforms (From, To and Code).
+// fingerprint and the same transforms (From, To and Code). A parsed
+// transform's From or To is the frame's own format object exactly when the
+// two are pbio.Identical.
 func FuzzFormatFrame(f *testing.F) {
 	l, err := fleetgen.NewLineage("wire.fuzz", 1, 1, 3)
 	if err != nil {
@@ -118,6 +120,14 @@ func FuzzFormatFrame(f *testing.F) {
 			}
 			xforms = append(xforms, x)
 		}
+		if i > 0 {
+			// A transform into the announced format, out of another one.
+			x, err := fleetgen.XformBetween(gens[0], g)
+			if err != nil {
+				f.Fatal(err)
+			}
+			xforms = append(xforms, x)
+		}
 		body := AppendFormatFrame(nil, g.Format, xforms)
 		f.Add(body)
 		f.Add(body[:len(body)/2])
@@ -131,6 +141,12 @@ func FuzzFormatFrame(f *testing.F) {
 		fm, xforms, err := ParseFormatFrame(body, false)
 		if err != nil {
 			return
+		}
+		for i, x := range xforms {
+			if (x.From == fm) != pbio.Identical(x.From, fm) || (x.To == fm) != pbio.Identical(x.To, fm) {
+				t.Fatalf("transform %d: From shared = %v, To shared = %v, Identical = %v, %v",
+					i, x.From == fm, x.To == fm, pbio.Identical(x.From, fm), pbio.Identical(x.To, fm))
+			}
 		}
 		fm2, xforms2, err := ParseFormatFrame(AppendFormatFrame(nil, fm, xforms), false)
 		if err != nil {

@@ -69,9 +69,12 @@ selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFr
 echo "== publisher write coalescer contract and buffered-burst overflow (race-enabled)"
 selected run 'TestPublishOrderConcurrent|TestCloseFlushesAccepted|TestPublishBlocksOnStalledPeer|TestCoalescerBoundsMemory|TestPublishFailsAfterBrokerCloses|TestCloseLeavesNoGoroutine|TestBufferedBurstDoesNotOverflow' \
     -race -count=1 ./internal/echo/
-echo "== allocation gates (packed Value, list slabs, steady-state Publish)"
-selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestPublishAllocs' \
+echo "== allocation gates (packed Value, list slabs, steady-state Publish, heap of a decoded format)"
+selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestPublishAllocs|TestDecodedFormatBytes' \
     -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/ ./internal/echo/
+echo "== one decoded copy of each format per owner (format frame, connection, registry cache; Register never writes the caller's transforms; race-enabled)"
+selected run 'TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFormats|TestWatchKeepsOneFormatPerFingerprint|TestRegisterLeavesXformsAlone' \
+    -race -count=1 ./internal/wire/ ./internal/registry/
 echo "== untrusted Ecode source (nesting bound, growth charged to the step budget) and the lane oracle over fleetgen lineages"
 selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestLanesAgree' \
     -race -count=1 ./internal/ecode/ ./internal/fleetgen/
