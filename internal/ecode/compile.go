@@ -350,8 +350,10 @@ func convertForStore(v evalFn, have, want etype, pos Pos) (evalFn, error) {
 	}
 }
 
+// toFloat promotes an int-typed value to double. Float64 reads an Unsigned
+// value's bit pattern as unsigned, as C does.
 func toFloat(v evalFn) evalFn {
-	return func(f *frame) pbio.Value { return pbio.Float64(float64(v(f).Int64())) }
+	return func(f *frame) pbio.Value { return pbio.Float64(v(f).Float64()) }
 }
 
 func toInt(v evalFn) evalFn {
@@ -579,9 +581,11 @@ func (c *compiler) compileFieldStore(rhs expr, fld *pbio.Field, pos Pos) (evalFn
 		if !rt.isNumeric() {
 			return nil, compileErrf(pos, "cannot assign %v to numeric field %q", rt, fld.Name)
 		}
-		// pbio coerces numerics on store; converting first keeps the
-		// coercion lossless where possible.
-		return convertForStore(v, rt, want, pos)
+		// The value goes to pbio as it is, and pbio's store coerces it into
+		// the field's kind and width, exactly as a conversion plan's copy
+		// does: a double stored into a boolean field is true when non-zero,
+		// an unsigned one into a double field keeps its sign.
+		return v, nil
 	case tStr:
 		if rt.k != tStr {
 			return nil, compileErrf(pos, "cannot assign %v to string field %q", rt, fld.Name)
