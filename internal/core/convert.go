@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/ecode"
 	"repro/internal/pbio"
 )
 
@@ -16,7 +17,9 @@ import (
 //
 // Building the plan costs one walk over both formats; converting a record
 // is then a flat interpretation of precomputed steps — the same
-// compile-once structure PBIO gets from generated code.
+// compile-once structure PBIO gets from generated code. A transform step
+// that only moves fields runs as a Converter too, built from its Ecode
+// field map by newMovePlan instead of from the name-wise walk.
 type Converter struct {
 	from, to *pbio.Format
 	steps    []convStep
@@ -47,6 +50,28 @@ type convStep struct {
 func NewConverter(from, to *pbio.Format) *Converter {
 	p := pairing{plan: true}
 	return p.walk(from, to)
+}
+
+// newMovePlan builds the conversion plan from → to that an Ecode field map
+// describes (ecode.Program.FieldMap): each move copies a source field, by
+// index rather than by name, or fills a constant. A target field the map
+// never names keeps the zero value pbio.NewRecord gives it, not its declared
+// default, as it would after the program ran.
+func newMovePlan(from, to *pbio.Format, moves []ecode.FieldMove) *Converter {
+	c := &Converter{from: from, to: to, steps: make([]convStep, to.NumFields())}
+	for j := range c.steps {
+		c.steps[j] = convStep{dstIdx: j, srcIdx: -1, mode: convFill}
+	}
+	for _, mv := range moves {
+		s := &c.steps[mv.Dst]
+		if mv.Src < 0 {
+			s.fill = mv.Const
+			continue
+		}
+		s.srcIdx, s.mode = mv.Src, convCopy
+		s.exact = fitOf(from.Field(mv.Src), to.Field(mv.Dst)) == fitExact
+	}
+	return c
 }
 
 // planStep is the step for target field dst (index j) given how it fits

@@ -164,9 +164,8 @@ func (r *registration) deliverEncoded(data []byte) error {
 // one incoming format fingerprint.
 type decision struct {
 	reject bool
-	steps  []*ecode.Program // transformation chain, in application order
-	dsts   []*pbio.Format   // destination format of each step
-	conv   *Converter       // name-wise fill/drop; nil when structures align
+	steps  []step     // transformation chain, in application order
+	conv   *Converter // name-wise fill/drop; nil when structures align
 	reg    *registration
 
 	// Byte-level fast lane (splice.go). identity marks a structure-identical
@@ -177,6 +176,26 @@ type decision struct {
 	identity bool
 	passLen  int
 	splice   *spliceProgram
+}
+
+// step is one link of a transformation chain, producing a record of dst:
+// an Ecode program, or — when the program only moves fields
+// (ecode.Program.FieldMap) — the conversion plan it lowers to, which runs
+// without a VM frame.
+type step struct {
+	prog *ecode.Program // nil when lowered
+	plan *Converter     // nil unless lowered
+	dst  *pbio.Format
+}
+
+// run applies the step to rec, a record of the step's source format.
+func (s *step) run(rec *pbio.Record) (*pbio.Record, error) {
+	if s.plan != nil {
+		return s.plan.Convert(rec)
+	}
+	out := pbio.NewRecord(s.dst)
+	_, err := s.prog.Run(rec, out)
+	return out, err
 }
 
 // finalizeFastLane derives the decision's byte-lane fields once, at build
@@ -594,17 +613,18 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 // the per-step and conversion spans.
 func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, tctx trace.Context) (*pbio.Record, error) {
 	cur := rec
-	for i, prog := range d.steps {
+	for i := range d.steps {
+		s := &d.steps[i]
 		xs := m.tracer.StartSpan(tctx, trace.StageXformStep)
-		dst := pbio.NewRecord(d.dsts[i])
-		if _, err := prog.Run(cur, dst); err != nil {
+		dst, err := s.run(cur)
+		if err != nil {
 			xs.EndErr(err)
 			return nil, fmt.Errorf("core: transformation step %d (%q→%q): %w",
-				i, cur.Format().Name(), d.dsts[i].Name(), err)
+				i, cur.Format().Name(), s.dst.Name(), err)
 		}
 		if xs.Recording() {
 			xs.N = int64(i)
-			xs.FP = d.dsts[i].Fingerprint()
+			xs.FP = s.dst.Fingerprint()
 			xs.End()
 		}
 		cur = dst
@@ -738,8 +758,9 @@ func (m *Morpher) buildDecisionLocked(fm *pbio.Format) (*decision, obs.Decision,
 	return d, tr, err
 }
 
-// finishDecisionLocked compiles the chosen chain and builds the fill/drop
-// converter if the matched pair is not structure-identical.
+// finishDecisionLocked compiles the chosen chain, lowering each step that
+// only moves fields to a conversion plan, and builds the fill/drop converter
+// if the matched pair is not structure-identical.
 func (m *Morpher) finishDecisionLocked(path []*Xform, match Match, tr *obs.Decision) (*decision, error) {
 	tr.From, tr.To = match.From.Name(), match.To.Name()
 	tr.Diff, tr.Mismatch = match.Diff, match.Mismatch
@@ -764,8 +785,11 @@ func (m *Morpher) finishDecisionLocked(path []*Xform, match Match, tr *obs.Decis
 			return nil, fmt.Errorf("%w: %q→%q: %v", ErrBadTransform, x.From.Name(), x.To.Name(), err)
 		}
 		m.c.compiled.Inc()
-		d.steps = append(d.steps, prog)
-		d.dsts = append(d.dsts, x.To)
+		s := step{prog: prog, dst: x.To}
+		if moves, ok := prog.FieldMap(); ok {
+			s = step{plan: newMovePlan(x.From, x.To, moves), dst: x.To}
+		}
+		d.steps = append(d.steps, s)
 	}
 	if !match.From.SameStructure(match.To) {
 		d.conv = NewConverter(match.From, match.To)
@@ -821,6 +845,7 @@ type Explanation struct {
 	Rejected  bool
 	Target    *pbio.Format // registered format messages are delivered as
 	ChainLen  int          // transformation steps applied
+	Lowered   int          // of those, steps that only move fields and run as conversion plans
 	Perfect   bool         // no fill/drop needed after the chain
 	Defaulted []string     // target fields filled with defaults
 	Dropped   []string     // incoming fields discarded
@@ -840,6 +865,11 @@ func (m *Morpher) Explain(fm *pbio.Format) (Explanation, error) {
 		Target:   d.reg.format,
 		ChainLen: len(d.steps),
 		Perfect:  d.conv == nil,
+	}
+	for _, s := range d.steps {
+		if s.plan != nil {
+			e.Lowered++
+		}
 	}
 	if d.conv != nil {
 		e.Defaulted = d.conv.Defaulted()

@@ -111,6 +111,10 @@ func TestMorpherEvolutionScenario(t *testing.T) {
 	if st.Compiled != 1 || st.Transformed != 1 {
 		t.Errorf("stats = %+v, want exactly one compile and one transform", st)
 	}
+	// Figure 5 loops and counts, so the VM runs it.
+	if ex, err := m.Explain(v2); err != nil || ex.ChainLen != 1 || ex.Lowered != 0 {
+		t.Errorf("Explain = %+v, %v; want one step, run by the VM", ex, err)
+	}
 }
 
 func TestMorpherDecisionCaching(t *testing.T) {
@@ -181,6 +185,44 @@ func TestMorpherRetroChain(t *testing.T) {
 	}
 	if st := m.Stats(); st.Compiled != 2 {
 		t.Errorf("Compiled = %d, want 2", st.Compiled)
+	}
+}
+
+// TestMorpherLowersEachStep: in a chain, a step that only moves fields runs
+// as a conversion plan and a step that computes runs on the VM; the chain
+// delivers what running both programs would.
+func TestMorpherLowersEachStep(t *testing.T) {
+	v0 := fmtOrDie(t, "Rev", []pbio.Field{bf("a", pbio.Integer)})
+	v1 := fmtOrDie(t, "Rev", []pbio.Field{bf("a", pbio.Integer), bf("b", pbio.Integer)})
+	v2 := fmtOrDie(t, "Rev", []pbio.Field{bf("c", pbio.Integer), {Name: "z", Kind: pbio.Float, Size: 8}, bf("a", pbio.Integer)})
+
+	m := NewMorpher(Thresholds{})
+	var got *pbio.Record
+	if err := m.RegisterFormat(v0, func(r *pbio.Record) error { got = r; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddTransform(&Xform{From: v2, To: v1, Code: "old.a = new.a; old.b = new.z;"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddTransform(&Xform{From: v1, To: v0, Code: "old.a = new.a * 10 + new.b;"}); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := m.Explain(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.ChainLen != 2 || ex.Lowered != 1 || !ex.Perfect || ex.Target != v0 {
+		t.Fatalf("Explain = %+v, want a perfect 2-step chain to v0 with its first step lowered", ex)
+	}
+	in := pbio.NewRecord(v2).MustSet("c", pbio.Int(9)).MustSet("z", pbio.Float64(2.75)).MustSet("a", pbio.Int(4))
+	if err := m.Deliver(in); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := got.Get("a"); v.Int64() != 42 {
+		t.Errorf("a = %d, want 4*10 + int(2.75) = 42", v.Int64())
+	}
+	if st := m.Stats(); st.Compiled != 2 || st.Transformed != 1 {
+		t.Errorf("stats = %+v, want two compiles and one transformed message", st)
 	}
 }
 

@@ -38,6 +38,18 @@
 // (strlen, len, abs, fabs, floor, ceil, atoi, atof, itoa, dtoa, streq,
 // strcat, substr). The compiler constant-folds literal expressions.
 //
+// A program that only moves fields — after folding, a flat list of
+// "dst.f = src.g;" and "dst.f = literal;" stores into distinct basic fields
+// of its second parameter, never reading the destination or writing the
+// source — also exposes a field map (Program.FieldMap): one FieldMove per
+// store, a destination field index paired with a source field index or a
+// constant. Running such a program is storing each move into a zero record
+// with pbio's SetIndex, so a caller may run the map instead of the program;
+// the morphing engine turns it into a conversion plan. Numeric stores hand
+// their value to SetIndex unconverted, so the map and the program coerce
+// alike. Compile checks such a program but builds its closures only when it
+// first runs.
+//
 // Field references are resolved and type-checked at compile time against the
 // participating pbio Formats, so a transformation that mentions a field its
 // formats do not have is rejected when the format arrives, not when the
