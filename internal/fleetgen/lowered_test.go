@@ -60,7 +60,8 @@ func lineagePairs(t *testing.T) {
 // nearMisses runs transforms that are almost a list of field moves — but
 // read the destination, write a field twice or the source, compute their
 // right-hand side, store a record or a list, declare a local, loop or call
-// a function — beside flat ones.
+// a function — beside flat ones, some flat only once their operations over
+// literals fold.
 func nearMisses(t *testing.T) {
 	sub := mustFormat(t, "pt", []pbio.Field{{Name: "x", Kind: pbio.Integer, Size: 4}})
 	fields := []pbio.Field{
@@ -90,6 +91,7 @@ func nearMisses(t *testing.T) {
 	}{
 		{"moves", "old.a = new.a; old.b = new.b; old.s = new.s; old.u = new.u; old.h = new.b;", true},
 		{"literals", "old.a = -3; old.b = 2; old.s = \"lit\"; old.u = 1 + 2; old.h = 0.5;", true},
+		{"folded operators", "old.a = -(2 * 3); old.b = 1 ? 2 : 3.5; old.s = \"a\" + \"b\"; old.u = !0; old.h = 1.5 && \"x\";", true},
 		{"nothing", "", true},
 		{"reads dst", "old.a = new.a; old.b = old.a;", false},
 		{"writes a field twice", "old.a = new.a; old.a = 7;", false},
