@@ -45,17 +45,7 @@ func (mc *memberConn) wants(ev *pbio.Record) bool {
 		return false
 	}
 	v, err := prog.Run(ev)
-	if err != nil {
-		return false
-	}
-	switch v.Kind() {
-	case pbio.Float:
-		return v.Float64() != 0
-	case pbio.String:
-		return v.Strval() != ""
-	default:
-		return v.Int64() != 0
-	}
+	return err == nil && ecode.Truthy(v)
 }
 
 // readLoop is the publish read loop: everything a member sends after the

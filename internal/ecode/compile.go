@@ -642,7 +642,7 @@ func (c *compiler) compileIf(s *ifStmt) (execFn, error) {
 	pos := s.pos
 	return func(f *frame) ctl {
 		f.charge(pos, cost)
-		if truthy(cond(f)) {
+		if Truthy(cond(f)) {
 			return then(f)
 		}
 		return els(f)
@@ -693,7 +693,7 @@ func (c *compiler) compileFor(s *forStmt) (execFn, error) {
 		init(f)
 		for {
 			f.charge(pos, test)
-			if cond != nil && !truthy(cond(f)) {
+			if cond != nil && !Truthy(cond(f)) {
 				return ctlNext
 			}
 			switch body(f) {
@@ -730,7 +730,7 @@ func (c *compiler) compileDoWhile(s *doWhileStmt) (execFn, error) {
 				return ctlReturn
 			}
 			f.charge(pos, test)
-			if !truthy(cond(f)) {
+			if !Truthy(cond(f)) {
 				return ctlNext
 			}
 		}
@@ -913,7 +913,7 @@ func (c *compiler) compileUnary(e *unaryExpr) (evalFn, etype, error) {
 		if checkCond(e.pos, t) != nil {
 			return nil, etype{}, compileErrf(e.pos, "cannot apply '!' to %v", t)
 		}
-		return func(f *frame) pbio.Value { return boolInt(!truthy(x(f))) }, etype{k: tInt}, nil
+		return func(f *frame) pbio.Value { return boolInt(!Truthy(x(f))) }, etype{k: tInt}, nil
 	default:
 		return nil, etype{}, compileErrf(e.pos, "unsupported unary operator")
 	}
@@ -940,9 +940,9 @@ func (c *compiler) compileBinary(e *binaryExpr) (evalFn, etype, error) {
 			return nil, etype{}, err
 		}
 		if op == tokAndAnd {
-			return func(f *frame) pbio.Value { return boolInt(truthy(l(f)) && truthy(r(f))) }, intT, nil
+			return func(f *frame) pbio.Value { return boolInt(Truthy(l(f)) && Truthy(r(f))) }, intT, nil
 		}
-		return func(f *frame) pbio.Value { return boolInt(truthy(l(f)) || truthy(r(f))) }, intT, nil
+		return func(f *frame) pbio.Value { return boolInt(Truthy(l(f)) || Truthy(r(f))) }, intT, nil
 	case tokPercent:
 		if lt.k != tInt || rt.k != tInt {
 			return nil, etype{}, compileErrf(pos, "operands of %% must be ints, got %v and %v", lt, rt)
@@ -1061,7 +1061,7 @@ func (c *compiler) compileTernary(e *condExpr) (evalFn, etype, error) {
 		return nil, etype{}, compileErrf(e.pos, "ternary branches have incompatible types %v and %v", tt, ft)
 	}
 	return func(f *frame) pbio.Value {
-		if truthy(cond(f)) {
+		if Truthy(cond(f)) {
 			return t(f)
 		}
 		return fl(f)

@@ -103,7 +103,9 @@ func values(v pbio.Value) int64 {
 	return n
 }
 
-func truthy(v pbio.Value) bool {
+// Truthy is Ecode's truth rule, as C's: a number is true when it is not
+// zero, a string when it is not empty.
+func Truthy(v pbio.Value) bool {
 	switch v.Kind() {
 	case pbio.Float:
 		return v.Float64() != 0
