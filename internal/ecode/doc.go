@@ -36,7 +36,9 @@
 // access and dynamic-list subscripts (writing one past the end of a list
 // extends it, which is how PBIO-style counted lists grow); and builtins
 // (strlen, len, abs, fabs, floor, ceil, atoi, atof, itoa, dtoa, streq,
-// strcat, substr). The compiler constant-folds literal expressions.
+// strcat, substr). The compiler constant-folds literal expressions by
+// compiling each operation over literals and running its closure once, so
+// folded and unfolded code share one copy of every operator.
 //
 // A program that only moves fields — after folding, a flat list of
 // "dst.f = src.g;" and "dst.f = literal;" stores into distinct basic fields

@@ -75,8 +75,8 @@ selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCall
 echo "== one decoded copy of each format per owner (format frame, connection, registry cache; Register never writes the caller's transforms; race-enabled)"
 selected run 'TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFormats|TestWatchKeepsOneFormatPerFingerprint|TestRegisterLeavesXformsAlone' \
     -race -count=1 ./internal/wire/ ./internal/registry/
-echo "== untrusted Ecode source (nesting bound, growth charged to the step budget), numeric stores as pbio coerces them, and the lane and lowering oracles over fleetgen lineages"
-selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestLanesAgree|TestNumericStoreMatchesRecordLane|TestLoweredPlansMatchVM' \
+echo "== untrusted Ecode source (nesting bound, growth charged to the step budget, folding keeps type errors and agrees with unfolded code), numeric stores as pbio coerces them, and the lane and lowering oracles over fleetgen lineages"
+selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestFoldingKeepsTypeErrors|TestQuickFoldEquivalence|TestLanesAgree|TestNumericStoreMatchesRecordLane|TestLoweredPlansMatchVM' \
     -race -count=1 ./internal/ecode/ ./internal/fleetgen/
 echo "== one name-wise pairing (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing)"
 selected run 'TestQuickOnePairing|TestMatchingAllocFree' -count=1 ./internal/core/
