@@ -34,6 +34,9 @@ func FuzzCompile(f *testing.F) {
 	}
 	f.Add(echo.Figure5Transform, false)
 	f.Add(x.Code, true)
+	for _, h := range bindingHazards {
+		f.Add(h.src, false)
+	}
 	for _, tmpl := range ecode.ProgramTemplates {
 		src := strings.ReplaceAll(tmpl, "%d", "3")
 		f.Add(src, false)
