@@ -22,6 +22,18 @@
 // The compile-once / run-many structure, which is what the paper's
 // evaluation depends on, is preserved.
 //
+// The closures are typed: an int, double or boolean expression computes an
+// int64, float64 or bool, and a value is boxed into a pbio.Value only where
+// it is stored, passed or returned. Int and double locals are numbers in
+// place. A record reached through a list subscript whose subscripts are
+// int literals or locals — new.member_list[i] — is navigated once and kept
+// in a frame slot, so the rest of the loop body reads it there, as
+// hand-written Go would keep it in a variable. The slot is emptied when a
+// local its subscripts read is assigned, when a store replaces a record or
+// a list (which may be a prefix of the path, in either parameter, or in
+// both when they are one record), and when a user function returns. A
+// straight-line run of statements is charged its steps once, on entry.
+//
 // Transformation code arrives over the network, so both halves are
 // bounded: source may nest at most maxNesting levels deep, and a Run stops
 // with ErrRuntime once it has taken Program.MaxSteps steps, which bound
