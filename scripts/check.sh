@@ -54,8 +54,8 @@ echo "== go build ./..."
 go build ./...
 echo "== go test -race ./..."
 go test -race ./...
-echo "== bench smoke (splice/fanout fast paths, lowered transforms)"
-selected bench 'Splice|Fanout|Lowered' -benchtime 100x ./...
+echo "== bench smoke (splice/fanout fast paths, lowered transforms, Figure 5 compiled and hand-written)"
+selected bench 'Splice|Fanout|Lowered|Figure5' -benchtime 100x ./...
 echo "== flake gate (2 procs x 20 runs: handshake, publish coalescing, tracez, trace-ring, daemon-signal, failover, registry-session, soak and debug-plane races)"
 GOMAXPROCS=2 go test -count=20 ./internal/echo/ ./internal/trace/ ./cmd/formatd/ ./internal/registry/ \
     ./internal/bench/ ./cmd/echodemo/
@@ -75,8 +75,8 @@ selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCall
 echo "== one decoded copy of each format per owner (format frame, connection, registry cache; Register never writes the caller's transforms; race-enabled)"
 selected run 'TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFormats|TestWatchKeepsOneFormatPerFingerprint|TestRegisterLeavesXformsAlone' \
     -race -count=1 ./internal/wire/ ./internal/registry/
-echo "== untrusted Ecode source (nesting bound, growth charged to the step budget, folding keeps type errors and agrees with unfolded code), numeric stores as pbio coerces them, and the lane and lowering oracles over fleetgen lineages"
-selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestFoldingKeepsTypeErrors|TestQuickFoldEquivalence|TestLanesAgree|TestNumericStoreMatchesRecordLane|TestLoweredPlansMatchVM' \
+echo "== untrusted Ecode source (nesting bound, growth charged to the step budget, folding keeps type errors and agrees with unfolded code), numeric stores as pbio coerces them, Figure 5 equal to hand-written Go, record paths rebound wherever they may change, and the lane and lowering oracles over fleetgen lineages"
+selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestFoldingKeepsTypeErrors|TestQuickFoldEquivalence|TestQuickFigure5MatchesHandWritten|TestPathBindingHazards|TestLanesAgree|TestNumericStoreMatchesRecordLane|TestLoweredPlansMatchVM' \
     -race -count=1 ./internal/ecode/ ./internal/fleetgen/
 echo "== one name-wise pairing (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing)"
 selected run 'TestQuickOnePairing|TestMatchingAllocFree' -count=1 ./internal/core/
