@@ -37,7 +37,10 @@ func PeekFingerprint(data []byte) (uint64, error) {
 // returns. Its strings are substrings of one copy of the payload, made at
 // the first non-empty string, so a caller that keeps any one of them keeps
 // up to one payload's bytes alive (copy it, e.g. strings.Clone, to keep just
-// the string). The elements of a list of records share one allocation.
+// the string). The elements of a list of records share one allocation. A
+// record decoded through a Plan holds its memory the same way: the strings
+// it keeps are substrings of one payload copy, made at the first kept
+// non-empty string, and a plan that keeps no string makes no copy.
 func DecodeRecord(data []byte, f *Format) (*Record, error) {
 	fp, err := PeekFingerprint(data)
 	if err != nil {
@@ -54,12 +57,25 @@ func DecodeRecord(data []byte, f *Format) (*Record, error) {
 // memory behaviour DecodeRecord describes. The entire buffer must be
 // consumed.
 //
+// It is Plan.Decode through the identity plan: one decoder serves both. A
+// plan changes what is built, never what is checked — a field the plan
+// skips is read and validated like any other, so a payload decodes through
+// a plan exactly when it decodes without one.
+//
 // Fixed-stride formats (Layout().Fixed()) take a fast path: the payload
 // length is validated once up front — for such formats a correct length is
 // full validation, since no field is variable-width — and the fields are
-// then read at their static offsets with no per-field bounds checks.
+// then read at their static offsets with no per-field bounds checks; a
+// plan reads only the fields it keeps.
 func DecodePayload(data []byte, f *Format) (*Record, error) {
-	if l := f.Layout(); l.Fixed() {
+	return decodePayload(data, f, nil)
+}
+
+// decodePayload is the one decoder: data, a payload of f, into a record
+// through p (nil for the identity).
+func decodePayload(data []byte, f *Format, p *Plan) (*Record, error) {
+	l := f.Layout()
+	if l.Fixed() {
 		switch {
 		case len(data) < l.size:
 			return nil, fmt.Errorf("%w: %d bytes, fixed format %q needs %d",
@@ -67,12 +83,16 @@ func DecodePayload(data []byte, f *Format) (*Record, error) {
 		case len(data) > l.size:
 			return nil, fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailingData, l.size, len(data))
 		}
-		return decodeFixed(data, f), nil
+	}
+	var s Slab
+	if to := p.target(f); to != nil {
+		s.Reserve(to, 1)
+	}
+	if l.Fixed() {
+		return decodeFixedRecord(data, f, p, &s), nil
 	}
 	d := decoder{buf: data}
-	var s Slab
-	s.Reserve(f, 1)
-	r, err := d.record(f, &s)
+	r, err := d.record(f, p, &s)
 	if err != nil {
 		return nil, err
 	}
@@ -82,47 +102,52 @@ func DecodePayload(data []byte, f *Format) (*Record, error) {
 	return r, nil
 }
 
-// decodeFixed reads a length-validated payload of a fixed-stride format.
-// It must produce exactly the Values the general decoder would (sign
-// extension, boolean normalization, float32 widening), since both lanes of
-// the morphing engine feed the same handlers.
-func decodeFixed(data []byte, f *Format) *Record {
-	var s Slab
-	s.Reserve(f, 1)
-	r, _ := decodeFixedRecord(data, 0, f, &s)
+// decodeFixedRecord decodes data, a length-validated payload of the
+// fixed-stride format f, through p, carving the record and its nested
+// records from s. It must produce exactly the Values the general decoder
+// would (sign extension, boolean normalization, float32 widening), since
+// both lanes of the morphing engine feed the same handlers.
+func decodeFixedRecord(data []byte, f *Format, p *Plan, s *Slab) *Record {
+	l := f.Layout()
+	if p == nil {
+		// A loop of its own: route and into are measurable on a plain
+		// decode of a small record.
+		r := s.carve(f)
+		for i := range f.fields {
+			r.vals[i] = decodeFixedValue(data[l.offsets[i]:], &f.fields[i], nil, s)
+		}
+		return r
+	}
+	r := p.carve(s)
+	for i := range f.fields {
+		if slot, dst, sub := p.route(f, i); slot != Skip {
+			src := &f.fields[i]
+			r.vals[slot] = into(dst, src, decodeFixedValue(data[l.offsets[i]:], src, sub, s))
+		}
+	}
 	return r
 }
 
-// decodeFixedRecord decodes a record of f at data[off:], carving it and its
-// nested records from s, and returns the offset just past it.
-func decodeFixedRecord(data []byte, off int, f *Format, s *Slab) (*Record, int) {
-	r := s.carve(f)
-	for i := range f.fields {
-		r.vals[i], off = decodeFixedValue(data, off, &f.fields[i], s)
-	}
-	return r, off
-}
-
-func decodeFixedValue(data []byte, off int, fld *Field, s *Slab) (Value, int) {
+// decodeFixedValue decodes the value of fld at the start of data.
+func decodeFixedValue(data []byte, fld *Field, sub *Plan, s *Slab) Value {
 	switch fld.Kind {
 	case Integer:
-		return Value{kind: Integer, num: fixedSigned(data[off:], fld.Size)}, off + fld.Size
+		return Value{kind: Integer, num: fixedSigned(data, fld.Size)}
 	case Unsigned:
-		return Value{kind: Unsigned, num: fixedUnsigned(data[off:], fld.Size)}, off + fld.Size
+		return Value{kind: Unsigned, num: fixedUnsigned(data, fld.Size)}
 	case Char:
-		return Value{kind: Char, num: int64(data[off])}, off + 1
+		return Value{kind: Char, num: int64(data[0])}
 	case Enum:
-		return Value{kind: Enum, num: fixedSigned(data[off:], fld.Size)}, off + fld.Size
+		return Value{kind: Enum, num: fixedSigned(data, fld.Size)}
 	case Boolean:
-		return Bool(data[off] != 0), off + 1
+		return Bool(data[0] != 0)
 	case Float:
 		if fld.Size == 4 {
-			return Float64(float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off:])))), off + 4
+			return Float64(float64(math.Float32frombits(binary.LittleEndian.Uint32(data))))
 		}
-		return Float64(math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))), off + 8
+		return Float64(math.Float64frombits(binary.LittleEndian.Uint64(data)))
 	default: // Complex: the only structured kind a fixed format can hold
-		sub, off := decodeFixedRecord(data, off, fld.Sub, s)
-		return RecordOf(sub), off
+		return RecordOf(decodeFixedRecord(data, fld.Sub, sub, s))
 	}
 }
 
@@ -153,54 +178,63 @@ func fixedUnsigned(b []byte, size int) int64 {
 }
 
 type decoder struct {
-	buf []byte
-	pos int
-	str string // copy of buf that decoded strings slice; made at the first one
+	buf  []byte
+	pos  int
+	text string // copy of buf that decoded strings slice; made at the first one
 }
 
-// record decodes a record of f, carving it and its nested records from s.
-func (d *decoder) record(f *Format, s *Slab) (*Record, error) {
-	r := s.carve(f)
+// record decodes a record of f through p, carving it and its nested
+// records from s. A field p skips is still read and validated.
+func (d *decoder) record(f *Format, p *Plan, s *Slab) (*Record, error) {
+	var r *Record
+	if p == nil {
+		r = s.carve(f)
+	} else {
+		r = p.carve(s)
+	}
 	for i := range f.fields {
-		v, err := d.value(&f.fields[i], s)
-		if err != nil {
-			return nil, fmt.Errorf("field %q of %q: %w", f.fields[i].Name, f.Name(), err)
+		src := &f.fields[i]
+		var err error
+		if slot, dst, sub := p.route(f, i); slot == Skip {
+			err = d.skip(src)
+		} else {
+			r.vals[slot], err = d.value(src, dst, sub, s)
 		}
-		r.vals[i] = v
+		if err != nil {
+			return nil, fmt.Errorf("field %q of %q: %w", src.Name, f.Name(), err)
+		}
 	}
 	return r, nil
 }
 
-func (d *decoder) value(fld *Field, s *Slab) (Value, error) {
-	switch fld.Kind {
+// value decodes a value of src, coerced into dst (src itself for a plain
+// decode); sub is the plan for a nested record or a list's element records.
+func (d *decoder) value(src, dst *Field, sub *Plan, s *Slab) (Value, error) {
+	switch src.Kind {
 	case Integer:
-		n, err := d.fixedInt(fld.Size, true)
-		return Value{kind: Integer, num: n}, err
+		n, err := d.fixedInt(src.Size, true)
+		return into(dst, src, Value{kind: Integer, num: n}), err
 	case Unsigned:
-		n, err := d.fixedInt(fld.Size, false)
-		return Value{kind: Unsigned, num: n}, err
+		n, err := d.fixedInt(src.Size, false)
+		return into(dst, src, Value{kind: Unsigned, num: n}), err
 	case Char:
 		n, err := d.fixedInt(1, false)
-		return Value{kind: Char, num: n}, err
+		return into(dst, src, Value{kind: Char, num: n}), err
 	case Enum:
-		n, err := d.fixedInt(fld.Size, true)
-		return Value{kind: Enum, num: n}, err
+		n, err := d.fixedInt(src.Size, true)
+		return into(dst, src, Value{kind: Enum, num: n}), err
 	case Boolean:
 		n, err := d.fixedInt(1, false)
-		return Bool(n != 0), err
+		return into(dst, src, Bool(n != 0)), err
 	case Float:
-		if fld.Size == 4 {
-			b, err := d.take(4)
-			if err != nil {
-				return Value{}, err
-			}
-			return Float64(float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))), nil
-		}
-		b, err := d.take(8)
+		b, err := d.take(src.Size)
 		if err != nil {
 			return Value{}, err
 		}
-		return Float64(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
+		if src.Size == 4 {
+			return into(dst, src, Float64(float64(math.Float32frombits(binary.LittleEndian.Uint32(b))))), nil
+		}
+		return into(dst, src, Float64(math.Float64frombits(binary.LittleEndian.Uint64(b)))), nil
 	case String:
 		n, err := d.uvarint()
 		if err != nil {
@@ -212,36 +246,29 @@ func (d *decoder) value(fld *Field, s *Slab) (Value, error) {
 		if n == 0 {
 			return Str(""), nil
 		}
-		if d.str == "" {
-			d.str = string(d.buf)
+		if d.text == "" {
+			d.text = string(d.buf)
 		}
-		return Str(d.str[d.pos-int(n) : d.pos]), nil
+		return Str(d.text[d.pos-int(n) : d.pos]), nil
 	case Complex:
-		rec, err := d.record(fld.Sub, s)
+		rec, err := d.record(src.Sub, sub, s)
 		if err != nil {
 			return Value{}, err
 		}
 		return RecordOf(rec), nil
 	case List:
-		n, err := d.uvarint()
+		n, err := d.count(src)
 		if err != nil {
 			return Value{}, err
-		}
-		if rest := len(d.buf) - d.pos; n > uint64(rest/max(minWidth(fld.Elem), 1)) {
-			// Each element occupies at least its minimum width (and at
-			// least one byte), so a count the remaining buffer cannot hold
-			// is corrupt; reject it before allocating.
-			return Value{}, fmt.Errorf("%w: list count %d exceeds remaining %d bytes",
-				ErrShortMessage, n, rest)
 		}
 		elems := make([]Value, n)
 		// The elements of a list of records share one exact-size slab.
 		var es Slab
-		if fld.Elem.Kind == Complex {
-			es.Reserve(fld.Elem.Sub, int(n))
+		if src.Elem.Kind == Complex {
+			es.Reserve(sub.target(src.Elem.Sub), n)
 		}
 		for i := range elems {
-			e, err := d.value(fld.Elem, &es)
+			e, err := d.value(src.Elem, dst.Elem, sub, &es)
 			if err != nil {
 				return Value{}, fmt.Errorf("element %d: %w", i, err)
 			}
@@ -249,8 +276,61 @@ func (d *decoder) value(fld *Field, s *Slab) (Value, error) {
 		}
 		return ListOf(elems), nil
 	default:
-		return Value{}, fmt.Errorf("pbio: cannot decode field kind %v", fld.Kind)
+		return Value{}, fmt.Errorf("pbio: cannot decode field kind %v", src.Kind)
 	}
+}
+
+// skip reads and validates a value of fld, as value would, without
+// building it.
+func (d *decoder) skip(fld *Field) error {
+	switch fld.Kind {
+	case Integer, Unsigned, Char, Enum, Boolean, Float:
+		_, err := d.take(fld.Size)
+		return err
+	case String:
+		n, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		_, err = d.take(int(n))
+		return err
+	case Complex:
+		for i := range fld.Sub.fields {
+			if err := d.skip(&fld.Sub.fields[i]); err != nil {
+				return fmt.Errorf("field %q of %q: %w", fld.Sub.fields[i].Name, fld.Sub.Name(), err)
+			}
+		}
+		return nil
+	case List:
+		n, err := d.count(fld)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if err := d.skip(fld.Elem); err != nil {
+				return fmt.Errorf("element %d: %w", i, err)
+			}
+		}
+		return nil
+	default:
+		return fmt.Errorf("pbio: cannot decode field kind %v", fld.Kind)
+	}
+}
+
+// count reads the element count of a list field.
+func (d *decoder) count(fld *Field) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if rest := len(d.buf) - d.pos; n > uint64(rest/max(minWidth(fld.Elem), 1)) {
+		// Each element occupies at least its minimum width (and at
+		// least one byte), so a count the remaining buffer cannot hold
+		// is corrupt; reject it before allocating.
+		return 0, fmt.Errorf("%w: list count %d exceeds remaining %d bytes",
+			ErrShortMessage, n, rest)
+	}
+	return int(n), nil
 }
 
 // minWidth is the fewest payload bytes a value of fld encodes to.

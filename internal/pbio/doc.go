@@ -14,7 +14,9 @@
 // structs declare the layout once through a Registry and cross to Records
 // at the boundary (Registry.ToRecord, Registry.FromRecord); the Registry
 // derives each type's Format and field indices once and reuses them for
-// every message.
+// every message. A Plan folds a conversion into decoding: Plan.Decode reads
+// a payload of one format straight into a record of another, and
+// DecodePayload is decoding through the nil (identity) plan.
 //
 // All multi-byte quantities are little-endian. Strings and dynamic lists are
 // length-prefixed with unsigned varints; complex (nested record) fields are

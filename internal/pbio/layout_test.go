@@ -151,8 +151,8 @@ func TestDecodeFixedMatchesGeneral(t *testing.T) {
 		r := randomRecord(rng, f)
 		payload := AppendPayload(nil, r)
 
-		fast := decodeFixed(payload, f)
-		gen, err := (&decoder{buf: payload}).record(f, new(Slab))
+		fast := decodeFixedRecord(payload, f, nil, new(Slab))
+		gen, err := (&decoder{buf: payload}).record(f, nil, new(Slab))
 		if err != nil {
 			t.Fatalf("trial %d: general decoder failed: %v", trial, err)
 		}
@@ -167,8 +167,8 @@ func TestDecodeFixedMatchesGeneral(t *testing.T) {
 	payload := AppendPayload(nil, r)
 	boolOff, _, _ := f.Layout().FieldSpan(5)
 	payload[boolOff] = 0xAA
-	fast := decodeFixed(payload, f)
-	gen, err := (&decoder{buf: payload}).record(f, new(Slab))
+	fast := decodeFixedRecord(payload, f, nil, new(Slab))
+	gen, err := (&decoder{buf: payload}).record(f, nil, new(Slab))
 	if err != nil {
 		t.Fatal(err)
 	}
