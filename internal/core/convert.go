@@ -186,6 +186,41 @@ func (c *Converter) convert(rec, out *pbio.Record) error {
 	return nil
 }
 
+// decodePlan folds the conversion into decoding: the pbio.Plan through
+// which a payload of the source format decodes straight into the record
+// Convert would build from it. The fills are Convert's: a move plan's
+// unnamed fields keep NewRecord's zero values, a name-wise plan's take
+// their declared defaults. It fails when one source field feeds two target
+// fields (a move plan may copy a field twice), which one decoded value
+// cannot; such a plan converts after a plain decode.
+func (c *Converter) decodePlan() (*pbio.Plan, error) {
+	fields := make([]pbio.PlanField, c.from.NumFields())
+	for i := range fields {
+		fields[i].Slot = pbio.Skip
+	}
+	fill := make([]pbio.Value, c.to.NumFields())
+	for _, s := range c.steps {
+		if s.mode == convFill {
+			fill[s.dstIdx] = s.fill
+			continue
+		}
+		pf := &fields[s.srcIdx]
+		if pf.Slot != pbio.Skip {
+			return nil, fmt.Errorf("core: plan %q→%q reads field %q twice",
+				c.from.Name(), c.to.Name(), c.from.Field(s.srcIdx).Name)
+		}
+		pf.Slot = s.dstIdx
+		if s.sub != nil {
+			sub, err := s.sub.decodePlan()
+			if err != nil {
+				return nil, err
+			}
+			pf.Sub = sub
+		}
+	}
+	return pbio.NewPlan(c.from, c.to, fields, fill)
+}
+
 // ConvertByName is a one-shot NewConverter + Convert for callers that do not
 // reuse the plan.
 func ConvertByName(rec *pbio.Record, to *pbio.Format) (*pbio.Record, error) {

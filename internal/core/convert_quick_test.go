@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ecode"
 	"repro/internal/pbio"
 )
 
@@ -254,4 +256,110 @@ func TestQuickDiffProperties(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestQuickDecodeThroughPlanMatchesRecordLane: for any pair of formats,
+// decoding a payload through a conversion plan (Converter.decodePlan) must
+// build exactly the record Convert builds from the plain decode — for the
+// name-wise plan and for a random move plan, whose unnamed fields keep
+// NewRecord's zero values — and a truncated or bit-flipped payload must fail
+// through the plan, and through the plan that skips every field, exactly
+// when the plain decode fails.
+func TestQuickDecodeThroughPlanMatchesRecordLane(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		from, to := randomFormat(rng, 2), randomFormat(rng, 2)
+		payload := pbio.AppendPayload(nil, randomRecordOf(rng, from))
+		skipAll, err := pbio.NewPlan(from, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, conv := range []*Converter{NewConverter(from, to), randomMovePlan(rng, from, to)} {
+			plan, err := conv.decodePlan()
+			if err != nil {
+				if conv.readsTwice() {
+					continue
+				}
+				t.Logf("seed %d: no plan: %v\nfrom:\n%s\nto:\n%s", seed, err, from, to)
+				return false
+			}
+			inputs := [][]byte{payload}
+			for range 8 {
+				bad := bytes.Clone(payload)
+				if len(bad) > 0 && rng.Intn(2) == 0 {
+					bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
+				} else {
+					bad = bad[:rng.Intn(len(bad)+1)]
+				}
+				inputs = append(inputs, bad)
+			}
+			for _, in := range inputs {
+				rec, errPlain := pbio.DecodePayload(in, from)
+				got, errPlan := plan.Decode(in)
+				_, errSkip := skipAll.Decode(in)
+				if (errPlain == nil) != (errPlan == nil) || (errPlain == nil) != (errSkip == nil) {
+					t.Logf("seed %d: payload %x: plain decode error %v, planned %v, skipping %v\nfrom:\n%s\nto:\n%s",
+						seed, in, errPlain, errPlan, errSkip, from, to)
+					return false
+				}
+				if errPlain != nil {
+					continue
+				}
+				want, err := conv.Convert(rec)
+				if err != nil {
+					t.Fatalf("seed %d: convert: %v", seed, err)
+				}
+				if !got.Equal(want) || !bytes.Equal(pbio.AppendPayload(nil, got), pbio.AppendPayload(nil, want)) {
+					t.Logf("seed %d: planned decode %v, Convert %v\nfrom:\n%s\nto:\n%s", seed, got, want, from, to)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomMovePlan is a move plan from → to of the kind an Ecode field map
+// lowers to: some basic fields of to copied from compatible basic fields
+// of from (a source may feed two targets), some filled with a literal, the
+// rest left to NewRecord's zero values.
+func randomMovePlan(rng *rand.Rand, from, to *pbio.Format) *Converter {
+	var moves []ecode.FieldMove
+	for j := 0; j < to.NumFields(); j++ {
+		dst := to.Field(j)
+		if !dst.Kind.IsBasic() {
+			continue
+		}
+		var srcs []int
+		for i := 0; i < from.NumFields(); i++ {
+			if src := from.Field(i); src.Kind.IsBasic() && fitOf(src, dst) != fitNone {
+				srcs = append(srcs, i)
+			}
+		}
+		switch k := rng.Intn(4); {
+		case k == 0:
+		case k == 1 || len(srcs) == 0:
+			moves = append(moves, ecode.FieldMove{Dst: j, Src: -1, Const: randomValueOf(rng, dst)})
+		default:
+			moves = append(moves, ecode.FieldMove{Dst: j, Src: srcs[rng.Intn(len(srcs))]})
+		}
+	}
+	return newMovePlan(from, to, moves)
+}
+
+// readsTwice reports whether two of the plan's steps copy one source field.
+func (c *Converter) readsTwice() bool {
+	seen := make(map[int]bool)
+	for _, s := range c.steps {
+		if s.mode != convFill {
+			if seen[s.srcIdx] {
+				return true
+			}
+			seen[s.srcIdx] = true
+		}
+	}
+	return false
 }

@@ -176,6 +176,15 @@ type decision struct {
 	identity bool
 	passLen  int
 	splice   *spliceProgram
+
+	// plan is what the record lane decodes through (pbio.Plan). For an
+	// identity decision it skips every field: decoding through it
+	// validates a message an encoded handler gets as it came. Otherwise it
+	// is the decision's leading conversion — a lowered first step, or the
+	// conversion of a decision with no steps — folded into decoding, and
+	// nil when the decision starts with an Ecode program or its leading
+	// plan reads a field twice.
+	plan *pbio.Plan
 }
 
 // step is one link of a transformation chain, producing a record of dst:
@@ -198,12 +207,16 @@ func (s *step) run(rec *pbio.Record) (*pbio.Record, error) {
 	return out, err
 }
 
-// finalizeFastLane derives the decision's byte-lane fields once, at build
-// time. noSplice (WithSpliceDisabled) keeps the record lane authoritative,
-// for A/B benchmarking and as an escape hatch.
+// finalizeFastLane derives the decision's lane fields once, at build time.
+// noSplice (WithSpliceDisabled) keeps the record lane authoritative, for
+// A/B benchmarking and as an escape hatch.
 func (d *decision) finalizeFastLane(noSplice bool) {
 	d.identity = !d.reject && len(d.steps) == 0 && d.conv == nil
-	if noSplice || d.reject {
+	if d.reject {
+		return
+	}
+	d.plan = d.decodePlan()
+	if noSplice {
 		return
 	}
 	if d.identity {
@@ -219,6 +232,26 @@ func (d *decision) finalizeFastLane(noSplice bool) {
 			d.splice = sp
 		}
 	}
+}
+
+// decodePlan builds the decision's plan (see decision.plan).
+func (d *decision) decodePlan() *pbio.Plan {
+	lead := d.conv
+	switch {
+	case d.identity:
+		p, _ := pbio.NewPlan(d.reg.format, nil, nil, nil) // cannot fail: it skips every field
+		return p
+	case len(d.steps) > 0:
+		lead = d.steps[0].plan
+	}
+	if lead == nil {
+		return nil
+	}
+	p, err := lead.decodePlan()
+	if err != nil {
+		return nil // the lead converts after a plain decode instead
+	}
+	return p
 }
 
 // MorpherOption configures a Morpher at construction time.
@@ -459,7 +492,7 @@ func (m *Morpher) Deliver(rec *pbio.Record) error {
 		return err
 	}
 	m.c.spliceMisses.Inc()
-	out, err := m.applyDecision(d, rec, trace.Context{})
+	out, err := m.applyDecision(d, rec, nil, nil, trace.Context{})
 	if err != nil {
 		return err
 	}
@@ -582,22 +615,24 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 	}
 
 	// Record lane: decode, transform/convert, deliver. Identity decisions
-	// on variable-width formats still hand encoded consumers the original
-	// bytes — the decode above serves as validation only.
+	// on variable-width formats hand encoded consumers the original bytes,
+	// once the decoder has validated them through the plan that skips
+	// every field.
 	m.c.spliceMisses.Inc()
 	ls := m.tracer.StartSpan(tctx, trace.StageLaneRecord)
-	rec, err := pbio.DecodeRecord(data, wire)
-	if err != nil {
-		ls.EndErr(err)
-		return err
+	payload := data[pbio.EnvelopeSize:]
+	var out *pbio.Record
+	if d.identity && d.reg.encHandler != nil {
+		_, err = d.plan.Decode(payload)
+	} else {
+		out, err = m.applyDecision(d, nil, payload, wire, ls.Context())
 	}
-	out, err := m.applyDecision(d, rec, ls.Context())
 	if err != nil {
 		ls.EndErr(err)
 		return err
 	}
 	dv := m.tracer.StartSpan(ls.Context(), trace.StageDeliver)
-	if d.identity && d.reg.encHandler != nil {
+	if out == nil {
 		err = d.reg.encHandler(data, d.reg.format)
 	} else {
 		err = d.reg.deliverRecord(out)
@@ -609,15 +644,32 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 }
 
 // applyDecision runs the decision's transformation chain and conversion on
-// rec. tctx (the enclosing lane span's context, zero when untraced) parents
-// the per-step and conversion spans.
-func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, tctx trace.Context) (*pbio.Record, error) {
+// rec, a record in the incoming format, or — rec nil — on payload, a
+// payload of the incoming format wire, which it decodes first. When the decision's plan holds its
+// leading conversion, that operation runs inside the decoder, under the
+// span and counter it has when it runs on its own; a payload that fails to
+// decode fails before any operation, as it does on a plain decode. tctx
+// (the enclosing lane span's context, zero when untraced) parents the
+// per-step and conversion spans.
+func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, payload []byte, wire *pbio.Format, tctx trace.Context) (*pbio.Record, error) {
+	lead := rec == nil && d.plan != nil && !d.identity
+	if rec == nil && !lead {
+		var err error
+		if rec, err = pbio.DecodePayload(payload, wire); err != nil {
+			return nil, err
+		}
+	}
 	cur := rec
 	for i := range d.steps {
 		s := &d.steps[i]
 		xs := m.tracer.StartSpan(tctx, trace.StageXformStep)
-		dst, err := s.run(cur)
-		if err != nil {
+		var dst *pbio.Record
+		var err error
+		if i == 0 && lead {
+			if dst, err = d.plan.Decode(payload); err != nil {
+				return nil, err
+			}
+		} else if dst, err = s.run(cur); err != nil {
 			xs.EndErr(err)
 			return nil, fmt.Errorf("core: transformation step %d (%q→%q): %w",
 				i, cur.Format().Name(), s.dst.Name(), err)
@@ -634,7 +686,15 @@ func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, tctx trace.Contex
 	}
 	if d.conv != nil {
 		cs := m.tracer.StartSpan(tctx, trace.StageConvert)
-		out, err := d.conv.Convert(cur)
+		var out *pbio.Record
+		var err error
+		if lead && len(d.steps) == 0 {
+			if out, err = d.plan.Decode(payload); err != nil {
+				return nil, err
+			}
+		} else {
+			out, err = d.conv.Convert(cur)
+		}
 		cs.EndErr(err)
 		if err != nil {
 			return nil, err
