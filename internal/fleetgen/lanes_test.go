@@ -14,11 +14,13 @@ import (
 // TestLanesAgree is the lane oracle over generated schema evolution. For
 // every ordered pair of generations of seeded lineages that a name-wise
 // conversion can bridge — each field of the target with a provenance source
-// keeps its name there — three lanes must produce byte-identical messages:
-// the pair's XformBetween run by Ecode, the record lane (core.Converter)
-// and the splice lane (a Morpher delivering encoded bytes to an encoded
-// handler). A pair whose shared fields all keep their kind and width must
-// take the splice lane. Before any delivery, the Morpher's Explain must
+// keeps its name there — four lanes must produce byte-identical messages:
+// the pair's XformBetween run by Ecode, the record lane (core.Converter),
+// the splice lane (a Morpher delivering encoded bytes to an encoded
+// handler) and the planned decode (a Morpher delivering encoded bytes to a
+// record handler, which decodes straight through the conversion). A pair
+// whose shared fields all keep their kind and width must take the splice
+// lane. Before any delivery, the Morpher's Explain must
 // agree with the generator's provenance: the pair's target, no chain, a
 // perfect match exactly for identical structures, and as Dropped and
 // Defaulted the fields whose id only one side has.
@@ -109,6 +111,14 @@ func checkLanes(t *testing.T, from, to *Generation) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	planned := core.NewMorpher(core.Thresholds{Diff: math.MaxInt32, Mismatch: 1})
+	var decoded *pbio.Record
+	if err := planned.RegisterFormat(to.Format, func(rec *pbio.Record) error {
+		decoded = rec
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	e, err := m.Explain(from.Format)
 	if err != nil {
@@ -141,9 +151,14 @@ func checkLanes(t *testing.T, from, to *Generation) {
 		if err := m.DeliverEncoded(pbio.EncodeRecord(in), from.Format); err != nil {
 			t.Fatalf("gen%d→gen%d seq %d: splice lane: %v", from.Index, to.Index, seq, err)
 		}
-		if !bytes.Equal(viaEcode, viaRecord) || !bytes.Equal(viaEcode, spliced) {
-			t.Fatalf("gen%d→gen%d seq %d: lanes disagree\n ecode:  %x\n record: %x\n splice: %x\n code: %s",
-				from.Index, to.Index, seq, viaEcode, viaRecord, spliced, x.Code)
+		decoded = nil
+		if err := planned.DeliverEncoded(pbio.EncodeRecord(in), from.Format); err != nil {
+			t.Fatalf("gen%d→gen%d seq %d: planned decode: %v", from.Index, to.Index, seq, err)
+		}
+		viaPlan := pbio.EncodeRecord(decoded)
+		if !bytes.Equal(viaEcode, viaRecord) || !bytes.Equal(viaEcode, spliced) || !bytes.Equal(viaEcode, viaPlan) {
+			t.Fatalf("gen%d→gen%d seq %d: lanes disagree\n ecode:  %x\n record: %x\n splice: %x\n plan:   %x\n code: %s",
+				from.Index, to.Index, seq, viaEcode, viaRecord, spliced, viaPlan, x.Code)
 		}
 		if shapesKept(from, to) && m.Stats().SpliceHits == hits {
 			t.Fatalf("gen%d→gen%d: no retype between them, but the delivery missed the splice lane", from.Index, to.Index)

@@ -3,6 +3,7 @@ package fleetgen
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -15,7 +16,8 @@ import (
 // renames included, which a name-wise conversion cannot bridge — a Morpher
 // that knows the pair's XformBetween must deliver exactly the bytes the
 // Ecode VM produces: Program.Run into a zero record of the target, then
-// EncodeRecord. A pair whose formats share every field name matches
+// EncodeRecord. It must do so to an encoded handler and to a record
+// handler, whose deliveries decode straight through the lowered plan. A pair whose formats share every field name matches
 // name-wise as well as through the transform, and MaxMatch breaks that tie
 // toward no transformation; every other pair runs the transform, as a
 // conversion plan (Explanation.Lowered). Near misses — transforms that are
@@ -117,10 +119,11 @@ func nearMisses(t *testing.T) {
 	}
 }
 
-// checkAgainstVM declares x to a Morpher that has x.To registered, checks
-// that messages made by in, delivered as encoded bytes of x.From, arrive as
-// the bytes the Ecode VM makes of them, and returns the Morpher's
-// explanation of the delivery.
+// checkAgainstVM declares x to two Morphers that have x.To registered, one
+// with an encoded handler and one with a record handler, checks that
+// messages made by in, delivered to both as encoded bytes of x.From, arrive
+// as the bytes the Ecode VM makes of them, and returns the explanation of
+// the delivery, which the two Morphers must share.
 func checkAgainstVM(t *testing.T, x *core.Xform, in func(seq uint64) *pbio.Record) core.Explanation {
 	t.Helper()
 	prog, err := ecode.Compile(x.Code,
@@ -129,23 +132,37 @@ func checkAgainstVM(t *testing.T, x *core.Xform, in func(seq uint64) *pbio.Recor
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := core.NewMorpher(core.Thresholds{Diff: math.MaxInt32, Mismatch: 1})
 	var got []byte
-	if err := m.RegisterFormatEncoded(x.To, func(data []byte, _ *pbio.Format) error {
+	enc := core.NewMorpher(core.Thresholds{Diff: math.MaxInt32, Mismatch: 1})
+	if err := enc.RegisterFormatEncoded(x.To, func(data []byte, _ *pbio.Format) error {
 		got = append(got[:0], data...)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddTransform(x); err != nil {
+	rec := core.NewMorpher(core.Thresholds{Diff: math.MaxInt32, Mismatch: 1})
+	if err := rec.RegisterFormat(x.To, func(r *pbio.Record) error {
+		got = pbio.EncodeRecord(r)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := m.Explain(x.From)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Rejected || e.Target != x.To || e.ChainLen > 1 || e.ChainLen == 1 && !e.Perfect {
-		t.Fatalf("Explain = %+v, want target %q, directly or through x\n code: %s", e, x.To.Name(), x.Code)
+	var e core.Explanation
+	for i, m := range []*core.Morpher{enc, rec} {
+		if err := m.AddTransform(x); err != nil {
+			t.Fatal(err)
+		}
+		ex, err := m.Explain(x.From)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Rejected || ex.Target != x.To || ex.ChainLen > 1 || ex.ChainLen == 1 && !ex.Perfect {
+			t.Fatalf("Explain = %+v, want target %q, directly or through x\n code: %s", ex, x.To.Name(), x.Code)
+		}
+		if i > 0 && !reflect.DeepEqual(ex, e) {
+			t.Fatalf("Explain = %+v with a record handler, %+v with an encoded one", ex, e)
+		}
+		e = ex
 	}
 	for _, seq := range []uint64{0, 1, 977, 1 << 40} {
 		out := pbio.NewRecord(x.To)
@@ -153,12 +170,15 @@ func checkAgainstVM(t *testing.T, x *core.Xform, in func(seq uint64) *pbio.Recor
 			t.Fatalf("seq %d: VM: %v", seq, err)
 		}
 		want := pbio.EncodeRecord(out)
-		got = nil
-		if err := m.DeliverEncoded(pbio.EncodeRecord(in(seq)), x.From); err != nil {
-			t.Fatalf("seq %d: deliver: %v", seq, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("seq %d: delivered %x, the VM made %x\n code: %s", seq, got, want, x.Code)
+		for i, m := range []*core.Morpher{enc, rec} {
+			handler := [...]string{"an encoded", "a record"}[i]
+			got = nil
+			if err := m.DeliverEncoded(pbio.EncodeRecord(in(seq)), x.From); err != nil {
+				t.Fatalf("seq %d: deliver to %s handler: %v", seq, handler, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seq %d: delivered %x to %s handler, the VM made %x\n code: %s", seq, got, handler, want, x.Code)
+			}
 		}
 	}
 	return e

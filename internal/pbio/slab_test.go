@@ -2,10 +2,14 @@ package pbio_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ecode"
 	"repro/internal/fleetgen"
 	"repro/internal/pbio"
 )
@@ -111,6 +115,14 @@ func TestSlabNewRecord(t *testing.T) {
 // panic; a record must own its memory (the input is clobbered afterwards),
 // re-encode to the input bytes (a non-zero boolean byte reads as true, so
 // it re-encodes as 1), and Equal its Clone.
+//
+// Each input is also delivered to a Morpher whose record handler has the
+// payload decoded straight through a conversion plan: the Roster reordered
+// at both levels, telemetry cut to a subset with one field widened, and the
+// fleetgen generation lowered to its lineage's generation 0 through a move
+// plan. The delivery must fail exactly when DecodePayload fails, and
+// otherwise hand over what converting the decoded record builds: Convert
+// for the name-wise plans, the transform's Ecode run for the move plan.
 func FuzzDecodePayload(f *testing.F) {
 	lin, err := fleetgen.NewLineage("fuzz", 7, 7, 9)
 	if err != nil {
@@ -122,6 +134,15 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 	}
 	formats := []*pbio.Format{rosterV2, telemetry, lin.Latest().Format}
+	lowered, err := fleetgen.XformBetween(lin.Latest(), lin.Generations()[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	planned := []*plannedSink{
+		newPlannedSink(f, rosterV2, rosterReordered, nil),
+		newPlannedSink(f, telemetry, telemetrySubset, nil),
+		newPlannedSink(f, lowered.From, lowered.To, lowered),
+	}
 
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 3, 28} {
@@ -135,11 +156,19 @@ func FuzzDecodePayload(f *testing.F) {
 		fm := formats[int(which)%len(formats)]
 		in := bytes.Clone(data)
 		rec, err := pbio.DecodePayload(data, fm)
+		ps := planned[int(which)%len(planned)]
+		got, perr := ps.deliver(data)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("DecodePayload error %v, planned decode error %v", err, perr)
+		}
 		if err != nil {
 			return
 		}
 		for i := range data {
 			data[i] = 0xA5
+		}
+		if want := ps.want(t, rec); !got.Equal(want) {
+			t.Fatalf("planned decode %v, converting the decoded record %v", got, want)
 		}
 		out := pbio.AppendPayload(nil, rec)
 		if len(out) != len(in) {
@@ -154,6 +183,88 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Fatalf("record does not Equal its Clone: %v", rec)
 		}
 	})
+}
+
+var (
+	memberReordered = pbio.MustFormat("MemberV2", []pbio.Field{
+		{Name: "ID", Kind: pbio.Integer, Size: 4},
+		{Name: "is_Sink", Kind: pbio.Boolean},
+		{Name: "info", Kind: pbio.String},
+		{Name: "is_Source", Kind: pbio.Boolean},
+	})
+	rosterReordered = pbio.MustFormat("Roster", append(append([]pbio.Field(nil), protected...),
+		pbio.Field{Name: "member_list", Kind: pbio.List, Elem: &pbio.Field{Kind: pbio.Complex, Sub: memberReordered}},
+		pbio.Field{Name: "member_count", Kind: pbio.Integer, Size: 4},
+	))
+	// A width change keeps the telemetry subset off the splice lane.
+	telemetrySubset = pbio.MustFormat("telemetry", append(append([]pbio.Field(nil), protected...),
+		pbio.Field{Name: "rpm", Kind: pbio.Integer, Size: 8},
+		pbio.Field{Name: "temp", Kind: pbio.Float, Size: 8},
+		pbio.Field{Name: "status", Kind: pbio.Integer, Size: 4, Default: pbio.Int(-1)},
+		pbio.Field{Name: "note", Kind: pbio.String, Default: pbio.Str("n/a")},
+	))
+)
+
+// plannedSink is a Morpher whose record handler takes payloads of from as
+// records of to, by name or through x.
+type plannedSink struct {
+	from, to *pbio.Format
+	m        *core.Morpher
+	conv     *core.Converter // name-wise reference
+	prog     *ecode.Program  // x's reference
+	got      *pbio.Record
+}
+
+func newPlannedSink(f *testing.F, from, to *pbio.Format, x *core.Xform) *plannedSink {
+	ps := &plannedSink{from: from, to: to, m: core.NewMorpher(core.Thresholds{Diff: math.MaxInt32, Mismatch: 1})}
+	if err := ps.m.RegisterFormat(to, func(r *pbio.Record) error {
+		ps.got = r
+		return nil
+	}); err != nil {
+		f.Fatal(err)
+	}
+	if x == nil {
+		ps.conv = core.NewConverter(from, to)
+		return ps
+	}
+	if err := ps.m.AddTransform(x); err != nil {
+		f.Fatal(err)
+	}
+	ex, err := ps.m.Explain(from)
+	if err != nil || ex.ChainLen != 1 || ex.Lowered != 1 {
+		f.Fatalf("Explain = %+v, %v; want one lowered step", ex, err)
+	}
+	if ps.prog, err = ecode.Compile(x.Code,
+		ecode.Param{Name: core.SrcParam, Format: x.From},
+		ecode.Param{Name: core.DstParam, Format: x.To}); err != nil {
+		f.Fatal(err)
+	}
+	return ps
+}
+
+// deliver hands payload, enveloped, to the Morpher and returns the record
+// its handler got.
+func (ps *plannedSink) deliver(payload []byte) (*pbio.Record, error) {
+	ps.got = nil
+	msg := binary.LittleEndian.AppendUint64(make([]byte, 0, pbio.EnvelopeSize+len(payload)), ps.from.Fingerprint())
+	err := ps.m.DeliverEncoded(append(msg, payload...), ps.from)
+	return ps.got, err
+}
+
+// want converts rec, a record of from, to what the handler must get.
+func (ps *plannedSink) want(t *testing.T, rec *pbio.Record) *pbio.Record {
+	if ps.conv != nil {
+		out, err := ps.conv.Convert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	out := pbio.NewRecord(ps.to)
+	if _, err := ps.prog.Run(rec, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // FuzzDecodeFormat feeds arbitrary bytes to the format-blob decoder, the

@@ -69,8 +69,8 @@ selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFr
 echo "== publisher write coalescer contract and buffered-burst overflow (race-enabled)"
 selected run 'TestPublishOrderConcurrent|TestCloseFlushesAccepted|TestPublishBlocksOnStalledPeer|TestCoalescerBoundsMemory|TestPublishFailsAfterBrokerCloses|TestCloseLeavesNoGoroutine|TestBufferedBurstDoesNotOverflow' \
     -race -count=1 ./internal/echo/
-echo "== allocation gates (packed Value, list slabs, steady-state Publish, heap of a decoded format)"
-selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestPublishAllocs|TestDecodedFormatBytes' \
+echo "== allocation gates (packed Value, list slabs, record-lane deliveries decoded through their plans, steady-state Publish, heap of a decoded format)"
+selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestRecordLaneAllocs|TestPublishAllocs|TestDecodedFormatBytes' \
     -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/ ./internal/echo/
 echo "== one decoded copy of each format per owner (format frame, connection, registry cache; Register never writes the caller's transforms; race-enabled)"
 selected run 'TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFormats|TestWatchKeepsOneFormatPerFingerprint|TestRegisterLeavesXformsAlone' \
@@ -78,8 +78,8 @@ selected run 'TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFor
 echo "== untrusted Ecode source (nesting bound, growth charged to the step budget, folding keeps type errors and agrees with unfolded code), numeric stores as pbio coerces them, Figure 5 equal to hand-written Go, record paths rebound wherever they may change, and the lane and lowering oracles over fleetgen lineages"
 selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestFoldingKeepsTypeErrors|TestQuickFoldEquivalence|TestQuickFigure5MatchesHandWritten|TestPathBindingHazards|TestLanesAgree|TestNumericStoreMatchesRecordLane|TestLoweredPlansMatchVM' \
     -race -count=1 ./internal/ecode/ ./internal/fleetgen/
-echo "== one name-wise pairing (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing)"
-selected run 'TestQuickOnePairing|TestMatchingAllocFree' -count=1 ./internal/core/
+echo "== one name-wise pairing (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing; decoding through a plan equals converting the plain decode and refuses what it refuses)"
+selected run 'TestQuickOnePairing|TestMatchingAllocFree|TestQuickDecodeThroughPlanMatchesRecordLane|TestRecordLaneRejectsWhatDecodeRejects' -count=1 ./internal/core/
 echo "== one PBIO codec (struct bridge allocations, self-referential types refused, .morphcap as PBIO records; race-enabled)"
 selected run 'TestStructBridgeAllocs|TestRegisterErrors|TestCapture' -race -count=1 ./internal/pbio/ ./internal/tap/
 echo "== tap ring and capture suite (race-enabled)"
