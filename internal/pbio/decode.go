@@ -178,9 +178,9 @@ func fixedUnsigned(b []byte, size int) int64 {
 }
 
 type decoder struct {
-	buf  []byte
-	pos  int
-	text string // copy of buf that decoded strings slice; made at the first one
+	buf []byte
+	pos int
+	str string // copy of buf that decoded strings slice; made at the first one
 }
 
 // record decodes a record of f through p, carving it and its nested
@@ -246,10 +246,10 @@ func (d *decoder) value(src, dst *Field, sub *Plan, s *Slab) (Value, error) {
 		if n == 0 {
 			return Str(""), nil
 		}
-		if d.text == "" {
-			d.text = string(d.buf)
+		if d.str == "" {
+			d.str = string(d.buf)
 		}
-		return Str(d.text[d.pos-int(n) : d.pos]), nil
+		return Str(d.str[d.pos-int(n) : d.pos]), nil
 	case Complex:
 		rec, err := d.record(src.Sub, sub, s)
 		if err != nil {
