@@ -645,12 +645,12 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 
 // applyDecision runs the decision's transformation chain and conversion on
 // rec, a record in the incoming format, or — rec nil — on payload, a
-// payload of the incoming format wire, which it decodes first. When the decision's plan holds its
-// leading conversion, that operation runs inside the decoder, under the
-// span and counter it has when it runs on its own; a payload that fails to
-// decode fails before any operation, as it does on a plain decode. tctx
-// (the enclosing lane span's context, zero when untraced) parents the
-// per-step and conversion spans.
+// payload of the incoming format wire, which it decodes first. When the
+// decision's plan holds its leading conversion, that operation runs inside
+// the decoder, under the span and counter it has when it runs on its own;
+// a payload that fails to decode fails before any operation, as it does on
+// a plain decode. tctx (the enclosing lane span's context, zero when
+// untraced) parents the per-step and conversion spans.
 func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, payload []byte, wire *pbio.Format, tctx trace.Context) (*pbio.Record, error) {
 	lead := rec == nil && d.plan != nil && !d.identity
 	if rec == nil && !lead {
