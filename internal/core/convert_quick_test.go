@@ -258,45 +258,50 @@ func TestQuickDiffProperties(t *testing.T) {
 	}
 }
 
-// TestQuickDecodeThroughPlanMatchesRecordLane: for any pair of formats,
-// decoding a payload through a conversion plan (Converter.decodePlan) must
-// build exactly the record Convert builds from the plain decode — for the
-// name-wise plan and for a random move plan, whose unnamed fields keep
-// NewRecord's zero values — and a truncated or bit-flipped payload must fail
-// through the plan, and through the plan that skips every field, exactly
-// when the plain decode fails.
-func TestQuickDecodeThroughPlanMatchesRecordLane(t *testing.T) {
+// TestQuickPlansMatchByName: for any pair of formats, both executors of a
+// conversion plan — Plan.Decode on a payload and Converter.Convert on its
+// plain decode — build exactly the record an independent reference builds:
+// byName for the name-wise plan, and for a random move plan (a source may
+// feed two targets) the gather its moves describe. A truncated or
+// bit-flipped payload must fail through either plan, and through the plan
+// that skips every field, exactly when the plain decode fails.
+func TestQuickPlansMatchByName(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		from, to := randomFormat(rng, 2), randomFormat(rng, 2)
 		payload := pbio.AppendPayload(nil, randomRecordOf(rng, from))
-		skipAll, err := pbio.NewPlan(from, nil, nil, nil)
+		skipAll, err := pbio.NewPlan(from, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, conv := range []*Converter{NewConverter(from, to), randomMovePlan(rng, from, to)} {
-			plan, err := conv.decodePlan()
-			if err != nil {
-				if conv.readsTwice() {
-					continue
-				}
-				t.Logf("seed %d: no plan: %v\nfrom:\n%s\nto:\n%s", seed, err, from, to)
-				return false
+		moves := randomMoves(rng, from, to)
+		moved, err := newMovePlan(from, to, moves)
+		if err != nil {
+			t.Fatalf("seed %d: move plan: %v", seed, err)
+		}
+		// Converter.Convert is its plan's Convert.
+		plans := []struct {
+			plan *pbio.Plan
+			want func(*pbio.Record) *pbio.Record
+		}{
+			{NewConverter(from, to).Plan, func(rec *pbio.Record) *pbio.Record { return byName(rec, to) }},
+			{moved, func(rec *pbio.Record) *pbio.Record { return gather(rec, to, moves) }},
+		}
+		inputs := [][]byte{payload}
+		for range 8 {
+			bad := bytes.Clone(payload)
+			if len(bad) > 0 && rng.Intn(2) == 0 {
+				bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
+			} else {
+				bad = bad[:rng.Intn(len(bad)+1)]
 			}
-			inputs := [][]byte{payload}
-			for range 8 {
-				bad := bytes.Clone(payload)
-				if len(bad) > 0 && rng.Intn(2) == 0 {
-					bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
-				} else {
-					bad = bad[:rng.Intn(len(bad)+1)]
-				}
-				inputs = append(inputs, bad)
-			}
-			for _, in := range inputs {
-				rec, errPlain := pbio.DecodePayload(in, from)
-				got, errPlan := plan.Decode(in)
-				_, errSkip := skipAll.Decode(in)
+			inputs = append(inputs, bad)
+		}
+		for _, in := range inputs {
+			rec, errPlain := pbio.DecodePayload(in, from)
+			_, errSkip := skipAll.Decode(in)
+			for _, pc := range plans {
+				decoded, errPlan := pc.plan.Decode(in)
 				if (errPlain == nil) != (errPlan == nil) || (errPlain == nil) != (errSkip == nil) {
 					t.Logf("seed %d: payload %x: plain decode error %v, planned %v, skipping %v\nfrom:\n%s\nto:\n%s",
 						seed, in, errPlain, errPlan, errSkip, from, to)
@@ -305,13 +310,17 @@ func TestQuickDecodeThroughPlanMatchesRecordLane(t *testing.T) {
 				if errPlain != nil {
 					continue
 				}
-				want, err := conv.Convert(rec)
+				converted, err := pc.plan.Convert(rec)
 				if err != nil {
 					t.Fatalf("seed %d: convert: %v", seed, err)
 				}
-				if !got.Equal(want) || !bytes.Equal(pbio.AppendPayload(nil, got), pbio.AppendPayload(nil, want)) {
-					t.Logf("seed %d: planned decode %v, Convert %v\nfrom:\n%s\nto:\n%s", seed, got, want, from, to)
-					return false
+				want := pc.want(rec)
+				for _, got := range []*pbio.Record{decoded, converted} {
+					if !got.Equal(want) || !bytes.Equal(pbio.AppendPayload(nil, got), pbio.AppendPayload(nil, want)) {
+						t.Logf("seed %d: planned decode %v, Convert %v, reference %v\nfrom:\n%s\nto:\n%s",
+							seed, decoded, converted, want, from, to)
+						return false
+					}
 				}
 			}
 		}
@@ -322,11 +331,49 @@ func TestQuickDecodeThroughPlanMatchesRecordLane(t *testing.T) {
 	}
 }
 
-// randomMovePlan is a move plan from → to of the kind an Ecode field map
-// lowers to: some basic fields of to copied from compatible basic fields
-// of from (a source may feed two targets), some filled with a literal, the
-// rest left to NewRecord's zero values.
-func randomMovePlan(rng *rand.Rand, from, to *pbio.Format) *Converter {
+// byName is lines 26–29 of Algorithm 2 written out, the reference the
+// name-wise plan is checked against: each field of to takes rec's
+// same-named field, found by Lookup and stored by SetIndex — nested
+// records and the records of lists converted the same way — or, where rec
+// has no field SetIndex accepts, the field's Default.
+func byName(rec *pbio.Record, to *pbio.Format) *pbio.Record {
+	out := pbio.NewRecord(to)
+	from := rec.Format()
+	for j := 0; j < to.NumFields(); j++ {
+		dst := to.Field(j)
+		if i := from.Lookup(dst.Name); i >= 0 && out.SetIndex(j, byNameValue(rec.GetIndex(i), from.Field(i), dst)) == nil {
+			continue
+		}
+		if !dst.Default.IsZero() {
+			if err := out.SetIndex(j, dst.Default); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return out
+}
+
+// byNameValue is v, a value of src, as SetIndex into dst needs it: a
+// record, or each record of a list, converted to dst's records by byName.
+func byNameValue(v pbio.Value, src, dst *pbio.Field) pbio.Value {
+	switch {
+	case src.Kind == pbio.Complex && dst.Kind == pbio.Complex:
+		return pbio.RecordOf(byName(v.Record(), dst.Sub))
+	case src.Kind == pbio.List && dst.Kind == pbio.List && src.Elem.Kind == pbio.Complex && dst.Elem.Kind == pbio.Complex:
+		elems := make([]pbio.Value, v.Len())
+		for k, e := range v.List() {
+			elems[k] = pbio.RecordOf(byName(e.Record(), dst.Elem.Sub))
+		}
+		return pbio.ListOf(elems)
+	}
+	return v
+}
+
+// randomMoves is a field map from → to of the kind an Ecode transform that
+// only moves fields has: some basic fields of to copied from compatible
+// basic fields of from (a source may feed two targets), some filled with a
+// literal, the rest left to NewRecord's zero values.
+func randomMoves(rng *rand.Rand, from, to *pbio.Format) []ecode.FieldMove {
 	var moves []ecode.FieldMove
 	for j := 0; j < to.NumFields(); j++ {
 		dst := to.Field(j)
@@ -347,19 +394,21 @@ func randomMovePlan(rng *rand.Rand, from, to *pbio.Format) *Converter {
 			moves = append(moves, ecode.FieldMove{Dst: j, Src: srcs[rng.Intn(len(srcs))]})
 		}
 	}
-	return newMovePlan(from, to, moves)
+	return moves
 }
 
-// readsTwice reports whether two of the plan's steps copy one source field.
-func (c *Converter) readsTwice() bool {
-	seen := make(map[int]bool)
-	for _, s := range c.steps {
-		if s.mode != convFill {
-			if seen[s.srcIdx] {
-				return true
-			}
-			seen[s.srcIdx] = true
+// gather is what running a field map does: each move stored with SetIndex
+// into a zero record of to.
+func gather(rec *pbio.Record, to *pbio.Format, moves []ecode.FieldMove) *pbio.Record {
+	out := pbio.NewRecord(to)
+	for _, mv := range moves {
+		v := mv.Const
+		if mv.Src >= 0 {
+			v = rec.GetIndex(mv.Src)
+		}
+		if err := out.SetIndex(mv.Dst, v); err != nil {
+			panic(err)
 		}
 	}
-	return false
+	return out
 }

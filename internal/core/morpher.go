@@ -177,14 +177,25 @@ type decision struct {
 	passLen  int
 	splice   *spliceProgram
 
-	// plan is what the record lane decodes through (pbio.Plan). For an
-	// identity decision it skips every field: decoding through it
-	// validates a message an encoded handler gets as it came. Otherwise it
-	// is the decision's leading conversion — a lowered first step, or the
-	// conversion of a decision with no steps — folded into decoding, and
-	// nil when the decision starts with an Ecode program or its leading
-	// plan reads a field twice.
-	plan *pbio.Plan
+	// skipAll is, for an identity decision, the plan that skips every
+	// field: decoding through it validates a message an encoded handler
+	// gets as it came. A converting decision decodes through its first
+	// operation's own plan (first).
+	skipAll *pbio.Plan
+}
+
+// first is the plan of the decision's first operation — a lowered first
+// step, or the conversion of a decision with no steps — which the record
+// lane runs inside the decoder; nil when the decision starts with an Ecode
+// program or has no operation.
+func (d *decision) first() *pbio.Plan {
+	switch {
+	case len(d.steps) > 0:
+		return d.steps[0].plan
+	case d.conv != nil:
+		return d.conv.Plan
+	}
+	return nil
 }
 
 // step is one link of a transformation chain, producing a record of dst:
@@ -193,18 +204,28 @@ type decision struct {
 // without a VM frame.
 type step struct {
 	prog *ecode.Program // nil when lowered
-	plan *Converter     // nil unless lowered
+	plan *pbio.Plan     // nil unless lowered
 	dst  *pbio.Format
 }
 
-// run applies the step to rec, a record of the step's source format.
-func (s *step) run(rec *pbio.Record) (*pbio.Record, error) {
+// run applies the step to rec, a record of the step's source format, or —
+// rec nil, the step first — to payload (see through).
+func (s *step) run(rec *pbio.Record, payload []byte) (*pbio.Record, error) {
 	if s.plan != nil {
-		return s.plan.Convert(rec)
+		return through(s.plan, rec, payload)
 	}
 	out := pbio.NewRecord(s.dst)
 	_, err := s.prog.Run(rec, out)
 	return out, err
+}
+
+// through applies plan p to rec or, when rec is nil because p is the
+// decision's first operation, decodes payload through it.
+func through(p *pbio.Plan, rec *pbio.Record, payload []byte) (*pbio.Record, error) {
+	if rec == nil {
+		return p.Decode(payload)
+	}
+	return p.Convert(rec)
 }
 
 // finalizeFastLane derives the decision's lane fields once, at build time.
@@ -212,46 +233,17 @@ func (s *step) run(rec *pbio.Record) (*pbio.Record, error) {
 // A/B benchmarking and as an escape hatch.
 func (d *decision) finalizeFastLane(noSplice bool) {
 	d.identity = !d.reject && len(d.steps) == 0 && d.conv == nil
-	if d.reject {
-		return
-	}
-	d.plan = d.decodePlan()
-	if noSplice {
-		return
-	}
-	if d.identity {
-		if l := d.reg.format.Layout(); l.Fixed() {
+	switch {
+	case d.identity:
+		d.skipAll, _ = pbio.NewPlan(d.reg.format, nil, nil) // cannot fail: it skips every field
+		if l := d.reg.format.Layout(); l.Fixed() && !noSplice {
 			// A fixed-stride payload of the right length is fully valid, so
 			// identity deliveries can forward the incoming bytes untouched.
 			d.passLen = pbio.EnvelopeSize + l.Size()
 		}
-		return
+	case !d.reject && !noSplice && len(d.steps) == 0:
+		d.splice, _ = compileSplice(d.conv)
 	}
-	if len(d.steps) == 0 && d.conv != nil {
-		if sp, ok := compileSplice(d.conv); ok {
-			d.splice = sp
-		}
-	}
-}
-
-// decodePlan builds the decision's plan (see decision.plan).
-func (d *decision) decodePlan() *pbio.Plan {
-	lead := d.conv
-	switch {
-	case d.identity:
-		p, _ := pbio.NewPlan(d.reg.format, nil, nil, nil) // cannot fail: it skips every field
-		return p
-	case len(d.steps) > 0:
-		lead = d.steps[0].plan
-	}
-	if lead == nil {
-		return nil
-	}
-	p, err := lead.decodePlan()
-	if err != nil {
-		return nil // the lead converts after a plain decode instead
-	}
-	return p
 }
 
 // MorpherOption configures a Morpher at construction time.
@@ -623,7 +615,7 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 	payload := data[pbio.EnvelopeSize:]
 	var out *pbio.Record
 	if d.identity && d.reg.encHandler != nil {
-		_, err = d.plan.Decode(payload)
+		_, err = d.skipAll.Decode(payload)
 	} else {
 		out, err = m.applyDecision(d, nil, payload, wire, ls.Context())
 	}
@@ -645,15 +637,15 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 
 // applyDecision runs the decision's transformation chain and conversion on
 // rec, a record in the incoming format, or — rec nil — on payload, a
-// payload of the incoming format wire, which it decodes first. When the
-// decision's plan holds its leading conversion, that operation runs inside
-// the decoder, under the span and counter it has when it runs on its own;
-// a payload that fails to decode fails before any operation, as it does on
-// a plain decode. tctx (the enclosing lane span's context, zero when
-// untraced) parents the per-step and conversion spans.
+// payload of the incoming format wire. The first operation runs inside the
+// decoder when it has a plan of its own (decision.first), under the span
+// and counter it has when it runs on its own; otherwise the payload is
+// decoded first. A payload that fails to decode fails with the decoder's
+// error and counts nothing, as on a plain decode. tctx (the enclosing lane
+// span's context, zero when untraced) parents the per-step and conversion
+// spans.
 func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, payload []byte, wire *pbio.Format, tctx trace.Context) (*pbio.Record, error) {
-	lead := rec == nil && d.plan != nil && !d.identity
-	if rec == nil && !lead {
+	if rec == nil && d.first() == nil {
 		var err error
 		if rec, err = pbio.DecodePayload(payload, wire); err != nil {
 			return nil, err
@@ -663,13 +655,11 @@ func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, payload []byte, w
 	for i := range d.steps {
 		s := &d.steps[i]
 		xs := m.tracer.StartSpan(tctx, trace.StageXformStep)
-		var dst *pbio.Record
-		var err error
-		if i == 0 && lead {
-			if dst, err = d.plan.Decode(payload); err != nil {
-				return nil, err
-			}
-		} else if dst, err = s.run(cur); err != nil {
+		dst, err := s.run(cur, payload)
+		if err != nil && cur == nil {
+			return nil, err // the payload did not decode: the span is dropped, no operation ran
+		}
+		if err != nil {
 			xs.EndErr(err)
 			return nil, fmt.Errorf("core: transformation step %d (%q→%q): %w",
 				i, cur.Format().Name(), s.dst.Name(), err)
@@ -686,19 +676,11 @@ func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, payload []byte, w
 	}
 	if d.conv != nil {
 		cs := m.tracer.StartSpan(tctx, trace.StageConvert)
-		var out *pbio.Record
-		var err error
-		if lead && len(d.steps) == 0 {
-			if out, err = d.plan.Decode(payload); err != nil {
-				return nil, err
-			}
-		} else {
-			out, err = d.conv.Convert(cur)
-		}
-		cs.EndErr(err)
+		out, err := through(d.conv.Plan, cur, payload)
 		if err != nil {
-			return nil, err
+			return nil, err // the payload did not decode; a plan converts any record it was built for
 		}
+		cs.End()
 		m.c.converted.Inc()
 		cur = out
 	}
@@ -847,7 +829,9 @@ func (m *Morpher) finishDecisionLocked(path []*Xform, match Match, tr *obs.Decis
 		m.c.compiled.Inc()
 		s := step{prog: prog, dst: x.To}
 		if moves, ok := prog.FieldMap(); ok {
-			s = step{plan: newMovePlan(x.From, x.To, moves), dst: x.To}
+			if plan, err := newMovePlan(x.From, x.To, moves); err == nil {
+				s = step{plan: plan, dst: x.To}
+			}
 		}
 		d.steps = append(d.steps, s)
 	}

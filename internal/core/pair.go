@@ -56,7 +56,7 @@ func item(f *pbio.Field) *pbio.Field {
 type pairing struct {
 	weigh  Weigher // importance of a basic field; nil weighs every one 1
 	report bool    // collect changes, for DiffReport
-	plan   bool    // build the Converter a → b, for NewConverter
+	plan   bool    // build the plan a → b, for NewConverter
 
 	dropped float64 // weight of a's fields b cannot hold: Diff(a, b)
 	filled  float64 // weight of b's fields a cannot supply: Diff(b, a)
@@ -68,12 +68,12 @@ type pairing struct {
 
 // walk pairs b's fields, in b's order, with a's same-named fields and
 // recurses into nested pairs; a's fields that b lacks come last. With plan
-// set it returns the conversion plan a → b, whose steps are therefore in
-// destination order.
-func (p *pairing) walk(a, b *pbio.Format) *Converter {
-	var c *Converter
+// set it returns the conversion plan a → b: per field of b, the field of a
+// it reads, or b's declared default.
+func (p *pairing) walk(a, b *pbio.Format) *pbio.Plan {
+	var fields []pbio.PlanField
 	if p.plan {
-		c = &Converter{from: a, to: b, steps: make([]convStep, 0, b.NumFields())}
+		fields = make([]pbio.PlanField, 0, b.NumFields())
 	}
 	// paired marks which of a's first 64 fields the loop over b found, so
 	// the loop over a looks up in b only the fields beyond them.
@@ -90,7 +90,7 @@ func (p *pairing) walk(a, b *pbio.Format) *Converter {
 				paired |= 1 << i
 			}
 		}
-		var sub *Converter
+		var sub *pbio.Plan
 		switch how {
 		case fitNested:
 			sub = p.walk(item(fa).Sub, item(fb).Sub)
@@ -110,8 +110,12 @@ func (p *pairing) walk(a, b *pbio.Format) *Converter {
 				p.note(FieldResized, fa, fb)
 			}
 		}
-		if c != nil {
-			c.steps = append(c.steps, planStep(j, i, how, fb, sub))
+		if p.plan {
+			pf := pbio.PlanField{Src: i, Sub: sub}
+			if how == fitNone {
+				pf = pbio.PlanField{Src: pbio.NoSource, Fill: fb.Default}
+			}
+			fields = append(fields, pf)
 		}
 		p.path = p.path[:mark]
 	}
@@ -125,7 +129,14 @@ func (p *pairing) walk(a, b *pbio.Format) *Converter {
 		p.note(FieldRemoved, fa, nil)
 		p.path = p.path[:mark]
 	}
-	return c
+	if !p.plan {
+		return nil
+	}
+	plan, err := pbio.NewPlan(a, b, fields)
+	if err != nil {
+		panic("core: name-wise pairing built a plan pbio refuses: " + err.Error()) // fitOf admits only what SetIndex accepts
+	}
+	return plan
 }
 
 // mismatch is M_r read off a walk: the share of W(b) that a cannot supply,

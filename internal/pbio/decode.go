@@ -120,8 +120,12 @@ func decodeFixedRecord(data []byte, f *Format, p *Plan, s *Slab) *Record {
 	}
 	r := p.carve(s)
 	for i := range f.fields {
-		if slot, dst, sub := p.route(f, i); slot != Skip {
-			src := &f.fields[i]
+		src := &f.fields[i]
+		switch slot, dst, sub := p.route(f, i); slot {
+		case skip:
+		case fanned:
+			p.fanOut(r, i, decodeFixedValue(data[l.offsets[i]:], src, nil, s))
+		default:
 			r.vals[slot] = into(dst, src, decodeFixedValue(data[l.offsets[i]:], src, sub, s))
 		}
 	}
@@ -195,9 +199,14 @@ func (d *decoder) record(f *Format, p *Plan, s *Slab) (*Record, error) {
 	for i := range f.fields {
 		src := &f.fields[i]
 		var err error
-		if slot, dst, sub := p.route(f, i); slot == Skip {
+		switch slot, dst, sub := p.route(f, i); slot {
+		case skip:
 			err = d.skip(src)
-		} else {
+		case fanned:
+			var v Value
+			v, err = d.value(src, src, nil, s)
+			p.fanOut(r, i, v)
+		default:
 			r.vals[slot], err = d.value(src, dst, sub, s)
 		}
 		if err != nil {

@@ -14,9 +14,11 @@
 // structs declare the layout once through a Registry and cross to Records
 // at the boundary (Registry.ToRecord, Registry.FromRecord); the Registry
 // derives each type's Format and field indices once and reuses them for
-// every message. A Plan folds a conversion into decoding: Plan.Decode reads
-// a payload of one format straight into a record of another, and
-// DecodePayload is decoding through the nil (identity) plan.
+// every message. A Plan is a compiled conversion between two formats, the
+// one plan every conversion lane runs: Plan.Decode folds it into decoding,
+// reading a payload of one format straight into a record of another,
+// Plan.Convert runs it over a record, and DecodePayload is decoding
+// through the nil (identity) plan.
 //
 // All multi-byte quantities are little-endian. Strings and dynamic lists are
 // length-prefixed with unsigned varints; complex (nested record) fields are
