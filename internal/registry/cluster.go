@@ -278,32 +278,8 @@ func (s *Server) runStandby(pi int) {
 	if curInst == hi.instance && curInst != 0 {
 		afterSeq = curSeq
 	}
-	// Installing repl opens the forward path. The stop check shares the lock
-	// with stopReplication's, so a Close racing this attach either sees the
-	// session (and closes it) or is seen here.
-	s.replMu.Lock()
-	newPrimary := s.primaryInst != hi.instance
-	s.role = RoleStandby
-	s.primaryIdx = pi
-	s.primaryInst = hi.instance
-	s.primarySeq = hi.seq
-	s.appliedSeq = afterSeq
-	closed := s.stopped()
-	if !closed {
-		s.repl = repl
-	}
-	s.replMu.Unlock()
-	if closed {
-		s.detachRepl(repl)
+	if !s.attach(repl, pi, hi, afterSeq) {
 		return
-	}
-	s.roleGauge.Set(int64(RoleStandby))
-	if newPrimary {
-		if err := s.reannounce(repl); err != nil {
-			log.Printf("registry: peer %d: re-announce to primary %d: %v", s.self, pi, err)
-			s.detachRepl(repl)
-			return
-		}
 	}
 
 	if _, err := repl.Watch(afterSeq, s.heartbeat*2); err != nil {
@@ -352,16 +328,54 @@ func (s *Server) runStandby(pi int) {
 	}
 }
 
-// forward relays one write to the primary over the standby's replication
-// session and, once the primary acknowledges, keeps it for reannounce.
-func (s *Server) forward(repl *replSession, fp uint64, blob []byte) error {
-	if err := repl.Put(blob, s.heartbeat*4); err != nil {
-		return err
+// attach makes repl, a session to primary pi that answered hello hi, this
+// standby's forward path and, when pi is a primary incarnation it has not
+// yet re-announced to, re-forwards its writes there. It reports false, with
+// repl detached, when the server is closing or the re-announce failed.
+func (s *Server) attach(repl *replSession, pi int, hi helloInfo, afterSeq uint64) bool {
+	// Installing repl opens the forward path. The stop check shares the lock
+	// with stopReplication's, so a Close racing this attach either sees the
+	// session (and closes it) or is seen here.
+	s.replMu.Lock()
+	newPrimary := s.primaryInst != hi.instance
+	s.role = RoleStandby
+	s.primaryIdx = pi
+	s.primaryInst = hi.instance
+	s.primarySeq = hi.seq
+	s.appliedSeq = afterSeq
+	closed := s.stopped()
+	if !closed {
+		s.repl = repl
 	}
+	s.replMu.Unlock()
+	if closed {
+		s.detachRepl(repl)
+		return false
+	}
+	s.roleGauge.Set(int64(RoleStandby))
+	if newPrimary {
+		if err := s.reannounce(repl); err != nil {
+			log.Printf("registry: peer %d: re-announce to primary %d: %v", s.self, pi, err)
+			s.replMu.Lock()
+			s.primaryInst = 0 // not announced to yet: the next attach re-announces
+			s.replMu.Unlock()
+			s.detachRepl(repl)
+			return false
+		}
+	}
+	return true
+}
+
+// forward keeps one write for reannounce and relays it to the primary over
+// the standby's replication session. Keeping it first means a re-announce
+// that runs while the primary's acknowledgement is in flight carries it; a
+// write whose forward fails stays kept, and re-forwarding it is one more
+// idempotent upsert.
+func (s *Server) forward(repl *replSession, fp uint64, blob []byte) error {
 	s.replMu.Lock()
 	s.forwarded[fp] = blob
 	s.replMu.Unlock()
-	return nil
+	return repl.Put(blob, s.heartbeat*4)
 }
 
 // reannounce re-forwards every write this standby accepted under earlier

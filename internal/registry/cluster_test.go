@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -511,6 +512,137 @@ func TestStandbyReannouncesAckedWrites(t *testing.T) {
 		_, err := successor.Resolve(f.Fingerprint())
 		return err == nil
 	})
+}
+
+// TestReannounceCarriesWriteAckedMidFailover: a write the standby forwards
+// is kept for re-announcing before the primary's acknowledgement arrives,
+// so a re-announce to the successor that runs while that acknowledgement
+// is in flight carries it. When the standby kept the write only once the
+// acknowledgement had arrived, the re-announce went out without it, the
+// client was told OK, and the successor never heard of the write.
+func TestReannounceCarriesWriteAckedMidFailover(t *testing.T) {
+	oldPrimary, oldAddr := serveBare(t)
+	successor, succAddr := serveBare(t)
+	// Everything the old primary says back is held until release closes.
+	pln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pln.Close()
+	release := make(chan struct{})
+	go func() {
+		c, err := pln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		u, err := net.Dial("tcp", oldAddr)
+		if err != nil {
+			return
+		}
+		defer u.Close()
+		go func() { _, _ = io.Copy(u, c) }()
+		<-release
+		_, _ = io.Copy(c, u)
+	}()
+
+	srv, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.heartbeat = time.Second
+	repl, err := dialRepl(pln.Addr().String(), time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repl.Close()
+	setRole(srv, RoleStandby, repl)
+
+	f := testFormat(t, "midfailover", 1)
+	acked := make(chan byte, 1)
+	go func() {
+		status, _ := srv.handlePut(encodeEntry(f, nil))
+		acked <- status
+	}()
+	waitFor(t, "write applied by the old primary", func() bool {
+		_, err := oldPrimary.Resolve(f.Fingerprint())
+		return err == nil
+	})
+	// The failover runs while the acknowledgement is in flight.
+	next, err := dialRepl(succAddr, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	if err := srv.reannounce(next); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if status := <-acked; status != statusOK {
+		t.Fatalf("the forwarded write was answered %d, want OK", status)
+	}
+	if _, err := successor.Resolve(f.Fingerprint()); err != nil {
+		t.Fatalf("acknowledged write missing on the successor: %v", err)
+	}
+}
+
+// TestReannounceRetriedAfterFailure: a standby whose re-announce to a new
+// primary fails re-announces on its next attach to that primary. When the
+// first attach already counted the primary as announced to, the retry
+// skipped the re-announce and the writes it carried were lost to every
+// peer but this one.
+func TestReannounceRetriedAfterFailure(t *testing.T) {
+	successor, succAddr := serveBare(t)
+	srv, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.heartbeat = time.Second
+	f := testFormat(t, "announced", 1)
+	srv.forwarded[f.Fingerprint()] = encodeEntry(f, nil)
+
+	successor.watchMu.Lock()
+	hi := helloInfo{role: RolePrimary, instance: successor.instance}
+	successor.watchMu.Unlock()
+	dead, err := dialRepl(succAddr, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = dead.Close()
+	<-dead.Done()
+	if srv.attach(dead, 1, hi, 0) {
+		t.Fatal("attached over a dead session")
+	}
+	live, err := dialRepl(succAddr, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if !srv.attach(live, 1, hi, 0) {
+		t.Fatal("second attach failed")
+	}
+	if _, err := successor.Resolve(f.Fingerprint()); err != nil {
+		t.Fatalf("forwarded write missing on the primary after the retried attach: %v", err)
+	}
+}
+
+// serveBare starts a bare server, a primary from construction, and returns
+// it with its address.
+func serveBare(t *testing.T) (*Server, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close(); _ = ln.Close() })
+	return srv, ln.Addr().String()
 }
 
 // TestStandbySnapshotRestartNoDoubleApply: a standby that restarts over its

@@ -74,11 +74,11 @@ type Server struct {
 	appliedSeq  uint64 // last primary-stream seqno applied locally
 	primarySeq  uint64 // latest seqno heard from the primary (hello/watch)
 	peerTable   []peerState
-	// forwarded holds every write this standby accepted and its primary
-	// acknowledged, by fingerprint (the blob is the slice the local table
-	// stores). The ack proves the primary held the write, not that any other
-	// standby does — replication is asynchronous — so the peer promoted
-	// after that primary dies may never have seen it; see reannounce.
+	// forwarded holds every write this standby forwarded to a primary, by
+	// fingerprint (the blob is the slice the local table stores). An ack
+	// proves the primary held the write, not that any other standby does —
+	// replication is asynchronous — so the peer promoted after that primary
+	// dies may never have seen it; see reannounce.
 	forwarded map[uint64][]byte
 	stop      chan struct{}  // closed by Close: the supervisor exits
 	superWG   sync.WaitGroup // the supervisor goroutine
@@ -516,8 +516,8 @@ func (s *Server) handlePut(payload []byte) (status byte, msg []byte) {
 		// as an identical blob).
 		if ferr := s.forward(repl, fp, blob); ferr != nil {
 			// The primary died (or is dying) under this forward: the write
-			// was not applied anywhere, so it is cleanly retryable — here
-			// once a new primary exists, or on another replica.
+			// is retryable — here once a new primary exists, or on another
+			// replica — and the next primary also gets it re-announced.
 			return statusRetry, []byte(ferr.Error())
 		}
 		_, err = s.applyReplicated(fp, blob)
