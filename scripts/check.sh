@@ -69,8 +69,8 @@ selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFr
 echo "== publisher write coalescer contract and buffered-burst overflow (race-enabled)"
 selected run 'TestPublishOrderConcurrent|TestCloseFlushesAccepted|TestPublishBlocksOnStalledPeer|TestCoalescerBoundsMemory|TestPublishFailsAfterBrokerCloses|TestCloseLeavesNoGoroutine|TestBufferedBurstDoesNotOverflow' \
     -race -count=1 ./internal/echo/
-echo "== allocation gates (packed Value, list slabs, record-lane deliveries decoded through their plans, steady-state Publish, heap of a decoded format)"
-selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestRecordLaneAllocs|TestPublishAllocs|TestDecodedFormatBytes' \
+echo "== allocation gates (packed Value, list slabs, a plan converting a roster, record-lane deliveries decoded through their plans, splice-lane deliveries, steady-state Publish, heap of a decoded format)"
+selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestRecordLaneAllocs|TestSpliceLaneAllocs|TestPublishAllocs|TestDecodedFormatBytes' \
     -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/ ./internal/echo/
 echo "== one decoded copy of each format per owner (format frame, connection, registry cache; Register never writes the caller's transforms; race-enabled)"
 selected run 'TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFormats|TestWatchKeepsOneFormatPerFingerprint|TestRegisterLeavesXformsAlone' \
@@ -78,8 +78,8 @@ selected run 'TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFor
 echo "== untrusted Ecode source (nesting bound, growth charged to the step budget, folding keeps type errors and agrees with unfolded code), numeric stores as pbio coerces them, Figure 5 equal to hand-written Go, record paths rebound wherever they may change, and the lane and lowering oracles over fleetgen lineages"
 selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestFoldingKeepsTypeErrors|TestQuickFoldEquivalence|TestQuickFigure5MatchesHandWritten|TestPathBindingHazards|TestLanesAgree|TestNumericStoreMatchesRecordLane|TestLoweredPlansMatchVM' \
     -race -count=1 ./internal/ecode/ ./internal/fleetgen/
-echo "== one name-wise pairing (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing; decoding through a plan equals converting the plain decode and refuses what it refuses)"
-selected run 'TestQuickOnePairing|TestMatchingAllocFree|TestQuickDecodeThroughPlanMatchesRecordLane|TestRecordLaneRejectsWhatDecodeRejects' -count=1 ./internal/core/
+echo "== one name-wise pairing and one plan IR (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing; both plan executors equal the name-wise reference and a field map's gather; NewPlan refuses malformed plans and coerces a fanned-out value per target; decoding through a plan refuses what the plain decode refuses)"
+selected run 'TestQuickOnePairing|TestMatchingAllocFree|TestQuickPlansMatchByName|TestRecordLaneRejectsWhatDecodeRejects|TestNewPlanRejects|TestPlanDecodeCoercesAndFills' -count=1 ./internal/core/ ./internal/pbio/
 echo "== one PBIO codec (struct bridge allocations, self-referential types refused, .morphcap as PBIO records; race-enabled)"
 selected run 'TestStructBridgeAllocs|TestRegisterErrors|TestCapture' -race -count=1 ./internal/pbio/ ./internal/tap/
 echo "== tap ring and capture suite (race-enabled)"
@@ -97,8 +97,8 @@ selected run 'TestRegistryOnlyInterop|TestRegistryDownFallback|TestFormatdDeathM
     -race -count=1 ./internal/echo/
 echo "== formatd debug plane (snapshot restart, registryz JSON+text, /metrics, /readyz spool probe, tapz, pprof)"
 selected run 'TestDaemonSmoke|TestRegistryzEndToEnd' -race -count=1 ./cmd/formatd/
-echo "== cluster replication/failover suite (race-enabled)"
-selected run 'TestCluster|TestFailover|TestStandby' -race -count=1 ./internal/registry/
+echo "== cluster replication/failover suite, re-announce orderings included (race-enabled)"
+selected run 'TestCluster|TestFailover|TestStandby|TestReannounce' -race -count=1 ./internal/registry/
 selected run 'TestClusterClient|TestResubscribeArmsWithoutFirstSuccess|TestReregisterOnInstanceChange|TestWatchRingDepth|TestDaemonDeathFailsPendingAndDownsOnce|TestClusterClientPeerHealth|TestReadRepairYieldsToWatchEvent|TestParseHelloInfoVintages' \
     -race -count=1 ./internal/registry/
 echo "== formatd cluster smoke (3 real peers, SIGKILL the primary under live load)"
