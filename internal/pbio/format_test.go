@@ -303,7 +303,7 @@ func TestLookupMatchesScan(t *testing.T) {
 	// Two names whose index hashes collide under this process's seed (a
 	// birthday search over ~2^16 names) share a run of equal keys, which
 	// Lookup and the duplicate check must both walk.
-	byHash := map[uint64]string{}
+	byHash := map[uint32]string{}
 	var a, b string
 	for i := 0; a == ""; i++ {
 		nm := fmt.Sprintf("n%d", i)
@@ -327,8 +327,9 @@ func TestLookupMatchesScan(t *testing.T) {
 }
 
 // TestIdentical: equal fingerprints make two formats SameStructure, but only
-// formats whose encoded descriptions agree byte for byte are Identical. A
-// forced fingerprint collision stands in for a real one.
+// formats whose encoded descriptions agree byte for byte are Identical, and
+// decoding a live format's description returns that format itself. A forced
+// fingerprint collision stands in for a real one.
 func TestIdentical(t *testing.T) {
 	a := mustFormatT(t, "m", []Field{basicField("x", Integer), basicField("y", Float)})
 	b := mustFormatT(t, "m", []Field{basicField("x", Integer), basicField("z", String)})
@@ -344,8 +345,8 @@ func TestIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded == a || !Identical(a, decoded) || !Identical(a, a) {
-		t.Error("a decoded copy of a format is not Identical to it")
+	if decoded != a || !Identical(a, a) {
+		t.Error("decoding a live format's description did not return the format")
 	}
 
 	withDefault := mustFormatT(t, "m", []Field{{Name: "x", Kind: Integer, Default: Int(7)}, basicField("y", Float)})

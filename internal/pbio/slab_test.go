@@ -270,7 +270,8 @@ func (ps *plannedSink) want(t *testing.T, rec *pbio.Record) *pbio.Record {
 // FuzzDecodeFormat feeds arbitrary bytes to the format-blob decoder, the
 // parser every format control frame and registry entry goes through. It
 // must return an error or a format, never panic; a format must re-encode
-// to a blob that decodes to the same fingerprint.
+// to a blob that decodes to the same fingerprint, and decoding an accepted
+// blob twice must return one object.
 func FuzzDecodeFormat(f *testing.F) {
 	lin, err := fleetgen.NewLineage("fuzz", 7, 7, 9)
 	if err != nil {
@@ -298,6 +299,9 @@ func FuzzDecodeFormat(f *testing.F) {
 		}
 		if again.Fingerprint() != fm.Fingerprint() {
 			t.Fatalf("fingerprint %016x re-decodes as %016x\n%v", fm.Fingerprint(), again.Fingerprint(), fm)
+		}
+		if twice, err := pbio.DecodeFormat(blob); err != nil || twice != fm {
+			t.Fatalf("a second decode of an accepted blob: same object = %v, err = %v\n%v", twice == fm, err, fm)
 		}
 	})
 }
