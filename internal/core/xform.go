@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/ecode"
 	"repro/internal/pbio"
@@ -38,48 +37,6 @@ func (x *Xform) Validate() error {
 	}
 	_, err := x.compile()
 	return err
-}
-
-// Share returns x with its From and To formats replaced by the copies an
-// owner already holds: lookup maps a fingerprint to the owner's format, or
-// nil, and a copy replaces x's own only when pbio.Identical says it is the
-// same format. It never writes through x, which the caller may share (a
-// Register's arguments, a Morpher's transforms): it returns x itself when
-// nothing changes, and a new Xform otherwise.
-func (x *Xform) Share(lookup func(fp uint64) *pbio.Format) *Xform {
-	from, to := shareFormat(x.From, lookup), shareFormat(x.To, lookup)
-	if from == x.From && to == x.To {
-		return x
-	}
-	return &Xform{From: from, To: to, Code: x.Code}
-}
-
-func shareFormat(f *pbio.Format, lookup func(fp uint64) *pbio.Format) *pbio.Format {
-	if f == nil {
-		return nil
-	}
-	if o := lookup(f.Fingerprint()); o != nil && pbio.Identical(o, f) {
-		return o
-	}
-	return f
-}
-
-// ShareAll applies Share to every transform in xs. It returns xs itself when
-// nothing changes and a new slice otherwise, so the caller's slice is never
-// written either.
-func ShareAll(xs []*Xform, lookup func(fp uint64) *pbio.Format) []*Xform {
-	out, copied := xs, false
-	for i, x := range xs {
-		s := x.Share(lookup)
-		if s == x {
-			continue
-		}
-		if !copied {
-			out, copied = slices.Clone(xs), true
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // compile type-checks the transform's code and builds its closure tree.

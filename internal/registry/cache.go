@@ -116,7 +116,7 @@ func (k *cache) resolve(fp uint64, fetch fetchFunc) (*pbio.Format, []*core.Xform
 		delete(k.neg, fp)
 		fc.format, fc.xforms, fc.err = e.format, e.xforms, nil
 	} else if fc.err == nil {
-		fc.format, fc.xforms = k.insertLocked(fp, fc.format, fc.xforms)
+		k.insertLocked(fp, fc.format, fc.xforms)
 	}
 	k.mu.Unlock()
 	close(fc.done)
@@ -147,7 +147,8 @@ func (k *cache) install(startSeq, fp uint64, f *pbio.Format, xforms []*core.Xfor
 		return e.format, e.xforms
 	}
 	delete(k.neg, fp)
-	return k.insertLocked(fp, f, xforms)
+	k.insertLocked(fp, f, xforms)
+	return f, xforms
 }
 
 // put installs an entry learned without a fetch of its own, purging any
@@ -197,35 +198,14 @@ func (k *cache) cursor(reset bool) uint64 {
 }
 
 // insertLocked adds a resolved entry at the LRU front (refreshing it in place
-// when present), evicting the tail past capacity, and returns the format and
-// transforms the entry now holds.
-//
-// The cache keeps one object per format. A refresh whose format is
-// pbio.Identical to the cached one keeps the cached object, and the
-// transforms name the entry's own format or another entry's instead of
-// their decoded copies. Every transform announces its From format again and
-// most name an older generation as To, so without this each entry would
-// hold three copies of its structure.
-func (k *cache) insertLocked(fp uint64, f *pbio.Format, xforms []*core.Xform) (*pbio.Format, []*core.Xform) {
-	e := k.lru[fp]
-	if e != nil && pbio.Identical(e.format, f) {
-		f = e.format
-	}
-	xforms = core.ShareAll(xforms, func(xfp uint64) *pbio.Format {
-		if xfp == fp {
-			return f
-		}
-		if o := k.lru[xfp]; o != nil {
-			return o.format
-		}
-		return nil
-	})
-	if e != nil {
+// when present), evicting the tail past capacity.
+func (k *cache) insertLocked(fp uint64, f *pbio.Format, xforms []*core.Xform) {
+	if e := k.lru[fp]; e != nil {
 		e.format, e.xforms = f, xforms
 		k.moveFrontLocked(e)
-		return f, xforms
+		return
 	}
-	e = &cacheEntry{fp: fp, format: f, xforms: xforms}
+	e := &cacheEntry{fp: fp, format: f, xforms: xforms}
 	k.lru[fp] = e
 	k.pushFrontLocked(e)
 	if len(k.lru) > k.cap && k.tail != nil {
@@ -233,7 +213,6 @@ func (k *cache) insertLocked(fp uint64, f *pbio.Format, xforms []*core.Xform) (*
 		k.unlinkLocked(evict)
 		delete(k.lru, evict.fp)
 	}
-	return f, xforms
 }
 
 func (k *cache) pushFrontLocked(e *cacheEntry) {

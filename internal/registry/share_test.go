@@ -111,10 +111,10 @@ func TestWatchKeepsOneFormatPerFingerprint(t *testing.T) {
 	}
 }
 
-// TestRegisterLeavesXformsAlone: a client whose cache already holds the
-// formats a transform names shares them in its own entries, but never by
-// writing through the caller's Xforms, which other goroutines keep reading
-// while Register and the watch stream run.
+// TestRegisterLeavesXformsAlone: a client's cache entries name the same
+// format objects its other entries hold, and Register never writes through
+// the caller's Xforms, which other goroutines keep reading while Register
+// and the watch stream run.
 func TestRegisterLeavesXformsAlone(t *testing.T) {
 	_, addr := startDaemon(t)
 	c := NewClient(addr)
@@ -127,8 +127,8 @@ func TestRegisterLeavesXformsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The caller's transforms name decoded copies, not the objects the
-	// cache holds, so every one of them is a candidate for sharing.
+	// The caller's transforms are fresh Xforms over formats decoded from
+	// their encodings, so the cache gets objects it did not build itself.
 	type snap struct {
 		from, to *pbio.Format
 		code     string
@@ -192,7 +192,8 @@ func TestRegisterLeavesXformsAlone(t *testing.T) {
 			t.Errorf("transform %d was modified by Register", i)
 		}
 	}
-	// The cache did share: its transforms name its own entries' formats.
+	// One object per format: the cache's transforms name its own entries'
+	// formats.
 	k := &c.peers[0].cache
 	for i := 1; i < len(formats); i++ {
 		_, cached, err := c.ResolveFormat(formats[i].Fingerprint())

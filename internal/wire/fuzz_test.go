@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"testing"
@@ -98,8 +99,8 @@ func FuzzConnReadFrames(f *testing.F) {
 // ParseFormatFrame must never panic, and a body it accepts must survive
 // AppendFormatFrame: the re-encoded body parses to the same format
 // fingerprint and the same transforms (From, To and Code). A parsed
-// transform's From or To is the frame's own format object exactly when the
-// two are pbio.Identical.
+// transform's From or To is the frame's own format object exactly when
+// their encodings are byte-equal.
 func FuzzFormatFrame(f *testing.F) {
 	l, err := fleetgen.NewLineage("wire.fuzz", 1, 1, 3)
 	if err != nil {
@@ -142,10 +143,12 @@ func FuzzFormatFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
+		enc := pbio.EncodeFormat(fm)
 		for i, x := range xforms {
-			if (x.From == fm) != pbio.Identical(x.From, fm) || (x.To == fm) != pbio.Identical(x.To, fm) {
-				t.Fatalf("transform %d: From shared = %v, To shared = %v, Identical = %v, %v",
-					i, x.From == fm, x.To == fm, pbio.Identical(x.From, fm), pbio.Identical(x.To, fm))
+			from, to := bytes.Equal(pbio.EncodeFormat(x.From), enc), bytes.Equal(pbio.EncodeFormat(x.To), enc)
+			if (x.From == fm) != from || (x.To == fm) != to {
+				t.Fatalf("transform %d: From shared = %v, To shared = %v, byte-equal = %v, %v",
+					i, x.From == fm, x.To == fm, from, to)
 			}
 		}
 		fm2, xforms2, err := ParseFormatFrame(AppendFormatFrame(nil, fm, xforms), false)

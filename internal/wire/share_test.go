@@ -10,7 +10,7 @@ import (
 
 // shareLineage returns a fleetgen lineage's generations 0..3 and a variant
 // of generation 0 with the same fingerprint but a different body (a default
-// value), which no owner may hand out in place of generation 0.
+// value), which interning may never hand out in place of generation 0.
 func shareLineage(t *testing.T) ([]*fleetgen.Generation, *pbio.Format) {
 	t.Helper()
 	l, err := fleetgen.NewLineage("wire.share", 1, 5, 4)
@@ -68,7 +68,8 @@ func TestParseFormatFrameSharesFrameFormat(t *testing.T) {
 	}
 
 	// Announce generation 0 with a transform whose From is the same-
-	// fingerprint variant: it must keep its own decoded copy.
+	// fingerprint variant: it must decode to the variant, not to the frame's
+	// format.
 	x := &core.Xform{From: variant, To: g3.Format, Code: out.Code}
 	f, xforms, err = ParseFormatFrame(AppendFormatFrame(nil, g0.Format, []*core.Xform{x}), false)
 	if err != nil {

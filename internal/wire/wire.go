@@ -814,11 +814,11 @@ func (c *Conn) ReadEncoded() ([]byte, *pbio.Format, error) {
 				// relying on the shared registry. Resolve lazily, once — the
 				// format cache makes every later message of this format free.
 				if rf, xforms, rerr := c.resolver.ResolveFormat(fp); rerr == nil && rf != nil && rf.Fingerprint() == fp {
-					if f, err = c.adoptFormat(rf, xforms, true); err != nil {
+					if err = c.adoptFormat(rf, xforms, true); err != nil {
 						return nil, nil, err
 					}
 					c.stats.formatsResolved.inc()
-					ok = true
+					f, ok = rf, true
 				}
 			}
 			if !ok {
@@ -1004,8 +1004,7 @@ func (c *Conn) handleFormatFrame(body []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.adoptFormat(f, xforms, false)
-	return err
+	return c.adoptFormat(f, xforms, false)
 }
 
 // ParseFormatFrame decodes the body of a format control frame (kind
@@ -1035,15 +1034,6 @@ func ParseFormatFrame(body []byte, validateXforms bool) (*pbio.Format, []*core.X
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 
-	// A transform out of the announced format names it again as From: keep
-	// one decoded copy of it.
-	self := func(fp uint64) *pbio.Format {
-		if fp == f.Fingerprint() {
-			return f
-		}
-		return nil
-	}
-
 	nx, used := binary.Uvarint(rest)
 	if used <= 0 {
 		return nil, nil, fmt.Errorf("%w: transform count", ErrBadFrame)
@@ -1059,7 +1049,6 @@ func ParseFormatFrame(body []byte, validateXforms bool) (*pbio.Format, []*core.X
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: transform %d: %v", ErrBadFrame, i, err)
 		}
-		x = x.Share(self)
 		if validateXforms {
 			if err := x.Validate(); err != nil {
 				return nil, nil, fmt.Errorf("%w: transform %d: %v", ErrBadFrame, i, err)
@@ -1075,44 +1064,30 @@ func ParseFormatFrame(body []byte, validateXforms bool) (*pbio.Format, []*core.X
 
 // adoptFormat installs a format (and its transformation meta-data) into the
 // read-side cache, whether it arrived in-band (format frame) or out-of-band
-// (registry resolution), and returns the format the cache now holds for its
-// fingerprint. validate re-checks transform code for the registry path, where
-// the format-frame handler's eager validation did not run.
-//
-// The cache keeps one object per format: a re-announced format that is
-// pbio.Identical to the cached one leaves the cached object in place, and
-// transforms name the cached formats instead of their own decoded copies.
-func (c *Conn) adoptFormat(f *pbio.Format, xforms []*core.Xform, validate bool) (*pbio.Format, error) {
+// (registry resolution). validate re-checks transform code for the registry
+// path, where the format-frame handler's eager validation did not run.
+func (c *Conn) adoptFormat(f *pbio.Format, xforms []*core.Xform, validate bool) error {
 	if validate && (c.morpher != nil || c.formatHook != nil) {
 		for i, x := range xforms {
 			if err := x.Validate(); err != nil {
-				return nil, fmt.Errorf("%w: registry transform %d: %v", ErrBadFrame, i, err)
+				return fmt.Errorf("%w: registry transform %d: %v", ErrBadFrame, i, err)
+			}
+		}
+	}
+	if c.morpher != nil {
+		for _, x := range xforms {
+			if err := c.morpher.AddTransform(x); err != nil {
+				return err
 			}
 		}
 	}
 	fp := f.Fingerprint()
-	if held := c.recvFormats[fp]; pbio.Identical(held, f) {
-		f = held
-	}
-	xforms = core.ShareAll(xforms, func(xfp uint64) *pbio.Format {
-		if xfp == fp {
-			return f
-		}
-		return c.recvFormats[xfp]
-	})
-	if c.morpher != nil {
-		for _, x := range xforms {
-			if err := c.morpher.AddTransform(x); err != nil {
-				return nil, err
-			}
-		}
-	}
 	c.recvFormats[fp] = f
 	delete(c.requested, fp)
 	if c.formatHook != nil {
 		c.formatHook(f, xforms)
 	}
-	return f, nil
+	return nil
 }
 
 // Serve reads messages until EOF or error, delivering each through the
