@@ -72,9 +72,9 @@ selected run 'TestPublishOrderConcurrent|TestCloseFlushesAccepted|TestPublishBlo
 echo "== allocation gates (packed Value, list slabs, a plan converting a roster, record-lane deliveries decoded through their plans, splice-lane deliveries, steady-state Publish, heap of a decoded format)"
 selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestRecordLaneAllocs|TestSpliceLaneAllocs|TestPublishAllocs|TestDecodedFormatBytes' \
     -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/ ./internal/echo/
-echo "== one decoded copy of each format per owner (format frame, connection, registry cache; Register never writes the caller's transforms; race-enabled)"
-selected run 'TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFormats|TestWatchKeepsOneFormatPerFingerprint|TestRegisterLeavesXformsAlone' \
-    -race -count=1 ./internal/wire/ ./internal/registry/
+echo "== one format object per process (pbio interns through weak pointers: concurrent decodes, round trips, default variants kept apart, dead entries released; a broker's publishers and a subscriber's connection, registry cache and Morpher; format frames, connections and registry caches; Register never writes the caller's transforms; race-enabled)"
+selected run 'TestIntern|TestUninternKeepsLaterEntry|TestBrokerHoldsOneFormatPerFingerprint|TestSubscriberHoldsOneFormatPerFingerprint|TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFormats|TestWatchKeepsOneFormatPerFingerprint|TestRegisterLeavesXformsAlone' \
+    -race -count=1 ./internal/pbio/ ./internal/echo/ ./internal/wire/ ./internal/registry/
 echo "== untrusted Ecode source (nesting bound, growth charged to the step budget, folding keeps type errors and agrees with unfolded code), numeric stores as pbio coerces them, Figure 5 equal to hand-written Go, record paths rebound wherever they may change, and the lane and lowering oracles over fleetgen lineages"
 selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestFoldingKeepsTypeErrors|TestQuickFoldEquivalence|TestQuickFigure5MatchesHandWritten|TestPathBindingHazards|TestLanesAgree|TestNumericStoreMatchesRecordLane|TestLoweredPlansMatchVM' \
     -race -count=1 ./internal/ecode/ ./internal/fleetgen/
