@@ -98,6 +98,11 @@ type Morpher struct {
 	// xsource is nil unless WithTransformSource attached one; the decision
 	// build consults it before rejecting an unmatched format.
 	xsource TransformSource
+
+	// inputs holds *pbio.Slab: the memory a record-lane delivery whose
+	// first operation is an Ecode program decodes the message into (see
+	// applyDecision).
+	inputs sync.Pool
 }
 
 // morphCounters are the activity counters of Stats.
@@ -313,6 +318,7 @@ func NewMorpher(th Thresholds, opts ...MorpherOption) *Morpher {
 		xforms: make(map[uint64][]*Xform),
 		cache:  make(map[uint64]*decision),
 	}
+	m.inputs.New = func() any { return new(pbio.Slab) }
 	for _, o := range opts {
 		o(m)
 	}
@@ -644,10 +650,25 @@ func (m *Morpher) DeliverEncodedCtx(data []byte, wire *pbio.Format, tctx trace.C
 // error and counts nothing, as on a plain decode. tctx (the enclosing lane
 // span's context, zero when untraced) parents the per-step and conversion
 // spans.
+//
+// When the first operation is an Ecode program, the payload is decoded into
+// a slab from m.inputs, rewound and returned once the chain has run: the
+// program's output shares no record or list memory with its input
+// (ecode.Program.Run), so no record the handler gets is carved from it.
 func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, payload []byte, wire *pbio.Format, tctx trace.Context) (*pbio.Record, error) {
 	if rec == nil && d.first() == nil {
 		var err error
-		if rec, err = pbio.DecodePayload(payload, wire); err != nil {
+		if len(d.steps) > 0 {
+			s := m.inputs.Get().(*pbio.Slab)
+			defer func() {
+				s.Rewind()
+				m.inputs.Put(s)
+			}()
+			rec, err = s.DecodePayload(payload, wire)
+		} else {
+			rec, err = pbio.DecodePayload(payload, wire)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -67,6 +67,32 @@ type compiler struct {
 	paths  []pathNode
 	npaths int
 	prefs  []recRef // the parameters' records, built once
+
+	// lists are the parameters' list fields a subscripted store grows (see
+	// Program.Run).
+	lists []listRef
+}
+
+// listRef is list field field of record parameter param, each of whose
+// elements takes recs records and vals values of a slab besides its own
+// value (its Footprint, for a list of records).
+type listRef struct {
+	param, field int
+	recs, vals   int
+}
+
+// grows notes that a store may grow list field fidx of parameter p.
+func (c *compiler) grows(p, fidx int) {
+	r := listRef{param: p, field: fidx}
+	if elem := c.params[p].Format.Field(fidx).Elem; elem.Kind == pbio.Complex {
+		r.recs, r.vals = elem.Sub.Footprint()
+	}
+	for _, l := range c.lists {
+		if l == r {
+			return
+		}
+	}
+	c.lists = append(c.lists, r)
 }
 
 // cost is what one run of the expressions compiled since mark is charged:
@@ -731,7 +757,7 @@ func (c *compiler) compileStorePath(lhs, rhs expr, pos Pos) (stmtCode, error) {
 	p := c.paramPath(baseParam)
 
 	// Navigate all segments but the last.
-	for _, seg := range segs[:len(segs)-1] {
+	for i, seg := range segs[:len(segs)-1] {
 		fidx := format.Lookup(seg.field)
 		if fidx < 0 {
 			return stmtCode{}, compileErrf(seg.pos, "format %q has no field %q", format.Name(), seg.field)
@@ -752,6 +778,9 @@ func (c *compiler) compileStorePath(lhs, rhs expr, pos Pos) (stmtCode, error) {
 		ic, err := c.compileIndex(seg.idx, seg.pos)
 		if err != nil {
 			return stmtCode{}, err
+		}
+		if i == 0 {
+			c.grows(baseParam, fidx)
 		}
 		idx := ic.arg()
 		at, size := seg.pos, elemSize(fld.Elem)
@@ -786,6 +815,9 @@ func (c *compiler) compileStorePath(lhs, rhs expr, pos Pos) (stmtCode, error) {
 		ic, err := c.compileIndex(last.idx, last.pos)
 		if err != nil {
 			return stmtCode{}, err
+		}
+		if len(segs) == 1 {
+			c.grows(baseParam, fidx)
 		}
 		idx := ic.arg()
 		o, err := c.compileFieldStore(rhs, fld.Elem, last.pos)

@@ -68,12 +68,25 @@ func DecodeRecord(data []byte, f *Format) (*Record, error) {
 // then read at their static offsets with no per-field bounds checks; a
 // plan reads only the fields it keeps.
 func DecodePayload(data []byte, f *Format) (*Record, error) {
-	return decodePayload(data, f, nil)
+	return decodePayload(data, f, nil, nil)
+}
+
+// DecodePayload decodes data, a payload of f, as the package-level
+// DecodePayload does, but carves the record, its nested records, its list
+// element arrays and their records from s, which grows to fit. The string
+// copy of the payload is still made afresh, so the record's strings outlive
+// it. The record is valid until s's next Rewind. A caller that rewinds s
+// once it is done with each record decodes like-sized payloads with at most
+// one allocation, the string copy. A payload that fails to decode leaves s
+// as safe to Rewind as one that decodes.
+func (s *Slab) DecodePayload(data []byte, f *Format) (*Record, error) {
+	return decodePayload(data, f, nil, s)
 }
 
 // decodePayload is the one decoder: data, a payload of f, into a record
-// through p (nil for the identity).
-func decodePayload(data []byte, f *Format, p *Plan) (*Record, error) {
+// through p (nil for the identity), carved from s, or from fresh memory
+// sized to the record when s is nil.
+func decodePayload(data []byte, f *Format, p *Plan, s *Slab) (*Record, error) {
 	l := f.Layout()
 	if l.Fixed() {
 		switch {
@@ -84,15 +97,17 @@ func decodePayload(data []byte, f *Format, p *Plan) (*Record, error) {
 			return nil, fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailingData, l.size, len(data))
 		}
 	}
-	var s Slab
-	if to := p.target(f); to != nil {
-		s.Reserve(to, 1)
+	d := decoder{buf: data, reuse: s != nil}
+	if s == nil {
+		s = new(Slab)
+		if to := p.target(f); to != nil {
+			s.Reserve(to, 1)
+		}
 	}
 	if l.Fixed() {
-		return decodeFixedRecord(data, f, p, &s), nil
+		return decodeFixedRecord(data, f, p, s), nil
 	}
-	d := decoder{buf: data}
-	r, err := d.record(f, p, &s)
+	r, err := d.record(f, p, s)
 	if err != nil {
 		return nil, err
 	}
@@ -185,6 +200,9 @@ type decoder struct {
 	buf []byte
 	pos int
 	str string // copy of buf that decoded strings slice; made at the first one
+	// reuse says the slab is the caller's: every record and list array
+	// comes from it. Otherwise each list gets one of its own.
+	reuse bool
 }
 
 // record decodes a record of f through p, carving it and its nested
@@ -270,14 +288,20 @@ func (d *decoder) value(src, dst *Field, sub *Plan, s *Slab) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		elems := make([]Value, n)
-		// The elements of a list of records share one exact-size slab.
-		var es Slab
-		if src.Elem.Kind == Complex {
-			es.Reserve(sub.target(src.Elem.Sub), n)
+		var elems []Value
+		es := s
+		if d.reuse {
+			elems = s.values(n)
+		} else {
+			// The elements of a list of records share one exact-size slab.
+			elems = make([]Value, n)
+			es = new(Slab)
+			if src.Elem.Kind == Complex {
+				es.Reserve(sub.target(src.Elem.Sub), n)
+			}
 		}
 		for i := range elems {
-			e, err := d.value(src.Elem, dst.Elem, sub, &es)
+			e, err := d.value(src.Elem, dst.Elem, sub, es)
 			if err != nil {
 				return Value{}, fmt.Errorf("element %d: %w", i, err)
 			}

@@ -144,7 +144,7 @@ func (p *Plan) Field(j int) PlanField { return p.fields[j] }
 // DecodePayload. A plan with no target returns a nil record once the
 // payload has passed DecodePayload's checks.
 func (p *Plan) Decode(payload []byte) (*Record, error) {
-	return decodePayload(payload, p.from, p)
+	return decodePayload(payload, p.from, p, nil)
 }
 
 // Convert builds a record of the plan's target from rec, a record of its

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/echo"
 	"repro/internal/ecode"
 	"repro/internal/fleetgen"
 	"repro/internal/pbio"
@@ -112,9 +113,9 @@ func TestSlabNewRecord(t *testing.T) {
 
 // FuzzDecodePayload feeds arbitrary bytes to the decoder as a Roster v2,
 // telemetry or fleetgen payload. It must return an error or a record, never
-// panic; a record must own its memory (the input is clobbered afterwards),
-// re-encode to the input bytes (a non-zero boolean byte reads as true, so
-// it re-encodes as 1), and Equal its Clone.
+// panic; a record must own its memory (the bytes it was decoded from are
+// clobbered afterwards), re-encode to the input bytes (a non-zero boolean
+// byte reads as true, so it re-encodes as 1), and Equal its Clone.
 //
 // Each input is also delivered to a Morpher whose record handler has the
 // payload decoded straight through a conversion plan: the Roster reordered
@@ -123,6 +124,15 @@ func TestSlabNewRecord(t *testing.T) {
 // plan. The delivery must fail exactly when DecodePayload fails, and
 // otherwise hand over what converting the decoded record builds: Convert
 // for the name-wise plans, the transform's Ecode run for the move plan.
+//
+// Every input is delivered as a Roster v2 payload, too, to a Morpher whose
+// decision runs Figure 5 on the VM, which decodes its input into memory it
+// reuses from one delivery to the next. That delivery must fail with
+// DecodePayload's error when the payload does not decode, and otherwise
+// fail or hand over exactly what the program run on the decoded record
+// does. One valid roster follows each input and must deliver exactly, so a
+// failed decode cannot corrupt the next one; the record the input
+// delivered must still be equal afterwards.
 func FuzzDecodePayload(f *testing.F) {
 	lin, err := fleetgen.NewLineage("fuzz", 7, 7, 9)
 	if err != nil {
@@ -139,12 +149,22 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Fatal(err)
 	}
 	planned := []*plannedSink{
-		newPlannedSink(f, rosterV2, rosterReordered, nil),
-		newPlannedSink(f, telemetry, telemetrySubset, nil),
-		newPlannedSink(f, lowered.From, lowered.To, lowered),
+		newPlannedSink(f, rosterV2, rosterReordered, nil, 0),
+		newPlannedSink(f, telemetry, telemetrySubset, nil, 0),
+		newPlannedSink(f, lowered.From, lowered.To, lowered, 1),
 	}
+	fig5 := newPlannedSink(f, rosterV2, rosterV1, rosterFigure5, 0)
 
 	rng := rand.New(rand.NewSource(1))
+	valid := pbio.AppendPayload(nil, roster(rng, 5))
+	validRec, err := pbio.DecodePayload(valid, rosterV2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	validWant, err := fig5.run(validRec)
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, n := range []int{0, 1, 3, 28} {
 		f.Add(uint8(0), pbio.AppendPayload(nil, roster(rng, n)))
 	}
@@ -154,29 +174,46 @@ func FuzzDecodePayload(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		fm := formats[int(which)%len(formats)]
-		in := bytes.Clone(data)
-		rec, err := pbio.DecodePayload(data, fm)
+		// Decoded from a copy, which is clobbered afterwards: the fuzzing
+		// engine's data must stay as it is.
+		buf := bytes.Clone(data)
+		rec, err := pbio.DecodePayload(buf, fm)
 		ps := planned[int(which)%len(planned)]
-		got, perr := ps.deliver(data)
+		got, perr := ps.deliver(buf)
 		if (err == nil) != (perr == nil) {
 			t.Fatalf("DecodePayload error %v, planned decode error %v", err, perr)
 		}
+		asRoster, rerr := pbio.DecodePayload(buf, rosterV2)
+		got5, err5 := fig5.deliver(buf)
+		if rerr != nil && (err5 == nil || err5.Error() != rerr.Error()) {
+			t.Fatalf("DecodePayload error %v, Figure 5 delivery error %v", rerr, err5)
+		}
+		if gotValid, err := fig5.deliver(valid); err != nil || !gotValid.Equal(validWant) {
+			t.Fatalf("the valid roster after this input: error %v, delivered %v, want %v", err, gotValid, validWant)
+		}
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+		if rerr == nil {
+			want5, runErr := fig5.run(asRoster)
+			if (runErr == nil) != (err5 == nil) || runErr == nil && !got5.Equal(want5) {
+				t.Fatalf("Figure 5 delivered %v (error %v); the program run on the decoded roster built %v (error %v)",
+					got5, err5, want5, runErr)
+			}
+		}
 		if err != nil {
 			return
-		}
-		for i := range data {
-			data[i] = 0xA5
 		}
 		if want := ps.want(t, rec); !got.Equal(want) {
 			t.Fatalf("planned decode %v, converting the decoded record %v", got, want)
 		}
 		out := pbio.AppendPayload(nil, rec)
-		if len(out) != len(in) {
-			t.Fatalf("re-encoded to %d bytes, input was %d", len(out), len(in))
+		if len(out) != len(data) {
+			t.Fatalf("re-encoded to %d bytes, input was %d", len(out), len(data))
 		}
 		for i := range out {
-			if out[i] != in[i] && !(out[i] == 1 && in[i] > 1) {
-				t.Fatalf("re-encoding differs at byte %d: %#x, input %#x", i, out[i], in[i])
+			if out[i] != data[i] && !(out[i] == 1 && data[i] > 1) {
+				t.Fatalf("re-encoding differs at byte %d: %#x, input %#x", i, out[i], data[i])
 			}
 		}
 		if !rec.Equal(rec.Clone()) {
@@ -196,6 +233,24 @@ var (
 		pbio.Field{Name: "member_list", Kind: pbio.List, Elem: &pbio.Field{Kind: pbio.Complex, Sub: memberReordered}},
 		pbio.Field{Name: "member_count", Kind: pbio.Integer, Size: 4},
 	))
+	memberEntry = pbio.MustFormat("MemberEntry", []pbio.Field{
+		{Name: "info", Kind: pbio.String},
+		{Name: "ID", Kind: pbio.Integer, Size: 4},
+	})
+	entryList = func(name string) pbio.Field {
+		return pbio.Field{Name: name, Kind: pbio.List, Elem: &pbio.Field{Kind: pbio.Complex, Sub: memberEntry}}
+	}
+	// The benchmark's roster_morph Figure 5 sink format and transform.
+	rosterV1 = pbio.MustFormat("Roster", append(append([]pbio.Field(nil), protected...),
+		pbio.Field{Name: "member_count", Kind: pbio.Integer, Size: 4},
+		entryList("member_list"),
+		pbio.Field{Name: "src_count", Kind: pbio.Integer, Size: 4},
+		entryList("src_list"),
+		pbio.Field{Name: "sink_count", Kind: pbio.Integer, Size: 4},
+		entryList("sink_list"),
+	))
+	rosterFigure5 = &core.Xform{From: rosterV2, To: rosterV1,
+		Code: echo.Figure5Transform + "old.src = new.src; old.seq = new.seq; old.check = new.check;"}
 	// A width change keeps the telemetry subset off the splice lane.
 	telemetrySubset = pbio.MustFormat("telemetry", append(append([]pbio.Field(nil), protected...),
 		pbio.Field{Name: "rpm", Kind: pbio.Integer, Size: 8},
@@ -215,7 +270,9 @@ type plannedSink struct {
 	got      *pbio.Record
 }
 
-func newPlannedSink(f *testing.F, from, to *pbio.Format, x *core.Xform) *plannedSink {
+// newPlannedSink builds the sink, checking that x, if any, is one step of
+// which lowered steps run as plans.
+func newPlannedSink(f *testing.F, from, to *pbio.Format, x *core.Xform, lowered int) *plannedSink {
 	ps := &plannedSink{from: from, to: to, m: core.NewMorpher(core.Thresholds{Diff: math.MaxInt32, Mismatch: 1})}
 	if err := ps.m.RegisterFormat(to, func(r *pbio.Record) error {
 		ps.got = r
@@ -231,8 +288,8 @@ func newPlannedSink(f *testing.F, from, to *pbio.Format, x *core.Xform) *planned
 		f.Fatal(err)
 	}
 	ex, err := ps.m.Explain(from)
-	if err != nil || ex.ChainLen != 1 || ex.Lowered != 1 {
-		f.Fatalf("Explain = %+v, %v; want one lowered step", ex, err)
+	if err != nil || ex.ChainLen != 1 || ex.Lowered != lowered {
+		f.Fatalf("Explain = %+v, %v; want one step, %d lowered", ex, err, lowered)
 	}
 	if ps.prog, err = ecode.Compile(x.Code,
 		ecode.Param{Name: core.SrcParam, Format: x.From},
@@ -260,11 +317,18 @@ func (ps *plannedSink) want(t *testing.T, rec *pbio.Record) *pbio.Record {
 		}
 		return out
 	}
-	out := pbio.NewRecord(ps.to)
-	if _, err := ps.prog.Run(rec, out); err != nil {
+	out, err := ps.run(rec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// run is x's program run on rec, a record of from.
+func (ps *plannedSink) run(rec *pbio.Record) (*pbio.Record, error) {
+	out := pbio.NewRecord(ps.to)
+	_, err := ps.prog.Run(rec, out)
+	return out, err
 }
 
 // FuzzDecodeFormat feeds arbitrary bytes to the format-blob decoder, the
