@@ -165,8 +165,11 @@ func TestQuickFigure5MatchesHandWritten(t *testing.T) {
 
 // figure5Roster is the benchmark roster: 28 members (about 1 KB encoded),
 // half of them sources and half sinks.
-func figure5Roster() *pbio.Record {
-	members := make([]echo.Member, 28)
+func figure5Roster() *pbio.Record { return figure5RosterOf(28) }
+
+// figure5RosterOf is a roster like figure5Roster's, of n members.
+func figure5RosterOf(n int) *pbio.Record {
+	members := make([]echo.Member, n)
 	for i := range members {
 		members[i] = echo.Member{
 			Info:     fmt.Sprintf("tcp://node-%05d.rack-%02d:%05d", i*7919, i, i*31),
@@ -180,7 +183,9 @@ func figure5Roster() *pbio.Record {
 
 // BenchmarkFigure5Run times one Figure 5 run on a 28-member roster,
 // compiled (vm) and hand-written (native), output record included. Both
-// start from a fresh output record and slab per run.
+// start from a fresh output record and slab per run. vm_sizes runs the
+// program on rosters of 0 to 200 members in turn, long after short and
+// short after long; its figures are per run.
 func BenchmarkFigure5Run(b *testing.B) {
 	prog, native, in := compileFigure5(b), newFigure5Native(), figure5Roster()
 	vm := func(b *testing.B) *pbio.Record {
@@ -201,10 +206,23 @@ func BenchmarkFigure5Run(b *testing.B) {
 	if got, want := vm(b), hand(b); !got.Equal(want) {
 		b.Fatalf("VM and hand-written Figure 5 disagree:\n%v\n%v", got, want)
 	}
+	var sizes []*pbio.Record
+	for _, n := range []int{1, 200, 3, 60, 0, 28, 12, 100} {
+		sizes = append(sizes, figure5RosterOf(n))
+	}
+	next := 0
+	varying := func(b *testing.B) *pbio.Record {
+		out := pbio.NewRecord(echo.ResponseV1Format)
+		if _, err := prog.Run(sizes[next], out); err != nil {
+			b.Fatal(err)
+		}
+		next = (next + 1) % len(sizes)
+		return out
+	}
 	for _, bm := range []struct {
 		name string
 		run  func(*testing.B) *pbio.Record
-	}{{"vm", vm}, {"native", hand}} {
+	}{{"vm", vm}, {"native", hand}, {"vm_sizes", varying}} {
 		b.Run(bm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
