@@ -69,7 +69,8 @@ func (ch *channel) newSinkQueue(mc *memberConn) *fanout.Queue {
 		Cap:    ch.queueCap,
 		Policy: ch.queuePolicy,
 		// Flush hands the whole backlog to the wire layer as one batch:
-		// one write lock, one flush — N coalesced frames cost one syscall.
+		// one write lock, and one Write per 64 KiB of frames — N coalesced
+		// frames cost ⌈bytes / 64 KiB⌉ syscalls, not N.
 		// Evolution meta-data is relayed here, by the sink's own writer,
 		// never by the fan-out pass: Declare takes the conn's write lock,
 		// which a stalled sink's writer can hold across a blocked flush —

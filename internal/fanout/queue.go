@@ -41,7 +41,7 @@ type Config struct {
 	Policy Policy
 	// Flush writes one batch to the sink — every queued frame the writer
 	// found pending, in arrival order — and makes it durable in one
-	// operation (one syscall on a buffered transport). An error fails the
+	// operation (on a wire.Conn, one Write per 64 KiB). An error fails the
 	// queue: the batch and any later frames are dropped and OnFail fires.
 	Flush func(batch []*Frame) error
 	// OnEnqueue is called once per Enqueue'd frame, before queue admission
