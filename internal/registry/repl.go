@@ -211,7 +211,7 @@ func (r *replSession) onFrame(body []byte) {
 		if perr != nil {
 			return
 		}
-		// Copy: the frame body aliases the pump conn's pooled read buffer,
+		// Copy: the frame body aliases the pump conn's read buffer,
 		// and the standby retains the blob in its table.
 		r.onEvent(reqID, fp, append([]byte(nil), blob...))
 		return

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/pbio"
@@ -106,8 +107,9 @@ func (d TapDir) String() string {
 }
 
 // FrameTap observes every frame a connection reads or writes — the hook the
-// flight recorder (internal/tap) hangs off the framing layer. body aliases
-// wire-owned memory valid only for the duration of the call; tctx is the
+// flight recorder (internal/tap) hangs off the framing layer. body is valid
+// only for the duration of the call: on the read side it aliases the
+// connection's read buffer, which the next read overwrites; tctx is the
 // trace context riding with a data frame (zero otherwise). CaptureFrame is
 // invoked under the connection's write lock on the write side and from the
 // read goroutine on the read side, so a given direction is never reentered
@@ -127,37 +129,81 @@ type FrameTap interface {
 // arbitrary allocation with a forged length header.
 const DefaultMaxFrame = 64 << 20
 
-// readFrame returns the next frame. The body aliases a pooled buffer that
-// stays valid until the next readFrame call, at which point it is recycled —
-// the single-goroutine read-loop contract of Conn makes this safe, and it is
-// why a steady message stream reads with zero per-frame allocations.
+// readFrame returns the next frame, parsed in place. A body whose frame fits
+// the read buffer aliases that buffer; a larger one is read into an
+// exact-size pooled buffer. Either way it stays valid until the next
+// readFrame call — the single-goroutine read-loop contract of Conn makes
+// this safe, and it is why a steady message stream reads with zero
+// per-frame allocations and one Read per buffer of frames.
+//
+// An end of stream between frames is io.EOF, untouched; one inside a frame
+// is ErrBadFrame wrapping io.ErrUnexpectedEOF, so stream-over-file readers
+// (spool) can tell a torn tail from corruption. A length over the limit is
+// ErrFrameTooLarge, returned before anything is allocated for the body.
 func (c *Conn) readFrame() (byte, []byte, error) {
 	if c.held != nil {
 		pbio.PutBuffer(c.held)
 		c.held = nil
 	}
-	typ, err := c.br.ReadByte()
-	if err != nil {
-		return 0, nil, err // io.EOF passes through untouched
+	if c.rpos == c.rend {
+		if err := c.fill(1); err != nil {
+			return 0, nil, err
+		}
 	}
-	size, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		c.stats.corruptFrames.inc()
-		// The cause is wrapped (not just rendered) so stream-over-file readers
-		// (spool) can tell a torn tail — EOF mid-frame — from corruption.
-		return 0, nil, fmt.Errorf("%w: bad length: %w", ErrBadFrame, err)
+	// The length varint is parsed as far as it has arrived: a header is
+	// never waited on beyond the bytes the peer actually sent.
+	var size uint64
+	hdr := 0
+	for hdr == 0 {
+		n := 0
+		size, n = binary.Uvarint(c.rbuf[c.rpos+1 : c.rend])
+		switch {
+		case n > 0:
+			hdr = 1 + n
+		case n < 0:
+			c.stats.corruptFrames.inc()
+			return 0, nil, fmt.Errorf("%w: bad length: varint overflows a 64-bit integer", ErrBadFrame)
+		default:
+			if err := c.fill(c.rend - c.rpos + 1); err != nil {
+				c.stats.corruptFrames.inc()
+				return 0, nil, fmt.Errorf("%w: bad length: %w", ErrBadFrame, unexpectedEOF(err))
+			}
+		}
 	}
+	typ := c.rbuf[c.rpos]
 	if size > uint64(c.maxFrame) {
 		c.stats.oversizedFrames.inc()
 		return 0, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, size, c.maxFrame)
 	}
-	c.held = pbio.GetBuffer(int(size))
-	body := *c.held
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		c.stats.corruptFrames.inc()
-		return 0, nil, fmt.Errorf("%w: truncated body: %w", ErrBadFrame, err)
+	n := hdr + int(size)
+	var body []byte
+	if n <= maxReadBuf {
+		for c.rend-c.rpos < n {
+			if err := c.fill(n); err != nil {
+				c.stats.corruptFrames.inc()
+				return 0, nil, fmt.Errorf("%w: truncated body: %w", ErrBadFrame, unexpectedEOF(err))
+			}
+		}
+		// Capped, so a caller appending to the body cannot overwrite the
+		// frames behind it.
+		body = c.rbuf[c.rpos+hdr : c.rpos+n : c.rpos+n]
+		c.rpos += n
+	} else {
+		c.held = pbio.GetBuffer(int(size))
+		body = *c.held
+		k := copy(body, c.rbuf[c.rpos+hdr:c.rend])
+		c.rpos = c.rend
+		err := c.rerr
+		c.rerr = nil
+		if err == nil {
+			_, err = io.ReadFull(c.nc, body[k:])
+		}
+		if err != nil {
+			c.stats.corruptFrames.inc()
+			return 0, nil, fmt.Errorf("%w: truncated body: %w", ErrBadFrame, unexpectedEOF(err))
+		}
 	}
-	c.stats.bytesRecv.add(1 + uint64(uvarintLen(size)) + size)
+	c.stats.bytesRecv.add(uint64(n))
 	switch typ {
 	case frameData:
 		c.stats.dataRecv.inc()
@@ -178,6 +224,80 @@ func (c *Conn) readFrame() (byte, []byte, error) {
 	}
 	return typ, body, nil
 }
+
+// unexpectedEOF names an end of stream inside a frame for what it is.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// minReadBuf is the read buffer a connection keeps between bursts, the
+// memory a 4 KiB bufio.Reader held. maxReadBuf, the size of the pooled
+// buffers reads grow into, is the write side's maxWriteBuf: a write call's
+// Write arrives in one Read.
+const (
+	minReadBuf = 4 << 10
+	maxReadBuf = maxWriteBuf
+)
+
+// readBufs holds the maxReadBuf buffers connections read into while reads
+// fill their buffer. A connection returns its buffer once a read no longer
+// fills it, so one waiting between frames for a peer that sends nothing
+// holds only its minReadBuf buffer.
+var readBufs = sync.Pool{New: func() any { b := make([]byte, maxReadBuf); return &b }}
+
+// fill makes room for need bytes (at most maxReadBuf) from the next unread
+// one and reads once from the stream, moving the unread tail to the front
+// of the buffer the read goes into. That buffer is chosen at every fill:
+// the pooled one when need does not fit the small one, or when
+// the last read filled its buffer and a frame is in progress — frames
+// straddle the buffer's end, so growing only into an empty buffer would
+// never grow — and the small one otherwise, returning the pooled one. A
+// stream error that arrived with data is returned by the next fill.
+func (c *Conn) fill(need int) error {
+	if err := c.rerr; err != nil {
+		c.rerr = nil
+		return err
+	}
+	tail := c.rend - c.rpos
+	var buf []byte
+	if need > minReadBuf || c.rfull && tail > 0 {
+		if c.rpool == nil {
+			c.rpool = readBufs.Get().(*[]byte)
+		}
+		buf = *c.rpool
+	} else {
+		if c.rsmall == nil {
+			c.rsmall = make([]byte, minReadBuf)
+		}
+		buf = c.rsmall
+	}
+	copy(buf, c.rbuf[c.rpos:c.rend])
+	if c.rpool != nil && &buf[0] != &(*c.rpool)[0] {
+		readBufs.Put(c.rpool)
+		c.rpool = nil
+	}
+	c.rbuf, c.rpos, c.rend = buf, 0, tail
+	for range maxEmptyReads {
+		n, err := c.nc.Read(buf[c.rend:])
+		c.rend += n
+		if n > 0 {
+			c.rfull = c.rend == len(buf)
+			c.rerr = err
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return io.ErrNoProgress
+}
+
+// maxEmptyReads is how many reads returning no data and no error fill
+// takes before it gives up with io.ErrNoProgress, as bufio.Reader does.
+const maxEmptyReads = 100
 
 func uvarintLen(x uint64) int {
 	n := 1

@@ -40,35 +40,52 @@ func fuzzSeedStream(tb testing.TB) []byte {
 
 // FuzzConnReadFrames throws arbitrary byte streams at the frame reader: any
 // input must produce clean errors or records — never a panic, unbounded
-// allocation, or pool corruption. Run with `go test -fuzz=FuzzConnReadFrames
-// ./internal/wire/` to explore beyond the corpus.
+// allocation, or pool corruption. cuts, when not empty, delivers the stream
+// in pieces: Read i returns at most 1+c² bytes for c = cuts[i mod len(cuts)],
+// so a piece ends anywhere from inside a header to past the 64 KiB read
+// buffer. Run with `go test -fuzz=FuzzConnReadFrames ./internal/wire/` to
+// explore beyond the corpus.
 func FuzzConnReadFrames(f *testing.F) {
 	valid := fuzzSeedStream(f)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                                                  // truncated mid-stream
-	f.Add(rawFrame(3, make([]byte, trace.ContextWireSize)))                      // all-zero trace context
-	f.Add(append(rawFrame(9, []byte("future")), valid...))                       // unknown kind, then valid
-	f.Add(rawFrame(0, nil))                                                      // zero kind
-	f.Add(rawFrame(2, []byte{1, 2, 3}))                                          // short data envelope
-	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})                   // oversized length header
-	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})                   // oversized format frame length
-	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // 10-byte varint (overflow territory)
-	f.Add([]byte{1, 0x80})                                                       // truncated varint
-	f.Add(append(rawFrame(3, []byte("tiny")), valid...))                         // corrupt trace frame
-	f.Add(append(append([]byte{}, valid...), valid...))                          // duplicate format frame
-	f.Add(append(rawFrame(4, []byte{1, 2, 3, 4, 5, 6, 7, 8}), valid...))         // format request for unknown fp
-	f.Add(rawFrame(4, []byte("odd")))                                            // malformed format request
-	f.Add(append(rawFrame(5, []byte{1, 0, 9}), valid...))                        // registry RPC kind with no hook
+	var whole []byte // no cuts: the stream arrives in one Read
+	f.Add(valid, whole)
+	f.Add(valid[:len(valid)/2], whole)                                                  // truncated mid-stream
+	f.Add(rawFrame(3, make([]byte, trace.ContextWireSize)), whole)                      // all-zero trace context
+	f.Add(append(rawFrame(9, []byte("future")), valid...), whole)                       // unknown kind, then valid
+	f.Add(rawFrame(0, nil), whole)                                                      // zero kind
+	f.Add(rawFrame(2, []byte{1, 2, 3}), whole)                                          // short data envelope
+	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, whole)                   // oversized length header
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, whole)                   // oversized format frame length
+	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, whole) // 10-byte varint (overflow territory)
+	f.Add([]byte{1, 0x80}, whole)                                                       // truncated varint
+	f.Add(append(rawFrame(3, []byte("tiny")), valid...), whole)                         // corrupt trace frame
+	f.Add(append(append([]byte{}, valid...), valid...), whole)                          // duplicate format frame
+	f.Add(append(rawFrame(4, []byte{1, 2, 3, 4, 5, 6, 7, 8}), valid...), whole)         // format request for unknown fp
+	f.Add(rawFrame(4, []byte("odd")), whole)                                            // malformed format request
+	f.Add(append(rawFrame(5, []byte{1, 0, 9}), valid...), whole)                        // registry RPC kind with no hook
 
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		pipe := newBufferPipe()
-		if _, err := pipe.Write(stream); err != nil {
-			t.Fatal(err)
+	// The same streams in cuts: a byte per Read, then pieces that straddle
+	// headers, the 4 KiB buffer and the 64 KiB one, and a frame that does
+	// not fit the 64 KiB buffer.
+	f.Add(valid, []byte{0})
+	f.Add(valid, []byte{1, 3, 0})
+	f.Add(append(rawFrame(9, make([]byte, 4000)), valid...), []byte{63, 1})
+	f.Add(append(rawFrame(9, make([]byte, 65530)), valid...), []byte{255, 2})
+	f.Add(append(rawFrame(9, make([]byte, 1<<16)), valid...), []byte{200})
+	f.Add(append(append([]byte{}, valid...), valid[:len(valid)-3]...), []byte{2})
+
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		r := io.Reader(bytes.NewReader(stream))
+		if len(cuts) > 0 {
+			i := 0
+			r = &cutReader{b: stream, cut: func() int {
+				c := int(cuts[i%len(cuts)])
+				i++
+				return 1 + c*c
+			}}
 		}
-		_ = pipe.Close()
-
 		m := core.NewMorpher(core.DefaultThresholds)
-		conn := NewConn(&bufferedConn{r: pipe, w: newBufferPipe()},
+		conn := NewStreamConn(readStream{r},
 			WithMorpher(m),
 			WithMaxFrame(1<<16),
 			WithTracer(trace.New(trace.Config{Capacity: 8})))

@@ -13,8 +13,8 @@ import (
 )
 
 // parkedFrame is a data frame held back because its format is not yet known:
-// the body is a private copy (the pooled frame buffer cannot outlive the next
-// read), tctx is the trace context that was announced for it.
+// the body is a private copy (a frame body aliases the read buffer only until
+// the next read), tctx is the trace context that was announced for it.
 type parkedFrame struct {
 	fp   uint64
 	body []byte
@@ -38,9 +38,10 @@ func (c *Conn) ReadRecord() (*pbio.Record, error) {
 // without decoding the payload. Format control frames encountered on the way
 // are absorbed exactly as in ReadRecord.
 //
-// The returned slice aliases a pooled frame buffer owned by the connection:
-// it is valid only until the next Read*/Serve call and must be copied if
-// retained. The payload is NOT validated against the format — pass it to
+// The returned slice aliases the connection's read buffer (or, for a frame
+// over 64 KiB, a pooled buffer of the frame's own size): it is valid only
+// until the next Read*/Serve call and must be copied if retained. The
+// payload is NOT validated against the format — pass it to
 // Morpher.DeliverEncoded (which validates on whichever lane it takes) or to
 // pbio.DecodeRecord.
 func (c *Conn) ReadEncoded() ([]byte, *pbio.Format, error) {

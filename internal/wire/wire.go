@@ -14,7 +14,6 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -88,9 +87,19 @@ type Conn struct {
 	declared  map[uint64][]*core.Xform
 	announced map[uint64]*pbio.Format // formats sent (or suppressed) on this conn, for re-announcement
 
-	br          *bufio.Reader
-	recvFormats map[uint64]*pbio.Format
-	held        *[]byte // pooled frame body in flight; recycled on the next read
+	// The read buffer (single goroutine, see readFrame and fill): rbuf is
+	// rsmall, made on the first read, or *rpool while reads fill their
+	// buffer; rbuf[rpos:rend] is read and not yet parsed; rfull says the
+	// last read filled rbuf; rerr is a stream error that arrived with data.
+	// held is the exact-size pooled body of a frame too large for the
+	// buffer, recycled on the next read.
+	rbuf, rsmall []byte
+	rpool        *[]byte
+	rpos, rend   int
+	rfull        bool
+	rerr         error
+	held         *[]byte
+	recvFormats  map[uint64]*pbio.Format
 
 	// Parked data frames (read side, single goroutine): frames whose
 	// fingerprint neither the format cache nor the resolver could name, held
@@ -99,7 +108,7 @@ type Conn struct {
 	parkedBytes int
 	requested   map[uint64]bool // fingerprints we have asked the peer to re-announce
 
-	// Read-side trace state (single-goroutine, like br): pending is the
+	// Read-side trace state (single-goroutine, like rbuf): pending is the
 	// context announced by the most recent frameTrace frame, waiting for
 	// its data frame; rctx is the context attached to the last data frame
 	// returned; rspan times the announced frame's arrival when this side
@@ -260,9 +269,9 @@ func WithFormatSuppressor(fn func(*pbio.Format) bool) Option {
 
 // WithControlHook routes incoming control frames of a custom kind
 // (MinCustomFrame or above) to hook instead of the unknown-frame skip path.
-// The body aliases a pooled frame buffer valid only for the duration of the
-// call. A hook error tears the connection down, like any frame error. The
-// registry subsystem layers its RPC protocol on this.
+// The body aliases the connection's read buffer and is valid only for the
+// duration of the call. A hook error tears the connection down, like any
+// frame error. The registry subsystem layers its RPC protocol on this.
 func WithControlHook(kind byte, hook func(body []byte) error) Option {
 	return func(c *Conn) {
 		if kind < MinCustomFrame || hook == nil {
@@ -336,7 +345,6 @@ func NewStreamConn(nc Stream, opts ...Option) *Conn {
 	c := &Conn{
 		nc:          nc,
 		maxFrame:    DefaultMaxFrame,
-		br:          bufio.NewReader(nc),
 		sent:        make(map[uint64]bool),
 		declared:    make(map[uint64][]*core.Xform),
 		announced:   make(map[uint64]*pbio.Format),

@@ -69,8 +69,8 @@ selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFr
 echo "== publisher write coalescer contract and buffered-burst overflow (race-enabled)"
 selected run 'TestPublishOrderConcurrent|TestCloseFlushesAccepted|TestPublishBlocksOnStalledPeer|TestCoalescerBoundsMemory|TestPublishFailsAfterBrokerCloses|TestCloseLeavesNoGoroutine|TestBufferedBurstDoesNotOverflow' \
     -race -count=1 ./internal/echo/
-echo "== wire write path (a batch leaves in one Write per 64 KiB of frames; a body over 64 KiB leaves uncopied; random batches read back in order with their trace frames; a failed or short Write is sticky; a connection blocked in a Write holds at most 64 KiB of heap; race-enabled)"
-selected run 'TestWriteEncodedBatch|TestWriteLargeFrameUncopied|TestQuickWriteBatches|TestStickyWriteError|TestStalledWritesBoundMemory' \
+echo "== wire read and write paths (a batch leaves in one Write per 64 KiB of frames and arrives in one Read per 64 KiB; a body over 64 KiB leaves uncopied; random batches read back in order with their trace frames, however the stream is cut; frames shorter than a full header cross an unbuffered pipe; a failed or short Write is sticky; a connection blocked in a Write holds at most 64 KiB of heap, one waiting in a Read 4 KiB; an end of stream between frames is io.EOF, inside one ErrBadFrame wrapping io.ErrUnexpectedEOF; race-enabled)"
+selected run 'TestWriteEncodedBatch|TestWriteLargeFrameUncopied|TestQuickWriteBatches|TestStickyWriteError|TestStalledWritesBoundMemory|TestReadEncodedRealSizes|TestQuickReadSplits|TestSmallFramePingPong|TestIdleReadsBoundMemory|TestReadErrorContracts' \
     -race -count=1 ./internal/wire/
 echo "== allocation gates (packed Value, list slabs, a plan converting a roster, a Figure 5 run growing each list once, record-lane deliveries decoded through their plans or into reused memory for the Ecode VM, splice-lane deliveries, steady-state Publish, encoded wire round trips, heap of a decoded format)"
 selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestRecordLaneAllocs|TestSpliceLaneAllocs|TestPublishAllocs|TestEncodedRoundTripAllocs|TestDecodedFormatBytes' \
@@ -113,10 +113,12 @@ echo "== fleet chaos soak (seeds 1-3, race-enabled: zero loss, dups, reorders, l
 selected run 'TestFleetSoak' -race -count=1 ./internal/bench/
 echo "== echodemo debug plane (server process: /metrics golden, readyz, /debug/ index, tapz morphcap)"
 selected run 'TestRunServerDebugPlane' -race -count=1 ./cmd/echodemo/
-echo "== fuzz smoke (wire frame parser, format-frame round trip, payload decoder with planned and reused-memory deliveries, format-blob decoder, spool and capture reader, registry bodies, Ecode compiler; 10s each)"
-selected fuzz FuzzConnReadFrames -fuzztime 10s ./internal/wire/
+echo "== fuzz smoke (wire frame parser over cut streams, format-frame round trip, payload decoder with planned and reused-memory deliveries, format-blob decoder, spool and capture reader, registry bodies, Ecode compiler; 10s each)"
+# Minimizing a new input runs up to 60 s by default and executes nothing new
+# meanwhile; on these two targets it took most of a 10 s smoke.
+selected fuzz FuzzConnReadFrames -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
 selected fuzz FuzzFormatFrame -fuzztime 10s ./internal/wire/
-selected fuzz FuzzDecodePayload -fuzztime 10s ./internal/pbio/
+selected fuzz FuzzDecodePayload -fuzztime 10s -fuzzminimizetime 1s ./internal/pbio/
 selected fuzz FuzzDecodeFormat -fuzztime 10s ./internal/pbio/
 selected fuzz FuzzSpool -fuzztime 10s ./internal/spool/
 selected fuzz FuzzRegistryBodies -fuzztime 10s ./internal/registry/
