@@ -35,16 +35,25 @@ func NewConverter(from, to *pbio.Format) *Converter {
 
 // newMovePlan builds the conversion plan from → to that an Ecode field map
 // describes (ecode.Program.FieldMap): each move copies a source field, by
-// index rather than by name, or fills a constant. A target field the map
-// never names keeps the zero value pbio.NewRecord gives it, not its declared
-// default, as it would after the program ran.
+// index rather than by name, or fills a constant, and each list move
+// builds a list through its loop, from an element plan of its own moves. A
+// target field the map never names keeps the zero value pbio.NewRecord
+// gives it, not its declared default, as it would after the program ran.
 func newMovePlan(from, to *pbio.Format, moves []ecode.FieldMove) (*pbio.Plan, error) {
 	fields := make([]pbio.PlanField, to.NumFields())
 	for j := range fields {
 		fields[j].Src = pbio.NoSource
 	}
 	for _, mv := range moves {
-		fields[mv.Dst] = pbio.PlanField{Src: mv.Src, Fill: mv.Const}
+		pf := pbio.PlanField{Src: mv.Src, Fill: mv.Const, Each: mv.Each}
+		if mv.Each != nil {
+			sub, err := newMovePlan(from.Field(mv.Src).Elem.Sub, to.Field(mv.Dst).Elem.Sub, mv.Elem)
+			if err != nil {
+				return nil, err
+			}
+			pf.Sub = sub
+		}
+		fields[mv.Dst] = pf
 	}
 	return pbio.NewPlan(from, to, fields)
 }

@@ -205,8 +205,10 @@ func (d *decision) first() *pbio.Plan {
 
 // step is one link of a transformation chain, producing a record of dst:
 // an Ecode program, or — when the program only moves fields
-// (ecode.Program.FieldMap) — the conversion plan it lowers to, which runs
-// without a VM frame.
+// (ecode.Program.FieldMap), Figure 5's loop included — the conversion plan
+// it lowers to, which runs without a VM frame. A lowered step fails where
+// its program would, with the program's runtime error (a loop count past
+// its list's end), but only once the payload has decoded.
 type step struct {
 	prog *ecode.Program // nil when lowered
 	plan *pbio.Plan     // nil unless lowered
@@ -677,13 +679,17 @@ func (m *Morpher) applyDecision(d *decision, rec *pbio.Record, payload []byte, w
 		s := &d.steps[i]
 		xs := m.tracer.StartSpan(tctx, trace.StageXformStep)
 		dst, err := s.run(cur, payload)
-		if err != nil && cur == nil {
+		if err != nil && cur == nil && !errors.Is(err, ecode.ErrRuntime) {
 			return nil, err // the payload did not decode: the span is dropped, no operation ran
 		}
 		if err != nil {
+			from := wire
+			if cur != nil {
+				from = cur.Format()
+			}
 			xs.EndErr(err)
 			return nil, fmt.Errorf("core: transformation step %d (%q→%q): %w",
-				i, cur.Format().Name(), s.dst.Name(), err)
+				i, from.Name(), s.dst.Name(), err)
 		}
 		if xs.Recording() {
 			xs.N = int64(i)
@@ -910,7 +916,7 @@ type Explanation struct {
 	Rejected  bool
 	Target    *pbio.Format // registered format messages are delivered as
 	ChainLen  int          // transformation steps applied
-	Lowered   int          // of those, steps that only move fields and run as conversion plans
+	Lowered   int          // of those, steps that only move fields (Figure 5 among them) and run as conversion plans
 	Perfect   bool         // no fill/drop needed after the chain
 	Defaulted []string     // target fields filled with defaults
 	Dropped   []string     // incoming fields discarded

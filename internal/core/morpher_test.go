@@ -111,9 +111,9 @@ func TestMorpherEvolutionScenario(t *testing.T) {
 	if st.Compiled != 1 || st.Transformed != 1 {
 		t.Errorf("stats = %+v, want exactly one compile and one transform", st)
 	}
-	// Figure 5 loops and counts, so the VM runs it.
-	if ex, err := m.Explain(v2); err != nil || ex.ChainLen != 1 || ex.Lowered != 0 {
-		t.Errorf("Explain = %+v, %v; want one step, run by the VM", ex, err)
+	// Figure 5's loop only moves list elements, so it runs as a plan.
+	if ex, err := m.Explain(v2); err != nil || ex.ChainLen != 1 || ex.Lowered != 1 {
+		t.Errorf("Explain = %+v, %v; want one step, lowered to a plan", ex, err)
 	}
 }
 

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/echo"
+	"repro/internal/ecode"
 	"repro/internal/fleetgen"
 	"repro/internal/pbio"
 )
@@ -55,10 +57,11 @@ type recordLaneCase struct {
 	transformed, converted bool
 }
 
-// recordLaneCases are the record lane's three planned shapes — a lowered
-// fixed-stride transform and a name-wise reorder into record handlers, and
-// a variable-width identity delivery to an encoded handler — and a roster
-// run through the Figure 5 program into a record handler.
+// recordLaneCases are the record lane's four planned shapes — a lowered
+// fixed-stride transform, a name-wise reorder and Figure 5's lowered loop
+// into record handlers, and a variable-width identity delivery to an
+// encoded handler — and a roster run on the VM, through a near miss of
+// Figure 5, into a record handler.
 func recordLaneCases(t *testing.T) []recordLaneCase {
 	lin, err := fleetgen.NewLineage("allocs", 7, 1, 8)
 	if err != nil {
@@ -94,7 +97,9 @@ func recordLaneCases(t *testing.T) []recordLaneCase {
 		{"roster as it came, encoded handler", roster(28),
 			echo.ResponseV2Format, echo.ResponseV2Format, true, nil, 0, false, false},
 		{"roster through Figure 5, record handler", roster(28),
-			echo.ResponseV2Format, echo.ResponseV1Format, false, figure5, 6, true, false},
+			echo.ResponseV2Format, echo.ResponseV1Format, false, figure5, 5, true, false},
+		{"roster through Figure 5 on the VM, record handler", roster(28),
+			echo.ResponseV2Format, echo.ResponseV1Format, false, figure5VM, 6, true, false},
 	} {
 		c := recordLaneCase{name: tc.name, m: core.NewMorpher(core.DefaultThresholds), data: tc.data, wire: tc.wire,
 			handled: new(int), max: tc.max, transformed: tc.transformed, converted: tc.converted}
@@ -140,15 +145,18 @@ func runsVM(t *testing.T, c recordLaneCase) bool {
 //     copy its strings share), down from 11;
 //   - the same roster delivered as it came to an encoded handler is
 //     validated without building anything: 0 allocations, down from 6;
-//   - the same roster run through Figure 5 into a record handler builds
-//     the v1.0 roster — its top record and values, and one chunk of
-//     records and one of values for its three lists' arrays and elements —
-//     the run's frame, and the one payload copy the strings share: 6
-//     allocations, down from 22. The decoded v2.0 input comes from the
-//     Morpher's reused memory, and the program's lists start with room for
-//     the input's members. The race detector makes sync.Pool drop a
-//     random quarter of what is put back, so under it this count is not
-//     gated.
+//   - the same roster through Figure 5, whose loop lowers to a plan, into
+//     a record handler is decoded straight into the v1.0 roster: its top
+//     record and values, one chunk of records and one of values for its
+//     three lists' arrays and elements, and the one payload copy the
+//     strings share: 5 allocations, down from 6 on the VM and 22 before
+//     that. No v2.0 record is built;
+//   - the same roster run on the VM, through a near miss of Figure 5,
+//     builds the same v1.0 roster, the run's frame and the payload copy: 6
+//     allocations. The decoded v2.0 input comes from the Morpher's reused
+//     memory, and the program's lists start with room for the input's
+//     members. The race detector makes sync.Pool drop a random quarter of
+//     what is put back, so under it this count is not gated.
 func TestRecordLaneAllocs(t *testing.T) {
 	for _, c := range recordLaneCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -199,6 +207,15 @@ func TestRecordLaneRejectsWhatDecodeRejects(t *testing.T) {
 				*c.handled = 0
 				_, decErr := pbio.DecodeRecord(msg, c.wire)
 				err := c.m.DeliverEncoded(msg, c.wire)
+				if decErr == nil && errors.Is(err, ecode.ErrRuntime) {
+					// A lowered loop refuses a count past its list's end,
+					// as its program would; TestLoweredFigure5EdgeCases
+					// holds it to the VM.
+					if *c.handled != 0 {
+						t.Fatalf("message %x: the handler ran for a message the program refused", msg)
+					}
+					continue
+				}
 				if (err == nil) != (decErr == nil) {
 					t.Fatalf("message %x: delivery error %v, DecodeRecord error %v", msg, err, decErr)
 				}

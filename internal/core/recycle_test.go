@@ -19,6 +19,9 @@ var (
 	seqV2     = pbio.MustFormat("ChannelOpenResponse", append([]pbio.Field{seqField}, echo.ResponseV2Format.Fields()...))
 	seqV1     = pbio.MustFormat("ChannelOpenResponse", append([]pbio.Field{seqField}, echo.ResponseV1Format.Fields()...))
 	seqFigure = &core.Xform{From: seqV2, To: seqV1, Code: echo.Figure5Transform + "old.seq = new.seq;"}
+	// A near miss of it, which stores seq twice and so runs on the VM,
+	// building what it builds.
+	seqFigureVM = &core.Xform{From: seqV2, To: seqV1, Code: seqFigure.Code + "old.seq = old.seq;"}
 )
 
 // recycledMessage is an enveloped seqV2 message and what delivering it
@@ -80,16 +83,30 @@ func recycledMessages(t *testing.T, rng *rand.Rand, n int) []recycledMessage {
 }
 
 // TestRecycledInputs: a Morpher decodes the input of a decision whose first
-// step runs on the Ecode VM into memory it reuses. Driven from 8 goroutines
-// with good, truncated and bit-flipped rosters, every delivery must fail
-// with the decoder's own error exactly when DecodePayload fails, fail in
-// the program exactly when the program run offline fails, and otherwise
-// hand the handler what the offline run builds. The records a handler
-// keeps must stay equal to that after 1,000 later deliveries reuse the
-// memory their inputs were decoded into.
+// step runs on the Ecode VM into memory it reuses, and decodes the input
+// of a lowered first step straight through its plan. Driven from 8
+// goroutines with good, truncated and bit-flipped rosters, through Figure
+// 5, which lowers, and through a near miss of it, which runs on the VM,
+// every delivery must fail with the decoder's own error exactly when
+// DecodePayload fails, fail in the program exactly when the program run
+// offline fails, and otherwise hand the handler what the offline run
+// builds. The records a handler keeps must stay equal to that after 1,000
+// later deliveries reuse the memory their inputs were decoded into.
 func TestRecycledInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	msgs := recycledMessages(t, rng, 48)
+	for _, tc := range []struct {
+		name    string
+		x       *core.Xform
+		lowered int
+	}{{"lowered", seqFigure, 1}, {"VM", seqFigureVM, 0}} {
+		t.Run(tc.name, func(t *testing.T) { recycledInputs(t, msgs, tc.x, tc.lowered) })
+	}
+}
+
+// recycledInputs delivers msgs through x, of which lowered steps run as
+// plans, as TestRecycledInputs says.
+func recycledInputs(t *testing.T, msgs []recycledMessage, x *core.Xform, lowered int) {
 	wantBySeq := make(map[uint64]*pbio.Record)
 	var undecodable, failing int
 	for _, m := range msgs {
@@ -124,8 +141,11 @@ func TestRecycledInputs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddTransform(seqFigure); err != nil {
+	if err := m.AddTransform(x); err != nil {
 		t.Fatal(err)
+	}
+	if ex, err := m.Explain(seqV2); err != nil || ex.ChainLen != 1 || ex.Lowered != lowered {
+		t.Fatalf("Explain = %+v, %v; want one step, %d lowered", ex, err, lowered)
 	}
 
 	deliver := func(msg recycledMessage) {

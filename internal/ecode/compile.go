@@ -889,8 +889,12 @@ func elemAt(list []pbio.Value, i int64, pos Pos) pbio.Value {
 	return list[i]
 }
 
-func outOfRange(pos Pos, i int64, n int) {
-	fail(pos, "list index %d out of range (length %d)", i, n)
+func outOfRange(pos Pos, i int64, n int) { panic(runFailure{rangeError(pos, i, n)}) }
+
+// rangeError is the error of a read of list element i at pos, in a list
+// of n elements.
+func rangeError(pos Pos, i int64, n int) error {
+	return runError(pos, "list index %d out of range (length %d)", i, n)
 }
 
 // compileIndex compiles an already folded subscript, which must be an int.

@@ -64,6 +64,18 @@
 // alike. Compile checks such a program but builds its closures only when it
 // first runs.
 //
+// A program may also keep a field map with int locals and one loop among
+// those stores, when the loop only moves the fields of a source list's
+// elements: Figure 5 above is such a program. The loop counts i from 0 to
+// a source field; its body stores fields of new.M[i] into fields of
+// old.L[i], and appends them to lists old.S under a Boolean element field,
+// each with its own counter, optionally stored in a count field. Each
+// list it builds is a list move (a FieldMove with a pbio.Each), which the
+// engine runs inside the decoder. FieldMap's doc states the exact shape
+// and semantics, down to the runtime error of a count past the list's end,
+// and which inputs the step budget would have refused. Such a program is
+// compiled at once.
+//
 // Field references are resolved and type-checked at compile time against the
 // participating pbio Formats, so a transformation that mentions a field its
 // formats do not have is rejected when the format arrives, not when the

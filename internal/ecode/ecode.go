@@ -38,9 +38,11 @@ type Program struct {
 	src     string
 
 	// A program that only moves fields (moves non-nil, see FieldMap) is
-	// often never run: its caller runs the moves instead. Its closures are
-	// built on its first Run, from stmts.
+	// often never run: its caller runs the moves instead. A lazy one, whose
+	// moves have no loop, has its closures built on its first Run, from
+	// stmts.
 	moves []FieldMove
+	lazy  bool
 	stmts []stmt
 	build sync.Once
 	err   error // building the closures failed, which fieldMap rules out
@@ -55,8 +57,8 @@ type Program struct {
 // parameters into a tree of Go closures. Field references are resolved to
 // field indices now, so Run does no name lookups — the closure analog of the
 // paper's dynamically generated conversion subroutine. A program that only
-// moves fields (FieldMap) is checked now but built on its first Run, since
-// its caller usually runs the moves instead.
+// moves fields (FieldMap), with no loop, is checked now but built on its
+// first Run, since its caller usually runs the moves instead.
 func Compile(src string, params ...Param) (*Program, error) {
 	var t0 time.Time
 	st := obsCur.Load()
@@ -76,7 +78,8 @@ func Compile(src string, params ...Param) (*Program, error) {
 		return nil, err
 	}
 	prog := &Program{params: append([]Param(nil), params...), src: src}
-	if prog.moves = fieldMap(stmts, params); prog.moves != nil {
+	prog.moves = fieldMap(stmts, params)
+	if prog.lazy = prog.moves != nil && !looped(prog.moves); prog.lazy {
 		prog.stmts = stmts
 	} else if err := prog.compile(c, stmts); err != nil {
 		return nil, err
@@ -86,6 +89,11 @@ func Compile(src string, params ...Param) (*Program, error) {
 		st.compileNS.ObserveNS(time.Since(t0).Nanoseconds())
 	}
 	return prog, nil
+}
+
+// looped says a field map has a loop: a list move.
+func looped(moves []FieldMove) bool {
+	return len(moves) > 0 && moves[len(moves)-1].Each != nil
 }
 
 // compile builds the program's closures from its statements.
@@ -164,7 +172,7 @@ func (p *Program) Run(recs ...*pbio.Record) (_ pbio.Value, err error) {
 				p.params[i].Name, p.params[i].Format.Name(), p.params[i].Format.Fingerprint())
 		}
 	}
-	if p.moves != nil {
+	if p.lazy {
 		p.build.Do(func() {
 			c, _ := newCompiler(p.params) // the parameters were checked by Compile
 			p.err = p.compile(c, p.stmts)

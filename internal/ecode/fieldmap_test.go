@@ -2,6 +2,7 @@ package ecode
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -102,4 +103,74 @@ func TestFieldMapOnlyForProgramsThatCompile(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFieldMapLoop: Figure 5, after folding, is one flat move and a loop
+// that builds three lists from the members — every one, the sources and
+// the sinks, each counted — and the map's overrun is the error the run
+// fails with when the count is past the list's end. Programs of almost
+// that shape have no map, and a program whose map has a loop is compiled
+// at once.
+func TestFieldMapLoop(t *testing.T) {
+	v1, v2 := echoFormats(t)
+	params := []Param{{Name: "new", Format: v2}, {Name: "old", Format: v1}}
+	prog := MustCompile(figure5Source, params...)
+	moves, ok := prog.FieldMap()
+	if !ok || len(moves) != 4 {
+		t.Fatalf("Figure 5: FieldMap = %+v, %v; want a move and three lists", moves, ok)
+	}
+	elem := []FieldMove{{Dst: 0, Src: 0}, {Dst: 1, Src: 1}} // info, ID
+	for i, want := range []struct {
+		dst          int
+		guard, count int
+	}{{1, pbio.NoSource, pbio.NoSource}, {3, 2, 2}, {5, 3, 4}} {
+		mv := moves[1+i]
+		if mv.Dst != want.dst || mv.Src != 1 || mv.Each == nil || mv.Each.Bound != 0 ||
+			mv.Each.Guard != want.guard || mv.Each.Count != want.count || len(mv.Elem) != 2 ||
+			mv.Elem[0].Dst != elem[0].Dst || mv.Elem[0].Src != elem[0].Src || mv.Elem[1].Dst != elem[1].Dst || mv.Elem[1].Src != elem[1].Src {
+			t.Errorf("list move %d = %+v (Each %+v), want list %d guarded by %d, counted in %d", i, mv, mv.Each, want.dst, want.guard, want.count)
+		}
+	}
+	if mv := moves[0]; mv.Dst != 0 || mv.Src != 0 || mv.Each != nil {
+		t.Errorf("flat move = %+v, want member_count", mv)
+	}
+	in := pbio.NewRecord(v2).MustSet("member_count", pbio.Int(2))
+	_, err := prog.Run(in, pbio.NewRecord(v1))
+	if want := moves[1].Each.Overrun(0); !errors.Is(err, ErrRuntime) || err.Error() != want.Error() {
+		t.Fatalf("Run with a count past the list: %v; the map's overrun is %v", err, want)
+	}
+	if prog.lazy || prog.main == nil {
+		t.Error("a program whose map loops was not compiled at once")
+	}
+
+	for name, src := range map[string]string{
+		"guard on an int":       strings.Replace(figure5Source, "new.member_list[i].is_Source)", "new.member_list[i].ID)", 1),
+		"counter stepped twice": strings.Replace(figure5Source, "sink_count++;", "sink_count++; sink_count++;", 1),
+		"counter shared":        strings.NewReplacer("sink_count + 1", "src_count + 1", "sink_list[sink_count]", "sink_list[src_count]", "sink_count++", "src_count++").Replace(figure5Source),
+		"counter not zero":      strings.Replace(figure5Source, "src_count = 0", "src_count = 1", 1),
+		"store read back":       strings.Replace(figure5Source, "= new.member_list[i].ID;\n    if", "= old.member_list[i].ID;\n    if", 1),
+		"bound computed":        strings.Replace(figure5Source, "i < new.member_count", "i < new.member_count - 1", 1),
+		"bound a call":          strings.Replace(figure5Source, "i < new.member_count", "i < len(new.member_list)", 1),
+		"bound inclusive":       strings.Replace(figure5Source, "i < new.member_count", "i <= new.member_count", 1),
+		"index from one":        strings.Replace(figure5Source, "for (i = 0;", "for (i = 1;", 1),
+		"two loops":             figure5Source + "for (i = 0; i < new.member_count; i++) { old.member_list[i].ID = new.member_list[i].ID; }",
+		"nested loop":           strings.Replace(figure5Source, "old.member_list[i].ID = new.member_list[i].ID;", "for (j = 0; j < new.member_count; j++) { old.member_list[i].ID = new.member_list[i].ID; }", 1),
+		"guarded else":          strings.Replace(figure5Source, "sink_count++;\n    }", "sink_count++;\n    } else { old.member_list[i].ID = new.member_list[i].ID; }", 1),
+		"append at i":           strings.Replace(figure5Source, "old.src_list[src_count].info", "old.src_list[i].info", 1),
+		"count off by two":      strings.Replace(figure5Source, "src_count + 1", "src_count + 2", 1),
+		"count twice":           strings.Replace(figure5Source, "old.sink_count = sink_count + 1;", "old.src_count = sink_count + 1;", 1),
+		"field written twice":   figure5Source + "old.member_count = 1;",
+		"double local":          strings.Replace(figure5Source, "int i,", "double d = 0; int i,", 1),
+		"local from a field":    strings.Replace(figure5Source, "src_count = 0", "src_count = new.member_count", 1),
+		"declares, no loop":     "int k = 0; old.member_count = new.member_count;",
+	} {
+		if strings.Contains(name, "nested") {
+			src = strings.Replace(src, "int i,", "int j, i,", 1)
+		}
+		if p, err := Compile(src, params...); err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if moves, ok := p.FieldMap(); ok {
+			t.Errorf("%s: FieldMap = %+v, want none", name, moves)
+		}
+	}
 }

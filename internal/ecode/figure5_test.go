@@ -182,12 +182,32 @@ func figure5RosterOf(n int) *pbio.Record {
 }
 
 // BenchmarkFigure5Run times one Figure 5 run on a 28-member roster,
-// compiled (vm) and hand-written (native), output record included. Both
-// start from a fresh output record and slab per run. vm_sizes runs the
+// compiled (vm), hand-written (native) and as the conversion plan its loop
+// lowers to (plan: a Morpher delivering the v2.0 record to a v1.0 record
+// handler converts it through the plan), output record included. Each
+// starts from a fresh output record and slab per run. vm_sizes runs the
 // program on rosters of 0 to 200 members in turn, long after short and
-// short after long; its figures are per run.
+// short after long; its figures are per run. The plan's cost inside the
+// decoder, where it runs on the wire, is BenchmarkDeliverLowered's.
 func BenchmarkFigure5Run(b *testing.B) {
 	prog, native, in := compileFigure5(b), newFigure5Native(), figure5Roster()
+	m := core.NewMorpher(core.DefaultThresholds)
+	var delivered *pbio.Record
+	if err := m.RegisterFormat(echo.ResponseV1Format, func(r *pbio.Record) error { delivered = r; return nil }); err != nil {
+		b.Fatal(err)
+	}
+	if err := m.AddTransform(&core.Xform{From: echo.ResponseV2Format, To: echo.ResponseV1Format, Code: echo.Figure5Transform}); err != nil {
+		b.Fatal(err)
+	}
+	if ex, err := m.Explain(echo.ResponseV2Format); err != nil || ex.Lowered != 1 {
+		b.Fatalf("Explain = %+v, %v; want Figure 5 lowered", ex, err)
+	}
+	plan := func(b *testing.B) *pbio.Record {
+		if err := m.Deliver(in); err != nil {
+			b.Fatal(err)
+		}
+		return delivered
+	}
 	vm := func(b *testing.B) *pbio.Record {
 		out := pbio.NewRecord(echo.ResponseV1Format)
 		if _, err := prog.Run(in, out); err != nil {
@@ -206,6 +226,9 @@ func BenchmarkFigure5Run(b *testing.B) {
 	if got, want := vm(b), hand(b); !got.Equal(want) {
 		b.Fatalf("VM and hand-written Figure 5 disagree:\n%v\n%v", got, want)
 	}
+	if got, want := plan(b), hand(b); !got.Equal(want) {
+		b.Fatalf("plan and hand-written Figure 5 disagree:\n%v\n%v", got, want)
+	}
 	var sizes []*pbio.Record
 	for _, n := range []int{1, 200, 3, 60, 0, 28, 12, 100} {
 		sizes = append(sizes, figure5RosterOf(n))
@@ -222,7 +245,7 @@ func BenchmarkFigure5Run(b *testing.B) {
 	for _, bm := range []struct {
 		name string
 		run  func(*testing.B) *pbio.Record
-	}{{"vm", vm}, {"native", hand}, {"vm_sizes", varying}} {
+	}{{"vm", vm}, {"native", hand}, {"plan", plan}, {"vm_sizes", varying}} {
 		b.Run(bm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {

@@ -19,8 +19,11 @@ var ErrRuntime = errors.New("ecode: runtime error")
 type runFailure struct{ err error }
 
 // fail aborts the run with a runtime error at pos.
-func fail(pos Pos, format string, args ...any) {
-	panic(runFailure{fmt.Errorf("%w at %v: %s", ErrRuntime, pos, fmt.Sprintf(format, args...))})
+func fail(pos Pos, format string, args ...any) { panic(runFailure{runError(pos, format, args...)}) }
+
+// runError is the runtime error at pos.
+func runError(pos Pos, format string, args ...any) error {
+	return fmt.Errorf("%w at %v: %s", ErrRuntime, pos, fmt.Sprintf(format, args...))
 }
 
 // maxCallDepth bounds user-function recursion so that network-supplied

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/echo"
 	"repro/internal/ecode"
 	"repro/internal/pbio"
 )
@@ -22,10 +24,12 @@ import (
 // toward no transformation; every other pair runs the transform, as a
 // conversion plan (Explanation.Lowered). Near misses — transforms that are
 // almost a list of field moves — must not lower, and must deliver what the
-// VM produces too.
+// VM produces too. So must loops: Figure 5 and its variants lower, and
+// near misses of its shape run on the VM.
 func TestLoweredPlansMatchVM(t *testing.T) {
 	t.Run("lineages", lineagePairs)
 	t.Run("near misses", nearMisses)
+	t.Run("loops", loopNearMisses)
 }
 
 func lineagePairs(t *testing.T) {
@@ -117,6 +121,91 @@ func nearMisses(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loopNearMisses runs the paper's Figure 5 — alone, with the protected
+// trio the benchmark copies after it, with a seq field, and from a v2.0
+// roster whose members list their fields in another order — which lower,
+// beside near misses of its loop, which run on the VM.
+func loopNearMisses(t *testing.T) {
+	v2, v1 := echo.ResponseV2Format, echo.ResponseV1Format
+	with := func(lead []pbio.Field, f *pbio.Format) *pbio.Format {
+		return mustFormat(t, f.Name(), append(lead[:len(lead):len(lead)], f.Fields()...))
+	}
+	protected := []pbio.Field{
+		{Name: "src", Kind: pbio.Unsigned, Size: 8},
+		{Name: "seq", Kind: pbio.Unsigned, Size: 8},
+		{Name: "check", Kind: pbio.Unsigned, Size: 8},
+	}
+	reordered := mustFormat(t, "ChannelOpenResponse", []pbio.Field{
+		{Name: "member_count", Kind: pbio.Integer, Size: 4},
+		{Name: "member_list", Kind: pbio.List, Elem: &pbio.Field{Kind: pbio.Complex, Sub: mustFormat(t, "MemberV2", []pbio.Field{
+			{Name: "ID", Kind: pbio.Integer, Size: 4},
+			{Name: "is_Sink", Kind: pbio.Boolean},
+			{Name: "info", Kind: pbio.String},
+			{Name: "is_Source", Kind: pbio.Boolean},
+		})}},
+	})
+	fig5 := echo.Figure5Transform
+	edit := func(old, new string) string {
+		if !strings.Contains(fig5, old) {
+			t.Fatalf("Figure 5 has no %q", old)
+		}
+		return strings.Replace(fig5, old, new, 1)
+	}
+	for _, tc := range []struct {
+		name     string
+		from, to *pbio.Format
+		code     string
+		lowers   bool
+	}{
+		{"Figure 5", v2, v1, fig5, true},
+		{"Figure 5, then the protected trio", with(protected, v2), with(protected, v1),
+			fig5 + "old.src = new.src; old.seq = new.seq; old.check = new.check; ", true},
+		{"Figure 5, then seq", with(protected[1:2], v2), with(protected[1:2], v1), fig5 + "old.seq = new.seq;", true},
+		{"Figure 5 from reordered members", reordered, v1, fig5, true},
+		{"guard on an int", v2, v1, edit("[i].is_Source)", "[i].ID)"), false},
+		{"counter stepped twice", v2, v1, edit("sink_count++;", "sink_count++; sink_count++;"), false},
+		{"store read back", v2, v1, edit("old.src_list[src_count].ID = new", "old.src_list[src_count].ID = old.member_list[i].ID + 0 * new"), false},
+		{"bound not a source field", v2, v1, edit("i < new.member_count", "i < len(new.member_list)"), false},
+		{"two loops", v2, v1, fig5 + "for (i = 0; i < new.member_count; i++) { old.member_list[i].ID = new.member_list[i].ID; }", false},
+		{"nested loop", v2, v1, strings.Replace(edit("old.member_list[i].ID = new.member_list[i].ID;",
+			"for (j = 0; j < 1; j++) { old.member_list[i].ID = new.member_list[i].ID; }"), "int i,", "int j, i,", 1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lowered := 0
+			if tc.lowers {
+				lowered = 1
+			}
+			in := func(seq uint64) *pbio.Record { return rosterOf(tc.from, seq) }
+			if e := checkAgainstVM(t, &core.Xform{From: tc.from, To: tc.to, Code: tc.code}, in); e.ChainLen != 1 || e.Lowered != lowered {
+				t.Fatalf("Explain = %+v, want the transform, %d step(s) of it lowered", e, lowered)
+			}
+		})
+	}
+}
+
+// rosterOf is a roster of format f, a ChannelOpenResponse v2.0 with or
+// without leading unsigned fields, of seq%29 members whose roles and
+// contacts follow from seq; its count is the list's length.
+func rosterOf(f *pbio.Format, seq uint64) *pbio.Record {
+	list := f.Field(f.Lookup("member_list"))
+	members := make([]pbio.Value, seq%29)
+	for i := range members {
+		bits := seq>>(i%8) + uint64(i)
+		members[i] = pbio.RecordOf(pbio.NewRecord(list.Elem.Sub).
+			MustSet("info", pbio.Str(strings.Repeat("n", int(bits%5)))).
+			MustSet("ID", pbio.Int(int64(bits)-9)).
+			MustSet("is_Source", pbio.Bool(bits&1 != 0)).
+			MustSet("is_Sink", pbio.Bool(bits&2 != 0)))
+	}
+	r := pbio.NewRecord(f).MustSet("member_list", pbio.ListOf(members)).MustSet("member_count", pbio.Int(int64(len(members))))
+	for i := range f.NumFields() {
+		if f.Field(i).Kind == pbio.Unsigned {
+			r.MustSet(f.Field(i).Name, pbio.Uint(seq+uint64(i)))
+		}
+	}
+	return r
 }
 
 // checkAgainstVM declares x to two Morphers that have x.To registered, one

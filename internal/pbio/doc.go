@@ -18,7 +18,9 @@
 // one plan every conversion lane runs: Plan.Decode folds it into decoding,
 // reading a payload of one format straight into a record of another,
 // Plan.Convert runs it over a record, and DecodePayload is decoding
-// through the nil (identity) plan.
+// through the nil (identity) plan. A plan entry may build a list from some
+// of a source list's elements (Each), which is how a loop that only moves
+// list elements, such as the paper's Figure 5, runs inside the decoder.
 //
 // All multi-byte quantities are little-endian. Strings and dynamic lists are
 // length-prefixed with unsigned varints; complex (nested record) fields are

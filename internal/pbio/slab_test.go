@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -125,14 +126,17 @@ func TestSlabNewRecord(t *testing.T) {
 // otherwise hand over what converting the decoded record builds: Convert
 // for the name-wise plans, the transform's Ecode run for the move plan.
 //
-// Every input is delivered as a Roster v2 payload, too, to a Morpher whose
-// decision runs Figure 5 on the VM, which decodes its input into memory it
-// reuses from one delivery to the next. That delivery must fail with
-// DecodePayload's error when the payload does not decode, and otherwise
-// fail or hand over exactly what the program run on the decoded record
-// does. One valid roster follows each input and must deliver exactly, so a
-// failed decode cannot corrupt the next one; the record the input
-// delivered must still be equal afterwards.
+// Every input is delivered as a Roster v2 payload, too, to two Morphers
+// that run Figure 5: one decodes the payload straight through the plan
+// Figure 5 lowers to, the other runs a near miss of it on the VM, which
+// decodes its input into memory it reuses from one delivery to the next.
+// Each delivery must fail with DecodePayload's error when the payload does
+// not decode, and otherwise fail with the program's error or hand over
+// exactly what the program run on the decoded record does. One valid
+// roster follows each input and must deliver exactly, so a failed decode
+// cannot corrupt the next one; the record the input delivered must still
+// be equal afterwards. The seeds include rosters whose count is below,
+// past and at their list's length, and negative.
 func FuzzDecodePayload(f *testing.F) {
 	lin, err := fleetgen.NewLineage("fuzz", 7, 7, 9)
 	if err != nil {
@@ -153,7 +157,10 @@ func FuzzDecodePayload(f *testing.F) {
 		newPlannedSink(f, telemetry, telemetrySubset, nil, 0),
 		newPlannedSink(f, lowered.From, lowered.To, lowered, 1),
 	}
-	fig5 := newPlannedSink(f, rosterV2, rosterV1, rosterFigure5, 0)
+	figure5 := []*plannedSink{
+		newPlannedSink(f, rosterV2, rosterV1, rosterFigure5, 1),
+		newPlannedSink(f, rosterV2, rosterV1, rosterFigure5VM, 0),
+	}
 
 	rng := rand.New(rand.NewSource(1))
 	valid := pbio.AppendPayload(nil, roster(rng, 5))
@@ -161,12 +168,15 @@ func FuzzDecodePayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	validWant, err := fig5.run(validRec)
+	validWant, err := figure5[0].run(validRec)
 	if err != nil {
 		f.Fatal(err)
 	}
 	for _, n := range []int{0, 1, 3, 28} {
 		f.Add(uint8(0), pbio.AppendPayload(nil, roster(rng, n)))
+	}
+	for _, count := range []int64{2, 9, 0, -1} {
+		f.Add(uint8(0), pbio.AppendPayload(nil, roster(rng, 5).MustSet("member_count", pbio.Int(count))))
 	}
 	tel := pbio.NewRecord(telemetry).MustSet("temp", pbio.Float64(21.5)).MustSet("rpm", pbio.Int(-7))
 	f.Add(uint8(1), pbio.AppendPayload(nil, tel))
@@ -184,21 +194,28 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Fatalf("DecodePayload error %v, planned decode error %v", err, perr)
 		}
 		asRoster, rerr := pbio.DecodePayload(buf, rosterV2)
-		got5, err5 := fig5.deliver(buf)
-		if rerr != nil && (err5 == nil || err5.Error() != rerr.Error()) {
-			t.Fatalf("DecodePayload error %v, Figure 5 delivery error %v", rerr, err5)
-		}
-		if gotValid, err := fig5.deliver(valid); err != nil || !gotValid.Equal(validWant) {
-			t.Fatalf("the valid roster after this input: error %v, delivered %v, want %v", err, gotValid, validWant)
+		got5 := make([]*pbio.Record, len(figure5))
+		err5 := make([]error, len(figure5))
+		for k, fig := range figure5 {
+			got5[k], err5[k] = fig.deliver(buf)
+			if rerr != nil && (err5[k] == nil || err5[k].Error() != rerr.Error()) {
+				t.Fatalf("DecodePayload error %v, Figure 5 delivery error %v", rerr, err5[k])
+			}
+			if gotValid, err := fig.deliver(valid); err != nil || !gotValid.Equal(validWant) {
+				t.Fatalf("the valid roster after this input: error %v, delivered %v, want %v", err, gotValid, validWant)
+			}
 		}
 		for i := range buf {
 			buf[i] = 0xA5
 		}
 		if rerr == nil {
-			want5, runErr := fig5.run(asRoster)
-			if (runErr == nil) != (err5 == nil) || runErr == nil && !got5.Equal(want5) {
-				t.Fatalf("Figure 5 delivered %v (error %v); the program run on the decoded roster built %v (error %v)",
-					got5, err5, want5, runErr)
+			want5, runErr := figure5[0].run(asRoster)
+			for k := range figure5 {
+				if (runErr == nil) != (err5[k] == nil) || runErr == nil && !got5[k].Equal(want5) ||
+					runErr != nil && !strings.HasSuffix(err5[k].Error(), runErr.Error()) {
+					t.Fatalf("Figure 5 delivered %v (error %v); the program run on the decoded roster built %v (error %v)",
+						got5[k], err5[k], want5, runErr)
+				}
 			}
 		}
 		if err != nil {
@@ -251,6 +268,8 @@ var (
 	))
 	rosterFigure5 = &core.Xform{From: rosterV2, To: rosterV1,
 		Code: echo.Figure5Transform + "old.src = new.src; old.seq = new.seq; old.check = new.check;"}
+	// A near miss of it, which reads the destination and so runs on the VM.
+	rosterFigure5VM = &core.Xform{From: rosterV2, To: rosterV1, Code: rosterFigure5.Code + "old.src = old.src;"}
 	// A width change keeps the telemetry subset off the splice lane.
 	telemetrySubset = pbio.MustFormat("telemetry", append(append([]pbio.Field(nil), protected...),
 		pbio.Field{Name: "rpm", Kind: pbio.Integer, Size: 8},

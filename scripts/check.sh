@@ -72,7 +72,7 @@ selected run 'TestPublishOrderConcurrent|TestCloseFlushesAccepted|TestPublishBlo
 echo "== wire read and write paths (a batch leaves in one Write per 64 KiB of frames and arrives in one Read per 64 KiB; a body over 64 KiB leaves uncopied; random batches read back in order with their trace frames, however the stream is cut; frames shorter than a full header cross an unbuffered pipe; a failed or short Write is sticky; a connection blocked in a Write holds at most 64 KiB of heap, one waiting in a Read 4 KiB; an end of stream between frames is io.EOF, inside one ErrBadFrame wrapping io.ErrUnexpectedEOF; race-enabled)"
 selected run 'TestWriteEncodedBatch|TestWriteLargeFrameUncopied|TestQuickWriteBatches|TestStickyWriteError|TestStalledWritesBoundMemory|TestReadEncodedRealSizes|TestQuickReadSplits|TestSmallFramePingPong|TestIdleReadsBoundMemory|TestReadErrorContracts' \
     -race -count=1 ./internal/wire/
-echo "== allocation gates (packed Value, list slabs, a plan converting a roster, a Figure 5 run growing each list once, record-lane deliveries decoded through their plans or into reused memory for the Ecode VM, splice-lane deliveries, steady-state Publish, encoded wire round trips, heap of a decoded format)"
+echo "== allocation gates (packed Value, list slabs, a plan converting a roster, a Figure 5 run growing each list once, record-lane deliveries decoded through their plans, Figure 5's lowered loop included, or into reused memory for the Ecode VM, splice-lane deliveries, steady-state Publish, encoded wire round trips, heap of a decoded format)"
 selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestRecordLaneAllocs|TestSpliceLaneAllocs|TestPublishAllocs|TestEncodedRoundTripAllocs|TestDecodedFormatBytes' \
     -count=1 ./internal/pbio/ ./internal/ecode/ ./internal/core/ ./internal/echo/ ./internal/wire/
 echo "== reused memory for the Ecode VM's input (a run's output shares no record or list memory with its input; lists given room from the run's own input build the same records, fail on the same step and stay within its step budget; one Morpher from 8 goroutines over good, truncated and bit-flipped rosters keeps every handler record intact; race-enabled)"
@@ -81,11 +81,11 @@ selected run 'TestRunOutputSharesNothingWithInput|TestListRoom|TestRecycledInput
 echo "== one format object per process (pbio interns through weak pointers: concurrent decodes, round trips, default variants kept apart, dead entries released; a broker's publishers and a subscriber's connection, registry cache and Morpher; format frames, connections and registry caches; Register never writes the caller's transforms; race-enabled)"
 selected run 'TestIntern|TestUninternKeepsLaterEntry|TestBrokerHoldsOneFormatPerFingerprint|TestSubscriberHoldsOneFormatPerFingerprint|TestParseFormatFrameSharesFrameFormat|TestAdoptFormatSharesHeldFormats|TestWatchKeepsOneFormatPerFingerprint|TestRegisterLeavesXformsAlone' \
     -race -count=1 ./internal/pbio/ ./internal/echo/ ./internal/wire/ ./internal/registry/
-echo "== untrusted Ecode source (nesting bound, growth charged to the step budget, folding keeps type errors and agrees with unfolded code), numeric stores as pbio coerces them, Figure 5 equal to hand-written Go, record paths rebound wherever they may change, and the lane and lowering oracles over fleetgen lineages"
-selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestFoldingKeepsTypeErrors|TestQuickFoldEquivalence|TestQuickFigure5MatchesHandWritten|TestPathBindingHazards|TestLanesAgree|TestNumericStoreMatchesRecordLane|TestLoweredPlansMatchVM' \
-    -race -count=1 ./internal/ecode/ ./internal/fleetgen/
+echo "== untrusted Ecode source (nesting bound, growth charged to the step budget, folding keeps type errors and agrees with unfolded code), numeric stores as pbio coerces them, Figure 5 equal to hand-written Go, record paths rebound wherever they may change, the lane and lowering oracles over fleetgen lineages and Figure 5's loop shapes, and the lowered loop's edge cases against the VM"
+selected run 'TestDeepNestingRejected|TestStepBudgetBoundsGrowth|TestFoldingKeepsTypeErrors|TestQuickFoldEquivalence|TestQuickFigure5MatchesHandWritten|TestPathBindingHazards|TestLanesAgree|TestNumericStoreMatchesRecordLane|TestLoweredPlansMatchVM|TestFieldMapLoop|TestLoweredFigure5EdgeCases' \
+    -race -count=1 ./internal/ecode/ ./internal/fleetgen/ ./internal/core/
 echo "== one name-wise pairing and one plan IR (Diff, DiffReport, plans and weights agree; unweighted matching allocates nothing; both plan executors equal the name-wise reference and a field map's gather; NewPlan refuses malformed plans and coerces a fanned-out value per target; decoding through a plan refuses what the plain decode refuses)"
-selected run 'TestQuickOnePairing|TestMatchingAllocFree|TestQuickPlansMatchByName|TestRecordLaneRejectsWhatDecodeRejects|TestNewPlanRejects|TestPlanDecodeCoercesAndFills' -count=1 ./internal/core/ ./internal/pbio/
+selected run 'TestQuickOnePairing|TestMatchingAllocFree|TestQuickPlansMatchByName|TestRecordLaneRejectsWhatDecodeRejects|TestNewPlanRejects|TestPlanDecodeCoercesAndFills|TestPlanEach' -count=1 ./internal/core/ ./internal/pbio/
 echo "== one PBIO codec (struct bridge allocations, self-referential types refused, .morphcap as PBIO records; race-enabled)"
 selected run 'TestStructBridgeAllocs|TestRegisterErrors|TestCapture' -race -count=1 ./internal/pbio/ ./internal/tap/
 echo "== tap ring and capture suite (race-enabled)"
@@ -113,7 +113,7 @@ echo "== fleet chaos soak (seeds 1-3, race-enabled: zero loss, dups, reorders, l
 selected run 'TestFleetSoak' -race -count=1 ./internal/bench/
 echo "== echodemo debug plane (server process: /metrics golden, readyz, /debug/ index, tapz morphcap)"
 selected run 'TestRunServerDebugPlane' -race -count=1 ./cmd/echodemo/
-echo "== fuzz smoke (wire frame parser over cut streams, format-frame round trip, payload decoder with planned and reused-memory deliveries, format-blob decoder, spool and capture reader, registry bodies, Ecode compiler; 10s each)"
+echo "== fuzz smoke (wire frame parser over cut streams, format-frame round trip, payload decoder with planned and reused-memory deliveries, format-blob decoder, spool and capture reader, registry bodies, Ecode compiler, Figure 5's lowered loop against its program; 10s each)"
 # Minimizing a new input runs up to 60 s by default and executes nothing new
 # meanwhile; on these two targets it took most of a 10 s smoke.
 selected fuzz FuzzConnReadFrames -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
@@ -123,6 +123,7 @@ selected fuzz FuzzDecodeFormat -fuzztime 10s ./internal/pbio/
 selected fuzz FuzzSpool -fuzztime 10s ./internal/spool/
 selected fuzz FuzzRegistryBodies -fuzztime 10s ./internal/registry/
 selected fuzz FuzzCompile -fuzztime 10s ./internal/ecode/
+selected fuzz FuzzLoweredLoop -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 echo "== work tree untouched"
 [ "$(tree_state)" = "$tree_before" ] \
     || { echo "check.sh changed the work tree:"; git status --porcelain; exit 1; }
