@@ -86,6 +86,30 @@ func TestFrameRefcountLifecycle(t *testing.T) {
 	waitZeroLive(t)
 }
 
+// TestFrameStorageFitsMessage pins what a frame holds: the smallest power
+// of two, from 64 bytes up, that fits its message, so a backlog of small
+// events pins small buffers; past the top class, exactly the message.
+func TestFrameStorageFitsMessage(t *testing.T) {
+	for _, c := range []struct{ n, want int }{
+		{0, 64}, {16, 64}, {64, 64}, {65, 128}, {1000, 1024}, {4097, 8192},
+		{1 << maxFrameClass, 1 << maxFrameClass}, {1<<maxFrameClass + 1, 1<<maxFrameClass + 1},
+	} {
+		data := make([]byte, c.n)
+		for i := range data {
+			data[i] = byte(i)
+		}
+		fr := NewFrame(data, testFormat, trace.Context{}, time.Time{})
+		if string(fr.Data) != string(data) {
+			t.Errorf("%d bytes: Data is not a copy of the message", c.n)
+		}
+		if got := cap(fr.Data); got != c.want {
+			t.Errorf("%d bytes: frame storage %d, want %d", c.n, got, c.want)
+		}
+		fr.Release()
+	}
+	waitZeroLive(t)
+}
+
 func TestQueueDeliversInOrder(t *testing.T) {
 	var mu sync.Mutex
 	var got []uint64

@@ -15,6 +15,7 @@
 package fanout
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,15 +25,14 @@ import (
 )
 
 // Frame is one encoded event shared across every sink queue it was fanned
-// out to. The payload lives in a pooled buffer owned by the frame; the
-// frame itself is pooled too, so a steady event stream allocates nothing
-// per message. Reference discipline: NewFrame returns the frame holding one
-// reference (the publisher's); Queue.Enqueue takes ownership of one
-// reference per call (callers Retain first when sharing); the frame returns
-// to the pool when the last reference is released.
+// out to. The frame owns the storage behind Data and is pooled with it, so
+// a steady event stream allocates nothing per message. Reference
+// discipline: NewFrame returns the frame holding one reference (the
+// publisher's); Queue.Enqueue takes ownership of one reference per call
+// (callers Retain first when sharing); the frame returns to its pool when
+// the last reference is released.
 type Frame struct {
 	refs atomic.Int32
-	buf  *[]byte // pooled storage backing Data
 
 	// Data is the encoded enveloped message (fingerprint + payload), a
 	// private copy of the publisher's bytes — publishers reuse their read
@@ -46,7 +46,28 @@ type Frame struct {
 	T0 time.Time
 }
 
-var framePool = sync.Pool{New: func() any { return new(Frame) }}
+// Frames are pooled by the capacity of their storage, one pool per power
+// of two from 1<<minFrameClass to 1<<maxFrameClass bytes, and NewFrame
+// takes a frame from the smallest class that holds the message. A frame
+// therefore holds at most twice its message: a stream of 40-byte events
+// keeps 64-byte frames, not one 4 KiB scratch buffer each, so a backlog or
+// the frames in flight when a burst ends cost what they carry. Messages
+// larger than the top class get exact storage and are not pooled.
+const (
+	minFrameClass = 6  // 64 B
+	maxFrameClass = 20 // 1 MiB
+)
+
+var framePools [maxFrameClass - minFrameClass + 1]sync.Pool
+
+// frameClass is the index in framePools of the smallest class holding n
+// bytes; len(framePools) or more when n is larger than the top class.
+func frameClass(n int) int {
+	if n <= 1<<minFrameClass {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minFrameClass
+}
 
 // liveFrames counts frames handed out by NewFrame and not yet fully
 // released — the leak instrumentation the churn tests assert against.
@@ -56,10 +77,17 @@ var liveFrames atomic.Int64
 // data exactly once regardless of how many sinks it will reach. The
 // returned frame holds one reference.
 func NewFrame(data []byte, f *pbio.Format, ctx trace.Context, t0 time.Time) *Frame {
-	fr := framePool.Get().(*Frame)
-	fr.buf = pbio.GetBuffer(len(data))
-	copy(*fr.buf, data)
-	fr.Data = (*fr.buf)[:len(data)]
+	var fr *Frame
+	if c := frameClass(len(data)); c < len(framePools) {
+		if v := framePools[c].Get(); v != nil {
+			fr = v.(*Frame)
+		} else {
+			fr = &Frame{Data: make([]byte, 0, 1<<(c+minFrameClass))}
+		}
+	} else {
+		fr = &Frame{Data: make([]byte, 0, len(data))}
+	}
+	fr.Data = append(fr.Data[:0], data...)
 	fr.Format = f
 	fr.Ctx = ctx
 	fr.T0 = t0
@@ -72,8 +100,8 @@ func NewFrame(data []byte, f *pbio.Format, ctx trace.Context, t0 time.Time) *Fra
 // may call it.
 func (fr *Frame) Retain() { fr.refs.Add(1) }
 
-// Release drops a reference; the last release returns the payload buffer
-// and the frame itself to their pools.
+// Release drops a reference; the last release returns the frame, with its
+// storage, to its pool.
 func (fr *Frame) Release() {
 	n := fr.refs.Add(-1)
 	if n > 0 {
@@ -82,13 +110,13 @@ func (fr *Frame) Release() {
 	if n < 0 {
 		panic("fanout: Frame released more times than retained")
 	}
-	pbio.PutBuffer(fr.buf)
-	fr.buf = nil
-	fr.Data = nil
+	fr.Data = fr.Data[:0]
 	fr.Format = nil
 	fr.Ctx = trace.Context{}
 	liveFrames.Add(-1)
-	framePool.Put(fr)
+	if c := frameClass(cap(fr.Data)); c < len(framePools) {
+		framePools[c].Put(fr)
+	}
 }
 
 // LiveFrames reports how many frames are currently held outside the pool.

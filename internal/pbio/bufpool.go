@@ -3,8 +3,8 @@ package pbio
 import "sync"
 
 // Scratch buffer pool shared by the hot encode/frame paths. The wire package
-// draws frame read/write bodies from here and the Morpher's encoded fast
-// lane reuses it for transient encodes, so steady-state message traffic
+// encodes outgoing records into these buffers and reads frame bodies too
+// large for its read buffer into them, so steady-state message traffic
 // allocates no per-message buffers.
 //
 // Buffers whose capacity grew beyond maxPooledBuffer are dropped instead of
