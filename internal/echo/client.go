@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pbio"
 	"repro/internal/registry"
-	"repro/internal/tap"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -56,12 +55,6 @@ type Options struct {
 	// disables tracing (the zero-cost default).
 	Tracer *trace.Tracer
 
-	// Tap attaches a wire-level flight recorder: every frame the
-	// subscriber's connection reads or writes (the handshake included) is
-	// offered to a per-connection capture ring, recorded only while the tap
-	// is armed. Nil disables capture (the zero-cost default).
-	Tap *tap.Tap
-
 	// Registry attaches a format-registry client (cmd/formatd). The
 	// subscriber then declares wants_registry in its open request, publishes
 	// the formats it emits to the registry instead of (only) announcing them
@@ -87,13 +80,19 @@ type Subscriber struct {
 	conn     *wire.Conn
 	morpher  *core.Morpher
 	tracer   *trace.Tracer
-	ct       *tap.ConnTap // nil unless Options.Tap was set
 	channel  string
 	registry *registry.Client // nil unless Options.Registry was set
 	unhook   func()           // removes the registry watch-event hook; nil without a registry
 
 	mu      sync.Mutex
 	members []Member
+
+	// encMu guards enc, the buffer Publish encodes into and hands to the
+	// connection. It is kept between publishes, so a steady stream of events
+	// allocates nothing, and dropped once an event grows it past maxPending,
+	// so one large event does not pin its size.
+	encMu sync.Mutex
+	enc   []byte
 }
 
 // tapRole names a member's roles for flight-recorder connection labels.
@@ -158,13 +157,6 @@ func open(nc net.Conn, channelID string, opts Options) (*Subscriber, error) {
 	}
 	copts := []wire.Option{wire.WithMorpher(s.morpher), wire.WithObs(opts.Obs),
 		wire.WithTracer(opts.Tracer)}
-	if opts.Tap != nil {
-		s.ct = opts.Tap.NewConn(tap.Label{
-			Proto: "echo", Channel: channelID, Role: tapRole(opts.Source, opts.Sink),
-			Peer: nc.RemoteAddr().String(),
-		})
-		copts = append(copts, wire.WithFrameTap(s.ct))
-	}
 	if rc != nil {
 		copts = append(copts,
 			wire.WithResolver(rc),
@@ -196,7 +188,6 @@ func open(nc net.Conn, channelID string, opts Options) (*Subscriber, error) {
 		})
 	}
 	if regErr != nil {
-		s.ct.Close()
 		_ = s.conn.Close()
 		return nil, regErr
 	}
@@ -227,7 +218,6 @@ func open(nc net.Conn, channelID string, opts Options) (*Subscriber, error) {
 		Filter:    opts.Filter,
 		Registry:  rc != nil,
 	}, opts.V1Compat)); err != nil {
-		s.ct.Close()
 		_ = s.conn.Close()
 		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
@@ -333,11 +323,26 @@ func (s *Subscriber) Declare(f *pbio.Format, xforms ...*core.Xform) {
 // may be lost, and the subscriber never resends them, so none arrives
 // twice. A publisher that needs more reopens and republishes.
 func (s *Subscriber) Publish(rec *pbio.Record) error {
+	f := rec.Format()
 	root := s.tracer.StartTrace(trace.StagePublish)
+	var enc trace.Span
 	if root.Recording() {
-		root.FP = rec.Format().Fingerprint()
+		root.FP = f.Fingerprint()
+		enc = s.tracer.StartSpan(root.Context(), trace.StageEncode)
+		enc.FP = root.FP
 	}
-	err := s.conn.WriteRecordCtx(rec, root.Context())
+	s.encMu.Lock()
+	s.enc = pbio.AppendRecord(s.enc[:0], rec)
+	if enc.Recording() {
+		enc.N = int64(len(s.enc))
+		enc.End()
+	}
+	one := [1]wire.BatchFrame{{Data: s.enc, Format: f, Ctx: root.Context()}}
+	err := s.conn.WriteEncodedBatchCtx(one[:])
+	if cap(s.enc) > maxPending {
+		s.enc = nil
+	}
+	s.encMu.Unlock()
 	root.EndErr(err)
 	return err
 }
@@ -372,6 +377,5 @@ func (s *Subscriber) Close() error {
 	if s.unhook != nil {
 		s.unhook()
 	}
-	s.ct.Close()
 	return s.conn.Close()
 }

@@ -3,6 +3,7 @@ package fanout
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -572,6 +573,33 @@ func TestQueueOnWriterBalanced(t *testing.T) {
 			t.Fatalf("failed-path gauge stuck: failed=%v active=%d", fq.Failed(), active.Load())
 		}
 		time.Sleep(time.Millisecond)
+	}
+	waitZeroLive(t)
+}
+
+// TestQueueWriterSpawnAllocs is TestFramePathAllocs for a writer-backed
+// queue: an enqueue into an idle queue spawns the writer goroutine, which
+// flushes the frame and exits, and that spawn-and-drain allocates nothing.
+func TestQueueWriterSpawnAllocs(t *testing.T) {
+	data := pbio.EncodeRecord(pbio.NewRecord(testFormat).MustSet("seq", pbio.Uint(7)))
+	var scratch [256]byte
+	q := NewQueue(Config{Flush: func(batch []*Frame) error {
+		for _, fr := range batch {
+			copy(scratch[:], fr.Data)
+		}
+		return nil
+	}})
+	round := func() {
+		q.Enqueue(NewFrame(data, testFormat, trace.Context{}, time.Time{}))
+		for !q.Idle() {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		round() // warm the frame pool, the queue's arrays and the runtime's free goroutines
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs > 0 {
+		t.Errorf("writer spawn-and-drain allocates %.1f per frame, want 0", allocs)
 	}
 	waitZeroLive(t)
 }

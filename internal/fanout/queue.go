@@ -92,6 +92,8 @@ type Queue struct {
 	// pending slice so steady-state enqueues allocate nothing. Only the
 	// writer touches it, and writer passes are serialized by `running`.
 	spare []*Frame
+
+	drainFn func() // q.drain, bound once so spawning a writer allocates nothing
 }
 
 // NewQueue returns a queue for one sink. Flush must be set.
@@ -102,7 +104,9 @@ func NewQueue(cfg Config) *Queue {
 	if cfg.Cap <= 0 {
 		cfg.Cap = DefaultCap
 	}
-	return &Queue{cfg: cfg}
+	q := &Queue{cfg: cfg}
+	q.drainFn = q.drain
+	return q
 }
 
 // Enqueue offers one frame to the sink, taking ownership of one reference
@@ -145,7 +149,7 @@ func (q *Queue) Enqueue(fr *Frame) bool {
 		if q.cfg.OnWriter != nil {
 			q.cfg.OnWriter(1)
 		}
-		go q.drain()
+		go q.drainFn()
 	}
 	return true
 }

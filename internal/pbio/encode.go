@@ -20,8 +20,8 @@ func EncodeRecord(r *Record) []byte {
 
 // AppendRecord appends the encoded form of r (fingerprint + payload) to dst
 // and returns the extended buffer. When dst lacks capacity it is grown once,
-// to the exact final size, instead of reallocating per field — callers that
-// recycle scratch buffers (GetBuffer/PutBuffer) therefore reach a
+// to the exact final size, instead of reallocating per field — a caller that
+// keeps its buffer between records (echo's Publish) therefore reaches a
 // zero-allocation steady state.
 func AppendRecord(dst []byte, r *Record) []byte {
 	if need := EncodedSize(r); cap(dst)-len(dst) < need {

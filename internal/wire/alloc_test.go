@@ -21,8 +21,8 @@ func (*loopStream) Close() error { return nil }
 // (a batch of one built on the stack) and a two-frame WriteEncodedBatchCtx —
 // and attaching a disarmed flight recorder to both ends does not change that:
 // the count every tapped production connection pays. A sampled context still
-// puts its trace frame immediately ahead of its data frame whichever way the
-// message was handed over. (An external test so it can use the real
+// puts its trace frame immediately ahead of its data frame, alone or in a
+// batch. (An external test so it can use the real
 // tap.ConnTap, which imports this package.)
 func TestEncodedRoundTripAllocs(t *testing.T) {
 	f := pbio.MustFormat("sample", []pbio.Field{
@@ -81,11 +81,11 @@ func TestEncodedRoundTripAllocs(t *testing.T) {
 		t.Errorf("disarmed tap recorded frames: %+v", s.Conns)
 	}
 
-	// Frame order with a sampled context, on both entry points that take one.
+	// Frame order with a sampled context, alone and in a batch.
 	sampled := trace.New(trace.Config{Capacity: 8, SampleEvery: 1}).StartTrace(trace.StagePublish).Context()
 	armed := tap.New(tap.Config{Name: "order", Armed: true})
 	tx := wire.NewStreamConn(&loopStream{}, wire.WithFrameTap(armed.NewConn(tap.Label{Proto: "test"})))
-	if err := tx.WriteRecordCtx(rec, sampled); err != nil {
+	if err := tx.WriteEncodedBatchCtx([]wire.BatchFrame{{Data: data, Format: f, Ctx: sampled}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.WriteEncodedBatchCtx([]wire.BatchFrame{

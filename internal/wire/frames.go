@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/pbio"
 	"repro/internal/trace"
 )
 
@@ -130,21 +129,17 @@ type FrameTap interface {
 const DefaultMaxFrame = 64 << 20
 
 // readFrame returns the next frame, parsed in place. A body whose frame fits
-// the read buffer aliases that buffer; a larger one is read into an
-// exact-size pooled buffer. Either way it stays valid until the next
+// the read buffer aliases that buffer and stays valid until the next
 // readFrame call — the single-goroutine read-loop contract of Conn makes
 // this safe, and it is why a steady message stream reads with zero
-// per-frame allocations and one Read per buffer of frames.
+// per-frame allocations and one Read per buffer of frames. A larger body is
+// read into memory of its own (readLargeBody).
 //
 // An end of stream between frames is io.EOF, untouched; one inside a frame
 // is ErrBadFrame wrapping io.ErrUnexpectedEOF, so stream-over-file readers
 // (spool) can tell a torn tail from corruption. A length over the limit is
 // ErrFrameTooLarge, returned before anything is allocated for the body.
 func (c *Conn) readFrame() (byte, []byte, error) {
-	if c.held != nil {
-		pbio.PutBuffer(c.held)
-		c.held = nil
-	}
 	if c.rpos == c.rend {
 		if err := c.fill(1); err != nil {
 			return 0, nil, err
@@ -189,16 +184,9 @@ func (c *Conn) readFrame() (byte, []byte, error) {
 		body = c.rbuf[c.rpos+hdr : c.rpos+n : c.rpos+n]
 		c.rpos += n
 	} else {
-		c.held = pbio.GetBuffer(int(size))
-		body = *c.held
-		k := copy(body, c.rbuf[c.rpos+hdr:c.rend])
-		c.rpos = c.rend
-		err := c.rerr
-		c.rerr = nil
-		if err == nil {
-			_, err = io.ReadFull(c.nc, body[k:])
-		}
-		if err != nil {
+		c.rpos += hdr
+		var err error
+		if body, err = c.readLargeBody(int(size)); err != nil {
 			c.stats.corruptFrames.inc()
 			return 0, nil, fmt.Errorf("%w: truncated body: %w", ErrBadFrame, unexpectedEOF(err))
 		}
@@ -223,6 +211,29 @@ func (c *Conn) readFrame() (byte, []byte, error) {
 		c.tap.CaptureFrame(TapRead, typ, body, tctx)
 	}
 	return typ, body, nil
+}
+
+// readLargeBody reads the size-byte body of a frame too large for the read
+// buffer, starting with its bytes already buffered. The body grows as its
+// bytes arrive, doubling from twice the read buffer up to size, so a forged
+// length costs the receiver about what the peer actually sent, not what its
+// header claimed.
+func (c *Conn) readLargeBody(size int) ([]byte, error) {
+	body := append(make([]byte, 0, min(size, 2*maxReadBuf)), c.rbuf[c.rpos:c.rend]...)
+	c.rpos = c.rend
+	err := c.rerr
+	c.rerr = nil
+	for err == nil && len(body) < size {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(2*cap(body), size))
+			copy(grown, body)
+			body = grown
+		}
+		var n int
+		n, err = io.ReadFull(c.nc, body[len(body):cap(body)])
+		body = body[:len(body)+n]
+	}
+	return body, err
 }
 
 // unexpectedEOF names an end of stream inside a frame for what it is.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -27,7 +28,7 @@ func fuzzSeedStream(tb testing.TB) []byte {
 	tctx := trace.Context{Sampled: true}
 	tctx.Trace[0], tctx.Span[0] = 1, 2
 	rec := pbio.NewRecord(f).MustSet("x", pbio.Int(7)).MustSet("s", pbio.Str("hello"))
-	if err := tx.WriteRecordCtx(rec, tctx); err != nil {
+	if err := tx.WriteEncodedBatchCtx([]BatchFrame{{Data: pbio.EncodeRecord(rec), Format: f, Ctx: tctx}}); err != nil {
 		tb.Fatal(err)
 	}
 	_ = pipe.Close()
@@ -43,8 +44,10 @@ func fuzzSeedStream(tb testing.TB) []byte {
 // allocation, or pool corruption. cuts, when not empty, delivers the stream
 // in pieces: Read i returns at most 1+c² bytes for c = cuts[i mod len(cuts)],
 // so a piece ends anywhere from inside a header to past the 64 KiB read
-// buffer. Run with `go test -fuzz=FuzzConnReadFrames ./internal/wire/` to
-// explore beyond the corpus.
+// buffer. The limit lets frames up to 1 MiB through, so bodies larger than
+// the read buffer are read too. Run with
+// `go test -fuzz=FuzzConnReadFrames ./internal/wire/` to explore beyond the
+// corpus.
 func FuzzConnReadFrames(f *testing.F) {
 	valid := fuzzSeedStream(f)
 	var whole []byte // no cuts: the stream arrives in one Read
@@ -73,6 +76,11 @@ func FuzzConnReadFrames(f *testing.F) {
 	f.Add(append(rawFrame(9, make([]byte, 65530)), valid...), []byte{255, 2})
 	f.Add(append(rawFrame(9, make([]byte, 1<<16)), valid...), []byte{200})
 	f.Add(append(append([]byte{}, valid...), valid[:len(valid)-3]...), []byte{2})
+	// A body over the read buffer, and a length claiming most of the 1 MiB
+	// limit followed by 1 KiB of body: the large-frame path the limit lets
+	// through.
+	f.Add(append(rawFrame(9, make([]byte, 70<<10)), valid...), []byte{255, 40})
+	f.Add(append(binary.AppendUvarint([]byte{2}, 1<<20-1), make([]byte, 1<<10)...), whole)
 
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
 		r := io.Reader(bytes.NewReader(stream))
@@ -87,7 +95,7 @@ func FuzzConnReadFrames(f *testing.F) {
 		m := core.NewMorpher(core.DefaultThresholds)
 		conn := NewStreamConn(readStream{r},
 			WithMorpher(m),
-			WithMaxFrame(1<<16),
+			WithMaxFrame(1<<20),
 			WithTracer(trace.New(trace.Config{Capacity: 8})))
 
 		// Bounded read loop: fuzz inputs are finite, but cap iterations

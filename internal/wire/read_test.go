@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -456,5 +457,78 @@ func TestIdleReadsBoundMemory(t *testing.T) {
 	t.Logf("%d connections waiting in Read after a 134 KB burst hold %d B of heap each", conns, per)
 	if per > bound {
 		t.Errorf("a connection waiting in Read holds %d B of heap, bound %d", per, bound)
+	}
+}
+
+// TestForgedLengthCostsWhatArrived: a peer that sends a header claiming a
+// 60 MiB frame, then 1 KiB of its body, then nothing, costs the receiver
+// waiting for the rest about what it sent, not what it claimed: a body too
+// large for the read buffer grows as its bytes arrive.
+func TestForgedLengthCostsWhatArrived(t *testing.T) {
+	const claimed = 60 << 20
+	// The 4 KiB read buffer and a body's first 128 KiB, with room to spare;
+	// a body allocated at its claimed size is 60 times this.
+	const bound = 1 << 20
+	stream := binary.AppendUvarint([]byte{frameData}, claimed)
+	stream = append(stream, make([]byte, 1<<10)...)
+	parked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	c := NewStreamConn(&idleStream{r: bytes.NewReader(stream), parked: parked, release: release})
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	errs := make(chan error, 1)
+	go func() {
+		_, _, err := c.ReadEncoded()
+		errs <- err
+	}()
+	select {
+	case <-parked:
+	case err := <-errs:
+		t.Fatalf("the read returned before the peer stalled: %v", err)
+	}
+	grew := heap() - before
+	close(release)
+	if err := <-errs; !errors.Is(err, ErrBadFrame) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a frame torn after 1 KiB read as %v, want ErrBadFrame wrapping io.ErrUnexpectedEOF", err)
+	}
+	t.Logf("a header claiming %d B, then 1 KiB of body, grew the waiting receiver's heap by %d B", claimed, grew)
+	if grew > bound {
+		t.Errorf("a forged %d B length grew the receiver's heap by %d B, bound %d", claimed, grew, bound)
+	}
+}
+
+// TestLargeFramesReadBack: bodies from just over the read buffer to many
+// times it — read while their memory grows — come back identical, as do the
+// small frames around them, however the stream is cut.
+func TestLargeFramesReadBack(t *testing.T) {
+	f := bulkFormat(t)
+	var want []BatchFrame
+	for i, n := range []int{maxReadBuf, 2*maxReadBuf - 20, 2*maxReadBuf + 1, 5*maxReadBuf + 3} {
+		want = append(want,
+			BatchFrame{Data: encodeBulk(f, n, byte('A'+i)), Format: f},
+			BatchFrame{Data: encodeBulk(f, 16, byte('a'+i)), Format: f})
+	}
+	stream := captureBatches(t, want)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, rd := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"half", iotest.HalfReader(bytes.NewReader(stream))},
+		{"data with EOF", iotest.DataErrReader(bytes.NewReader(stream))},
+		{"random cuts", &cutReader{b: stream, cut: func() int { return 1 + rng.IntN(3*maxReadBuf) }}},
+		{"whole", bytes.NewReader(stream)},
+	} {
+		rx := NewStreamConn(readStream{rd.r})
+		readBack(t, rd.name, rx, want)
+		if _, _, err := rx.ReadEncoded(); err != io.EOF {
+			t.Fatalf("%s: after the last frame: %v, want io.EOF", rd.name, err)
+		}
 	}
 }

@@ -15,7 +15,16 @@ func tracePipePair(t *testing.T, txOpts, rxOpts []Option) (tx, rx *Conn) {
 	return tx, rx
 }
 
-// TestTraceContextPropagation: a sampled context written with WriteRecordCtx
+// writeTraced sends rec as a one-frame batch carrying tctx, the way a
+// publisher sends a traced record.
+func writeTraced(t *testing.T, tx *Conn, rec *pbio.Record, tctx trace.Context) {
+	t.Helper()
+	if err := tx.WriteEncodedBatchCtx([]BatchFrame{{Data: pbio.EncodeRecord(rec), Format: rec.Format(), Ctx: tctx}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceContextPropagation: a sampled context written with its record
 // must arrive out-of-band ahead of its data frame and be visible through
 // TraceContext, with the receiver's frame_read span nested in the same trace.
 func TestTraceContextPropagation(t *testing.T) {
@@ -25,9 +34,7 @@ func TestTraceContextPropagation(t *testing.T) {
 	tx, rx := tracePipePair(t, []Option{WithTracer(txTr)}, []Option{WithTracer(rxTr)})
 
 	root := txTr.StartTrace(trace.StagePublish)
-	if err := tx.WriteRecordCtx(pbio.NewRecord(f).MustSet("x", pbio.Int(1)), root.Context()); err != nil {
-		t.Fatal(err)
-	}
+	writeTraced(t, tx, pbio.NewRecord(f).MustSet("x", pbio.Int(1)), root.Context())
 	root.End()
 
 	rec, err := rx.ReadRecord()
@@ -50,12 +57,13 @@ func TestTraceContextPropagation(t *testing.T) {
 		t.Error("receiver-side context must be the frame_read span, not the sender's root")
 	}
 
-	// Sender recorded publish/encode/frame_write; receiver recorded frame_read.
+	// Sender recorded publish/frame_write; receiver recorded frame_read.
+	// (The encode span is the publisher's: echo's Publish records it.)
 	txStages := map[trace.Stage]bool{}
 	for _, r := range txTr.Snapshot() {
 		txStages[r.Stage] = true
 	}
-	for _, want := range []trace.Stage{trace.StagePublish, trace.StageEncode, trace.StageFrameWrite} {
+	for _, want := range []trace.Stage{trace.StagePublish, trace.StageFrameWrite} {
 		if !txStages[want] {
 			t.Errorf("sender missing %v span", want)
 		}
@@ -84,9 +92,7 @@ func TestTraceUnawareReceiver(t *testing.T) {
 
 	root := txTr.StartTrace(trace.StagePublish)
 	for i := 0; i < 3; i++ {
-		if err := tx.WriteRecordCtx(pbio.NewRecord(f).MustSet("x", pbio.Int(int64(i))), root.Context()); err != nil {
-			t.Fatal(err)
-		}
+		writeTraced(t, tx, pbio.NewRecord(f).MustSet("x", pbio.Int(int64(i))), root.Context())
 	}
 	root.End()
 
@@ -109,8 +115,8 @@ func TestTraceUnawareReceiver(t *testing.T) {
 	}
 }
 
-// TestUntracedWritesEmitNoTraceFrames: zero contexts (WriteRecord, or Ctx
-// variants with tracing off) must put nothing extra on the wire.
+// TestUntracedWritesEmitNoTraceFrames: zero contexts (WriteRecord, or a
+// batch frame with no context) must put nothing extra on the wire.
 func TestUntracedWritesEmitNoTraceFrames(t *testing.T) {
 	f := fmtOrDie(t, "m", []pbio.Field{{Name: "x", Kind: pbio.Integer}})
 	rxTr := trace.New(trace.Config{Capacity: 64})
@@ -141,9 +147,7 @@ func TestTraceContextClearedBetweenMessages(t *testing.T) {
 	tx, rx := tracePipePair(t, []Option{WithTracer(txTr)}, nil)
 
 	root := txTr.StartTrace(trace.StagePublish)
-	if err := tx.WriteRecordCtx(pbio.NewRecord(f).MustSet("x", pbio.Int(1)), root.Context()); err != nil {
-		t.Fatal(err)
-	}
+	writeTraced(t, tx, pbio.NewRecord(f).MustSet("x", pbio.Int(1)), root.Context())
 	root.End()
 	if err := tx.WriteRecord(pbio.NewRecord(f).MustSet("x", pbio.Int(2))); err != nil {
 		t.Fatal(err)

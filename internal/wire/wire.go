@@ -91,14 +91,11 @@ type Conn struct {
 	// rsmall, made on the first read, or *rpool while reads fill their
 	// buffer; rbuf[rpos:rend] is read and not yet parsed; rfull says the
 	// last read filled rbuf; rerr is a stream error that arrived with data.
-	// held is the exact-size pooled body of a frame too large for the
-	// buffer, recycled on the next read.
 	rbuf, rsmall []byte
 	rpool        *[]byte
 	rpos, rend   int
 	rfull        bool
 	rerr         error
-	held         *[]byte
 	recvFormats  map[uint64]*pbio.Format
 
 	// Parked data frames (read side, single goroutine): frames whose

@@ -28,37 +28,11 @@ func (c *Conn) Declare(f *pbio.Format, xforms ...*core.Xform) {
 
 // WriteRecord sends rec, pushing its format meta-data (and declared
 // transforms) out-of-band if this connection has not sent that format
-// before.
+// before. It encodes rec into one exact-size buffer and sends it with
+// WriteEncoded; a hot path that sends many records keeps its own encode
+// buffer and calls WriteEncodedBatchCtx (echo's Publish does).
 func (c *Conn) WriteRecord(rec *pbio.Record) error {
-	return c.WriteRecordCtx(rec, trace.Context{})
-}
-
-// WriteRecordCtx sends rec like WriteRecord and, when tctx is a sampled
-// trace context, announces it out-of-band in a trace control frame
-// immediately preceding the data frame. If the connection also carries a
-// tracer, the encode and frame-write stages are timed as child spans of
-// tctx. Once encoded, the record is a batch of one on the encoded write path.
-func (c *Conn) WriteRecordCtx(rec *pbio.Record, tctx trace.Context) error {
-	f := rec.Format()
-	var enc trace.Span
-	if c.tracer.Enabled() && tctx.Sampled {
-		enc = c.tracer.StartSpan(tctx, trace.StageEncode)
-		enc.FP = f.Fingerprint()
-	}
-	// Encode into a pooled scratch buffer: the frame write copies the bytes
-	// into the call's write buffer, so the scratch can be recycled at once and
-	// steady-state sends allocate nothing per message.
-	bp := pbio.GetBuffer(0)
-	body := pbio.AppendRecord((*bp)[:0], rec)
-	if enc.Recording() {
-		enc.N = int64(len(body))
-		enc.End()
-	}
-	one := [1]BatchFrame{{Data: body, Format: f, Ctx: tctx}}
-	err := c.WriteEncodedBatchCtx(one[:])
-	*bp = body
-	pbio.PutBuffer(bp)
-	return err
+	return c.WriteEncoded(rec.Format(), pbio.EncodeRecord(rec))
 }
 
 // WriteEncoded sends an already-encoded enveloped message of format f,

@@ -61,16 +61,16 @@ GOMAXPROCS=2 go test -count=20 ./internal/echo/ ./internal/trace/ ./cmd/formatd/
     ./internal/bench/ ./cmd/echodemo/
 echo "== benchmark harness still builds against the library (vet + unit tests, no sockets)"
 (cd benchmark; go vet ./...; go test ./...)
-echo "== fanout churn/isolation suite (race-enabled)"
+echo "== fanout churn/isolation suite, and a writer spawn that allocates nothing (race-enabled)"
 selected run 'TestFanoutChurnStress|TestSlowSinkIsolation|TestFailedWriteReleasesGauges' \
     -race -count=1 ./internal/echo/
-selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFrame' \
+selected run 'TestQueueConcurrentChurn|TestQueueFailedWriteReleasesGauges|TestFrame|TestQueueWriterSpawnAllocs' \
     -race -count=1 ./internal/fanout/
 echo "== publisher write coalescer contract and buffered-burst overflow (race-enabled)"
 selected run 'TestPublishOrderConcurrent|TestCloseFlushesAccepted|TestPublishBlocksOnStalledPeer|TestCoalescerBoundsMemory|TestPublishFailsAfterBrokerCloses|TestCloseLeavesNoGoroutine|TestBufferedBurstDoesNotOverflow' \
     -race -count=1 ./internal/echo/
-echo "== wire read and write paths (a batch leaves in one Write per 64 KiB of frames and arrives in one Read per 64 KiB; a body over 64 KiB leaves uncopied; random batches read back in order with their trace frames, however the stream is cut; frames shorter than a full header cross an unbuffered pipe; a failed or short Write is sticky; a connection blocked in a Write holds at most 64 KiB of heap, one waiting in a Read 4 KiB; an end of stream between frames is io.EOF, inside one ErrBadFrame wrapping io.ErrUnexpectedEOF; race-enabled)"
-selected run 'TestWriteEncodedBatch|TestWriteLargeFrameUncopied|TestQuickWriteBatches|TestStickyWriteError|TestStalledWritesBoundMemory|TestReadEncodedRealSizes|TestQuickReadSplits|TestSmallFramePingPong|TestIdleReadsBoundMemory|TestReadErrorContracts' \
+echo "== wire read and write paths (a batch leaves in one Write per 64 KiB of frames and arrives in one Read per 64 KiB; a body over 64 KiB leaves uncopied; random batches read back in order with their trace frames, however the stream is cut; frames shorter than a full header cross an unbuffered pipe; a failed or short Write is sticky; a connection blocked in a Write holds at most 64 KiB of heap, one waiting in a Read 4 KiB; an end of stream between frames is io.EOF, inside one ErrBadFrame wrapping io.ErrUnexpectedEOF; a body over 64 KiB grows as it arrives, so a forged length costs what the peer sent; race-enabled)"
+selected run 'TestWriteEncodedBatch|TestWriteLargeFrameUncopied|TestQuickWriteBatches|TestStickyWriteError|TestStalledWritesBoundMemory|TestReadEncodedRealSizes|TestQuickReadSplits|TestSmallFramePingPong|TestIdleReadsBoundMemory|TestReadErrorContracts|TestForgedLengthCostsWhatArrived|TestLargeFramesReadBack' \
     -race -count=1 ./internal/wire/
 echo "== allocation gates (packed Value, list slabs, a plan converting a roster, a Figure 5 run growing each list once, record-lane deliveries decoded through their plans, Figure 5's lowered loop included, or into reused memory for the Ecode VM, splice-lane deliveries, steady-state Publish, encoded wire round trips, heap of a decoded format)"
 selected run 'TestValueLayout|TestDecodeSlabAllocs|TestFigure5RunAllocs|TestCallAllocs|TestConvertListAllocs|TestRecordLaneAllocs|TestSpliceLaneAllocs|TestPublishAllocs|TestEncodedRoundTripAllocs|TestDecodedFormatBytes' \
@@ -88,9 +88,9 @@ echo "== one name-wise pairing and one plan IR (Diff, DiffReport, plans and weig
 selected run 'TestQuickOnePairing|TestMatchingAllocFree|TestQuickPlansMatchByName|TestRecordLaneRejectsWhatDecodeRejects|TestNewPlanRejects|TestPlanDecodeCoercesAndFills|TestPlanEach' -count=1 ./internal/core/ ./internal/pbio/
 echo "== one PBIO codec (struct bridge allocations, self-referential types refused, .morphcap as PBIO records; race-enabled)"
 selected run 'TestStructBridgeAllocs|TestRegisterErrors|TestCapture' -race -count=1 ./internal/pbio/ ./internal/tap/
-echo "== tap ring and capture suite (race-enabled)"
-selected run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture|TestSnapshotOrderAfterWrap|TestKeepNotCounted|TestConcurrentPutAndSnapshot' \
-    -race -count=1 ./internal/tap/ ./internal/ring/
+echo "== tap ring and capture suite, and a broker's tap labelling and capturing its members (race-enabled)"
+selected run 'TestConcurrentCaptureAndSnapshot|TestDisarmedCapturesNothing|TestRingWrapCountsDrops|TestCapture|TestSnapshotOrderAfterWrap|TestKeepNotCounted|TestConcurrentPutAndSnapshot|TestServerTapLabelsMembers' \
+    -race -count=1 ./internal/tap/ ./internal/ring/ ./internal/echo/
 echo "== morphing across time (spool replay = live receive loop over fleetgen lineages; rejects skipped and counted; race-enabled)"
 selected run 'TestMorphingAcrossTime|TestReplaySkipsRejects' -race -count=1 ./internal/spool/
 echo "== morphtap round-trip (capture -> decode -> replay, byte-exact)"
