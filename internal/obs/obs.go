@@ -126,14 +126,6 @@ func NewRegistry(name string) *Registry {
 	}
 }
 
-// Name returns the registry's name ("" for nil).
-func (r *Registry) Name() string {
-	if r == nil {
-		return ""
-	}
-	return r.name
-}
-
 // Counter returns (creating on first use) the named counter, or nil on a
 // nil registry. Fetch once at construction time, not on the hot path.
 func (r *Registry) Counter(name string) *Counter {

@@ -224,16 +224,6 @@ func (ct *ConnTap) SetLabel(l Label) {
 	ct.mu.Unlock()
 }
 
-// Label returns the connection's current label.
-func (ct *ConnTap) Label() Label {
-	if ct == nil {
-		return Label{}
-	}
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	return ct.label
-}
-
 // Close marks the connection closed. Its ring stays inspectable until pruned.
 func (ct *ConnTap) Close() {
 	if ct == nil {

@@ -210,9 +210,6 @@ func (c *Conn) Stats() Stats {
 	}
 }
 
-// Morpher returns the morphing engine attached with WithMorpher, or nil.
-func (c *Conn) Morpher() *core.Morpher { return c.morpher }
-
 // TraceContext returns the trace context attached to the most recent data
 // frame returned by ReadRecord/ReadEncoded: the announced wire context, or
 // — when this connection traces — the context of its own frame_read span,

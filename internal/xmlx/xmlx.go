@@ -47,12 +47,6 @@ type Node struct {
 	Parent   *Node
 }
 
-// IsElement reports whether the node is an element with the given local
-// name.
-func (n *Node) IsElement(name string) bool {
-	return n.Kind == ElementNode && n.Name == name
-}
-
 // ChildElements returns the element children of n.
 func (n *Node) ChildElements() []*Node {
 	out := make([]*Node, 0, len(n.Children))

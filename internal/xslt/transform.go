@@ -1,15 +1,23 @@
-// Package xslt implements the subset of XSLT 1.0 needed to express the
-// paper's message-evolution transformations over XML, serving as the
-// baseline system of §5: where message morphing runs compiled ecode over
-// binary records, the XML world parses text into a tree, rewrites the tree
-// through template rules, and traverses the result back into a data
-// structure. The relative cost of those two pipelines is Figure 10.
+// Package xslt is the XML/XSLT baseline of the paper's §5: where message
+// morphing runs compiled ecode over binary records, the XML world parses
+// text into a tree, rewrites the tree through template rules, and traverses
+// the result back into a data structure. The relative cost of those two
+// pipelines is Figure 10.
 //
-// Supported instructions: xsl:template (match patterns with names, paths,
-// "*", "/" and text()), xsl:apply-templates, xsl:value-of, xsl:for-each,
-// xsl:if, xsl:choose/when/otherwise, xsl:element, xsl:attribute, xsl:text,
-// xsl:copy, xsl:copy-of, xsl:variable (with $var references), plus literal
-// result elements. XPath support is in xpath.go.
+// It implements the subset of XSLT 1.0 that Figure 10's stylesheet (the
+// counterpart of the paper's Figure 5) uses, plus XSLT's built-in template
+// rules:
+//   - xsl:template, matching "/" or element names joined by "/" (absolute
+//     or relative), with XSLT's conflict resolution among them;
+//   - literal result elements and their text, xsl:for-each and
+//     xsl:value-of;
+//   - select expressions: a location path of child steps with element name
+//     tests and boolean predicates, such a path "=" a string literal, or
+//     count() of a path (xpath.go).
+//
+// ParseStylesheet refuses any other instruction, pattern or expression with
+// ErrStylesheet: a stylesheet outside the subset never yields a partial
+// result tree.
 package xslt
 
 import (
@@ -20,19 +28,20 @@ import (
 	"repro/internal/xmlx"
 )
 
-// XSLTNamespace is the XSLT 1.0 namespace URI.
-const XSLTNamespace = "http://www.w3.org/1999/XSL/Transform"
+// xslNS is the XSLT 1.0 namespace URI.
+const xslNS = "http://www.w3.org/1999/XSL/Transform"
 
-// ErrStylesheet is wrapped by stylesheet parse failures; ErrTransform by
-// instantiation failures.
+// ErrStylesheet is wrapped by stylesheet parse failures, including every
+// construct outside the subset; ErrTransform by a result tree without
+// exactly one root element.
 var (
 	ErrStylesheet = errors.New("xslt: invalid stylesheet")
 	ErrTransform  = errors.New("xslt: transformation failed")
 )
 
-// Stylesheet is a compiled stylesheet: parsed templates with compiled match
-// patterns and pre-compiled select/test expressions. Compile once, apply to
-// many documents.
+// Stylesheet is a compiled stylesheet: templates with compiled match
+// patterns and bodies whose select expressions are compiled too. Compile
+// once, apply to many documents.
 type Stylesheet struct {
 	templates []*template
 }
@@ -40,17 +49,34 @@ type Stylesheet struct {
 type template struct {
 	pattern  pattern
 	priority float64
-	order    int
-	body     []*xmlx.Node
-	selects  map[*xmlx.Node]Expr // compiled expressions per instruction node
+	body     []instr
 }
 
-// pattern is a simplified XSLT match pattern: a sequence of name tests the
-// node and its ancestors must satisfy, optionally anchored at the root.
+// pattern is a match pattern: element names the node and its ancestors
+// must carry, optionally anchored at the root. No steps is the "/" pattern.
 type pattern struct {
-	steps    []string // innermost last; "*" wildcard; "#text" for text()
+	steps    []string // innermost last
 	absolute bool
 }
+
+// instr is one compiled node of a template body.
+type instr struct {
+	op    opcode
+	name  string      // opElement
+	attrs []xmlx.Attr // opElement
+	text  string      // opText
+	sel   expr        // opValueOf, opForEach
+	body  []instr     // opElement, opForEach
+}
+
+type opcode uint8
+
+const (
+	opElement opcode = iota // literal result element
+	opText                  // literal text
+	opValueOf
+	opForEach
+)
 
 // ParseStylesheet compiles a stylesheet document.
 func ParseStylesheet(data []byte) (*Stylesheet, error) {
@@ -58,13 +84,13 @@ func ParseStylesheet(data []byte) (*Stylesheet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStylesheet, err)
 	}
-	if root.Space != XSLTNamespace || (root.Name != "stylesheet" && root.Name != "transform") {
+	if root.Space != xslNS || (root.Name != "stylesheet" && root.Name != "transform") {
 		return nil, fmt.Errorf("%w: root element must be xsl:stylesheet", ErrStylesheet)
 	}
 	s := &Stylesheet{}
 	for _, child := range root.ChildElements() {
-		if child.Space != XSLTNamespace || child.Name != "template" {
-			continue
+		if child.Space != xslNS || child.Name != "template" {
+			return nil, fmt.Errorf("%w: unsupported top-level element %s", ErrStylesheet, child.Name)
 		}
 		match, ok := child.Attrib("match")
 		if !ok {
@@ -74,17 +100,11 @@ func ParseStylesheet(data []byte) (*Stylesheet, error) {
 		if err != nil {
 			return nil, err
 		}
-		tpl := &template{
-			pattern:  pat,
-			priority: prio,
-			order:    len(s.templates),
-			body:     child.Children,
-			selects:  make(map[*xmlx.Node]Expr),
-		}
-		if err := precompile(child, tpl.selects); err != nil {
+		body, err := compileBody(child.Children)
+		if err != nil {
 			return nil, err
 		}
-		s.templates = append(s.templates, tpl)
+		s.templates = append(s.templates, &template{pattern: pat, priority: prio, body: body})
 	}
 	if len(s.templates) == 0 {
 		return nil, fmt.Errorf("%w: no templates", ErrStylesheet)
@@ -92,29 +112,50 @@ func ParseStylesheet(data []byte) (*Stylesheet, error) {
 	return s, nil
 }
 
-// precompile walks a template body compiling every select/test attribute so
-// Transform never parses XPath.
-func precompile(n *xmlx.Node, out map[*xmlx.Node]Expr) error {
-	for _, c := range n.Children {
-		if c.Kind != xmlx.ElementNode {
-			continue
-		}
-		if c.Space == XSLTNamespace {
-			for _, attr := range []string{"select", "test"} {
-				if src, ok := c.Attrib(attr); ok {
-					e, err := CompileExpr(src)
-					if err != nil {
-						return fmt.Errorf("%w: in <xsl:%s %s=%q>: %v", ErrStylesheet, c.Name, attr, src, err)
-					}
-					out[c] = e
+// compileBody compiles template-body nodes so a transformation never parses
+// an expression or meets an instruction it does not implement.
+func compileBody(nodes []*xmlx.Node) ([]instr, error) {
+	body := make([]instr, 0, len(nodes))
+	for _, n := range nodes {
+		switch {
+		case n.Kind == xmlx.TextNode:
+			body = append(body, instr{op: opText, text: n.Text})
+		case n.Space != xslNS:
+			for _, a := range n.Attrs {
+				if strings.ContainsAny(a.Value, "{}") {
+					return nil, fmt.Errorf("%w: attribute value template %s=%q", ErrStylesheet, a.Name, a.Value)
 				}
 			}
-		}
-		if err := precompile(c, out); err != nil {
-			return err
+			inner, err := compileBody(n.Children)
+			if err != nil {
+				return nil, err
+			}
+			body = append(body, instr{op: opElement, name: n.Name, attrs: n.Attrs, body: inner})
+		case n.Name == "value-of" || n.Name == "for-each":
+			src, ok := n.Attrib("select")
+			if !ok {
+				return nil, fmt.Errorf("%w: xsl:%s without select", ErrStylesheet, n.Name)
+			}
+			e, err := compileExpr(src)
+			if err != nil {
+				return nil, fmt.Errorf("%w: in <xsl:%s select=%q>: %v", ErrStylesheet, n.Name, src, err)
+			}
+			in := instr{op: opValueOf, sel: e}
+			if n.Name == "for-each" {
+				if e.count || e.eq {
+					return nil, fmt.Errorf("%w: xsl:for-each select %q is not a node-set", ErrStylesheet, src)
+				}
+				in.op = opForEach
+				if in.body, err = compileBody(n.Children); err != nil {
+					return nil, err
+				}
+			}
+			body = append(body, in)
+		default:
+			return nil, fmt.Errorf("%w: unsupported instruction xsl:%s", ErrStylesheet, n.Name)
 		}
 	}
-	return nil
+	return body, nil
 }
 
 func parsePattern(src string) (pattern, float64, error) {
@@ -122,33 +163,16 @@ func parsePattern(src string) (pattern, float64, error) {
 	if src == "/" {
 		return pattern{absolute: true}, -0.5, nil
 	}
-	p := pattern{}
-	if strings.HasPrefix(src, "/") {
-		p.absolute = true
-		src = src[1:]
-	}
-	for _, part := range strings.Split(src, "/") {
+	p := pattern{absolute: strings.HasPrefix(src, "/")}
+	for _, part := range strings.Split(strings.TrimPrefix(src, "/"), "/") {
 		part = strings.TrimSpace(part)
-		switch {
-		case part == "":
-			return pattern{}, 0, fmt.Errorf("%w: bad match pattern %q", ErrStylesheet, src)
-		case part == "*":
-			p.steps = append(p.steps, "*")
-		case part == "text()":
-			p.steps = append(p.steps, "#text")
-		default:
-			for i := 0; i < len(part); i++ {
-				if !isNameByte(part[i]) {
-					return pattern{}, 0, fmt.Errorf("%w: unsupported match pattern %q", ErrStylesheet, src)
-				}
-			}
-			p.steps = append(p.steps, part)
+		if !isName(part) {
+			return pattern{}, 0, fmt.Errorf("%w: unsupported match pattern %q", ErrStylesheet, src)
 		}
+		p.steps = append(p.steps, part)
 	}
 	prio := 0.0
-	if len(p.steps) == 1 && p.steps[0] == "*" {
-		prio = -0.25
-	} else if len(p.steps) > 1 || p.absolute {
+	if len(p.steps) > 1 || p.absolute {
 		prio = 0.5
 	}
 	return p, prio, nil
@@ -162,7 +186,7 @@ func (p pattern) matches(n *xmlx.Node) bool {
 	}
 	cur := n
 	for i := len(p.steps) - 1; i >= 0; i-- {
-		if cur == nil || !stepMatches(cur, p.steps[i]) {
+		if cur == nil || cur.Kind != xmlx.ElementNode || cur.Name != p.steps[i] {
 			return false
 		}
 		cur = cur.Parent
@@ -174,271 +198,77 @@ func (p pattern) matches(n *xmlx.Node) bool {
 	return true
 }
 
-// Transform applies the stylesheet to a document and returns the result
+// transform applies the stylesheet to a document and returns the result
 // tree's root node (a synthetic #document element).
-func (s *Stylesheet) Transform(doc *xmlx.Node) (*xmlx.Node, error) {
-	root := xmlx.Document(doc)
+func (s *Stylesheet) transform(doc *xmlx.Node) *xmlx.Node {
 	out := &xmlx.Node{Kind: xmlx.ElementNode, Name: "#document"}
-	if err := s.applyTemplates([]*xmlx.Node{root}, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	s.applyTemplates([]*xmlx.Node{xmlx.Document(doc)}, out)
+	return out
 }
 
-// TransformDocument is Transform plus result binding helpers: it returns
-// the single element root of the result tree.
+// TransformDocument applies the stylesheet to a document and returns the
+// single element root of the result tree.
 func (s *Stylesheet) TransformDocument(doc *xmlx.Node) (*xmlx.Node, error) {
-	out, err := s.Transform(doc)
-	if err != nil {
-		return nil, err
-	}
-	elems := out.ChildElements()
+	elems := s.transform(doc).ChildElements()
 	if len(elems) != 1 {
 		return nil, fmt.Errorf("%w: result tree has %d root elements", ErrTransform, len(elems))
 	}
 	return elems[0], nil
 }
 
+// bestTemplate is the matching template of highest priority, the last in
+// stylesheet order among equals.
 func (s *Stylesheet) bestTemplate(n *xmlx.Node) *template {
 	var best *template
 	for _, t := range s.templates {
-		if !t.pattern.matches(n) {
-			continue
-		}
-		if best == nil || t.priority > best.priority ||
-			(t.priority == best.priority && t.order > best.order) {
+		if t.pattern.matches(n) && (best == nil || t.priority >= best.priority) {
 			best = t
 		}
 	}
 	return best
 }
 
-func (s *Stylesheet) applyTemplates(nodes []*xmlx.Node, out *xmlx.Node) error {
+func (s *Stylesheet) applyTemplates(nodes []*xmlx.Node, out *xmlx.Node) {
 	for _, n := range nodes {
 		if t := s.bestTemplate(n); t != nil {
-			if err := s.instantiate(t, t.body, Ctx{Node: n, Pos: 1, Size: 1}, out); err != nil {
-				return err
-			}
+			instantiate(t.body, n, out)
 			continue
 		}
 		// Built-in rules: recurse through elements, copy text.
 		switch n.Kind {
 		case xmlx.TextNode:
-			out.Children = append(out.Children, &xmlx.Node{Kind: xmlx.TextNode, Text: n.Text, Parent: out})
+			appendText(out, n.Text)
 		case xmlx.ElementNode:
-			if err := s.applyTemplates(n.Children, out); err != nil {
-				return err
-			}
+			s.applyTemplates(n.Children, out)
 		}
 	}
-	return nil
 }
 
-func (s *Stylesheet) instantiate(t *template, body []*xmlx.Node, c Ctx, out *xmlx.Node) error {
-	for _, node := range body {
-		err := s.instantiateNode(t, node, c, out)
-		if bind, ok := err.(errBindVariable); ok {
-			// xsl:variable binds for the following siblings.
-			c = c.WithVar(bind.name, bind.val)
-			continue
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// errBindVariable is the internal signal an xsl:variable instruction uses
-// to extend the context of its following siblings.
-type errBindVariable struct {
-	name string
-	val  Val
-}
-
-func (e errBindVariable) Error() string { return "xslt: internal variable binding" }
-
-func (s *Stylesheet) instantiateNode(t *template, node *xmlx.Node, c Ctx, out *xmlx.Node) error {
-	if node.Kind == xmlx.TextNode {
-		out.Children = append(out.Children, &xmlx.Node{Kind: xmlx.TextNode, Text: node.Text, Parent: out})
-		return nil
-	}
-	if node.Space != XSLTNamespace {
-		// Literal result element.
-		el := &xmlx.Node{Kind: xmlx.ElementNode, Name: node.Name, Parent: out}
-		el.Attrs = append(el.Attrs, node.Attrs...)
-		out.Children = append(out.Children, el)
-		return s.instantiate(t, node.Children, c, el)
-	}
-
-	switch node.Name {
-	case "value-of":
-		v, err := s.selected(t, node, c)
-		if err != nil {
-			return err
-		}
-		if text := v.String(); text != "" {
-			out.Children = append(out.Children, &xmlx.Node{Kind: xmlx.TextNode, Text: text, Parent: out})
-		}
-		return nil
-
-	case "apply-templates":
-		nodes := c.Node.Children
-		if _, ok := node.Attrib("select"); ok {
-			v, err := s.selected(t, node, c)
-			if err != nil {
-				return err
-			}
-			if v.kind != valNodes {
-				return fmt.Errorf("%w: apply-templates select is not a node-set", ErrTransform)
-			}
-			nodes = v.nodes
-		}
-		return s.applyTemplates(nodes, out)
-
-	case "for-each":
-		v, err := s.selected(t, node, c)
-		if err != nil {
-			return err
-		}
-		if v.kind != valNodes {
-			return fmt.Errorf("%w: for-each select is not a node-set", ErrTransform)
-		}
-		size := len(v.nodes)
-		for i, n := range v.nodes {
-			if err := s.instantiate(t, node.Children, Ctx{Node: n, Pos: i + 1, Size: size}, out); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case "if":
-		v, err := s.selected(t, node, c)
-		if err != nil {
-			return err
-		}
-		if v.Bool() {
-			return s.instantiate(t, node.Children, c, out)
-		}
-		return nil
-
-	case "choose":
-		for _, branch := range node.ChildElements() {
-			if branch.Space != XSLTNamespace {
-				continue
-			}
-			switch branch.Name {
-			case "when":
-				v, err := s.selected(t, branch, c)
-				if err != nil {
-					return err
-				}
-				if v.Bool() {
-					return s.instantiate(t, branch.Children, c, out)
-				}
-			case "otherwise":
-				return s.instantiate(t, branch.Children, c, out)
-			}
-		}
-		return nil
-
-	case "text":
-		out.Children = append(out.Children, &xmlx.Node{Kind: xmlx.TextNode, Text: node.TextContent(), Parent: out})
-		return nil
-
-	case "element":
-		name, ok := node.Attrib("name")
-		if !ok {
-			return fmt.Errorf("%w: xsl:element without name", ErrTransform)
-		}
-		el := &xmlx.Node{Kind: xmlx.ElementNode, Name: name, Parent: out}
-		out.Children = append(out.Children, el)
-		return s.instantiate(t, node.Children, c, el)
-
-	case "attribute":
-		name, ok := node.Attrib("name")
-		if !ok {
-			return fmt.Errorf("%w: xsl:attribute without name", ErrTransform)
-		}
-		// Instantiate the body into a scratch node to obtain the value.
-		scratch := &xmlx.Node{Kind: xmlx.ElementNode, Name: "#scratch"}
-		if err := s.instantiate(t, node.Children, c, scratch); err != nil {
-			return err
-		}
-		out.Attrs = append(out.Attrs, xmlx.Attr{Name: name, Value: scratch.TextContent()})
-		return nil
-
-	case "variable":
-		name, ok := node.Attrib("name")
-		if !ok {
-			return fmt.Errorf("%w: xsl:variable without name", ErrTransform)
-		}
-		var val Val
-		if _, hasSelect := node.Attrib("select"); hasSelect {
-			v, err := s.selected(t, node, c)
-			if err != nil {
-				return err
-			}
-			val = v
-		} else {
-			// Content-valued variable: instantiate the body and take its
-			// string value.
-			scratch := &xmlx.Node{Kind: xmlx.ElementNode, Name: "#scratch"}
-			if err := s.instantiate(t, node.Children, c, scratch); err != nil {
-				return err
-			}
-			val = strVal(scratch.TextContent())
-		}
-		// Bind for the remaining siblings: signal the caller through the
-		// context threading in instantiate.
-		return errBindVariable{name: name, val: val}
-
-	case "copy":
-		switch c.Node.Kind {
-		case xmlx.TextNode:
-			out.Children = append(out.Children, &xmlx.Node{Kind: xmlx.TextNode, Text: c.Node.Text, Parent: out})
-			return nil
-		default:
-			if c.Node.Name == "#document" {
-				return s.instantiate(t, node.Children, c, out)
-			}
-			el := &xmlx.Node{Kind: xmlx.ElementNode, Name: c.Node.Name, Space: c.Node.Space, Parent: out}
+// instantiate appends the result of body, evaluated with context node c,
+// to out.
+func instantiate(body []instr, c *xmlx.Node, out *xmlx.Node) {
+	for i := range body {
+		in := &body[i]
+		switch in.op {
+		case opText:
+			appendText(out, in.text)
+		case opElement:
+			el := &xmlx.Node{Kind: xmlx.ElementNode, Name: in.name, Parent: out}
+			el.Attrs = append(el.Attrs, in.attrs...)
 			out.Children = append(out.Children, el)
-			return s.instantiate(t, node.Children, c, el)
-		}
-
-	case "copy-of":
-		v, err := s.selected(t, node, c)
-		if err != nil {
-			return err
-		}
-		if v.kind == valNodes {
-			for _, n := range v.nodes {
-				out.Children = append(out.Children, deepCopy(n, out))
+			instantiate(in.body, c, el)
+		case opValueOf:
+			if text := in.sel.stringValue(c); text != "" {
+				appendText(out, text)
 			}
-			return nil
+		case opForEach:
+			for _, n := range in.sel.path.selectFrom(c) {
+				instantiate(in.body, n, out)
+			}
 		}
-		out.Children = append(out.Children, &xmlx.Node{Kind: xmlx.TextNode, Text: v.String(), Parent: out})
-		return nil
-
-	default:
-		return fmt.Errorf("%w: unsupported instruction xsl:%s", ErrTransform, node.Name)
 	}
 }
 
-func (s *Stylesheet) selected(t *template, node *xmlx.Node, c Ctx) (Val, error) {
-	e, ok := t.selects[node]
-	if !ok {
-		return Val{}, fmt.Errorf("%w: xsl:%s needs a select/test attribute", ErrTransform, node.Name)
-	}
-	return e.Eval(c)
-}
-
-func deepCopy(n *xmlx.Node, parent *xmlx.Node) *xmlx.Node {
-	cp := &xmlx.Node{Kind: n.Kind, Name: n.Name, Space: n.Space, Text: n.Text, Parent: parent}
-	cp.Attrs = append(cp.Attrs, n.Attrs...)
-	for _, c := range n.Children {
-		cp.Children = append(cp.Children, deepCopy(c, cp))
-	}
-	return cp
+func appendText(out *xmlx.Node, text string) {
+	out.Children = append(out.Children, &xmlx.Node{Kind: xmlx.TextNode, Text: text, Parent: out})
 }

@@ -3,630 +3,113 @@ package xslt
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/xmlx"
 )
 
-// ErrXPath is wrapped by XPath parse and evaluation failures.
-var ErrXPath = errors.New("xslt: bad XPath expression")
-
-// Val is an XPath 1.0 value: a node-set, string, number or boolean.
-type Val struct {
-	kind  valKind
-	nodes []*xmlx.Node
-	s     string
-	n     float64
-	b     bool
+// expr is a compiled select expression. The grammar is
+//
+//	Expr := "count(" Path ")" | Path [ "=" Literal ]
+//	Path := [ "/" ] Step { "/" Step }
+//	Step := Name { "[" Path [ "=" Literal ] "]" }
+//
+// A step selects the child elements of that name. A predicate keeps the
+// nodes for which its path selects something or, with "=", selects a node
+// whose string-value is the literal (XPath's existential comparison).
+type expr struct {
+	path  path
+	count bool // count(path): a number
+	eq    bool // path = lit: a boolean
+	lit   string
 }
 
-type valKind uint8
-
-const (
-	valNodes valKind = iota
-	valString
-	valNumber
-	valBool
-)
-
-func nodesVal(ns []*xmlx.Node) Val { return Val{kind: valNodes, nodes: ns} }
-func strVal(s string) Val          { return Val{kind: valString, s: s} }
-func numVal(n float64) Val         { return Val{kind: valNumber, n: n} }
-func boolVal(b bool) Val           { return Val{kind: valBool, b: b} }
-
-// Nodes returns the value as a node-set (nil for non-node-set values).
-func (v Val) Nodes() []*xmlx.Node { return v.nodes }
-
-// String converts per XPath string() rules.
-func (v Val) String() string {
-	switch v.kind {
-	case valNodes:
-		if len(v.nodes) == 0 {
-			return ""
-		}
-		return v.nodes[0].TextContent()
-	case valString:
-		return v.s
-	case valNumber:
-		if v.n == math.Trunc(v.n) && math.Abs(v.n) < 1e18 {
-			return strconv.FormatInt(int64(v.n), 10)
-		}
-		return strconv.FormatFloat(v.n, 'g', -1, 64)
-	default:
-		if v.b {
-			return "true"
-		}
-		return "false"
-	}
+type path struct {
+	absolute bool
+	steps    []step
 }
-
-// Number converts per XPath number() rules.
-func (v Val) Number() float64 {
-	switch v.kind {
-	case valNumber:
-		return v.n
-	case valBool:
-		if v.b {
-			return 1
-		}
-		return 0
-	default:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.String()), 64)
-		if err != nil {
-			return math.NaN()
-		}
-		return f
-	}
-}
-
-// Bool converts per XPath boolean() rules.
-func (v Val) Bool() bool {
-	switch v.kind {
-	case valNodes:
-		return len(v.nodes) > 0
-	case valString:
-		return v.s != ""
-	case valNumber:
-		return v.n != 0 && !math.IsNaN(v.n)
-	default:
-		return v.b
-	}
-}
-
-// Ctx is an XPath evaluation context.
-type Ctx struct {
-	Node *xmlx.Node
-	Pos  int // 1-based position()
-	Size int // last()
-	Vars map[string]Val
-}
-
-// WithVar returns a context extended with one variable binding, leaving the
-// receiver untouched (bindings are lexically scoped in the stylesheet).
-func (c Ctx) WithVar(name string, v Val) Ctx {
-	vars := make(map[string]Val, len(c.Vars)+1)
-	for k, val := range c.Vars {
-		vars[k] = val
-	}
-	vars[name] = v
-	c.Vars = vars
-	return c
-}
-
-// --- expression AST ---
-
-type xexpr interface {
-	eval(c Ctx) (Val, error)
-}
-
-type (
-	litStr struct{ s string }
-	litNum struct{ n float64 }
-	binOp  struct {
-		op   string
-		l, r xexpr
-	}
-	negOp   struct{ x xexpr }
-	funCall struct {
-		name string
-		args []xexpr
-	}
-	pathExpr struct {
-		absolute bool
-		steps    []step
-	}
-	unionOp struct{ l, r xexpr }
-
-	varRef struct{ name string }
-)
-
-func (e *varRef) eval(c Ctx) (Val, error) {
-	v, ok := c.Vars[e.name]
-	if !ok {
-		return Val{}, fmt.Errorf("%w: undefined variable $%s", ErrXPath, e.name)
-	}
-	return v, nil
-}
-
-type axis uint8
-
-const (
-	axisChild      axis = iota
-	axisDescendant      // the // abbreviation: descendant-or-self then child
-	axisAttr
-	axisSelf
-	axisParent
-)
 
 type step struct {
-	ax    axis
-	name  string // "*" matches any element; "#text" matches text nodes
-	preds []xexpr
+	name  string
+	preds []expr // never count(): a number predicate would be positional
 }
 
-func (e *litStr) eval(Ctx) (Val, error) { return strVal(e.s), nil }
-func (e *litNum) eval(Ctx) (Val, error) { return numVal(e.n), nil }
-
-func (e *negOp) eval(c Ctx) (Val, error) {
-	v, err := e.x.eval(c)
-	if err != nil {
-		return Val{}, err
-	}
-	return numVal(-v.Number()), nil
-}
-
-func (e *unionOp) eval(c Ctx) (Val, error) {
-	l, err := e.l.eval(c)
-	if err != nil {
-		return Val{}, err
-	}
-	r, err := e.r.eval(c)
-	if err != nil {
-		return Val{}, err
-	}
-	if l.kind != valNodes || r.kind != valNodes {
-		return Val{}, fmt.Errorf("%w: '|' needs node-sets", ErrXPath)
-	}
-	seen := make(map[*xmlx.Node]bool, len(l.nodes))
-	out := make([]*xmlx.Node, 0, len(l.nodes)+len(r.nodes))
-	for _, n := range append(append([]*xmlx.Node{}, l.nodes...), r.nodes...) {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+// selectFrom evaluates the path with n as the context node.
+func (p *path) selectFrom(n *xmlx.Node) []*xmlx.Node {
+	if p.absolute {
+		for n.Parent != nil {
+			n = n.Parent
 		}
 	}
-	return nodesVal(out), nil
-}
-
-func (e *binOp) eval(c Ctx) (Val, error) {
-	// and/or short-circuit.
-	if e.op == "and" || e.op == "or" {
-		l, err := e.l.eval(c)
-		if err != nil {
-			return Val{}, err
-		}
-		if e.op == "and" && !l.Bool() {
-			return boolVal(false), nil
-		}
-		if e.op == "or" && l.Bool() {
-			return boolVal(true), nil
-		}
-		r, err := e.r.eval(c)
-		if err != nil {
-			return Val{}, err
-		}
-		return boolVal(r.Bool()), nil
-	}
-	l, err := e.l.eval(c)
-	if err != nil {
-		return Val{}, err
-	}
-	r, err := e.r.eval(c)
-	if err != nil {
-		return Val{}, err
-	}
-	switch e.op {
-	case "+", "-", "*", "div", "mod":
-		a, b := l.Number(), r.Number()
-		switch e.op {
-		case "+":
-			return numVal(a + b), nil
-		case "-":
-			return numVal(a - b), nil
-		case "*":
-			return numVal(a * b), nil
-		case "div":
-			return numVal(a / b), nil
-		default:
-			return numVal(math.Mod(a, b)), nil
-		}
-	case "=", "!=":
-		return boolVal(equalVals(l, r) == (e.op == "=")), nil
-	case "<", "<=", ">", ">=":
-		return boolVal(compareVals(e.op, l, r)), nil
-	default:
-		return Val{}, fmt.Errorf("%w: operator %q", ErrXPath, e.op)
-	}
-}
-
-// equalVals implements XPath 1.0 = semantics with node-set existential
-// comparison.
-func equalVals(l, r Val) bool {
-	if l.kind == valNodes && r.kind == valNodes {
-		for _, a := range l.nodes {
-			av := a.TextContent()
-			for _, b := range r.nodes {
-				if av == b.TextContent() {
-					return true
+	cur := []*xmlx.Node{n}
+	for _, st := range p.steps {
+		var selected []*xmlx.Node
+		for _, m := range cur {
+			for _, ch := range m.Children {
+				if ch.Kind == xmlx.ElementNode && ch.Name == st.name {
+					selected = append(selected, ch)
 				}
 			}
 		}
-		return false
-	}
-	if l.kind == valNodes || r.kind == valNodes {
-		ns, other := l, r
-		if r.kind == valNodes {
-			ns, other = r, l
-		}
-		for _, n := range ns.nodes {
-			switch other.kind {
-			case valNumber:
-				if strVal(n.TextContent()).Number() == other.n {
-					return true
-				}
-			case valBool:
-				if (len(ns.nodes) > 0) == other.b {
-					return true
-				}
-			default:
-				if n.TextContent() == other.String() {
-					return true
+		for i := range st.preds {
+			var kept []*xmlx.Node
+			for _, m := range selected {
+				if st.preds[i].test(m) {
+					kept = append(kept, m)
 				}
 			}
+			selected = kept
 		}
-		return false
+		cur = selected
 	}
-	if l.kind == valBool || r.kind == valBool {
-		return l.Bool() == r.Bool()
-	}
-	if l.kind == valNumber || r.kind == valNumber {
-		return l.Number() == r.Number()
-	}
-	return l.String() == r.String()
+	return cur
 }
 
-func compareVals(op string, l, r Val) bool {
-	// Existential over node-sets, numeric otherwise (XPath 1.0 relational
-	// operators always compare numbers).
-	lvals := []float64{l.Number()}
-	if l.kind == valNodes {
-		lvals = lvals[:0]
-		for _, n := range l.nodes {
-			lvals = append(lvals, strVal(n.TextContent()).Number())
-		}
+// test is the boolean value of a path or path = lit expression.
+func (e *expr) test(n *xmlx.Node) bool {
+	nodes := e.path.selectFrom(n)
+	if !e.eq {
+		return len(nodes) > 0
 	}
-	rvals := []float64{r.Number()}
-	if r.kind == valNodes {
-		rvals = rvals[:0]
-		for _, n := range r.nodes {
-			rvals = append(rvals, strVal(n.TextContent()).Number())
-		}
-	}
-	for _, a := range lvals {
-		for _, b := range rvals {
-			ok := false
-			switch op {
-			case "<":
-				ok = a < b
-			case "<=":
-				ok = a <= b
-			case ">":
-				ok = a > b
-			default:
-				ok = a >= b
-			}
-			if ok {
-				return true
-			}
+	for _, m := range nodes {
+		if m.TextContent() == e.lit {
+			return true
 		}
 	}
 	return false
 }
 
-func (e *funCall) eval(c Ctx) (Val, error) {
-	args := make([]Val, len(e.args))
-	for i, a := range e.args {
-		v, err := a.eval(c)
-		if err != nil {
-			return Val{}, err
-		}
-		args[i] = v
+// stringValue is the expression's XPath string() value.
+func (e *expr) stringValue(n *xmlx.Node) string {
+	switch {
+	case e.count:
+		return strconv.Itoa(len(e.path.selectFrom(n)))
+	case e.eq:
+		return strconv.FormatBool(e.test(n))
 	}
-	switch e.name {
-	case "count":
-		if len(args) != 1 || args[0].kind != valNodes {
-			return Val{}, fmt.Errorf("%w: count() needs one node-set", ErrXPath)
-		}
-		return numVal(float64(len(args[0].nodes))), nil
-	case "sum":
-		if len(args) != 1 || args[0].kind != valNodes {
-			return Val{}, fmt.Errorf("%w: sum() needs one node-set", ErrXPath)
-		}
-		total := 0.0
-		for _, n := range args[0].nodes {
-			total += strVal(n.TextContent()).Number()
-		}
-		return numVal(total), nil
-	case "position":
-		return numVal(float64(c.Pos)), nil
-	case "last":
-		return numVal(float64(c.Size)), nil
-	case "not":
-		if len(args) != 1 {
-			return Val{}, fmt.Errorf("%w: not() needs one argument", ErrXPath)
-		}
-		return boolVal(!args[0].Bool()), nil
-	case "true":
-		return boolVal(true), nil
-	case "false":
-		return boolVal(false), nil
-	case "number":
-		if len(args) == 0 {
-			return numVal(strVal(c.Node.TextContent()).Number()), nil
-		}
-		return numVal(args[0].Number()), nil
-	case "string":
-		if len(args) == 0 {
-			return strVal(c.Node.TextContent()), nil
-		}
-		return strVal(args[0].String()), nil
-	case "boolean":
-		if len(args) != 1 {
-			return Val{}, fmt.Errorf("%w: boolean() needs one argument", ErrXPath)
-		}
-		return boolVal(args[0].Bool()), nil
-	case "concat":
-		var b strings.Builder
-		for _, a := range args {
-			b.WriteString(a.String())
-		}
-		return strVal(b.String()), nil
-	case "contains":
-		if len(args) != 2 {
-			return Val{}, fmt.Errorf("%w: contains() needs two arguments", ErrXPath)
-		}
-		return boolVal(strings.Contains(args[0].String(), args[1].String())), nil
-	case "starts-with":
-		if len(args) != 2 {
-			return Val{}, fmt.Errorf("%w: starts-with() needs two arguments", ErrXPath)
-		}
-		return boolVal(strings.HasPrefix(args[0].String(), args[1].String())), nil
-	case "string-length":
-		if len(args) == 0 {
-			return numVal(float64(len(c.Node.TextContent()))), nil
-		}
-		return numVal(float64(len(args[0].String()))), nil
-	case "normalize-space":
-		s := ""
-		if len(args) == 0 {
-			s = c.Node.TextContent()
-		} else {
-			s = args[0].String()
-		}
-		return strVal(strings.Join(strings.Fields(s), " ")), nil
-	case "substring":
-		if len(args) < 2 || len(args) > 3 {
-			return Val{}, fmt.Errorf("%w: substring() needs two or three arguments", ErrXPath)
-		}
-		str := args[0].String()
-		// XPath positions are 1-based and the spec rounds the arguments.
-		start := int(math.Round(args[1].Number()))
-		end := len(str) + 1
-		if len(args) == 3 {
-			end = start + int(math.Round(args[2].Number()))
-		}
-		if start < 1 {
-			start = 1
-		}
-		if end > len(str)+1 {
-			end = len(str) + 1
-		}
-		if start >= end || start > len(str) {
-			return strVal(""), nil
-		}
-		return strVal(str[start-1 : end-1]), nil
-	case "substring-before", "substring-after":
-		if len(args) != 2 {
-			return Val{}, fmt.Errorf("%w: %s() needs two arguments", ErrXPath, e.name)
-		}
-		str, sep := args[0].String(), args[1].String()
-		i := strings.Index(str, sep)
-		if i < 0 {
-			return strVal(""), nil
-		}
-		if e.name == "substring-before" {
-			return strVal(str[:i]), nil
-		}
-		return strVal(str[i+len(sep):]), nil
-	case "translate":
-		if len(args) != 3 {
-			return Val{}, fmt.Errorf("%w: translate() needs three arguments", ErrXPath)
-		}
-		src, from, to := args[0].String(), args[1].String(), args[2].String()
-		var b strings.Builder
-		for _, r := range src {
-			if i := strings.IndexRune(from, r); i >= 0 {
-				// Map to the corresponding rune in `to`, or delete.
-				toRunes := []rune(to)
-				fromIdx := 0
-				for j := range from {
-					if j == i {
-						break
-					}
-					fromIdx++
-				}
-				if fromIdx < len(toRunes) {
-					b.WriteRune(toRunes[fromIdx])
-				}
-				continue
-			}
-			b.WriteRune(r)
-		}
-		return strVal(b.String()), nil
-	case "floor":
-		if len(args) != 1 {
-			return Val{}, fmt.Errorf("%w: floor() needs one argument", ErrXPath)
-		}
-		return numVal(math.Floor(args[0].Number())), nil
-	case "ceiling":
-		if len(args) != 1 {
-			return Val{}, fmt.Errorf("%w: ceiling() needs one argument", ErrXPath)
-		}
-		return numVal(math.Ceil(args[0].Number())), nil
-	case "round":
-		if len(args) != 1 {
-			return Val{}, fmt.Errorf("%w: round() needs one argument", ErrXPath)
-		}
-		return numVal(math.Round(args[0].Number())), nil
-	case "name", "local-name":
-		if len(args) == 0 {
-			return strVal(c.Node.Name), nil
-		}
-		if args[0].kind == valNodes && len(args[0].nodes) > 0 {
-			return strVal(args[0].nodes[0].Name), nil
-		}
-		return strVal(""), nil
-	default:
-		return Val{}, fmt.Errorf("%w: unknown function %q", ErrXPath, e.name)
+	nodes := e.path.selectFrom(n)
+	if len(nodes) == 0 {
+		return ""
 	}
-}
-
-func (e *pathExpr) eval(c Ctx) (Val, error) {
-	start := c.Node
-	if e.absolute {
-		for start.Parent != nil {
-			start = start.Parent
-		}
-	}
-	cur := []*xmlx.Node{start}
-	for _, st := range e.steps {
-		next, err := applyStep(cur, st)
-		if err != nil {
-			return Val{}, err
-		}
-		cur = next
-	}
-	return nodesVal(cur), nil
-}
-
-func applyStep(cur []*xmlx.Node, st step) ([]*xmlx.Node, error) {
-	var selected []*xmlx.Node
-	for _, n := range cur {
-		switch st.ax {
-		case axisSelf:
-			selected = append(selected, n)
-		case axisParent:
-			if n.Parent != nil {
-				selected = append(selected, n.Parent)
-			}
-		case axisChild:
-			for _, ch := range n.Children {
-				if stepMatches(ch, st.name) {
-					selected = append(selected, ch)
-				}
-			}
-		case axisDescendant:
-			var walk func(*xmlx.Node)
-			walk = func(m *xmlx.Node) {
-				for _, ch := range m.Children {
-					if stepMatches(ch, st.name) {
-						selected = append(selected, ch)
-					}
-					walk(ch)
-				}
-			}
-			walk(n)
-		case axisAttr:
-			// Attributes are modeled as synthetic text nodes so value
-			// comparisons work uniformly.
-			for _, a := range n.Attrs {
-				if st.name == "*" || a.Name == st.name {
-					selected = append(selected, &xmlx.Node{Kind: xmlx.TextNode, Name: a.Name, Text: a.Value, Parent: n})
-				}
-			}
-		}
-	}
-	// Apply predicates positionally.
-	for _, p := range st.preds {
-		var kept []*xmlx.Node
-		size := len(selected)
-		for i, n := range selected {
-			v, err := p.eval(Ctx{Node: n, Pos: i + 1, Size: size})
-			if err != nil {
-				return nil, err
-			}
-			if v.kind == valNumber {
-				if int(v.n) == i+1 {
-					kept = append(kept, n)
-				}
-			} else if v.Bool() {
-				kept = append(kept, n)
-			}
-		}
-		selected = kept
-	}
-	return selected, nil
-}
-
-func stepMatches(n *xmlx.Node, name string) bool {
-	switch name {
-	case "#text":
-		return n.Kind == xmlx.TextNode
-	case "#node":
-		return true
-	case "*":
-		// "*" matches real elements only, never the synthetic #document
-		// root (matched by the "/" pattern instead).
-		return n.Kind == xmlx.ElementNode && (len(n.Name) == 0 || n.Name[0] != '#')
-	default:
-		return n.Kind == xmlx.ElementNode && n.Name == name
-	}
+	return nodes[0].TextContent()
 }
 
 // --- parser ---
 
-// CompileExpr parses an XPath expression into a reusable evaluator.
-func CompileExpr(src string) (Expr, error) {
+// compileExpr parses a select expression; anything outside the grammar is
+// an error.
+func compileExpr(src string) (expr, error) {
 	p := &xparser{src: src}
 	e, err := p.parseExpr()
 	if err != nil {
-		return Expr{}, err
+		return expr{}, err
 	}
 	p.skipWS()
 	if p.pos != len(p.src) {
-		return Expr{}, fmt.Errorf("%w: trailing input %q in %q", ErrXPath, p.src[p.pos:], src)
+		return expr{}, fmt.Errorf("unsupported %q", p.src[p.pos:])
 	}
-	return Expr{root: e, src: src}, nil
+	return e, nil
 }
-
-// Expr is a compiled XPath expression.
-type Expr struct {
-	root xexpr
-	src  string
-}
-
-// Eval evaluates the expression in the given context.
-func (e Expr) Eval(c Ctx) (Val, error) {
-	if e.root == nil {
-		return Val{}, fmt.Errorf("%w: empty expression", ErrXPath)
-	}
-	return e.root.eval(c)
-}
-
-// Source returns the expression's source text.
-func (e Expr) Source() string { return e.src }
 
 type xparser struct {
 	src string
@@ -646,9 +129,16 @@ func (p *xparser) peek() byte {
 	return p.src[p.pos]
 }
 
-func (p *xparser) hasPrefix(s string) bool { return strings.HasPrefix(p.src[p.pos:], s) }
+func (p *xparser) expect(c byte) error {
+	p.skipWS()
+	if p.peek() != c {
+		return fmt.Errorf("expected %q at %q", c, p.src[p.pos:])
+	}
+	p.pos++
+	return nil
+}
 
-// word returns the identifier starting at pos without consuming it.
+// word returns the run of name bytes starting at pos without consuming it.
 func (p *xparser) word() string {
 	i := p.pos
 	for i < len(p.src) && isNameByte(p.src[i]) {
@@ -662,376 +152,100 @@ func isNameByte(c byte) bool {
 		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
-func (p *xparser) parseExpr() (xexpr, error) { return p.parseOr() }
-
-func (p *xparser) parseOr() (xexpr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// isName reports whether s is an element name: name bytes, not starting
+// with a digit, '-' or '.' (so ".", ".." and numbers are not names).
+func isName(s string) bool {
+	if s == "" || s[0] == '-' || s[0] == '.' || (s[0] >= '0' && s[0] <= '9') {
+		return false
 	}
-	for {
-		p.skipWS()
-		if p.word() != "or" {
-			return l, nil
+	for i := 0; i < len(s); i++ {
+		if !isNameByte(s[i]) {
+			return false
 		}
-		p.pos += 2
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &binOp{op: "or", l: l, r: r}
 	}
+	return true
 }
 
-func (p *xparser) parseAnd() (xexpr, error) {
-	l, err := p.parseEquality()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipWS()
-		if p.word() != "and" {
-			return l, nil
-		}
-		p.pos += 3
-		r, err := p.parseEquality()
-		if err != nil {
-			return nil, err
-		}
-		l = &binOp{op: "and", l: l, r: r}
-	}
-}
-
-func (p *xparser) parseEquality() (xexpr, error) {
-	l, err := p.parseRelational()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipWS()
-		var op string
-		switch {
-		case p.hasPrefix("!="):
-			op = "!="
-		case p.peek() == '=':
-			op = "="
-		default:
-			return l, nil
-		}
-		p.pos += len(op)
-		r, err := p.parseRelational()
-		if err != nil {
-			return nil, err
-		}
-		l = &binOp{op: op, l: l, r: r}
-	}
-}
-
-func (p *xparser) parseRelational() (xexpr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipWS()
-		var op string
-		switch {
-		case p.hasPrefix("<="):
-			op = "<="
-		case p.hasPrefix(">="):
-			op = ">="
-		case p.peek() == '<':
-			op = "<"
-		case p.peek() == '>':
-			op = ">"
-		default:
-			return l, nil
-		}
-		p.pos += len(op)
-		r, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		l = &binOp{op: op, l: l, r: r}
-	}
-}
-
-func (p *xparser) parseAdditive() (xexpr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipWS()
-		c := p.peek()
-		if c != '+' && c != '-' {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &binOp{op: string(c), l: l, r: r}
-	}
-}
-
-func (p *xparser) parseMultiplicative() (xexpr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipWS()
-		var op string
-		switch {
-		case p.peek() == '*':
-			op = "*"
-		case p.word() == "div":
-			op = "div"
-		case p.word() == "mod":
-			op = "mod"
-		default:
-			return l, nil
-		}
-		p.pos += len(op)
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &binOp{op: op, l: l, r: r}
-	}
-}
-
-func (p *xparser) parseUnary() (xexpr, error) {
+func (p *xparser) parseExpr() (expr, error) {
 	p.skipWS()
-	if p.peek() == '-' {
-		p.pos++
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &negOp{x: x}, nil
-	}
-	return p.parseUnion()
-}
-
-func (p *xparser) parseUnion() (xexpr, error) {
-	l, err := p.parsePathOrPrimary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipWS()
-		if p.peek() != '|' {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.parsePathOrPrimary()
-		if err != nil {
-			return nil, err
-		}
-		l = &unionOp{l: l, r: r}
-	}
-}
-
-func (p *xparser) parsePathOrPrimary() (xexpr, error) {
-	p.skipWS()
-	c := p.peek()
-	switch {
-	case c == '\'' || c == '"':
-		quote := c
-		p.pos++
-		start := p.pos
-		for p.pos < len(p.src) && p.src[p.pos] != quote {
-			p.pos++
-		}
-		if p.pos >= len(p.src) {
-			return nil, fmt.Errorf("%w: unterminated literal", ErrXPath)
-		}
-		s := p.src[start:p.pos]
-		p.pos++
-		return &litStr{s: s}, nil
-
-	case c >= '0' && c <= '9':
-		start := p.pos
-		for p.pos < len(p.src) && ((p.src[p.pos] >= '0' && p.src[p.pos] <= '9') || p.src[p.pos] == '.') {
-			p.pos++
-		}
-		n, err := strconv.ParseFloat(p.src[start:p.pos], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad number %q", ErrXPath, p.src[start:p.pos])
-		}
-		return &litNum{n: n}, nil
-
-	case c == '(':
-		p.pos++
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		p.skipWS()
-		if p.peek() != ')' {
-			return nil, fmt.Errorf("%w: expected ')'", ErrXPath)
-		}
-		p.pos++
-		return e, nil
-
-	case c == '$':
-		p.pos++
-		name := p.word()
-		if name == "" {
-			return nil, fmt.Errorf("%w: expected variable name after '$'", ErrXPath)
-		}
-		p.pos += len(name)
-		return &varRef{name: name}, nil
-	}
-
-	// Function call? (name followed by '(' and not a node-test like text()).
-	w := p.word()
-	if w != "" && w != "text" && w != "node" {
+	if w := p.word(); w != "" {
 		save := p.pos
 		p.pos += len(w)
 		p.skipWS()
 		if p.peek() == '(' {
-			p.pos++
-			var args []xexpr
-			p.skipWS()
-			for p.peek() != ')' {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				p.skipWS()
-				if p.peek() == ',' {
-					p.pos++
-					continue
-				}
+			if w != "count" {
+				return expr{}, fmt.Errorf("unsupported function %s()", w)
 			}
 			p.pos++
-			return &funCall{name: w, args: args}, nil
+			pa, err := p.parsePath()
+			if err != nil {
+				return expr{}, err
+			}
+			return expr{path: pa, count: true}, p.expect(')')
 		}
 		p.pos = save
 	}
-
-	return p.parsePath()
+	pa, err := p.parsePath()
+	if err != nil {
+		return expr{}, err
+	}
+	e := expr{path: pa}
+	p.skipWS()
+	if p.peek() != '=' {
+		return e, nil
+	}
+	p.pos++
+	p.skipWS()
+	quote := p.peek()
+	if quote != '\'' && quote != '"' {
+		return expr{}, fmt.Errorf("'=' needs a string literal, found %q", p.src[p.pos:])
+	}
+	p.pos++
+	start := p.pos
+	for p.pos < len(p.src) && p.src[p.pos] != quote {
+		p.pos++
+	}
+	if p.pos == len(p.src) {
+		return expr{}, errors.New("unterminated literal")
+	}
+	e.eq, e.lit = true, p.src[start:p.pos]
+	p.pos++
+	return e, nil
 }
 
-func (p *xparser) parsePath() (xexpr, error) {
+func (p *xparser) parsePath() (path, error) {
 	p.skipWS()
-	pe := &pathExpr{}
+	var pa path
 	if p.peek() == '/' {
-		pe.absolute = true
-		if p.hasPrefix("//") {
-			// Leading // : descendant step follows.
-			p.pos += 2
-			st, err := p.parseStep(axisDescendant)
-			if err != nil {
-				return nil, err
-			}
-			pe.steps = append(pe.steps, st)
-		} else {
-			p.pos++
-			if p.pos == len(p.src) || p.peek() == ' ' || p.peek() == ')' || p.peek() == ']' {
-				return pe, nil // bare "/" selects the root
-			}
-			st, err := p.parseStep(axisChild)
-			if err != nil {
-				return nil, err
-			}
-			pe.steps = append(pe.steps, st)
-		}
-	} else {
-		st, err := p.parseStep(axisChild)
-		if err != nil {
-			return nil, err
-		}
-		pe.steps = append(pe.steps, st)
-	}
-	for {
-		if p.hasPrefix("//") {
-			p.pos += 2
-			st, err := p.parseStep(axisDescendant)
-			if err != nil {
-				return nil, err
-			}
-			pe.steps = append(pe.steps, st)
-			continue
-		}
-		if p.peek() == '/' {
-			p.pos++
-			st, err := p.parseStep(axisChild)
-			if err != nil {
-				return nil, err
-			}
-			pe.steps = append(pe.steps, st)
-			continue
-		}
-		return pe, nil
-	}
-}
-
-func (p *xparser) parseStep(ax axis) (step, error) {
-	p.skipWS()
-	st := step{ax: ax}
-	switch {
-	case p.hasPrefix(".."):
-		p.pos += 2
-		st.ax = axisParent
-		st.name = "*"
-	case p.peek() == '.':
+		pa.absolute = true
 		p.pos++
-		st.ax = axisSelf
-		st.name = "*"
-	case p.peek() == '@':
-		p.pos++
-		if st.ax == axisChild {
-			st.ax = axisAttr
-		} else {
-			st.ax = axisAttr // //@x treated as attr of descendants' context
-		}
-		st.name = p.word()
-		if st.name == "" && p.peek() == '*' {
-			p.pos++
-			st.name = "*"
-		} else if st.name == "" {
-			return step{}, fmt.Errorf("%w: expected attribute name after '@'", ErrXPath)
-		} else {
-			p.pos += len(st.name)
-		}
-	case p.peek() == '*':
-		p.pos++
-		st.name = "*"
-	case p.hasPrefix("text()"):
-		p.pos += len("text()")
-		st.name = "#text"
-	case p.hasPrefix("node()"):
-		p.pos += len("node()")
-		st.name = "#node"
-	default:
-		w := p.word()
-		if w == "" {
-			return step{}, fmt.Errorf("%w: expected step at %q", ErrXPath, p.src[p.pos:])
-		}
-		p.pos += len(w)
-		st.name = w
 	}
 	for {
 		p.skipWS()
-		if p.peek() != '[' {
-			return st, nil
+		name := p.word()
+		if !isName(name) {
+			return path{}, fmt.Errorf("expected an element name at %q", p.src[p.pos:])
+		}
+		p.pos += len(name)
+		st := step{name: name}
+		for p.skipWS(); p.peek() == '['; p.skipWS() {
+			p.pos++
+			pred, err := p.parseExpr()
+			if err != nil {
+				return path{}, err
+			}
+			if pred.count {
+				return path{}, errors.New("positional predicate")
+			}
+			if err := p.expect(']'); err != nil {
+				return path{}, err
+			}
+			st.preds = append(st.preds, pred)
+		}
+		pa.steps = append(pa.steps, st)
+		if p.peek() != '/' {
+			return pa, nil
 		}
 		p.pos++
-		pred, err := p.parseExpr()
-		if err != nil {
-			return step{}, err
-		}
-		p.skipWS()
-		if p.peek() != ']' {
-			return step{}, fmt.Errorf("%w: expected ']'", ErrXPath)
-		}
-		p.pos++
-		st.preds = append(st.preds, pred)
 	}
 }

@@ -2,6 +2,7 @@ package xslt
 
 import (
 	"errors"
+	"html"
 	"strings"
 	"testing"
 
@@ -17,18 +18,39 @@ func parseDoc(t *testing.T, src string) *xmlx.Node {
 	return doc
 }
 
-func evalStr(t *testing.T, src, doc string) string {
+const xslOpen = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">`
+
+// rootTemplate is a stylesheet whose one template matches "/" with body.
+func rootTemplate(body string) string {
+	return xslOpen + `<xsl:template match="/">` + body + `</xsl:template></xsl:stylesheet>`
+}
+
+// valueOf is a stylesheet printing the string value of select, evaluated at
+// the document root, inside a <r> element.
+func valueOf(sel string) string {
+	return rootTemplate(`<r><xsl:value-of select="` + html.EscapeString(sel) + `"/></r>`)
+}
+
+// evalSelect returns the string value of sel evaluated at doc's root.
+func evalSelect(t *testing.T, sel, doc string) string {
 	t.Helper()
-	e, err := CompileExpr(src)
+	sheet, err := ParseStylesheet([]byte(valueOf(sel)))
 	if err != nil {
-		t.Fatalf("CompileExpr(%q): %v", src, err)
+		t.Fatalf("ParseStylesheet(select=%q): %v", sel, err)
 	}
-	n := parseDoc(t, doc)
-	v, err := e.Eval(Ctx{Node: xmlx.Document(n), Pos: 1, Size: 1})
+	out, err := sheet.TransformDocument(parseDoc(t, doc))
 	if err != nil {
-		t.Fatalf("Eval(%q): %v", src, err)
+		t.Fatalf("TransformDocument(select=%q): %v", sel, err)
 	}
-	return v.String()
+	return out.TextContent()
+}
+
+// refused asserts that ParseStylesheet rejects src with ErrStylesheet.
+func refused(t *testing.T, src string) {
+	t.Helper()
+	if _, err := ParseStylesheet([]byte(src)); !errors.Is(err, ErrStylesheet) {
+		t.Errorf("ParseStylesheet: err = %v, want ErrStylesheet for\n%s", err, src)
+	}
 }
 
 const catalogDoc = `<catalog>
@@ -42,123 +64,165 @@ func TestXPathPaths(t *testing.T) {
 		expr string
 		want string
 	}{
-		{"catalog/book/title", "A"},                              // first node string-value
-		{"/catalog/book[2]/title", "B"},                          // positional predicate
-		{"count(catalog/book)", "3"},                             // count
-		{"count(//t)", "3"},                                      // descendant axis
-		{"catalog/book[price > 8]/title", "A"},                   // numeric comparison predicate
-		{"count(catalog/book[price > 8])", "2"},                  // filtered count
-		{"catalog/book[@lang='de']/title", "B"},                  // attribute predicate
-		{"count(catalog/book[@lang='en'])", "2"},                 // attribute filter
-		{"sum(catalog/book/price)", "42"},                        // sum
-		{"catalog/book[last()]/title", "C"},                      // last()
-		{"catalog/book[position()=2]/title", "B"},                // position()
-		{"concat('x', '-', catalog/book/title)", "x-A"},          // concat + path
-		{"string-length(catalog/book/title)", "1"},               // string-length
-		{"count(catalog/book/tags/t | catalog/book/title)", "6"}, // union
-		{"number(catalog/book[1]/price) + 5", "15"},              // arithmetic
-		{"20 div 4", "5"},                                        // div
-		{"7 mod 3", "1"},                                         // mod
-		{"-catalog/book[1]/price", "-10"},                        // unary minus
-		{"normalize-space('  a  b ')", "a b"},                    // normalize-space
-		{"name(catalog/book[1])", "book"},                        // name()
-		{"catalog/book[1]/../book[3]/title", "C"},                // parent axis
-		{"catalog/book[1]/title/text()", "A"},                    // text() step
+		{"catalog/book/title", "A"},                         // first node's string-value
+		{"/catalog/book/title", "A"},                        // absolute path
+		{"catalog/missing", ""},                             // empty node-set
+		{"count(catalog/book)", "3"},                        // count
+		{"count(catalog/book/tags/t)", "3"},                 // count across parents
+		{"catalog/book[title='B']/price", "25"},             // = predicate
+		{"catalog/book[tags/t = \"z\"]/title", "B"},         // predicate path, either quote
+		{"count(catalog/book[tags/t])", "2"},                // existence predicate
+		{"count(catalog/book[title='B'][price='25'])", "1"}, // chained predicates
 	}
 	for _, tt := range tests {
 		t.Run(tt.expr, func(t *testing.T) {
-			if got := evalStr(t, tt.expr, catalogDoc); got != tt.want {
+			if got := evalSelect(t, tt.expr, catalogDoc); got != tt.want {
 				t.Errorf("got %q, want %q", got, tt.want)
 			}
 		})
+	}
+	// Expressions outside the subset, each now refused.
+	for _, expr := range []string{
+		"/catalog/book[2]/title",                          // positional predicate
+		"count(//t)",                                      // descendant axis
+		"catalog/book[price > 8]/title",                   // relational operator
+		"count(catalog/book[price > 8])",                  // relational operator
+		"catalog/book[@lang='de']/title",                  // attribute axis
+		"count(catalog/book[@lang='en'])",                 // attribute axis
+		"sum(catalog/book/price)",                         // sum()
+		"catalog/book[last()]/title",                      // last()
+		"catalog/book[position()=2]/title",                // position()
+		"concat('x', '-', catalog/book/title)",            // concat()
+		"string-length(catalog/book/title)",               // string-length()
+		"count(catalog/book/tags/t | catalog/book/title)", // union
+		"number(catalog/book[1]/price) + 5",               // arithmetic
+		"20 div 4",                                        // div
+		"7 mod 3",                                         // mod
+		"-catalog/book[1]/price",                          // unary minus
+		"normalize-space('  a  b ')",                      // normalize-space()
+		"name(catalog/book[1])",                           // name()
+		"catalog/book[1]/../book[3]/title",                // parent axis
+		"catalog/book[1]/title/text()",                    // text() step
+	} {
+		t.Run(expr, func(t *testing.T) { refused(t, valueOf(expr)) })
 	}
 }
 
+// TestXPathStringAndNumberFunctions: none of XPath's string and number
+// functions is in the subset.
 func TestXPathStringAndNumberFunctions(t *testing.T) {
-	tests := []struct {
-		expr string
-		want string
-	}{
-		{"substring('12345', 2)", "2345"},
-		{"substring('12345', 2, 3)", "234"},
-		{"substring('12345', 0, 3)", "12"},
-		{"substring('12345', 9)", ""},
-		{"substring-before('1999/04/01', '/')", "1999"},
-		{"substring-after('1999/04/01', '/')", "04/01"},
-		{"substring-before('abc', 'z')", ""},
-		{"translate('bar', 'abc', 'ABC')", "BAr"},
-		{"translate('--aaa--', 'a-', 'A')", "AAA"},
-		{"floor(2.7)", "2"},
-		{"ceiling(2.1)", "3"},
-		{"round(2.5)", "3"},
-		{"round(-1.4)", "-1"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.expr, func(t *testing.T) {
-			if got := evalStr(t, tt.expr, "<a/>"); got != tt.want {
-				t.Errorf("got %q, want %q", got, tt.want)
-			}
-		})
+	for _, expr := range []string{
+		"substring('12345', 2)",
+		"substring('12345', 2, 3)",
+		"substring('12345', 0, 3)",
+		"substring('12345', 9)",
+		"substring-before('1999/04/01', '/')",
+		"substring-after('1999/04/01', '/')",
+		"substring-before('abc', 'z')",
+		"translate('bar', 'abc', 'ABC')",
+		"translate('--aaa--', 'a-', 'A')",
+		"floor(2.7)",
+		"ceiling(2.1)",
+		"round(2.5)",
+		"round(-1.4)",
+	} {
+		t.Run(expr, func(t *testing.T) { refused(t, valueOf(expr)) })
 	}
 }
 
 func TestXPathBooleans(t *testing.T) {
 	tests := []struct {
 		expr string
-		want bool
+		want string
 	}{
-		{"count(catalog/book) = 3", true},
-		{"count(catalog/book) != 3", false},
-		{"catalog/book/price = 25", true}, // existential
-		{"catalog/book/price = 11", false},
-		{"catalog/book[1]/price < 11 and catalog/book[2]/price > 11", true},
-		{"true() or false()", true},
-		{"not(false())", true},
-		{"contains('hello', 'ell')", true},
-		{"starts-with('hello', 'he')", true},
-		{"starts-with('hello', 'lo')", false},
-		{"boolean(catalog/missing)", false},
-		{"boolean(catalog/book)", true},
-		{"'a' = 'a'", true},
-		{"1 <= 1", true},
+		{"catalog/book/price = '25'", "true"}, // existential over the node-set
+		{"catalog/book/price = '11'", "false"},
+		{"catalog/book[title='B']/price = '10'", "false"},
+		{"catalog/missing = ''", "false"}, // an empty node-set equals nothing
 	}
 	for _, tt := range tests {
 		t.Run(tt.expr, func(t *testing.T) {
-			e, err := CompileExpr(tt.expr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := parseDoc(t, catalogDoc)
-			v, err := e.Eval(Ctx{Node: xmlx.Document(n), Pos: 1, Size: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.Bool() != tt.want {
-				t.Errorf("got %v, want %v", v.Bool(), tt.want)
+			if got := evalSelect(t, tt.expr, catalogDoc); got != tt.want {
+				t.Errorf("got %q, want %q", got, tt.want)
 			}
 		})
+	}
+	// Boolean expressions outside the subset, each now refused.
+	for _, expr := range []string{
+		"count(catalog/book) = 3",
+		"count(catalog/book) != 3",
+		"catalog/book/price = 25", // number literal
+		"catalog/book/price = 11",
+		"catalog/book[1]/price < 11 and catalog/book[2]/price > 11",
+		"true() or false()",
+		"not(false())",
+		"contains('hello', 'ell')",
+		"starts-with('hello', 'he')",
+		"starts-with('hello', 'lo')",
+		"boolean(catalog/missing)",
+		"boolean(catalog/book)",
+		"'a' = 'a'", // literal on the left
+		"1 <= 1",
+	} {
+		t.Run(expr, func(t *testing.T) { refused(t, valueOf(expr)) })
 	}
 }
 
 func TestXPathErrors(t *testing.T) {
-	bad := []string{
+	for _, src := range []string{
 		"", "catalog/", "foo(", "count(1, 2, 3", "'unterminated",
 		"catalog/book[", "1 +", "@", "nosuchfn(1)",
+	} {
+		t.Run(src, func(t *testing.T) { refused(t, valueOf(src)) })
 	}
-	for _, src := range bad {
-		t.Run(src, func(t *testing.T) {
-			e, err := CompileExpr(src)
-			if err != nil {
-				return // parse-time rejection is fine
-			}
-			n := parseDoc(t, catalogDoc)
-			if _, err := e.Eval(Ctx{Node: n, Pos: 1, Size: 1}); err == nil {
-				t.Errorf("CompileExpr+Eval(%q) both succeeded", src)
-			}
-		})
+}
+
+// TestRemovedConstructsRefused: every instruction, pattern, operator,
+// function and axis outside the subset makes ParseStylesheet fail with
+// ErrStylesheet rather than be ignored or yield a partial result tree.
+func TestRemovedConstructsRefused(t *testing.T) {
+	cases := map[string]string{
+		"apply-templates":          rootTemplate(`<r><xsl:apply-templates/></r>`),
+		"if":                       rootTemplate(`<r><xsl:if test="a"><x/></xsl:if></r>`),
+		"choose":                   rootTemplate(`<r><xsl:choose><xsl:when test="a"><x/></xsl:when><xsl:otherwise><y/></xsl:otherwise></xsl:choose></r>`),
+		"element":                  rootTemplate(`<xsl:element name="r"/>`),
+		"attribute":                rootTemplate(`<r><xsl:attribute name="n">v</xsl:attribute></r>`),
+		"text":                     rootTemplate(`<r><xsl:text>lit</xsl:text></r>`),
+		"variable":                 rootTemplate(`<xsl:variable name="v" select="a"/><r/>`),
+		"top-level variable":       xslOpen + `<xsl:variable name="v" select="a"/><xsl:template match="/"><r/></xsl:template></xsl:stylesheet>`,
+		"copy":                     rootTemplate(`<xsl:copy/>`),
+		"copy-of":                  rootTemplate(`<r><xsl:copy-of select="a"/></r>`),
+		"inside for-each":          rootTemplate(`<r><xsl:for-each select="a"><xsl:copy/></xsl:for-each></r>`),
+		"for-each count()":         rootTemplate(`<r><xsl:for-each select="count(a)"><x/></xsl:for-each></r>`),
+		"for-each boolean":         rootTemplate(`<r><xsl:for-each select="a = 'x'"><x/></xsl:for-each></r>`),
+		"value-of no select":       rootTemplate(`<r><xsl:value-of/></r>`),
+		"attribute value template": rootTemplate(`<r n="{a}"/>`),
 	}
-	if _, err := CompileExpr("count(1,2"); err != nil && !errors.Is(err, ErrXPath) {
-		t.Errorf("error must wrap ErrXPath, got %v", err)
+	for _, pat := range []string{"*", "text()", "a/*", "a//b", "//a", "a|b", "@x", "node()", "a[1]", "."} {
+		cases["pattern "+pat] = xslOpen + `<xsl:template match="` + pat + `"><r/></xsl:template></xsl:stylesheet>`
+	}
+	for _, sel := range []string{
+		// operators, literals and variables
+		"a or b", "a and b", "a != 'x'", "a < 'x'", "a <= 'x'", "a > 'x'", "a >= 'x'",
+		"a + b", "a - b", "a * b", "a div b", "a mod b", "-a", "a | b",
+		"a = 1", "a = b", "1", "'lit'", "$v", "count(a) = '1'",
+		// predicates
+		"a[1]", "a[last()]", "a[position()=1]", "a[count(b)]", "a[b != 'x']",
+		// axes and node tests
+		"//a", "a//b", "@x", "a/@x", ".", "..", "a/..", "a/.", "*", "a/*", "a/text()", "a/node()",
+	} {
+		cases["select "+sel] = valueOf(sel)
+	}
+	for _, fn := range []string{
+		"sum", "position", "last", "not", "true", "false", "number", "string",
+		"boolean", "concat", "contains", "starts-with", "string-length",
+		"normalize-space", "substring", "substring-before", "substring-after",
+		"translate", "floor", "ceiling", "round", "name", "local-name",
+	} {
+		cases["function "+fn] = valueOf(fn + "(a)")
+	}
+	for name, src := range cases {
+		t.Run(name, func(t *testing.T) { refused(t, src) })
 	}
 }
 
@@ -238,96 +302,70 @@ func TestChannelOpenResponseTransformation(t *testing.T) {
 }
 
 func TestTemplateSelectionAndBuiltins(t *testing.T) {
-	sheet, err := ParseStylesheet([]byte(`
-<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
-<xsl:template match="b"><hit><xsl:value-of select="."/></hit></xsl:template>
-</xsl:stylesheet>`))
+	sheet, err := ParseStylesheet([]byte(xslOpen +
+		`<xsl:template match="b"><hit k="v"><xsl:value-of select="c"/></hit></xsl:template></xsl:stylesheet>`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No template for root or <a>: built-in rules recurse; text copied.
-	out, err := sheet.Transform(parseDoc(t, "<a>plain<b>X</b>tail</a>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(xmlx.Render(out))
-	if got != "plain<hit>X</hit>tail" {
+	// No template for root or <a>: built-in rules recurse; text copied. A
+	// literal result element keeps its attributes.
+	got := string(xmlx.Render(sheet.transform(parseDoc(t, "<a>plain<b><c>X</c></b>tail</a>"))))
+	if got != `plain<hit k="v">X</hit>tail` {
 		t.Errorf("result = %q", got)
 	}
 }
 
 func TestTemplatePriority(t *testing.T) {
-	sheet, err := ParseStylesheet([]byte(`
-<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
-<xsl:template match="*"><any/></xsl:template>
-<xsl:template match="x"><specific/></xsl:template>
+	// A path or absolute pattern (0.5) beats a name (0); between equal
+	// priorities the later template wins. Unmatched <r>, <a> and <b> go
+	// through the built-in rule to their children.
+	sheet, err := ParseStylesheet([]byte(xslOpen + `
 <xsl:template match="a/x"><path/></xsl:template>
+<xsl:template match="x"><name/></xsl:template>
+<xsl:template match="r/a/x"><later/></xsl:template>
+<xsl:template match="/r/x"><abs/></xsl:template>
 </xsl:stylesheet>`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sheet.Transform(parseDoc(t, "<a><x/></a>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(xmlx.Render(out))
-	// Root <a> matches "*" → <any/>; its children are not visited because
-	// the template body has no apply-templates.
-	if got != "<any></any>" {
-		t.Errorf("result = %q", got)
+	got := string(xmlx.Render(sheet.transform(parseDoc(t, "<r><a><x/></a><b><x/></b><x/></r>"))))
+	if want := "<later></later><name></name><abs></abs>"; got != want {
+		t.Errorf("result = %q, want %q", got, want)
 	}
 
-	// With apply-templates on <a>, the <x> child must pick the multi-step
-	// pattern (higher priority than both "x" and "*").
-	sheet2, err := ParseStylesheet([]byte(`
-<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
-<xsl:template match="a"><xsl:apply-templates/></xsl:template>
-<xsl:template match="*"><any/></xsl:template>
-<xsl:template match="x"><specific/></xsl:template>
-<xsl:template match="a/x"><path/></xsl:template>
+	// "/" matches only the document root, so it shadows the built-in rule
+	// there and nothing below is visited.
+	root, err := ParseStylesheet([]byte(xslOpen + `
+<xsl:template match="/"><top/></xsl:template>
+<xsl:template match="x"><name/></xsl:template>
 </xsl:stylesheet>`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := sheet2.Transform(parseDoc(t, "<a><x/></a>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(xmlx.Render(out2)); got != "<path></path>" {
-		t.Errorf("result = %q, want the a/x template", got)
+	if got := string(xmlx.Render(root.transform(parseDoc(t, "<x/>")))); got != "<top></top>" {
+		t.Errorf("result = %q, want the / template", got)
 	}
 }
 
+// TestChooseIfElementAttribute: a stylesheet using xsl:attribute,
+// xsl:choose, xsl:if, xsl:element, xsl:text and xsl:copy-of is refused.
 func TestChooseIfElementAttribute(t *testing.T) {
-	sheet, err := ParseStylesheet([]byte(`
-<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	refused(t, xslOpen+`
 <xsl:template match="/n">
   <out>
     <xsl:attribute name="size"><xsl:value-of select="count(v)"/></xsl:attribute>
     <xsl:for-each select="v">
       <xsl:choose>
-        <xsl:when test=". > 10"><big><xsl:value-of select="."/></big></xsl:when>
+        <xsl:when test=". &gt; 10"><big><xsl:value-of select="."/></big></xsl:when>
         <xsl:otherwise><small><xsl:value-of select="."/></small></xsl:otherwise>
       </xsl:choose>
     </xsl:for-each>
-    <xsl:if test="count(v) > 2"><many/></xsl:if>
+    <xsl:if test="count(v) &gt; 2"><many/></xsl:if>
     <xsl:element name="made"><xsl:text>lit</xsl:text></xsl:element>
     <xsl:copy-of select="v[1]"/>
   </out>
 </xsl:template>
-</xsl:stylesheet>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sheet.TransformDocument(parseDoc(t, "<n><v>5</v><v>50</v><v>7</v></n>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(xmlx.Render(out))
-	want := `<out size="3"><small>5</small><big>50</big><small>7</small><many></many><made>lit</made><v>5</v></out>`
-	if got != want {
-		t.Errorf("result = %q\nwant     %q", got, want)
-	}
+</xsl:stylesheet>`)
 }
 
 func TestStylesheetErrors(t *testing.T) {
@@ -343,65 +381,88 @@ func TestStylesheetErrors(t *testing.T) {
 		{"bad pattern", `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform"><xsl:template match="a[1]"/></xsl:stylesheet>`},
 	}
 	for _, tt := range bad {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseStylesheet([]byte(tt.src)); !errors.Is(err, ErrStylesheet) {
-				t.Errorf("err = %v, want ErrStylesheet", err)
-			}
-		})
+		t.Run(tt.name, func(t *testing.T) { refused(t, tt.src) })
 	}
 }
 
 func TestTransformErrors(t *testing.T) {
-	sheet, err := ParseStylesheet([]byte(`
-<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
-<xsl:template match="/"><xsl:for-each select="concat('a','b')"><x/></xsl:for-each></xsl:template>
-</xsl:stylesheet>`))
-	if err != nil {
-		t.Fatal(err)
+	// TransformDocument needs exactly one root element in the result.
+	for _, body := range []string{`lone text`, `<a/><b/>`} {
+		sheet, err := ParseStylesheet([]byte(rootTemplate(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sheet.TransformDocument(parseDoc(t, "<a/>")); !errors.Is(err, ErrTransform) {
+			t.Errorf("body %q: err = %v, want ErrTransform", body, err)
+		}
 	}
-	if _, err := sheet.Transform(parseDoc(t, "<a/>")); !errors.Is(err, ErrTransform) {
-		t.Errorf("for-each over a string must fail with ErrTransform, got %v", err)
-	}
-
-	sheet2, err := ParseStylesheet([]byte(`
-<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
-<xsl:template match="/"><xsl:unknown-instruction/></xsl:template>
-</xsl:stylesheet>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sheet2.Transform(parseDoc(t, "<a/>")); !errors.Is(err, ErrTransform) {
-		t.Errorf("unknown instruction must fail with ErrTransform, got %v", err)
-	}
+	// What used to fail only during a transformation, for-each over a
+	// non-node-set and an unknown instruction, is refused up front.
+	refused(t, rootTemplate(`<xsl:for-each select="count(a)"><x/></xsl:for-each>`))
+	refused(t, rootTemplate(`<xsl:unknown-instruction/>`))
 }
 
+// TestTextMatchTemplate: the text() pattern and xsl:apply-templates are
+// refused.
 func TestTextMatchTemplate(t *testing.T) {
-	sheet, err := ParseStylesheet([]byte(`
-<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	refused(t, xslOpen+`
 <xsl:template match="a"><xsl:apply-templates/></xsl:template>
 <xsl:template match="text()"><T><xsl:value-of select="."/></T></xsl:template>
-</xsl:stylesheet>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sheet.Transform(parseDoc(t, "<a>hi</a>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(xmlx.Render(out)); got != "<T>hi</T>" {
-		t.Errorf("result = %q", got)
+</xsl:stylesheet>`)
+}
+
+// TestStringsBuilderNotNeeded: count() renders as a plain decimal integer,
+// never with an exponent.
+func TestStringsBuilderNotNeeded(t *testing.T) {
+	for _, tt := range []struct {
+		n    int
+		want string
+	}{{0, "0"}, {3, "3"}, {1000, "1000"}} {
+		doc := "<r>" + strings.Repeat("<v/>", tt.n) + "</r>"
+		if got := evalSelect(t, "count(r/v)", doc); got != tt.want {
+			t.Errorf("count of %d = %q, want %q", tt.n, got, tt.want)
+		}
 	}
 }
 
-func TestStringsBuilderNotNeeded(t *testing.T) {
-	// Val.String of numbers: integers render without exponent.
-	if got := numVal(3).String(); got != "3" {
-		t.Errorf("numVal(3).String() = %q", got)
-	}
-	if got := numVal(2.5).String(); got != "2.5" {
-		t.Errorf("numVal(2.5).String() = %q", got)
-	}
-	if !strings.Contains(numVal(1e21).String(), "e+21") {
-		t.Errorf("huge float = %q", numVal(1e21).String())
-	}
+// TestVariables: xsl:variable and $var references are refused.
+func TestVariables(t *testing.T) {
+	refused(t, xslOpen+`
+<xsl:template match="/order">
+  <xsl:variable name="total" select="sum(item/price)"/>
+  <xsl:variable name="label">order-summary</xsl:variable>
+  <summary>
+    <kind><xsl:value-of select="$label"/></kind>
+    <total><xsl:value-of select="$total"/></total>
+    <xsl:if test="$total &gt; 20"><big/></xsl:if>
+    <doubled><xsl:value-of select="$total * 2"/></doubled>
+  </summary>
+</xsl:template>
+</xsl:stylesheet>`)
+	refused(t, valueOf("$total"))
+}
+
+func TestVariableScopeIsFollowingSiblings(t *testing.T) {
+	refused(t, rootTemplate(`<out>
+    <inner><xsl:variable name="v" select="1"/><a><xsl:value-of select="$v"/></a></inner>
+    <after><xsl:value-of select="$v"/></after>
+  </out>`))
+}
+
+func TestUndefinedVariable(t *testing.T) {
+	refused(t, valueOf("$missing + 1"))
+	refused(t, valueOf("$"))
+}
+
+// TestXslCopyIdentityish: the identity-transform skeleton (the "*" pattern,
+// xsl:copy and xsl:apply-templates) is refused.
+func TestXslCopyIdentityish(t *testing.T) {
+	refused(t, xslOpen+`<xsl:template match="*"><xsl:copy><xsl:apply-templates/></xsl:copy></xsl:template></xsl:stylesheet>`)
+}
+
+func TestXslCopyTextNode(t *testing.T) {
+	refused(t, xslOpen+`
+<xsl:template match="a"><xsl:apply-templates/></xsl:template>
+<xsl:template match="text()"><wrapped><xsl:copy/></wrapped></xsl:template>
+</xsl:stylesheet>`)
 }

@@ -111,6 +111,10 @@ echo "== formatd cluster smoke (3 real peers, SIGKILL the primary under live loa
 selected run 'TestSIGKILLPrimaryUnderLoad' -race -count=1 ./cmd/formatd/
 echo "== fleet chaos soak (seeds 1-3, race-enabled: zero loss, dups, reorders, leaks; recovery under 5 s)"
 selected run 'TestFleetSoak' -race -count=1 ./internal/bench/
+echo "== paper figures (Table 1 sizes; Figures 8-10 as allocation shapes, race-enabled)"
+selected run 'TestShapeTable1|TestShapeFigure8|TestShapeFigure9|TestShapeFigure10' -race -count=1 ./internal/bench/
+echo "== XSLT baseline contract (Figure 10's stylesheet transforms; every construct outside the subset is refused)"
+selected run 'TestChannelOpenResponseTransformation|TestRemovedConstructsRefused' -race -count=1 ./internal/xslt/
 echo "== echodemo debug plane (server process: /metrics golden, readyz, /debug/ index, tapz morphcap)"
 selected run 'TestRunServerDebugPlane' -race -count=1 ./cmd/echodemo/
 echo "== fuzz smoke (wire frame parser over cut streams, format-frame round trip, payload decoder with planned and reused-memory deliveries, format-blob decoder, spool and capture reader, registry bodies, Ecode compiler, Figure 5's lowered loop against its program; 10s each)"
